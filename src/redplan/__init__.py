@@ -12,7 +12,7 @@ from .baseline import (JointPath, ResolutionConfig, baseline_plan,
                        resolve_redundancy, time_parametrize)
 from .constraints import (HISTORY_DEPENDENT_ORDERS, ORDERS, EdgeEvaluation,
                           LimitSets, NodeState, SaturationReport,
-                          TrajectoryProfile, edge_duration, evaluate_edge,
+                          TrajectoryProfile, evaluate_edge,
                           initial_state, saturation_percentage,
                           stage_transitions)
 from .errors import (BudgetExceeded, ContractViolation, CorruptChain,
@@ -45,7 +45,7 @@ __all__ = [
     "TimeObjective", "TrajectoryProfile", "Unreachable", "ValueMap",
     "Window", "WorkspacePath", "baseline_plan", "build_grid", "bundled_scenario",
     "bundled_scenario_names", "compare", "dumps_canonical",
-    "dynamic_manipulability_cost", "edge_duration", "evaluate_edge", "exclude",
+    "dynamic_manipulability_cost", "evaluate_edge", "exclude",
     "exhaustive_plan", "grid_from_configurations", "initial_state", "load_path",
     "load_robot", "load_scenario", "plan", "pseudo_inverse", "pst",
     "resample_export", "resolve_redundancy", "sample_path",

@@ -51,7 +51,7 @@ def _write(path: str, text: str) -> None:
 
 def _write_report(out: str, name: str, report: dict, started: float, args) -> None:
     _write(os.path.join(out, name), dumps_canonical(report) + "\n")
-    meta = run_meta(started, threads=getattr(args, "threads", 1))
+    meta = run_meta(started, threads=args.threads)
     _write(os.path.join(out, "run_meta.json"), dumps_canonical(meta) + "\n")
 
 
@@ -68,8 +68,7 @@ def cmd_plan(args) -> int:
         print(dumps_canonical(stats))
         return EXIT_OK
     result = plan(grid, scenario.limits, objective=scenario.objective_instance(),
-                  check_count=scenario.check_count, window=scenario.window,
-                  threads=args.threads)
+                  check_count=scenario.check_count, window=scenario.window)
     out = _out_dir(args, scenario)
     _write(os.path.join(out, "trajectory.csv"), trajectory_csv(result.profile))
     _write(os.path.join(out, "pst.csv"), pst_csv(result))
@@ -87,11 +86,10 @@ def cmd_baseline(args) -> int:
     joint_path = resolve_redundancy(scenario.robot, path, scenario.baseline)
     pinned = time_parametrize(scenario.robot, path, joint_path, scenario.limits,
                               scenario.grid, objective=scenario.objective_instance(),
-                              check_count=scenario.check_count, threads=args.threads)
+                              check_count=scenario.check_count)
     unified = plan(scenario.build(), scenario.limits,
                    objective=scenario.objective_instance(),
-                   check_count=scenario.check_count, window=scenario.window,
-                   threads=args.threads)
+                   check_count=scenario.check_count, window=scenario.window)
     out = _out_dir(args, scenario)
     _write(os.path.join(out, "joint_path.csv"), joint_path_csv(path, joint_path))
     _write(os.path.join(out, "trajectory.csv"), trajectory_csv(pinned.profile))
@@ -110,7 +108,7 @@ def cmd_verify(args) -> int:
     grid = scenario.build()
     objective = scenario.objective_instance()
     dp = plan(grid, scenario.limits, objective=objective,
-              check_count=scenario.check_count, threads=args.threads)
+              check_count=scenario.check_count)
     oracle = exhaustive_plan(grid, scenario.limits, objective=objective,
                              budget=budget, check_count=scenario.check_count)
     gap = compare(dp, oracle, budget=budget)
@@ -147,8 +145,7 @@ def cmd_sweep(args) -> int:
         tick = time.time()
         result = plan(variant.build(), variant.limits,
                       objective=variant.objective_instance(),
-                      check_count=variant.check_count, window=variant.window,
-                      threads=args.threads)
+                      check_count=variant.check_count, window=variant.window)
         rows.append((value, result.cost, result.saturation.percentage,
                      time.time() - tick))
     out = _out_dir(args, scenario)
@@ -160,8 +157,7 @@ def cmd_export(args) -> int:
     scenario = load_scenario(args.scenario)
     result = plan(scenario.build(), scenario.limits,
                   objective=scenario.objective_instance(),
-                  check_count=scenario.check_count, window=scenario.window,
-                  threads=args.threads)
+                  check_count=scenario.check_count, window=scenario.window)
     out = _out_dir(args, scenario)
     _write(os.path.join(out, "trajectory_dense.csv"),
            resample_export(result, args.rate))
@@ -180,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="artifact directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (results are thread-count independent)")
+                       help="accepted and recorded in run_meta.json; planning "
+                            "is single-threaded, so it changes no result")
 
     p = sub.add_parser("plan", help="run the unified planner")
     common(p)

@@ -8,9 +8,13 @@ starts) propagate as NaN and their checks are skipped until enough chain
 depth exists, which mirrors starting the bookkeeping at zero depth rather
 than guessing values.
 
-Scalar (`evaluate_edge`) and vectorized (`stage_transitions`) paths share
-`transition_quantities`, so a scalar replay of a chain reproduces the
-vectorized sweep's numbers bit for bit.
+One engine computes every edge: the time step, the difference stack,
+inverse dynamics, the per-order checks with the Coulomb exemption for the
+torque rate, and the interior check points, written once over broadcast
+shapes. `stage_transitions` runs it on all P x C edges into one level and
+folds the checks into masks; `evaluate_edge` runs it on one edge and turns
+the same checks into violation tags. A replay of a chain therefore
+reproduces the sweep's numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class LimitSets:
             if bound is None:
                 continue
             bound = np.atleast_1d(np.asarray(bound, dtype=float))
-            if np.any(bound <= 0.0):
+            if not np.all(bound > 0.0):       # NaN fails the comparison
                 raise ScenarioError(f"enabled {order} bounds must be strictly positive")
             object.__setattr__(self, order, bound)
 
@@ -110,25 +114,14 @@ def initial_state(robot: RobotModel, q: Array, pv: float) -> NodeState:
     return NodeState(q=q, pv=float(pv), qd=nan, qdd=nan, tau=nan)
 
 
-def edge_duration(pv_prev: float, pv_next: float, dlam: float) -> float:
-    """Time step of one stage transition.
+def edge_durations(pv_prev, pv_next: float, dlam: float) -> Array:
+    """Time step of stage transitions; shapes follow pv_prev.
 
     Interior edges use the backward-Euler step dlam / pv_next; edges that
     start or stop (either pseudo-velocity zero) use the trapezoidal step
-    2 dlam / (pv_prev + pv_next).
-
-    Raises:
-        InfeasibleEdge: both pseudo-velocities are zero.
+    2 dlam / (pv_prev + pv_next). Lanes with zero pseudo-velocity at both
+    ends have no time step and come back as +inf.
     """
-    if pv_prev == 0.0 or pv_next == 0.0:
-        if pv_prev + pv_next == 0.0:
-            raise InfeasibleEdge("edge with zero pseudo-velocity at both ends")
-        return 2.0 * dlam / (pv_prev + pv_next)
-    return dlam / pv_next
-
-
-def edge_durations(pv_prev: Array, pv_next: float, dlam: float) -> Array:
-    """Vectorized edge_duration; infeasible lanes come back as +inf."""
     pv_prev = np.asarray(pv_prev, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         trapezoid = 2.0 * dlam / (pv_prev + pv_next)
@@ -171,6 +164,56 @@ def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
         return np.any(qd_prev * qd_next < 0.0, axis=-1)
 
 
+def _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, count):
+    """States at the interior check points of one edge.
+
+    The profile between stages keeps the pseudo-acceleration constant
+    (pv^2 linear in lambda) and interpolates q linearly in lambda, which
+    makes the joint acceleration constant along the edge.
+    """
+    slope = (q_next - q_prev) / dlam
+    qdd_edge = slope * ((pv_next ** 2 - pv_prev ** 2) / (2.0 * dlam))
+    out = []
+    for k in range(1, count + 1):
+        s = k / (count + 1.0)
+        pv_s = np.sqrt((1.0 - s) * pv_prev ** 2 + s * pv_next ** 2)
+        q_s = q_prev + s * (q_next - q_prev)
+        qd_s = slope * pv_s
+        out.append((q_s, qd_s, qdd_edge))
+    return out
+
+
+def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_prev,
+                 q_next, pv_next, check_count):
+    """Time step, difference stack and every bound check of a set of edges.
+
+    Joint arrays broadcast against each other: (n,) for one edge, (P, 1, n)
+    against (1, C, n) for a stage, with pv_prev a scalar or (P, 1, 1).
+    Returns dt (+inf where no time step exists; the stack then uses a unit
+    step), the endpoint stack (qd, qdd, qddd, tau, taud), and one
+    (order, where, value, exempt) entry per bound check: the enabled
+    endpoint orders, then the check-point orders of each check point.
+    exempt marks the lanes that skip a check (torque rate across a Coulomb
+    crossing) and is None for every other check.
+    """
+    dt = edge_durations(pv_prev, pv_next, dlam)
+    stack = transition_quantities(robot, q_prev, qd_prev, qdd_prev, tau_prev, q_next,
+                                  np.where(np.isfinite(dt), dt, 1.0))
+    values = dict(zip(ORDERS, stack))
+    checks = []
+    for order in limits.enabled_orders:
+        exempt = _coulomb_crossing(qd_prev, values["qd"]) if order == "taud" else None
+        checks.append((order, "endpoint", values[order], exempt))
+    for k, (q_s, qd_s, qdd_s) in enumerate(
+            _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, check_count), start=1):
+        sample = {"qd": qd_s, "qdd": qdd_s}
+        if limits.tau is not None:
+            sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)
+        checks.extend((order, f"check_point_{k}", sample[order], None)
+                      for order in _CHECK_POINT_ORDERS if limits.bound(order) is not None)
+    return dt, stack, checks
+
+
 @dataclass(frozen=True)
 class Violation:
     order: str
@@ -205,84 +248,35 @@ class EdgeEvaluation:
                          qdd=self.qdd, tau=self.tau)
 
 
-def _collect_violations(order, value, bound, where="endpoint"):
-    out = []
-    flat = np.atleast_1d(value)
-    for j in range(flat.shape[-1]):
-        v = flat[j]
-        if not np.isnan(v) and abs(v) > bound[j]:
-            out.append(Violation(order=order, joint=j, excess=float(abs(v) - bound[j]),
-                                 where=where))
-    return out
-
-
 def evaluate_edge(robot: RobotModel, limits: LimitSets, dlam: float,
                   prev: NodeState, q_next: Array, pv_next: float,
                   check_count: int = 0) -> EdgeEvaluation:
     """Evaluate one transition from a reached node to a next-stage node.
+
+    Every failed check is tagged with its order, joint, excess and place:
+    the endpoint tags first, then the check-point tags.
 
     Raises:
         InfeasibleEdge: both end pseudo-velocities are zero (no time step
             exists); bound violations do NOT raise, they come back in the
             result with their tags.
     """
-    dt = edge_duration(prev.pv, pv_next, dlam)
-    q_next = np.asarray(q_next, dtype=float)
-    qd, qdd, qddd, tau, taud = transition_quantities(
-        robot, prev.q, prev.qd, prev.qdd, prev.tau, q_next, dt)
-
+    dt, stack, checks = _edge_checks(robot, limits, dlam, prev.q, prev.pv, prev.qd,
+                                     prev.qdd, prev.tau, np.asarray(q_next, dtype=float),
+                                     pv_next, check_count)
+    if not np.isfinite(dt):
+        raise InfeasibleEdge("edge with zero pseudo-velocity at both ends")
     violations = []
-    skip_taud = bool(_coulomb_crossing(prev.qd, qd))
-    values = {"qd": qd, "qdd": qdd, "qddd": qddd, "tau": tau, "taud": taud}
-    for order in limits.enabled_orders:
-        if order == "taud" and skip_taud:
+    for order, where, value, exempt in checks:
+        if exempt:
             continue
-        violations.extend(_collect_violations(order, values[order], limits.bound(order)))
-
-    if check_count > 0 and not violations:
-        ok, tags = _check_interior(robot, limits, prev.q, q_next, prev.pv,
-                                   pv_next, dlam, check_count)
-        violations.extend(tags)
-
-    return EdgeEvaluation(dt=dt, qd=qd, qdd=qdd, qddd=qddd, tau=tau, taud=taud,
-                          feasible=not violations, violations=tuple(violations))
-
-
-def _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, count):
-    """States at the interior check points of one edge.
-
-    The profile between stages keeps the pseudo-acceleration constant
-    (pv^2 linear in lambda) and interpolates q linearly in lambda, which
-    makes the joint acceleration constant along the edge.
-    """
-    slope = (q_next - q_prev) / dlam
-    qdd_edge = slope * ((pv_next ** 2 - pv_prev ** 2) / (2.0 * dlam))
-    out = []
-    for k in range(1, count + 1):
-        s = k / (count + 1.0)
-        pv_s = np.sqrt((1.0 - s) * pv_prev ** 2 + s * pv_next ** 2)
-        q_s = q_prev + s * (q_next - q_prev)
-        qd_s = slope * pv_s
-        out.append((q_s, qd_s, qdd_edge))
-    return out
-
-
-def _check_interior(robot, limits, q_prev, q_next, pv_prev, pv_next, dlam, count):
-    ok = True
-    tags = []
-    for k, (q_s, qd_s, qdd_s) in enumerate(
-            _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, count), start=1):
-        tau_s = robot.inverse_dynamics(q_s, qd_s, qdd_s)
-        values = {"qd": qd_s, "qdd": qdd_s, "tau": tau_s}
-        for order in _CHECK_POINT_ORDERS:
-            bound = limits.bound(order)
-            if bound is None:
-                continue
-            found = _collect_violations(order, values[order], bound,
-                                        where=f"check_point_{k}")
-            tags.extend(found)
-            ok = ok and not found
-    return ok, tags
+        with np.errstate(invalid="ignore"):
+            excess = np.abs(value) - limits.bound(order)     # NaN never exceeds
+        violations.extend(Violation(order=order, joint=int(j), excess=float(excess[j]),
+                                    where=where)
+                          for j in np.flatnonzero(excess > 0.0))
+    return EdgeEvaluation(float(dt), *stack, feasible=not violations,
+                          violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -302,6 +296,13 @@ class StageEval:
     feasible: Array
     order_ok: dict
 
+    def rejections(self) -> dict:
+        """Failed checks per order, plus the lanes without a time step."""
+        counts = {o: int(np.count_nonzero(~ok)) for o, ok in self.order_ok.items()}
+        no_step = int(np.count_nonzero(~np.isfinite(self.dt)))
+        counts["duration"] = no_step * self.feasible.shape[1]
+        return counts
+
 
 def stage_transitions(robot: RobotModel, limits: LimitSets, dlam: float,
                       q_prev: Array, pv_prev: Array, qd_prev: Array,
@@ -314,39 +315,21 @@ def stage_transitions(robot: RobotModel, limits: LimitSets, dlam: float,
     Lanes whose time step does not exist carry dt = +inf and are marked
     infeasible.
     """
-    dt = edge_durations(pv_prev, pv_next, dlam)
-    edge_ok = np.isfinite(dt)
-    dt_col = np.where(edge_ok, dt, 1.0)[:, None, None]
-    qd, qdd, qddd, tau, taud = transition_quantities(
-        robot, q_prev[:, None, :], qd_prev[:, None, :], qdd_prev[:, None, :],
-        tau_prev[:, None, :], q_next[None, :, :], dt_col)
-
+    pv_col = np.asarray(pv_prev, dtype=float)[:, None, None]
+    dt, stack, checks = _edge_checks(
+        robot, limits, dlam, q_prev[:, None, :], pv_col, qd_prev[:, None, :],
+        qdd_prev[:, None, :], tau_prev[:, None, :], q_next[None, :, :], pv_next,
+        check_count)
+    dt = dt[:, 0, 0]
+    feasible = np.isfinite(dt)[:, None] & np.ones(q_next.shape[0], dtype=bool)[None, :]
     order_ok = {}
-    values = {"qd": qd, "qdd": qdd, "qddd": qddd, "tau": tau, "taud": taud}
-    feasible = edge_ok[:, None] & np.ones(q_next.shape[0], dtype=bool)[None, :]
-    for order in limits.enabled_orders:
-        ok = _order_ok(values[order], limits.bound(order))
-        if order == "taud":
-            ok |= _coulomb_crossing(qd_prev[:, None, :], qd)
-        order_ok[order] = ok
+    for order, _, value, exempt in checks:
+        ok = _order_ok(value, limits.bound(order))
+        if exempt is not None:
+            ok |= exempt
+        order_ok[order] = order_ok[order] & ok if order in order_ok else ok
         feasible &= ok
-
-    if check_count > 0:
-        for q_s, qd_s, qdd_s in _interior_samples(
-                q_prev[:, None, :], q_next[None, :, :],
-                pv_prev[:, None, None], pv_next, dlam, check_count):
-            sample_vals = {"qd": qd_s, "qdd": qdd_s,
-                           "tau": robot.inverse_dynamics(q_s, qd_s, qdd_s)}
-            for order in _CHECK_POINT_ORDERS:
-                bound = limits.bound(order)
-                if bound is None:
-                    continue
-                ok = _order_ok(sample_vals[order], bound)
-                order_ok[order] = order_ok.get(order, True) & ok
-                feasible &= ok
-
-    return StageEval(dt=dt, qd=qd, qdd=qdd, qddd=qddd, tau=tau, taud=taud,
-                     feasible=feasible, order_ok=order_ok)
+    return StageEval(dt, *stack, feasible=feasible, order_ok=order_ok)
 
 
 @dataclass(frozen=True)

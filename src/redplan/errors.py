@@ -35,10 +35,6 @@ class InfeasibleEdge(PlanningError):
     """Both endpoint pseudo-velocities are zero; the edge duration diverges."""
 
 
-class MissingHistory(PlanningError):
-    """A derivative order was requested beyond the available chain depth."""
-
-
 class NoFeasiblePlan(PlanningError):
     """No feasible chain connects the start stage to the terminal set.
 

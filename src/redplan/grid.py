@@ -149,9 +149,6 @@ class StateGrid:
     def node_q(self, stage: int, node_id: int) -> Array:
         return self.q_table[stage, int(node_id) % self.cfg_count]
 
-    def node_pv(self, node_id: int) -> float:
-        return float(self.pv_values[int(node_id) // self.cfg_count])
-
     def signature(self) -> str:
         """Digest identifying robot, path, lattice, and admissibility."""
         h = hashlib.sha256()

@@ -6,7 +6,9 @@ The DP search pins each node's derivative history to its cheapest
 predecessor; enumeration carries every chain's own history, so its optimum
 is exact. On velocity-only runs the two must agree; with history-dependent
 orders enabled the DP cost can only be higher (it explores a subset of
-histories), and compare() quantifies and attributes that gap.
+histories), and compare() quantifies and attributes that gap. Both searches
+score edges with the same stage engine and turn their winning chain into a
+result with the same replay, so they differ only in the histories they keep.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (ORDERS, LimitSets, TrajectoryProfile, evaluate_edge,
-                          initial_state, saturation_percentage)
-from .errors import (BudgetExceeded, ContractViolation, InfeasibleEdge, NoFeasiblePlan,
-                     ScenarioError)
+from .constraints import ORDERS, LimitSets, NodeState, initial_state, stage_transitions
+from .errors import BudgetExceeded, ContractViolation, NoFeasiblePlan, ScenarioError
 from .grid import StateGrid
-from .planner import Objective, PlanResult, ReachedSets, TimeObjective, plan
+from .planner import Objective, PlanResult, ReachedSets, TimeObjective, plan, replay
 
 Array = np.ndarray
 
@@ -70,6 +70,17 @@ def _chain_count(grid: StateGrid) -> float:
     return total
 
 
+def _by_level(grid: StateGrid, stage: int, ids: Array) -> list:
+    """One stage's nodes as (pv, flat ids, configurations) per level, with
+    levels and ids ascending, so visiting them in turn is ascending id order."""
+    C = grid.cfg_count
+    out = []
+    for level in np.unique(ids // C):
+        at = ids[ids // C == level]
+        out.append((float(grid.pv_values[level]), at, grid.q_table[stage, at % C]))
+    return out
+
+
 def exhaustive_plan(grid: StateGrid, limits: LimitSets,
                     objective: Objective | None = None,
                     budget: OracleBudget | None = None,
@@ -77,9 +88,11 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     """Minimum-cost feasible chain by depth-first enumeration.
 
     Every chain carries its own full derivative history (no back-pointer
-    approximation); edge conventions are exactly the engine's. On cost ties
-    the first chain in ascending-node-id depth-first order wins, which is
-    the lexicographically smallest chain.
+    approximation). A node's children are scored with the sweep's engine,
+    one stage_transitions call (P = 1) per next-stage level, and visited in
+    ascending node id. On cost ties the first chain in that depth-first
+    order wins, which is the lexicographically smallest chain. The winner is
+    replayed edge by edge like a DP result.
 
     Cost-bound pruning (time objective only: each remaining edge costs at
     least dlam / pv_max) preserves the optimum and the tie-break, but
@@ -107,6 +120,7 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     stage_ids = [grid.stage_set(i).node_ids for i in range(n + 1)]
     if grid.spec.rest_to_rest:
         stage_ids[n] = stage_ids[n][stage_ids[n] < C]
+    levels = [_by_level(grid, i, ids) for i, ids in enumerate(stage_ids)]
 
     # pruning is only admissible when the local cost is a nonnegative time
     # step, which each remaining edge bounds from below by dlam / pv_max
@@ -119,92 +133,47 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     histogram: dict = {}
     deepest = 0
 
-    def scalar_psi(q, pv):
-        return float(np.asarray(objective.initial_cost(q[None, :], np.array([pv])))[0])
-
-    def scalar_phi(dt, q_prev, pv_prev, q_next, pv_next):
-        out = np.asarray(objective.edge_cost(np.array([dt]), q_prev[None, :],
-                                             np.array([pv_prev]), q_next[None, :], pv_next))
-        return float(np.broadcast_to(out, (1, 1))[0, 0])
-
-    def descend(i, node, state, partial, chain):
+    def descend(i, state, partial, chain):
         nonlocal best_cost, best_chain, deepest
         if i == n:
             if partial < best_cost:
                 best_cost = partial
                 best_chain = chain.copy()
             return
-        for f in stage_ids[i + 1]:
-            q_next = grid.q_table[i + 1, f % C]
-            pv_next = float(grid.pv_values[f // C])
-            try:
-                ev = evaluate_edge(robot, limits, dlam, state, q_next, pv_next,
+        q_prev = state.q[None, :]
+        pv_prev = np.array([state.pv])
+        for pv_next, ids, q_next in levels[i + 1]:
+            ev = stage_transitions(robot, limits, dlam, q_prev, pv_prev, state.qd[None, :],
+                                   state.qdd[None, :], state.tau[None, :], q_next, pv_next,
                                    check_count=check_count)
-            except InfeasibleEdge:
-                histogram["duration"] = histogram.get("duration", 0) + 1
-                continue
-            if not ev.feasible:
-                for order in {v.order for v in ev.violations}:
-                    histogram[order] = histogram.get(order, 0) + 1
-                continue
-            reached[i + 1].add(int(f))
-            deepest = max(deepest, i + 1)
-            new_cost = partial + scalar_phi(ev.dt, state.q, state.pv, q_next, pv_next)
-            if time_like and new_cost + (n - (i + 1)) * lb_step >= best_cost:
-                continue
-            chain.append(int(f))
-            descend(i + 1, f, ev.next_state(q_next, pv_next), new_cost, chain)
-            chain.pop()
+            for key, count in ev.rejections().items():
+                histogram[key] = histogram.get(key, 0) + count
+            phi = np.broadcast_to(objective.edge_cost(ev.dt, q_prev, pv_prev, q_next, pv_next),
+                                  (1, ids.size))
+            for c in np.flatnonzero(ev.feasible[0]):
+                f = int(ids[c])
+                reached[i + 1].add(f)
+                deepest = max(deepest, i + 1)
+                new_cost = partial + float(phi[0, c])
+                if time_like and new_cost + (n - (i + 1)) * lb_step >= best_cost:
+                    continue
+                chain.append(f)
+                descend(i + 1, NodeState(q=q_next[c], pv=pv_next, qd=ev.qd[0, c],
+                                         qdd=ev.qdd[0, c], tau=ev.tau[0, c]),
+                        new_cost, chain)
+                chain.pop()
 
     for f0 in stage_ids[0]:
         q0 = grid.q_table[0, f0 % C]
         pv0 = float(grid.pv_values[f0 // C])
         reached[0].add(int(f0))
-        descend(0, f0, initial_state(robot, q0, pv0), scalar_psi(q0, pv0), [int(f0)])
+        psi = float(np.asarray(objective.initial_cost(q0[None, :], np.array([pv0])))[0])
+        descend(0, initial_state(robot, q0, pv0), psi, [int(f0)])
 
     if best_chain is None:
         raise NoFeasiblePlan(deepest, histogram)
     reached_sets = ReachedSets(tuple(np.array(sorted(s), dtype=np.int64) for s in reached))
-    return _chain_result(grid, limits, objective, check_count, best_chain,
-                         best_cost, reached_sets)
-
-
-def _chain_result(grid, limits, objective, check_count, chain, cost, reached_sets):
-    """Replay a winning chain into a PlanResult (same arithmetic as extract)."""
-    n = grid.n_stages
-    C = grid.cfg_count
-    nj = grid.robot.n
-    ids = np.asarray(chain, dtype=np.int64)
-    q = np.array([grid.q_table[i, ids[i] % C] for i in range(n + 1)])
-    pv = grid.pv_values[ids // C].astype(float)
-    t = np.zeros(n + 1)
-    dt = np.zeros(n + 1)
-    qd = np.full((n + 1, nj), np.nan)
-    qdd = np.full((n + 1, nj), np.nan)
-    qddd = np.full((n + 1, nj), np.nan)
-    tau = np.full((n + 1, nj), np.nan)
-    taud = np.full((n + 1, nj), np.nan)
-    state = initial_state(grid.robot, q[0], float(pv[0]))
-    qd[0], qdd[0], tau[0] = state.qd, state.qdd, state.tau
-    if pv[0] == 0.0:
-        qddd[0] = 0.0
-        taud[0] = 0.0
-    for i in range(1, n + 1):
-        ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state, q[i],
-                           float(pv[i]), check_count=check_count)
-        dt[i] = ev.dt
-        t[i] = t[i - 1] + ev.dt
-        qd[i], qdd[i], qddd[i] = ev.qd, ev.qdd, ev.qddd
-        tau[i], taud[i] = ev.tau, ev.taud
-        state = ev.next_state(q[i], float(pv[i]))
-    profile = TrajectoryProfile(t=t, dt=dt, lam=grid.path.lam.copy(), pv=pv, q=q,
-                                qd=qd, qdd=qdd, qddd=qddd, tau=tau, taud=taud)
-    return PlanResult(cost=float(cost), node_ids=ids, profile=profile,
-                      saturation=saturation_percentage(profile, limits),
-                      reached=reached_sets,
-                      history_orders=limits.history_dependent_orders,
-                      grid=grid, limits=limits, objective=objective,
-                      check_count=check_count)
+    return replay(grid, limits, objective, check_count, best_chain, best_cost, reached_sets)
 
 
 def _same_limits(a: LimitSets, b: LimitSets) -> bool:

@@ -6,8 +6,8 @@ restricted by a level/lattice window), edge feasibility and local cost come
 from the constraint engine, and each next node keeps its cheapest
 predecessor. Ties prefer the predecessor with the lexicographically
 smallest (level, lattice index, branch), which ascending flat node ids
-encode directly, so results are bit-reproducible regardless of chunking or
-worker count.
+encode directly, so results are bit-reproducible. The sweep runs on one
+thread, one vectorized call per (stage, level).
 
 Joint-space quantities above first order are evaluated through the winning
 predecessor's cached history; their feasibility is therefore
@@ -17,19 +17,16 @@ orders (exact when only velocity-type constraints are enabled).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import (LimitSets, TrajectoryProfile, evaluate_edge, initial_state,
                           saturation_percentage, stage_transitions)
-from .errors import CorruptChain, NoFeasiblePlan
+from .errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
 from .grid import StateGrid
 
 Array = np.ndarray
-
-_HISTOGRAM_DURATION = "duration"
 
 
 class Objective:
@@ -139,8 +136,7 @@ def _initial_chain_state(grid: StateGrid, node_ids: Array):
 
 
 def plan(grid: StateGrid, limits: LimitSets, objective: Objective | None = None,
-         check_count: int = 0, window: Window | None = None, threads: int = 1,
-         chunk_cells: int = 4096) -> PlanResult:
+         check_count: int = 0, window: Window | None = None) -> PlanResult:
     """Run the full forward sweep and extract the optimal plan.
 
     Raises:
@@ -149,8 +145,7 @@ def plan(grid: StateGrid, limits: LimitSets, objective: Objective | None = None,
             checks at the transition that died.
     """
     objective = objective if objective is not None else TimeObjective()
-    value, histogram, deepest = _sweep(grid, limits, objective, check_count,
-                                       window, threads, chunk_cells)
+    value, histogram = _sweep(grid, limits, objective, check_count, window)
     n = grid.n_stages
     C = grid.cfg_count
     terminal = grid.stage_set(n).node_ids
@@ -158,13 +153,13 @@ def plan(grid: StateGrid, limits: LimitSets, objective: Objective | None = None,
         terminal = terminal[terminal < C]        # level 0 <=> flat id < C
     finite = np.isfinite(value.cost[n, terminal])
     if not np.any(finite):
-        raise NoFeasiblePlan(deepest, histogram)
+        raise NoFeasiblePlan(n, histogram)
     candidates = terminal[finite]
     best = candidates[np.argmin(value.cost[n, candidates])]
     return extract(value, int(best))
 
 
-def _sweep(grid, limits, objective, check_count, window, threads, chunk_cells):
+def _sweep(grid, limits, objective, check_count, window):
     n_stages = grid.n_stages
     C = grid.cfg_count
     S = grid.level_count * C
@@ -186,104 +181,66 @@ def _sweep(grid, limits, objective, check_count, window, threads, chunk_cells):
             lattice = np.arange(C // grid.branch_count, dtype=int)[:, None]
         lattice_rows = np.repeat(lattice, grid.branch_count, axis=0)   # (C, r)
 
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     histogram: dict = {}
-    deepest = 0
-    try:
-        for i in range(n_stages):
-            prev_ids = np.flatnonzero(np.isfinite(cost[i]))
-            deepest = i
-            q_prev = grid.q_table[i, prev_ids % C]
-            pv_prev = grid.pv_values[prev_ids // C]
-            qd_p, qdd_p, tau_p = qd_cur[prev_ids], qdd_cur[prev_ids], tau_cur[prev_ids]
-            cost_p = cost[i, prev_ids]
-            qd_cur = np.full((S, grid.robot.n), np.nan)
-            qdd_cur = np.full((S, grid.robot.n), np.nan)
-            tau_cur = np.full((S, grid.robot.n), np.nan)
-            histogram = {}
-            reached_any = False
+    for i in range(n_stages):
+        prev_ids = np.flatnonzero(np.isfinite(cost[i]))
+        q_prev = grid.q_table[i, prev_ids % C]
+        pv_prev = grid.pv_values[prev_ids // C]
+        qd_p, qdd_p, tau_p = qd_cur[prev_ids], qdd_cur[prev_ids], tau_cur[prev_ids]
+        cost_p = cost[i, prev_ids]
+        qd_cur, qdd_cur, tau_cur = np.full((3, S, grid.robot.n), np.nan)
+        histogram = {}
+        reached_any = False
 
-            for l_next in range(grid.level_count):
-                cols = np.flatnonzero(grid.admissible[i + 1, l_next])
-                if cols.size == 0:
-                    continue
-                pv_next = float(grid.pv_values[l_next])
-                q_next_all = grid.q_table[i + 1]
+        for l_next in range(grid.level_count):
+            cols = np.flatnonzero(grid.admissible[i + 1, l_next])
+            if cols.size == 0:
+                continue
+            pv_next = float(grid.pv_values[l_next])
+            q_next = grid.q_table[i + 1, cols]
+            ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev, pv_prev,
+                                   qd_p, qdd_p, tau_p, q_next, pv_next,
+                                   check_count=check_count)
+            for key, count in ev.rejections().items():
+                histogram[key] = histogram.get(key, 0) + count
+            feasible = ev.feasible
+            if window is not None and window.max_dl is not None:
+                row_ok = np.abs(prev_ids // C - l_next) <= window.max_dl
+                feasible = feasible & row_ok[:, None]
+            if lattice_rows is not None:
+                dj = np.abs(lattice_rows[prev_ids % C][:, None, :]
+                            - lattice_rows[cols][None, :, :])
+                feasible = feasible & np.all(dj <= window.max_dj, axis=-1)
+            phi = objective.edge_cost(ev.dt, q_prev, pv_prev, q_next, pv_next)
+            cand = np.where(feasible, cost_p[:, None] + phi, np.inf)
+            best_p = np.argmin(cand, axis=0)
+            best_cost = cand[best_p, np.arange(cols.size)]
+            hit = np.flatnonzero(np.isfinite(best_cost))
+            if hit.size:
+                reached_any = True
+                f = l_next * C + cols[hit]
+                win = (best_p[hit], hit)
+                cost[i + 1, f] = best_cost[hit]
+                pred[i + 1, f] = prev_ids[best_p[hit]]
+                qd_cur[f], qdd_cur[f], tau_cur[f] = ev.qd[win], ev.qdd[win], ev.tau[win]
 
-                row_mask = None
-                if window is not None and window.max_dl is not None:
-                    row_mask = np.abs(prev_ids // C - l_next) <= window.max_dl
-
-                def eval_chunk(chunk_cols):
-                    ev = stage_transitions(grid.robot, limits, grid.path.dlam,
-                                           q_prev, pv_prev, qd_p, qdd_p, tau_p,
-                                           q_next_all[chunk_cols], pv_next,
-                                           check_count=check_count)
-                    feasible = ev.feasible
-                    if row_mask is not None:
-                        feasible = feasible & row_mask[:, None]
-                    if lattice_rows is not None:
-                        dj = np.abs(lattice_rows[prev_ids % C][:, None, :]
-                                    - lattice_rows[chunk_cols][None, :, :])
-                        feasible = feasible & np.all(dj <= window.max_dj, axis=-1)
-                    phi = objective.edge_cost(ev.dt, q_prev, pv_prev,
-                                              q_next_all[chunk_cols], pv_next)
-                    cand = np.where(feasible, cost_p[:, None] + phi, np.inf)
-                    best_p = np.argmin(cand, axis=0)
-                    pick = np.arange(chunk_cols.size)
-                    best_cost = cand[best_p, pick]
-                    fails = {o: int(np.count_nonzero(~ok)) for o, ok in ev.order_ok.items()}
-                    fails[_HISTOGRAM_DURATION] = int(np.count_nonzero(~np.isfinite(ev.dt))) \
-                        * chunk_cols.size
-                    return (best_cost, best_p,
-                            ev.qd[best_p, pick], ev.qdd[best_p, pick], ev.tau[best_p, pick],
-                            fails)
-
-                chunks = [cols[k:k + chunk_cells] for k in range(0, cols.size, chunk_cells)]
-                if executor is not None and len(chunks) > 1:
-                    results = list(executor.map(eval_chunk, chunks))
-                else:
-                    results = [eval_chunk(ch) for ch in chunks]
-
-                for chunk_cols, (best_cost, best_p, qd_n, qdd_n, tau_n, fails) in zip(chunks, results):
-                    hit = np.isfinite(best_cost)
-                    if np.any(hit):
-                        reached_any = True
-                        f = l_next * C + chunk_cols[hit]
-                        cost[i + 1, f] = best_cost[hit]
-                        pred[i + 1, f] = prev_ids[best_p[hit]]
-                        qd_cur[f] = qd_n[hit]
-                        qdd_cur[f] = qdd_n[hit]
-                        tau_cur[f] = tau_n[hit]
-                    for key, count in fails.items():
-                        histogram[key] = histogram.get(key, 0) + count
-
-            if not reached_any:
-                raise NoFeasiblePlan(i, histogram)
-        deepest = n_stages
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        if not reached_any:
+            raise NoFeasiblePlan(i, histogram)
 
     value = ValueMap(grid=grid, limits=limits, objective=objective,
                      check_count=check_count, cost=cost, pred=pred)
-    return value, histogram, deepest
+    return value, histogram
 
 
 def extract(value: ValueMap, terminal: int) -> PlanResult:
     """Walk the predecessor map backward and replay the winning chain.
 
-    The replay re-evaluates each edge through the scalar engine path, which
-    shares its arithmetic with the sweep, so timestamps and the terminal
-    cost come out bit-identical for the time objective.
-
     Raises:
-        CorruptChain: dangling predecessor pointer, or a replayed edge that
-            fails its own feasibility check.
+        CorruptChain: unreached terminal, dangling predecessor pointer, or
+            a replayed edge that fails its own feasibility check.
     """
     grid = value.grid
     n_stages = grid.n_stages
-    C = grid.cfg_count
     if not np.isfinite(value.cost[n_stages, terminal]):
         raise CorruptChain(f"terminal node {terminal} was never reached")
     ids = np.empty(n_stages + 1, dtype=np.int64)
@@ -293,17 +250,30 @@ def extract(value: ValueMap, terminal: int) -> PlanResult:
         if p < 0:
             raise CorruptChain(f"dangling predecessor at stage {i}")
         ids[i - 1] = p
+    return replay(grid, value.limits, value.objective, value.check_count, ids,
+                  float(value.cost[n_stages, terminal]), value.reached_sets())
 
+
+def replay(grid: StateGrid, limits: LimitSets, objective: Objective, check_count: int,
+           node_ids, cost: float, reached: ReachedSets) -> PlanResult:
+    """Re-evaluate a node chain edge by edge into a PlanResult.
+
+    Each edge goes through the same engine as the sweep, so timestamps and
+    the terminal cost come out bit-identical for the time objective. cost
+    and reached are the producing search's own and are passed through.
+
+    Raises:
+        CorruptChain: an edge of the chain is infeasible or has no time step.
+    """
+    n_stages = grid.n_stages
+    C = grid.cfg_count
     n = grid.robot.n
+    ids = np.asarray(node_ids, dtype=np.int64)
     q = np.array([grid.q_table[i, ids[i] % C] for i in range(n_stages + 1)])
-    pv = grid.pv_values[ids // C]
+    pv = grid.pv_values[ids // C].astype(float)
     t = np.zeros(n_stages + 1)
     dt = np.zeros(n_stages + 1)
-    qd = np.full((n_stages + 1, n), np.nan)
-    qdd = np.full((n_stages + 1, n), np.nan)
-    qddd = np.full((n_stages + 1, n), np.nan)
-    tau = np.full((n_stages + 1, n), np.nan)
-    taud = np.full((n_stages + 1, n), np.nan)
+    qd, qdd, qddd, tau, taud = np.full((5, n_stages + 1, n), np.nan)
 
     state = initial_state(grid.robot, q[0], float(pv[0]))
     qd[0], qdd[0], tau[0] = state.qd, state.qdd, state.tau
@@ -311,8 +281,11 @@ def extract(value: ValueMap, terminal: int) -> PlanResult:
         qddd[0] = 0.0
         taud[0] = 0.0
     for i in range(1, n_stages + 1):
-        ev = evaluate_edge(grid.robot, value.limits, grid.path.dlam, state,
-                           q[i], float(pv[i]), check_count=value.check_count)
+        try:
+            ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state,
+                               q[i], float(pv[i]), check_count=check_count)
+        except InfeasibleEdge as exc:
+            raise CorruptChain(f"replayed edge into stage {i}: {exc}") from exc
         if not ev.feasible:
             raise CorruptChain(f"replayed edge into stage {i} is infeasible")
         dt[i] = ev.dt
@@ -321,15 +294,13 @@ def extract(value: ValueMap, terminal: int) -> PlanResult:
         tau[i], taud[i] = ev.tau, ev.taud
         state = ev.next_state(q[i], float(pv[i]))
 
-    profile = TrajectoryProfile(t=t, dt=dt, lam=grid.path.lam.copy(), pv=pv.astype(float),
+    profile = TrajectoryProfile(t=t, dt=dt, lam=grid.path.lam.copy(), pv=pv,
                                 q=q, qd=qd, qdd=qdd, qddd=qddd, tau=tau, taud=taud)
-    return PlanResult(cost=float(value.cost[n_stages, terminal]), node_ids=ids,
-                      profile=profile,
-                      saturation=saturation_percentage(profile, value.limits),
-                      reached=value.reached_sets(),
-                      history_orders=value.limits.history_dependent_orders,
-                      grid=grid, limits=value.limits, objective=value.objective,
-                      check_count=value.check_count)
+    return PlanResult(cost=float(cost), node_ids=ids, profile=profile,
+                      saturation=saturation_percentage(profile, limits),
+                      reached=reached, history_orders=limits.history_dependent_orders,
+                      grid=grid, limits=limits, objective=objective,
+                      check_count=check_count)
 
 
 def pst(result: PlanResult) -> list:

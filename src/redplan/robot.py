@@ -90,10 +90,11 @@ class JointLimits:
         for name in names:
             if getattr(self, name).shape != (n,):
                 raise ScenarioError(f"limit field {name} must have shape ({n},)")
-        if np.any(self.q_min >= self.q_max):
+        # written as "all ok" so that NaN entries fail the comparison
+        if not np.all(self.q_min < self.q_max):
             raise ScenarioError("q_min must be strictly below q_max")
         for name in ("qd_max", "qdd_max", "qddd_max", "tau_max", "taud_max"):
-            if np.any(getattr(self, name) <= 0):
+            if not np.all(getattr(self, name) > 0):
                 raise ScenarioError(f"{name} entries must be strictly positive")
 
     @property
@@ -115,6 +116,8 @@ class DynamicParams:
     def __post_init__(self):
         for name in ("mass", "com", "inertia", "viscous", "coulomb", "gravity"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ScenarioError(f"dynamic parameter {name} must be finite")
         if np.any(self.mass < 0) or np.any(self.inertia < 0):
             raise ScenarioError("masses and inertias must be nonnegative")
         if np.any(self.viscous < 0) or np.any(self.coulomb < 0):
@@ -262,8 +265,9 @@ class PlanarArm(RobotModel):
         for name in ("mass", "com", "inertia", "viscous", "coulomb"):
             if getattr(dynamics, name).shape != (chain.n,):
                 raise ScenarioError(f"dynamic parameter {name} must have length n")
-        if np.any(np.asarray(chain.link_lengths) <= 0):
-            raise ScenarioError("link lengths must be positive")
+        lengths = np.asarray(chain.link_lengths, dtype=float)
+        if not np.all((lengths > 0) & np.isfinite(lengths)):
+            raise ScenarioError("link lengths must be positive and finite")
         if np.any(dynamics.com > np.asarray(chain.link_lengths)):
             raise ScenarioError("COM offsets must lie on their links")
         self._chain = chain

@@ -415,14 +415,6 @@ def run_meta(started: float, threads: int, argv: list | None = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One run's artifact pair: deterministic report, nondeterministic meta."""
-
-    report: dict
-    meta: dict
-
-
 # --- CSV exports -----------------------------------------------------------
 
 

@@ -74,6 +74,19 @@ def test_missing_scenario_is_config_error(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "ScenarioError"
 
 
+def test_nan_link_mass_is_config_error(tmp_path, capsys):
+    with open(bundled_path("toy_full")) as fh:
+        robot = json.load(fh)["robot"]
+    robot["dynamics"]["mass"][2] = float("nan")
+    out = tmp_path / "x"
+    out.mkdir()
+    code = main(["plan", "--scenario", tweaked(tmp_path, "toy_full", robot=robot),
+                 "--out", str(out)])
+    assert code == 3
+    assert stderr_payload(capsys)["error"] == "ScenarioError"
+    assert os.listdir(out) == []
+
+
 # --- baseline ----------------------------------------------------------------
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from redplan.constraints import (EdgeEvaluation, LimitSets, NodeState, TrajectoryProfile,
-                                 edge_duration, edge_durations, evaluate_edge,
-                                 initial_state, saturation_percentage, stage_transitions)
+from redplan.constraints import (LimitSets, NodeState, TrajectoryProfile, edge_durations,
+                                 evaluate_edge, initial_state, saturation_percentage,
+                                 stage_transitions)
 from redplan.errors import InfeasibleEdge, ScenarioError
 
 from conftest import make_reference_arm
@@ -52,27 +52,20 @@ def run_chain(robot, limits, q_seq, pv_seq, dlam):
 
 class TestEdgeDuration:
     def test_interior_backward_euler(self):
-        assert edge_duration(0.3, 0.5, 0.1) == 0.2
+        assert edge_durations(0.3, 0.5, 0.1) == 0.2
+        assert np.array_equal(edge_durations(np.array([0.2, 0.3]), 0.5, 0.1), [0.2, 0.2])
 
     def test_start_trapezoid(self):
-        assert edge_duration(0.0, 0.4, 0.1) == 0.5
+        assert edge_durations(0.0, 0.4, 0.1) == 0.5
 
     def test_stop_trapezoid(self):
-        assert edge_duration(0.4, 0.0, 0.1) == 0.5
+        assert edge_durations(0.4, 0.0, 0.1) == 0.5
 
-    def test_both_zero_infeasible(self):
+    def test_both_zero_infeasible(self, arm):
+        assert np.isinf(edge_durations(0.0, 0.0, 0.1))
+        prev = initial_state(arm, np.zeros(3), 0.0)
         with pytest.raises(InfeasibleEdge):
-            edge_duration(0.0, 0.0, 0.1)
-
-    def test_vectorized_matches_scalar(self):
-        prev = np.array([0.0, 0.2, 0.5, 1.0])
-        for pv_next in (0.0, 0.4):
-            dts = edge_durations(prev, pv_next, 0.1)
-            for k, a in enumerate(prev):
-                if a == 0.0 and pv_next == 0.0:
-                    assert np.isinf(dts[k])
-                else:
-                    assert dts[k] == edge_duration(a, pv_next, 0.1)
+            evaluate_edge(arm, inf_limits(), 0.1, prev, np.zeros(3), 0.0)
 
 
 class TestScriptedChain:
@@ -312,6 +305,11 @@ class TestLimitSets:
             LimitSets(qd=np.array([1.0, -2.0, 3.0]))
         with pytest.raises(ScenarioError):
             LimitSets(tau=np.array([0.0, 1.0, 1.0]))
+        with pytest.raises(ScenarioError):
+            LimitSets(qd=np.array([1.0, np.nan, 3.0]))
+        with pytest.raises(ScenarioError):
+            LimitSets(taud=np.array([np.nan, np.nan, np.nan]))
+        assert LimitSets(qd=np.full(3, np.inf)).enabled_orders == ("qd",)
 
     def test_from_joint_limits_subsets(self, arm):
         velocity_only = LimitSets.from_joint_limits(arm.limits, orders=("qd",))

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import enumerate_chains, make_toy_grid
 
-from redplan.constraints import LimitSets, edge_duration
+from redplan.constraints import LimitSets, edge_durations
 from redplan.errors import (BudgetExceeded, ContractViolation, NoFeasiblePlan,
                             ScenarioError)
 from redplan.oracle import GapReport, OracleBudget, compare, exhaustive_plan
@@ -55,7 +55,7 @@ def test_single_chain_cost_is_duration_sum():
             (grid.stage_set(i).node_ids for i in range(3))] == [1, 1, 1]
     result = exhaustive_plan(grid, qd_only())
     dlam = grid.path.dlam
-    expected = 0.0 + edge_duration(0.0, 1.0, dlam) + edge_duration(1.0, 0.0, dlam)
+    expected = 0.0 + float(edge_durations(0.0, 1.0, dlam)) + float(edge_durations(1.0, 0.0, dlam))
     assert result.cost == expected
     assert result.node_ids.tolist() == [0, 1, 0]
     assert result.profile.t[-1] == result.cost
@@ -78,16 +78,17 @@ def test_velocity_only_matches_dp_exactly(rest, n_stages):
         assert np.array_equal(oracle.reached[i], dp.reached[i])
 
 
-def test_pruning_preserves_cost_chain_and_enumeration():
+@pytest.mark.parametrize("check_count", [0, 2])
+def test_pruning_preserves_cost_chain_and_enumeration(check_count):
     grid = make_toy_grid(n_stages=3, pv_levels=2, rest=True)
     limits = LimitSets(qd=np.full(3, 3.0), qdd=np.full(3, 40.0),
                        qddd=np.full(3, 400.0), tau=np.full(3, 60.0),
                        taud=np.full(3, 2000.0))
-    pruned = exhaustive_plan(grid, limits)
-    full = exhaustive_plan(grid, limits, prune=False)
+    pruned = exhaustive_plan(grid, limits, check_count=check_count)
+    full = exhaustive_plan(grid, limits, prune=False, check_count=check_count)
     assert pruned.cost == full.cost
     assert np.array_equal(pruned.node_ids, full.node_ids)
-    best_cost, best_chain, n_feasible = enumerate_chains(grid, limits)
+    best_cost, best_chain, n_feasible = enumerate_chains(grid, limits, check_count)
     assert n_feasible > 1
     assert full.cost == best_cost
     assert full.node_ids.tolist() == [int(f) for f in best_chain]

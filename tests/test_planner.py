@@ -8,7 +8,7 @@ import pytest
 from redplan.constraints import LimitSets, evaluate_edge, initial_state
 from redplan.errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
-from redplan.planner import TimeObjective, Window, extract, plan, pst
+from redplan.planner import TimeObjective, Window, extract, plan, pst, replay
 
 
 from conftest import make_inf_limits as inf_limits
@@ -55,7 +55,7 @@ class TestExactnessVsEnumeration:
         limits = LimitSets(qd=np.full(3, 3.0))
         objective = TimeObjective()
         from redplan.planner import _sweep
-        value, _, _ = _sweep(grid, limits, objective, 0, None, 1, 4096)
+        value, _ = _sweep(grid, limits, objective, 0, None)
         C = grid.cfg_count
 
         def replay_state(i, f):
@@ -121,21 +121,6 @@ class TestUnconstrained:
 
 
 class TestDeterminism:
-    def test_threads_and_chunking_change_nothing(self, arm):
-        grid = build_grid(arm, line_path(4),
-                          GridSpec(pv_max=1.2, pv_levels=4, v_min=[0.3],
-                                   v_max=[1.2], v_step=[0.3]))
-        limits = LimitSets.from_joint_limits(arm.limits)
-        base = plan(grid, limits)
-        for kwargs in ({"threads": 4}, {"chunk_cells": 1},
-                       {"threads": 3, "chunk_cells": 2}):
-            other = plan(grid, limits, **kwargs)
-            assert other.cost == base.cost
-            assert np.array_equal(other.node_ids, base.node_ids)
-            for field in ("t", "dt", "q", "qd", "qdd", "qddd", "tau", "taud"):
-                assert np.array_equal(getattr(other.profile, field),
-                                      getattr(base.profile, field), equal_nan=True)
-
     def test_repeat_runs_bit_identical(self, arm):
         grid = build_grid(arm, line_path(3),
                           GridSpec(pv_max=1.0, pv_levels=3, v_min=[0.6],
@@ -186,10 +171,28 @@ class TestExtraction:
         grid = build_grid(arm, line_path(2),
                           GridSpec(pv_max=1.0, pv_levels=2, v_min=[0.6],
                                    v_max=[1.2], v_step=[0.3]))
-        value, _, _ = _sweep(grid, inf_limits(), TimeObjective(), 0, None, 1, 4096)
+        value, _ = _sweep(grid, inf_limits(), TimeObjective(), 0, None)
         dead = int(np.flatnonzero(~np.isfinite(value.cost[2]))[0])
         with pytest.raises(CorruptChain):
             extract(value, dead)
+
+    def test_replay_rejects_infeasible_chain(self, arm):
+        grid = build_grid(arm, line_path(3),
+                          GridSpec(pv_max=1.2, pv_levels=4, v_min=[0.3],
+                                   v_max=[1.2], v_step=[0.3]))
+        limits = LimitSets.from_joint_limits(arm.limits)
+        result = plan(grid, limits)
+        args = (TimeObjective(), 0, result.node_ids, result.cost, result.reached)
+        again = replay(grid, limits, *args)
+        assert np.array_equal(again.profile.t, result.profile.t)
+        # the same chain under a velocity cap it breaks
+        with pytest.raises(CorruptChain, match="infeasible"):
+            replay(grid, LimitSets(qd=np.full(3, 1e-6)), *args)
+        # a rest-to-rest edge has no time step
+        stalled = result.node_ids.copy()
+        stalled[1] = stalled[1] % grid.cfg_count           # level 0 at stage 1
+        with pytest.raises(CorruptChain):
+            replay(grid, limits, TimeObjective(), 0, stalled, result.cost, result.reached)
 
     def test_reached_sets(self, arm):
         grid = build_grid(arm, line_path(3),

@@ -198,6 +198,25 @@ def test_scenario_validation_errors():
         load_scenario(toy_doc(grid=bad_grid))
     with pytest.raises(ScenarioError, match="missing field"):
         load_scenario({"robot": make_reference_arm().to_dict()})
+    # NaN passes "x <= 0" tests, so every bound and parameter check must
+    # reject it explicitly
+    with pytest.raises(ScenarioError, match="qd bounds"):
+        load_scenario(toy_doc(limits={"qd": [float("nan"), 1.0, 1.0]}))
+    for block, name in (("dynamics", "mass"), ("dynamics", "gravity"),
+                        ("limits", "tau_max"), ("limits", "q_max")):
+        robot = make_reference_arm().to_dict()
+        robot[block][name][1] = float("nan")
+        with pytest.raises(ScenarioError):
+            load_scenario(toy_doc(robot=robot))
+    robot = make_reference_arm().to_dict()
+    robot["link_lengths"][0] = float("nan")
+    with pytest.raises(ScenarioError, match="link lengths"):
+        load_scenario(toy_doc(robot=robot))
+    robot = make_reference_arm().to_dict()
+    robot["dynamics"]["inertia"][0] = float("inf")
+    with pytest.raises(ScenarioError, match="inertia must be finite"):
+        load_scenario(toy_doc(robot=robot))
+    assert load_scenario(toy_doc(limits={"qd": [float("inf")] * 3})).limits.qd[0] == np.inf
 
 
 # --- atomic writes -----------------------------------------------------------
