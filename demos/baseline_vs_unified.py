@@ -19,10 +19,9 @@ def main():
         path = sc.sample()
         joint_path = resolve_redundancy(sc.robot, path, sc.baseline)
         pinned = time_parametrize(sc.robot, path, joint_path, sc.limits, sc.grid,
-                                  objective=sc.objective_instance(),
                                   check_count=sc.check_count)
-        unified = plan(sc.build(), sc.limits, objective=sc.objective_instance(),
-                       check_count=sc.check_count, window=sc.window)
+        unified = plan(sc.build(), sc.limits, check_count=sc.check_count,
+                       window=sc.window)
 
         v_index = sc.robot.chain.redundancy_indices[0]
         v_pinned = joint_path.q[:, v_index]

@@ -14,8 +14,7 @@ from redplan.scenario import bundled_scenario
 def main():
     sc = bundled_scenario("line")
     grid = sc.build()
-    result = plan(grid, sc.limits, objective=sc.objective_instance(),
-                  check_count=sc.check_count, window=sc.window)
+    result = plan(grid, sc.limits, check_count=sc.check_count, window=sc.window)
 
     prof = result.profile
     sat = result.saturation

@@ -19,13 +19,12 @@ from .errors import (BudgetExceeded, ContractViolation, CorruptChain,
                      DegenerateCurve, EmptyStage, InfeasibleEdge,
                      NoConvergence, NoFeasiblePlan, PlanningError,
                      ScenarioError, SingularJacobian, Unreachable)
-from .grid import (GridSpec, StageSet, StateGrid, build_grid, exclude,
+from .grid import (GridSpec, StateGrid, build_grid, exclude,
                    grid_from_configurations)
 from .oracle import GapReport, OracleBudget, compare, exhaustive_plan
 from .path import (CurveSpec, WorkspacePath, load_path, sample_path, tangent,
                    tangents, trivial_path)
-from .planner import (Objective, PlanResult, ReachedSets, TimeObjective,
-                      ValueMap, Window, plan, pst)
+from .planner import PlanResult, ReachedSets, ValueMap, Window, plan, pst
 from .robot import (DynamicParams, JointLimits, KinematicChain, PlanarArm,
                     RobotModel, load_robot)
 from .scenario import (Scenario, bundled_scenario, bundled_scenario_names,
@@ -38,11 +37,11 @@ __all__ = [
     "DegenerateCurve", "DynamicParams", "EdgeEvaluation", "EmptyStage",
     "GapReport", "GridSpec", "HISTORY_DEPENDENT_ORDERS", "InfeasibleEdge",
     "JointLimits", "JointPath", "KinematicChain", "LimitSets", "NoConvergence",
-    "NoFeasiblePlan", "NodeState", "ORDERS", "Objective", "OracleBudget",
+    "NoFeasiblePlan", "NodeState", "ORDERS", "OracleBudget",
     "PlanResult", "PlanarArm", "PlanningError", "ReachedSets",
     "ResolutionConfig", "RobotModel", "SaturationReport", "Scenario",
-    "ScenarioError", "SingularJacobian", "StageSet", "StateGrid",
-    "TimeObjective", "TrajectoryProfile", "Unreachable", "ValueMap",
+    "ScenarioError", "SingularJacobian", "StateGrid",
+    "TrajectoryProfile", "Unreachable", "ValueMap",
     "Window", "WorkspacePath", "baseline_plan", "build_grid", "bundled_scenario",
     "bundled_scenario_names", "compare", "dumps_canonical",
     "dynamic_manipulability_cost", "evaluate_edge", "exclude",

@@ -18,7 +18,7 @@ from .constraints import LimitSets
 from .errors import NoConvergence, ScenarioError, SingularJacobian
 from .grid import GridSpec, grid_from_configurations
 from .path import WorkspacePath, tangent
-from .planner import Objective, PlanResult, plan
+from .planner import PlanResult, plan
 from .robot import RobotModel
 
 Array = np.ndarray
@@ -174,7 +174,6 @@ def resolve_redundancy(robot: RobotModel, path: WorkspacePath,
 
 def time_parametrize(robot: RobotModel, path: WorkspacePath,
                      joint_path: JointPath, limits: LimitSets, spec: GridSpec,
-                     objective: Objective | None = None,
                      check_count: int = 0) -> PlanResult:
     """Phase-plane time parametrization of a fixed joint path.
 
@@ -187,15 +186,14 @@ def time_parametrize(robot: RobotModel, path: WorkspacePath,
         raise ScenarioError("joint path and task path disagree on stage count")
     pinned = replace(spec, v_min=np.zeros(1), v_max=np.zeros(1), v_step=np.ones(1))
     grid = grid_from_configurations(robot, path, joint_path.q[:, None, :], pinned)
-    return plan(grid, limits, objective=objective, check_count=check_count)
+    return plan(grid, limits, check_count=check_count)
 
 
 def baseline_plan(robot: RobotModel, path: WorkspacePath, config: ResolutionConfig,
                   limits: LimitSets, spec: GridSpec,
-                  objective: Objective | None = None,
                   check_count: int = 0) -> tuple[JointPath, PlanResult]:
     """Full two-stage pipeline: resolve the redundancy, then time-parametrize."""
     joint_path = resolve_redundancy(robot, path, config)
     result = time_parametrize(robot, path, joint_path, limits, spec,
-                              objective=objective, check_count=check_count)
+                              check_count=check_count)
     return joint_path, result

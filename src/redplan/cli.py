@@ -67,8 +67,8 @@ def cmd_plan(args) -> int:
                  "admissible_total": grid.total_admissible}
         print(dumps_canonical(stats))
         return EXIT_OK
-    result = plan(grid, scenario.limits, objective=scenario.objective_instance(),
-                  check_count=scenario.check_count, window=scenario.window)
+    result = plan(grid, scenario.limits, check_count=scenario.check_count,
+                  window=scenario.window)
     out = _out_dir(args, scenario)
     _write(os.path.join(out, "trajectory.csv"), trajectory_csv(result.profile))
     _write(os.path.join(out, "pst.csv"), pst_csv(result))
@@ -85,10 +85,8 @@ def cmd_baseline(args) -> int:
     path = scenario.sample()
     joint_path = resolve_redundancy(scenario.robot, path, scenario.baseline)
     pinned = time_parametrize(scenario.robot, path, joint_path, scenario.limits,
-                              scenario.grid, objective=scenario.objective_instance(),
-                              check_count=scenario.check_count)
+                              scenario.grid, check_count=scenario.check_count)
     unified = plan(scenario.build(), scenario.limits,
-                   objective=scenario.objective_instance(),
                    check_count=scenario.check_count, window=scenario.window)
     out = _out_dir(args, scenario)
     _write(os.path.join(out, "joint_path.csv"), joint_path_csv(path, joint_path))
@@ -104,13 +102,15 @@ def cmd_baseline(args) -> int:
 def cmd_verify(args) -> int:
     started = time.time()
     scenario = load_scenario(args.scenario)
+    if scenario.window is not None:
+        # the oracle enumerates the whole grid, so the DP must not be windowed
+        raise ScenarioError("verify searches the whole grid; remove the "
+                            "scenario's window")
     budget = OracleBudget(max_chains=args.budget) if args.budget else OracleBudget()
     grid = scenario.build()
-    objective = scenario.objective_instance()
-    dp = plan(grid, scenario.limits, objective=objective,
-              check_count=scenario.check_count)
-    oracle = exhaustive_plan(grid, scenario.limits, objective=objective,
-                             budget=budget, check_count=scenario.check_count)
+    dp = plan(grid, scenario.limits, check_count=scenario.check_count)
+    oracle = exhaustive_plan(grid, scenario.limits, budget=budget,
+                             check_count=scenario.check_count)
     gap = compare(dp, oracle, budget=budget)
     out = _out_dir(args, scenario)
     _write_report(out, "gap_report.json", verify_report(scenario, gap),
@@ -144,7 +144,6 @@ def cmd_sweep(args) -> int:
         variant = _sweep_variant(scenario, args.axis, value)
         tick = time.time()
         result = plan(variant.build(), variant.limits,
-                      objective=variant.objective_instance(),
                       check_count=variant.check_count, window=variant.window)
         rows.append((value, result.cost, result.saturation.percentage,
                      time.time() - tick))
@@ -156,7 +155,6 @@ def cmd_sweep(args) -> int:
 def cmd_export(args) -> int:
     scenario = load_scenario(args.scenario)
     result = plan(scenario.build(), scenario.limits,
-                  objective=scenario.objective_instance(),
                   check_count=scenario.check_count, window=scenario.window)
     out = _out_dir(args, scenario)
     _write(os.path.join(out, "trajectory_dense.csv"),

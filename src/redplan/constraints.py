@@ -224,11 +224,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class EdgeEvaluation:
-    """Outcome of one candidate transition.
-
-    phi is the local cost added by the edge (the time step, for the
-    time-optimal objective).
-    """
+    """Outcome of one candidate transition; dt is the edge's cost."""
 
     dt: float
     qd: Array
@@ -238,10 +234,6 @@ class EdgeEvaluation:
     taud: Array
     feasible: bool
     violations: tuple[Violation, ...]
-
-    @property
-    def phi(self) -> float:
-        return self.dt
 
     def next_state(self, q_next: Array, pv_next: float) -> NodeState:
         return NodeState(q=q_next, pv=float(pv_next), qd=self.qd,

@@ -92,18 +92,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class StageSet:
-    """Admissible node ids of one stage (flat, ascending = lex (l, j, g))."""
-
-    stage: int
-    node_ids: Array
-
-    @property
-    def count(self) -> int:
-        return int(self.node_ids.size)
-
-
-@dataclass(frozen=True)
 class StateGrid:
     """Immutable state grid shared by the planner, engine, and oracle."""
 
@@ -129,8 +117,19 @@ class StateGrid:
     def level_count(self) -> int:
         return self.pv_values.shape[0]
 
-    def stage_set(self, i: int) -> StageSet:
-        return StageSet(stage=i, node_ids=np.flatnonzero(self.admissible[i].ravel()))
+    def stage_ids(self, i: int) -> Array:
+        """Admissible node ids of stage i (flat, ascending = lex (l, j, g))."""
+        return np.flatnonzero(self.admissible[i].ravel())
+
+    def cell_lattice(self) -> Array:
+        """Lattice index vector of every cell, shape (C, r). The cells of a
+        configuration-table grid carry no lattice structure; they get one
+        index per (C / G) row instead, shape (C, 1)."""
+        G = self.branch_count
+        lattice = self.spec.lattice_indices()
+        if lattice.shape[0] * G != self.cfg_count:
+            lattice = np.arange(self.cfg_count // G, dtype=int)[:, None]
+        return np.repeat(lattice, G, axis=0)
 
     @property
     def admissible_counts(self) -> list[int]:
@@ -272,11 +271,7 @@ def exclude(grid: StateGrid, node=None, config=None) -> StateGrid:
     C = grid.cfg_count
     G = grid.branch_count
     L = grid.level_count
-    lattice = grid.spec.lattice_indices()
-    if lattice.shape[0] * G != C:
-        # configuration-table grid: cells carry no lattice structure
-        lattice = np.arange(C // G, dtype=int)[:, None]
-    j_rows = np.repeat(lattice, G, axis=0)   # (C, r)
+    j_rows = grid.cell_lattice()
     g_rows = np.tile(np.arange(G), C // G)
     for i in range(n_stages + 1):
         drop = np.zeros((L, C), dtype=bool)

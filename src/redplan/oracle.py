@@ -13,6 +13,7 @@ result with the same replay, so they differ only in the histories they keep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .constraints import ORDERS, LimitSets, NodeState, initial_state, stage_transitions
 from .errors import BudgetExceeded, ContractViolation, NoFeasiblePlan, ScenarioError
 from .grid import StateGrid
-from .planner import Objective, PlanResult, ReachedSets, TimeObjective, plan, replay
+from .planner import PlanResult, ReachedSets, plan, replay
 
 Array = np.ndarray
 
@@ -59,15 +60,7 @@ class GapReport:
 
 
 def _chain_count(grid: StateGrid) -> float:
-    n = grid.n_stages
-    C = grid.cfg_count
-    total = 1.0
-    for i in range(n + 1):
-        ids = grid.stage_set(i).node_ids
-        if i == n and grid.spec.rest_to_rest:
-            ids = ids[ids < C]
-        total *= float(ids.size)
-    return total
+    return math.prod(map(float, grid.admissible_counts))
 
 
 def _by_level(grid: StateGrid, stage: int, ids: Array) -> list:
@@ -82,10 +75,9 @@ def _by_level(grid: StateGrid, stage: int, ids: Array) -> list:
 
 
 def exhaustive_plan(grid: StateGrid, limits: LimitSets,
-                    objective: Objective | None = None,
                     budget: OracleBudget | None = None,
                     check_count: int = 0, prune: bool = True) -> PlanResult:
-    """Minimum-cost feasible chain by depth-first enumeration.
+    """Minimum-duration feasible chain by depth-first enumeration.
 
     Every chain carries its own full derivative history (no back-pointer
     approximation). A node's children are scored with the sweep's engine,
@@ -94,16 +86,15 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     order wins, which is the lexicographically smallest chain. The winner is
     replayed edge by edge like a DP result.
 
-    Cost-bound pruning (time objective only: each remaining edge costs at
-    least dlam / pv_max) preserves the optimum and the tie-break, but
-    subtrees it cuts are not explored, so the reached sets are then a
-    subset of all feasible-prefix nodes; pass prune=False for exact sets.
+    Cost-bound pruning (each remaining edge takes at least dlam / pv_max)
+    preserves the optimum and the tie-break, but subtrees it cuts are not
+    explored, so the reached sets are then a subset of all feasible-prefix
+    nodes; pass prune=False for exact sets.
 
     Raises:
         BudgetExceeded: the instance is too large to enumerate.
         NoFeasiblePlan: no admissible chain satisfies the constraints.
     """
-    objective = objective if objective is not None else TimeObjective()
     budget = budget if budget is not None else OracleBudget()
     if grid.total_admissible > budget.max_cells:
         raise BudgetExceeded(f"grid has {grid.total_admissible} admissible nodes, "
@@ -117,15 +108,8 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     C = grid.cfg_count
     robot = grid.robot
     dlam = grid.path.dlam
-    stage_ids = [grid.stage_set(i).node_ids for i in range(n + 1)]
-    if grid.spec.rest_to_rest:
-        stage_ids[n] = stage_ids[n][stage_ids[n] < C]
-    levels = [_by_level(grid, i, ids) for i, ids in enumerate(stage_ids)]
-
-    # pruning is only admissible when the local cost is a nonnegative time
-    # step, which each remaining edge bounds from below by dlam / pv_max
-    time_like = prune and isinstance(objective, TimeObjective)
-    lb_step = dlam / float(grid.pv_values[-1]) if time_like else 0.0
+    levels = [_by_level(grid, i, grid.stage_ids(i)) for i in range(n + 1)]
+    lb_step = dlam / float(grid.pv_values[-1])
 
     best_cost = np.inf
     best_chain: list | None = None
@@ -148,14 +132,12 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
                                    check_count=check_count)
             for key, count in ev.rejections().items():
                 histogram[key] = histogram.get(key, 0) + count
-            phi = np.broadcast_to(objective.edge_cost(ev.dt, q_prev, pv_prev, q_next, pv_next),
-                                  (1, ids.size))
+            new_cost = partial + float(ev.dt[0])
             for c in np.flatnonzero(ev.feasible[0]):
                 f = int(ids[c])
                 reached[i + 1].add(f)
                 deepest = max(deepest, i + 1)
-                new_cost = partial + float(phi[0, c])
-                if time_like and new_cost + (n - (i + 1)) * lb_step >= best_cost:
+                if prune and new_cost + (n - (i + 1)) * lb_step >= best_cost:
                     continue
                 chain.append(f)
                 descend(i + 1, NodeState(q=q_next[c], pv=pv_next, qd=ev.qd[0, c],
@@ -163,17 +145,16 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
                         new_cost, chain)
                 chain.pop()
 
-    for f0 in stage_ids[0]:
+    for f0 in grid.stage_ids(0):
         q0 = grid.q_table[0, f0 % C]
         pv0 = float(grid.pv_values[f0 // C])
         reached[0].add(int(f0))
-        psi = float(np.asarray(objective.initial_cost(q0[None, :], np.array([pv0])))[0])
-        descend(0, initial_state(robot, q0, pv0), psi, [int(f0)])
+        descend(0, initial_state(robot, q0, pv0), 0.0, [int(f0)])
 
     if best_chain is None:
         raise NoFeasiblePlan(deepest, histogram)
     reached_sets = ReachedSets(tuple(np.array(sorted(s), dtype=np.int64) for s in reached))
-    return replay(grid, limits, objective, check_count, best_chain, best_cost, reached_sets)
+    return replay(grid, limits, check_count, best_chain, best_cost, reached_sets)
 
 
 def _same_limits(a: LimitSets, b: LimitSets) -> bool:
@@ -191,7 +172,8 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
             tolerance: float = 1e-12) -> GapReport:
     """Measure the DP approximation gap against the enumeration optimum.
 
-    Both results must come from the same grid, limits, and objective. When
+    Both results must come from the same grid, limits, and check-point
+    count; their costs are plan durations. When
     the gap is positive and attribute is set, the enabled orders are added
     back one at a time (cheapest first) and each one's gap increment is
     recorded.
@@ -205,8 +187,6 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
         raise ScenarioError("gap comparison needs results from the same grid")
     if not _same_limits(dp_result.limits, oracle_result.limits):
         raise ScenarioError("gap comparison needs identical limit sets")
-    if type(dp_result.objective) is not type(oracle_result.objective):
-        raise ScenarioError("gap comparison needs the same objective")
     if dp_result.check_count != oracle_result.check_count:
         raise ScenarioError("gap comparison needs the same check-point count")
 
@@ -221,7 +201,6 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
     attribution = {order: 0.0 for order in enabled}
     if attribute and gap > tolerance:
         grid = dp_result.grid
-        objective = dp_result.objective
         check_count = dp_result.check_count
         prev_gap = 0.0
         for k, order in enumerate(enabled):
@@ -229,8 +208,8 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
             if order == enabled[-1]:
                 gap_k = gap
             else:
-                dp_k = plan(grid, subset, objective, check_count=check_count)
-                oracle_k = exhaustive_plan(grid, subset, objective, budget=budget,
+                dp_k = plan(grid, subset, check_count=check_count)
+                oracle_k = exhaustive_plan(grid, subset, budget=budget,
                                            check_count=check_count)
                 gap_k = dp_k.cost - oracle_k.cost
             attribution[order] = gap_k - prev_gap

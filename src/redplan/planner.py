@@ -2,9 +2,10 @@
 
 The sweep visits stages in order; at each transition every reached
 predecessor is scored against every admissible next node (optionally
-restricted by a level/lattice window), edge feasibility and local cost come
+restricted by a level/lattice window), edge feasibility and time step come
 from the constraint engine, and each next node keeps its cheapest
-predecessor. Ties prefer the predecessor with the lexicographically
+predecessor. The cost of a chain is its duration: the sum of its time
+steps. Ties prefer the predecessor with the lexicographically
 smallest (level, lattice index, branch), which ascending flat node ids
 encode directly, so results are bit-reproducible. The sweep runs on one
 thread, one vectorized call per (stage, level).
@@ -27,29 +28,6 @@ from .errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
 from .grid import StateGrid
 
 Array = np.ndarray
-
-
-class Objective:
-    """Additive cost: psi at the initial state plus phi per edge."""
-
-    def initial_cost(self, q: Array, pv: Array) -> Array:
-        raise NotImplementedError
-
-    def edge_cost(self, dt: Array, q_prev: Array, pv_prev: Array,
-                  q_next: Array, pv_next: float) -> Array:
-        """Local cost of each candidate edge, broadcastable to (P, C)."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class TimeObjective(Objective):
-    """Total traversal time: zero initial cost, phi = dt."""
-
-    def initial_cost(self, q, pv):
-        return np.zeros(np.shape(pv))
-
-    def edge_cost(self, dt, q_prev, pv_prev, q_next, pv_next):
-        return dt[:, None]
 
 
 @dataclass(frozen=True)
@@ -83,7 +61,6 @@ class ValueMap:
 
     grid: StateGrid
     limits: LimitSets
-    objective: Objective
     check_count: int
     cost: Array        # (N_i + 1, L * C), +inf where unreached
     pred: Array        # (N_i + 1, L * C), -1 where no predecessor
@@ -102,8 +79,9 @@ class PlanResult:
 
     history_orders names the enabled constraint orders whose feasibility
     depended on back-pointer history (empty for velocity-only runs, where
-    the search is exact). The producing limits, objective, and check-point
-    count ride along so a result can be replayed or re-derived.
+    the search is exact). cost is the plan's duration. The producing limits
+    and check-point count ride along so a result can be replayed or
+    re-derived.
     """
 
     cost: float
@@ -114,7 +92,6 @@ class PlanResult:
     history_orders: tuple
     grid: StateGrid
     limits: LimitSets
-    objective: Objective
     check_count: int
 
     @property
@@ -135,22 +112,18 @@ def _initial_chain_state(grid: StateGrid, node_ids: Array):
     return qd, qdd, tau
 
 
-def plan(grid: StateGrid, limits: LimitSets, objective: Objective | None = None,
-         check_count: int = 0, window: Window | None = None) -> PlanResult:
-    """Run the full forward sweep and extract the optimal plan.
+def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
+         window: Window | None = None) -> PlanResult:
+    """Run the full forward sweep and extract the time-optimal plan.
 
     Raises:
         NoFeasiblePlan: no feasible chain reaches the terminal set; carries
             the deepest stage reached and per-order counts of failed edge
             checks at the transition that died.
     """
-    objective = objective if objective is not None else TimeObjective()
-    value, histogram = _sweep(grid, limits, objective, check_count, window)
+    value, histogram = _sweep(grid, limits, check_count, window)
     n = grid.n_stages
-    C = grid.cfg_count
-    terminal = grid.stage_set(n).node_ids
-    if grid.spec.rest_to_rest:
-        terminal = terminal[terminal < C]        # level 0 <=> flat id < C
+    terminal = grid.stage_ids(n)
     finite = np.isfinite(value.cost[n, terminal])
     if not np.any(finite):
         raise NoFeasiblePlan(n, histogram)
@@ -159,27 +132,22 @@ def plan(grid: StateGrid, limits: LimitSets, objective: Objective | None = None,
     return extract(value, int(best))
 
 
-def _sweep(grid, limits, objective, check_count, window):
+def _sweep(grid, limits, check_count, window):
     n_stages = grid.n_stages
     C = grid.cfg_count
     S = grid.level_count * C
     cost = np.full((n_stages + 1, S), np.inf)
     pred = np.full((n_stages + 1, S), -1, dtype=np.int64)
 
-    start = grid.stage_set(0).node_ids
-    q0 = grid.q_table[0, start % C]
-    pv0 = grid.pv_values[start // C]
-    cost[0, start] = objective.initial_cost(q0, pv0)
+    start = grid.stage_ids(0)
+    cost[0, start] = 0.0
     qd_cur, qdd_cur, tau_cur = np.full((3, S, grid.robot.n), np.nan)
     chain0 = _initial_chain_state(grid, start)
     qd_cur[start], qdd_cur[start], tau_cur[start] = chain0
 
     lattice_rows = None
     if window is not None and window.max_dj is not None:
-        lattice = grid.spec.lattice_indices()
-        if lattice.shape[0] * grid.branch_count != C:
-            lattice = np.arange(C // grid.branch_count, dtype=int)[:, None]
-        lattice_rows = np.repeat(lattice, grid.branch_count, axis=0)   # (C, r)
+        lattice_rows = grid.cell_lattice()
 
     histogram: dict = {}
     for i in range(n_stages):
@@ -211,8 +179,7 @@ def _sweep(grid, limits, objective, check_count, window):
                 dj = np.abs(lattice_rows[prev_ids % C][:, None, :]
                             - lattice_rows[cols][None, :, :])
                 feasible = feasible & np.all(dj <= window.max_dj, axis=-1)
-            phi = objective.edge_cost(ev.dt, q_prev, pv_prev, q_next, pv_next)
-            cand = np.where(feasible, cost_p[:, None] + phi, np.inf)
+            cand = np.where(feasible, cost_p[:, None] + ev.dt[:, None], np.inf)
             best_p = np.argmin(cand, axis=0)
             best_cost = cand[best_p, np.arange(cols.size)]
             hit = np.flatnonzero(np.isfinite(best_cost))
@@ -227,8 +194,8 @@ def _sweep(grid, limits, objective, check_count, window):
         if not reached_any:
             raise NoFeasiblePlan(i, histogram)
 
-    value = ValueMap(grid=grid, limits=limits, objective=objective,
-                     check_count=check_count, cost=cost, pred=pred)
+    value = ValueMap(grid=grid, limits=limits, check_count=check_count,
+                     cost=cost, pred=pred)
     return value, histogram
 
 
@@ -250,16 +217,16 @@ def extract(value: ValueMap, terminal: int) -> PlanResult:
         if p < 0:
             raise CorruptChain(f"dangling predecessor at stage {i}")
         ids[i - 1] = p
-    return replay(grid, value.limits, value.objective, value.check_count, ids,
+    return replay(grid, value.limits, value.check_count, ids,
                   float(value.cost[n_stages, terminal]), value.reached_sets())
 
 
-def replay(grid: StateGrid, limits: LimitSets, objective: Objective, check_count: int,
-           node_ids, cost: float, reached: ReachedSets) -> PlanResult:
+def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
+           cost: float, reached: ReachedSets) -> PlanResult:
     """Re-evaluate a node chain edge by edge into a PlanResult.
 
-    Each edge goes through the same engine as the sweep, so timestamps and
-    the terminal cost come out bit-identical for the time objective. cost
+    Each edge goes through the same engine as the sweep, so the timestamps
+    come out bit-identical and the last one equals the chain's cost. cost
     and reached are the producing search's own and are passed through.
 
     Raises:
@@ -299,8 +266,7 @@ def replay(grid: StateGrid, limits: LimitSets, objective: Objective, check_count
     return PlanResult(cost=float(cost), node_ids=ids, profile=profile,
                       saturation=saturation_percentage(profile, limits),
                       reached=reached, history_orders=limits.history_dependent_orders,
-                      grid=grid, limits=limits, objective=objective,
-                      check_count=check_count)
+                      grid=grid, limits=limits, check_count=check_count)
 
 
 def pst(result: PlanResult) -> list:

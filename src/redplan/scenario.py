@@ -1,10 +1,11 @@
 """Scenario files and run artifacts.
 
 A scenario is one self-contained JSON document: robot description, task
-curve, grid lattice, constraint bounds, objective, and optional baseline
-block. Loading cross-validates everything; the canonical serialization
-(sorted keys, 17 significant digits) feeds a stable content hash that every
-artifact echoes.
+curve, grid lattice, constraint bounds, objective (always "time": the cost
+of a plan is its duration), and optional baseline block. Loading
+cross-validates everything and rejects unknown keys; the canonical
+serialization (sorted keys, 17 significant digits) feeds a stable content
+hash that every artifact echoes.
 
 Reports are split so reruns are bit-reproducible: report.json carries only
 deterministic content, and the wall-clock/machine information goes to a
@@ -29,12 +30,16 @@ from .constraints import ORDERS, LimitSets, SaturationReport, TrajectoryProfile
 from .errors import ScenarioError
 from .grid import GridSpec, StateGrid, build_grid, exclude
 from .path import CurveSpec, WorkspacePath, load_path, sample_path
-from .planner import Objective, PlanResult, TimeObjective, Window
+from .planner import PlanResult, Window
 from .robot import PlanarArm, load_robot
 
 Array = np.ndarray
 
-OBJECTIVES: dict[str, type] = {"time": TimeObjective}
+# the keys of Scenario.to_dict(); load_scenario rejects any other
+_SCENARIO_KEYS = ("name", "robot", "path", "n_stages", "grid", "limits", "objective",
+                  "check_count", "window", "branches", "baseline", "out_dir", "seed")
+_BASELINE_KEYS = ("q0", "alpha", "beta", "tolerance", "max_iterations",
+                  "step_cap", "cond_cap")
 
 TRAJECTORY_HEADER_BASE = ("t",)
 PST_HEADER_BASE = ("lam",)
@@ -117,7 +122,15 @@ def _grid_spec_to_dict(spec: GridSpec) -> dict:
             "v_step": spec.v_step.tolist(), "rest_to_rest": bool(spec.rest_to_rest)}
 
 
+def _reject_unknown(data: dict, allowed, block: str) -> None:
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ScenarioError(f"unknown {block} fields {sorted(unknown)}")
+
+
 def _grid_spec_from_dict(data: dict) -> GridSpec:
+    _reject_unknown(data, ("pv_max", "pv_levels", "v_min", "v_max", "v_step",
+                           "rest_to_rest"), "grid")
     try:
         return GridSpec(pv_max=float(data["pv_max"]), pv_levels=int(data["pv_levels"]),
                         v_min=data["v_min"], v_max=data["v_max"],
@@ -135,14 +148,13 @@ def _limits_to_dict(limits: LimitSets) -> dict:
 
 def _limits_from_dict(data: dict, robot: PlanarArm) -> LimitSets:
     if "from_robot" in data:
+        _reject_unknown(data, ("from_robot",), "limit")
         orders = data["from_robot"]
         bad = set(orders) - set(ORDERS)
         if bad:
             raise ScenarioError(f"unknown constraint orders {sorted(bad)}")
         return LimitSets.from_joint_limits(robot.limits, orders=tuple(orders))
-    unknown = set(data) - set(ORDERS)
-    if unknown:
-        raise ScenarioError(f"unknown limit fields {sorted(unknown)}")
+    _reject_unknown(data, ORDERS, "limit")
     return LimitSets(**{o: (None if data.get(o) is None else data[o]) for o in ORDERS})
 
 
@@ -155,18 +167,19 @@ def _window_to_dict(window: Window | None) -> dict | None:
 def _window_from_dict(data: dict | None) -> Window | None:
     if data is None:
         return None
+    _reject_unknown(data, ("max_dl", "max_dj"), "window")
     return Window(max_dl=data.get("max_dl"), max_dj=data.get("max_dj"))
 
 
 def _baseline_from_dict(data: dict | None) -> ResolutionConfig | None:
     if data is None:
         return None
+    _reject_unknown(data, _BASELINE_KEYS, "baseline")
     try:
         q0 = data["q0"]
     except KeyError as exc:
         raise ScenarioError("baseline block needs q0") from exc
-    kwargs = {k: data[k] for k in ("alpha", "beta", "tolerance", "max_iterations",
-                                   "step_cap", "cond_cap") if k in data}
+    kwargs = {k: data[k] for k in _BASELINE_KEYS[1:] if k in data}
     return ResolutionConfig(q0=np.asarray(q0, dtype=float), **kwargs)
 
 
@@ -196,9 +209,9 @@ class Scenario:
             raise ScenarioError("n_stages must be at least 1")
         if self.check_count < 0:
             raise ScenarioError("check_count must be nonnegative")
-        if self.objective not in OBJECTIVES:
+        if self.objective != "time":
             raise ScenarioError(f"unknown objective {self.objective!r}; "
-                                f"choose from {sorted(OBJECTIVES)}")
+                                "the only objective is 'time'")
         if self.grid.r != self.robot.r:
             raise ScenarioError(
                 f"grid lattice has {self.grid.r} redundancy parameters, "
@@ -229,9 +242,6 @@ class Scenario:
             keep = np.asarray(self.branches)
             grid = exclude(grid, node=lambda i, l, j, g: ~np.isin(g, keep))
         return grid
-
-    def objective_instance(self) -> Objective:
-        return OBJECTIVES[self.objective]()
 
     def to_dict(self) -> dict:
         return {
@@ -276,6 +286,7 @@ def load_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
         data = source
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
+    _reject_unknown(data, _SCENARIO_KEYS, "scenario")
 
     robot_ref = data.get("robot")
     if isinstance(robot_ref, str) and not os.path.isabs(robot_ref):

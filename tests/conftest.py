@@ -93,7 +93,7 @@ def enumerate_chains(grid, limits, check_count=0):
     """
     n = grid.n_stages
     C = grid.cfg_count
-    stage_ids = [grid.stage_set(i).node_ids for i in range(n + 1)]
+    stage_ids = [grid.stage_ids(i) for i in range(n + 1)]
     if grid.spec.rest_to_rest:
         stage_ids[n] = stage_ids[n][stage_ids[n] < C]
     best_cost, best_chain, feasible = np.inf, None, 0

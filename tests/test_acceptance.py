@@ -89,7 +89,7 @@ def _toy_instances(count=20, seed=2026):
                                  rest=rest, v_values=v_values, pv_max=pv_max)
         except PlanningError:
             continue
-        sizes = [grid.stage_set(i).node_ids.size for i in range(grid.n_stages + 1)]
+        sizes = grid.admissible_counts
         if grid.total_admissible > 10_000 or math.prod(sizes) > 5_000:
             continue
         try:
@@ -113,10 +113,9 @@ def _scenario_runs(name):
     if name not in _RUNS:
         sc = bundled_scenario(name)
         _, pinned = baseline_plan(sc.robot, sc.sample(), sc.baseline, sc.limits,
-                                  sc.grid, objective=sc.objective_instance(),
-                                  check_count=sc.check_count)
-        unified = plan(sc.build(), sc.limits, objective=sc.objective_instance(),
-                       check_count=sc.check_count, window=sc.window)
+                                  sc.grid, check_count=sc.check_count)
+        unified = plan(sc.build(), sc.limits, check_count=sc.check_count,
+                       window=sc.window)
         _RUNS[name] = (sc, pinned, unified)
     return _RUNS[name]
 
@@ -124,10 +123,8 @@ def _scenario_runs(name):
 def _toy_scenario_plan(name):
     sc = bundled_scenario(name)
     grid = sc.build()
-    dp = plan(grid, sc.limits, objective=sc.objective_instance(),
-              check_count=sc.check_count, window=sc.window)
-    oracle = exhaustive_plan(grid, sc.limits, objective=sc.objective_instance(),
-                             check_count=sc.check_count)
+    dp = plan(grid, sc.limits, check_count=sc.check_count)
+    oracle = exhaustive_plan(grid, sc.limits, check_count=sc.check_count)
     return dp, oracle
 
 
@@ -146,7 +143,7 @@ def _replay(result):
         ev = evaluate_edge(grid.robot, result.limits, grid.path.dlam, state,
                            q_next, pv_next, check_count=result.check_count)
         assert ev.feasible, ev.violations
-        total = total + ev.phi
+        total = total + ev.dt
         state = ev.next_state(q_next, pv_next)
     return total
 

@@ -74,6 +74,16 @@ def test_missing_scenario_is_config_error(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("overrides", [{"objective": "energy"}, {"check_cout": 2}])
+def test_bad_scenario_keys_are_config_errors(tmp_path, capsys, overrides):
+    out = tmp_path / "x"
+    code = main(["plan", "--scenario", tweaked(tmp_path, "toy_velocity", **overrides),
+                 "--out", str(out)])
+    assert code == 3
+    assert stderr_payload(capsys)["error"] == "ScenarioError"
+    assert not out.exists()
+
+
 def test_nan_link_mass_is_config_error(tmp_path, capsys):
     with open(bundled_path("toy_full")) as fh:
         robot = json.load(fh)["robot"]
@@ -160,6 +170,20 @@ def test_verify_zero_gap_toys(tmp_path):
                      "--out", str(out)]) == 0
         report = json.loads((out / "gap_report.json").read_text())
         assert report["gap"] == 0.0
+
+
+def test_verify_refuses_window(tmp_path, capsys):
+    # the oracle searches the whole grid, so a windowed DP would make the
+    # report compare two different searches
+    out = tmp_path / "ver"
+    code = main(["verify", "--scenario",
+                 tweaked(tmp_path, "toy_jerk", window={"max_dl": 1}),
+                 "--out", str(out)])
+    assert code == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError"
+    assert "window" in payload["message"]
+    assert not out.exists()
 
 
 def test_verify_budget_exit(tmp_path, capsys):

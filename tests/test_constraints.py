@@ -150,11 +150,6 @@ class TestEvaluateEdge:
         with pytest.raises(InfeasibleEdge):
             evaluate_edge(arm, inf_limits(), 0.1, prev, np.zeros(3), 0.0)
 
-    def test_phi_equals_dt(self, arm):
-        prev = initial_state(arm, np.zeros(3), 0.0)
-        ev = evaluate_edge(arm, inf_limits(), 0.1, prev, np.full(3, 0.01), 0.4)
-        assert ev.phi == ev.dt == 0.5
-
     def test_coulomb_crossing_skips_torque_rate(self, arm):
         q = np.zeros(3)
         qd_prev = np.array([0.5, 0.3, 0.2])

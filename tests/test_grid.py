@@ -10,7 +10,7 @@ from redplan.grid import GridSpec, StateGrid, build_grid, exclude, grid_from_con
 from redplan.path import CurveSpec, sample_path
 from redplan.robot import JointLimits, PlanarArm
 
-from conftest import make_reference_arm
+from conftest import make_reference_arm, make_toy_grid
 
 
 def line_path(n_stages, p0=(0.5, 0.2), p1=(0.5, -0.2)):
@@ -113,27 +113,35 @@ class TestBuildGrid:
         grid = build_grid(arm, line_path(2), spec_1d(pv_max=1.5, pv_levels=6))
         assert np.array_equal(grid.pv_values, np.arange(7) * 0.25)
 
-    def test_rest_to_rest_boundary_levels(self, arm):
-        grid = build_grid(arm, line_path(4), spec_1d(rest=True))
-        for node in grid.stage_set(0).node_ids:
-            assert grid.node_coords(node)[0] == 0
-        for node in grid.stage_set(4).node_ids:
-            assert grid.node_coords(node)[0] == 0
+    @pytest.mark.parametrize("builder", ["build_grid", "grid_from_configurations", "exclude"])
+    def test_rest_to_rest_boundary_levels(self, arm, builder):
+        # the planner and the oracle take stage_ids(n) as the terminal set
+        # as it is, so every builder must leave only level 0 at both ends
+        if builder == "grid_from_configurations":
+            grid = make_toy_grid(n_stages=4, pv_levels=3, rest=True)
+        else:
+            grid = build_grid(arm, line_path(4), spec_1d(rest=True))
+        if builder == "exclude":
+            grid = exclude(grid, node=lambda i, l, j, g: (l == 2) | (g == 1))
+        for i in (0, 4):
+            ids = grid.stage_ids(i)
+            assert ids.size > 0
+            assert np.all(ids < grid.cfg_count)               # level 0
         for i in (1, 2, 3):
-            levels = {grid.node_coords(f)[0] for f in grid.stage_set(i).node_ids}
+            levels = {grid.node_coords(f)[0] for f in grid.stage_ids(i)}
             assert 0 not in levels
 
     def test_free_boundaries_keep_all_levels(self, arm):
         grid = build_grid(arm, line_path(4), spec_1d(rest=False))
-        levels0 = {grid.node_coords(f)[0] for f in grid.stage_set(0).node_ids}
+        levels0 = {grid.node_coords(f)[0] for f in grid.stage_ids(0)}
         assert levels0 == set(range(7))
         for i in (1, 2, 3):
-            levels = {grid.node_coords(f)[0] for f in grid.stage_set(i).node_ids}
+            levels = {grid.node_coords(f)[0] for f in grid.stage_ids(i)}
             assert 0 not in levels
 
     def test_node_ids_sorted_lexicographically(self, arm):
         grid = build_grid(arm, line_path(4), spec_1d())
-        ids = grid.stage_set(2).node_ids
+        ids = grid.stage_ids(2)
         coords = [grid.node_coords(f) for f in ids]
         assert coords == sorted(coords)
         assert np.all(np.diff(ids) > 0)
@@ -187,20 +195,20 @@ class TestExclude:
             return (stage == 2) & (l >= 4)
 
         trimmed = exclude(grid, node=fast_at_stage_2)
-        before = set(grid.stage_set(2).node_ids.tolist())
-        after = set(trimmed.stage_set(2).node_ids.tolist())
+        before = set(grid.stage_ids(2).tolist())
+        after = set(trimmed.stage_ids(2).tolist())
         removed = {f for f in before if grid.node_coords(f)[0] >= 4}
         assert after == before - removed
         for i in (0, 1, 3, 4):
             assert np.array_equal(trimmed.admissible[i], grid.admissible[i])
         # original untouched
-        assert set(grid.stage_set(2).node_ids.tolist()) == before
+        assert set(grid.stage_ids(2).tolist()) == before
 
     def test_branch_predicate(self, arm):
         grid = build_grid(arm, line_path(3), spec_1d())
         only_down = exclude(grid, node=lambda i, l, j, g: g == 1)
         for i in range(4):
-            for f in only_down.stage_set(i).node_ids:
+            for f in only_down.stage_ids(i):
                 assert only_down.node_coords(f)[2] == 0
 
     def test_config_predicate(self, arm):

@@ -18,7 +18,7 @@ from redplan.constraints import LimitSets, edge_durations
 from redplan.errors import (BudgetExceeded, ContractViolation, NoFeasiblePlan,
                             ScenarioError)
 from redplan.oracle import GapReport, OracleBudget, compare, exhaustive_plan
-from redplan.planner import Objective, TimeObjective, plan
+from redplan.planner import plan
 
 INF3 = np.full(3, np.inf)
 
@@ -34,16 +34,6 @@ def jerk_instance(cap=100.0):
     return grid, limits
 
 
-class ScaledTime(Objective):
-    """Doubled traversal time; exercises the general-objective path."""
-
-    def initial_cost(self, q, pv):
-        return np.zeros(np.shape(pv))
-
-    def edge_cost(self, dt, q_prev, pv_prev, q_next, pv_next):
-        return 2.0 * dt[:, None]
-
-
 # --- exhaustive search ---------------------------------------------------
 
 
@@ -51,8 +41,7 @@ def test_single_chain_cost_is_duration_sum():
     # one node per stage: rest boundaries pin l=0, the single interior
     # stage pins l=pv_levels, one lattice cell
     grid = make_toy_grid(n_stages=2, pv_levels=1, rest=True, v_values=(0.9,))
-    assert [ids.size for ids in
-            (grid.stage_set(i).node_ids for i in range(3))] == [1, 1, 1]
+    assert grid.admissible_counts == [1, 1, 1]
     result = exhaustive_plan(grid, qd_only())
     dlam = grid.path.dlam
     expected = 0.0 + float(edge_durations(0.0, 1.0, dlam)) + float(edge_durations(1.0, 0.0, dlam))
@@ -92,17 +81,6 @@ def test_pruning_preserves_cost_chain_and_enumeration(check_count):
     assert n_feasible > 1
     assert full.cost == best_cost
     assert full.node_ids.tolist() == [int(f) for f in best_chain]
-
-
-def test_general_objective_disables_pruning_but_agrees():
-    grid = make_toy_grid(n_stages=3, pv_levels=2, rest=True)
-    limits = qd_only()
-    timed = exhaustive_plan(grid, limits)
-    scaled = exhaustive_plan(grid, limits, objective=ScaledTime())
-    assert scaled.cost == pytest.approx(2.0 * timed.cost, rel=1e-15)
-    assert np.array_equal(scaled.node_ids, timed.node_ids)
-    dp_scaled = plan(grid, limits, objective=ScaledTime())
-    assert dp_scaled.cost == scaled.cost
 
 
 def test_budget_guards():
@@ -163,8 +141,6 @@ def test_compare_rejects_mismatched_instances():
     dp = plan(grid, limits)
     with pytest.raises(ScenarioError, match="limit sets"):
         compare(dp, exhaustive_plan(grid, qd_only(cap=2.5)))
-    with pytest.raises(ScenarioError, match="objective"):
-        compare(dp, exhaustive_plan(grid, limits, objective=ScaledTime()))
     with pytest.raises(ScenarioError, match="check-point"):
         compare(dp, exhaustive_plan(grid, limits, check_count=2))
 

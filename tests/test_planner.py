@@ -8,7 +8,7 @@ import pytest
 from redplan.constraints import LimitSets, evaluate_edge, initial_state
 from redplan.errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
-from redplan.planner import TimeObjective, Window, extract, plan, pst, replay
+from redplan.planner import Window, extract, plan, pst, replay
 
 
 from conftest import make_inf_limits as inf_limits
@@ -53,9 +53,8 @@ class TestExactnessVsEnumeration:
         # re-derived through the scalar engine
         grid = toy_grid(n_stages=3, rest=True)
         limits = LimitSets(qd=np.full(3, 3.0))
-        objective = TimeObjective()
         from redplan.planner import _sweep
-        value, _ = _sweep(grid, limits, objective, 0, None)
+        value, _ = _sweep(grid, limits, 0, None)
         C = grid.cfg_count
 
         def replay_state(i, f):
@@ -171,7 +170,7 @@ class TestExtraction:
         grid = build_grid(arm, line_path(2),
                           GridSpec(pv_max=1.0, pv_levels=2, v_min=[0.6],
                                    v_max=[1.2], v_step=[0.3]))
-        value, _ = _sweep(grid, inf_limits(), TimeObjective(), 0, None)
+        value, _ = _sweep(grid, inf_limits(), 0, None)
         dead = int(np.flatnonzero(~np.isfinite(value.cost[2]))[0])
         with pytest.raises(CorruptChain):
             extract(value, dead)
@@ -182,7 +181,7 @@ class TestExtraction:
                                    v_max=[1.2], v_step=[0.3]))
         limits = LimitSets.from_joint_limits(arm.limits)
         result = plan(grid, limits)
-        args = (TimeObjective(), 0, result.node_ids, result.cost, result.reached)
+        args = (0, result.node_ids, result.cost, result.reached)
         again = replay(grid, limits, *args)
         assert np.array_equal(again.profile.t, result.profile.t)
         # the same chain under a velocity cap it breaks
@@ -192,16 +191,16 @@ class TestExtraction:
         stalled = result.node_ids.copy()
         stalled[1] = stalled[1] % grid.cfg_count           # level 0 at stage 1
         with pytest.raises(CorruptChain):
-            replay(grid, limits, TimeObjective(), 0, stalled, result.cost, result.reached)
+            replay(grid, limits, 0, stalled, result.cost, result.reached)
 
     def test_reached_sets(self, arm):
         grid = build_grid(arm, line_path(3),
                           GridSpec(pv_max=1.0, pv_levels=3, v_min=[0.6],
                                    v_max=[1.2], v_step=[0.3]))
         result = plan(grid, inf_limits())
-        assert np.array_equal(result.reached[0], grid.stage_set(0).node_ids)
+        assert np.array_equal(result.reached[0], grid.stage_ids(0))
         for i in range(4):
-            assert np.all(np.isin(result.reached[i], grid.stage_set(i).node_ids))
+            assert np.all(np.isin(result.reached[i], grid.stage_ids(i)))
 
     def test_history_orders_tag(self, arm):
         grid = toy_grid()

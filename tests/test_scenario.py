@@ -149,6 +149,8 @@ def test_limits_rejects_unknown_fields():
         load_scenario(toy_doc(limits={"qd": [1.0, 1.0, 1.0], "velocity": [1.0]}))
     with pytest.raises(ScenarioError, match="unknown constraint orders"):
         load_scenario(toy_doc(limits={"from_robot": ["qd", "speed"]}))
+    with pytest.raises(ScenarioError, match=r"unknown limit fields \['qd'\]"):
+        load_scenario(toy_doc(limits={"from_robot": ["tau"], "qd": [1.0, 1.0, 1.0]}))
 
 
 def test_limits_length_validated_against_robot():
@@ -177,7 +179,7 @@ def test_branch_filter_masks_columns():
     sc = load_scenario(toy_doc(branches=[0]))
     grid = sc.build()
     # columns are (v, branch) pairs, branch fastest; odd columns are branch 1
-    admissible = grid.stage_set(1).node_ids
+    admissible = grid.stage_ids(1)
     assert np.all(admissible % 2 == 0)
     with pytest.raises(ScenarioError, match="branch filter cannot be empty"):
         load_scenario(toy_doc(branches=[]))
@@ -192,6 +194,18 @@ def test_scenario_validation_errors():
         load_scenario(toy_doc(check_count=-1))
     with pytest.raises(ScenarioError, match="unknown objective"):
         load_scenario(toy_doc(objective="energy"))
+    assert load_scenario(toy_doc(objective="time")).objective == "time"
+    # a misspelled key must not fall back to its default
+    with pytest.raises(ScenarioError, match=r"unknown scenario fields \['check_cout'\]"):
+        load_scenario(toy_doc(check_cout=2))
+    with pytest.raises(ScenarioError, match=r"unknown window fields \['max_dJ'\]"):
+        load_scenario(toy_doc(window={"max_dl": 1, "max_dJ": 0}))
+    grid = dict(toy_doc()["grid"])
+    grid["rest_to_rset"] = grid.pop("rest_to_rest")
+    with pytest.raises(ScenarioError, match=r"unknown grid fields \['rest_to_rset'\]"):
+        load_scenario(toy_doc(grid=grid))
+    with pytest.raises(ScenarioError, match=r"unknown baseline fields \['alpah'\]"):
+        load_scenario(toy_doc(baseline={"q0": [0.8, -2.1, 2.5], "alpah": 0.0}))
     bad_grid = {"pv_max": 1.0, "pv_levels": 2, "v_min": [0.7, 0.0],
                 "v_max": [1.0, 1.0], "v_step": [0.3, 0.5], "rest_to_rest": True}
     with pytest.raises(ScenarioError, match="redundancy parameters"):
