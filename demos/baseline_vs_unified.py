@@ -23,7 +23,7 @@ def main():
         unified = plan(sc.build(), sc.limits, check_count=sc.check_count,
                        window=sc.window)
 
-        v_index = sc.robot.chain.redundancy_indices[0]
+        v_index = 0  # the redundancy parameters are the first r joints
         v_pinned = joint_path.q[:, v_index]
         v_unified = unified.profile.q[:, v_index]
         gap = (pinned.cost - unified.cost) / unified.cost

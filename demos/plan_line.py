@@ -25,7 +25,7 @@ def main():
           f"within 1e-3 of a bound")
     print()
     print(f"{'stage':>5} {'lam':>7} {'pv':>7} {'v':>7} {'active':>7} {'ratio':>7}")
-    v_index = grid.robot.chain.redundancy_indices[0]
+    v_index = 0  # the redundancy parameters are the first r joints
     for i in range(grid.n_stages + 1):
         v = prof.q[i, v_index]
         order = sat.active_order[i] or "-"

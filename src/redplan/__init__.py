@@ -25,8 +25,7 @@ from .oracle import GapReport, OracleBudget, compare, exhaustive_plan
 from .path import (CurveSpec, WorkspacePath, load_path, sample_path, tangent,
                    tangents, trivial_path)
 from .planner import PlanResult, ReachedSets, ValueMap, Window, plan, pst
-from .robot import (DynamicParams, JointLimits, KinematicChain, PlanarArm,
-                    RobotModel, load_robot)
+from .robot import DynamicParams, JointLimits, PlanarArm, load_robot
 from .scenario import (Scenario, bundled_scenario, bundled_scenario_names,
                        dumps_canonical, load_scenario, resample_export)
 
@@ -36,10 +35,10 @@ __all__ = [
     "BudgetExceeded", "ContractViolation", "CorruptChain", "CurveSpec",
     "DegenerateCurve", "DynamicParams", "EdgeEvaluation", "EmptyStage",
     "GapReport", "GridSpec", "HISTORY_DEPENDENT_ORDERS", "InfeasibleEdge",
-    "JointLimits", "JointPath", "KinematicChain", "LimitSets", "NoConvergence",
+    "JointLimits", "JointPath", "LimitSets", "NoConvergence",
     "NoFeasiblePlan", "NodeState", "ORDERS", "OracleBudget",
     "PlanResult", "PlanarArm", "PlanningError", "ReachedSets",
-    "ResolutionConfig", "RobotModel", "SaturationReport", "Scenario",
+    "ResolutionConfig", "SaturationReport", "Scenario",
     "ScenarioError", "SingularJacobian", "StateGrid",
     "TrajectoryProfile", "Unreachable", "ValueMap",
     "Window", "WorkspacePath", "baseline_plan", "build_grid", "bundled_scenario",

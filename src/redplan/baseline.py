@@ -19,7 +19,7 @@ from .errors import NoConvergence, ScenarioError, SingularJacobian
 from .grid import GridSpec, grid_from_configurations
 from .path import WorkspacePath, tangent
 from .planner import PlanResult, plan
-from .robot import RobotModel
+from .robot import PlanarArm
 
 Array = np.ndarray
 
@@ -102,7 +102,7 @@ def pseudo_inverse(J: Array, cond_cap: float = 1e8) -> Array:
     return Vt.T @ np.diag(1.0 / s) @ U.T
 
 
-def dynamic_manipulability_cost(robot: RobotModel, q: Array, t: Array,
+def dynamic_manipulability_cost(robot: PlanarArm, q: Array, t: Array,
                                 cond_cap: float = 1e8) -> float:
     """Squared inertia-weighted effort to accelerate along the unit tangent t.
 
@@ -126,7 +126,7 @@ def _cost_gradient(robot, q, t, cond_cap) -> Array:
     return grad
 
 
-def resolve_redundancy(robot: RobotModel, path: WorkspacePath,
+def resolve_redundancy(robot: PlanarArm, path: WorkspacePath,
                        config: ResolutionConfig) -> JointPath:
     """Invert every waypoint with pseudo-inverse tracking plus null-space
     descent on the dynamic-manipulability cost, warm-started in sequence.
@@ -172,7 +172,7 @@ def resolve_redundancy(robot: RobotModel, path: WorkspacePath,
                      branch_jump=bool(np.any(step_norms > config.step_cap)))
 
 
-def time_parametrize(robot: RobotModel, path: WorkspacePath,
+def time_parametrize(robot: PlanarArm, path: WorkspacePath,
                      joint_path: JointPath, limits: LimitSets, spec: GridSpec,
                      check_count: int = 0) -> PlanResult:
     """Phase-plane time parametrization of a fixed joint path.
@@ -189,7 +189,7 @@ def time_parametrize(robot: RobotModel, path: WorkspacePath,
     return plan(grid, limits, check_count=check_count)
 
 
-def baseline_plan(robot: RobotModel, path: WorkspacePath, config: ResolutionConfig,
+def baseline_plan(robot: PlanarArm, path: WorkspacePath, config: ResolutionConfig,
                   limits: LimitSets, spec: GridSpec,
                   check_count: int = 0) -> tuple[JointPath, PlanResult]:
     """Full two-stage pipeline: resolve the redundancy, then time-parametrize."""

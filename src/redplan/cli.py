@@ -106,7 +106,8 @@ def cmd_verify(args) -> int:
         # the oracle enumerates the whole grid, so the DP must not be windowed
         raise ScenarioError("verify searches the whole grid; remove the "
                             "scenario's window")
-    budget = OracleBudget(max_chains=args.budget) if args.budget else OracleBudget()
+    budget = (OracleBudget() if args.budget is None
+              else OracleBudget(max_chains=args.budget))
     grid = scenario.build()
     dp = plan(grid, scenario.limits, check_count=scenario.check_count)
     oracle = exhaustive_plan(grid, scenario.limits, budget=budget,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleEdge, ScenarioError
-from .robot import RobotModel
+from .robot import PlanarArm
 
 Array = np.ndarray
 
@@ -97,7 +97,7 @@ class NodeState:
     tau: Array
 
 
-def initial_state(robot: RobotModel, q: Array, pv: float) -> NodeState:
+def initial_state(robot: PlanarArm, q: Array, pv: float) -> NodeState:
     """Chain state of a stage-0 node.
 
     A rest start (pv = 0) pins velocity and acceleration to zero and the
@@ -130,7 +130,7 @@ def edge_durations(pv_prev, pv_next: float, dlam: float) -> Array:
     return dt
 
 
-def transition_quantities(robot: RobotModel, q_prev, qd_prev, qdd_prev, tau_prev,
+def transition_quantities(robot: PlanarArm, q_prev, qd_prev, qdd_prev, tau_prev,
                           q_next, dt):
     """Backward-difference stack of one transition; shapes broadcast.
 
@@ -240,7 +240,7 @@ class EdgeEvaluation:
                          qdd=self.qdd, tau=self.tau)
 
 
-def evaluate_edge(robot: RobotModel, limits: LimitSets, dlam: float,
+def evaluate_edge(robot: PlanarArm, limits: LimitSets, dlam: float,
                   prev: NodeState, q_next: Array, pv_next: float,
                   check_count: int = 0) -> EdgeEvaluation:
     """Evaluate one transition from a reached node to a next-stage node.
@@ -296,7 +296,7 @@ class StageEval:
         return counts
 
 
-def stage_transitions(robot: RobotModel, limits: LimitSets, dlam: float,
+def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                       q_prev: Array, pv_prev: Array, qd_prev: Array,
                       qdd_prev: Array, tau_prev: Array,
                       q_next: Array, pv_next: float,

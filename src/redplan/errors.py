@@ -1,4 +1,5 @@
-"""Exception types shared across the planning stack."""
+"""Exception types shared across the planning stack, plus the two input
+checks that the scenario, robot and path loaders share."""
 
 from __future__ import annotations
 
@@ -86,3 +87,23 @@ class ContractViolation(PlanningError):
 
 class ScenarioError(PlanningError):
     """A scenario or robot description file failed validation."""
+
+
+def reject_unknown(data: dict, allowed, block: str) -> None:
+    """Raise ScenarioError naming every key of data outside allowed, so a
+    misspelled optional key never falls back to its default."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ScenarioError(f"unknown {block} fields {sorted(unknown)}")
+
+
+def as_int(value, name: str) -> int:
+    """value as an int; ScenarioError unless it is an integral number (or a
+    string that int() parses)."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (not isinstance(value, str) and out != value):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return out

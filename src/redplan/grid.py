@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EmptyStage, ScenarioError
 from .path import WorkspacePath
-from .robot import RobotModel
+from .robot import PlanarArm
 
 Array = np.ndarray
 
@@ -95,7 +95,7 @@ class GridSpec:
 class StateGrid:
     """Immutable state grid shared by the planner, engine, and oracle."""
 
-    robot: RobotModel
+    robot: PlanarArm
     path: WorkspacePath
     spec: GridSpec
     pv_values: Array          # (N_l + 1,)
@@ -151,8 +151,7 @@ class StateGrid:
     def signature(self) -> str:
         """Digest identifying robot, path, lattice, and admissibility."""
         h = hashlib.sha256()
-        robot_desc = getattr(self.robot, "to_dict", lambda: {"type": repr(self.robot)})()
-        h.update(json.dumps(robot_desc, sort_keys=True).encode())
+        h.update(json.dumps(self.robot.to_dict(), sort_keys=True).encode())
         for arr in (self.path.waypoints, self.pv_values, self.q_table,
                     self.cfg_ok, self.admissible):
             h.update(np.ascontiguousarray(arr).tobytes())
@@ -182,7 +181,7 @@ def _finalize(grid_fields: dict) -> StateGrid:
     return grid
 
 
-def build_grid(robot: RobotModel, path: WorkspacePath, spec: GridSpec) -> StateGrid:
+def build_grid(robot: PlanarArm, path: WorkspacePath, spec: GridSpec) -> StateGrid:
     """Populate the full lattice via inverse kinematics (once per cell).
 
     Raises:
@@ -222,7 +221,7 @@ def build_grid(robot: RobotModel, path: WorkspacePath, spec: GridSpec) -> StateG
     ))
 
 
-def grid_from_configurations(robot: RobotModel, path: WorkspacePath, q_table: Array,
+def grid_from_configurations(robot: PlanarArm, path: WorkspacePath, q_table: Array,
                              spec: GridSpec, cfg_ok: Array | None = None,
                              branch_count: int = 1) -> StateGrid:
     """Build a grid from explicit per-stage joint tables (no IK).

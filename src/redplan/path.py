@@ -14,12 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCurve, ScenarioError
+from .errors import DegenerateCurve, ScenarioError, reject_unknown
 
 Array = np.ndarray
 
 # presample density used to rectify parametric curves
 _RECTIFY_SAMPLES = 16384
+
+# the keys of CurveSpec.to_dict() besides "kind", per curve kind; a path
+# block may carry no other (an ellipse may leave out its rotation)
+_CURVE_KEYS = {"line": ("start", "end"),
+               "ellipse": ("center", "semi_axes", "rotation"),
+               "waypoints": ("points",)}
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,8 @@ def _spec_from_dict(data: dict) -> CurveSpec:
     if "kind" not in data:
         raise ScenarioError("path spec needs a 'kind' field")
     kw = {"kind": data["kind"]}
+    if kw["kind"] in _CURVE_KEYS:
+        reject_unknown(data, ("kind",) + _CURVE_KEYS[kw["kind"]], "path")
     for name in ("start", "end", "center", "semi_axes"):
         if data.get(name) is not None:
             kw[name] = tuple(float(v) for v in data[name])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .constraints import (LimitSets, TrajectoryProfile, evaluate_edge, initial_state,
                           saturation_percentage, stage_transitions)
-from .errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
+from .errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan, ScenarioError, as_int
 from .grid import StateGrid
 
 Array = np.ndarray
@@ -35,11 +35,20 @@ class Window:
     """Optional per-stage candidate restriction (speed/optimality knob).
 
     Edges whose endpoints differ by more than max_dl levels or max_dj
-    lattice steps (per parameter) are skipped. None disables a bound.
+    lattice steps (per parameter) are skipped. None disables a bound; a
+    bound is otherwise a nonnegative integer.
     """
 
     max_dl: int | None = None
     max_dj: int | None = None
+
+    def __post_init__(self):
+        for name in ("max_dl", "max_dj"):
+            if getattr(self, name) is not None:
+                bound = as_int(getattr(self, name), f"window {name}")
+                if bound < 0:
+                    raise ScenarioError(f"window {name} must be nonnegative, got {bound}")
+                object.__setattr__(self, name, bound)
 
 
 @dataclass(frozen=True)
@@ -272,8 +281,7 @@ def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
 def pst(result: PlanResult) -> list:
     """Phase-space trajectory: one (lambda, v, pseudo-velocity) triple per
     stage, v scalar for a single redundancy parameter."""
-    robot = result.grid.robot
-    idx = list(robot.chain.redundancy_indices)
+    idx = list(range(result.grid.robot.r))
     triples = []
     for i in range(result.profile.n_stages + 1):
         v = result.profile.q[i, idx]

@@ -1,10 +1,10 @@
-"""Manipulator abstraction and the planar redundant reference arm.
+"""The planar redundant arm: the one manipulator the planner works with.
 
-The planner only talks to :class:`RobotModel`: forward/inverse kinematics with
-explicit solution-branch enumeration, the task Jacobian, joint-space inverse
-dynamics, and the per-joint limit table. :class:`PlanarArm` implements the
-interface for a planar n-R chain in a vertical plane (task = 2-D end-effector
-position), which keeps every mechanism analytic and cheap to evaluate.
+:class:`PlanarArm` is a planar n-R chain (n >= 3) in a vertical plane whose
+task is the 2-D end-effector position, so the first n - 2 joints are the
+redundancy parameters and the distal 2-R subchain is solved analytically on
+two IK branches. Kinematics, the task Jacobian and the joint-space inverse
+dynamics are closed form, which keeps every mechanism cheap to evaluate.
 
 All kinematics/dynamics methods broadcast over leading batch dimensions: a
 joint vector argument of shape ``(..., n)`` yields results with the same
@@ -15,12 +15,11 @@ arithmetic, so they agree bit for bit.
 from __future__ import annotations
 
 import json
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BranchDegenerate, ScenarioError, Unreachable
+from .errors import BranchDegenerate, ScenarioError, Unreachable, as_int, reject_unknown
 
 Array = np.ndarray
 
@@ -28,45 +27,6 @@ Array = np.ndarray
 # two IK branches are reported as coincident.
 _REACH_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class KinematicChain:
-    """Structural description of a serial chain.
-
-    Attributes:
-        link_lengths: link lengths in meters, one per joint.
-        task_dim: dimension m of the task space.
-        redundancy_indices: indices of the r = n - m joints used as
-            redundancy parameters.
-    """
-
-    link_lengths: tuple[float, ...]
-    task_dim: int
-    redundancy_indices: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.link_lengths)
-
-    @property
-    def m(self) -> int:
-        return self.task_dim
-
-    @property
-    def r(self) -> int:
-        return len(self.redundancy_indices)
-
-    def __post_init__(self):
-        n, m = self.n, self.task_dim
-        if not (n > m >= 1):
-            raise ScenarioError(f"need n > m >= 1, got n={n}, m={m}")
-        if self.r != n - m or self.r < 1:
-            raise ScenarioError(f"need r = n - m >= 1, got r={self.r}")
-        if len(set(self.redundancy_indices)) != self.r:
-            raise ScenarioError("redundancy indices must be distinct")
-        if any(not (0 <= i < n) for i in self.redundancy_indices):
-            raise ScenarioError("redundancy indices out of range")
 
 
 @dataclass(frozen=True)
@@ -144,106 +104,11 @@ def _wrap_angle(a: Array) -> Array:
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-class RobotModel(ABC):
-    """Abstract manipulator interface used by the grid, engine, and planner.
-
-    Implementations must be pure (no mutable state after construction) and
-    must broadcast every method over leading batch dimensions.
-    """
-
-    @property
-    @abstractmethod
-    def chain(self) -> KinematicChain:
-        ...
-
-    @property
-    @abstractmethod
-    def limits(self) -> JointLimits:
-        ...
-
-    @property
-    @abstractmethod
-    def branch_count(self) -> int:
-        """Number of IK solution branches for fixed (x, v)."""
-
-    @property
-    def n(self) -> int:
-        return self.chain.n
-
-    @property
-    def m(self) -> int:
-        return self.chain.m
-
-    @property
-    def r(self) -> int:
-        return self.chain.r
-
-    @abstractmethod
-    def forward_kinematics(self, q: Array) -> Array:
-        """Task-space pose k(q), shape (..., m)."""
-
-    @abstractmethod
-    def inverse_kinematics(self, x: Array, v: Array, g: int) -> Array:
-        """Joint vector with redundancy joints pinned to v, on branch g.
-
-        Raises:
-            Unreachable: the residual chain cannot reach x for this v.
-            BranchDegenerate: the branches coincide and g is not 0 (the
-                coincident solution is reported only on branch 0).
-        """
-
-    @abstractmethod
-    def jacobian(self, q: Array) -> Array:
-        """Task Jacobian dk/dq, shape (..., m, n)."""
-
-    @abstractmethod
-    def inertia_matrix(self, q: Array) -> Array:
-        """Joint-space inertia H(q), shape (..., n, n)."""
-
-    @abstractmethod
-    def bias_forces(self, q: Array, qd: Array) -> Array:
-        """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
-
-    def inverse_dynamics(self, q: Array, qd: Array, qdd: Array) -> Array:
-        """tau = H(q) qdd + f(q, qd)."""
-        return _matvec(self.inertia_matrix(q), qdd) + self.bias_forces(q, qd)
-
-    def ik_table(self, x: Array, v_values: Array) -> tuple[Array, Array, Array]:
-        """Evaluate every branch of inverse_kinematics over a batch of v.
-
-        Args:
-            x: task pose, shape (m,).
-            v_values: redundancy-parameter batch, shape (J, r).
-
-        Returns:
-            (q, reachable, degenerate): q has shape (J, branch_count, n) with
-            NaN rows where unreachable; reachable is a (J,) bool mask;
-            degenerate is a (J,) bool mask for coincident branches (solution
-            kept on branch 0 only).
-        """
-        v_values = np.asarray(v_values, dtype=float)
-        J = v_values.shape[0]
-        G = self.branch_count
-        q = np.full((J, G, self.n), np.nan)
-        reachable = np.zeros(J, dtype=bool)
-        degenerate = np.zeros(J, dtype=bool)
-        for j in range(J):
-            for g in range(G):
-                try:
-                    q[j, g] = self.inverse_kinematics(x, v_values[j], g)
-                    reachable[j] = True
-                except BranchDegenerate:
-                    degenerate[j] = True
-                except Unreachable:
-                    break
-        return q, reachable, degenerate
-
-
-class PlanarArm(RobotModel):
+class PlanarArm:
     """Planar n-R serial chain in a vertical plane, task = 2-D EE position.
 
-    The redundancy parameters are the first n - 2 joints; given those, the
-    distal 2-R subchain is solved analytically with two branches:
+    The redundancy parameters are the first r = n - 2 joints; given those,
+    the distal 2-R subchain is solved analytically with two branches:
 
     * g = 0, elbow-down: the distal elbow lies below the chord from the
       subchain base to the target (relative elbow angle >= 0);
@@ -253,51 +118,35 @@ class PlanarArm(RobotModel):
     Jacobians; Coulomb friction uses sign(qd) with sign(0) = 0.
     """
 
-    def __init__(self, chain: KinematicChain, limits: JointLimits, dynamics: DynamicParams):
-        if chain.m != 2:
-            raise ScenarioError("PlanarArm requires a 2-D task space")
-        if chain.redundancy_indices != tuple(range(chain.n - 2)):
-            raise ScenarioError(
-                "PlanarArm requires the first n-2 joints as redundancy parameters"
-            )
-        if limits.n != chain.n:
+    m = 2              # task dimension
+    branch_count = 2   # IK solution branches for fixed (x, v)
+
+    def __init__(self, link_lengths, limits: JointLimits, dynamics: DynamicParams):
+        self.link_lengths = tuple(float(l) for l in link_lengths)
+        n = len(self.link_lengths)
+        if n < 3:
+            raise ScenarioError(f"PlanarArm needs at least 3 links, got {n}")
+        if limits.n != n:
             raise ScenarioError("limit table size does not match joint count")
         for name in ("mass", "com", "inertia", "viscous", "coulomb"):
-            if getattr(dynamics, name).shape != (chain.n,):
+            if getattr(dynamics, name).shape != (n,):
                 raise ScenarioError(f"dynamic parameter {name} must have length n")
-        lengths = np.asarray(chain.link_lengths, dtype=float)
+        lengths = np.asarray(self.link_lengths)
         if not np.all((lengths > 0) & np.isfinite(lengths)):
             raise ScenarioError("link lengths must be positive and finite")
-        if np.any(dynamics.com > np.asarray(chain.link_lengths)):
+        if np.any(dynamics.com > lengths):
             raise ScenarioError("COM offsets must lie on their links")
-        self._chain = chain
-        self._limits = limits
-        self._dynamics = dynamics
-        self._L = np.asarray(chain.link_lengths, dtype=float)
-
-    # ------------------------------------------------------------------
-    # structure
-
-    @property
-    def chain(self) -> KinematicChain:
-        return self._chain
-
-    @property
-    def limits(self) -> JointLimits:
-        return self._limits
-
-    @property
-    def dynamics(self) -> DynamicParams:
-        return self._dynamics
-
-    @property
-    def branch_count(self) -> int:
-        return 2
+        self.n = n
+        self.r = n - 2
+        self.limits = limits
+        self.dynamics = dynamics
+        self._L = lengths
 
     # ------------------------------------------------------------------
     # kinematics
 
     def forward_kinematics(self, q: Array) -> Array:
+        """End-effector position k(q), shape (..., 2)."""
         q = np.asarray(q, dtype=float)
         th = np.cumsum(q, axis=-1)
         x = np.zeros(q.shape[:-1])
@@ -308,6 +157,7 @@ class PlanarArm(RobotModel):
         return np.stack([x, y], axis=-1)
 
     def jacobian(self, q: Array) -> Array:
+        """Task Jacobian dk/dq, shape (..., 2, n)."""
         q = np.asarray(q, dtype=float)
         th = np.cumsum(q, axis=-1)
         st, ct = np.sin(th), np.cos(th)
@@ -348,6 +198,13 @@ class PlanarArm(RobotModel):
         return wx, wy, cos_elbow, thp[..., r - 1]
 
     def inverse_kinematics(self, x: Array, v: Array, g: int) -> Array:
+        """Joint vector with the redundancy joints pinned to v, on branch g.
+
+        Raises:
+            Unreachable: the distal subchain cannot reach x for this v.
+            BranchDegenerate: the branches coincide and g is not 0 (the
+                coincident solution is reported only on branch 0).
+        """
         if not (0 <= int(g) < self.branch_count):
             raise ScenarioError(f"branch index {g} out of range")
         x = np.asarray(x, dtype=float)
@@ -370,6 +227,12 @@ class PlanarArm(RobotModel):
         return np.concatenate([v, [q_pen, q_elbow]])
 
     def ik_table(self, x: Array, v_values: Array) -> tuple[Array, Array, Array]:
+        """Both branches of inverse_kinematics for x over a (J, r) batch of v.
+
+        Returns (q, reachable, degenerate): q of shape (J, 2, n), NaN where
+        unreachable; (J,) masks of reachable and of coincident-branch rows
+        (whose solution is kept on branch 0 only).
+        """
         x = np.asarray(x, dtype=float)
         v_values = np.asarray(v_values, dtype=float)
         wx, wy, ce, base = self._distal_geometry(x[None, :], v_values)
@@ -404,7 +267,7 @@ class PlanarArm(RobotModel):
         th = np.cumsum(q, axis=-1)
         ct, st = np.cos(th), np.sin(th)
         n = self.n
-        lc = self._dynamics.com
+        lc = self.dynamics.com
         Ax = np.zeros(q.shape[:-1] + (n, n))
         Ay = np.zeros(q.shape[:-1] + (n, n))
         for k in range(n):
@@ -419,10 +282,11 @@ class PlanarArm(RobotModel):
         return Ax, Ay, ct, st
 
     def inertia_matrix(self, q: Array) -> Array:
+        """Joint-space inertia H(q), shape (..., n, n)."""
         Ax, Ay, _, _ = self._com_jacobian_components(q)
         n = self.n
-        mass = self._dynamics.mass
-        inertia = self._dynamics.inertia
+        mass = self.dynamics.mass
+        inertia = self.dynamics.inertia
         H = np.zeros(Ax.shape[:-2] + (n, n))
         for a in range(n):
             for b in range(a, n):
@@ -445,8 +309,8 @@ class PlanarArm(RobotModel):
         """
         Ax, Ay, ct, st = self._com_jacobian_components(q)
         n = self.n
-        mass = self._dynamics.mass
-        lc = self._dynamics.com
+        mass = self.dynamics.mass
+        lc = self.dynamics.com
         G = np.zeros(Ax.shape[:-2] + (n, n))
         for b in range(n):
             for c in range(n):
@@ -461,8 +325,8 @@ class PlanarArm(RobotModel):
     def gravity_torque(self, q: Array) -> Array:
         """Torque holding the arm static against gravity (no friction)."""
         Ax, Ay, _, _ = self._com_jacobian_components(q)
-        gx, gy = self._dynamics.gravity
-        mass = self._dynamics.mass
+        gx, gy = self.dynamics.gravity
+        mass = self.dynamics.mass
         n = self.n
         tg = np.zeros(Ax.shape[:-2] + (n,))
         for b in range(n):
@@ -473,24 +337,29 @@ class PlanarArm(RobotModel):
         return tg
 
     def bias_forces(self, q: Array, qd: Array) -> Array:
+        """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
         qd = np.asarray(qd, dtype=float)
         G = self._centripetal_matrix(q)
         thd = np.cumsum(qd, axis=-1)
         tau = _matvec(G, thd * thd)
-        tau = tau + self._dynamics.viscous * qd
-        tau = tau + self._dynamics.coulomb * np.sign(qd)
+        tau = tau + self.dynamics.viscous * qd
+        tau = tau + self.dynamics.coulomb * np.sign(qd)
         return tau + self.gravity_torque(q)
+
+    def inverse_dynamics(self, q: Array, qd: Array, qdd: Array) -> Array:
+        """tau = H(q) qdd + f(q, qd)."""
+        return _matvec(self.inertia_matrix(q), qdd) + self.bias_forces(q, qd)
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_dict(self) -> dict:
-        c, lim, dyn = self._chain, self._limits, self._dynamics
+        lim, dyn = self.limits, self.dynamics
         return {
             "type": "planar",
-            "link_lengths": list(map(float, c.link_lengths)),
-            "task_dim": c.task_dim,
-            "redundancy_indices": list(c.redundancy_indices),
+            "link_lengths": list(self.link_lengths),
+            "task_dim": self.m,
+            "redundancy_indices": list(range(self.r)),
             "limits": {
                 "q_min": lim.q_min.tolist(), "q_max": lim.q_max.tolist(),
                 "qd_max": lim.qd_max.tolist(), "qdd_max": lim.qdd_max.tolist(),
@@ -506,7 +375,12 @@ class PlanarArm(RobotModel):
 
 
 def load_robot(source: dict | str) -> PlanarArm:
-    """Build a robot from a description dict or a JSON file path."""
+    """Build a robot from a description dict or a JSON file path.
+
+    The description carries the keys of :meth:`PlanarArm.to_dict`; task_dim
+    (optional) must be 2 and redundancy_indices must list the first n - 2
+    joints, the only layout a planar arm has.
+    """
     if isinstance(source, str):
         try:
             with open(source) as fh:
@@ -518,31 +392,20 @@ def load_robot(source: dict | str) -> PlanarArm:
     kind = source.get("type", "planar")
     if kind != "planar":
         raise ScenarioError(f"unknown robot type {kind!r}")
+    reject_unknown(source, ("type", "link_lengths", "task_dim", "redundancy_indices",
+                            "limits", "dynamics"), "robot")
     try:
-        chain = KinematicChain(
-            link_lengths=tuple(float(l) for l in source["link_lengths"]),
-            task_dim=int(source.get("task_dim", 2)),
-            redundancy_indices=tuple(source["redundancy_indices"]),
-        )
-        lim = source["limits"]
-        limits = JointLimits(
-            q_min=np.asarray(lim["q_min"], dtype=float),
-            q_max=np.asarray(lim["q_max"], dtype=float),
-            qd_max=np.asarray(lim["qd_max"], dtype=float),
-            qdd_max=np.asarray(lim["qdd_max"], dtype=float),
-            qddd_max=np.asarray(lim["qddd_max"], dtype=float),
-            tau_max=np.asarray(lim["tau_max"], dtype=float),
-            taud_max=np.asarray(lim["taud_max"], dtype=float),
-        )
-        dyn = source["dynamics"]
-        dynamics = DynamicParams(
-            mass=np.asarray(dyn["mass"], dtype=float),
-            com=np.asarray(dyn["com"], dtype=float),
-            inertia=np.asarray(dyn["inertia"], dtype=float),
-            viscous=np.asarray(dyn["viscous"], dtype=float),
-            coulomb=np.asarray(dyn["coulomb"], dtype=float),
-            gravity=np.asarray(dyn.get("gravity", [0.0, -9.81]), dtype=float),
-        )
+        link_lengths = [float(l) for l in source["link_lengths"]]
+        if as_int(source.get("task_dim", 2), "task_dim") != 2:
+            raise ScenarioError("a planar arm has a 2-D task space (task_dim 2)")
+        if list(source["redundancy_indices"]) != list(range(len(link_lengths) - 2)):
+            raise ScenarioError("a planar arm's redundancy_indices are the first "
+                                "n-2 joints")
+        lim, dyn = source["limits"], source["dynamics"]
+        reject_unknown(lim, [f.name for f in fields(JointLimits)], "robot limits")
+        reject_unknown(dyn, [f.name for f in fields(DynamicParams)], "robot dynamics")
+        limits = JointLimits(**lim)
+        dynamics = DynamicParams(**dyn)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid robot description: {exc}") from exc
-    return PlanarArm(chain, limits, dynamics)
+    return PlanarArm(link_lengths, limits, dynamics)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .baseline import JointPath, ResolutionConfig
 from .constraints import ORDERS, LimitSets, SaturationReport, TrajectoryProfile
-from .errors import ScenarioError
+from .errors import ScenarioError, as_int, reject_unknown
 from .grid import GridSpec, StateGrid, build_grid, exclude
 from .path import CurveSpec, WorkspacePath, load_path, sample_path
 from .planner import PlanResult, Window
@@ -122,17 +122,12 @@ def _grid_spec_to_dict(spec: GridSpec) -> dict:
             "v_step": spec.v_step.tolist(), "rest_to_rest": bool(spec.rest_to_rest)}
 
 
-def _reject_unknown(data: dict, allowed, block: str) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown {block} fields {sorted(unknown)}")
-
-
 def _grid_spec_from_dict(data: dict) -> GridSpec:
-    _reject_unknown(data, ("pv_max", "pv_levels", "v_min", "v_max", "v_step",
-                           "rest_to_rest"), "grid")
+    reject_unknown(data, ("pv_max", "pv_levels", "v_min", "v_max", "v_step",
+                          "rest_to_rest"), "grid")
     try:
-        return GridSpec(pv_max=float(data["pv_max"]), pv_levels=int(data["pv_levels"]),
+        return GridSpec(pv_max=float(data["pv_max"]),
+                        pv_levels=as_int(data["pv_levels"], "pv_levels"),
                         v_min=data["v_min"], v_max=data["v_max"],
                         v_step=data["v_step"],
                         rest_to_rest=bool(data.get("rest_to_rest", True)))
@@ -148,13 +143,13 @@ def _limits_to_dict(limits: LimitSets) -> dict:
 
 def _limits_from_dict(data: dict, robot: PlanarArm) -> LimitSets:
     if "from_robot" in data:
-        _reject_unknown(data, ("from_robot",), "limit")
+        reject_unknown(data, ("from_robot",), "limit")
         orders = data["from_robot"]
         bad = set(orders) - set(ORDERS)
         if bad:
             raise ScenarioError(f"unknown constraint orders {sorted(bad)}")
         return LimitSets.from_joint_limits(robot.limits, orders=tuple(orders))
-    _reject_unknown(data, ORDERS, "limit")
+    reject_unknown(data, ORDERS, "limit")
     return LimitSets(**{o: (None if data.get(o) is None else data[o]) for o in ORDERS})
 
 
@@ -167,19 +162,21 @@ def _window_to_dict(window: Window | None) -> dict | None:
 def _window_from_dict(data: dict | None) -> Window | None:
     if data is None:
         return None
-    _reject_unknown(data, ("max_dl", "max_dj"), "window")
+    reject_unknown(data, ("max_dl", "max_dj"), "window")
     return Window(max_dl=data.get("max_dl"), max_dj=data.get("max_dj"))
 
 
 def _baseline_from_dict(data: dict | None) -> ResolutionConfig | None:
     if data is None:
         return None
-    _reject_unknown(data, _BASELINE_KEYS, "baseline")
+    reject_unknown(data, _BASELINE_KEYS, "baseline")
     try:
         q0 = data["q0"]
     except KeyError as exc:
         raise ScenarioError("baseline block needs q0") from exc
     kwargs = {k: data[k] for k in _BASELINE_KEYS[1:] if k in data}
+    if "max_iterations" in kwargs:
+        kwargs["max_iterations"] = as_int(kwargs["max_iterations"], "max_iterations")
     return ResolutionConfig(q0=np.asarray(q0, dtype=float), **kwargs)
 
 
@@ -223,7 +220,7 @@ class Scenario:
                     f"{order} bound has length {bound.shape[0]}, "
                     f"robot has {self.robot.n} joints")
         if self.branches is not None:
-            branches = tuple(int(g) for g in self.branches)
+            branches = tuple(as_int(g, "branch") for g in self.branches)
             if not branches:
                 raise ScenarioError("branch filter cannot be empty")
             if not set(branches) <= set(range(self.robot.branch_count)):
@@ -286,37 +283,37 @@ def load_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
         data = source
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _reject_unknown(data, _SCENARIO_KEYS, "scenario")
+    reject_unknown(data, _SCENARIO_KEYS, "scenario")
 
     robot_ref = data.get("robot")
     if isinstance(robot_ref, str) and not os.path.isabs(robot_ref):
         robot_ref = os.path.join(base_dir or ".", robot_ref)
     robot = load_robot(robot_ref)
 
+    # a value of the wrong type surfaces as TypeError/ValueError from the
+    # numeric conversions; it is a bad scenario like any other
     try:
-        curve = load_path(data["path"])
-        n_stages = int(data["n_stages"])
-        grid = _grid_spec_from_dict(data["grid"])
+        return Scenario(
+            name=str(data.get("name", "scenario")),
+            robot=robot,
+            curve=load_path(data["path"]),
+            n_stages=as_int(data["n_stages"], "n_stages"),
+            grid=_grid_spec_from_dict(data["grid"]),
+            limits=_limits_from_dict(data.get("limits", {"from_robot": list(ORDERS)}),
+                                     robot),
+            objective=str(data.get("objective", "time")),
+            check_count=as_int(data.get("check_count", 0), "check_count"),
+            window=_window_from_dict(data.get("window")),
+            branches=(None if data.get("branches") is None
+                      else tuple(data["branches"])),
+            baseline=_baseline_from_dict(data.get("baseline")),
+            out_dir=data.get("out_dir"),
+            seed=as_int(data.get("seed", 0), "seed"),
+        )
     except KeyError as exc:
         raise ScenarioError(f"scenario missing field {exc}") from exc
-
-    limits_block = data.get("limits", {"from_robot": list(ORDERS)})
-    return Scenario(
-        name=str(data.get("name", "scenario")),
-        robot=robot,
-        curve=curve,
-        n_stages=n_stages,
-        grid=grid,
-        limits=_limits_from_dict(limits_block, robot),
-        objective=str(data.get("objective", "time")),
-        check_count=int(data.get("check_count", 0)),
-        window=_window_from_dict(data.get("window")),
-        branches=(None if data.get("branches") is None
-                  else tuple(data["branches"])),
-        baseline=_baseline_from_dict(data.get("baseline")),
-        out_dir=data.get("out_dir"),
-        seed=int(data.get("seed", 0)),
-    )
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
 def _bundled_dir() -> str:
@@ -471,7 +468,7 @@ def trajectory_csv(profile: TrajectoryProfile) -> str:
 def pst_csv(result: PlanResult) -> str:
     """Phase-space samples: arc length, redundancy parameters, pseudo-velocity."""
     profile = result.profile
-    idx = list(result.grid.robot.chain.redundancy_indices)
+    idx = list(range(result.grid.robot.r))
     header = (PST_HEADER_BASE + tuple(f"v{k + 1}" for k in range(len(idx))) + ("pv",))
     rows = []
     for i in range(profile.n_stages + 1):

@@ -7,12 +7,11 @@ import pytest
 
 from redplan.constraints import evaluate_edge, initial_state
 from redplan.errors import InfeasibleEdge
-from redplan.robot import DynamicParams, JointLimits, KinematicChain, PlanarArm
+from redplan.robot import DynamicParams, JointLimits, PlanarArm
 
 
 def make_reference_arm(coulomb=(0.2, 0.15, 0.1), gravity=(0.0, -9.81)) -> PlanarArm:
     """Desk-scale planar 3R arm used throughout the suite."""
-    chain = KinematicChain(link_lengths=(0.5, 0.4, 0.3), task_dim=2, redundancy_indices=(0,))
     limits = JointLimits(
         q_min=np.array([-2.9, -2.9, -2.9]),
         q_max=np.array([2.9, 2.9, 2.9]),
@@ -30,12 +29,11 @@ def make_reference_arm(coulomb=(0.2, 0.15, 0.1), gravity=(0.0, -9.81)) -> Planar
         coulomb=np.array(coulomb, dtype=float),
         gravity=np.array(gravity, dtype=float),
     )
-    return PlanarArm(chain, limits, dynamics)
+    return PlanarArm((0.5, 0.4, 0.3), limits, dynamics)
 
 
 def make_unit_arm() -> PlanarArm:
     """Planar 3R with unit links, matching the worked kinematics examples."""
-    chain = KinematicChain(link_lengths=(1.0, 1.0, 1.0), task_dim=2, redundancy_indices=(0,))
     limits = JointLimits(
         q_min=np.full(3, -3.1), q_max=np.full(3, 3.1),
         qd_max=np.full(3, 2.0), qdd_max=np.full(3, 10.0), qddd_max=np.full(3, 100.0),
@@ -45,7 +43,7 @@ def make_unit_arm() -> PlanarArm:
         mass=np.ones(3), com=np.full(3, 0.5), inertia=np.full(3, 1.0 / 12.0),
         viscous=np.zeros(3), coulomb=np.zeros(3), gravity=np.array([0.0, -9.81]),
     )
-    return PlanarArm(chain, limits, dynamics)
+    return PlanarArm((1.0, 1.0, 1.0), limits, dynamics)
 
 
 @pytest.fixture

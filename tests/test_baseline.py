@@ -148,7 +148,7 @@ def test_cost_scales_quadratically_with_inertia():
     arm = make_reference_arm()
     heavy = make_reference_arm()
     s = 3.0
-    heavy = type(heavy)(heavy.chain, heavy.limits, type(heavy.dynamics)(
+    heavy = type(heavy)(heavy.link_lengths, heavy.limits, type(heavy.dynamics)(
         mass=heavy.dynamics.mass * s, com=heavy.dynamics.com,
         inertia=heavy.dynamics.inertia * s, viscous=heavy.dynamics.viscous,
         coulomb=heavy.dynamics.coulomb, gravity=heavy.dynamics.gravity))

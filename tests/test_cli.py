@@ -74,7 +74,10 @@ def test_missing_scenario_is_config_error(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "ScenarioError"
 
 
-@pytest.mark.parametrize("overrides", [{"objective": "energy"}, {"check_cout": 2}])
+@pytest.mark.parametrize("overrides", [{"objective": "energy"}, {"check_cout": 2},
+                                       {"check_count": "abc"},
+                                       {"window": {"max_dl": "x"}},
+                                       {"window": {"max_dl": -1}}])
 def test_bad_scenario_keys_are_config_errors(tmp_path, capsys, overrides):
     out = tmp_path / "x"
     code = main(["plan", "--scenario", tweaked(tmp_path, "toy_velocity", **overrides),
@@ -191,6 +194,16 @@ def test_verify_budget_exit(tmp_path, capsys):
                  "--out", str(tmp_path / "x"), "--budget", "1"])
     assert code == 4
     assert stderr_payload(capsys)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_verify_nonpositive_budget_is_config_error(tmp_path, capsys, budget):
+    out = tmp_path / "x"
+    code = main(["verify", "--scenario", bundled_path("toy_jerk"),
+                 "--out", str(out), "--budget", budget])
+    assert code == 3
+    assert stderr_payload(capsys)["error"] == "ScenarioError"
+    assert not out.exists()
 
 
 # --- infeasibility exits -------------------------------------------------------

@@ -154,7 +154,7 @@ class TestBuildGrid:
             qd_max=arm.limits.qd_max, qdd_max=arm.limits.qdd_max,
             qddd_max=arm.limits.qddd_max, tau_max=arm.limits.tau_max,
             taud_max=arm.limits.taud_max)
-        clamped = PlanarArm(chain=arm.chain, limits=tight, dynamics=arm.dynamics)
+        clamped = PlanarArm(link_lengths=arm.link_lengths, limits=tight, dynamics=arm.dynamics)
         path = line_path(3)
         spec = spec_1d()
         grid = build_grid(clamped, path, spec)

@@ -19,7 +19,7 @@ from conftest import make_reference_arm
 def transform_chain_fk(arm: PlanarArm, q):
     """End-effector position via explicit 3x3 homogeneous transforms."""
     T = np.eye(3)
-    for angle, length in zip(q, arm.chain.link_lengths):
+    for angle, length in zip(q, arm.link_lengths):
         c, s = np.cos(angle), np.sin(angle)
         T = T @ np.array([[c, -s, length * c], [s, c, length * s], [0.0, 0.0, 1.0]])
     return T[:2, 2].copy()
@@ -29,7 +29,7 @@ def com_positions(arm: PlanarArm, q):
     """Link COM positions via the same transform chain, coded independently."""
     pts = []
     T = np.eye(3)
-    for angle, length, lc in zip(q, arm.chain.link_lengths, arm.dynamics.com):
+    for angle, length, lc in zip(q, arm.link_lengths, arm.dynamics.com):
         c, s = np.cos(angle), np.sin(angle)
         T = T @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         pts.append(T[:2, :2] @ np.array([lc, 0.0]) + T[:2, 2])
@@ -308,6 +308,7 @@ def test_broadcast_dynamics_bitwise_equal_tiled(arm):
 
 def test_robot_round_trips_through_dict(arm):
     clone = load_robot(arm.to_dict())
+    assert clone.to_dict() == arm.to_dict()
     q = np.array([0.2, -0.4, 0.9])
     assert np.array_equal(clone.forward_kinematics(q), arm.forward_kinematics(q))
     assert np.array_equal(clone.inertia_matrix(q), arm.inertia_matrix(q))
@@ -320,3 +321,36 @@ def test_load_robot_rejects_bad_descriptions(arm):
     del bad["limits"]["qd_max"]
     with pytest.raises(ScenarioError):
         load_robot(bad)
+    # the planar arm fixes the task dimension and the redundancy joints
+    bad = arm.to_dict()
+    bad["task_dim"] = 3
+    with pytest.raises(ScenarioError, match="task_dim"):
+        load_robot(bad)
+    bad = arm.to_dict()
+    bad["redundancy_indices"] = [1]
+    with pytest.raises(ScenarioError, match="redundancy_indices"):
+        load_robot(bad)
+    bad = arm.to_dict()
+    del bad["redundancy_indices"]
+    with pytest.raises(ScenarioError, match="redundancy_indices"):
+        load_robot(bad)
+    doc = arm.to_dict()
+    del doc["task_dim"]
+    assert load_robot(doc).to_dict() == arm.to_dict()
+    # a 2-link arm has no redundancy
+    bad = arm.to_dict()
+    bad["link_lengths"] = bad["link_lengths"][:2]
+    bad["redundancy_indices"] = []
+    for block in ("limits", "dynamics"):
+        for name, values in bad[block].items():
+            if name != "gravity":
+                bad[block][name] = values[:2]
+    with pytest.raises(ScenarioError, match="at least 3 links"):
+        load_robot(bad)
+    # a misspelled key must not fall back to its default
+    for block, key in ((None, "tsak_dim"), ("dynamics", "masss"),
+                       ("limits", "qd_mx")):
+        bad = arm.to_dict()
+        (bad if block is None else bad[block])[key] = 1.0
+        with pytest.raises(ScenarioError, match=rf"unknown .*fields \['{key}'\]"):
+            load_robot(bad)

@@ -118,7 +118,7 @@ def test_robot_file_reference(tmp_path):
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(toy_doc(robot="arm.json")))
     sc = load_scenario(str(path))
-    assert np.array_equal(sc.robot.chain.link_lengths, arm.chain.link_lengths)
+    assert np.array_equal(sc.robot.link_lengths, arm.link_lengths)
 
 
 # --- block parsing and validation -------------------------------------------
@@ -231,6 +231,37 @@ def test_scenario_validation_errors():
     with pytest.raises(ScenarioError, match="inertia must be finite"):
         load_scenario(toy_doc(robot=robot))
     assert load_scenario(toy_doc(limits={"qd": [float("inf")] * 3})).limits.qd[0] == np.inf
+    # values of the wrong type are scenario errors, not bare ValueErrors
+    grid = dict(toy_doc()["grid"], pv_levels="x")
+    for doc in (toy_doc(check_count="abc"), toy_doc(n_stages="x"), toy_doc(seed="x"),
+                toy_doc(grid=grid), toy_doc(branches=["x"]),
+                toy_doc(limits={"qd": ["x"]}),
+                toy_doc(path={"kind": "line", "start": ["a", 1], "end": [0.5, -0.2]})):
+        with pytest.raises(ScenarioError):
+            load_scenario(doc)
+    # integer fields reject non-integral numbers instead of truncating them
+    with pytest.raises(ScenarioError, match="check_count must be an integer"):
+        load_scenario(toy_doc(check_count=2.7))
+    assert load_scenario(toy_doc(check_count=2.0)).check_count == 2
+    for window, match in (({"max_dl": "x"}, "max_dl must be an integer"),
+                          ({"max_dl": 1.5}, "max_dl must be an integer"),
+                          ({"max_dl": -1}, "max_dl must be nonnegative"),
+                          ({"max_dj": -1}, "max_dj must be nonnegative")):
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario(toy_doc(window=window))
+    # unknown path keys are rejected per curve kind
+    with pytest.raises(ScenarioError, match=r"unknown path fields \['ennd'\]"):
+        load_scenario(toy_doc(path={"kind": "line", "start": [0.5, 0.2],
+                                    "end": [0.5, -0.2], "ennd": [0.5, 0.0]}))
+    with pytest.raises(ScenarioError, match=r"unknown path fields \['center'\]"):
+        load_scenario(toy_doc(path={"kind": "line", "start": [0.5, 0.2],
+                                    "end": [0.5, -0.2], "center": [0.5, 0.0]}))
+    ellipse = {"kind": "ellipse", "center": [0.6, 0.0], "semi_axes": [0.1, 0.05]}
+    assert load_scenario(toy_doc(path=ellipse)).curve.rotation == 0.0
+    robot = make_reference_arm().to_dict()
+    robot["dynamics"]["masss"] = [1.0, 1.0, 1.0]
+    with pytest.raises(ScenarioError, match=r"unknown robot dynamics fields \['masss'\]"):
+        load_scenario(toy_doc(robot=robot))
 
 
 # --- atomic writes -----------------------------------------------------------
