@@ -18,7 +18,7 @@ from dataclasses import replace
 from . import __version__
 from .baseline import resolve_redundancy, time_parametrize
 from .errors import (BudgetExceeded, EmptyStage, NoConvergence, NoFeasiblePlan,
-                     PlanningError, ScenarioError)
+                     PlanningError, ScenarioError, as_int)
 from .oracle import OracleBudget, compare, exhaustive_plan
 from .planner import plan
 from .scenario import (Scenario, active_constraint_csv, atomic_write_text,
@@ -121,12 +121,13 @@ def cmd_verify(args) -> int:
 
 def _sweep_variant(scenario: Scenario, axis: str, value: float) -> Scenario:
     if axis == "n_stages":
-        return replace(scenario, n_stages=int(value))
+        return replace(scenario, n_stages=as_int(value, "n_stages"))
     if axis == "v_step":
         steps = [float(value)] * scenario.grid.r
         return replace(scenario, grid=replace(scenario.grid, v_step=steps))
     if axis == "pv_levels":
-        return replace(scenario, grid=replace(scenario.grid, pv_levels=int(value)))
+        return replace(scenario, grid=replace(scenario.grid,
+                                              pv_levels=as_int(value, "pv_levels")))
     if axis == "pv_max":
         return replace(scenario, grid=replace(scenario.grid, pv_max=float(value)))
     raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")

@@ -10,11 +10,20 @@ than guessing values.
 
 One engine computes every edge: the time step, the difference stack,
 inverse dynamics, the per-order checks with the Coulomb exemption for the
-torque rate, and the interior check points, written once over broadcast
-shapes. `stage_transitions` runs it on all P x C edges into one level and
-folds the checks into masks; `evaluate_edge` runs it on one edge and turns
-the same checks into violation tags. A replay of a chain therefore
-reproduces the sweep's numbers bit for bit.
+torque rate, and the interior check points, written once over P x C lanes
+(P predecessors against C next-stage cells). `stage_transitions` runs it on
+the edges into one level and folds the checks into masks; `evaluate_edge`
+runs it on one edge, its 1 x 1 case, and turns the same checks into
+violation tags. A replay of a chain therefore reproduces the sweep's
+numbers bit for bit.
+
+The sweep screens by joint velocity first. The time step and the endpoint
+joint velocity depend on no history, so they are computed on every lane;
+only the lanes with a time step whose velocity passes its bound (the
+discrete maximum-velocity curve of TOPP-RA) go on to the higher orders,
+inverse dynamics and the check points. The checks above joint velocity
+therefore count only the lanes they actually evaluated: a lane that fails
+the velocity bound is rejected under qd alone.
 """
 
 from __future__ import annotations
@@ -130,22 +139,6 @@ def edge_durations(pv_prev, pv_next: float, dlam: float) -> Array:
     return dt
 
 
-def transition_quantities(robot: PlanarArm, q_prev, qd_prev, qdd_prev, tau_prev,
-                          q_next, dt):
-    """Backward-difference stack of one transition; shapes broadcast.
-
-    Returns (qd, qdd, qddd, tau, taud) at the next stage. NaN history
-    propagates into the orders that depend on it.
-    """
-    with np.errstate(invalid="ignore"):
-        qd = (q_next - q_prev) / dt
-        qdd = (qd - qd_prev) / dt
-        qddd = (qdd - qdd_prev) / dt
-        tau = robot.inverse_dynamics(q_next, qd, qdd)
-        taud = (tau - tau_prev) / dt
-    return qd, qdd, qddd, tau, taud
-
-
 def _order_ok(value: Array, bound: Array) -> Array:
     """Per-sample feasibility of one order; NaN samples are skipped."""
     with np.errstate(invalid="ignore"):
@@ -184,25 +177,61 @@ def _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, count):
 
 
 def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_prev,
-                 q_next, pv_next, check_count):
-    """Time step, difference stack and every bound check of a set of edges.
+                 q_next, pv_next, check_count, screen=None):
+    """Time step, difference stack and every bound check of P x C edges.
 
-    Joint arrays broadcast against each other: (n,) for one edge, (P, 1, n)
-    against (1, C, n) for a stage, with pv_prev a scalar or (P, 1, 1).
-    Returns dt (+inf where no time step exists; the stack then uses a unit
-    step), the endpoint stack (qd, qdd, qddd, tau, taud), and one
-    (order, where, value, exempt) entry per bound check: the enabled
-    endpoint orders, then the check-point orders of each check point.
-    exempt marks the lanes that skip a check (torque rate across a Coulomb
-    crossing) and is None for every other check.
+    q_prev and its chain samples qd/qdd/tau_prev are (P, n), pv_prev (P,),
+    q_next (C, n). The time step dt (P,; +inf where none exists, and the
+    stack then uses a unit step) and the endpoint joint velocity (P, C, n)
+    are computed on every lane. The rest of the stack and every bound check
+    run on the evaluated lanes only, gathered in ascending flat (p, c) order
+    into (K, n) arrays: every lane when screen is None, otherwise the alive
+    lanes, those of the (P, C) mask screen that have a time step and whose
+    velocity passes its bound.
+
+    Returns dt; qd_ok, the (P, C) velocity-bound mask (None without a qd
+    bound or screen); the evaluated lanes as flat ids p * C + c, ascending,
+    the last one repeated up to a rounded count; the endpoint stack (qd,
+    qdd, qddd, tau, taud) on them; and one (order, where, value, exempt)
+    entry per bound check on them: the enabled endpoint orders, then the
+    check-point orders of each check point. exempt marks the lanes that
+    skip a check (torque rate across a Coulomb crossing) and is None for
+    every other check.
     """
     dt = edge_durations(pv_prev, pv_next, dlam)
-    stack = transition_quantities(robot, q_prev, qd_prev, qdd_prev, tau_prev, q_next,
-                                  np.where(np.isfinite(dt), dt, 1.0))
+    step = np.where(np.isfinite(dt), dt, 1.0)
+    qd = q_next[None, :, :] - q_prev[:, None, :]
+    with np.errstate(invalid="ignore"):
+        qd /= step[:, None, None]
+    qd_ok = None
+    if screen is None:
+        alive = np.ones(qd.shape[:2], dtype=bool)
+    else:
+        alive = screen & np.isfinite(dt)[:, None]
+        if limits.qd is not None:
+            qd_ok = _order_ok(qd, limits.qd)
+            alive &= qd_ok
+    lanes = np.flatnonzero(alive)
+    # Round the lane count up to its 3 leading bits (at most 1/4 more lanes)
+    # by repeating the last lane. numpy caches freed buffers under 1 KiB per
+    # exact size, so a new lane count per call would pin buffers of every
+    # size across the heap (+1 MB peak RSS on a 20-stage plan).
+    shift = max(lanes.size.bit_length() - 3, 0)
+    extra = (-(-lanes.size >> shift) << shift) - lanes.size
+    lanes = np.concatenate([lanes, np.repeat(lanes[-1:], extra)])
+    p, c = np.divmod(lanes, alive.shape[1])
+    q_prev, pv_prev, q_next = q_prev[p], pv_prev[p][:, None], q_next[c]
+    qd_prev, step, qd = qd_prev[p], step[p][:, None], qd[p, c]
+    with np.errstate(invalid="ignore"):
+        qdd = (qd - qd_prev) / step
+        qddd = (qdd - qdd_prev[p]) / step
+        tau = robot.inverse_dynamics(q_next, qd, qdd)
+        taud = (tau - tau_prev[p]) / step
+    stack = (qd, qdd, qddd, tau, taud)
     values = dict(zip(ORDERS, stack))
     checks = []
     for order in limits.enabled_orders:
-        exempt = _coulomb_crossing(qd_prev, values["qd"]) if order == "taud" else None
+        exempt = _coulomb_crossing(qd_prev, qd) if order == "taud" else None
         checks.append((order, "endpoint", values[order], exempt))
     for k, (q_s, qd_s, qdd_s) in enumerate(
             _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, check_count), start=1):
@@ -211,7 +240,7 @@ def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_pr
             sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)
         checks.extend((order, f"check_point_{k}", sample[order], None)
                       for order in _CHECK_POINT_ORDERS if limits.bound(order) is not None)
-    return dt, stack, checks
+    return dt, qd_ok, lanes, stack, checks
 
 
 @dataclass(frozen=True)
@@ -253,33 +282,38 @@ def evaluate_edge(robot: PlanarArm, limits: LimitSets, dlam: float,
             exists); bound violations do NOT raise, they come back in the
             result with their tags.
     """
-    dt, stack, checks = _edge_checks(robot, limits, dlam, prev.q, prev.pv, prev.qd,
-                                     prev.qdd, prev.tau, np.asarray(q_next, dtype=float),
-                                     pv_next, check_count)
-    if not np.isfinite(dt):
+    dt, _, _, stack, checks = _edge_checks(
+        robot, limits, dlam, prev.q[None, :], np.array([prev.pv]), prev.qd[None, :],
+        prev.qdd[None, :], prev.tau[None, :], np.asarray(q_next, dtype=float)[None, :],
+        pv_next, check_count)
+    if not np.isfinite(dt[0]):
         raise InfeasibleEdge("edge with zero pseudo-velocity at both ends")
     violations = []
     for order, where, value, exempt in checks:
-        if exempt:
+        if exempt is not None and exempt[0]:
             continue
         with np.errstate(invalid="ignore"):
-            excess = np.abs(value) - limits.bound(order)     # NaN never exceeds
+            excess = np.abs(value[0]) - limits.bound(order)     # NaN never exceeds
         violations.extend(Violation(order=order, joint=int(j), excess=float(excess[j]),
                                     where=where)
                           for j in np.flatnonzero(excess > 0.0))
-    return EdgeEvaluation(float(dt), *stack, feasible=not violations,
-                          violations=tuple(violations))
+    return EdgeEvaluation(float(dt[0]), *(value[0] for value in stack),
+                          feasible=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
 class StageEval:
-    """Vectorized evaluation of all P x C transitions into one level.
+    """Vectorized evaluation of the P x C transitions into one level.
 
-    Arrays are (P, C, n) for joint quantities, (P, C) for masks, (P,) for
-    the time step (it depends only on the pseudo-velocities).
+    dt is (P,) (it depends only on the pseudo-velocities); feasible and the
+    per-order masks are (P, C). The endpoint stack is carried on the
+    evaluated lanes only: row k of each (K, n) array belongs to the lane
+    with flat id lanes[k] = p * C + c (ascending; the last lane may
+    repeat), and rows() finds a lane's row.
     """
 
     dt: Array
+    lanes: Array
     qd: Array
     qdd: Array
     qddd: Array
@@ -287,12 +321,24 @@ class StageEval:
     taud: Array
     feasible: Array
     order_ok: dict
+    no_step: int
+
+    def rows(self, p, c) -> Array:
+        """Rows of the stack arrays that hold the evaluated lanes (p, c)."""
+        return np.searchsorted(self.lanes, np.asarray(p) * self.feasible.shape[1] + c)
 
     def rejections(self) -> dict:
-        """Failed checks per order, plus the lanes without a time step."""
+        """Failed checks per order, plus the candidate lanes without a time
+        step (under "duration").
+
+        Only candidate lanes count (the window of a windowed search keeps
+        the others out). Joint velocity is checked on every candidate lane;
+        every order above it only on the lanes that were evaluated, those
+        with a time step that pass the velocity bound. A lane that fails
+        the velocity bound is therefore counted under qd alone.
+        """
         counts = {o: int(np.count_nonzero(~ok)) for o, ok in self.order_ok.items()}
-        no_step = int(np.count_nonzero(~np.isfinite(self.dt)))
-        counts["duration"] = no_step * self.feasible.shape[1]
+        counts["duration"] = self.no_step
         return counts
 
 
@@ -300,28 +346,38 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                       q_prev: Array, pv_prev: Array, qd_prev: Array,
                       qdd_prev: Array, tau_prev: Array,
                       q_next: Array, pv_next: float,
-                      check_count: int = 0) -> StageEval:
+                      check_count: int = 0, candidates: Array | None = None) -> StageEval:
     """Evaluate every predecessor against every next-stage cell at one level.
 
     q_prev (P, n) with chain samples qd/qdd/tau_prev (P, n); q_next (C, n).
-    Lanes whose time step does not exist carry dt = +inf and are marked
-    infeasible.
+    candidates, a (P, C) mask, restricts the search to its lanes (None
+    keeps all). Lanes whose time step does not exist carry dt = +inf and
+    are marked infeasible. Only the candidate lanes with a time step that
+    pass the joint-velocity bound are evaluated further; every other lane
+    is infeasible, and its checks above joint velocity read as passed.
     """
-    pv_col = np.asarray(pv_prev, dtype=float)[:, None, None]
-    dt, stack, checks = _edge_checks(
-        robot, limits, dlam, q_prev[:, None, :], pv_col, qd_prev[:, None, :],
-        qdd_prev[:, None, :], tau_prev[:, None, :], q_next[None, :, :], pv_next,
-        check_count)
-    dt = dt[:, 0, 0]
-    feasible = np.isfinite(dt)[:, None] & np.ones(q_next.shape[0], dtype=bool)[None, :]
-    order_ok = {}
+    P, C = q_prev.shape[0], q_next.shape[0]
+    screen = np.ones((P, C), dtype=bool) if candidates is None else candidates
+    dt, qd_ok, lanes, stack, checks = _edge_checks(
+        robot, limits, dlam, q_prev, np.asarray(pv_prev, dtype=float), qd_prev, qdd_prev,
+        tau_prev, q_next, pv_next, check_count, screen=screen)
+    lane_ok = {}
     for order, _, value, exempt in checks:
         ok = _order_ok(value, limits.bound(order))
         if exempt is not None:
             ok |= exempt
-        order_ok[order] = order_ok[order] & ok if order in order_ok else ok
-        feasible &= ok
-    return StageEval(dt, *stack, feasible=feasible, order_ok=order_ok)
+        lane_ok[order] = lane_ok[order] & ok if order in lane_ok else ok
+    feasible = np.zeros(P * C, dtype=bool)
+    feasible[lanes] = np.all(list(lane_ok.values()), axis=0) if lane_ok else True
+    order_ok = {}
+    for order, ok in lane_ok.items():
+        # every evaluated lane is a candidate that passed the velocity bound
+        mask = (qd_ok | ~screen).ravel() if order == "qd" else np.ones(P * C, dtype=bool)
+        mask[lanes] = ok
+        order_ok[order] = mask.reshape(P, C)
+    no_step = int(np.count_nonzero(~np.isfinite(dt)[:, None] & screen))
+    return StageEval(dt, lanes, *stack, feasible=feasible.reshape(P, C),
+                     order_ok=order_ok, no_step=no_step)
 
 
 @dataclass(frozen=True)

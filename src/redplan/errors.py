@@ -42,7 +42,12 @@ class NoFeasiblePlan(PlanningError):
     Attributes:
         deepest_stage: last stage index with at least one reached node.
         violation_histogram: per-order counts of rejected edges, keyed by
-            constraint-order name.
+            constraint-order name, plus "duration" for the edges without a
+            time step. Only candidate edges count (a search window keeps
+            the others out). Joint velocity ("qd") is checked on every
+            candidate; the orders above it only on the edges that have a
+            time step and pass the velocity bound, so an edge that fails
+            the velocity bound counts under "qd" alone.
     """
 
     def __init__(self, deepest_stage: int, violation_histogram: dict[str, int] | None = None):

@@ -133,15 +133,16 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
             for key, count in ev.rejections().items():
                 histogram[key] = histogram.get(key, 0) + count
             new_cost = partial + float(ev.dt[0])
-            for c in np.flatnonzero(ev.feasible[0]):
+            children = np.flatnonzero(ev.feasible[0])
+            for c, row in zip(children, ev.rows(0, children)):
                 f = int(ids[c])
                 reached[i + 1].add(f)
                 deepest = max(deepest, i + 1)
                 if prune and new_cost + (n - (i + 1)) * lb_step >= best_cost:
                     continue
                 chain.append(f)
-                descend(i + 1, NodeState(q=q_next[c], pv=pv_next, qd=ev.qd[0, c],
-                                         qdd=ev.qdd[0, c], tau=ev.tau[0, c]),
+                descend(i + 1, NodeState(q=q_next[c], pv=pv_next, qd=ev.qd[row],
+                                         qdd=ev.qdd[row], tau=ev.tau[row]),
                         new_cost, chain)
                 chain.pop()
 

@@ -2,9 +2,10 @@
 
 The sweep visits stages in order; at each transition every reached
 predecessor is scored against every admissible next node (optionally
-restricted by a level/lattice window), edge feasibility and time step come
-from the constraint engine, and each next node keeps its cheapest
-predecessor. The cost of a chain is its duration: the sum of its time
+restricted by a level/lattice window before any evaluation), edge
+feasibility and time step come from the constraint engine, which screens
+by joint velocity before the higher orders, and each next node keeps its
+cheapest predecessor. The cost of a chain is its duration: the sum of its time
 steps. Ties prefer the predecessor with the lexicographically
 smallest (level, lattice index, branch), which ascending flat node ids
 encode directly, so results are bit-reproducible. The sweep runs on one
@@ -35,8 +36,9 @@ class Window:
     """Optional per-stage candidate restriction (speed/optimality knob).
 
     Edges whose endpoints differ by more than max_dl levels or max_dj
-    lattice steps (per parameter) are skipped. None disables a bound; a
-    bound is otherwise a nonnegative integer.
+    lattice steps (per parameter) are skipped before they are evaluated,
+    so a tighter window saves work. None disables a bound; a bound is
+    otherwise a nonnegative integer.
     """
 
     max_dl: int | None = None
@@ -175,27 +177,29 @@ def _sweep(grid, limits, check_count, window):
                 continue
             pv_next = float(grid.pv_values[l_next])
             q_next = grid.q_table[i + 1, cols]
+            candidates = None
+            if window is not None:
+                candidates = np.ones((prev_ids.size, cols.size), dtype=bool)
+                if window.max_dl is not None:
+                    row_ok = np.abs(prev_ids // C - l_next) <= window.max_dl
+                    candidates &= row_ok[:, None]
+                if lattice_rows is not None:
+                    dj = np.abs(lattice_rows[prev_ids % C][:, None, :]
+                                - lattice_rows[cols][None, :, :])
+                    candidates &= np.all(dj <= window.max_dj, axis=-1)
             ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev, pv_prev,
                                    qd_p, qdd_p, tau_p, q_next, pv_next,
-                                   check_count=check_count)
+                                   check_count=check_count, candidates=candidates)
             for key, count in ev.rejections().items():
                 histogram[key] = histogram.get(key, 0) + count
-            feasible = ev.feasible
-            if window is not None and window.max_dl is not None:
-                row_ok = np.abs(prev_ids // C - l_next) <= window.max_dl
-                feasible = feasible & row_ok[:, None]
-            if lattice_rows is not None:
-                dj = np.abs(lattice_rows[prev_ids % C][:, None, :]
-                            - lattice_rows[cols][None, :, :])
-                feasible = feasible & np.all(dj <= window.max_dj, axis=-1)
-            cand = np.where(feasible, cost_p[:, None] + ev.dt[:, None], np.inf)
+            cand = np.where(ev.feasible, cost_p[:, None] + ev.dt[:, None], np.inf)
             best_p = np.argmin(cand, axis=0)
             best_cost = cand[best_p, np.arange(cols.size)]
             hit = np.flatnonzero(np.isfinite(best_cost))
             if hit.size:
                 reached_any = True
                 f = l_next * C + cols[hit]
-                win = (best_p[hit], hit)
+                win = ev.rows(best_p[hit], hit)
                 cost[i + 1, f] = best_cost[hit]
                 pred[i + 1, f] = prev_ids[best_p[hit]]
                 qd_cur[f], qdd_cur[f], tau_cur[f] = ev.qd[win], ev.qdd[win], ev.tau[win]

@@ -283,7 +283,26 @@ class PlanarArm:
 
     def inertia_matrix(self, q: Array) -> Array:
         """Joint-space inertia H(q), shape (..., n, n)."""
-        Ax, Ay, _, _ = self._com_jacobian_components(q)
+        return self._inertia(self._com_jacobian_components(q))
+
+    def gravity_torque(self, q: Array) -> Array:
+        """Torque holding the arm static against gravity (no friction)."""
+        return self._gravity(self._com_jacobian_components(q))
+
+    def bias_forces(self, q: Array, qd: Array) -> Array:
+        """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
+        return self._bias(self._com_jacobian_components(q), qd)
+
+    def inverse_dynamics(self, q: Array, qd: Array, qdd: Array) -> Array:
+        """tau = H(q) qdd + f(q, qd), from one pass over the COM Jacobians."""
+        components = self._com_jacobian_components(q)
+        return _matvec(self._inertia(components), qdd) + self._bias(components, qd)
+
+    # The terms below take the result of _com_jacobian_components, so one
+    # inverse-dynamics call derives all of them from a single pass.
+
+    def _inertia(self, components) -> Array:
+        Ax, Ay, _, _ = components
         n = self.n
         mass = self.dynamics.mass
         inertia = self.dynamics.inertia
@@ -300,14 +319,14 @@ class PlanarArm:
                     H[..., b, a] = h
         return H
 
-    def _centripetal_matrix(self, q: Array) -> Array:
+    def _centripetal(self, components) -> Array:
         """Matrix G(q) with bias torque contribution G @ (cumulative qd)^2.
 
         Column c holds the torque produced by a unit squared angular rate of
         link c's absolute angle (centripetal acceleration of every COM that
         link c carries).
         """
-        Ax, Ay, ct, st = self._com_jacobian_components(q)
+        Ax, Ay, ct, st = components
         n = self.n
         mass = self.dynamics.mass
         lc = self.dynamics.com
@@ -322,9 +341,8 @@ class PlanarArm:
                 G[..., b, c] = gv
         return G
 
-    def gravity_torque(self, q: Array) -> Array:
-        """Torque holding the arm static against gravity (no friction)."""
-        Ax, Ay, _, _ = self._com_jacobian_components(q)
+    def _gravity(self, components) -> Array:
+        Ax, Ay, _, _ = components
         gx, gy = self.dynamics.gravity
         mass = self.dynamics.mass
         n = self.n
@@ -336,19 +354,13 @@ class PlanarArm:
             tg[..., b] = t
         return tg
 
-    def bias_forces(self, q: Array, qd: Array) -> Array:
-        """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
+    def _bias(self, components, qd: Array) -> Array:
         qd = np.asarray(qd, dtype=float)
-        G = self._centripetal_matrix(q)
         thd = np.cumsum(qd, axis=-1)
-        tau = _matvec(G, thd * thd)
+        tau = _matvec(self._centripetal(components), thd * thd)
         tau = tau + self.dynamics.viscous * qd
         tau = tau + self.dynamics.coulomb * np.sign(qd)
-        return tau + self.gravity_torque(q)
-
-    def inverse_dynamics(self, q: Array, qd: Array, qdd: Array) -> Array:
-        """tau = H(q) qdd + f(q, qd)."""
-        return _matvec(self.inertia_matrix(q), qdd) + self.bias_forces(q, qd)
+        return tau + self._gravity(components)
 
     # ------------------------------------------------------------------
     # serialization

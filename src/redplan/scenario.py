@@ -202,6 +202,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ScenarioError(f"out_dir must be a string or null, got {self.out_dir!r}")
         if self.n_stages < 1:
             raise ScenarioError("n_stages must be at least 1")
         if self.check_count < 0:

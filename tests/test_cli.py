@@ -268,6 +268,23 @@ def test_sweep_bad_values(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("axis", ["n_stages", "pv_levels"])
+def test_sweep_rejects_fractional_integer_axis(tmp_path, capsys, axis):
+    out = tmp_path / "x"
+    code = main(["sweep", "--scenario", bundled_path("toy_full"),
+                 "--axis", axis, "--values", "2.5", "--out", str(out)])
+    assert code == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError" and axis in payload["message"]
+    assert not (out / "sweep.csv").exists()
+
+
+def test_plan_rejects_non_string_out_dir(tmp_path, capsys):
+    code = main(["plan", "--scenario", tweaked(tmp_path, "toy_full", out_dir=5)])
+    assert code == 3
+    assert stderr_payload(capsys)["error"] == "ScenarioError"
+
+
 def test_export_dense_resample(tmp_path):
     out = tmp_path / "ex"
     code = main(["export", "--scenario", bundled_path("toy_full"),

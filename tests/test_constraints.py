@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from redplan.constraints import (LimitSets, NodeState, TrajectoryProfile, edge_durations,
-                                 evaluate_edge, initial_state, saturation_percentage,
-                                 stage_transitions)
+from redplan.constraints import (ORDERS, LimitSets, NodeState, TrajectoryProfile,
+                                 _edge_checks, edge_durations, evaluate_edge,
+                                 initial_state, saturation_percentage, stage_transitions)
 from redplan.errors import InfeasibleEdge, ScenarioError
 
 from conftest import make_reference_arm
@@ -242,8 +242,8 @@ class TestCheckPoints:
 
 
 class TestStageTransitions:
-    def build_prev(self, arm, rng, P):
-        q = rng.uniform(-0.8, 0.8, (P, 3))
+    def build_prev(self, arm, rng, P, center=0.0, spread=0.8):
+        q = center + rng.uniform(-spread, spread, (P, 3))
         pv = rng.choice([0.0, 0.25, 0.5, 0.75], size=P)
         qd = rng.normal(0, 0.8, (P, 3))
         qdd = rng.normal(0, 2.0, (P, 3))
@@ -257,30 +257,103 @@ class TestStageTransitions:
         qd[2] = qdd[2] = tau[2] = np.nan
         return q, pv, qd, qdd, tau
 
+    def match_scalar(self, arm, limits, prev, q_next, pv_next, check_count):
+        """Check a stage evaluation lane by lane against evaluate_edge.
+
+        Velocity screening must never drop a feasible edge: feasibility
+        agrees on every lane, dt and qd are bitwise equal on every lane,
+        the rest of the stack on every evaluated lane, and a lane is
+        evaluated exactly when it has a time step and its endpoint
+        velocity passes.
+        """
+        q, pv, qd, qdd, tau = prev
+        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next,
+                               check_count=check_count)
+        P, C = ev.feasible.shape
+        # the engine unscreened evaluates every lane, in flat order first
+        qd_all = _edge_checks(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next,
+                              check_count)[3][0][:P * C].reshape(P, C, 3)
+        evaluated = np.zeros(P * C, dtype=bool)
+        evaluated[ev.lanes] = True
+        evaluated = evaluated.reshape(P, C)
+        for p in range(P):
+            prev_p = NodeState(q=q[p], pv=pv[p], qd=qd[p], qdd=qdd[p], tau=tau[p])
+            for c in range(C):
+                if pv[p] == 0.0 and pv_next == 0.0:
+                    assert np.isinf(ev.dt[p]) and not ev.feasible[p, c]
+                    assert not evaluated[p, c]
+                    continue
+                s = evaluate_edge(arm, limits, 0.1, prev_p, q_next[c], pv_next,
+                                  check_count=check_count)
+                assert ev.dt[p] == s.dt
+                assert np.array_equal(qd_all[p, c], s.qd)
+                assert bool(ev.feasible[p, c]) == s.feasible
+                failed = {v.order for v in s.violations}
+                endpoint_qd = any(v.order == "qd" and v.where == "endpoint"
+                                  for v in s.violations)
+                assert evaluated[p, c] == (not endpoint_qd)
+                if not evaluated[p, c]:
+                    assert not s.feasible
+                    for order, ok in ev.order_ok.items():
+                        assert ok[p, c] == (order != "qd")
+                    continue
+                row = ev.rows(p, c)
+                for field in ORDERS:
+                    assert np.array_equal(getattr(ev, field)[row], getattr(s, field),
+                                          equal_nan=True)
+                for order, ok in ev.order_ok.items():
+                    assert ok[p, c] == (order not in failed)
+        return ev
+
     @pytest.mark.parametrize("pv_next,check_count", [(0.5, 0), (0.0, 0), (0.4, 2)])
     def test_bitwise_match_with_scalar(self, arm, pv_next, check_count):
         rng = np.random.default_rng(31)
         P, C = 7, 5
-        q, pv, qd, qdd, tau = self.build_prev(arm, rng, P)
+        prev = self.build_prev(arm, rng, P)
         q_next = rng.uniform(-0.8, 0.8, (C, 3))
         limits = LimitSets.from_joint_limits(arm.limits)
+        self.match_scalar(arm, limits, prev, q_next, pv_next, check_count)
+
+    @pytest.mark.parametrize("check_count", [0, 2])
+    def test_randomized_screening_matches_scalar(self, arm, check_count):
+        # configurations close together, so that many lanes pass the
+        # velocity bound and every higher order rejects some of them
+        rng = np.random.default_rng(41)
+        center = np.array([0.3, -0.6, 0.9])
+        prev = self.build_prev(arm, rng, 16, center=center, spread=0.06)
+        q_next = center + rng.uniform(-0.06, 0.06, (10, 3))
+        limits = LimitSets(qd=np.full(3, 0.25), qdd=np.full(3, 5.0),
+                           qddd=np.full(3, 40.0), tau=np.array([30.0, 10.0, 1.8]),
+                           taud=np.full(3, 100.0))
+        ev = self.match_scalar(arm, limits, prev, q_next, 0.5, check_count)
+        rejected = ev.rejections()
+        for order in ("qd", "qdd", "tau", "taud"):
+            assert rejected[order] > 0
+        assert 0 < np.count_nonzero(ev.feasible) < ev.lanes.size < ev.feasible.size
+
+    @pytest.mark.parametrize("pv_next", [0.5, 0.0])
+    def test_candidates_restrict_evaluation(self, arm, pv_next):
+        rng = np.random.default_rng(42)
+        center = np.array([0.3, -0.6, 0.9])
+        q, pv, qd, qdd, tau = self.build_prev(arm, rng, 8, center=center, spread=0.06)
+        q_next = center + rng.uniform(-0.06, 0.06, (6, 3))
+        limits = LimitSets(qd=np.full(3, 0.25), qdd=np.full(3, 5.0))
+        full = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next)
+        candidates = rng.random((8, 6)) < 0.5
         ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next,
-                               check_count=check_count)
-        for p in range(P):
-            prev = NodeState(q=q[p], pv=pv[p], qd=qd[p], qdd=qdd[p], tau=tau[p])
-            for c in range(C):
-                if pv[p] == 0.0 and pv_next == 0.0:
-                    assert np.isinf(ev.dt[p]) and not ev.feasible[p, c]
-                    continue
-                s = evaluate_edge(arm, limits, 0.1, prev, q_next[c], pv_next,
-                                  check_count=check_count)
-                assert ev.dt[p] == s.dt
-                assert np.array_equal(ev.qd[p, c], s.qd, equal_nan=True)
-                assert np.array_equal(ev.qdd[p, c], s.qdd, equal_nan=True)
-                assert np.array_equal(ev.qddd[p, c], s.qddd, equal_nan=True)
-                assert np.array_equal(ev.tau[p, c], s.tau, equal_nan=True)
-                assert np.array_equal(ev.taud[p, c], s.taud, equal_nan=True)
-                assert bool(ev.feasible[p, c]) == s.feasible
+                               candidates=candidates)
+        assert np.array_equal(ev.feasible, full.feasible & candidates)
+        # a stop from rest has no time step; only candidate lanes count
+        no_step = (pv == 0.0) & (pv_next == 0.0)
+        assert full.rejections()["duration"] == 6 * np.count_nonzero(no_step)
+        assert ev.rejections()["duration"] == np.count_nonzero(candidates[no_step])
+        assert np.all(np.isin(ev.lanes, np.flatnonzero(candidates)))
+        for order in ev.order_ok:
+            assert np.array_equal(ev.order_ok[order], full.order_ok[order] | ~candidates)
+        rows = full.rows(*np.divmod(ev.lanes, 6))
+        for field in ORDERS:
+            assert np.array_equal(getattr(ev, field), getattr(full, field)[rows],
+                                  equal_nan=True)
 
     def test_order_masks_cover_failures(self, arm):
         rng = np.random.default_rng(32)

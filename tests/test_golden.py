@@ -1,0 +1,43 @@
+"""Golden digests: `redplan plan` on every bundled scenario must write the
+same report.json and trajectory.csv, byte for byte.
+
+A speed-up of the planner has to leave these artifacts untouched; when a
+change is meant to move a plan, the digests are updated in the same change
+with the reason.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from redplan.cli import main
+from redplan.scenario import _bundled_dir
+
+# (report.json, trajectory.csv) sha256 per bundled scenario
+GOLDEN = {
+    "ellipse": ("72205ed92352ea6368f1e91cbd072b7123d1d67fc920eb496ddcd7803998c2d5",
+                "4692538aa61d605c08729cc4b2fd4700cd662479f0782d4eeef30b3577559307"),
+    "line": ("886c393b25dc2c9ae51effa08bccb5e2bed8dabd35ba3a3852066d72727a987d",
+             "ecb724e4d6ab176ae8e9a526671cd6360723351fe4547100d252e8c31b55be10"),
+    "toy_full": ("a72bbe8d948edd36145faba6dd90c0e76afb77982a6e565c98e30d23b97c8870",
+                 "4e0c7c5fb2994a576081367933fd3ccdd3e5d45437573b85885d84933508017f"),
+    "toy_jerk": ("e11e16f6589d9593fd08e1a168fd22acec9622fe217794f4ca8b434b5f4c190d",
+                 "62653d84fcb0006764d89429e6e8a5c23d5a9c1a35ce2c34a4572727b7b2d60a"),
+    "toy_velocity": ("538cd908b57b8449d60357cea1d3e407258d45a4c9d9c0b854dc24095d9e4792",
+                     "b5a11db1fbf9073cf5bd0cd4dfb8524555cf88fb564e500cb9221a3eaf418afd"),
+}
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_plan_artifacts_match_golden_digests(name, tmp_path):
+    scenario = os.path.join(_bundled_dir(), name + ".json")
+    assert main(["plan", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    report, trajectory = GOLDEN[name]
+    assert _sha256(tmp_path / "report.json") == report
+    assert _sha256(tmp_path / "trajectory.csv") == trajectory

@@ -9,6 +9,7 @@ from redplan.constraints import LimitSets, evaluate_edge, initial_state
 from redplan.errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
 from redplan.planner import Window, extract, plan, pst, replay
+from redplan.scenario import bundled_scenario
 
 
 from conftest import make_inf_limits as inf_limits
@@ -263,6 +264,19 @@ class TestWindow:
         pinned = plan(grid, inf_limits(), window=Window(max_dj=0))
         rows = (pinned.node_ids % grid.cfg_count) // grid.branch_count
         assert np.all(rows == rows[0])
+
+    # plans of the bundled line under a window; the window restricts the
+    # candidate lanes before they are evaluated, which must not move them
+    @pytest.mark.parametrize("window,cost,node_ids", [
+        (Window(max_dl=1), 3.9464285714285716, [4, 22, 38, 56, 72, 90, 72, 54, 36, 18, 0]),
+        (Window(max_dj=1), 0.6811343418486278,
+         [17, 213, 175, 209, 243, 259, 257, 237, 199, 109, 1]),
+    ])
+    def test_windowed_line_plans_pinned(self, window, cost, node_ids):
+        sc = bundled_scenario("line")
+        result = plan(sc.build(), sc.limits, check_count=sc.check_count, window=window)
+        assert result.cost == cost
+        assert result.node_ids.tolist() == node_ids
 
 
 class TestPst:

@@ -190,6 +190,9 @@ def test_branch_filter_masks_columns():
 def test_scenario_validation_errors():
     with pytest.raises(ScenarioError, match="n_stages"):
         load_scenario(toy_doc(n_stages=0))
+    with pytest.raises(ScenarioError, match="out_dir"):
+        load_scenario(toy_doc(out_dir=5))
+    assert load_scenario(toy_doc(out_dir=None)).out_dir is None
     with pytest.raises(ScenarioError, match="check_count"):
         load_scenario(toy_doc(check_count=-1))
     with pytest.raises(ScenarioError, match="unknown objective"):
