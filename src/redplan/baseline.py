@@ -32,7 +32,8 @@ class ResolutionConfig:
     """Gains and stopping rules of the waypoint-inversion iteration.
 
     alpha = 0 degenerates to pure pseudo-inverse tracking (no null-space
-    motion); beta and the tolerance must stay positive. The null-space step
+    motion); beta and the tolerance must stay finite and positive, while
+    step_cap and cond_cap may be infinite (no cap). The null-space step
     re-injects second-order task error each iteration, so the reachable
     residual floor scales like (alpha * gradient)^2 / beta: the default
     task gain is chosen so the floor sits well below the tolerance on the
@@ -49,15 +50,19 @@ class ResolutionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "q0", np.asarray(self.q0, dtype=float))
-        if self.alpha < 0.0:
-            raise ScenarioError("null-space gain must be nonnegative")
-        if self.beta <= 0.0:
-            raise ScenarioError("task-error gain must be positive")
-        if self.tolerance <= 0.0:
-            raise ScenarioError("convergence tolerance must be positive")
-        if self.max_iterations < 1:
+        # written as "all ok" so that NaN fails every comparison
+        if not np.all(np.isfinite(self.q0)):
+            raise ScenarioError("baseline q0 entries must be finite")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ScenarioError("null-space gain must be finite and nonnegative")
+        if not 0.0 < self.beta < np.inf:
+            raise ScenarioError("task-error gain must be finite and positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ScenarioError("convergence tolerance must be finite and positive")
+        if not self.max_iterations >= 1:
             raise ScenarioError("iteration cap must be at least 1")
-        if self.step_cap <= 0.0 or self.cond_cap <= 0.0:
+        # an infinite cap means "no cap"
+        if not (self.step_cap > 0.0 and self.cond_cap > 0.0):
             raise ScenarioError("step cap and condition cap must be positive")
 
     def to_dict(self) -> dict:
@@ -86,6 +91,17 @@ class JointPath:
         return self.q.shape[0] - 1
 
 
+def _pinv_from_svd(U: Array, s: Array, Vt: Array, cond_cap: float) -> Array:
+    """Pseudo-inverse of one Jacobian from its thin SVD, after the rank and
+    condition checks that every caller shares."""
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+        raise SingularJacobian("Jacobian lost rank")
+    if s[0] / s[-1] > cond_cap:
+        raise SingularJacobian(
+            f"Jacobian condition number {s[0] / s[-1]:.3g} exceeds cap {cond_cap:.3g}")
+    return Vt.T @ np.diag(1.0 / s) @ U.T
+
+
 def pseudo_inverse(J: Array, cond_cap: float = 1e8) -> Array:
     """Moore-Penrose pseudo-inverse by SVD with a documented rank tolerance.
 
@@ -93,13 +109,7 @@ def pseudo_inverse(J: Array, cond_cap: float = 1e8) -> Array:
         SingularJacobian: rank loss (singular value below RANK_TOL * sigma_max)
             or condition number above cond_cap.
     """
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-        raise SingularJacobian("Jacobian lost rank")
-    if s[0] / s[-1] > cond_cap:
-        raise SingularJacobian(
-            f"Jacobian condition number {s[0] / s[-1]:.3g} exceeds cap {cond_cap:.3g}")
-    return Vt.T @ np.diag(1.0 / s) @ U.T
+    return _pinv_from_svd(*np.linalg.svd(J, full_matrices=False), cond_cap)
 
 
 def dynamic_manipulability_cost(robot: PlanarArm, q: Array, t: Array,
@@ -116,14 +126,30 @@ def dynamic_manipulability_cost(robot: PlanarArm, q: Array, t: Array,
     return float(w @ w)
 
 
-def _cost_gradient(robot, q, t, cond_cap) -> Array:
-    grad = np.empty(robot.n)
-    for j in range(robot.n):
-        step = np.zeros(robot.n)
-        step[j] = FD_STEP
-        grad[j] = (dynamic_manipulability_cost(robot, q + step, t, cond_cap)
-                   - dynamic_manipulability_cost(robot, q - step, t, cond_cap)) / (2 * FD_STEP)
-    return grad
+def _cost_gradient(robot: PlanarArm, q: Array, t: Array, cond_cap: float) -> Array:
+    """Central-difference gradient of dynamic_manipulability_cost at q.
+
+    The 2n neighbours q + h e_0, q - h e_0, q + h e_1, ... are stacked so
+    that one jacobian, one inertia_matrix and one SVD call cover them all.
+    The pseudo-inverse and the cost of each row are then formed with
+    ordinary 2-D matmuls, because stacked matmul rounds differently in the
+    last place and the division by 2h magnifies that. The result is bitwise
+    equal to differencing the scalar cost, and the first row in that order
+    that fails the rank or condition check raises.
+    """
+    n = robot.n
+    h = FD_STEP * np.eye(n)
+    qs = np.empty((2 * n, n))
+    qs[0::2] = q + h
+    qs[1::2] = q - h
+    H = robot.inertia_matrix(qs)
+    U, s, Vt = np.linalg.svd(robot.jacobian(qs), full_matrices=False)
+    t = np.asarray(t, dtype=float)
+    cost = np.empty(2 * n)
+    for r in range(2 * n):
+        w = H[r] @ _pinv_from_svd(U[r], s[r], Vt[r], cond_cap) @ t
+        cost[r] = w @ w
+    return (cost[0::2] - cost[1::2]) / (2 * FD_STEP)
 
 
 def resolve_redundancy(robot: PlanarArm, path: WorkspacePath,

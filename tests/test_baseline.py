@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_inf_limits, make_line_path, make_reference_arm
 
-from redplan.baseline import (JointPath, ResolutionConfig, baseline_plan,
-                              dynamic_manipulability_cost, pseudo_inverse,
-                              resolve_redundancy, time_parametrize)
+from redplan.baseline import (FD_STEP, JointPath, ResolutionConfig, _cost_gradient,
+                              baseline_plan, dynamic_manipulability_cost,
+                              pseudo_inverse, resolve_redundancy, time_parametrize)
 from redplan.constraints import LimitSets
 from redplan.errors import NoConvergence, ScenarioError, SingularJacobian
 from redplan.grid import GridSpec, StateGrid, build_grid, grid_from_configurations
@@ -123,6 +124,22 @@ def test_config_validation():
         ResolutionConfig(q0=q0, max_iterations=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("q0", [0.0, np.nan, 0.0]), ("q0", [np.inf, 0.0, 0.0]),
+    ("alpha", np.nan), ("alpha", np.inf), ("beta", np.nan), ("beta", np.inf),
+    ("tolerance", np.nan), ("tolerance", np.inf), ("max_iterations", np.nan),
+    ("step_cap", np.nan), ("cond_cap", np.nan)])
+def test_config_rejects_non_finite(field, value):
+    kwargs = {"q0": np.zeros(3), field: value}
+    with pytest.raises(ScenarioError):
+        ResolutionConfig(**kwargs)
+
+
+def test_config_infinite_caps_mean_no_cap():
+    config = ResolutionConfig(q0=np.zeros(3), step_cap=np.inf, cond_cap=np.inf)
+    assert config.step_cap == config.cond_cap == np.inf
+
+
 # --- dynamic manipulability cost -------------------------------------------
 
 
@@ -169,6 +186,57 @@ def test_null_space_term_lies_in_jacobian_kernel(arm):
         J_pinv = pseudo_inverse(J)
         term = (np.eye(3) - J_pinv @ J) @ _cost_gradient(arm, q, t, 1e8)
         assert np.linalg.norm(J @ term) <= 1e-10 * max(1.0, np.linalg.norm(term))
+
+
+# --- cost gradient ----------------------------------------------------------
+
+
+GRADIENT_ARM = make_reference_arm()
+
+
+def scalar_gradient(arm, q, t, cond_cap):
+    """The definition: central differences of the scalar cost, joint by joint."""
+    grad = np.empty(arm.n)
+    for j in range(arm.n):
+        step = np.zeros(arm.n)
+        step[j] = FD_STEP
+        grad[j] = (dynamic_manipulability_cost(arm, q + step, t, cond_cap)
+                   - dynamic_manipulability_cost(arm, q - step, t, cond_cap)) / (2 * FD_STEP)
+    return grad
+
+
+def gradient_outcome(gradient, q, t, cond_cap):
+    """The gradient's bit patterns, or the type and message of what it raised."""
+    try:
+        return gradient(GRADIENT_ARM, q, t, cond_cap).view(np.int64).tolist()
+    except (SingularJacobian, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+       heading=st.floats(0.0, 2 * np.pi),
+       cond_cap=st.sampled_from([1e8, 1e2, 30.0]))
+def test_stacked_gradient_bitwise_equals_scalar(q, heading, cond_cap):
+    q = np.array(q)
+    t = np.array([np.cos(heading), np.sin(heading)])
+    assert (gradient_outcome(_cost_gradient, q, t, cond_cap)
+            == gradient_outcome(scalar_gradient, q, t, cond_cap))
+
+
+@pytest.mark.parametrize("cond_cap,message", [
+    # only q - h e_2 crosses the cap
+    (2.8e6, "Jacobian condition number 3.05e+06 exceeds cap 2.8e+06"),
+    # q - h e_1 and q - h e_2 both cross; the scalar order meets e_1 first
+    (2.5e6, "Jacobian condition number 2.66e+06 exceeds cap 2.5e+06")])
+def test_gradient_raises_first_offending_neighbour(arm, cond_cap, message):
+    # nearly stretched: the condition number grows fast as q_2 falls to 0
+    q = np.array([0.3, 0.0, 3 * FD_STEP])
+    t = np.array([1.0, 0.0])
+    for gradient in (_cost_gradient, scalar_gradient):
+        with pytest.raises(SingularJacobian) as info:
+            gradient(arm, q, t, cond_cap)
+        assert str(info.value) == message
 
 
 def test_singular_jacobian_raises(arm):

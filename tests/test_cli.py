@@ -4,7 +4,8 @@ import os
 import pytest
 
 from redplan.cli import main
-from redplan.scenario import _bundled_dir, bundled_scenario
+from redplan.errors import ScenarioError
+from redplan.scenario import _bundled_dir, bundled_scenario, load_scenario
 
 
 def bundled_path(name):
@@ -118,6 +119,24 @@ def test_baseline_pinned_comparison(tmp_path):
     assert report["resolution"]["residual_max"] < 1e-8
     lines = (out / "joint_path.csv").read_text().splitlines()
     assert len(lines) == 12  # header + 11 waypoints
+
+
+@pytest.mark.parametrize("field,value", [("q0", [0.8, float("nan"), 2.5]),
+                                         ("beta", float("nan")),
+                                         ("alpha", float("nan")),
+                                         ("tolerance", float("inf"))])
+def test_non_finite_baseline_config_is_config_error(tmp_path, capsys, field, value):
+    with open(bundled_path("line")) as fh:
+        baseline = json.load(fh)["baseline"]
+    baseline[field] = value
+    scenario = tweaked(tmp_path, "line", baseline=baseline)
+    with pytest.raises(ScenarioError):
+        load_scenario(scenario)
+    out = tmp_path / "x"
+    out.mkdir()
+    assert main(["baseline", "--scenario", scenario, "--out", str(out)]) == 3
+    assert stderr_payload(capsys)["error"] == "ScenarioError"
+    assert os.listdir(out) == []
 
 
 def test_baseline_requires_block(tmp_path, capsys):

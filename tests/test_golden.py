@@ -1,5 +1,7 @@
 """Golden digests: `redplan plan` on every bundled scenario must write the
-same report.json and trajectory.csv, byte for byte.
+same report.json and trajectory.csv, byte for byte, and `redplan baseline`
+the same baseline_report.json, joint_path.csv and trajectory.csv on every
+bundled scenario with a baseline block.
 
 A speed-up of the planner has to leave these artifacts untouched; when a
 change is meant to move a plan, the digests are updated in the same change
@@ -28,6 +30,16 @@ GOLDEN = {
                      "b5a11db1fbf9073cf5bd0cd4dfb8524555cf88fb564e500cb9221a3eaf418afd"),
 }
 
+# (baseline_report.json, joint_path.csv, trajectory.csv) sha256
+GOLDEN_BASELINE = {
+    "ellipse": ("678c39558a99a1e39b89f6a21572540ad5cd78668e79a55466b54c36ca958ecd",
+                "b4b95e691729e9ea432811ddca84b7a4558d7358e8d3c3cfc256b599bec7c5c4",
+                "3bf9e508c778f9ecc996f7d682235eefaa645a52871b2c3f43e56b39abc17811"),
+    "line": ("30448051aa4510045254ec4780aa05c4099347e95abbc0ede9bbc6bf204e0163",
+             "844bd86c0a33e63769d2a16affd18c6bc130baf0d9e089ff4db63337664c0259",
+             "e9988f5c30dc021590a0554fcff4193cd4c7f1c7bd964bd1c1f3bc4cf15f24cd"),
+}
+
 
 def _sha256(path) -> str:
     with open(path, "rb") as fh:
@@ -41,3 +53,12 @@ def test_plan_artifacts_match_golden_digests(name, tmp_path):
     report, trajectory = GOLDEN[name]
     assert _sha256(tmp_path / "report.json") == report
     assert _sha256(tmp_path / "trajectory.csv") == trajectory
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASELINE))
+def test_baseline_artifacts_match_golden_digests(name, tmp_path):
+    scenario = os.path.join(_bundled_dir(), name + ".json")
+    assert main(["baseline", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    for artifact, digest in zip(("baseline_report.json", "joint_path.csv",
+                                 "trajectory.csv"), GOLDEN_BASELINE[name]):
+        assert _sha256(tmp_path / artifact) == digest
