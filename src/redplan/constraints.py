@@ -10,20 +10,23 @@ than guessing values.
 
 One engine computes every edge: the time step, the difference stack,
 inverse dynamics, the per-order checks with the Coulomb exemption for the
-torque rate, and the interior check points, written once over P x C lanes
-(P predecessors against C next-stage cells). `stage_transitions` runs it on
-the edges into one level and folds the checks into masks; `evaluate_edge`
-runs it on one edge, its 1 x 1 case, and turns the same checks into
-violation tags. A replay of a chain therefore reproduces the sweep's
-numbers bit for bit.
+torque rate, and the interior check points, written once over P x L x C
+lanes (P predecessors against the C cells of the next stage at each of its
+L pseudo-velocity levels). `stage_transitions` runs it on every edge into
+one stage and folds the checks into masks; `evaluate_edge` runs it on one
+edge, its 1 x 1 x 1 case, and turns the same checks into violation tags. A
+replay of a chain therefore reproduces the sweep's numbers bit for bit.
 
-The sweep screens by joint velocity first. The time step and the endpoint
-joint velocity depend on no history, so they are computed on every lane;
-only the lanes with a time step whose velocity passes its bound (the
-discrete maximum-velocity curve of TOPP-RA) go on to the higher orders,
-inverse dynamics and the check points. The checks above joint velocity
-therefore count only the lanes they actually evaluated: a lane that fails
-the velocity bound is rejected under qd alone.
+The sweep screens by joint velocity first, in two steps. A closed-form
+table, the shortest time step tmin[p, c] = max_j |dq_j| / qd_max_j at which
+a pair of configurations meets the velocity bound (the discrete
+maximum-velocity curve of TOPP, Bobrow et al. 1985, and TOPP-RA), drops
+every level whose time step falls short of it at once, with a relative
+slack that keeps it conservative. The exact endpoint velocity check then
+runs on the survivors only. Only the lanes with a time step that pass it go
+on to the higher orders, inverse dynamics and the check points. The checks
+above joint velocity therefore count only the lanes they actually
+evaluated: a lane that fails the velocity bound is rejected under qd alone.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ HISTORY_DEPENDENT_ORDERS = ("qdd", "qddd", "tau", "taud")
 # constant-pseudo-acceleration profile has zero jerk between stages and no
 # canonical torque rate)
 _CHECK_POINT_ORDERS = ("qd", "qdd", "tau")
+
+# relative slack of the velocity table: it covers the rounding of the two
+# divisions (|dq| / step against |dq| / qd_max) many times over, so the
+# table never drops a lane that the exact check keeps
+_TABLE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,8 +131,8 @@ def initial_state(robot: PlanarArm, q: Array, pv: float) -> NodeState:
     return NodeState(q=q, pv=float(pv), qd=nan, qdd=nan, tau=nan)
 
 
-def edge_durations(pv_prev, pv_next: float, dlam: float) -> Array:
-    """Time step of stage transitions; shapes follow pv_prev.
+def edge_durations(pv_prev, pv_next, dlam: float) -> Array:
+    """Time step of stage transitions; pv_prev and pv_next broadcast.
 
     Interior edges use the backward-Euler step dlam / pv_next; edges that
     start or stop (either pseudo-velocity zero) use the trapezoidal step
@@ -132,11 +140,11 @@ def edge_durations(pv_prev, pv_next: float, dlam: float) -> Array:
     ends have no time step and come back as +inf.
     """
     pv_prev = np.asarray(pv_prev, dtype=float)
+    pv_next = np.asarray(pv_next, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         trapezoid = 2.0 * dlam / (pv_prev + pv_next)
-        backward = dlam / pv_next if pv_next > 0.0 else np.inf
-        dt = np.where((pv_prev == 0.0) | (pv_next == 0.0), trapezoid, backward)
-    return dt
+        backward = dlam / pv_next
+    return np.where((pv_prev == 0.0) | (pv_next == 0.0), trapezoid, backward)
 
 
 def _order_ok(value: Array, bound: Array) -> Array:
@@ -157,19 +165,20 @@ def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
         return np.any(qd_prev * qd_next < 0.0, axis=-1)
 
 
-def _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, count):
-    """States at the interior check points of one edge.
+def _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, count):
+    """States at the interior check points of one edge; pv2_prev and
+    pv2_next are the squared end pseudo-velocities.
 
     The profile between stages keeps the pseudo-acceleration constant
     (pv^2 linear in lambda) and interpolates q linearly in lambda, which
     makes the joint acceleration constant along the edge.
     """
     slope = (q_next - q_prev) / dlam
-    qdd_edge = slope * ((pv_next ** 2 - pv_prev ** 2) / (2.0 * dlam))
+    qdd_edge = slope * ((pv2_next - pv2_prev) / (2.0 * dlam))
     out = []
     for k in range(1, count + 1):
         s = k / (count + 1.0)
-        pv_s = np.sqrt((1.0 - s) * pv_prev ** 2 + s * pv_next ** 2)
+        pv_s = np.sqrt((1.0 - s) * pv2_prev + s * pv2_next)
         q_s = q_prev + s * (q_next - q_prev)
         qd_s = slope * pv_s
         out.append((q_s, qd_s, qdd_edge))
@@ -178,50 +187,70 @@ def _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, count):
 
 def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_prev,
                  q_next, pv_next, check_count, screen=None):
-    """Time step, difference stack and every bound check of P x C edges.
+    """Time step, difference stack and every bound check of P x L x C edges.
 
     q_prev and its chain samples qd/qdd/tau_prev are (P, n), pv_prev (P,),
-    q_next (C, n). The time step dt (P,; +inf where none exists, and the
-    stack then uses a unit step) and the endpoint joint velocity (P, C, n)
-    are computed on every lane. The rest of the stack and every bound check
-    run on the evaluated lanes only, gathered in ascending flat (p, c) order
-    into (K, n) arrays: every lane when screen is None, otherwise the alive
-    lanes, those of the (P, C) mask screen that have a time step and whose
-    velocity passes its bound.
+    q_next (C, n) and pv_next (L,); lane p * L * C + l * C + c is the edge
+    from predecessor p to cell c at level l. The time step dt is (P, L),
+    +inf where none exists (the stack then uses a unit step). The stack and
+    every bound check run on the evaluated lanes only, gathered in
+    ascending flat order into (K, n) arrays: every lane when screen is
+    None, otherwise the alive lanes, those of the (P, L, C) mask screen
+    that have a time step and whose endpoint velocity passes its bound.
+    With a screen, the velocity table drops the lanes that cannot pass
+    first, and the exact velocity check runs on the rest, no-step lanes
+    included (at unit step).
 
-    Returns dt; qd_ok, the (P, C) velocity-bound mask (None without a qd
-    bound or screen); the evaluated lanes as flat ids p * C + c, ascending,
-    the last one repeated up to a rounded count; the endpoint stack (qd,
-    qdd, qddd, tau, taud) on them; and one (order, where, value, exempt)
-    entry per bound check on them: the enabled endpoint orders, then the
-    check-point orders of each check point. exempt marks the lanes that
-    skip a check (torque rate across a Coulomb crossing) and is None for
-    every other check.
+    Returns dt; qd_ok, the flat velocity-bound mask over all lanes (None
+    without a qd bound or screen); the evaluated lanes as flat ids,
+    ascending, the last one repeated up to a rounded count; the endpoint
+    stack (qd, qdd, qddd, tau, taud) on them; and one (order, where, value,
+    exempt) entry per bound check on them: the enabled endpoint orders,
+    then the check-point orders of each check point. exempt marks the lanes
+    that skip a check (torque rate across a Coulomb crossing) and is None
+    for every other check.
     """
-    dt = edge_durations(pv_prev, pv_next, dlam)
+    pv_next = np.asarray(pv_next, dtype=float)
+    shape = (q_prev.shape[0], pv_next.size, q_next.shape[0])
+    dt = edge_durations(pv_prev[:, None], pv_next, dlam)
     step = np.where(np.isfinite(dt), dt, 1.0)
-    qd = q_next[None, :, :] - q_prev[:, None, :]
-    with np.errstate(invalid="ignore"):
-        qd /= step[:, None, None]
-    qd_ok = None
     if screen is None:
-        alive = np.ones(qd.shape[:2], dtype=bool)
+        lanes = np.arange(np.prod(shape))
     else:
-        alive = screen & np.isfinite(dt)[:, None]
         if limits.qd is not None:
-            qd_ok = _order_ok(qd, limits.qd)
-            alive &= qd_ok
-    lanes = np.flatnonzero(alive)
-    # Round the lane count up to its 3 leading bits (at most 1/4 more lanes)
-    # by repeating the last lane. numpy caches freed buffers under 1 KiB per
-    # exact size, so a new lane count per call would pin buffers of every
-    # size across the heap (+1 MB peak RSS on a 20-stage plan).
-    shift = max(lanes.size.bit_length() - 3, 0)
-    extra = (-(-lanes.size >> shift) << shift) - lanes.size
-    lanes = np.concatenate([lanes, np.repeat(lanes[-1:], extra)])
-    p, c = np.divmod(lanes, alive.shape[1])
-    q_prev, pv_prev, q_next = q_prev[p], pv_prev[p][:, None], q_next[c]
-    qd_prev, step, qd = qd_prev[p], step[p][:, None], qd[p, c]
+            # NaN in tmin never drops a lane: the exact check skips NaN
+            with np.errstate(invalid="ignore"):
+                tmin = np.max(np.abs(q_next - q_prev[:, None, :]) / limits.qd, axis=-1)
+                screen = screen & ~(tmin[:, None, :]
+                                    > step[:, :, None] * (1.0 + _TABLE_SLACK))
+        lanes = np.flatnonzero(screen)
+    p, l, c = np.unravel_index(lanes, shape)
+    qd = q_next[c] - q_prev[p]
+    with np.errstate(invalid="ignore"):
+        qd /= step[p, l][:, None]
+    qd_ok = None
+    if screen is not None:
+        alive = np.isfinite(dt[p, l])
+        if limits.qd is not None:
+            passed = _order_ok(qd, limits.qd)
+            qd_ok = np.zeros(screen.size, dtype=bool)
+            qd_ok[lanes] = passed
+            alive &= passed
+        keep = np.flatnonzero(alive)
+        # Round the lane count up to its 3 leading bits (at most 1/4 more
+        # lanes) by repeating the last lane. numpy caches freed buffers under
+        # 1 KiB per exact size, so a new lane count per call would pin
+        # buffers of every size across the heap (+1 MB peak RSS on a
+        # 20-stage plan).
+        shift = max(keep.size.bit_length() - 3, 0)
+        extra = (-(-keep.size >> shift) << shift) - keep.size
+        keep = np.concatenate([keep, np.repeat(keep[-1:], extra)])
+        lanes, p, l, c, qd = lanes[keep], p[keep], l[keep], c[keep], qd[keep]
+    # each level squared as a Python float, as a scalar call squares it
+    # (numpy's square and ** differ in the last place on some doubles)
+    pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[l][:, None]
+    q_prev, pv2_prev, q_next = q_prev[p], pv_prev[p][:, None] ** 2, q_next[c]
+    qd_prev, step = qd_prev[p], step[p, l][:, None]
     with np.errstate(invalid="ignore"):
         qdd = (qd - qd_prev) / step
         qddd = (qdd - qdd_prev[p]) / step
@@ -234,7 +263,8 @@ def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_pr
         exempt = _coulomb_crossing(qd_prev, qd) if order == "taud" else None
         checks.append((order, "endpoint", values[order], exempt))
     for k, (q_s, qd_s, qdd_s) in enumerate(
-            _interior_samples(q_prev, q_next, pv_prev, pv_next, dlam, check_count), start=1):
+            _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, check_count),
+            start=1):
         sample = {"qd": qd_s, "qdd": qdd_s}
         if limits.tau is not None:
             sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)
@@ -285,8 +315,8 @@ def evaluate_edge(robot: PlanarArm, limits: LimitSets, dlam: float,
     dt, _, _, stack, checks = _edge_checks(
         robot, limits, dlam, prev.q[None, :], np.array([prev.pv]), prev.qd[None, :],
         prev.qdd[None, :], prev.tau[None, :], np.asarray(q_next, dtype=float)[None, :],
-        pv_next, check_count)
-    if not np.isfinite(dt[0]):
+        [pv_next], check_count)
+    if not np.isfinite(dt[0, 0]):
         raise InfeasibleEdge("edge with zero pseudo-velocity at both ends")
     violations = []
     for order, where, value, exempt in checks:
@@ -297,19 +327,19 @@ def evaluate_edge(robot: PlanarArm, limits: LimitSets, dlam: float,
         violations.extend(Violation(order=order, joint=int(j), excess=float(excess[j]),
                                     where=where)
                           for j in np.flatnonzero(excess > 0.0))
-    return EdgeEvaluation(float(dt[0]), *(value[0] for value in stack),
+    return EdgeEvaluation(float(dt[0, 0]), *(value[0] for value in stack),
                           feasible=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
 class StageEval:
-    """Vectorized evaluation of the P x C transitions into one level.
+    """Vectorized evaluation of the P x L x C transitions into one stage.
 
-    dt is (P,) (it depends only on the pseudo-velocities); feasible and the
-    per-order masks are (P, C). The endpoint stack is carried on the
+    dt is (P, L) (it depends only on the pseudo-velocities); feasible and
+    the per-order masks are (P, L, C). The endpoint stack is carried on the
     evaluated lanes only: row k of each (K, n) array belongs to the lane
-    with flat id lanes[k] = p * C + c (ascending; the last lane may
-    repeat), and rows() finds a lane's row.
+    with flat id lanes[k] = p * L * C + l * C + c (ascending; the last lane
+    may repeat), and rows() finds a lane's row.
     """
 
     dt: Array
@@ -323,9 +353,10 @@ class StageEval:
     order_ok: dict
     no_step: int
 
-    def rows(self, p, c) -> Array:
-        """Rows of the stack arrays that hold the evaluated lanes (p, c)."""
-        return np.searchsorted(self.lanes, np.asarray(p) * self.feasible.shape[1] + c)
+    def rows(self, lane_ids) -> Array:
+        """Rows of the stack arrays that hold the evaluated lanes with
+        these flat ids."""
+        return np.searchsorted(self.lanes, lane_ids)
 
     def rejections(self) -> dict:
         """Failed checks per order, plus the candidate lanes without a time
@@ -345,19 +376,22 @@ class StageEval:
 def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                       q_prev: Array, pv_prev: Array, qd_prev: Array,
                       qdd_prev: Array, tau_prev: Array,
-                      q_next: Array, pv_next: float,
+                      q_next: Array, pv_next: Array,
                       check_count: int = 0, candidates: Array | None = None) -> StageEval:
-    """Evaluate every predecessor against every next-stage cell at one level.
+    """Evaluate every predecessor against every next-stage node of every level.
 
-    q_prev (P, n) with chain samples qd/qdd/tau_prev (P, n); q_next (C, n).
-    candidates, a (P, C) mask, restricts the search to its lanes (None
+    q_prev (P, n) with chain samples qd/qdd/tau_prev (P, n); q_next (C, n)
+    holds the next stage's cells and pv_next (L,) its levels. Lane
+    p * L * C + l * C + c is the edge from predecessor p to cell c at level
+    l, so for one predecessor the lane ids are the grid's node ids.
+    candidates, a (P, L, C) mask, restricts the search to its lanes (None
     keeps all). Lanes whose time step does not exist carry dt = +inf and
     are marked infeasible. Only the candidate lanes with a time step that
     pass the joint-velocity bound are evaluated further; every other lane
     is infeasible, and its checks above joint velocity read as passed.
     """
-    P, C = q_prev.shape[0], q_next.shape[0]
-    screen = np.ones((P, C), dtype=bool) if candidates is None else candidates
+    shape = (q_prev.shape[0], np.size(pv_next), q_next.shape[0])
+    screen = np.ones(shape, dtype=bool) if candidates is None else candidates
     dt, qd_ok, lanes, stack, checks = _edge_checks(
         robot, limits, dlam, q_prev, np.asarray(pv_prev, dtype=float), qd_prev, qdd_prev,
         tau_prev, q_next, pv_next, check_count, screen=screen)
@@ -367,16 +401,16 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         if exempt is not None:
             ok |= exempt
         lane_ok[order] = lane_ok[order] & ok if order in lane_ok else ok
-    feasible = np.zeros(P * C, dtype=bool)
+    feasible = np.zeros(screen.size, dtype=bool)
     feasible[lanes] = np.all(list(lane_ok.values()), axis=0) if lane_ok else True
     order_ok = {}
     for order, ok in lane_ok.items():
         # every evaluated lane is a candidate that passed the velocity bound
-        mask = (qd_ok | ~screen).ravel() if order == "qd" else np.ones(P * C, dtype=bool)
+        mask = qd_ok | ~screen.ravel() if order == "qd" else np.ones(screen.size, dtype=bool)
         mask[lanes] = ok
-        order_ok[order] = mask.reshape(P, C)
-    no_step = int(np.count_nonzero(~np.isfinite(dt)[:, None] & screen))
-    return StageEval(dt, lanes, *stack, feasible=feasible.reshape(P, C),
+        order_ok[order] = mask.reshape(shape)
+    no_step = int(np.count_nonzero(~np.isfinite(dt)[:, :, None] & screen))
+    return StageEval(dt, lanes, *stack, feasible=feasible.reshape(shape),
                      order_ok=order_ok, no_step=no_step)
 
 

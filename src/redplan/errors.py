@@ -1,5 +1,5 @@
-"""Exception types shared across the planning stack, plus the two input
-checks that the scenario, robot and path loaders share."""
+"""Exception types shared across the planning stack, plus the input checks
+that the scenario, robot and path loaders share."""
 
 from __future__ import annotations
 
@@ -102,11 +102,29 @@ def reject_unknown(data: dict, allowed, block: str) -> None:
         raise ScenarioError(f"unknown {block} fields {sorted(unknown)}")
 
 
+def reject_booleans(data, name: str, allowed=()) -> None:
+    """Raise ScenarioError at the first boolean in data, searched through
+    nested objects and arrays, except at the dotted paths in allowed.
+
+    Python reads true as 1, so a JSON boolean where a number belongs would
+    otherwise load as 1 or 1.0.
+    """
+    if isinstance(data, bool):
+        if name not in allowed:
+            raise ScenarioError(f"{name} must not be a boolean, got {str(data).lower()}")
+    elif isinstance(data, dict):
+        for key, value in data.items():
+            reject_booleans(value, f"{name}.{key}", allowed)
+    elif isinstance(data, (list, tuple)):
+        for k, value in enumerate(data):
+            reject_booleans(value, f"{name}[{k}]", allowed)
+
+
 def as_int(value, name: str) -> int:
     """value as an int; ScenarioError unless it is an integral number (or a
-    string that int() parses)."""
+    string that int() parses) and not a boolean."""
     try:
-        out = int(value)
+        out = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or (not isinstance(value, str) and out != value):

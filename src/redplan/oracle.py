@@ -63,17 +63,6 @@ def _chain_count(grid: StateGrid) -> float:
     return math.prod(map(float, grid.admissible_counts))
 
 
-def _by_level(grid: StateGrid, stage: int, ids: Array) -> list:
-    """One stage's nodes as (pv, flat ids, configurations) per level, with
-    levels and ids ascending, so visiting them in turn is ascending id order."""
-    C = grid.cfg_count
-    out = []
-    for level in np.unique(ids // C):
-        at = ids[ids // C == level]
-        out.append((float(grid.pv_values[level]), at, grid.q_table[stage, at % C]))
-    return out
-
-
 def exhaustive_plan(grid: StateGrid, limits: LimitSets,
                     budget: OracleBudget | None = None,
                     check_count: int = 0, prune: bool = True) -> PlanResult:
@@ -81,10 +70,10 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
 
     Every chain carries its own full derivative history (no back-pointer
     approximation). A node's children are scored with the sweep's engine,
-    one stage_transitions call (P = 1) per next-stage level, and visited in
-    ascending node id. On cost ties the first chain in that depth-first
-    order wins, which is the lexicographically smallest chain. The winner is
-    replayed edge by edge like a DP result.
+    one stage_transitions call (P = 1) over every level of the next stage,
+    and visited in ascending node id. On cost ties the first chain in that
+    depth-first order wins, which is the lexicographically smallest chain.
+    The winner is replayed edge by edge like a DP result.
 
     Cost-bound pruning (each remaining edge takes at least dlam / pv_max)
     preserves the optimum and the tie-break, but subtrees it cuts are not
@@ -108,7 +97,6 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     C = grid.cfg_count
     robot = grid.robot
     dlam = grid.path.dlam
-    levels = [_by_level(grid, i, grid.stage_ids(i)) for i in range(n + 1)]
     lb_step = dlam / float(grid.pv_values[-1])
 
     best_cost = np.inf
@@ -124,27 +112,27 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
                 best_cost = partial
                 best_chain = chain.copy()
             return
-        q_prev = state.q[None, :]
-        pv_prev = np.array([state.pv])
-        for pv_next, ids, q_next in levels[i + 1]:
-            ev = stage_transitions(robot, limits, dlam, q_prev, pv_prev, state.qd[None, :],
-                                   state.qdd[None, :], state.tau[None, :], q_next, pv_next,
-                                   check_count=check_count)
-            for key, count in ev.rejections().items():
-                histogram[key] = histogram.get(key, 0) + count
-            new_cost = partial + float(ev.dt[0])
-            children = np.flatnonzero(ev.feasible[0])
-            for c, row in zip(children, ev.rows(0, children)):
-                f = int(ids[c])
-                reached[i + 1].add(f)
-                deepest = max(deepest, i + 1)
-                if prune and new_cost + (n - (i + 1)) * lb_step >= best_cost:
-                    continue
-                chain.append(f)
-                descend(i + 1, NodeState(q=q_next[c], pv=pv_next, qd=ev.qd[row],
-                                         qdd=ev.qdd[row], tau=ev.tau[row]),
-                        new_cost, chain)
-                chain.pop()
+        ev = stage_transitions(robot, limits, dlam, state.q[None, :], np.array([state.pv]),
+                               state.qd[None, :], state.qdd[None, :], state.tau[None, :],
+                               grid.q_table[i + 1], grid.pv_values, check_count=check_count,
+                               candidates=grid.admissible[i + 1][None])
+        for key, count in ev.rejections().items():
+            histogram[key] = histogram.get(key, 0) + count
+        # with one predecessor the lane ids are the next stage's node ids
+        children = np.flatnonzero(ev.feasible)
+        for f, row in zip(children.tolist(), ev.rows(children)):
+            level, c = divmod(f, C)
+            new_cost = partial + float(ev.dt[0, level])
+            reached[i + 1].add(f)
+            deepest = max(deepest, i + 1)
+            if prune and new_cost + (n - (i + 1)) * lb_step >= best_cost:
+                continue
+            chain.append(f)
+            descend(i + 1, NodeState(q=grid.q_table[i + 1, c],
+                                     pv=float(grid.pv_values[level]), qd=ev.qd[row],
+                                     qdd=ev.qdd[row], tau=ev.tau[row]),
+                    new_cost, chain)
+            chain.pop()
 
     for f0 in grid.stage_ids(0):
         q0 = grid.q_table[0, f0 % C]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCurve, ScenarioError, reject_unknown
+from .errors import DegenerateCurve, ScenarioError, reject_booleans, reject_unknown
 
 Array = np.ndarray
 
@@ -253,6 +253,7 @@ def _spec_from_dict(data: dict) -> CurveSpec:
     kw = {"kind": data["kind"]}
     if kw["kind"] in _CURVE_KEYS:
         reject_unknown(data, ("kind",) + _CURVE_KEYS[kw["kind"]], "path")
+    reject_booleans(data, "path")
     for name in ("start", "end", "center", "semi_axes"):
         if data.get(name) is not None:
             kw[name] = tuple(float(v) for v in data[name])

@@ -1,15 +1,17 @@
 """Forward dynamic programming over the state grid.
 
 The sweep visits stages in order; at each transition every reached
-predecessor is scored against every admissible next node (optionally
-restricted by a level/lattice window before any evaluation), edge
-feasibility and time step come from the constraint engine, which screens
-by joint velocity before the higher orders, and each next node keeps its
-cheapest predecessor. The cost of a chain is its duration: the sum of its time
-steps. Ties prefer the predecessor with the lexicographically
-smallest (level, lattice index, branch), which ascending flat node ids
-encode directly, so results are bit-reproducible. The sweep runs on one
-thread, one vectorized call per (stage, level).
+predecessor is scored against every admissible next node of every level
+(optionally restricted by a level/lattice window before any evaluation),
+edge feasibility and time step come from the constraint engine, which
+screens by joint velocity before the higher orders, and each next node
+keeps its cheapest predecessor. The cost of a chain is its duration: the
+sum of its time steps. Ties prefer the predecessor with the
+lexicographically smallest (level, lattice index, branch), which ascending
+flat node ids encode directly, so results are bit-reproducible. The sweep
+runs on one thread and makes one engine call per stage and block of
+predecessors; the blocks bound the engine's temporaries, and with them the
+peak memory, and are merged in ascending order.
 
 Joint-space quantities above first order are evaluated through the winning
 predecessor's cached history; their feasibility is therefore
@@ -29,6 +31,10 @@ from .errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan, ScenarioError,
 from .grid import StateGrid
 
 Array = np.ndarray
+
+# lanes (predecessor rows x next-stage nodes) of one engine call; larger
+# blocks raise the sweep's peak memory
+LANE_BUDGET = 65536
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,8 @@ def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
 
 def _sweep(grid, limits, check_count, window):
     n_stages = grid.n_stages
-    C = grid.cfg_count
-    S = grid.level_count * C
+    L, C = grid.level_count, grid.cfg_count
+    S = L * C
     cost = np.full((n_stages + 1, S), np.inf)
     pred = np.full((n_stages + 1, S), -1, dtype=np.int64)
 
@@ -159,6 +165,7 @@ def _sweep(grid, limits, check_count, window):
     lattice_rows = None
     if window is not None and window.max_dj is not None:
         lattice_rows = grid.cell_lattice()
+    rows_per_block = max(1, LANE_BUDGET // S)
 
     histogram: dict = {}
     for i in range(n_stages):
@@ -169,42 +176,45 @@ def _sweep(grid, limits, check_count, window):
         cost_p = cost[i, prev_ids]
         qd_cur, qdd_cur, tau_cur = np.full((3, S, grid.robot.n), np.nan)
         histogram = {}
-        reached_any = False
 
-        for l_next in range(grid.level_count):
-            cols = np.flatnonzero(grid.admissible[i + 1, l_next])
-            if cols.size == 0:
-                continue
-            pv_next = float(grid.pv_values[l_next])
-            q_next = grid.q_table[i + 1, cols]
-            candidates = None
-            if window is not None:
-                candidates = np.ones((prev_ids.size, cols.size), dtype=bool)
-                if window.max_dl is not None:
-                    row_ok = np.abs(prev_ids // C - l_next) <= window.max_dl
-                    candidates &= row_ok[:, None]
-                if lattice_rows is not None:
-                    dj = np.abs(lattice_rows[prev_ids % C][:, None, :]
-                                - lattice_rows[cols][None, :, :])
-                    candidates &= np.all(dj <= window.max_dj, axis=-1)
-            ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev, pv_prev,
-                                   qd_p, qdd_p, tau_p, q_next, pv_next,
+        # the window's level bound (P, L) and lattice bound (P, C)
+        level_ok = lattice_ok = None
+        if window is not None and window.max_dl is not None:
+            level_ok = np.abs(prev_ids[:, None] // C - np.arange(L)) <= window.max_dl
+        if lattice_rows is not None:
+            dj = np.abs(lattice_rows[prev_ids % C][:, None, :] - lattice_rows[None, :, :])
+            lattice_ok = np.all(dj <= window.max_dj, axis=-1)
+
+        for first in range(0, prev_ids.size, rows_per_block):
+            block = slice(first, first + rows_per_block)
+            rows = prev_ids[block].size
+            candidates = np.broadcast_to(grid.admissible[i + 1], (rows, L, C))
+            if level_ok is not None:
+                candidates = candidates & level_ok[block, :, None]
+            if lattice_ok is not None:
+                candidates = candidates & lattice_ok[block, None, :]
+            ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev[block],
+                                   pv_prev[block], qd_p[block], qdd_p[block], tau_p[block],
+                                   grid.q_table[i + 1], grid.pv_values,
                                    check_count=check_count, candidates=candidates)
             for key, count in ev.rejections().items():
                 histogram[key] = histogram.get(key, 0) + count
-            cand = np.where(ev.feasible, cost_p[:, None] + ev.dt[:, None], np.inf)
+            cand = np.where(ev.feasible, (cost_p[block, None] + ev.dt)[:, :, None], np.inf)
+            cand = cand.reshape(rows, S)
             best_p = np.argmin(cand, axis=0)
-            best_cost = cand[best_p, np.arange(cols.size)]
-            hit = np.flatnonzero(np.isfinite(best_cost))
-            if hit.size:
-                reached_any = True
-                f = l_next * C + cols[hit]
-                win = ev.rows(best_p[hit], hit)
-                cost[i + 1, f] = best_cost[hit]
-                pred[i + 1, f] = prev_ids[best_p[hit]]
+            best_cost = cand[best_p, np.arange(S)]
+            # a later block holds higher predecessor ids: it wins a node only
+            # on a strictly lower cost, so ties keep the lowest id
+            f = np.flatnonzero(best_cost < cost[i + 1])
+            if f.size:
+                win = ev.rows(best_p[f] * S + f)
+                cost[i + 1, f] = best_cost[f]
+                pred[i + 1, f] = prev_ids[first + best_p[f]]
                 qd_cur[f], qdd_cur[f], tau_cur[f] = ev.qd[win], ev.qdd[win], ev.tau[win]
+            # free this block's arrays before the next block's call builds its own
+            del ev, cand
 
-        if not reached_any:
+        if not np.any(np.isfinite(cost[i + 1])):
             raise NoFeasiblePlan(i, histogram)
 
     value = ValueMap(grid=grid, limits=limits, check_count=check_count,

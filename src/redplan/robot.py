@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BranchDegenerate, ScenarioError, Unreachable, as_int, reject_unknown
+from .errors import (BranchDegenerate, ScenarioError, Unreachable, as_int,
+                     reject_booleans, reject_unknown)
 
 Array = np.ndarray
 
@@ -420,4 +421,5 @@ def load_robot(source: dict | str) -> PlanarArm:
         dynamics = DynamicParams(**dyn)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid robot description: {exc}") from exc
+    reject_booleans(source, "robot")
     return PlanarArm(link_lengths, limits, dynamics)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .baseline import JointPath, ResolutionConfig
 from .constraints import ORDERS, LimitSets, SaturationReport, TrajectoryProfile
-from .errors import ScenarioError, as_int, reject_unknown
+from .errors import ScenarioError, as_int, reject_booleans, reject_unknown
 from .grid import GridSpec, StateGrid, build_grid, exclude
 from .path import CurveSpec, WorkspacePath, load_path, sample_path
 from .planner import PlanResult, Window
@@ -125,12 +125,14 @@ def _grid_spec_to_dict(spec: GridSpec) -> dict:
 def _grid_spec_from_dict(data: dict) -> GridSpec:
     reject_unknown(data, ("pv_max", "pv_levels", "v_min", "v_max", "v_step",
                           "rest_to_rest"), "grid")
+    rest_to_rest = data.get("rest_to_rest", True)
+    if not isinstance(rest_to_rest, bool):
+        raise ScenarioError(f"grid rest_to_rest must be true or false, got {rest_to_rest!r}")
     try:
         return GridSpec(pv_max=float(data["pv_max"]),
                         pv_levels=as_int(data["pv_levels"], "pv_levels"),
                         v_min=data["v_min"], v_max=data["v_max"],
-                        v_step=data["v_step"],
-                        rest_to_rest=bool(data.get("rest_to_rest", True)))
+                        v_step=data["v_step"], rest_to_rest=rest_to_rest)
     except KeyError as exc:
         raise ScenarioError(f"grid block missing field {exc}") from exc
 
@@ -295,7 +297,7 @@ def load_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
     # a value of the wrong type surfaces as TypeError/ValueError from the
     # numeric conversions; it is a bad scenario like any other
     try:
-        return Scenario(
+        scenario = Scenario(
             name=str(data.get("name", "scenario")),
             robot=robot,
             curve=load_path(data["path"]),
@@ -316,6 +318,9 @@ def load_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
         raise ScenarioError(f"scenario missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
+    # last, so that the structural errors (unknown or missing keys) come first
+    reject_booleans(data, "scenario", allowed=("scenario.grid.rest_to_rest",))
+    return scenario
 
 
 def _bundled_dir() -> str:

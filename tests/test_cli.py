@@ -78,7 +78,8 @@ def test_missing_scenario_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [{"objective": "energy"}, {"check_cout": 2},
                                        {"check_count": "abc"},
                                        {"window": {"max_dl": "x"}},
-                                       {"window": {"max_dl": -1}}])
+                                       {"window": {"max_dl": -1}},
+                                       {"check_count": True}, {"n_stages": True}])
 def test_bad_scenario_keys_are_config_errors(tmp_path, capsys, overrides):
     out = tmp_path / "x"
     code = main(["plan", "--scenario", tweaked(tmp_path, "toy_velocity", **overrides),

@@ -260,59 +260,68 @@ class TestStageTransitions:
     def match_scalar(self, arm, limits, prev, q_next, pv_next, check_count):
         """Check a stage evaluation lane by lane against evaluate_edge.
 
-        Velocity screening must never drop a feasible edge: feasibility
-        agrees on every lane, dt and qd are bitwise equal on every lane,
-        the rest of the stack on every evaluated lane, and a lane is
-        evaluated exactly when it has a time step and its endpoint
-        velocity passes.
+        pv_next holds several levels. Velocity screening must never drop a
+        feasible edge: feasibility agrees on every lane, dt and qd are
+        bitwise equal on every lane, the rest of the stack on every
+        evaluated lane, and a lane is evaluated exactly when it has a time
+        step and its endpoint velocity passes. A lane without a time step
+        still counts its velocity check, taken at unit step.
         """
         q, pv, qd, qdd, tau = prev
         ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next,
                                check_count=check_count)
-        P, C = ev.feasible.shape
-        # the engine unscreened evaluates every lane, in flat order first
+        P, L, C = ev.feasible.shape
+        assert ev.dt.shape == (P, L) and L == len(pv_next)
+        # the engine unscreened evaluates every lane, in flat order
         qd_all = _edge_checks(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next,
-                              check_count)[3][0][:P * C].reshape(P, C, 3)
-        evaluated = np.zeros(P * C, dtype=bool)
+                              check_count)[3][0].reshape(P, L, C, 3)
+        evaluated = np.zeros(P * L * C, dtype=bool)
         evaluated[ev.lanes] = True
-        evaluated = evaluated.reshape(P, C)
+        evaluated = evaluated.reshape(P, L, C)
         for p in range(P):
             prev_p = NodeState(q=q[p], pv=pv[p], qd=qd[p], qdd=qdd[p], tau=tau[p])
-            for c in range(C):
-                if pv[p] == 0.0 and pv_next == 0.0:
-                    assert np.isinf(ev.dt[p]) and not ev.feasible[p, c]
-                    assert not evaluated[p, c]
-                    continue
-                s = evaluate_edge(arm, limits, 0.1, prev_p, q_next[c], pv_next,
-                                  check_count=check_count)
-                assert ev.dt[p] == s.dt
-                assert np.array_equal(qd_all[p, c], s.qd)
-                assert bool(ev.feasible[p, c]) == s.feasible
-                failed = {v.order for v in s.violations}
-                endpoint_qd = any(v.order == "qd" and v.where == "endpoint"
-                                  for v in s.violations)
-                assert evaluated[p, c] == (not endpoint_qd)
-                if not evaluated[p, c]:
-                    assert not s.feasible
+            for l, level in enumerate(pv_next):
+                for c in range(C):
+                    if pv[p] == 0.0 and level == 0.0:
+                        assert np.isinf(ev.dt[p, l]) and not ev.feasible[p, l, c]
+                        assert not evaluated[p, l, c]
+                        if "qd" in ev.order_ok:
+                            unit_ok = np.all(np.abs(qd_all[p, l, c]) <= limits.qd)
+                            assert ev.order_ok["qd"][p, l, c] == unit_ok
+                        continue
+                    s = evaluate_edge(arm, limits, 0.1, prev_p, q_next[c], float(level),
+                                      check_count=check_count)
+                    assert ev.dt[p, l] == s.dt
+                    assert np.array_equal(qd_all[p, l, c], s.qd)
+                    assert bool(ev.feasible[p, l, c]) == s.feasible
+                    failed = {v.order for v in s.violations}
+                    endpoint_qd = any(v.order == "qd" and v.where == "endpoint"
+                                      for v in s.violations)
+                    assert evaluated[p, l, c] == (not endpoint_qd)
+                    if not evaluated[p, l, c]:
+                        assert not s.feasible
+                        for order, ok in ev.order_ok.items():
+                            assert ok[p, l, c] == (order != "qd")
+                        continue
+                    row = ev.rows((p * L + l) * C + c)
+                    for field in ORDERS:
+                        assert np.array_equal(getattr(ev, field)[row], getattr(s, field),
+                                              equal_nan=True)
                     for order, ok in ev.order_ok.items():
-                        assert ok[p, c] == (order != "qd")
-                    continue
-                row = ev.rows(p, c)
-                for field in ORDERS:
-                    assert np.array_equal(getattr(ev, field)[row], getattr(s, field),
-                                          equal_nan=True)
-                for order, ok in ev.order_ok.items():
-                    assert ok[p, c] == (order not in failed)
+                        assert ok[p, l, c] == (order not in failed)
         return ev
 
     @pytest.mark.parametrize("pv_next,check_count", [(0.5, 0), (0.0, 0), (0.4, 2)])
     def test_bitwise_match_with_scalar(self, arm, pv_next, check_count):
+        # pv_next joins the zero level (start, stop and no-step lanes) and a
+        # fast level in one call
         rng = np.random.default_rng(31)
         P, C = 7, 5
         prev = self.build_prev(arm, rng, P)
         q_next = rng.uniform(-0.8, 0.8, (C, 3))
         limits = LimitSets.from_joint_limits(arm.limits)
-        self.match_scalar(arm, limits, prev, q_next, pv_next, check_count)
+        levels = np.unique([0.0, pv_next, 0.8])
+        self.match_scalar(arm, limits, prev, q_next, levels, check_count)
 
     @pytest.mark.parametrize("check_count", [0, 2])
     def test_randomized_screening_matches_scalar(self, arm, check_count):
@@ -325,11 +334,44 @@ class TestStageTransitions:
         limits = LimitSets(qd=np.full(3, 0.25), qdd=np.full(3, 5.0),
                            qddd=np.full(3, 40.0), tau=np.array([30.0, 10.0, 1.8]),
                            taud=np.full(3, 100.0))
-        ev = self.match_scalar(arm, limits, prev, q_next, 0.5, check_count)
+        ev = self.match_scalar(arm, limits, prev, q_next, np.array([0.0, 0.3, 0.5]),
+                               check_count)
         rejected = ev.rejections()
         for order in ("qd", "qdd", "tau", "taud"):
             assert rejected[order] > 0
+        assert rejected["duration"] == np.count_nonzero(prev[1] == 0.0) * 10
         assert 0 < np.count_nonzero(ev.feasible) < ev.lanes.size < ev.feasible.size
+
+    def test_velocity_table_keeps_edges_at_the_bound(self, arm):
+        # |dq_j| = qd_max_j * dt to within one ulp either side, for every
+        # predecessor, level and joint: the velocity table must keep every
+        # edge the exact check keeps, and the exact check decides
+        dlam = 0.1
+        levels = np.array([0.0, 0.3, 0.7])
+        pv = np.array([0.5, 0.0])
+        qd_max = arm.limits.qd_max
+        cells = []
+        for pv_prev in pv:
+            for level in levels:
+                dt = float(edge_durations(pv_prev, level, dlam))
+                if not np.isfinite(dt):
+                    continue
+                for j in range(3):
+                    at = qd_max[j] * dt
+                    for d in (np.nextafter(at, 0.0), at, np.nextafter(at, np.inf)):
+                        step = 0.5 * qd_max * dt
+                        step[j] = d
+                        cells.append(step * (-1.0) ** j)
+        q_next = np.array(cells)
+        q = np.zeros((2, 3))
+        qd = np.array([[0.1, 0.1, 0.1], [0.0, 0.0, 0.0]])
+        qdd = np.zeros((2, 3))
+        tau = np.array([arm.inverse_dynamics(q[p], qd[p], qdd[p]) for p in range(2)])
+        limits = LimitSets(qd=qd_max)
+        ev = self.match_scalar(arm, limits, (q, pv, qd, qdd, tau), q_next, levels, 0)
+        # the grid straddles the bound: some of these edges pass, some fail
+        with_step = np.count_nonzero(np.isfinite(ev.dt)) * len(cells)
+        assert 0 < np.count_nonzero(ev.feasible) < with_step
 
     @pytest.mark.parametrize("pv_next", [0.5, 0.0])
     def test_candidates_restrict_evaluation(self, arm, pv_next):
@@ -337,20 +379,22 @@ class TestStageTransitions:
         center = np.array([0.3, -0.6, 0.9])
         q, pv, qd, qdd, tau = self.build_prev(arm, rng, 8, center=center, spread=0.06)
         q_next = center + rng.uniform(-0.06, 0.06, (6, 3))
+        levels = np.unique([0.0, pv_next, 0.3])
+        L = levels.size
         limits = LimitSets(qd=np.full(3, 0.25), qdd=np.full(3, 5.0))
-        full = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next)
-        candidates = rng.random((8, 6)) < 0.5
-        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next,
+        full = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, levels)
+        candidates = rng.random((8, L, 6)) < 0.5
+        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, levels,
                                candidates=candidates)
         assert np.array_equal(ev.feasible, full.feasible & candidates)
         # a stop from rest has no time step; only candidate lanes count
-        no_step = (pv == 0.0) & (pv_next == 0.0)
+        no_step = (pv[:, None] == 0.0) & (levels == 0.0)
         assert full.rejections()["duration"] == 6 * np.count_nonzero(no_step)
         assert ev.rejections()["duration"] == np.count_nonzero(candidates[no_step])
         assert np.all(np.isin(ev.lanes, np.flatnonzero(candidates)))
         for order in ev.order_ok:
             assert np.array_equal(ev.order_ok[order], full.order_ok[order] | ~candidates)
-        rows = full.rows(*np.divmod(ev.lanes, 6))
+        rows = full.rows(ev.lanes)
         for field in ORDERS:
             assert np.array_equal(getattr(ev, field), getattr(full, field)[rows],
                                   equal_nan=True)
@@ -360,8 +404,9 @@ class TestStageTransitions:
         q, pv, qd, qdd, tau = self.build_prev(arm, rng, 6)
         q_next = rng.uniform(-0.8, 0.8, (4, 3))
         limits = LimitSets.from_joint_limits(arm.limits)
-        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, 0.6)
-        folded = np.isfinite(ev.dt)[:, None] & np.ones(4, dtype=bool)
+        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
+                               np.array([0.0, 0.6]))
+        folded = np.isfinite(ev.dt)[:, :, None] & np.ones(4, dtype=bool)
         for mask in ev.order_ok.values():
             folded = folded & mask
         assert np.array_equal(folded, ev.feasible)

@@ -1,9 +1,12 @@
 """DP planner: exactness vs enumeration, determinism, extraction, PST."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from redplan import planner
 
 from redplan.constraints import LimitSets, evaluate_edge, initial_state
 from redplan.errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
@@ -277,6 +280,62 @@ class TestWindow:
         result = plan(sc.build(), sc.limits, check_count=sc.check_count, window=window)
         assert result.cost == cost
         assert result.node_ids.tolist() == node_ids
+
+
+class TestPredecessorBlocks:
+    """The sweep scores its predecessors in blocks of at most LANE_BUDGET
+    lanes and merges the blocks; the result must not depend on the block
+    size."""
+
+    @staticmethod
+    def sweep(monkeypatch, budget, grid, limits, check_count=0, window=None):
+        monkeypatch.setattr(planner, "LANE_BUDGET", budget)
+        try:
+            value, histogram = planner._sweep(grid, limits, check_count, window)
+        except NoFeasiblePlan as exc:
+            return None, None, exc.deepest_stage, exc.violation_histogram
+        return value.cost, value.pred, None, histogram
+
+    def assert_block_free(self, monkeypatch, grid, *args):
+        whole = self.sweep(monkeypatch, 2 ** 62, grid, *args)
+        S = grid.level_count * grid.cfg_count
+        for budget in (1, 3 * S - 1):          # one and two rows per block
+            blocked = self.sweep(monkeypatch, budget, grid, *args)
+            for got, want in zip(blocked, whole):
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want)
+                else:
+                    assert got == want
+        return whole
+
+    @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
+                                      "toy_velocity"])
+    def test_bundled_scenarios(self, monkeypatch, name):
+        sc = bundled_scenario(name)
+        self.assert_block_free(monkeypatch, sc.build(), sc.limits, sc.check_count,
+                               sc.window)
+
+    def test_windowed(self, monkeypatch):
+        sc = bundled_scenario("line")
+        self.assert_block_free(monkeypatch, sc.build(), sc.limits, sc.check_count,
+                               Window(max_dl=1, max_dj=1))
+
+    def test_infeasible_histogram(self, monkeypatch):
+        sc = bundled_scenario("line")
+        limits = replace(sc.limits, tau=0.5 * sc.limits.tau)
+        cost, _, deepest, histogram = self.assert_block_free(monkeypatch, sc.build(),
+                                                             limits)
+        assert cost is None and deepest == 4 and histogram["tau"] > 0
+
+    def test_tie_across_blocks_keeps_lowest_predecessor(self, monkeypatch):
+        # two cells with the same configuration at every stage: node (l, 0)
+        # and node (l, 1) always tie, and one-row blocks put them apart
+        grid = toy_grid(n_stages=3, pv_levels=3, rest=False, v_values=(0.8, 0.8))
+        cost, pred, _, _ = self.assert_block_free(monkeypatch, grid,
+                                                  LimitSets(qd=np.full(3, 3.0)))
+        reached = np.isfinite(cost[1:])
+        assert np.array_equal(cost[:, 0::2], cost[:, 1::2])
+        assert np.all(pred[1:][reached] % grid.cfg_count == 0)
 
 
 class TestPst:

@@ -267,6 +267,70 @@ def test_scenario_validation_errors():
         load_scenario(toy_doc(robot=robot))
 
 
+def _with_boolean(doc, field):
+    """doc with the value at a dotted field path (list items as [k])
+    replaced by true."""
+    keys = [int(k) if k.isdigit() else k
+            for k in field.replace("[", ".").replace("]", "").split(".")]
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = True
+    return doc
+
+
+# every field that reads a number: Python reads true as 1 (or 1.0)
+@pytest.mark.parametrize("field", [
+    "n_stages", "check_count", "seed", "branches[0]", "window.max_dl",
+    "grid.pv_levels", "grid.pv_max", "grid.v_min[0]", "grid.v_max[0]",
+    "limits.qd[1]", "limits.tau[0]", "path.start[0]", "path.end[1]",
+    "robot.link_lengths[0]", "robot.task_dim",
+    "robot.limits.qd_max[0]", "robot.limits.q_min[2]", "robot.dynamics.mass[0]",
+    "robot.dynamics.com[1]", "robot.dynamics.gravity[1]", "baseline.q0[0]",
+    "baseline.alpha", "baseline.beta", "baseline.tolerance", "baseline.step_cap",
+    "baseline.cond_cap", "baseline.max_iterations",
+])
+def test_booleans_rejected_where_numbers_belong(field):
+    doc = toy_doc(branches=[0], window={"max_dl": 1},
+                  limits={"qd": [2.0, 2.0, 2.0], "tau": [50.0, 25.0, 8.0]},
+                  baseline={"q0": [0.8, -2.1, 2.5], "alpha": 0.0, "beta": 0.5,
+                            "tolerance": 1e-8, "step_cap": 0.5, "cond_cap": 1e8,
+                            "max_iterations": 7})
+    load_scenario(doc)
+    # the integer fields name the field in their own words
+    with pytest.raises(ScenarioError, match="must not be a boolean|must be an integer, got True"):
+        load_scenario(_with_boolean(doc, field))
+
+
+@pytest.mark.parametrize("field", ["path.semi_axes[0]", "path.center[1]",
+                                   "path.rotation"])
+def test_booleans_rejected_in_ellipse_path(field):
+    doc = toy_doc(path={"kind": "ellipse", "center": [0.6, 0.0],
+                        "semi_axes": [0.1, 0.05], "rotation": 0.0})
+    load_scenario(doc)
+    with pytest.raises(ScenarioError, match="must not be a boolean"):
+        load_scenario(_with_boolean(doc, field))
+
+
+def test_booleans_rejected_in_robot_file(tmp_path):
+    robot = make_reference_arm().to_dict()
+    robot["dynamics"]["inertia"][0] = True
+    path = tmp_path / "robot.json"
+    path.write_text(json.dumps(robot))
+    with pytest.raises(ScenarioError, match=r"robot.dynamics.inertia\[0\] must not"):
+        load_scenario(toy_doc(robot=str(path)))
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+def test_rest_to_rest_must_be_a_boolean(value):
+    grid = dict(toy_doc()["grid"], rest_to_rest=value)
+    with pytest.raises(ScenarioError, match="rest_to_rest must be true or false"):
+        load_scenario(toy_doc(grid=grid))
+    for flag in (True, False):
+        grid = dict(toy_doc()["grid"], rest_to_rest=flag)
+        assert load_scenario(toy_doc(grid=grid)).grid.rest_to_rest is flag
+
+
 # --- atomic writes -----------------------------------------------------------
 
 
