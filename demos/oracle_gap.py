@@ -1,4 +1,4 @@
-"""Measure the DP approximation gap against brute-force enumeration.
+"""Measure the DP approximation gap against the exact oracle.
 
 The stage DP keeps one best predecessor per node, so constraint orders
 that need chain history (jerk, torque rate) are checked against a pinned

@@ -3,7 +3,7 @@ kinematically redundant manipulators.
 
 The unified planner searches timing, redundancy resolution, and IK branch
 selection in one dynamic program over a discretized state grid; a classic
-two-stage pipeline and an exhaustive-search oracle ship alongside it for
+two-stage pipeline and an exact-search oracle ship alongside it for
 comparison and verification.
 """
 

@@ -2,8 +2,8 @@
 
 Subcommands: plan | baseline | verify | sweep | export. Every run loads one
 scenario file, writes its artifacts to the output directory, and exits with
-0 on success, 2 on infeasibility, 3 on configuration errors, and 4 when an
-enumeration budget is exceeded.
+0 on success, 2 on infeasibility, 3 on configuration errors, and 4 when the
+exact search's budget is exceeded.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ def cmd_verify(args) -> int:
     started = time.time()
     scenario = load_scenario(args.scenario)
     if scenario.window is not None:
-        # the oracle enumerates the whole grid, so the DP must not be windowed
+        # the oracle searches the whole grid, so the DP must not be windowed
         raise ScenarioError("verify searches the whole grid; remove the "
                             "scenario's window")
     budget = (OracleBudget() if args.budget is None
-              else OracleBudget(max_chains=args.budget))
+              else OracleBudget(max_labels=args.budget))
     grid = scenario.build()
     dp = plan(grid, scenario.limits, check_count=scenario.check_count)
     oracle = exhaustive_plan(grid, scenario.limits, budget=budget,
@@ -190,10 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_baseline)
 
-    p = sub.add_parser("verify", help="exhaustive search and gap report")
+    p = sub.add_parser("verify", help="exact search and gap report")
     common(p)
     p.add_argument("--budget", type=float, default=None,
-                   help="maximum chains the exhaustive search may visit")
+                   help="maximum labels (partial chains keyed by their last three "
+                        "nodes) the exact search may keep, checked against an "
+                        "upper bound before any work; positive, default 2e6")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="one planner run per axis value")

@@ -197,12 +197,13 @@ def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_pr
     ascending flat order into (K, n) arrays: every lane when screen is
     None, otherwise the alive lanes, those of the (P, L, C) mask screen
     that have a time step and whose endpoint velocity passes its bound.
-    With a screen, the velocity table drops the lanes that cannot pass
-    first, and the exact velocity check runs on the rest, no-step lanes
-    included (at unit step).
+    With a screen, the lanes without a time step drop out first, then the
+    velocity table drops the lanes that cannot pass, and the exact velocity
+    check runs on the rest.
 
-    Returns dt; qd_ok, the flat velocity-bound mask over all lanes (None
-    without a qd bound or screen); the evaluated lanes as flat ids,
+    Returns dt; qd_ok, the flat velocity-bound mask over all lanes, true on
+    the lanes without a time step (None without a qd bound or screen); the
+    evaluated lanes as flat ids,
     ascending, the last one repeated up to a rounded count; the endpoint
     stack (qd, qdd, qddd, tau, taud) on them; and one (order, where, value,
     exempt) entry per bound check on them: the enabled endpoint orders,
@@ -213,10 +214,12 @@ def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_pr
     pv_next = np.asarray(pv_next, dtype=float)
     shape = (q_prev.shape[0], pv_next.size, q_next.shape[0])
     dt = edge_durations(pv_prev[:, None], pv_next, dlam)
-    step = np.where(np.isfinite(dt), dt, 1.0)
+    has_step = np.isfinite(dt)
+    step = np.where(has_step, dt, 1.0)
     if screen is None:
         lanes = np.arange(np.prod(shape))
     else:
+        screen = screen & has_step[:, :, None]
         if limits.qd is not None:
             # NaN in tmin never drops a lane: the exact check skips NaN
             with np.errstate(invalid="ignore"):
@@ -230,13 +233,13 @@ def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_pr
         qd /= step[p, l][:, None]
     qd_ok = None
     if screen is not None:
-        alive = np.isfinite(dt[p, l])
+        keep = np.arange(lanes.size)
         if limits.qd is not None:
             passed = _order_ok(qd, limits.qd)
-            qd_ok = np.zeros(screen.size, dtype=bool)
+            # a lane without a time step has no velocity to check
+            qd_ok = np.repeat(~has_step.ravel(), shape[2])
             qd_ok[lanes] = passed
-            alive &= passed
-        keep = np.flatnonzero(alive)
+            keep = np.flatnonzero(passed)
         # Round the lane count up to its 3 leading bits (at most 1/4 more
         # lanes) by repeating the last lane. numpy caches freed buffers under
         # 1 KiB per exact size, so a new lane count per call would pin
@@ -360,17 +363,18 @@ class StageEval:
 
     def rejections(self) -> dict:
         """Failed checks per order, plus the candidate lanes without a time
-        step (under "duration").
+        step (under "duration"); a key with no failure is left out.
 
         Only candidate lanes count (the window of a windowed search keeps
-        the others out). Joint velocity is checked on every candidate lane;
+        the others out). A lane without a time step counts under duration
+        alone. Joint velocity is checked on every other candidate lane;
         every order above it only on the lanes that were evaluated, those
-        with a time step that pass the velocity bound. A lane that fails
-        the velocity bound is therefore counted under qd alone.
+        that pass the velocity bound. A lane that fails the velocity bound
+        is therefore counted under qd alone.
         """
         counts = {o: int(np.count_nonzero(~ok)) for o, ok in self.order_ok.items()}
         counts["duration"] = self.no_step
-        return counts
+        return {key: count for key, count in counts.items() if count}
 
 
 def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,

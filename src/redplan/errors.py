@@ -43,11 +43,12 @@ class NoFeasiblePlan(PlanningError):
         deepest_stage: last stage index with at least one reached node.
         violation_histogram: per-order counts of rejected edges, keyed by
             constraint-order name, plus "duration" for the edges without a
-            time step. Only candidate edges count (a search window keeps
-            the others out). Joint velocity ("qd") is checked on every
-            candidate; the orders above it only on the edges that have a
-            time step and pass the velocity bound, so an edge that fails
-            the velocity bound counts under "qd" alone.
+            time step, which count there alone. Only candidate edges
+            count (a search window keeps the others out). Joint velocity
+            ("qd") is checked on every candidate with a time step; the
+            orders above it only on the edges that pass the velocity bound,
+            so an edge that fails the velocity bound counts under "qd"
+            alone.
     """
 
     def __init__(self, deepest_stage: int, violation_histogram: dict[str, int] | None = None):
@@ -83,7 +84,7 @@ class SingularJacobian(PlanningError):
 
 
 class BudgetExceeded(PlanningError):
-    """The exhaustive search budget would be exceeded."""
+    """The exact search's budget would be exceeded."""
 
 
 class ContractViolation(PlanningError):

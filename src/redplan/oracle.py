@@ -1,14 +1,20 @@
-"""Brute-force ground truth: depth-first enumeration of every admissible
-node chain with full (per-chain) history, plus gap measurement against the
-DP result.
+"""Exact ground truth, plus gap measurement against the DP result.
 
 The DP search pins each node's derivative history to its cheapest
-predecessor; enumeration carries every chain's own history, so its optimum
-is exact. On velocity-only runs the two must agree; with history-dependent
-orders enabled the DP cost can only be higher (it explores a subset of
-histories), and compare() quantifies and attributes that gap. Both searches
-score edges with the same stage engine and turn their winning chain into a
-result with the same replay, so they differ only in the histories they keep.
+predecessor. The oracle runs the same forward sweep with labels keyed by a
+chain's last three nodes (depth 2), state augmentation for a cost and a
+feasibility test of higher Markov order (Bertsekas, Dynamic Programming
+and Optimal Control, Vol. I). That is exact: the edge into stage i + 1
+reads qd_i (nodes i - 1 and i), qdd_i and tau_i (nodes i - 2 to i), and
+the Coulomb exemption reads qd_i, while the check points are edge-local.
+So chains that share their last three nodes carry bitwise the same samples
+and meet the same future edges, and since IEEE addition is monotone the
+cheapest label equals the cheapest feasible chain, bit for bit.
+
+On velocity-only runs the two searches must agree; with history-dependent
+orders enabled the DP cost can only be higher, and compare() quantifies
+and attributes that gap. Both searches run the same sweep and replay, so
+they differ only in the histories they keep.
 """
 
 from __future__ import annotations
@@ -18,29 +24,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ORDERS, LimitSets, NodeState, initial_state, stage_transitions
-from .errors import BudgetExceeded, ContractViolation, NoFeasiblePlan, ScenarioError
+from .constraints import ORDERS, LimitSets
+from .errors import BudgetExceeded, ContractViolation, ScenarioError, as_int
 from .grid import StateGrid
-from .planner import PlanResult, ReachedSets, plan, replay
+from .planner import PlanResult, _sweep, extract, plan
 
-Array = np.ndarray
+# keys of HISTORY_DEPTH + 1 nodes carry every sample an edge reads
+HISTORY_DEPTH = 2
 
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Enumeration guard rails; exceeded budgets abort before any work."""
+    """Guard rails of the exact search, checked before any work.
 
-    max_chains: float = 2e6
+    max_labels caps the labels the sweep could keep, bounded above by the
+    sum over stages i of the product of the admissible counts of stages
+    max(0, i - 2) to i; max_cells caps the grid's admissible nodes. Both
+    must be positive; max_labels may be infinite (no cap).
+    """
+
+    max_labels: float = 2e6
     max_cells: int = 20000
 
     def __post_init__(self):
-        if self.max_chains <= 0 or self.max_cells <= 0:
-            raise ScenarioError("oracle budget must be positive")
+        object.__setattr__(self, "max_cells", as_int(self.max_cells, "oracle max_cells"))
+        if not (self.max_labels > 0 and self.max_cells > 0):    # NaN fails
+            raise ScenarioError(f"oracle budget must be positive, got max_labels "
+                                f"{self.max_labels!r} and max_cells {self.max_cells!r}")
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """DP-vs-enumeration comparison on one shared instance.
+    """DP-vs-oracle comparison on one shared instance.
 
     attribution maps each enabled constraint order to the gap increment it
     introduces when added cumulatively (edge-local orders contribute 0);
@@ -59,91 +74,36 @@ class GapReport:
                 "attribution": dict(self.attribution)}
 
 
-def _chain_count(grid: StateGrid) -> float:
-    return math.prod(map(float, grid.admissible_counts))
-
-
 def exhaustive_plan(grid: StateGrid, limits: LimitSets,
                     budget: OracleBudget | None = None,
-                    check_count: int = 0, prune: bool = True) -> PlanResult:
-    """Minimum-duration feasible chain by depth-first enumeration.
+                    check_count: int = 0) -> PlanResult:
+    """Minimum-duration feasible chain over every history: plan()'s sweep
+    with labels keyed by a chain's last three nodes.
 
-    Every chain carries its own full derivative history (no back-pointer
-    approximation). A node's children are scored with the sweep's engine,
-    one stage_transitions call (P = 1) over every level of the next stage,
-    and visited in ascending node id. On cost ties the first chain in that
-    depth-first order wins, which is the lexicographically smallest chain.
-    The winner is replayed edge by edge like a DP result.
-
-    Cost-bound pruning (each remaining edge takes at least dlam / pv_max)
-    preserves the optimum and the tie-break, but subtrees it cuts are not
-    explored, so the reached sets are then a subset of all feasible-prefix
-    nodes; pass prune=False for exact sets.
+    The cost equals the cheapest feasible chain's bit for bit, and the
+    reached sets are the exact feasible-prefix sets. The chain ends at the
+    cheapest terminal node (the lowest id on ties) and follows predecessor
+    labels back; ties keep the predecessor label with the smallest key.
 
     Raises:
-        BudgetExceeded: the instance is too large to enumerate.
-        NoFeasiblePlan: no admissible chain satisfies the constraints.
+        BudgetExceeded: the grid has more admissible nodes than
+            budget.max_cells, or the label bound exceeds budget.max_labels.
+        NoFeasiblePlan: no admissible chain satisfies the constraints; as
+            from plan(), it carries the stage where the sweep died and the
+            rejection histogram of the transition out of it.
     """
     budget = budget if budget is not None else OracleBudget()
     if grid.total_admissible > budget.max_cells:
         raise BudgetExceeded(f"grid has {grid.total_admissible} admissible nodes, "
                              f"budget allows {budget.max_cells}")
-    count = _chain_count(grid)
-    if count > budget.max_chains:
-        raise BudgetExceeded(f"instance has {count:.3g} chains, "
-                             f"budget allows {budget.max_chains:.3g}")
-
-    n = grid.n_stages
-    C = grid.cfg_count
-    robot = grid.robot
-    dlam = grid.path.dlam
-    lb_step = dlam / float(grid.pv_values[-1])
-
-    best_cost = np.inf
-    best_chain: list | None = None
-    reached = [set() for _ in range(n + 1)]
-    histogram: dict = {}
-    deepest = 0
-
-    def descend(i, state, partial, chain):
-        nonlocal best_cost, best_chain, deepest
-        if i == n:
-            if partial < best_cost:
-                best_cost = partial
-                best_chain = chain.copy()
-            return
-        ev = stage_transitions(robot, limits, dlam, state.q[None, :], np.array([state.pv]),
-                               state.qd[None, :], state.qdd[None, :], state.tau[None, :],
-                               grid.q_table[i + 1], grid.pv_values, check_count=check_count,
-                               candidates=grid.admissible[i + 1][None])
-        for key, count in ev.rejections().items():
-            histogram[key] = histogram.get(key, 0) + count
-        # with one predecessor the lane ids are the next stage's node ids
-        children = np.flatnonzero(ev.feasible)
-        for f, row in zip(children.tolist(), ev.rows(children)):
-            level, c = divmod(f, C)
-            new_cost = partial + float(ev.dt[0, level])
-            reached[i + 1].add(f)
-            deepest = max(deepest, i + 1)
-            if prune and new_cost + (n - (i + 1)) * lb_step >= best_cost:
-                continue
-            chain.append(f)
-            descend(i + 1, NodeState(q=grid.q_table[i + 1, c],
-                                     pv=float(grid.pv_values[level]), qd=ev.qd[row],
-                                     qdd=ev.qdd[row], tau=ev.tau[row]),
-                    new_cost, chain)
-            chain.pop()
-
-    for f0 in grid.stage_ids(0):
-        q0 = grid.q_table[0, f0 % C]
-        pv0 = float(grid.pv_values[f0 // C])
-        reached[0].add(int(f0))
-        descend(0, initial_state(robot, q0, pv0), 0.0, [int(f0)])
-
-    if best_chain is None:
-        raise NoFeasiblePlan(deepest, histogram)
-    reached_sets = ReachedSets(tuple(np.array(sorted(s), dtype=np.int64) for s in reached))
-    return replay(grid, limits, check_count, best_chain, best_cost, reached_sets)
+    counts = grid.admissible_counts
+    bound = sum(math.prod(counts[max(0, i - HISTORY_DEPTH):i + 1])
+                for i in range(len(counts)))
+    if bound > budget.max_labels:
+        raise BudgetExceeded(f"the search may keep up to {bound:.3g} labels, "
+                             f"budget allows {budget.max_labels:.3g}")
+    value, _ = _sweep(grid, limits, check_count, None, depth=HISTORY_DEPTH)
+    return extract(value, int(np.argmin(value.cost[-1])))
 
 
 def _same_limits(a: LimitSets, b: LimitSets) -> bool:
@@ -159,13 +119,12 @@ def _same_limits(a: LimitSets, b: LimitSets) -> bool:
 def compare(dp_result: PlanResult, oracle_result: PlanResult,
             budget: OracleBudget | None = None, attribute: bool = True,
             tolerance: float = 1e-12) -> GapReport:
-    """Measure the DP approximation gap against the enumeration optimum.
+    """Measure the DP approximation gap against the exact optimum.
 
     Both results must come from the same grid, limits, and check-point
-    count; their costs are plan durations. When
-    the gap is positive and attribute is set, the enabled orders are added
-    back one at a time (cheapest first) and each one's gap increment is
-    recorded.
+    count; their costs are plan durations. When the gap is positive and
+    attribute is set, the enabled orders are added back one at a time
+    (cheapest first) and each one's gap increment is recorded.
 
     Raises:
         ScenarioError: results from different instances.
@@ -182,7 +141,7 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
     gap = dp_result.cost - oracle_result.cost
     if gap < -tolerance:
         raise ContractViolation(
-            f"DP cost {dp_result.cost!r} beats the exhaustive optimum "
+            f"DP cost {dp_result.cost!r} beats the exact optimum "
             f"{oracle_result.cost!r}; one of the searches is unsound")
     relative = gap / oracle_result.cost if oracle_result.cost > 0 else 0.0
 

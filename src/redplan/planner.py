@@ -1,22 +1,24 @@
 """Forward dynamic programming over the state grid.
 
-The sweep visits stages in order; at each transition every reached
-predecessor is scored against every admissible next node of every level
-(optionally restricted by a level/lattice window before any evaluation),
-edge feasibility and time step come from the constraint engine, which
-screens by joint velocity before the higher orders, and each next node
-keeps its cheapest predecessor. The cost of a chain is its duration: the
-sum of its time steps. Ties prefer the predecessor with the
-lexicographically smallest (level, lattice index, branch), which ascending
-flat node ids encode directly, so results are bit-reproducible. The sweep
-runs on one thread and makes one engine call per stage and block of
-predecessors; the blocks bound the engine's temporaries, and with them the
-peak memory, and are merged in ascending order.
+The sweep visits stages in order and carries labels: partial chains keyed
+by the node ids of their last depth + 1 stages (fewer near the start), each
+with its cost, its predecessor label and the cached qd/qdd/tau samples of
+its last node. At each transition the constraint engine scores every label
+against every admissible next node of every level (optionally restricted by
+a level/lattice window before any evaluation), screening by joint velocity
+before the higher orders. Key k followed by node f gives k[1:] + (f,) once
+k is full, k + (f,) before; each next key keeps its cheapest predecessor
+label, on a tie the one with the smallest key, so results are
+bit-reproducible. A chain's cost is its duration, the sum of its time
+steps. There is one engine call per stage and block of labels; the blocks
+bound the peak memory.
 
-Joint-space quantities above first order are evaluated through the winning
-predecessor's cached history; their feasibility is therefore
-history-dependent and the search is a conservative approximation for those
-orders (exact when only velocity-type constraints are enabled).
+plan() sweeps at depth 0, where a label is a node and ties keep the lowest
+predecessor id, the lexicographically smallest (level, lattice index,
+branch). Its orders above joint velocity see only the winning predecessor's
+history, so for them it is a conservative approximation (exact when only
+velocity-type constraints are enabled). The oracle sweeps at depth 2, which
+keeps every history an edge reads and is exact.
 """
 
 from __future__ import annotations
@@ -74,13 +76,20 @@ class ReachedSets:
 
 @dataclass(frozen=True)
 class ValueMap:
-    """Cumulative cost and predecessor id for every node of every stage."""
+    """Per stage, each node's cheapest label (the first in key order on
+    ties): cost, pred and label are (N_i + 1, L * C), that label's cost,
+    predecessor node and row among the stage's labels (+inf, -1, -1 where
+    unreached). label_node[i] and label_pred[i] hold each label's node and
+    its predecessor's row at stage i - 1 (-1 at stage 0)."""
 
     grid: StateGrid
     limits: LimitSets
     check_count: int
-    cost: Array        # (N_i + 1, L * C), +inf where unreached
-    pred: Array        # (N_i + 1, L * C), -1 where no predecessor
+    cost: Array
+    pred: Array
+    label: Array
+    label_node: tuple
+    label_pred: tuple
 
     def reached(self, i: int) -> Array:
         return np.flatnonzero(np.isfinite(self.cost[i]))
@@ -116,19 +125,6 @@ class PlanResult:
         return self.profile.t
 
 
-def _initial_chain_state(grid: StateGrid, node_ids: Array):
-    """Stage-0 cached samples: exact zeros at rest, NaN for moving starts."""
-    C = grid.cfg_count
-    n = grid.robot.n
-    qd = np.full((node_ids.size, n), np.nan)
-    qdd = np.full((node_ids.size, n), np.nan)
-    tau = np.full((node_ids.size, n), np.nan)
-    for k, f in enumerate(node_ids):
-        state = initial_state(grid.robot, grid.q_table[0, f % C], grid.pv_values[f // C])
-        qd[k], qdd[k], tau[k] = state.qd, state.qdd, state.tau
-    return qd, qdd, tau
-
-
 def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
          window: Window | None = None) -> PlanResult:
     """Run the full forward sweep and extract the time-optimal plan.
@@ -138,29 +134,29 @@ def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
             the deepest stage reached and per-order counts of failed edge
             checks at the transition that died.
     """
-    value, histogram = _sweep(grid, limits, check_count, window)
-    n = grid.n_stages
-    terminal = grid.stage_ids(n)
-    finite = np.isfinite(value.cost[n, terminal])
-    if not np.any(finite):
-        raise NoFeasiblePlan(n, histogram)
-    candidates = terminal[finite]
-    best = candidates[np.argmin(value.cost[n, candidates])]
-    return extract(value, int(best))
+    value, _ = _sweep(grid, limits, check_count, window)
+    return extract(value, int(np.argmin(value.cost[-1])))    # lowest id on ties
 
 
-def _sweep(grid, limits, check_count, window):
-    n_stages = grid.n_stages
+def _sweep(grid, limits, check_count, window, depth=0):
+    """Forward sweep over labels keyed by their last depth + 1 nodes: the
+    ValueMap and the last transition's rejection histogram. NoFeasiblePlan
+    carries the stage a transition left no label from, and its histogram."""
     L, C = grid.level_count, grid.cfg_count
     S = L * C
-    cost = np.full((n_stages + 1, S), np.inf)
-    pred = np.full((n_stages + 1, S), -1, dtype=np.int64)
-
+    n = grid.robot.n
+    shape = (grid.n_stages + 1, S)
+    node_cost = np.full(shape, np.inf)
+    node_pred = np.full(shape, -1, dtype=np.int64)
+    node_label = np.full(shape, -1, dtype=np.int64)
     start = grid.stage_ids(0)
-    cost[0, start] = 0.0
-    qd_cur, qdd_cur, tau_cur = np.full((3, S, grid.robot.n), np.nan)
-    chain0 = _initial_chain_state(grid, start)
-    qd_cur[start], qdd_cur[start], tau_cur[start] = chain0
+    keys, cost = start[:, None], np.zeros(start.size)
+    node_cost[0, start], node_label[0, start] = 0.0, np.arange(start.size)
+    label_node, label_pred = [start], [np.full(start.size, -1)]
+    # stage-0 samples: exact zeros at rest, NaN for moving starts
+    states = [initial_state(grid.robot, grid.q_table[0, f % C], grid.pv_values[f // C])
+              for f in start]
+    qd, qdd, tau = (np.array([getattr(st, k) for st in states]) for k in ("qd", "qdd", "tau"))
 
     lattice_rows = None
     if window is not None and window.max_dj is not None:
@@ -168,62 +164,102 @@ def _sweep(grid, limits, check_count, window):
     rows_per_block = max(1, LANE_BUDGET // S)
 
     histogram: dict = {}
-    for i in range(n_stages):
-        prev_ids = np.flatnonzero(np.isfinite(cost[i]))
-        q_prev = grid.q_table[i, prev_ids % C]
-        pv_prev = grid.pv_values[prev_ids // C]
-        qd_p, qdd_p, tau_p = qd_cur[prev_ids], qdd_cur[prev_ids], tau_cur[prev_ids]
-        cost_p = cost[i, prev_ids]
-        qd_cur, qdd_cur, tau_cur = np.full((3, S, grid.robot.n), np.nan)
+    for i in range(grid.n_stages):
+        # Labels with the same tail (the key without its oldest node, once
+        # full) compete for the same next keys. order sorts by tail, then
+        # key, so ties keep the smallest key; group g then node s is the
+        # next key tails[g] + (s,), and reached (g, s) come in key order.
+        # (np.unique imports numpy.ma on first use: +0.5 MB resident.)
+        tail = keys[:, 1:] if keys.shape[1] > depth else keys
+        order = np.lexsort((np.arange(len(keys)), *tail.T[::-1]))
+        tail = tail[order]
+        new_tail = np.ones(len(tail), dtype=bool)
+        new_tail[1:] = np.any(tail[1:] != tail[:-1], axis=1)
+        group = np.cumsum(new_tail) - 1
+        tails = tail[new_tail]
+        node = keys[:, -1]
+        q_prev = grid.q_table[i, node % C]
+        pv_prev = grid.pv_values[node // C]
+        best_cost = np.full((tails.shape[0], S), np.inf)
+        best_row = np.full((tails.shape[0], S), -1)
+        next_qd, next_qdd, next_tau = np.full((3, tails.shape[0], S, n), np.nan)
         histogram = {}
 
         # the window's level bound (P, L) and lattice bound (P, C)
         level_ok = lattice_ok = None
         if window is not None and window.max_dl is not None:
-            level_ok = np.abs(prev_ids[:, None] // C - np.arange(L)) <= window.max_dl
+            level_ok = np.abs(node[:, None] // C - np.arange(L)) <= window.max_dl
         if lattice_rows is not None:
-            dj = np.abs(lattice_rows[prev_ids % C][:, None, :] - lattice_rows[None, :, :])
+            dj = np.abs(lattice_rows[node % C][:, None, :] - lattice_rows[None, :, :])
             lattice_ok = np.all(dj <= window.max_dj, axis=-1)
 
-        for first in range(0, prev_ids.size, rows_per_block):
-            block = slice(first, first + rows_per_block)
-            rows = prev_ids[block].size
-            candidates = np.broadcast_to(grid.admissible[i + 1], (rows, L, C))
+        for first in range(0, order.size, rows_per_block):
+            rows = order[first:first + rows_per_block]
+            candidates = np.broadcast_to(grid.admissible[i + 1], (rows.size, L, C))
             if level_ok is not None:
-                candidates = candidates & level_ok[block, :, None]
+                candidates = candidates & level_ok[rows, :, None]
             if lattice_ok is not None:
-                candidates = candidates & lattice_ok[block, None, :]
-            ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev[block],
-                                   pv_prev[block], qd_p[block], qdd_p[block], tau_p[block],
+                candidates = candidates & lattice_ok[rows, None, :]
+            ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev[rows],
+                                   pv_prev[rows], qd[rows], qdd[rows], tau[rows],
                                    grid.q_table[i + 1], grid.pv_values,
                                    check_count=check_count, candidates=candidates)
             for key, count in ev.rejections().items():
                 histogram[key] = histogram.get(key, 0) + count
-            cand = np.where(ev.feasible, (cost_p[block, None] + ev.dt)[:, :, None], np.inf)
-            cand = cand.reshape(rows, S)
-            best_p = np.argmin(cand, axis=0)
-            best_cost = cand[best_p, np.arange(S)]
-            # a later block holds higher predecessor ids: it wins a node only
-            # on a strictly lower cost, so ties keep the lowest id
-            f = np.flatnonzero(best_cost < cost[i + 1])
-            if f.size:
-                win = ev.rows(best_p[f] * S + f)
-                cost[i + 1, f] = best_cost[f]
-                pred[i + 1, f] = prev_ids[first + best_p[f]]
-                qd_cur[f], qdd_cur[f], tau_cur[f] = ev.qd[win], ev.qdd[win], ev.tau[win]
+            cand = np.where(ev.feasible, (cost[rows, None] + ev.dt)[:, :, None], np.inf)
+            cand = cand.reshape(rows.size, S)
+            # the block's groups, consecutive ids, and the rows where each starts
+            block = group[first:first + rows_per_block]
+            g = np.arange(block[0], block[-1] + 1)
+            win = _first_argmin(cand, np.searchsorted(block, g))
+            win_cost = cand[win, np.arange(S)]
+            # a later block holds later labels of a group: it wins a next key
+            # only on a strictly lower cost, so ties keep the smallest key
+            run, s = np.nonzero(win_cost < best_cost[g])
+            if run.size:
+                lane = ev.rows(win[run, s] * S + s)
+                at = g[run], s
+                best_cost[at] = win_cost[run, s]
+                best_row[at] = rows[win[run, s]]
+                next_qd[at], next_qdd[at], next_tau[at] = ev.qd[lane], ev.qdd[lane], ev.tau[lane]
             # free this block's arrays before the next block's call builds its own
             del ev, cand
 
-        if not np.any(np.isfinite(cost[i + 1])):
+        reached = np.flatnonzero(np.isfinite(best_cost))
+        if not reached.size:
             raise NoFeasiblePlan(i, histogram)
+        g, s = np.divmod(reached, S)
+        keys = np.concatenate([tails[g], s[:, None]], axis=1)
+        cost, pred = best_cost.ravel()[reached], best_row.ravel()[reached]
+        qd, qdd, tau = (a.reshape(-1, n)[reached] for a in (next_qd, next_qdd, next_tau))
+        # each node's cheapest label; on ties the lowest group, so key
+        top = np.argmin(best_cost, axis=0)
+        f = np.flatnonzero(np.isfinite(best_cost[top, np.arange(S)]))
+        row = np.searchsorted(reached, top[f] * S + f)
+        node_cost[i + 1, f], node_label[i + 1, f] = cost[row], row
+        node_pred[i + 1, f] = label_node[-1][pred[row]]
+        label_node.append(s)
+        label_pred.append(pred)
 
-    value = ValueMap(grid=grid, limits=limits, check_count=check_count,
-                     cost=cost, pred=pred)
+    value = ValueMap(grid, limits, check_count, node_cost, node_pred, node_label,
+                     tuple(label_node), tuple(label_pred))
     return value, histogram
 
 
+def _first_argmin(table: Array, runs: Array) -> Array:
+    """(len(runs), columns): for each run of rows of table, starting at the
+    row indices runs, the row of each column's first minimum."""
+    if runs.size == 1:          # always at depth 0
+        return np.argmin(table, axis=0)[None]
+    low = np.repeat(np.minimum.reduceat(table, runs, axis=0),
+                    np.diff(runs, append=len(table)), axis=0)
+    hit = np.where(table == low, np.arange(len(table))[:, None], len(table))
+    return np.minimum.reduceat(hit, runs, axis=0)
+
+
 def extract(value: ValueMap, terminal: int) -> PlanResult:
-    """Walk the predecessor map backward and replay the winning chain.
+    """Walk the predecessor labels backward from the terminal node's
+    cheapest label and replay the winning chain.
 
     Raises:
         CorruptChain: unreached terminal, dangling predecessor pointer, or
@@ -235,11 +271,12 @@ def extract(value: ValueMap, terminal: int) -> PlanResult:
         raise CorruptChain(f"terminal node {terminal} was never reached")
     ids = np.empty(n_stages + 1, dtype=np.int64)
     ids[n_stages] = terminal
+    row = value.label[n_stages, terminal]
     for i in range(n_stages, 0, -1):
-        p = value.pred[i, ids[i]]
-        if p < 0:
+        row = value.label_pred[i][row]
+        if row < 0:
             raise CorruptChain(f"dangling predecessor at stage {i}")
-        ids[i - 1] = p
+        ids[i - 1] = value.label_node[i - 1][row]
     return replay(grid, value.limits, value.check_count, ids,
                   float(value.cost[n_stages, terminal]), value.reached_sets())
 

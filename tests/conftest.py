@@ -119,3 +119,34 @@ def enumerate_chains(grid, limits, check_count=0):
             if cost < best_cost:
                 best_cost, best_chain = cost, chain
     return best_cost, best_chain, feasible
+
+
+def feasible_prefixes(grid, limits, check_count=0):
+    """Every feasible chain prefix, per stage, as a list of node-id tuples.
+
+    Each feasible prefix is extended by every admissible node of the next
+    stage through the scalar engine, with the prefix's own history.
+    """
+    C = grid.cfg_count
+
+    def node_state(i, f):
+        return grid.q_table[i, f % C], float(grid.pv_values[f // C])
+
+    layer = {(int(f),): initial_state(grid.robot, *node_state(0, f))
+             for f in grid.stage_ids(0)}
+    layers = [list(layer)]
+    for i in range(1, grid.n_stages + 1):
+        extended = {}
+        for prefix, state in layer.items():
+            for f in grid.stage_ids(i):
+                q, pv = node_state(i, f)
+                try:
+                    ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state, q, pv,
+                                       check_count=check_count)
+                except InfeasibleEdge:
+                    continue
+                if ev.feasible:
+                    extended[prefix + (int(f),)] = ev.next_state(q, pv)
+        layer = extended
+        layers.append(list(layer))
+    return layers

@@ -155,7 +155,7 @@ def _replay(result):
 @criterion("acceptance 1 oracle exactness", budget=60.0)
 def test_1_oracle_exactness(toys):
     # velocity-only search has no history dependence, so the stage DP must
-    # reproduce the enumeration cost bit for bit (same duration arithmetic)
+    # reproduce the exact oracle cost bit for bit (same duration arithmetic)
     for grid, qd_only, _ in toys:
         dp = plan(grid, qd_only)
         oracle = exhaustive_plan(grid, qd_only)
@@ -181,7 +181,7 @@ def test_2_conservatism(toys):
             # pinned-history pruning may only err on the safe side
             safe_misses += oracle is not None
             continue
-        assert oracle is not None, "DP found a plan the enumeration missed"
+        assert oracle is not None, "DP found a plan the oracle missed"
         rep = compare(dp, oracle)  # raises ContractViolation on dp < oracle
         assert rep.gap >= 0.0
         gaps.append(rep.relative_gap)

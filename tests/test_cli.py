@@ -216,7 +216,7 @@ def test_verify_budget_exit(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "BudgetExceeded"
 
 
-@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("budget", ["0", "-1", "nan"])
 def test_verify_nonpositive_budget_is_config_error(tmp_path, capsys, budget):
     out = tmp_path / "x"
     code = main(["verify", "--scenario", bundled_path("toy_jerk"),

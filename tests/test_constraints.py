@@ -265,7 +265,7 @@ class TestStageTransitions:
         bitwise equal on every lane, the rest of the stack on every
         evaluated lane, and a lane is evaluated exactly when it has a time
         step and its endpoint velocity passes. A lane without a time step
-        still counts its velocity check, taken at unit step.
+        counts under duration alone: its velocity check reads as passed.
         """
         q, pv, qd, qdd, tau = prev
         ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next,
@@ -286,8 +286,7 @@ class TestStageTransitions:
                         assert np.isinf(ev.dt[p, l]) and not ev.feasible[p, l, c]
                         assert not evaluated[p, l, c]
                         if "qd" in ev.order_ok:
-                            unit_ok = np.all(np.abs(qd_all[p, l, c]) <= limits.qd)
-                            assert ev.order_ok["qd"][p, l, c] == unit_ok
+                            assert ev.order_ok["qd"][p, l, c]
                         continue
                     s = evaluate_edge(arm, limits, 0.1, prev_p, q_next[c], float(level),
                                       check_count=check_count)

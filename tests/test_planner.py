@@ -11,6 +11,7 @@ from redplan import planner
 from redplan.constraints import LimitSets, evaluate_edge, initial_state
 from redplan.errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
+from redplan.oracle import exhaustive_plan
 from redplan.planner import Window, extract, plan, pst, replay
 from redplan.scenario import bundled_scenario
 
@@ -228,6 +229,20 @@ class TestInfeasibility:
         with pytest.raises(NoFeasiblePlan) as err:
             plan(grid, inf_limits())
         assert err.value.violation_histogram.get("duration", 0) > 0
+
+    @pytest.mark.parametrize("search", [plan, exhaustive_plan])
+    def test_edges_without_time_step_count_under_duration_alone(self, arm, search):
+        # 4 cells (2 redundancy values x 2 branches): every edge of a
+        # rest-to-rest single segment stops from rest, so none has a time
+        # step, and a unit step would break this velocity bound
+        spec = GridSpec(pv_max=1.0, pv_levels=2, v_min=[0.7], v_max=[1.0],
+                        v_step=[0.3], rest_to_rest=True)
+        grid = build_grid(arm, line_path(1), spec)
+        assert grid.admissible_counts == [4, 4]
+        with pytest.raises(NoFeasiblePlan) as err:
+            search(grid, LimitSets(qd=np.full(3, 0.05)))
+        assert err.value.deepest_stage == 0
+        assert err.value.violation_histogram == {"duration": 16}
 
     def test_check_points_can_kill_all_chains(self):
         # gravity peaks mid-edge; endpoint checks alone miss it
