@@ -145,9 +145,6 @@ class StateGrid:
         j, g = divmod(c, self.branch_count)
         return l, j, g
 
-    def node_q(self, stage: int, node_id: int) -> Array:
-        return self.q_table[stage, int(node_id) % self.cfg_count]
-
     def signature(self) -> str:
         """Digest identifying robot, path, lattice, and admissibility."""
         h = hashlib.sha256()

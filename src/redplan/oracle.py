@@ -82,8 +82,9 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
 
     The cost equals the cheapest feasible chain's bit for bit, and the
     reached sets are the exact feasible-prefix sets. The chain ends at the
-    cheapest terminal node (the lowest id on ties) and follows predecessor
-    labels back; ties keep the predecessor label with the smallest key.
+    cheapest terminal label (the lowest node id, then the smallest key, on
+    ties) and follows predecessor labels back; ties keep the predecessor
+    label with the smallest key.
 
     Raises:
         BudgetExceeded: the grid has more admissible nodes than
@@ -102,8 +103,7 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     if bound > budget.max_labels:
         raise BudgetExceeded(f"the search may keep up to {bound:.3g} labels, "
                              f"budget allows {budget.max_labels:.3g}")
-    value, _ = _sweep(grid, limits, check_count, None, depth=HISTORY_DEPTH)
-    return extract(value, int(np.argmin(value.cost[-1])))
+    return extract(_sweep(grid, limits, check_count, None, depth=HISTORY_DEPTH))
 
 
 def _same_limits(a: LimitSets, b: LimitSets) -> bool:

@@ -11,7 +11,8 @@ k is full, k + (f,) before; each next key keeps its cheapest predecessor
 label, on a tie the one with the smallest key, so results are
 bit-reproducible. A chain's cost is its duration, the sum of its time
 steps. There is one engine call per stage and block of labels; the blocks
-bound the peak memory.
+bound the peak memory. The labels are the search's whole record: extract()
+starts from the cheapest terminal label and follows the predecessor rows.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -76,27 +77,22 @@ class ReachedSets:
 
 @dataclass(frozen=True)
 class ValueMap:
-    """Per stage, each node's cheapest label (the first in key order on
-    ties): cost, pred and label are (N_i + 1, L * C), that label's cost,
-    predecessor node and row among the stage's labels (+inf, -1, -1 where
-    unreached). label_node[i] and label_pred[i] hold each label's node and
-    its predecessor's row at stage i - 1 (-1 at stage 0)."""
+    """The sweep's labels, per stage and in key order: node[i] holds each
+    label's node id, pred[i] its predecessor's row at stage i - 1 (-1 at
+    stage 0) and cost[i] its chain's cost."""
 
     grid: StateGrid
     limits: LimitSets
     check_count: int
-    cost: Array
-    pred: Array
-    label: Array
-    label_node: tuple
-    label_pred: tuple
-
-    def reached(self, i: int) -> Array:
-        return np.flatnonzero(np.isfinite(self.cost[i]))
+    node: tuple
+    pred: tuple
+    cost: tuple
 
     def reached_sets(self) -> ReachedSets:
-        n = self.grid.n_stages
-        return ReachedSets(tuple(self.reached(i) for i in range(n + 1)))
+        # bincount, not np.unique: see the grouping in _sweep
+        S = self.grid.level_count * self.grid.cfg_count
+        return ReachedSets(tuple(np.flatnonzero(np.bincount(ids, minlength=S))
+                                 for ids in self.node))
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,6 @@ class PlanResult:
     limits: LimitSets
     check_count: int
 
-    @property
-    def timestamps(self) -> Array:
-        return self.profile.t
-
 
 def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
          window: Window | None = None) -> PlanResult:
@@ -134,25 +126,19 @@ def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
             the deepest stage reached and per-order counts of failed edge
             checks at the transition that died.
     """
-    value, _ = _sweep(grid, limits, check_count, window)
-    return extract(value, int(np.argmin(value.cost[-1])))    # lowest id on ties
+    return extract(_sweep(grid, limits, check_count, window))
 
 
 def _sweep(grid, limits, check_count, window, depth=0):
-    """Forward sweep over labels keyed by their last depth + 1 nodes: the
-    ValueMap and the last transition's rejection histogram. NoFeasiblePlan
-    carries the stage a transition left no label from, and its histogram."""
+    """Forward sweep over labels keyed by their last depth + 1 nodes into
+    a ValueMap. NoFeasiblePlan carries the stage a transition left no label
+    from, and that transition's rejection histogram."""
     L, C = grid.level_count, grid.cfg_count
     S = L * C
     n = grid.robot.n
-    shape = (grid.n_stages + 1, S)
-    node_cost = np.full(shape, np.inf)
-    node_pred = np.full(shape, -1, dtype=np.int64)
-    node_label = np.full(shape, -1, dtype=np.int64)
     start = grid.stage_ids(0)
     keys, cost = start[:, None], np.zeros(start.size)
-    node_cost[0, start], node_label[0, start] = 0.0, np.arange(start.size)
-    label_node, label_pred = [start], [np.full(start.size, -1)]
+    label_node, label_pred, label_cost = [start], [np.full(start.size, -1)], [cost]
     # stage-0 samples: exact zeros at rest, NaN for moving starts
     states = [initial_state(grid.robot, grid.q_table[0, f % C], grid.pv_values[f // C])
               for f in start]
@@ -163,7 +149,6 @@ def _sweep(grid, limits, check_count, window, depth=0):
         lattice_rows = grid.cell_lattice()
     rows_per_block = max(1, LANE_BUDGET // S)
 
-    histogram: dict = {}
     for i in range(grid.n_stages):
         # Labels with the same tail (the key without its oldest node, once
         # full) compete for the same next keys. order sorts by tail, then
@@ -232,18 +217,12 @@ def _sweep(grid, limits, check_count, window, depth=0):
         keys = np.concatenate([tails[g], s[:, None]], axis=1)
         cost, pred = best_cost.ravel()[reached], best_row.ravel()[reached]
         qd, qdd, tau = (a.reshape(-1, n)[reached] for a in (next_qd, next_qdd, next_tau))
-        # each node's cheapest label; on ties the lowest group, so key
-        top = np.argmin(best_cost, axis=0)
-        f = np.flatnonzero(np.isfinite(best_cost[top, np.arange(S)]))
-        row = np.searchsorted(reached, top[f] * S + f)
-        node_cost[i + 1, f], node_label[i + 1, f] = cost[row], row
-        node_pred[i + 1, f] = label_node[-1][pred[row]]
         label_node.append(s)
         label_pred.append(pred)
+        label_cost.append(cost)
 
-    value = ValueMap(grid, limits, check_count, node_cost, node_pred, node_label,
-                     tuple(label_node), tuple(label_pred))
-    return value, histogram
+    return ValueMap(grid, limits, check_count, tuple(label_node), tuple(label_pred),
+                    tuple(label_cost))
 
 
 def _first_argmin(table: Array, runs: Array) -> Array:
@@ -257,36 +236,35 @@ def _first_argmin(table: Array, runs: Array) -> Array:
     return np.minimum.reduceat(hit, runs, axis=0)
 
 
-def extract(value: ValueMap, terminal: int) -> PlanResult:
-    """Walk the predecessor labels backward from the terminal node's
-    cheapest label and replay the winning chain.
+def extract(value: ValueMap) -> PlanResult:
+    """Walk the predecessor rows backward from the cheapest terminal label
+    and replay its chain. Ties go to the lowest node id, then to the first
+    label in key order; at depth 0 that is the lowest node id.
 
     Raises:
-        CorruptChain: unreached terminal, dangling predecessor pointer, or
-            a replayed edge that fails its own feasibility check.
+        CorruptChain: dangling predecessor pointer, or a replayed edge that
+            fails its own feasibility check.
     """
     grid = value.grid
     n_stages = grid.n_stages
-    if not np.isfinite(value.cost[n_stages, terminal]):
-        raise CorruptChain(f"terminal node {terminal} was never reached")
+    row = np.lexsort((value.node[-1], value.cost[-1]))[0]    # stable: then key order
     ids = np.empty(n_stages + 1, dtype=np.int64)
-    ids[n_stages] = terminal
-    row = value.label[n_stages, terminal]
+    ids[n_stages] = value.node[-1][row]
+    cost = float(value.cost[-1][row])
     for i in range(n_stages, 0, -1):
-        row = value.label_pred[i][row]
+        row = value.pred[i][row]
         if row < 0:
             raise CorruptChain(f"dangling predecessor at stage {i}")
-        ids[i - 1] = value.label_node[i - 1][row]
-    return replay(grid, value.limits, value.check_count, ids,
-                  float(value.cost[n_stages, terminal]), value.reached_sets())
+        ids[i - 1] = value.node[i - 1][row]
+    return replay(grid, value.limits, value.check_count, ids, cost, value.reached_sets())
 
 
 def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
            cost: float, reached: ReachedSets) -> PlanResult:
     """Re-evaluate a node chain edge by edge into a PlanResult.
 
-    Each edge goes through the same engine as the sweep, so the timestamps
-    come out bit-identical and the last one equals the chain's cost. cost
+    Each edge goes through the same engine as the sweep, so the times come
+    out bit-identical and the last one equals the chain's cost. cost
     and reached are the producing search's own and are passed through.
 
     Raises:

@@ -83,18 +83,13 @@ def make_toy_grid(n_stages=2, pv_levels=2, rest=True, v_values=(0.7, 1.0), pv_ma
     return grid_from_configurations(arm, path, q_table, spec)
 
 
-def enumerate_chains(grid, limits, check_count=0):
-    """Exhaustive scoring of every admissible node chain (oracle).
-
-    Returns (best_cost, best_chain, n_feasible); ties keep the first chain
-    in product order.
-    """
+def feasible_chains(grid, limits, check_count=0):
+    """Every feasible admissible node chain with its cost, in product order."""
     n = grid.n_stages
     C = grid.cfg_count
     stage_ids = [grid.stage_ids(i) for i in range(n + 1)]
     if grid.spec.rest_to_rest:
         stage_ids[n] = stage_ids[n][stage_ids[n] < C]
-    best_cost, best_chain, feasible = np.inf, None, 0
     for chain in itertools.product(*stage_ids):
         state = initial_state(grid.robot, grid.q_table[0, chain[0] % C],
                               float(grid.pv_values[chain[0] // C]))
@@ -115,10 +110,36 @@ def enumerate_chains(grid, limits, check_count=0):
             cost = cost + ev.dt
             state = ev.next_state(grid.q_table[i, f % C], float(grid.pv_values[f // C]))
         if ok:
-            feasible += 1
-            if cost < best_cost:
-                best_cost, best_chain = cost, chain
+            yield chain, cost
+
+
+def enumerate_chains(grid, limits, check_count=0):
+    """Exhaustive scoring of every admissible node chain (oracle).
+
+    Returns (best_cost, best_chain, n_feasible); ties keep the first chain
+    in product order.
+    """
+    best_cost, best_chain, feasible = np.inf, None, 0
+    for chain, cost in feasible_chains(grid, limits, check_count):
+        feasible += 1
+        if cost < best_cost:
+            best_cost, best_chain = cost, chain
     return best_cost, best_chain, feasible
+
+
+def sweep_record(grid, limits, check_count=0, window=None, depth=0):
+    """What planner._sweep records, as plain lists: (labels, None, None)
+    with labels[i] the (node, pred, cost) lists of stage i, or (None,
+    deepest stage, histogram) from its NoFeasiblePlan."""
+    from redplan import planner
+    from redplan.errors import NoFeasiblePlan
+    try:
+        value = planner._sweep(grid, limits, check_count, window, depth)
+    except NoFeasiblePlan as exc:
+        return None, exc.deepest_stage, exc.violation_histogram
+    labels = [tuple(a.tolist() for a in stage)
+              for stage in zip(value.node, value.pred, value.cost)]
+    return labels, None, None
 
 
 def feasible_prefixes(grid, limits, check_count=0):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import enumerate_chains, feasible_prefixes, make_toy_grid
+from conftest import enumerate_chains, feasible_prefixes, make_toy_grid, sweep_record
 
 from redplan import planner
 from redplan.constraints import LimitSets, edge_durations
@@ -194,22 +194,13 @@ def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
         sc = bundled_scenario(name)
         grid, limits, check_count = sc.build(), sc.limits, sc.check_count
 
-    def sweep(budget):
-        monkeypatch.setattr(planner, "LANE_BUDGET", budget)
-        value, histogram = planner._sweep(grid, limits, check_count, None, depth=2)
-        return (value.cost, value.pred, value.label, *value.label_node,
-                *value.label_pred, histogram)
-
-    whole = sweep(2 ** 62)
+    monkeypatch.setattr(planner, "LANE_BUDGET", 2 ** 62)
+    whole = sweep_record(grid, limits, check_count, depth=2)
+    assert whole[0] is not None
     S = grid.level_count * grid.cfg_count
     for budget in (1, 3 * S - 1):             # one and two labels per block
-        blocked = sweep(budget)
-        assert len(blocked) == len(whole)
-        for got, want in zip(blocked, whole):
-            if isinstance(want, np.ndarray):
-                assert np.array_equal(got, want)
-            else:
-                assert got == want
+        monkeypatch.setattr(planner, "LANE_BUDGET", budget)
+        assert sweep_record(grid, limits, check_count, depth=2) == whole
 
 
 # --- gap measurement -----------------------------------------------------

@@ -19,7 +19,7 @@ from redplan.scenario import bundled_scenario
 from conftest import make_inf_limits as inf_limits
 from conftest import make_line_path as line_path
 from conftest import make_toy_grid as toy_grid
-from conftest import enumerate_chains
+from conftest import enumerate_chains, feasible_chains, sweep_record
 
 
 class TestExactnessVsEnumeration:
@@ -54,18 +54,19 @@ class TestExactnessVsEnumeration:
         assert result.cost >= want_cost - 1e-12
 
     def test_value_fixed_point(self):
-        # every stored cost equals the best over stored predecessor chains,
-        # re-derived through the scalar engine
+        # at depth 0 a label is a node: every label's cost equals the best
+        # over the previous stage's labels, re-derived through the scalar
+        # engine from each predecessor's stored chain
         grid = toy_grid(n_stages=3, rest=True)
         limits = LimitSets(qd=np.full(3, 3.0))
-        from redplan.planner import _sweep
-        value, _ = _sweep(grid, limits, 0, None)
+        value = planner._sweep(grid, limits, 0, None)
         C = grid.cfg_count
 
-        def replay_state(i, f):
-            ids = [f]
-            for k in range(i, 0, -1):
-                ids.insert(0, int(value.pred[k, ids[0]]))
+        def replay_state(i, row):
+            ids = []
+            for k in range(i, -1, -1):
+                ids.insert(0, int(value.node[k][row]))
+                row = value.pred[k][row]
             state = initial_state(grid.robot, grid.q_table[0, ids[0] % C],
                                   float(grid.pv_values[ids[0] // C]))
             for k in range(1, i + 1):
@@ -77,10 +78,11 @@ class TestExactnessVsEnumeration:
             return state
 
         for i in range(grid.n_stages):
-            for f in value.reached(i + 1):
+            assert len(set(value.node[i + 1].tolist())) == value.node[i + 1].size
+            for f, cost in zip(value.node[i + 1], value.cost[i + 1]):
                 best = np.inf
-                for p in value.reached(i):
-                    state = replay_state(i, int(p))
+                for p in range(value.node[i].size):
+                    state = replay_state(i, p)
                     try:
                         ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state,
                                            grid.q_table[i + 1, f % C],
@@ -88,8 +90,8 @@ class TestExactnessVsEnumeration:
                     except InfeasibleEdge:
                         continue
                     if ev.feasible:
-                        best = min(best, value.cost[i, p] + ev.dt)
-                assert value.cost[i + 1, f] == best
+                        best = min(best, value.cost[i][p] + ev.dt)
+                assert cost == best
 
 
 class TestUnconstrained:
@@ -170,15 +172,40 @@ class TestExtraction:
         assert result.profile.t.shape == (2,)
         assert result.cost == result.profile.dt[1]
 
-    def test_unreached_terminal_rejected(self, arm):
-        from redplan.planner import _sweep
+    def test_dangling_predecessor_rejected(self, arm):
         grid = build_grid(arm, line_path(2),
                           GridSpec(pv_max=1.0, pv_levels=2, v_min=[0.6],
                                    v_max=[1.2], v_step=[0.3]))
-        value, _ = _sweep(grid, inf_limits(), 0, None)
-        dead = int(np.flatnonzero(~np.isfinite(value.cost[2]))[0])
-        with pytest.raises(CorruptChain):
-            extract(value, dead)
+        value = planner._sweep(grid, inf_limits(), 0, None)
+        pred = value.pred[-1].copy()
+        pred[np.lexsort((value.node[-1], value.cost[-1]))[0]] = -1
+        corrupt = replace(value, pred=value.pred[:-1] + (pred,))
+        with pytest.raises(CorruptChain, match="dangling"):
+            extract(corrupt)
+
+    @pytest.mark.parametrize("search", [plan, exhaustive_plan])
+    @pytest.mark.parametrize("cells,qd_cap,pv_levels,n_stages", [
+        # the same configuration in both cells: terminals (l, 0) and (l, 1)
+        # tie along mirrored chains
+        ((0.8, 0.8), 3.0, 2, 3),
+        # terminals 0 and 6 tie, and at depth 2 the first cheapest label in
+        # key order, (1, 7, 6), ends at the higher id
+        ((0.6, 0.8), 1.92, 3, 2),
+    ], ids=["tied_cells", "tied_levels"])
+    def test_terminal_tie_keeps_lowest_node(self, search, cells, qd_cap, pv_levels,
+                                            n_stages):
+        grid = toy_grid(n_stages=n_stages, pv_levels=pv_levels, rest=False,
+                        v_values=cells)
+        limits = LimitSets(qd=np.full(3, qd_cap))
+        cheapest = {}
+        for chain, cost in feasible_chains(grid, limits):
+            cheapest[chain[-1]] = min(cost, cheapest.get(chain[-1], np.inf))
+        best = min(cheapest.values())
+        tied = sorted(f for f, cost in cheapest.items() if cost == best)
+        assert len(tied) > 1
+        result = search(grid, limits)
+        assert result.cost == best
+        assert result.node_ids[-1] == tied[0]
 
     def test_replay_rejects_infeasible_chain(self, arm):
         grid = build_grid(arm, line_path(3),
@@ -302,25 +329,13 @@ class TestPredecessorBlocks:
     lanes and merges the blocks; the result must not depend on the block
     size."""
 
-    @staticmethod
-    def sweep(monkeypatch, budget, grid, limits, check_count=0, window=None):
-        monkeypatch.setattr(planner, "LANE_BUDGET", budget)
-        try:
-            value, histogram = planner._sweep(grid, limits, check_count, window)
-        except NoFeasiblePlan as exc:
-            return None, None, exc.deepest_stage, exc.violation_histogram
-        return value.cost, value.pred, None, histogram
-
     def assert_block_free(self, monkeypatch, grid, *args):
-        whole = self.sweep(monkeypatch, 2 ** 62, grid, *args)
+        monkeypatch.setattr(planner, "LANE_BUDGET", 2 ** 62)
+        whole = sweep_record(grid, *args)
         S = grid.level_count * grid.cfg_count
         for budget in (1, 3 * S - 1):          # one and two rows per block
-            blocked = self.sweep(monkeypatch, budget, grid, *args)
-            for got, want in zip(blocked, whole):
-                if isinstance(want, np.ndarray):
-                    assert np.array_equal(got, want)
-                else:
-                    assert got == want
+            monkeypatch.setattr(planner, "LANE_BUDGET", budget)
+            assert sweep_record(grid, *args) == whole
         return whole
 
     @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
@@ -338,19 +353,22 @@ class TestPredecessorBlocks:
     def test_infeasible_histogram(self, monkeypatch):
         sc = bundled_scenario("line")
         limits = replace(sc.limits, tau=0.5 * sc.limits.tau)
-        cost, _, deepest, histogram = self.assert_block_free(monkeypatch, sc.build(),
-                                                             limits)
-        assert cost is None and deepest == 4 and histogram["tau"] > 0
+        labels, deepest, histogram = self.assert_block_free(monkeypatch, sc.build(),
+                                                            limits)
+        assert labels is None and deepest == 4 and histogram["tau"] > 0
 
     def test_tie_across_blocks_keeps_lowest_predecessor(self, monkeypatch):
         # two cells with the same configuration at every stage: node (l, 0)
         # and node (l, 1) always tie, and one-row blocks put them apart
         grid = toy_grid(n_stages=3, pv_levels=3, rest=False, v_values=(0.8, 0.8))
-        cost, pred, _, _ = self.assert_block_free(monkeypatch, grid,
-                                                  LimitSets(qd=np.full(3, 3.0)))
-        reached = np.isfinite(cost[1:])
-        assert np.array_equal(cost[:, 0::2], cost[:, 1::2])
-        assert np.all(pred[1:][reached] % grid.cfg_count == 0)
+        labels, _, _ = self.assert_block_free(monkeypatch, grid,
+                                              LimitSets(qd=np.full(3, 3.0)))
+        C = grid.cfg_count
+        for i, (node, pred, cost) in enumerate(labels):
+            cost_of = dict(zip(node, cost))     # f ^ 1: the other cell of f's level
+            assert all(cost_of.get(f ^ 1) == c for f, c in cost_of.items())
+            if i:
+                assert all(labels[i - 1][0][p] % C == 0 for p in pred)
 
 
 class TestPst:
