@@ -99,7 +99,7 @@ def _pinv_from_svd(U: Array, s: Array, Vt: Array, cond_cap: float) -> Array:
     if s[0] / s[-1] > cond_cap:
         raise SingularJacobian(
             f"Jacobian condition number {s[0] / s[-1]:.3g} exceeds cap {cond_cap:.3g}")
-    return Vt.T @ np.diag(1.0 / s) @ U.T
+    return (Vt.T * (1.0 / s)) @ U.T
 
 
 def pseudo_inverse(J: Array, cond_cap: float = 1e8) -> Array:

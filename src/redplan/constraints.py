@@ -16,6 +16,9 @@ L pseudo-velocity levels). `stage_transitions` runs it on every edge into
 one stage and folds the checks into masks; `evaluate_edge` runs it on one
 edge, its 1 x 1 x 1 case, and turns the same checks into violation tags. A
 replay of a chain therefore reproduces the sweep's numbers bit for bit.
+The endpoint torques split inverse dynamics in two: the rigid-body terms
+(H, G and gravity) are computed once per next-stage cell, the torque once
+per evaluated lane from its cell's terms.
 
 The sweep screens by joint velocity first, in two steps. A closed-form
 table, the shortest time step tmin[p, c] = max_j |dq_j| / qd_max_j at which
@@ -249,15 +252,13 @@ def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_pr
         extra = (-(-keep.size >> shift) << shift) - keep.size
         keep = np.concatenate([keep, np.repeat(keep[-1:], extra)])
         lanes, p, l, c, qd = lanes[keep], p[keep], l[keep], c[keep], qd[keep]
-    # each level squared as a Python float, as a scalar call squares it
-    # (numpy's square and ** differ in the last place on some doubles)
-    pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[l][:, None]
-    q_prev, pv2_prev, q_next = q_prev[p], pv_prev[p][:, None] ** 2, q_next[c]
     qd_prev, step = qd_prev[p], step[p, l][:, None]
     with np.errstate(invalid="ignore"):
+        # the rigid-body terms depend on the cell alone: once per cell
+        terms = robot.rigid_terms(q_next)
         qdd = (qd - qd_prev) / step
         qddd = (qdd - qdd_prev[p]) / step
-        tau = robot.inverse_dynamics(q_next, qd, qdd)
+        tau = robot.torque(terms[c], qd, qdd)
         taud = (tau - tau_prev[p]) / step
     stack = (qd, qdd, qddd, tau, taud)
     values = dict(zip(ORDERS, stack))
@@ -265,9 +266,14 @@ def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_pr
     for order in limits.enabled_orders:
         exempt = _coulomb_crossing(qd_prev, qd) if order == "taud" else None
         checks.append((order, "endpoint", values[order], exempt))
-    for k, (q_s, qd_s, qdd_s) in enumerate(
-            _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, check_count),
-            start=1):
+    samples = []
+    if check_count:
+        # each level squared as a Python float, as a scalar call squares it
+        # (numpy's square and ** differ in the last place on some doubles)
+        pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[l][:, None]
+        samples = _interior_samples(q_prev[p], q_next[c], pv_prev[p][:, None] ** 2,
+                                    pv2_next, dlam, check_count)
+    for k, (q_s, qd_s, qdd_s) in enumerate(samples, start=1):
         sample = {"qd": qd_s, "qdd": qdd_s}
         if limits.tau is not None:
             sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)

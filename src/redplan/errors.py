@@ -62,7 +62,9 @@ class NoFeasiblePlan(PlanningError):
 
 
 class CorruptChain(PlanningError):
-    """A back-pointer chain does not terminate at stage 0."""
+    """A plan's chain is broken: its back-pointers do not terminate at
+    stage 0 (``planner.extract``), or a replayed edge is infeasible or has
+    no time step (``planner.replay``)."""
 
 
 class NoConvergence(PlanningError):

@@ -6,6 +6,13 @@ redundancy parameters and the distal 2-R subchain is solved analytically on
 two IK branches. Kinematics, the task Jacobian and the joint-space inverse
 dynamics are closed form, which keeps every mechanism cheap to evaluate.
 
+Inverse dynamics comes in two parts. :meth:`PlanarArm.rigid_terms` computes
+the terms that depend on the configuration alone (inertia H, centripetal
+matrix G, gravity torque), once per configuration; :meth:`PlanarArm.torque`
+adds the velocity-dependent part, once per lane. The edge engine evaluates
+many lanes at few configurations, so it calls the first per configuration
+and the second per lane.
+
 All kinematics/dynamics methods broadcast over leading batch dimensions: a
 joint vector argument of shape ``(..., n)`` yields results with the same
 leading shape. Scalar and batched calls go through identical elementwise
@@ -85,6 +92,20 @@ class DynamicParams:
             raise ScenarioError("friction coefficients must be nonnegative")
         if self.gravity.shape != (2,):
             raise ScenarioError("gravity must be a 2-vector for planar chains")
+
+
+@dataclass(frozen=True)
+class RigidTerms:
+    """The velocity-independent dynamics of a batch of configurations:
+    inertia H (..., n, n), centripetal matrix G (..., n, n) and gravity
+    torque (..., n). Indexing selects configurations, as it would on q."""
+
+    H: Array
+    G: Array
+    gravity: Array
+
+    def __getitem__(self, index) -> "RigidTerms":
+        return RigidTerms(self.H[index], self.G[index], self.gravity[index])
 
 
 def _matvec(M: Array, v: Array) -> Array:
@@ -292,15 +313,27 @@ class PlanarArm:
 
     def bias_forces(self, q: Array, qd: Array) -> Array:
         """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
-        return self._bias(self._com_jacobian_components(q), qd)
+        components = self._com_jacobian_components(q)
+        return self._bias(self._centripetal(components), self._gravity(components), qd)
+
+    def rigid_terms(self, q: Array) -> RigidTerms:
+        """The velocity-independent terms H, G and gravity torque at q, from
+        one pass over the COM Jacobians."""
+        components = self._com_jacobian_components(q)
+        return RigidTerms(self._inertia(components), self._centripetal(components),
+                          self._gravity(components))
+
+    def torque(self, terms: RigidTerms, qd: Array, qdd: Array) -> Array:
+        """tau = H qdd + f(qd) from precomputed rigid-body terms."""
+        return _matvec(terms.H, qdd) + self._bias(terms.G, terms.gravity, qd)
 
     def inverse_dynamics(self, q: Array, qd: Array, qdd: Array) -> Array:
         """tau = H(q) qdd + f(q, qd), from one pass over the COM Jacobians."""
-        components = self._com_jacobian_components(q)
-        return _matvec(self._inertia(components), qdd) + self._bias(components, qd)
+        return self.torque(self.rigid_terms(q), qd, qdd)
 
-    # The terms below take the result of _com_jacobian_components, so one
-    # inverse-dynamics call derives all of them from a single pass.
+    # _inertia, _centripetal and _gravity take the result of
+    # _com_jacobian_components, so one pass derives all three; _bias takes
+    # G and the gravity torque.
 
     def _inertia(self, components) -> Array:
         Ax, Ay, _, _ = components
@@ -355,13 +388,13 @@ class PlanarArm:
             tg[..., b] = t
         return tg
 
-    def _bias(self, components, qd: Array) -> Array:
+    def _bias(self, G: Array, gravity: Array, qd: Array) -> Array:
         qd = np.asarray(qd, dtype=float)
         thd = np.cumsum(qd, axis=-1)
-        tau = _matvec(self._centripetal(components), thd * thd)
+        tau = _matvec(G, thd * thd)
         tau = tau + self.dynamics.viscous * qd
         tau = tau + self.dynamics.coulomb * np.sign(qd)
-        return tau + self._gravity(components)
+        return tau + gravity
 
     # ------------------------------------------------------------------
     # serialization

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_inf_limits, make_line_path, make_reference_arm
 
-from redplan.baseline import (FD_STEP, JointPath, ResolutionConfig, _cost_gradient,
-                              baseline_plan, dynamic_manipulability_cost,
-                              pseudo_inverse, resolve_redundancy, time_parametrize)
+from redplan.baseline import (FD_STEP, RANK_TOL, JointPath, ResolutionConfig,
+                              _cost_gradient, _pinv_from_svd, baseline_plan,
+                              dynamic_manipulability_cost, pseudo_inverse,
+                              resolve_redundancy, time_parametrize)
 from redplan.constraints import LimitSets
 from redplan.errors import NoConvergence, ScenarioError, SingularJacobian
 from redplan.grid import GridSpec, StateGrid, build_grid, grid_from_configurations
@@ -222,6 +223,21 @@ def test_stacked_gradient_bitwise_equals_scalar(q, heading, cond_cap):
     t = np.array([np.cos(heading), np.sin(heading)])
     assert (gradient_outcome(_cost_gradient, q, t, cond_cap)
             == gradient_outcome(scalar_gradient, q, t, cond_cap))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(3, 6), data=st.data())
+def test_pinv_scales_columns_bitwise_like_diagonal_product(n, data):
+    # the pseudo-inverse scales V's columns by 1/s instead of building
+    # diag(1/s); the product must round exactly like the diagonal one. The
+    # diagonal product adds exact zeros, which turn a -0.0 into +0.0, so the
+    # sign of zero is the one difference allowed (adding 0.0 clears it).
+    J = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n,
+                                    max_size=2 * n))).reshape(2, n)
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    assume(s[0] > 0.0 and s[-1] > RANK_TOL * s[0] and s[0] / s[-1] <= 1e8)
+    diagonal = Vt.T @ np.diag(1.0 / s) @ U.T
+    assert (_pinv_from_svd(U, s, Vt, 1e8) + 0.0).tobytes() == (diagonal + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("cond_cap,message", [

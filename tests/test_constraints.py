@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redplan.constraints import (ORDERS, LimitSets, NodeState, TrajectoryProfile,
                                  _edge_checks, edge_durations, evaluate_edge,
                                  initial_state, saturation_percentage, stage_transitions)
 from redplan.errors import InfeasibleEdge, ScenarioError
+from redplan.robot import PlanarArm
 
 from conftest import make_reference_arm
 
@@ -241,6 +243,12 @@ class TestCheckPoints:
         assert ev.violations[0].where.startswith("check_point")
 
 
+def joint_table(rows, scale):
+    """A (rows, 3) table of joint values in [-scale, scale]."""
+    return st.lists(st.floats(-scale, scale), min_size=3 * rows,
+                    max_size=3 * rows).map(lambda v: np.reshape(v, (rows, 3)))
+
+
 class TestStageTransitions:
     def build_prev(self, arm, rng, P, center=0.0, spread=0.8):
         q = center + rng.uniform(-spread, spread, (P, 3))
@@ -409,6 +417,58 @@ class TestStageTransitions:
         for mask in ev.order_ok.values():
             folded = folded & mask
         assert np.array_equal(folded, ev.feasible)
+
+    # The engine computes H, G and gravity once per next-stage cell and the
+    # torque per evaluated lane; that split must not change a single bit.
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 4), C=st.integers(1, 5), data=st.data())
+    def test_lane_torque_is_inverse_dynamics_of_its_cell(self, P, C, data):
+        arm = make_reference_arm()
+        q, qd, qdd = (data.draw(joint_table(P, scale)) for scale in (0.2, 1.0, 4.0))
+        pv = np.full(P, 0.5)
+        pv[0], qd[0], qdd[0] = 0.0, 0.0, 0.0                 # a rest node
+        tau = arm.inverse_dynamics(q, qd, qdd)
+        if P > 1:
+            qd[1] = qdd[1] = tau[1] = np.nan                  # a free start
+        q_next = data.draw(joint_table(C, 0.2))
+        # tied duplicate cells: some cells repeat an earlier one exactly
+        for c in range(1, C):
+            source = data.draw(st.integers(-1, c - 1))
+            if source >= 0:
+                q_next[c] = q_next[source]
+        check_count = data.draw(st.sampled_from([0, 2]))
+        limits = LimitSets(qd=np.full(3, 20.0), tau=np.full(3, 100.0))
+        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
+                               np.array([0.0, 0.4, 1.0]), check_count=check_count)
+        assert ev.lanes.size > 0
+        c = np.unravel_index(ev.lanes, ev.feasible.shape)[2]
+        for row in range(ev.lanes.size):
+            ref = arm.inverse_dynamics(q_next[c[row]], ev.qd[row], ev.qdd[row])
+            assert ev.tau[row].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("check_count", [0, 2])
+    def test_rigid_terms_once_per_cell(self, arm, monkeypatch, check_count):
+        rng = np.random.default_rng(43)
+        center = np.array([0.3, -0.6, 0.9])
+        prev = self.build_prev(arm, rng, 9, center=center, spread=0.06)
+        C = 7
+        q_next = center + rng.uniform(-0.06, 0.06, (C, 3))
+        limits = LimitSets(qd=np.full(3, 0.25), tau=np.full(3, 100.0))
+        shapes = []
+        components = PlanarArm._com_jacobian_components
+
+        def recording(robot, q):
+            shapes.append(np.shape(q))
+            return components(robot, q)
+
+        monkeypatch.setattr(PlanarArm, "_com_jacobian_components", recording)
+        ev = stage_transitions(arm, limits, 0.1, *prev, q_next, np.array([0.0, 0.3, 0.5]),
+                               check_count=check_count)
+        K = ev.lanes.size
+        assert K > C
+        # one pass on the C cells, then one per check point on the K lanes
+        assert shapes == [(C, 3)] + [(K, 3)] * check_count
 
 
 class TestLimitSets:

@@ -291,6 +291,23 @@ def test_batched_dynamics_bitwise_equal_scalar(arm):
             assert np.array_equal(tau[i, j], arm.inverse_dynamics(q[i, j], qd[i, j], qdd[i, j]))
 
 
+def test_rigid_terms_split_bitwise_equal_inverse_dynamics(arm):
+    # the engine computes the rigid-body terms once per configuration and
+    # gathers them per lane, repeats included
+    rng = np.random.default_rng(20)
+    q = rng.standard_normal((5, 3))
+    idx = np.array([3, 0, 3, 4, 1, 1, 2, 3])
+    qd = rng.standard_normal((idx.size, 3))
+    qdd = rng.standard_normal((idx.size, 3))
+    qd[1] = 0.0                          # sign(0) = 0 in the Coulomb term
+    qdd[2] = np.nan                      # a lane without enough history
+    tau = arm.torque(arm.rigid_terms(q)[idx], qd, qdd)
+    assert tau.tobytes() == arm.inverse_dynamics(q[idx], qd, qdd).tobytes()
+    for k, i in enumerate(idx):
+        one = arm.torque(arm.rigid_terms(q[i]), qd[k], qdd[k])
+        assert one.tobytes() == tau[k].tobytes()
+
+
 def test_broadcast_dynamics_bitwise_equal_tiled(arm):
     # engine passes q with broadcast shape (1, C, n) against (P, C, n) rates
     rng = np.random.default_rng(19)
