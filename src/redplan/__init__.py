@@ -10,15 +10,14 @@ comparison and verification.
 from .baseline import (JointPath, ResolutionConfig, baseline_plan,
                        dynamic_manipulability_cost, pseudo_inverse,
                        resolve_redundancy, time_parametrize)
-from .constraints import (HISTORY_DEPENDENT_ORDERS, ORDERS, EdgeEvaluation,
-                          LimitSets, NodeState, SaturationReport,
-                          TrajectoryProfile, evaluate_edge,
-                          initial_state, saturation_percentage,
+from .constraints import (HISTORY_DEPENDENT_ORDERS, ORDERS, LimitSets,
+                          SaturationReport, TrajectoryProfile,
+                          initial_samples, saturation_percentage,
                           stage_transitions)
 from .errors import (BudgetExceeded, ContractViolation, CorruptChain,
-                     DegenerateCurve, EmptyStage, InfeasibleEdge,
-                     NoConvergence, NoFeasiblePlan, PlanningError,
-                     ScenarioError, SingularJacobian, Unreachable)
+                     DegenerateCurve, EmptyStage, NoConvergence,
+                     NoFeasiblePlan, PlanningError, ScenarioError,
+                     SingularJacobian, Unreachable)
 from .grid import (GridSpec, StateGrid, build_grid, exclude,
                    grid_from_configurations)
 from .oracle import GapReport, OracleBudget, compare, exhaustive_plan
@@ -33,18 +32,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded", "ContractViolation", "CorruptChain", "CurveSpec",
-    "DegenerateCurve", "DynamicParams", "EdgeEvaluation", "EmptyStage",
-    "GapReport", "GridSpec", "HISTORY_DEPENDENT_ORDERS", "InfeasibleEdge",
+    "DegenerateCurve", "DynamicParams", "EmptyStage",
+    "GapReport", "GridSpec", "HISTORY_DEPENDENT_ORDERS",
     "JointLimits", "JointPath", "LimitSets", "NoConvergence",
-    "NoFeasiblePlan", "NodeState", "ORDERS", "OracleBudget",
+    "NoFeasiblePlan", "ORDERS", "OracleBudget",
     "PlanResult", "PlanarArm", "PlanningError", "ReachedSets",
     "ResolutionConfig", "SaturationReport", "Scenario",
     "ScenarioError", "SingularJacobian", "StateGrid",
     "TrajectoryProfile", "Unreachable", "ValueMap",
     "Window", "WorkspacePath", "baseline_plan", "build_grid", "bundled_scenario",
     "bundled_scenario_names", "compare", "dumps_canonical",
-    "dynamic_manipulability_cost", "evaluate_edge", "exclude",
-    "exhaustive_plan", "grid_from_configurations", "initial_state", "load_path",
+    "dynamic_manipulability_cost", "exclude",
+    "exhaustive_plan", "grid_from_configurations", "initial_samples", "load_path",
     "load_robot", "load_scenario", "plan", "pseudo_inverse", "pst",
     "resample_export", "resolve_redundancy", "sample_path",
     "saturation_percentage", "stage_transitions", "tangent", "tangents",

@@ -8,19 +8,19 @@ starts) propagate as NaN and their checks are skipped until enough chain
 depth exists, which mirrors starting the bookkeeping at zero depth rather
 than guessing values.
 
-One engine computes every edge: the time step, the difference stack,
-inverse dynamics, the per-order checks with the Coulomb exemption for the
-torque rate, and the interior check points, written once over P x L x C
-lanes (P predecessors against the C cells of the next stage at each of its
-L pseudo-velocity levels). `stage_transitions` runs it on every edge into
-one stage and folds the checks into masks; `evaluate_edge` runs it on one
-edge, its 1 x 1 x 1 case, and turns the same checks into violation tags. A
-replay of a chain therefore reproduces the sweep's numbers bit for bit.
-The endpoint torques split inverse dynamics in two: the rigid-body terms
-(H, G and gravity) are computed once per next-stage cell, the torque once
-per evaluated lane from its cell's terms.
+One function computes every edge: `stage_transitions` runs the time step,
+the difference stack, inverse dynamics, the per-order checks with the
+Coulomb exemption for the torque rate, and the interior check points over
+P x L x C lanes (P predecessors against the C cells of the next stage at
+each of its L pseudo-velocity levels) and folds the checks into one mask per
+order. The sweep calls it once per stage and block of labels; a replay of a
+chain calls it once per edge, its 1 x 1 x 1 case, and therefore reproduces
+the sweep's numbers bit for bit. `initial_samples` gives both the stage-0
+samples. The endpoint torques split inverse dynamics in two: the
+rigid-body terms (H, G and gravity) are computed once per next-stage cell,
+the torque once per evaluated lane from its cell's terms.
 
-The sweep screens by joint velocity first, in two steps. A closed-form
+The engine screens by joint velocity first, in two steps. A closed-form
 table, the shortest time step tmin[p, c] = max_j |dq_j| / qd_max_j at which
 a pair of configurations meets the velocity bound (the discrete
 maximum-velocity curve of TOPP, Bobrow et al. 1985, and TOPP-RA), drops
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleEdge, ScenarioError
+from .errors import ScenarioError
 from .robot import PlanarArm
 
 Array = np.ndarray
@@ -101,37 +101,19 @@ class LimitSets:
         return replace(self, **{o: None for o in orders})
 
 
-@dataclass(frozen=True)
-class NodeState:
-    """Chain-dependent samples cached at a reached node.
-
-    qd, qdd, tau are NaN where the chain behind the node is too shallow for
-    that order (free starts); a rest node carries exact zeros and the static
-    torque.
-    """
-
-    q: Array
-    pv: float
-    qd: Array
-    qdd: Array
-    tau: Array
-
-
-def initial_state(robot: PlanarArm, q: Array, pv: float) -> NodeState:
-    """Chain state of a stage-0 node.
+def initial_samples(robot: PlanarArm, q: Array, pv: Array) -> tuple[Array, Array, Array]:
+    """Chain samples qd, qdd, tau, each (P, n), of stage-0 nodes at q (P, n)
+    and pseudo-velocities pv (P,).
 
     A rest start (pv = 0) pins velocity and acceleration to zero and the
     torque to the static hold torque; a moving start has unknown history, so
-    every derived quantity starts as NaN and is skipped by the checks until
-    the chain is deep enough.
+    every sample is NaN and is skipped by the checks until the chain is deep
+    enough.
     """
     q = np.asarray(q, dtype=float)
-    if pv == 0.0:
-        zero = np.zeros_like(q)
-        return NodeState(q=q, pv=0.0, qd=zero, qdd=zero,
-                         tau=robot.inverse_dynamics(q, zero, zero))
-    nan = np.full_like(q, np.nan)
-    return NodeState(q=q, pv=float(pv), qd=nan, qdd=nan, tau=nan)
+    qd = np.where(np.asarray(pv)[:, None] == 0.0, 0.0, np.full_like(q, np.nan))
+    # NaN velocity and acceleration make the moving rows' torque NaN
+    return qd, qd.copy(), robot.torque(robot.rigid_terms(q), qd, qd)
 
 
 def edge_durations(pv_prev, pv_next, dlam: float) -> Array:
@@ -169,8 +151,9 @@ def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
 
 
 def _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, count):
-    """States at the interior check points of one edge; pv2_prev and
-    pv2_next are the squared end pseudo-velocities.
+    """States (q, qd, qdd) at the interior check points of the edges, one
+    check point after the other; pv2_prev and pv2_next are the squared end
+    pseudo-velocities.
 
     The profile between stages keeps the pseudo-acceleration constant
     (pv^2 linear in lambda) and interpolates q linearly in lambda, which
@@ -178,166 +161,10 @@ def _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, count):
     """
     slope = (q_next - q_prev) / dlam
     qdd_edge = slope * ((pv2_next - pv2_prev) / (2.0 * dlam))
-    out = []
     for k in range(1, count + 1):
         s = k / (count + 1.0)
         pv_s = np.sqrt((1.0 - s) * pv2_prev + s * pv2_next)
-        q_s = q_prev + s * (q_next - q_prev)
-        qd_s = slope * pv_s
-        out.append((q_s, qd_s, qdd_edge))
-    return out
-
-
-def _edge_checks(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_prev,
-                 q_next, pv_next, check_count, screen=None):
-    """Time step, difference stack and every bound check of P x L x C edges.
-
-    q_prev and its chain samples qd/qdd/tau_prev are (P, n), pv_prev (P,),
-    q_next (C, n) and pv_next (L,); lane p * L * C + l * C + c is the edge
-    from predecessor p to cell c at level l. The time step dt is (P, L),
-    +inf where none exists (the stack then uses a unit step). The stack and
-    every bound check run on the evaluated lanes only, gathered in
-    ascending flat order into (K, n) arrays: every lane when screen is
-    None, otherwise the alive lanes, those of the (P, L, C) mask screen
-    that have a time step and whose endpoint velocity passes its bound.
-    With a screen, the lanes without a time step drop out first, then the
-    velocity table drops the lanes that cannot pass, and the exact velocity
-    check runs on the rest.
-
-    Returns dt; qd_ok, the flat velocity-bound mask over all lanes, true on
-    the lanes without a time step (None without a qd bound or screen); the
-    evaluated lanes as flat ids,
-    ascending, the last one repeated up to a rounded count; the endpoint
-    stack (qd, qdd, qddd, tau, taud) on them; and one (order, where, value,
-    exempt) entry per bound check on them: the enabled endpoint orders,
-    then the check-point orders of each check point. exempt marks the lanes
-    that skip a check (torque rate across a Coulomb crossing) and is None
-    for every other check.
-    """
-    pv_next = np.asarray(pv_next, dtype=float)
-    shape = (q_prev.shape[0], pv_next.size, q_next.shape[0])
-    dt = edge_durations(pv_prev[:, None], pv_next, dlam)
-    has_step = np.isfinite(dt)
-    step = np.where(has_step, dt, 1.0)
-    if screen is None:
-        lanes = np.arange(np.prod(shape))
-    else:
-        screen = screen & has_step[:, :, None]
-        if limits.qd is not None:
-            # NaN in tmin never drops a lane: the exact check skips NaN
-            with np.errstate(invalid="ignore"):
-                tmin = np.max(np.abs(q_next - q_prev[:, None, :]) / limits.qd, axis=-1)
-                screen = screen & ~(tmin[:, None, :]
-                                    > step[:, :, None] * (1.0 + _TABLE_SLACK))
-        lanes = np.flatnonzero(screen)
-    p, l, c = np.unravel_index(lanes, shape)
-    qd = q_next[c] - q_prev[p]
-    with np.errstate(invalid="ignore"):
-        qd /= step[p, l][:, None]
-    qd_ok = None
-    if screen is not None:
-        keep = np.arange(lanes.size)
-        if limits.qd is not None:
-            passed = _order_ok(qd, limits.qd)
-            # a lane without a time step has no velocity to check
-            qd_ok = np.repeat(~has_step.ravel(), shape[2])
-            qd_ok[lanes] = passed
-            keep = np.flatnonzero(passed)
-        # Round the lane count up to its 3 leading bits (at most 1/4 more
-        # lanes) by repeating the last lane. numpy caches freed buffers under
-        # 1 KiB per exact size, so a new lane count per call would pin
-        # buffers of every size across the heap (+1 MB peak RSS on a
-        # 20-stage plan).
-        shift = max(keep.size.bit_length() - 3, 0)
-        extra = (-(-keep.size >> shift) << shift) - keep.size
-        keep = np.concatenate([keep, np.repeat(keep[-1:], extra)])
-        lanes, p, l, c, qd = lanes[keep], p[keep], l[keep], c[keep], qd[keep]
-    qd_prev, step = qd_prev[p], step[p, l][:, None]
-    with np.errstate(invalid="ignore"):
-        # the rigid-body terms depend on the cell alone: once per cell
-        terms = robot.rigid_terms(q_next)
-        qdd = (qd - qd_prev) / step
-        qddd = (qdd - qdd_prev[p]) / step
-        tau = robot.torque(terms[c], qd, qdd)
-        taud = (tau - tau_prev[p]) / step
-    stack = (qd, qdd, qddd, tau, taud)
-    values = dict(zip(ORDERS, stack))
-    checks = []
-    for order in limits.enabled_orders:
-        exempt = _coulomb_crossing(qd_prev, qd) if order == "taud" else None
-        checks.append((order, "endpoint", values[order], exempt))
-    samples = []
-    if check_count:
-        # each level squared as a Python float, as a scalar call squares it
-        # (numpy's square and ** differ in the last place on some doubles)
-        pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[l][:, None]
-        samples = _interior_samples(q_prev[p], q_next[c], pv_prev[p][:, None] ** 2,
-                                    pv2_next, dlam, check_count)
-    for k, (q_s, qd_s, qdd_s) in enumerate(samples, start=1):
-        sample = {"qd": qd_s, "qdd": qdd_s}
-        if limits.tau is not None:
-            sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)
-        checks.extend((order, f"check_point_{k}", sample[order], None)
-                      for order in _CHECK_POINT_ORDERS if limits.bound(order) is not None)
-    return dt, qd_ok, lanes, stack, checks
-
-
-@dataclass(frozen=True)
-class Violation:
-    order: str
-    joint: int
-    excess: float
-    where: str = "endpoint"
-
-
-@dataclass(frozen=True)
-class EdgeEvaluation:
-    """Outcome of one candidate transition; dt is the edge's cost."""
-
-    dt: float
-    qd: Array
-    qdd: Array
-    qddd: Array
-    tau: Array
-    taud: Array
-    feasible: bool
-    violations: tuple[Violation, ...]
-
-    def next_state(self, q_next: Array, pv_next: float) -> NodeState:
-        return NodeState(q=q_next, pv=float(pv_next), qd=self.qd,
-                         qdd=self.qdd, tau=self.tau)
-
-
-def evaluate_edge(robot: PlanarArm, limits: LimitSets, dlam: float,
-                  prev: NodeState, q_next: Array, pv_next: float,
-                  check_count: int = 0) -> EdgeEvaluation:
-    """Evaluate one transition from a reached node to a next-stage node.
-
-    Every failed check is tagged with its order, joint, excess and place:
-    the endpoint tags first, then the check-point tags.
-
-    Raises:
-        InfeasibleEdge: both end pseudo-velocities are zero (no time step
-            exists); bound violations do NOT raise, they come back in the
-            result with their tags.
-    """
-    dt, _, _, stack, checks = _edge_checks(
-        robot, limits, dlam, prev.q[None, :], np.array([prev.pv]), prev.qd[None, :],
-        prev.qdd[None, :], prev.tau[None, :], np.asarray(q_next, dtype=float)[None, :],
-        [pv_next], check_count)
-    if not np.isfinite(dt[0, 0]):
-        raise InfeasibleEdge("edge with zero pseudo-velocity at both ends")
-    violations = []
-    for order, where, value, exempt in checks:
-        if exempt is not None and exempt[0]:
-            continue
-        with np.errstate(invalid="ignore"):
-            excess = np.abs(value[0]) - limits.bound(order)     # NaN never exceeds
-        violations.extend(Violation(order=order, joint=int(j), excess=float(excess[j]),
-                                    where=where)
-                          for j in np.flatnonzero(excess > 0.0))
-    return EdgeEvaluation(float(dt[0, 0]), *(value[0] for value in stack),
-                          feasible=not violations, violations=tuple(violations))
+        yield q_prev + s * (q_next - q_prev), slope * pv_s, qdd_edge
 
 
 @dataclass(frozen=True)
@@ -400,26 +227,83 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     pass the joint-velocity bound are evaluated further; every other lane
     is infeasible, and its checks above joint velocity read as passed.
     """
-    shape = (q_prev.shape[0], np.size(pv_next), q_next.shape[0])
-    screen = np.ones(shape, dtype=bool) if candidates is None else candidates
-    dt, qd_ok, lanes, stack, checks = _edge_checks(
-        robot, limits, dlam, q_prev, np.asarray(pv_prev, dtype=float), qd_prev, qdd_prev,
-        tau_prev, q_next, pv_next, check_count, screen=screen)
-    lane_ok = {}
-    for order, _, value, exempt in checks:
-        ok = _order_ok(value, limits.bound(order))
-        if exempt is not None:
-            ok |= exempt
-        lane_ok[order] = lane_ok[order] & ok if order in lane_ok else ok
-    feasible = np.zeros(screen.size, dtype=bool)
+    pv_prev = np.asarray(pv_prev, dtype=float)
+    pv_next = np.asarray(pv_next, dtype=float)
+    shape = (q_prev.shape[0], pv_next.size, q_next.shape[0])
+    if candidates is None:
+        candidates = np.ones(shape, dtype=bool)
+    dt = edge_durations(pv_prev[:, None], pv_next, dlam)
+    has_step = np.isfinite(dt)
+    step = np.where(has_step, dt, 1.0)
+    # the lanes without a time step drop out first, then the velocity table
+    # drops the lanes that cannot pass, and the exact velocity check runs on
+    # the rest
+    screen = candidates & has_step[:, :, None]
+    if limits.qd is not None:
+        # the velocity verdict of every lane, passed where a lane is no
+        # candidate or has no time step (it has no velocity to check)
+        qd_ok = ~screen.ravel()
+        # NaN in tmin never drops a lane: the exact check skips NaN
+        with np.errstate(invalid="ignore"):
+            tmin = np.max(np.abs(q_next - q_prev[:, None, :]) / limits.qd, axis=-1)
+            screen &= ~(tmin[:, None, :] > step[:, :, None] * (1.0 + _TABLE_SLACK))
+    lanes = np.flatnonzero(screen)
+    p, l, c = np.unravel_index(lanes, shape)
+    qd = q_next[c] - q_prev[p]
+    with np.errstate(invalid="ignore"):
+        qd /= step[p, l][:, None]
+    keep = np.arange(lanes.size)
+    if limits.qd is not None:
+        passed = _order_ok(qd, limits.qd)
+        qd_ok[lanes] = passed
+        keep = np.flatnonzero(passed)
+    # Round the lane count up to its 3 leading bits (at most 1/4 more lanes)
+    # by repeating the last lane. numpy caches freed buffers under 1 KiB per
+    # exact size, so a new lane count per call would pin buffers of every
+    # size across the heap (+1 MB peak RSS on a 20-stage plan).
+    shift = max(keep.size.bit_length() - 3, 0)
+    extra = (-(-keep.size >> shift) << shift) - keep.size
+    keep = np.concatenate([keep, np.repeat(keep[-1:], extra)])
+    lanes, p, l, c, qd = lanes[keep], p[keep], l[keep], c[keep], qd[keep]
+    qd_prev, step = qd_prev[p], step[p, l][:, None]
+    with np.errstate(invalid="ignore"):
+        # the rigid-body terms depend on the cell alone: once per cell
+        terms = robot.rigid_terms(q_next)
+        qdd = (qd - qd_prev) / step
+        qddd = (qdd - qdd_prev[p]) / step
+        tau = robot.torque(terms[c], qd, qdd)
+        taud = (tau - tau_prev[p]) / step
+    stack = (qd, qdd, qddd, tau, taud)
+    # each enabled order's verdict on the evaluated lanes: its endpoint
+    # check, the Coulomb exemption of the torque rate, then the check points
+    lane_ok = {order: _order_ok(value, limits.bound(order))
+               for order, value in zip(ORDERS, stack) if limits.bound(order) is not None}
+    if "taud" in lane_ok:
+        lane_ok["taud"] |= _coulomb_crossing(qd_prev, qd)
+    if check_count:
+        # each level is squared as a Python float, not by numpy (numpy's
+        # square and ** differ in the last place on some doubles): the
+        # check-point samples, and through them the golden digests, depend
+        # on these bits
+        pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[l][:, None]
+        pv2_prev = pv_prev[p][:, None] ** 2
+        for q_s, qd_s, qdd_s in _interior_samples(q_prev[p], q_next[c], pv2_prev, pv2_next,
+                                                  dlam, check_count):
+            sample = {"qd": qd_s, "qdd": qdd_s}
+            if limits.tau is not None:
+                sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)
+            for order in _CHECK_POINT_ORDERS:
+                if order in lane_ok:
+                    lane_ok[order] &= _order_ok(sample[order], limits.bound(order))
+    feasible = np.zeros(candidates.size, dtype=bool)
     feasible[lanes] = np.all(list(lane_ok.values()), axis=0) if lane_ok else True
     order_ok = {}
     for order, ok in lane_ok.items():
         # every evaluated lane is a candidate that passed the velocity bound
-        mask = qd_ok | ~screen.ravel() if order == "qd" else np.ones(screen.size, dtype=bool)
+        mask = qd_ok if order == "qd" else np.ones(candidates.size, dtype=bool)
         mask[lanes] = ok
         order_ok[order] = mask.reshape(shape)
-    no_step = int(np.count_nonzero(~np.isfinite(dt)[:, :, None] & screen))
+    no_step = int(np.count_nonzero(~has_step[:, :, None] & candidates))
     return StageEval(dt, lanes, *stack, feasible=feasible.reshape(shape),
                      order_ok=order_ok, no_step=no_step)
 

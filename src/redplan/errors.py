@@ -32,10 +32,6 @@ class EmptyStage(PlanningError):
         super().__init__(message or f"stage {stage} has no admissible node")
 
 
-class InfeasibleEdge(PlanningError):
-    """Both endpoint pseudo-velocities are zero; the edge duration diverges."""
-
-
 class NoFeasiblePlan(PlanningError):
     """No feasible chain connects the start stage to the terminal set.
 
@@ -63,8 +59,9 @@ class NoFeasiblePlan(PlanningError):
 
 class CorruptChain(PlanningError):
     """A plan's chain is broken: its back-pointers do not terminate at
-    stage 0 (``planner.extract``), or a replayed edge is infeasible or has
-    no time step (``planner.replay``)."""
+    stage 0 (``planner.extract``), or a replayed edge, scored by the same
+    engine call as the sweep's, has no time step or fails a check
+    (``planner.replay``; the message names the failed orders)."""
 
 
 class NoConvergence(PlanningError):

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (LimitSets, TrajectoryProfile, evaluate_edge, initial_state,
+from .constraints import (LimitSets, TrajectoryProfile, initial_samples,
                           saturation_percentage, stage_transitions)
-from .errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan, ScenarioError, as_int
+from .errors import CorruptChain, NoFeasiblePlan, ScenarioError, as_int
 from .grid import StateGrid
 
 Array = np.ndarray
@@ -139,10 +139,8 @@ def _sweep(grid, limits, check_count, window, depth=0):
     start = grid.stage_ids(0)
     keys, cost = start[:, None], np.zeros(start.size)
     label_node, label_pred, label_cost = [start], [np.full(start.size, -1)], [cost]
-    # stage-0 samples: exact zeros at rest, NaN for moving starts
-    states = [initial_state(grid.robot, grid.q_table[0, f % C], grid.pv_values[f // C])
-              for f in start]
-    qd, qdd, tau = (np.array([getattr(st, k) for st in states]) for k in ("qd", "qdd", "tau"))
+    qd, qdd, tau = initial_samples(grid.robot, grid.q_table[0, start % C],
+                                   grid.pv_values[start // C])
 
     lattice_rows = None
     if window is not None and window.max_dj is not None:
@@ -263,41 +261,41 @@ def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
            cost: float, reached: ReachedSets) -> PlanResult:
     """Re-evaluate a node chain edge by edge into a PlanResult.
 
-    Each edge goes through the same engine as the sweep, so the times come
-    out bit-identical and the last one equals the chain's cost. cost
-    and reached are the producing search's own and are passed through.
+    Each edge is one stage_transitions call, the 1 x 1 x 1 case of the
+    sweep's call, so the times and samples come out bit-identical and the
+    last time equals the chain's cost. cost and reached are the producing
+    search's own and are passed through.
 
     Raises:
-        CorruptChain: an edge of the chain is infeasible or has no time step.
+        CorruptChain: an edge of the chain has no time step or fails a
+            check; the message names the failed orders.
     """
     n_stages = grid.n_stages
     C = grid.cfg_count
     n = grid.robot.n
     ids = np.asarray(node_ids, dtype=np.int64)
-    q = np.array([grid.q_table[i, ids[i] % C] for i in range(n_stages + 1)])
+    q = grid.q_table[np.arange(n_stages + 1), ids % C]
     pv = grid.pv_values[ids // C].astype(float)
     t = np.zeros(n_stages + 1)
     dt = np.zeros(n_stages + 1)
     qd, qdd, qddd, tau, taud = np.full((5, n_stages + 1, n), np.nan)
 
-    state = initial_state(grid.robot, q[0], float(pv[0]))
-    qd[0], qdd[0], tau[0] = state.qd, state.qdd, state.tau
+    qd[:1], qdd[:1], tau[:1] = initial_samples(grid.robot, q[:1], pv[:1])
     if pv[0] == 0.0:
         qddd[0] = 0.0
         taud[0] = 0.0
     for i in range(1, n_stages + 1):
-        try:
-            ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state,
-                               q[i], float(pv[i]), check_count=check_count)
-        except InfeasibleEdge as exc:
-            raise CorruptChain(f"replayed edge into stage {i}: {exc}") from exc
-        if not ev.feasible:
-            raise CorruptChain(f"replayed edge into stage {i} is infeasible")
-        dt[i] = ev.dt
-        t[i] = t[i - 1] + ev.dt
-        qd[i], qdd[i], qddd[i] = ev.qd, ev.qdd, ev.qddd
-        tau[i], taud[i] = ev.tau, ev.taud
-        state = ev.next_state(q[i], float(pv[i]))
+        ev = stage_transitions(grid.robot, limits, grid.path.dlam, q[i - 1:i], pv[i - 1:i],
+                               qd[i - 1:i], qdd[i - 1:i], tau[i - 1:i], q[i:i + 1],
+                               pv[i:i + 1], check_count=check_count)
+        if not ev.feasible[0, 0, 0]:
+            cause = ("has no time step" if ev.no_step
+                     else f"is infeasible: {', '.join(ev.rejections())}")
+            raise CorruptChain(f"replayed edge into stage {i} {cause}")
+        dt[i] = ev.dt[0, 0]
+        t[i] = t[i - 1] + dt[i]
+        qd[i], qdd[i], qddd[i] = ev.qd[0], ev.qdd[0], ev.qddd[0]
+        tau[i], taud[i] = ev.tau[0], ev.taud[0]
 
     profile = TrajectoryProfile(t=t, dt=dt, lam=grid.path.lam.copy(), pv=pv,
                                 q=q, qd=qd, qdd=qdd, qddd=qddd, tau=tau, taud=taud)

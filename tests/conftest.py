@@ -5,8 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from redplan.constraints import evaluate_edge, initial_state
-from redplan.errors import InfeasibleEdge
+from redplan.constraints import initial_samples, stage_transitions
 from redplan.robot import DynamicParams, JointLimits, PlanarArm
 
 
@@ -83,6 +82,34 @@ def make_toy_grid(n_stages=2, pv_levels=2, rest=True, v_values=(0.7, 1.0), pv_ma
     return grid_from_configurations(arm, path, q_table, spec)
 
 
+def start_state(robot, q, pv):
+    """(q, pv, qd, qdd, tau) of a stage-0 node, from initial_samples."""
+    q = np.asarray(q, dtype=float)
+    qd, qdd, tau = initial_samples(robot, q[None], np.array([pv]))
+    return q, float(pv), qd[0], qdd[0], tau[0]
+
+
+def edge(robot, limits, dlam, state, q_next, pv_next, check_count=0):
+    """One edge through the engine, as the 1 x 1 x 1 case of stage_transitions.
+
+    state is (q, pv, qd, qdd, tau) of the node the edge leaves. Returns the
+    StageEval and the next node's state, None unless the edge is feasible.
+    """
+    q, pv, qd, qdd, tau = state
+    q_next = np.asarray(q_next, dtype=float)
+    ev = stage_transitions(robot, limits, dlam, q[None], np.array([pv]), qd[None],
+                           qdd[None], tau[None], q_next[None], np.array([pv_next]),
+                           check_count=check_count)
+    if not ev.feasible[0, 0, 0]:
+        return ev, None
+    return ev, (q_next, float(pv_next), ev.qd[0], ev.qdd[0], ev.tau[0])
+
+
+def node_state(grid, i, f):
+    """(q, pv) of node f at stage i."""
+    return grid.q_table[i, f % grid.cfg_count], float(grid.pv_values[f // grid.cfg_count])
+
+
 def feasible_chains(grid, limits, check_count=0):
     """Every feasible admissible node chain with its cost, in product order."""
     n = grid.n_stages
@@ -91,25 +118,15 @@ def feasible_chains(grid, limits, check_count=0):
     if grid.spec.rest_to_rest:
         stage_ids[n] = stage_ids[n][stage_ids[n] < C]
     for chain in itertools.product(*stage_ids):
-        state = initial_state(grid.robot, grid.q_table[0, chain[0] % C],
-                              float(grid.pv_values[chain[0] // C]))
+        state = start_state(grid.robot, *node_state(grid, 0, chain[0]))
         cost = 0.0
-        ok = True
         for i in range(1, n + 1):
-            f = chain[i]
-            try:
-                ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state,
-                                   grid.q_table[i, f % C], float(grid.pv_values[f // C]),
-                                   check_count=check_count)
-            except InfeasibleEdge:
-                ok = False
+            ev, state = edge(grid.robot, limits, grid.path.dlam, state,
+                             *node_state(grid, i, chain[i]), check_count=check_count)
+            if state is None:
                 break
-            if not ev.feasible:
-                ok = False
-                break
-            cost = cost + ev.dt
-            state = ev.next_state(grid.q_table[i, f % C], float(grid.pv_values[f // C]))
-        if ok:
+            cost = cost + float(ev.dt[0, 0])
+        else:
             yield chain, cost
 
 
@@ -146,28 +163,19 @@ def feasible_prefixes(grid, limits, check_count=0):
     """Every feasible chain prefix, per stage, as a list of node-id tuples.
 
     Each feasible prefix is extended by every admissible node of the next
-    stage through the scalar engine, with the prefix's own history.
+    stage, one edge at a time, with the prefix's own history.
     """
-    C = grid.cfg_count
-
-    def node_state(i, f):
-        return grid.q_table[i, f % C], float(grid.pv_values[f // C])
-
-    layer = {(int(f),): initial_state(grid.robot, *node_state(0, f))
+    layer = {(int(f),): start_state(grid.robot, *node_state(grid, 0, f))
              for f in grid.stage_ids(0)}
     layers = [list(layer)]
     for i in range(1, grid.n_stages + 1):
         extended = {}
         for prefix, state in layer.items():
             for f in grid.stage_ids(i):
-                q, pv = node_state(i, f)
-                try:
-                    ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state, q, pv,
-                                       check_count=check_count)
-                except InfeasibleEdge:
-                    continue
-                if ev.feasible:
-                    extended[prefix + (int(f),)] = ev.next_state(q, pv)
+                _, after = edge(grid.robot, limits, grid.path.dlam, state,
+                                *node_state(grid, i, f), check_count=check_count)
+                if after is not None:
+                    extended[prefix + (int(f),)] = after
         layer = extended
         layers.append(list(layer))
     return layers

@@ -19,12 +19,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_reference_arm, make_toy_grid
+from conftest import edge, make_reference_arm, make_toy_grid, node_state, start_state
 from test_robot import potential_energy, random_joint_vectors
 
 from redplan.baseline import baseline_plan
 from redplan.cli import main as cli_main
-from redplan.constraints import LimitSets, evaluate_edge, initial_state
+from redplan.constraints import LimitSets
 from redplan.errors import NoFeasiblePlan, PlanningError
 from redplan.oracle import compare, exhaustive_plan
 from redplan.planner import plan
@@ -131,20 +131,14 @@ def _toy_scenario_plan(name):
 def _replay(result):
     """Re-check an emitted plan edge by edge; returns the re-accumulated cost."""
     grid = result.grid
-    C = grid.cfg_count
-    ids = result.node_ids
-    q0 = grid.q_table[0, int(ids[0]) % C]
-    state = initial_state(grid.robot, q0, float(grid.pv_values[int(ids[0]) // C]))
+    ids = [int(f) for f in result.node_ids]
+    state = start_state(grid.robot, *node_state(grid, 0, ids[0]))
     total = 0.0
     for i in range(1, grid.n_stages + 1):
-        f = int(ids[i])
-        q_next = grid.q_table[i, f % C]
-        pv_next = float(grid.pv_values[f // C])
-        ev = evaluate_edge(grid.robot, result.limits, grid.path.dlam, state,
-                           q_next, pv_next, check_count=result.check_count)
-        assert ev.feasible, ev.violations
-        total = total + ev.dt
-        state = ev.next_state(q_next, pv_next)
+        ev, state = edge(grid.robot, result.limits, grid.path.dlam, state,
+                         *node_state(grid, i, ids[i]), check_count=result.check_count)
+        assert state is not None, ev.rejections()
+        total = total + float(ev.dt[0, 0])
     return total
 
 

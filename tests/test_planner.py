@@ -8,8 +8,8 @@ import pytest
 
 from redplan import planner
 
-from redplan.constraints import LimitSets, evaluate_edge, initial_state
-from redplan.errors import CorruptChain, InfeasibleEdge, NoFeasiblePlan
+from redplan.constraints import LimitSets
+from redplan.errors import CorruptChain, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
 from redplan.oracle import exhaustive_plan
 from redplan.planner import Window, extract, plan, pst, replay
@@ -19,7 +19,8 @@ from redplan.scenario import bundled_scenario
 from conftest import make_inf_limits as inf_limits
 from conftest import make_line_path as line_path
 from conftest import make_toy_grid as toy_grid
-from conftest import enumerate_chains, feasible_chains, sweep_record
+from conftest import (edge, enumerate_chains, feasible_chains, node_state, start_state,
+                      sweep_record)
 
 
 class TestExactnessVsEnumeration:
@@ -55,26 +56,21 @@ class TestExactnessVsEnumeration:
 
     def test_value_fixed_point(self):
         # at depth 0 a label is a node: every label's cost equals the best
-        # over the previous stage's labels, re-derived through the scalar
-        # engine from each predecessor's stored chain
+        # over the previous stage's labels, re-derived edge by edge from each
+        # predecessor's stored chain
         grid = toy_grid(n_stages=3, rest=True)
         limits = LimitSets(qd=np.full(3, 3.0))
         value = planner._sweep(grid, limits, 0, None)
-        C = grid.cfg_count
 
         def replay_state(i, row):
             ids = []
             for k in range(i, -1, -1):
                 ids.insert(0, int(value.node[k][row]))
                 row = value.pred[k][row]
-            state = initial_state(grid.robot, grid.q_table[0, ids[0] % C],
-                                  float(grid.pv_values[ids[0] // C]))
+            state = start_state(grid.robot, *node_state(grid, 0, ids[0]))
             for k in range(1, i + 1):
-                ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state,
-                                   grid.q_table[k, ids[k] % C],
-                                   float(grid.pv_values[ids[k] // C]))
-                state = ev.next_state(grid.q_table[k, ids[k] % C],
-                                      float(grid.pv_values[ids[k] // C]))
+                _, state = edge(grid.robot, limits, grid.path.dlam, state,
+                                *node_state(grid, k, ids[k]))
             return state
 
         for i in range(grid.n_stages):
@@ -82,15 +78,10 @@ class TestExactnessVsEnumeration:
             for f, cost in zip(value.node[i + 1], value.cost[i + 1]):
                 best = np.inf
                 for p in range(value.node[i].size):
-                    state = replay_state(i, p)
-                    try:
-                        ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state,
-                                           grid.q_table[i + 1, f % C],
-                                           float(grid.pv_values[f // C]))
-                    except InfeasibleEdge:
-                        continue
-                    if ev.feasible:
-                        best = min(best, value.cost[i][p] + ev.dt)
+                    ev, after = edge(grid.robot, limits, grid.path.dlam, replay_state(i, p),
+                                     *node_state(grid, i + 1, f))
+                    if after is not None:
+                        best = min(best, value.cost[i][p] + ev.dt[0, 0])
                 assert cost == best
 
 
@@ -153,16 +144,14 @@ class TestExtraction:
                                    v_max=[1.2], v_step=[0.3]))
         limits = LimitSets.from_joint_limits(arm.limits)
         result = plan(grid, limits)
-        C = grid.cfg_count
-        state = initial_state(grid.robot, result.profile.q[0], float(result.profile.pv[0]))
+        state = start_state(grid.robot, result.profile.q[0], result.profile.pv[0])
         for i in range(1, grid.n_stages + 1):
-            ev = evaluate_edge(grid.robot, limits, grid.path.dlam, state,
-                               result.profile.q[i], float(result.profile.pv[i]))
-            assert ev.feasible
-            assert ev.dt == result.profile.dt[i]
-            assert np.array_equal(ev.qd, result.profile.qd[i])
-            assert np.array_equal(ev.tau, result.profile.tau[i])
-            state = ev.next_state(result.profile.q[i], float(result.profile.pv[i]))
+            ev, state = edge(grid.robot, limits, grid.path.dlam, state,
+                             result.profile.q[i], result.profile.pv[i])
+            assert state is not None
+            assert ev.dt[0, 0] == result.profile.dt[i]
+            assert np.array_equal(ev.qd[0], result.profile.qd[i])
+            assert np.array_equal(ev.tau[0], result.profile.tau[i])
 
     def test_single_segment(self, arm):
         spec = GridSpec(pv_max=1.0, pv_levels=2, v_min=[0.9], v_max=[0.9],
@@ -216,13 +205,15 @@ class TestExtraction:
         args = (0, result.node_ids, result.cost, result.reached)
         again = replay(grid, limits, *args)
         assert np.array_equal(again.profile.t, result.profile.t)
-        # the same chain under a velocity cap it breaks
-        with pytest.raises(CorruptChain, match="infeasible"):
+        # the same chain under a velocity cap it breaks: the message names
+        # the failed order
+        with pytest.raises(CorruptChain, match="stage 1 is infeasible: qd$"):
             replay(grid, LimitSets(qd=np.full(3, 1e-6)), *args)
-        # a rest-to-rest edge has no time step
+        # pv 0 -> 0: a rest-to-rest edge has no time step
         stalled = result.node_ids.copy()
         stalled[1] = stalled[1] % grid.cfg_count           # level 0 at stage 1
-        with pytest.raises(CorruptChain):
+        assert grid.pv_values[stalled[0] // grid.cfg_count] == 0.0
+        with pytest.raises(CorruptChain, match="stage 1 has no time step"):
             replay(grid, limits, 0, stalled, result.cost, result.reached)
 
     def test_reached_sets(self, arm):
