@@ -7,9 +7,8 @@ two-stage pipeline and an exact-search oracle ship alongside it for
 comparison and verification.
 """
 
-from .baseline import (JointPath, ResolutionConfig, baseline_plan,
-                       dynamic_manipulability_cost, pseudo_inverse,
-                       resolve_redundancy, time_parametrize)
+from .baseline import (JointPath, ResolutionConfig, dynamic_manipulability_cost,
+                       pseudo_inverse, resolve_redundancy, time_parametrize)
 from .constraints import (HISTORY_DEPENDENT_ORDERS, ORDERS, LimitSets,
                           SaturationReport, TrajectoryProfile,
                           initial_samples, saturation_percentage,
@@ -21,9 +20,8 @@ from .errors import (BudgetExceeded, ContractViolation, CorruptChain,
 from .grid import (GridSpec, StateGrid, build_grid, exclude,
                    grid_from_configurations)
 from .oracle import GapReport, OracleBudget, compare, exhaustive_plan
-from .path import (CurveSpec, WorkspacePath, load_path, sample_path, tangent,
-                   tangents, trivial_path)
-from .planner import PlanResult, ReachedSets, ValueMap, Window, plan, pst
+from .path import CurveSpec, WorkspacePath, load_path, sample_path, tangent
+from .planner import PlanResult, ReachedSets, ValueMap, Window, plan
 from .robot import DynamicParams, JointLimits, PlanarArm, load_robot
 from .scenario import (Scenario, bundled_scenario, bundled_scenario_names,
                        dumps_canonical, load_scenario, resample_export)
@@ -40,12 +38,12 @@ __all__ = [
     "ResolutionConfig", "SaturationReport", "Scenario",
     "ScenarioError", "SingularJacobian", "StateGrid",
     "TrajectoryProfile", "Unreachable", "ValueMap",
-    "Window", "WorkspacePath", "baseline_plan", "build_grid", "bundled_scenario",
+    "Window", "WorkspacePath", "build_grid", "bundled_scenario",
     "bundled_scenario_names", "compare", "dumps_canonical",
     "dynamic_manipulability_cost", "exclude",
     "exhaustive_plan", "grid_from_configurations", "initial_samples", "load_path",
-    "load_robot", "load_scenario", "plan", "pseudo_inverse", "pst",
+    "load_robot", "load_scenario", "plan", "pseudo_inverse",
     "resample_export", "resolve_redundancy", "sample_path",
-    "saturation_percentage", "stage_transitions", "tangent", "tangents",
-    "time_parametrize", "trivial_path",
+    "saturation_percentage", "stage_transitions", "tangent",
+    "time_parametrize",
 ]

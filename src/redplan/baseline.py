@@ -214,12 +214,3 @@ def time_parametrize(robot: PlanarArm, path: WorkspacePath,
     grid = grid_from_configurations(robot, path, joint_path.q[:, None, :], pinned)
     return plan(grid, limits, check_count=check_count)
 
-
-def baseline_plan(robot: PlanarArm, path: WorkspacePath, config: ResolutionConfig,
-                  limits: LimitSets, spec: GridSpec,
-                  check_count: int = 0) -> tuple[JointPath, PlanResult]:
-    """Full two-stage pipeline: resolve the redundancy, then time-parametrize."""
-    joint_path = resolve_redundancy(robot, path, config)
-    result = time_parametrize(robot, path, joint_path, limits, spec,
-                              check_count=check_count)
-    return joint_path, result

@@ -59,6 +59,9 @@ _CHECK_POINT_ORDERS = ("qd", "qdd", "tau")
 # table never drops a lane that the exact check keeps
 _TABLE_SLACK = 1e-9
 
+# a stage saturates when its worst bound ratio reaches 1 - SATURATION_EPS
+SATURATION_EPS = 1e-3
+
 
 @dataclass(frozen=True)
 class LimitSets:
@@ -328,10 +331,6 @@ class TrajectoryProfile:
     taud: Array
 
     @property
-    def duration(self) -> float:
-        return float(self.t[-1])
-
-    @property
     def n_stages(self) -> int:
         return self.t.shape[0] - 1
 
@@ -354,8 +353,7 @@ class SaturationReport:
     eps: float
 
 
-def saturation_percentage(profile: TrajectoryProfile, limits: LimitSets,
-                          eps_sat: float = 1e-3) -> SaturationReport:
+def saturation_percentage(profile: TrajectoryProfile, limits: LimitSets) -> SaturationReport:
     n_stages = profile.n_stages
     values = {"qd": profile.qd, "qdd": profile.qdd, "qddd": profile.qddd,
               "tau": profile.tau, "taud": profile.taud}
@@ -371,7 +369,8 @@ def saturation_percentage(profile: TrajectoryProfile, limits: LimitSets,
     stage_ratio = np.max(stacked, axis=0)
     order_names = list(per_order)
     active = tuple(order_names[k] for k in np.argmax(stacked, axis=0))
-    hits = stage_ratio[1:] >= 1.0 - eps_sat
-    percentage = 100.0 * float(np.count_nonzero(hits)) / max(n_stages, 1)
+    hits = stage_ratio[1:] >= 1.0 - SATURATION_EPS
+    percentage = 100.0 * float(np.count_nonzero(hits)) / n_stages
     return SaturationReport(percentage=percentage, stage_ratio=stage_ratio,
-                            per_order=per_order, active_order=active, eps=eps_sat)
+                            per_order=per_order, active_order=active,
+                            eps=SATURATION_EPS)

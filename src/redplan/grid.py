@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -50,19 +50,22 @@ class GridSpec:
     def __post_init__(self):
         for name in ("v_min", "v_max", "v_step"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if self.pv_max <= 0.0:
-            raise ScenarioError("pv_max must be positive")
-        if self.pv_levels < 1:
+        # written as "all ok" so that NaN fails every comparison
+        if not 0.0 < self.pv_max < np.inf:
+            raise ScenarioError("pv_max must be finite and positive")
+        if not self.pv_levels >= 1:
             raise ScenarioError("pv_levels must be >= 1")
         if self.v_min.shape != self.v_max.shape or self.v_min.shape != self.v_step.shape:
             raise ScenarioError("v_min, v_max, v_step must share a shape")
-        if np.any(self.v_min > self.v_max):
+        if not np.all(np.isfinite(self.v_min) & np.isfinite(self.v_max)):
+            raise ScenarioError("v_min and v_max must be finite")
+        if not np.all(self.v_min <= self.v_max):
             raise ScenarioError("v_min must not exceed v_max")
-        if np.any(self.v_step <= 0.0):
-            raise ScenarioError("v_step must be positive")
+        if not np.all((self.v_step > 0.0) & (self.v_step < np.inf)):
+            raise ScenarioError("v_step must be finite and positive")
         span = self.v_max - self.v_min
         counts = np.rint(span / self.v_step)
-        if np.any(np.abs(counts * self.v_step - span) > 1e-9 * np.maximum(1.0, span)):
+        if not np.all(np.abs(counts * self.v_step - span) <= 1e-9 * np.maximum(1.0, span)):
             raise ScenarioError("redundancy span must be an integral number of steps")
 
     @property
@@ -93,7 +96,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class StateGrid:
-    """Immutable state grid shared by the planner, engine, and oracle."""
+    """Immutable state grid shared by the planner, engine, and oracle.
+
+    Construction raises EmptyStage at the first stage without an admissible
+    node, so every way to a grid (the builders, exclude, replace) checks it.
+    """
 
     robot: PlanarArm
     path: WorkspacePath
@@ -104,6 +111,11 @@ class StateGrid:
     admissible: Array         # (N_i + 1, N_l + 1, C) bool
     degenerate: Array         # (N_i + 1, C) bool: flagged coincident branches
     branch_count: int = field(default=2)
+
+    def __post_init__(self):
+        for i in range(self.n_stages + 1):
+            if not self.admissible[i].any():
+                raise EmptyStage(i)
 
     @property
     def n_stages(self) -> int:
@@ -160,22 +172,13 @@ def _level_mask(n_stages: int, n_levels: int, rest_to_rest: bool) -> Array:
     """(N_i + 1, N_l + 1) admissible-level mask from the boundary rules."""
     mask = np.ones((n_stages + 1, n_levels), dtype=bool)
     # interior zero level excluded: its backward-Euler time step diverges
-    if n_stages >= 2:
-        mask[1:n_stages, 0] = False
+    mask[1:n_stages, 0] = False
     if rest_to_rest:
         mask[0, :] = False
         mask[0, 0] = True
         mask[n_stages, :] = False
         mask[n_stages, 0] = True
     return mask
-
-
-def _finalize(grid_fields: dict) -> StateGrid:
-    grid = StateGrid(**grid_fields)
-    for i in range(grid.n_stages + 1):
-        if not grid.admissible[i].any():
-            raise EmptyStage(i)
-    return grid
 
 
 def build_grid(robot: PlanarArm, path: WorkspacePath, spec: GridSpec) -> StateGrid:
@@ -189,33 +192,14 @@ def build_grid(robot: PlanarArm, path: WorkspacePath, spec: GridSpec) -> StateGr
         raise ScenarioError(f"grid has {spec.r} redundancy parameters, robot expects {robot.r}")
     if path.m != robot.m:
         raise ScenarioError("path dimension does not match the robot task space")
-    n_stages = path.n_stages
     G = robot.branch_count
     v_rows = spec.v_lattice()
-    J = v_rows.shape[0]
-    C = J * G
-    pv_values = np.arange(spec.pv_levels + 1) * spec.pv_step
-
-    q_table = np.full((n_stages + 1, C, robot.n), np.nan)
-    cfg_ok = np.zeros((n_stages + 1, C), dtype=bool)
-    degenerate = np.zeros((n_stages + 1, C), dtype=bool)
-    lim = robot.limits
-    for i in range(n_stages + 1):
-        q, reachable, degen = robot.ik_table(path.waypoints[i], v_rows)
-        q = q.reshape(C, robot.n)
-        ok = np.all(np.isfinite(q), axis=1)
-        ok &= np.all((q >= lim.q_min) & (q <= lim.q_max), axis=1)
-        q_table[i] = q
-        cfg_ok[i] = ok
-        degenerate[i] = np.repeat(degen, G)
-
-    level_mask = _level_mask(n_stages, spec.pv_levels + 1, spec.rest_to_rest)
-    admissible = level_mask[:, :, None] & cfg_ok[:, None, :]
-    return _finalize(dict(
-        robot=robot, path=path, spec=spec, pv_values=pv_values,
-        q_table=q_table, cfg_ok=cfg_ok, admissible=admissible,
-        degenerate=degenerate, branch_count=G,
-    ))
+    tables = [robot.ik_table(x, v_rows) for x in path.waypoints]
+    q_table = np.stack([q.reshape(-1, robot.n) for q, _, _ in tables])
+    in_limits = np.all((q_table >= robot.limits.q_min) & (q_table <= robot.limits.q_max), axis=2)
+    grid = grid_from_configurations(robot, path, q_table, spec, cfg_ok=in_limits,
+                                    branch_count=G)
+    return replace(grid, degenerate=np.stack([np.repeat(degen, G) for _, _, degen in tables]))
 
 
 def grid_from_configurations(robot: PlanarArm, path: WorkspacePath, q_table: Array,
@@ -223,9 +207,14 @@ def grid_from_configurations(robot: PlanarArm, path: WorkspacePath, q_table: Arr
                              branch_count: int = 1) -> StateGrid:
     """Build a grid from explicit per-stage joint tables (no IK).
 
-    Used for fixed-path phase-plane grids (one cell per stage) and synthetic
-    test grids. q_table has shape (N_i + 1, C, n); rows of NaN are marked
-    inadmissible.
+    Used for fixed-path phase-plane grids (one cell per stage), by
+    build_grid with its IK table, and for synthetic test grids. q_table has
+    shape (N_i + 1, C, n); rows of NaN are marked inadmissible, and so are
+    the cells that cfg_ok (N_i + 1, C) rules out.
+
+    Raises:
+        EmptyStage: a stage has no admissible node.
+        ScenarioError: q_table inconsistent with robot or path.
     """
     q_table = np.asarray(q_table, dtype=float)
     if q_table.ndim != 3 or q_table.shape[0] != path.n_stages + 1:
@@ -239,12 +228,10 @@ def grid_from_configurations(robot: PlanarArm, path: WorkspacePath, q_table: Arr
         cfg_ok = np.asarray(cfg_ok, dtype=bool) & finite
     pv_values = np.arange(spec.pv_levels + 1) * spec.pv_step
     level_mask = _level_mask(path.n_stages, spec.pv_levels + 1, spec.rest_to_rest)
-    admissible = level_mask[:, :, None] & cfg_ok[:, None, :]
-    return _finalize(dict(
-        robot=robot, path=path, spec=spec, pv_values=pv_values,
-        q_table=q_table, cfg_ok=cfg_ok, admissible=admissible,
-        degenerate=np.zeros_like(cfg_ok), branch_count=branch_count,
-    ))
+    return StateGrid(robot=robot, path=path, spec=spec, pv_values=pv_values,
+                     q_table=q_table, cfg_ok=cfg_ok,
+                     admissible=level_mask[:, :, None] & cfg_ok[:, None, :],
+                     degenerate=np.zeros_like(cfg_ok), branch_count=branch_count)
 
 
 def exclude(grid: StateGrid, node=None, config=None) -> StateGrid:
@@ -263,13 +250,12 @@ def exclude(grid: StateGrid, node=None, config=None) -> StateGrid:
     if node is None and config is None:
         return grid
     admissible = grid.admissible.copy()
-    n_stages = grid.n_stages
     C = grid.cfg_count
     G = grid.branch_count
     L = grid.level_count
     j_rows = grid.cell_lattice()
     g_rows = np.tile(np.arange(G), C // G)
-    for i in range(n_stages + 1):
+    for i in range(grid.n_stages + 1):
         drop = np.zeros((L, C), dtype=bool)
         if node is not None:
             l_all = np.repeat(np.arange(L), C)
@@ -284,9 +270,4 @@ def exclude(grid: StateGrid, node=None, config=None) -> StateGrid:
                 cfg_drop[ok] = np.asarray(config(grid.q_table[i][ok]), dtype=bool)
             drop |= cfg_drop[None, :]
         admissible[i] &= ~drop
-    fields = dict(
-        robot=grid.robot, path=grid.path, spec=grid.spec, pv_values=grid.pv_values,
-        q_table=grid.q_table, cfg_ok=grid.cfg_ok, admissible=admissible,
-        degenerate=grid.degenerate, branch_count=grid.branch_count,
-    )
-    return _finalize(fields)
+    return replace(grid, admissible=admissible)

@@ -25,32 +25,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ORDERS, LimitSets
-from .errors import BudgetExceeded, ContractViolation, ScenarioError, as_int
+from .errors import BudgetExceeded, ContractViolation, ScenarioError
 from .grid import StateGrid
 from .planner import PlanResult, _sweep, extract, plan
 
 # keys of HISTORY_DEPTH + 1 nodes carry every sample an edge reads
 HISTORY_DEPTH = 2
 
+# the exact search refuses a grid with more admissible nodes than this
+MAX_CELLS = 20000
+
+# a DP cost below the exact optimum by more than this breaks the contract;
+# a gap above it is attributed
+GAP_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Guard rails of the exact search, checked before any work.
+    """Guard rail of the exact search, checked before any work.
 
     max_labels caps the labels the sweep could keep, bounded above by the
     sum over stages i of the product of the admissible counts of stages
-    max(0, i - 2) to i; max_cells caps the grid's admissible nodes. Both
-    must be positive; max_labels may be infinite (no cap).
+    max(0, i - 2) to i. It must be positive and may be infinite (no cap).
     """
 
     max_labels: float = 2e6
-    max_cells: int = 20000
 
     def __post_init__(self):
-        object.__setattr__(self, "max_cells", as_int(self.max_cells, "oracle max_cells"))
-        if not (self.max_labels > 0 and self.max_cells > 0):    # NaN fails
+        if not self.max_labels > 0:    # NaN fails
             raise ScenarioError(f"oracle budget must be positive, got max_labels "
-                                f"{self.max_labels!r} and max_cells {self.max_cells!r}")
+                                f"{self.max_labels!r}")
 
 
 @dataclass(frozen=True)
@@ -87,16 +91,16 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     label with the smallest key.
 
     Raises:
-        BudgetExceeded: the grid has more admissible nodes than
-            budget.max_cells, or the label bound exceeds budget.max_labels.
+        BudgetExceeded: the grid has more admissible nodes than MAX_CELLS,
+            or the label bound exceeds budget.max_labels.
         NoFeasiblePlan: no admissible chain satisfies the constraints; as
             from plan(), it carries the stage where the sweep died and the
             rejection histogram of the transition out of it.
     """
     budget = budget if budget is not None else OracleBudget()
-    if grid.total_admissible > budget.max_cells:
+    if grid.total_admissible > MAX_CELLS:
         raise BudgetExceeded(f"grid has {grid.total_admissible} admissible nodes, "
-                             f"budget allows {budget.max_cells}")
+                             f"budget allows {MAX_CELLS}")
     counts = grid.admissible_counts
     bound = sum(math.prod(counts[max(0, i - HISTORY_DEPTH):i + 1])
                 for i in range(len(counts)))
@@ -117,19 +121,18 @@ def _same_limits(a: LimitSets, b: LimitSets) -> bool:
 
 
 def compare(dp_result: PlanResult, oracle_result: PlanResult,
-            budget: OracleBudget | None = None, attribute: bool = True,
-            tolerance: float = 1e-12) -> GapReport:
+            budget: OracleBudget | None = None) -> GapReport:
     """Measure the DP approximation gap against the exact optimum.
 
     Both results must come from the same grid, limits, and check-point
-    count; their costs are plan durations. When the gap is positive and
-    attribute is set, the enabled orders are added back one at a time
+    count; their costs are plan durations. When the gap exceeds
+    GAP_TOLERANCE, the enabled orders are added back one at a time
     (cheapest first) and each one's gap increment is recorded.
 
     Raises:
         ScenarioError: results from different instances.
-        ContractViolation: DP cost below the oracle cost beyond tolerance
-            (one of the two searches is broken).
+        ContractViolation: DP cost below the oracle cost by more than
+            GAP_TOLERANCE (one of the two searches is broken).
     """
     if dp_result.grid.signature() != oracle_result.grid.signature():
         raise ScenarioError("gap comparison needs results from the same grid")
@@ -139,7 +142,7 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
         raise ScenarioError("gap comparison needs the same check-point count")
 
     gap = dp_result.cost - oracle_result.cost
-    if gap < -tolerance:
+    if gap < -GAP_TOLERANCE:
         raise ContractViolation(
             f"DP cost {dp_result.cost!r} beats the exact optimum "
             f"{oracle_result.cost!r}; one of the searches is unsound")
@@ -147,7 +150,7 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
 
     enabled = dp_result.limits.enabled_orders
     attribution = {order: 0.0 for order in enabled}
-    if attribute and gap > tolerance:
+    if gap > GAP_TOLERANCE:
         grid = dp_result.grid
         check_count = dp_result.check_count
         prev_gap = 0.0

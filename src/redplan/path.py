@@ -53,18 +53,24 @@ class CurveSpec:
                 raise ScenarioError("line spec needs start and end")
             if len(self.start) != len(self.end):
                 raise ScenarioError("line endpoints must share a dimension")
+            numbers = (*self.start, *self.end)
         elif self.kind == "ellipse":
             if self.center is None or self.semi_axes is None:
                 raise ScenarioError("ellipse spec needs center and semi_axes")
             if len(self.center) != 2 or len(self.semi_axes) != 2:
                 raise ScenarioError("ellipse specs are planar (2-D)")
-            if min(self.semi_axes) <= 0.0:
-                raise ScenarioError("ellipse semi-axes must be positive")
+            numbers = (*self.center, *self.semi_axes, self.rotation)
         elif self.kind == "waypoints":
             if self.points is None or len(self.points) < 1:
                 raise ScenarioError("waypoint spec needs at least one point")
+            numbers = tuple(x for point in self.points for x in point)
         else:
             raise ScenarioError(f"unknown curve kind {self.kind!r}")
+        # written as "all ok" so that NaN fails every comparison
+        if not all(-np.inf < x < np.inf for x in numbers):
+            raise ScenarioError(f"{self.kind} spec numbers must be finite")
+        if self.kind == "ellipse" and not all(a > 0.0 for a in self.semi_axes):
+            raise ScenarioError("ellipse semi-axes must be positive")
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -105,22 +111,12 @@ class WorkspacePath:
     def m(self) -> int:
         return self.waypoints.shape[1]
 
-    @property
-    def arc_length(self) -> float:
-        return float(self.lam[-1])
-
-
-def _stamps(L: float, n_stages: int) -> tuple[float, Array]:
-    if n_stages == 0:
-        return 0.0, np.zeros(1)
-    dlam = L / n_stages
-    return dlam, np.arange(n_stages + 1) * dlam
-
 
 def _path_from_waypoints(points: Array, L: float) -> WorkspacePath:
     n_stages = points.shape[0] - 1
-    dlam, lam = _stamps(L, n_stages)
-    return WorkspacePath(waypoints=points, dlam=dlam, lam=lam, rectified_length=L)
+    dlam = L / n_stages
+    return WorkspacePath(waypoints=points, dlam=dlam, lam=np.arange(n_stages + 1) * dlam,
+                         rectified_length=L)
 
 
 def _ellipse_points(spec: CurveSpec, t: Array) -> Array:
@@ -158,7 +154,7 @@ def sample_path(spec: CurveSpec, n_stages: int) -> WorkspacePath:
         ScenarioError: n_stages < 1.
     """
     if n_stages < 1:
-        raise ScenarioError("n_stages must be >= 1; single-point paths come from waypoint lists")
+        raise ScenarioError("n_stages must be >= 1")
     if spec.kind == "line":
         start = np.asarray(spec.start, dtype=float)
         end = np.asarray(spec.end, dtype=float)
@@ -195,12 +191,6 @@ def sample_path(spec: CurveSpec, n_stages: int) -> WorkspacePath:
     return _path_from_waypoints(pts, L)
 
 
-def trivial_path(point) -> WorkspacePath:
-    """Single-waypoint path (zero stages); plans on it have zero cost."""
-    pt = np.asarray(point, dtype=float).reshape(1, -1)
-    return WorkspacePath(waypoints=pt, dlam=0.0, lam=np.zeros(1), rectified_length=0.0)
-
-
 def tangent(path: WorkspacePath, i: int) -> Array:
     """Unit tangent at waypoint i: central difference interior, one-sided ends.
 
@@ -211,8 +201,6 @@ def tangent(path: WorkspacePath, i: int) -> Array:
     n = path.n_stages
     if not (0 <= i <= n):
         raise ScenarioError(f"waypoint index {i} out of range")
-    if n == 0:
-        raise DegenerateCurve("single-waypoint path has no tangent")
     if i == 0:
         d = pts[1] - pts[0]
     elif i == n:
@@ -223,11 +211,6 @@ def tangent(path: WorkspacePath, i: int) -> Array:
     if norm <= 0.0:
         raise DegenerateCurve(f"coincident waypoints around index {i}")
     return d / norm
-
-
-def tangents(path: WorkspacePath) -> Array:
-    """Unit tangents at every waypoint, shape (N_i + 1, m)."""
-    return np.stack([tangent(path, i) for i in range(path.n_stages + 1)])
 
 
 def load_path(source: str | dict) -> CurveSpec:

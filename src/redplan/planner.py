@@ -68,9 +68,6 @@ class ReachedSets:
 
     node_ids: tuple
 
-    def __getitem__(self, i: int) -> Array:
-        return self.node_ids[i]
-
     def counts(self) -> list[int]:
         return [int(ids.size) for ids in self.node_ids]
 
@@ -304,14 +301,3 @@ def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
                       reached=reached, history_orders=limits.history_dependent_orders,
                       grid=grid, limits=limits, check_count=check_count)
 
-
-def pst(result: PlanResult) -> list:
-    """Phase-space trajectory: one (lambda, v, pseudo-velocity) triple per
-    stage, v scalar for a single redundancy parameter."""
-    idx = list(range(result.grid.robot.r))
-    triples = []
-    for i in range(result.profile.n_stages + 1):
-        v = result.profile.q[i, idx]
-        v_out = float(v[0]) if len(idx) == 1 else tuple(float(x) for x in v)
-        triples.append((float(result.profile.lam[i]), v_out, float(result.profile.pv[i])))
-    return triples

@@ -307,10 +307,6 @@ class PlanarArm:
         """Joint-space inertia H(q), shape (..., n, n)."""
         return self._inertia(self._com_jacobian_components(q))
 
-    def gravity_torque(self, q: Array) -> Array:
-        """Torque holding the arm static against gravity (no friction)."""
-        return self._gravity(self._com_jacobian_components(q))
-
     def bias_forces(self, q: Array, qd: Array) -> Array:
         """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
         components = self._com_jacobian_components(q)

@@ -22,7 +22,7 @@ import pytest
 from conftest import edge, make_reference_arm, make_toy_grid, node_state, start_state
 from test_robot import potential_energy, random_joint_vectors
 
-from redplan.baseline import baseline_plan
+from redplan.baseline import resolve_redundancy, time_parametrize
 from redplan.cli import main as cli_main
 from redplan.constraints import LimitSets
 from redplan.errors import NoFeasiblePlan, PlanningError
@@ -112,8 +112,10 @@ def _scenario_runs(name):
     """Paired two-stage and unified results for a bundled scenario, cached."""
     if name not in _RUNS:
         sc = bundled_scenario(name)
-        _, pinned = baseline_plan(sc.robot, sc.sample(), sc.baseline, sc.limits,
-                                  sc.grid, check_count=sc.check_count)
+        path = sc.sample()
+        joint_path = resolve_redundancy(sc.robot, path, sc.baseline)
+        pinned = time_parametrize(sc.robot, path, joint_path, sc.limits, sc.grid,
+                                  check_count=sc.check_count)
         unified = plan(sc.build(), sc.limits, check_count=sc.check_count,
                        window=sc.window)
         _RUNS[name] = (sc, pinned, unified)

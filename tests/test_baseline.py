@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import make_inf_limits, make_line_path, make_reference_arm
 
 from redplan.baseline import (FD_STEP, RANK_TOL, JointPath, ResolutionConfig,
-                              _cost_gradient, _pinv_from_svd, baseline_plan,
+                              _cost_gradient, _pinv_from_svd,
                               dynamic_manipulability_cost, pseudo_inverse,
                               resolve_redundancy, time_parametrize)
 from redplan.constraints import LimitSets
@@ -300,8 +300,8 @@ def test_unified_superset_grid_dominates_baseline(arm):
     path = make_line_path(10)
     spec = unified_spec()
     limits = LimitSets(qd=np.full(3, 2.0))
-    jp, pinned = baseline_plan(arm, path, ResolutionConfig(
-        q0=start_config(arm, path)), limits, spec)
+    jp = resolve_redundancy(arm, path, ResolutionConfig(q0=start_config(arm, path)))
+    pinned = time_parametrize(arm, path, jp, limits, spec)
     assert isinstance(pinned.grid, StateGrid)
     cols = [jp.q]
     for v in (0.7, 0.9, 1.0):

@@ -102,6 +102,37 @@ def test_nan_link_mass_is_config_error(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("name,block,field,value", [
+    pytest.param(name, block, field, value, id=f"{name}-{block}.{field}={value}")
+    for name, block, field, value in (
+        ("toy_velocity", "grid", "v_step", [float("nan")]),
+        ("toy_velocity", "grid", "v_min", [float("nan")]),
+        ("toy_velocity", "grid", "v_max", [float("inf")]),
+        ("toy_velocity", "grid", "pv_max", float("nan")),
+        ("toy_velocity", "grid", "pv_max", float("inf")),
+        ("toy_velocity", "path", "start", [float("nan"), 0.2]),
+        ("toy_velocity", "path", "end", [0.5, float("inf")]),
+        ("ellipse", "path", "center", [float("nan"), 0.0]),
+        ("ellipse", "path", "semi_axes", [0.2, float("inf")]),
+        ("ellipse", "path", "rotation", float("nan")),
+        ("ellipse", "path", "rotation", float("inf")))])
+def test_non_finite_grid_and_path_numbers_are_config_errors(tmp_path, capsys, name,
+                                                             block, field, value):
+    # each used to exit 1 with a bare traceback or 2 as an infeasible plan
+    with open(bundled_path(name)) as fh:
+        section = json.load(fh)[block]
+    section[field] = value
+    out = tmp_path / "x"
+    out.mkdir()
+    code = main(["plan", "--scenario", tweaked(tmp_path, name, **{block: section}),
+                 "--out", str(out)])
+    assert code == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError"
+    assert "finite" in payload["message"]
+    assert os.listdir(out) == []
+
+
 # --- baseline ----------------------------------------------------------------
 
 

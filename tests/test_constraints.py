@@ -110,7 +110,7 @@ class TestInitialState:
         qd, qdd, tau = initial_samples(arm, q, np.zeros(1))
         assert np.array_equal(qd, np.zeros((1, 3)))
         assert np.array_equal(qdd, np.zeros((1, 3)))
-        assert np.array_equal(tau[0], arm.gravity_torque(q[0]))
+        assert np.array_equal(tau[0], arm.rigid_terms(q[0]).gravity)
 
     def test_moving_start_has_no_history(self, arm):
         qd, qdd, tau = initial_samples(arm, np.zeros((1, 3)), np.array([0.6]))
@@ -127,7 +127,7 @@ class TestInitialState:
                 assert np.array_equal(qd[p], zero) and np.array_equal(qdd[p], zero)
                 # bitwise: the per-node inverse dynamics and the hold torque
                 assert tau[p].tobytes() == arm.inverse_dynamics(q[p], zero, zero).tobytes()
-                assert tau[p].tobytes() == arm.gravity_torque(q[p]).tobytes()
+                assert tau[p].tobytes() == arm.rigid_terms(q[p]).gravity.tobytes()
             else:
                 assert np.all(np.isnan(qd[p])) and np.all(np.isnan(qdd[p]))
                 assert np.all(np.isnan(tau[p]))
@@ -169,7 +169,7 @@ class TestEvaluateEdge:
         assert np.array_equal(ev.qd[0], np.zeros(3))
         assert np.array_equal(ev.qdd[0], -w / ev.dt[0, 0])
         from redplan.robot import _matvec
-        expect = _matvec(arm.inertia_matrix(q), ev.qdd[0]) + arm.gravity_torque(q)
+        expect = _matvec(arm.inertia_matrix(q), ev.qdd[0]) + arm.rigid_terms(q).gravity
         assert np.allclose(ev.tau[0], expect, atol=1e-13)
 
     def test_zero_pv_edge_has_no_time_step(self, arm):
@@ -238,7 +238,7 @@ class TestCheckPoints:
         # no joint motion at constant pseudo-velocity: interior states equal
         # the endpoint state, so any endpoint-feasible bound stays feasible
         q = np.array([0.3, 0.4, -0.2])
-        tau_hold = np.abs(arm.gravity_torque(q)) + 0.5
+        tau_hold = np.abs(arm.rigid_terms(q).gravity) + 0.5
         limits = LimitSets(qd=np.full(3, 1e-9), qdd=np.full(3, 1e-9), tau=tau_hold)
         prev = (q, 0.5, np.zeros(3), np.zeros(3),
                 arm.inverse_dynamics(q, np.zeros(3), np.zeros(3)))

@@ -1,6 +1,7 @@
 """State-grid construction, admissibility rules, exclusion, refinement."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,11 +165,12 @@ class TestBuildGrid:
         assert grid.admissible_counts == expected
 
     def test_unreachable_stage_raises_empty_stage(self, arm):
-        # second half of the line leaves the reachable disk
+        # second half of the line leaves the reachable disk (reach 1.2):
+        # waypoint 2 sits at x = 1.25
         path = line_path(4, p0=(0.9, 0.0), p1=(1.6, 0.0))
         with pytest.raises(EmptyStage) as err:
             build_grid(arm, path, spec_1d(v_min=-0.3, v_max=0.3))
-        assert err.value.stage > 0
+        assert err.value.stage == 2
 
     def test_degenerate_branch_kept_once(self, unit_arm):
         # with v = 0 the distal subchain target sits at full stretch at stage 0
@@ -224,6 +226,15 @@ class TestExclude:
             exclude(grid, node=lambda i, l, j, g: i == 1)
         assert err.value.stage == 1
 
+    def test_replace_emptying_stage_raises(self, arm):
+        # the check runs in StateGrid itself, so a bare replace runs it too
+        grid = build_grid(arm, line_path(3), spec_1d())
+        admissible = grid.admissible.copy()
+        admissible[2] = False
+        with pytest.raises(EmptyStage) as err:
+            replace(grid, admissible=admissible)
+        assert err.value.stage == 2
+
     def test_no_predicates_returns_same_grid(self, arm):
         grid = build_grid(arm, line_path(2), spec_1d())
         assert exclude(grid) is grid
@@ -269,6 +280,19 @@ class TestConfigurationGrid:
         grid = grid_from_configurations(arm, path, q_table, spec_1d())
         assert not grid.cfg_ok[1, 1]
         assert grid.cfg_ok[1, 0]
+
+    def test_emptied_stage_raises_empty_stage(self, arm):
+        path = line_path(3)
+        q_table = np.zeros((4, 2, 3))
+        q_table[2] = np.nan
+        with pytest.raises(EmptyStage) as err:
+            grid_from_configurations(arm, path, q_table, spec_1d())
+        assert err.value.stage == 2
+        cfg_ok = np.ones((4, 2), dtype=bool)
+        cfg_ok[1] = False
+        with pytest.raises(EmptyStage) as err:
+            grid_from_configurations(arm, path, np.zeros((4, 2, 3)), spec_1d(), cfg_ok=cfg_ok)
+        assert err.value.stage == 1
 
     def test_signature_changes_with_admissibility(self, arm):
         grid = build_grid(arm, line_path(3), spec_1d())

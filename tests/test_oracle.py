@@ -21,7 +21,8 @@ from redplan import planner
 from redplan.constraints import LimitSets, edge_durations
 from redplan.errors import (BudgetExceeded, ContractViolation, NoFeasiblePlan,
                             ScenarioError)
-from redplan.oracle import GapReport, OracleBudget, compare, exhaustive_plan
+from redplan.grid import grid_from_configurations
+from redplan.oracle import MAX_CELLS, GapReport, OracleBudget, compare, exhaustive_plan
 from redplan.planner import plan
 from redplan.scenario import bundled_scenario
 
@@ -70,7 +71,7 @@ def test_velocity_only_matches_dp_exactly(rest, n_stages):
     assert oracle.history_orders == ()
     # velocity feasibility has no history, so the feasible-prefix sets agree
     for i in range(n_stages + 1):
-        assert np.array_equal(oracle.reached[i], dp.reached[i])
+        assert np.array_equal(oracle.reached.node_ids[i], dp.reached.node_ids[i])
 
 
 @pytest.mark.parametrize("check_count", [0, 2])
@@ -86,21 +87,25 @@ def test_all_orders_cost_and_chain_match_enumeration(check_count):
     assert result.node_ids.tolist() == [int(f) for f in best_chain]
 
 
-def test_budget_guards():
+def test_budget_guards(monkeypatch):
     grid = make_toy_grid(n_stages=3, pv_levels=2, rest=True)
     assert grid.admissible_counts == [2, 4, 4, 2]
-    with pytest.raises(BudgetExceeded, match="admissible nodes"):
-        exhaustive_plan(grid, qd_only(), budget=OracleBudget(max_cells=3))
     # label bound 2 + 2*4 + 2*4*4 + 4*4*2 = 74
     with pytest.raises(BudgetExceeded, match="74 labels"):
         exhaustive_plan(grid, qd_only(), budget=OracleBudget(max_labels=73))
-    exhaustive_plan(grid, qd_only(), budget=OracleBudget(max_labels=74, max_cells=12))
+    exhaustive_plan(grid, qd_only(), budget=OracleBudget(max_labels=74))
     exhaustive_plan(grid, qd_only(), budget=OracleBudget(max_labels=np.inf))
-    for bad in ({"max_labels": 0}, {"max_labels": -1.0}, {"max_labels": np.nan},
-                {"max_labels": -np.inf}, {"max_cells": -1}, {"max_cells": 0},
-                {"max_cells": 2.5}, {"max_cells": np.nan}, {"max_cells": True}):
+    for bad in (0, -1.0, np.nan, -np.inf):
         with pytest.raises(ScenarioError):
-            OracleBudget(**bad)
+            OracleBudget(max_labels=bad)
+    # the cell guard: the toy's cells repeated 2,501 times give 30,012
+    # admissible nodes, over MAX_CELLS, and it refuses before any search
+    wide = grid_from_configurations(grid.robot, grid.path, np.tile(grid.q_table, (1, 2501, 1)),
+                                    grid.spec)
+    assert wide.total_admissible == 30012 > MAX_CELLS
+    monkeypatch.setattr("redplan.oracle._sweep", None)
+    with pytest.raises(BudgetExceeded, match="30012 admissible nodes, budget allows 20000"):
+        exhaustive_plan(wide, qd_only(), budget=OracleBudget(max_labels=np.inf))
 
 
 def test_no_feasible_plan_reports_orders():
@@ -171,7 +176,7 @@ def test_oracle_is_exact_on_random_toys(instance):
     oracle = exhaustive_plan(grid, limits, check_count=check_count)
     assert oracle.cost == best_cost
     for i, stage in enumerate(feasible_prefixes(grid, limits, check_count)):
-        assert oracle.reached[i].tolist() == sorted({p[-1] for p in stage})
+        assert oracle.reached.node_ids[i].tolist() == sorted({p[-1] for p in stage})
     try:
         dp_cost = plan(grid, limits, check_count=check_count).cost
     except NoFeasiblePlan:
@@ -277,7 +282,7 @@ def test_dp_reached_subset_of_full_history_reached():
     dp = plan(grid, limits)
     oracle = exhaustive_plan(grid, limits)
     for i in range(grid.n_stages + 1):
-        assert set(dp.reached[i]) <= set(oracle.reached[i])
+        assert set(dp.reached.node_ids[i]) <= set(oracle.reached.node_ids[i])
 
 
 def test_oracle_profile_replay_consistency():

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from redplan.errors import DegenerateCurve, ScenarioError
-from redplan.path import (CurveSpec, load_path, sample_path, tangent,
-                          tangents, trivial_path)
+from redplan.path import CurveSpec, WorkspacePath, load_path, sample_path, tangent
 
 
 def dense_arc_length(spec: CurveSpec, samples=262144):
@@ -35,7 +34,6 @@ def test_lambda_stamps_are_multiples_of_dlam():
     path = sample_path(spec, 7)
     assert np.array_equal(path.lam, np.arange(8) * path.dlam)
     assert np.all(np.diff(path.lam) > 0)
-    assert path.arc_length == path.lam[-1]
 
 
 def test_ellipse_arc_length_against_dense_oracle():
@@ -89,14 +87,6 @@ def test_degenerate_curves_raise():
         sample_path(CurveSpec(kind="line", start=(0.0, 0.0), end=(1.0, 0.0)), 0)
 
 
-def test_trivial_single_point_path():
-    path = trivial_path((0.4, 0.2))
-    assert path.n_stages == 0
-    assert path.arc_length == 0.0
-    with pytest.raises(DegenerateCurve):
-        tangent(path, 0)
-
-
 def test_line_tangent_constant():
     spec = CurveSpec(kind="line", start=(0.55, 0.25), end=(0.55, -0.25))
     path = sample_path(spec, 10)
@@ -107,7 +97,7 @@ def test_line_tangent_constant():
 def test_circle_tangent_perpendicular_to_radius():
     spec = CurveSpec(kind="ellipse", center=(0.1, -0.2), semi_axes=(0.3, 0.3))
     path = sample_path(spec, 4000)
-    ts = tangents(path)
+    ts = np.stack([tangent(path, i) for i in range(path.n_stages + 1)])
     radial = path.waypoints - np.array([0.1, -0.2])
     dots = np.abs(np.sum(ts * radial, axis=1)) / 0.3
     assert dots.max() < 1e-3
@@ -115,9 +105,8 @@ def test_circle_tangent_perpendicular_to_radius():
 
 
 def test_tangent_rejects_coincident_waypoints():
-    path = trivial_path((0.0, 0.0))
     dup = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    bad = type(path)(waypoints=dup, dlam=0.5, lam=np.array([0.0, 0.5, 1.0]))
+    bad = WorkspacePath(waypoints=dup, dlam=0.5, lam=np.array([0.0, 0.5, 1.0]))
     with pytest.raises(DegenerateCurve):
         tangent(bad, 0)
 

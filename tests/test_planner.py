@@ -12,8 +12,8 @@ from redplan.constraints import LimitSets
 from redplan.errors import CorruptChain, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
 from redplan.oracle import exhaustive_plan
-from redplan.planner import Window, extract, plan, pst, replay
-from redplan.scenario import bundled_scenario
+from redplan.planner import Window, extract, plan, replay
+from redplan.scenario import bundled_scenario, pst_csv
 
 
 from conftest import make_inf_limits as inf_limits
@@ -221,9 +221,9 @@ class TestExtraction:
                           GridSpec(pv_max=1.0, pv_levels=3, v_min=[0.6],
                                    v_max=[1.2], v_step=[0.3]))
         result = plan(grid, inf_limits())
-        assert np.array_equal(result.reached[0], grid.stage_ids(0))
+        assert np.array_equal(result.reached.node_ids[0], grid.stage_ids(0))
         for i in range(4):
-            assert np.all(np.isin(result.reached[i], grid.stage_ids(i)))
+            assert np.all(np.isin(result.reached.node_ids[i], grid.stage_ids(i)))
 
     def test_history_orders_tag(self, arm):
         grid = toy_grid()
@@ -362,25 +362,34 @@ class TestPredecessorBlocks:
                 assert all(labels[i - 1][0][p] % C == 0 for p in pred)
 
 
+def pst_rows(result):
+    """The rows of a plan's pst.csv: lambda, the redundancy parameters, pv."""
+    lines = pst_csv(result).splitlines()
+    assert lines[0] == "lam,v1,pv"
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
 class TestPst:
     def test_rest_to_rest_endpoints(self, arm):
         grid = build_grid(arm, line_path(4),
                           GridSpec(pv_max=1.2, pv_levels=4, v_min=[0.3],
                                    v_max=[1.2], v_step=[0.3]))
-        triples = pst(plan(grid, LimitSets.from_joint_limits(arm.limits)))
-        assert triples[0][2] == 0.0 and triples[-1][2] == 0.0
+        result = plan(grid, LimitSets.from_joint_limits(arm.limits))
+        rows = pst_rows(result)
+        assert rows[0, 2] == 0.0 and rows[-1, 2] == 0.0
+        assert np.array_equal(rows[:, 2], result.profile.pv)
 
     def test_lambda_column_exact(self, arm):
         grid = build_grid(arm, line_path(4),
                           GridSpec(pv_max=1.2, pv_levels=4, v_min=[0.3],
                                    v_max=[1.2], v_step=[0.3]))
         result = plan(grid, inf_limits())
-        lams = np.array([tr[0] for tr in pst(result)])
-        assert np.array_equal(lams, np.arange(5) * grid.path.dlam)
+        assert np.array_equal(pst_rows(result)[:, 0], np.arange(5) * grid.path.dlam)
 
     def test_fixed_v_degenerates_to_phase_plane(self, arm):
         spec = GridSpec(pv_max=1.2, pv_levels=4, v_min=[0.9], v_max=[0.9],
                         v_step=[0.3], rest_to_rest=True)
         grid = build_grid(arm, line_path(4), spec)
-        triples = pst(plan(grid, inf_limits()))
-        assert all(tr[1] == 0.9 for tr in triples)
+        result = plan(grid, inf_limits())
+        assert np.all(pst_rows(result)[:, 1] == 0.9)
+        assert np.all(result.profile.q[:, 0] == 0.9)

@@ -209,6 +209,7 @@ def test_gravity_torque_matches_potential_gradient(arm):
             for e in np.eye(3)
         ])
         assert tau == pytest.approx(grad, abs=1e-6)
+        assert np.array_equal(arm.rigid_terms(q).gravity, tau)
 
 
 def test_inertia_spd_1000_configurations(arm):

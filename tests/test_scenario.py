@@ -234,6 +234,27 @@ def test_scenario_validation_errors():
     with pytest.raises(ScenarioError, match="inertia must be finite"):
         load_scenario(toy_doc(robot=robot))
     assert load_scenario(toy_doc(limits={"qd": [float("inf")] * 3})).limits.qd[0] == np.inf
+    # non-finite grid and path numbers fail their own checks, not a later
+    # lattice count (bare ValueError) or an empty stage
+    nan, inf = float("nan"), float("inf")
+    grid = toy_doc()["grid"]
+    line = toy_doc()["path"]
+    ellipse = {"kind": "ellipse", "center": [0.45, 0.05], "semi_axes": [0.28, 0.18],
+               "rotation": 0.0}
+    points = [[0.5, 0.2], [0.5, 0.0], [0.5, -0.2]]
+    for doc in (toy_doc(grid=dict(grid, v_step=[nan])), toy_doc(grid=dict(grid, v_min=[nan])),
+                toy_doc(grid=dict(grid, v_max=[inf])), toy_doc(grid=dict(grid, pv_max=nan)),
+                toy_doc(grid=dict(grid, pv_max=inf)),
+                toy_doc(path=dict(line, start=[nan, 0.2])),
+                toy_doc(path=dict(line, end=[0.5, -inf])),
+                toy_doc(path=dict(ellipse, center=[0.45, nan])),
+                toy_doc(path=dict(ellipse, semi_axes=[inf, 0.18])),
+                toy_doc(path=dict(ellipse, semi_axes=[0.28, nan])),
+                toy_doc(path=dict(ellipse, rotation=nan)),
+                toy_doc(path=dict(ellipse, rotation=inf)),
+                toy_doc(path={"kind": "waypoints", "points": points[:1] + [[nan, 0.0]] + points[2:]})):
+        with pytest.raises(ScenarioError, match="finite"):
+            load_scenario(doc)
     # values of the wrong type are scenario errors, not bare ValueErrors
     grid = dict(toy_doc()["grid"], pv_levels="x")
     for doc in (toy_doc(check_count="abc"), toy_doc(n_stages="x"), toy_doc(seed="x"),
