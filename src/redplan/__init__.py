@@ -17,8 +17,7 @@ from .errors import (BudgetExceeded, ContractViolation, CorruptChain,
                      DegenerateCurve, EmptyStage, NoConvergence,
                      NoFeasiblePlan, PlanningError, ScenarioError,
                      SingularJacobian, Unreachable)
-from .grid import (GridSpec, StateGrid, build_grid, exclude,
-                   grid_from_configurations)
+from .grid import GridSpec, StateGrid, build_grid, grid_from_configurations
 from .oracle import GapReport, OracleBudget, compare, exhaustive_plan
 from .path import CurveSpec, WorkspacePath, load_path, sample_path, tangent
 from .planner import PlanResult, ReachedSets, ValueMap, Window, plan
@@ -40,7 +39,7 @@ __all__ = [
     "TrajectoryProfile", "Unreachable", "ValueMap",
     "Window", "WorkspacePath", "build_grid", "bundled_scenario",
     "bundled_scenario_names", "compare", "dumps_canonical",
-    "dynamic_manipulability_cost", "exclude",
+    "dynamic_manipulability_cost",
     "exhaustive_plan", "grid_from_configurations", "initial_samples", "load_path",
     "load_robot", "load_scenario", "plan", "pseudo_inverse",
     "resample_export", "resolve_redundancy", "sample_path",

@@ -82,12 +82,15 @@ def cmd_baseline(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.baseline is None:
         raise ScenarioError("scenario has no baseline block")
+    if scenario.window is not None:
+        # the pinned grid is searched whole, so the unified DP must be too
+        raise ScenarioError("baseline compares against an unwindowed search; "
+                            "remove the scenario's window")
     path = scenario.sample()
     joint_path = resolve_redundancy(scenario.robot, path, scenario.baseline)
     pinned = time_parametrize(scenario.robot, path, joint_path, scenario.limits,
                               scenario.grid, check_count=scenario.check_count)
-    unified = plan(scenario.build(), scenario.limits,
-                   check_count=scenario.check_count, window=scenario.window)
+    unified = plan(scenario.build(), scenario.limits, check_count=scenario.check_count)
     out = _out_dir(args, scenario)
     _write(os.path.join(out, "joint_path.csv"), joint_path_csv(path, joint_path))
     _write(os.path.join(out, "trajectory.csv"), trajectory_csv(pinned.profile))

@@ -177,8 +177,8 @@ class StageEval:
     dt is (P, L) (it depends only on the pseudo-velocities); feasible and
     the per-order masks are (P, L, C). The endpoint stack is carried on the
     evaluated lanes only: row k of each (K, n) array belongs to the lane
-    with flat id lanes[k] = p * L * C + l * C + c (ascending; the last lane
-    may repeat), and rows() finds a lane's row.
+    with flat id lanes[k] = p * L * C + l * C + c (strictly ascending), and
+    rows() finds a lane's row.
     """
 
     dt: Array
@@ -260,13 +260,6 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         passed = _order_ok(qd, limits.qd)
         qd_ok[lanes] = passed
         keep = np.flatnonzero(passed)
-    # Round the lane count up to its 3 leading bits (at most 1/4 more lanes)
-    # by repeating the last lane. numpy caches freed buffers under 1 KiB per
-    # exact size, so a new lane count per call would pin buffers of every
-    # size across the heap (+1 MB peak RSS on a 20-stage plan).
-    shift = max(keep.size.bit_length() - 3, 0)
-    extra = (-(-keep.size >> shift) << shift) - keep.size
-    keep = np.concatenate([keep, np.repeat(keep[-1:], extra)])
     lanes, p, l, c, qd = lanes[keep], p[keep], l[keep], c[keep], qd[keep]
     qd_prev, step = qd_prev[p], step[p, l][:, None]
     with np.errstate(invalid="ignore"):

@@ -4,7 +4,7 @@ redundancy lattice x IK branches.
 Node content is [pseudo-velocity value, joint vector] (the joint vector is
 shared by every level of the same stage/lattice/branch cell, so IK runs once
 per cell). Admissibility folds together IK reachability, joint position
-limits, boundary conditions, and user exclusions.
+limits, boundary conditions, and the scenario's branch filter.
 
 Flat node ids are level-major: id = l * C + c with c = (lattice index,
 branch) row-major, so ascending id order is exactly the lexicographic
@@ -83,10 +83,7 @@ class GridSpec:
 
     def v_lattice(self) -> Array:
         """All redundancy-parameter combinations, shape (J, r), row-major."""
-        axes = [self.v_min[k] + np.arange(nj + 1) * self.v_step[k]
-                for k, nj in enumerate(self.v_counts)]
-        rows = list(product(*axes))
-        return np.array(rows, dtype=float).reshape(len(rows), self.r)
+        return self.v_min + self.lattice_indices() * self.v_step
 
     def lattice_indices(self) -> Array:
         """Integer index vectors j for every lattice row, shape (J, r)."""
@@ -99,7 +96,7 @@ class StateGrid:
     """Immutable state grid shared by the planner, engine, and oracle.
 
     Construction raises EmptyStage at the first stage without an admissible
-    node, so every way to a grid (the builders, exclude, replace) checks it.
+    node, so every way to a grid (the builders, replace) checks it.
     """
 
     robot: PlanarArm
@@ -150,12 +147,6 @@ class StateGrid:
     @property
     def total_admissible(self) -> int:
         return int(self.admissible.sum())
-
-    def node_coords(self, node_id: int) -> tuple[int, int, int]:
-        """Split a flat id into (level, lattice row, branch)."""
-        l, c = divmod(int(node_id), self.cfg_count)
-        j, g = divmod(c, self.branch_count)
-        return l, j, g
 
     def signature(self) -> str:
         """Digest identifying robot, path, lattice, and admissibility."""
@@ -232,42 +223,3 @@ def grid_from_configurations(robot: PlanarArm, path: WorkspacePath, q_table: Arr
                      q_table=q_table, cfg_ok=cfg_ok,
                      admissible=level_mask[:, :, None] & cfg_ok[:, None, :],
                      degenerate=np.zeros_like(cfg_ok), branch_count=branch_count)
-
-
-def exclude(grid: StateGrid, node=None, config=None) -> StateGrid:
-    """Remove nodes matching a predicate; returns a new grid.
-
-    Args:
-        node: vectorized predicate (stage, l, j, g) -> bool. Receives, per
-            stage, integer arrays l (K,), j (K, r), g (K,) covering the full
-            lattice; True marks a node for removal.
-        config: vectorized predicate q -> bool over joint vectors (..., n);
-            True removes every level of the matching cell at that stage.
-
-    Raises:
-        EmptyStage: the exclusion empties a stage.
-    """
-    if node is None and config is None:
-        return grid
-    admissible = grid.admissible.copy()
-    C = grid.cfg_count
-    G = grid.branch_count
-    L = grid.level_count
-    j_rows = grid.cell_lattice()
-    g_rows = np.tile(np.arange(G), C // G)
-    for i in range(grid.n_stages + 1):
-        drop = np.zeros((L, C), dtype=bool)
-        if node is not None:
-            l_all = np.repeat(np.arange(L), C)
-            j_all = np.tile(j_rows, (L, 1))
-            g_all = np.tile(g_rows, L)
-            hit = np.asarray(node(i, l_all, j_all, g_all), dtype=bool)
-            drop |= np.broadcast_to(hit, l_all.shape).reshape(L, C)
-        if config is not None:
-            cfg_drop = np.zeros(C, dtype=bool)
-            ok = grid.cfg_ok[i]
-            if ok.any():
-                cfg_drop[ok] = np.asarray(config(grid.q_table[i][ok]), dtype=bool)
-            drop |= cfg_drop[None, :]
-        admissible[i] &= ~drop
-    return replace(grid, admissible=admissible)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,14 +94,11 @@ class WorkspacePath:
         waypoints: array (N_i + 1, m).
         dlam: arc-length step L / N_i.
         lam: stamps, lam[i] = i * dlam; the stored arc length is lam[-1].
-        rectified_length: arc length of the underlying smooth curve (equals
-            lam[-1] up to the rectification estimate; kept for diagnostics).
     """
 
     waypoints: Array
     dlam: float
     lam: Array
-    rectified_length: float = field(default=0.0)
 
     @property
     def n_stages(self) -> int:
@@ -115,8 +112,7 @@ class WorkspacePath:
 def _path_from_waypoints(points: Array, L: float) -> WorkspacePath:
     n_stages = points.shape[0] - 1
     dlam = L / n_stages
-    return WorkspacePath(waypoints=points, dlam=dlam, lam=np.arange(n_stages + 1) * dlam,
-                         rectified_length=L)
+    return WorkspacePath(waypoints=points, dlam=dlam, lam=np.arange(n_stages + 1) * dlam)
 
 
 def _ellipse_points(spec: CurveSpec, t: Array) -> Array:

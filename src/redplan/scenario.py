@@ -21,14 +21,14 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baseline import JointPath, ResolutionConfig
 from .constraints import ORDERS, LimitSets, SaturationReport, TrajectoryProfile
 from .errors import ScenarioError, as_int, reject_booleans, reject_unknown
-from .grid import GridSpec, StateGrid, build_grid, exclude
+from .grid import GridSpec, StateGrid, build_grid
 from .path import CurveSpec, WorkspacePath, load_path, sample_path
 from .planner import PlanResult, Window
 from .robot import PlanarArm, load_robot
@@ -240,8 +240,8 @@ class Scenario:
     def build(self) -> StateGrid:
         grid = build_grid(self.robot, self.sample(), self.grid)
         if self.branches is not None:
-            keep = np.asarray(self.branches)
-            grid = exclude(grid, node=lambda i, l, j, g: ~np.isin(g, keep))
+            cells = np.arange(grid.cfg_count) % grid.branch_count
+            grid = replace(grid, admissible=grid.admissible & np.isin(cells, self.branches))
         return grid
 
     def to_dict(self) -> dict:
@@ -522,8 +522,9 @@ def resample_export(result: PlanResult, rate: float) -> str:
     and velocities are recomputed by backward differences, so the export is
     piecewise linear (not smooth); the header's `linear` marker says so.
     """
-    if rate <= 0.0:
-        raise ScenarioError("sample rate must be positive")
+    # written as "all ok" so that NaN fails the comparison
+    if not 0.0 < rate < np.inf:
+        raise ScenarioError("sample rate must be positive and finite")
     profile = result.profile
     T = float(profile.t[-1])
     count = int(np.floor(T * rate + 1e-9))

@@ -240,6 +240,20 @@ def test_verify_refuses_window(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_baseline_refuses_window(tmp_path, capsys):
+    # the pinned grid is searched whole, so a windowed unified DP would make
+    # relative_gap compare two different searches
+    out = tmp_path / "base"
+    code = main(["baseline", "--scenario",
+                 tweaked(tmp_path, "line", window={"max_dl": 1}),
+                 "--out", str(out)])
+    assert code == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError"
+    assert "window" in payload["message"]
+    assert not out.exists()
+
+
 def test_verify_budget_exit(tmp_path, capsys):
     code = main(["verify", "--scenario", bundled_path("toy_jerk"),
                  "--out", str(tmp_path / "x"), "--budget", "1"])
@@ -346,11 +360,16 @@ def test_export_dense_resample(tmp_path):
     assert float(lines[-1].split(",")[0]) == 0.6666666666666667
 
 
-def test_export_bad_rate(tmp_path, capsys):
+@pytest.mark.parametrize("rate", ["0", "nan", "inf", "-inf"])
+def test_export_bad_rate(tmp_path, capsys, rate):
+    # NaN and infinity pass a bare "rate <= 0" check and then fail in the
+    # sample count; they must be configuration errors too
+    out = tmp_path / "x"
     code = main(["export", "--scenario", bundled_path("toy_full"),
-                 "--rate", "0", "--out", str(tmp_path / "x")])
+                 f"--rate={rate}", "--out", str(out)])
     assert code == 3
     assert stderr_payload(capsys)["error"] == "ScenarioError"
+    assert not out.exists()
 
 
 # --- determinism ----------------------------------------------------------------

@@ -488,6 +488,12 @@ class TestStageTransitions:
         ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
                                np.array([0.0, 0.4, 1.0]), check_count=check_count)
         assert ev.lanes.size > 0
+        # each evaluated lane once, in order: exactly the lanes with a time
+        # step whose endpoint velocity passes
+        assert np.all(np.diff(ev.lanes) > 0)
+        dq = np.abs(q_next[None, :, :] - q[:, None, :])
+        passed = np.all(dq[:, None] / ev.dt[:, :, None, None] <= limits.qd, axis=-1)
+        assert ev.lanes.size == np.count_nonzero(np.isfinite(ev.dt)[:, :, None] & passed)
         c = np.unravel_index(ev.lanes, ev.feasible.shape)[2]
         for row in range(ev.lanes.size):
             ref = arm.inverse_dynamics(q_next[c[row]], ev.qd[row], ev.qdd[row])

@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redplan.errors import EmptyStage, PlanningError, ScenarioError
-from redplan.grid import GridSpec, StateGrid, build_grid, exclude, grid_from_configurations
+from redplan.grid import GridSpec, build_grid, grid_from_configurations
 from redplan.path import CurveSpec, sample_path
 from redplan.robot import JointLimits, PlanarArm
+from redplan.scenario import bundled_scenario
 
 from conftest import make_reference_arm, make_toy_grid
 
@@ -69,6 +71,28 @@ class TestGridSpec:
         assert np.array_equal(rows[1], [0.0, 1.0])
         assert np.array_equal(rows[3], [0.5, 0.0])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), r=st.integers(1, 3))
+    def test_lattice_bitwise_equals_per_axis_product(self, data, r):
+        # every bundled scenario has r = 1; the r >= 2 lattices are covered
+        # here against the per-axis enumeration
+        finite = dict(allow_nan=False, allow_infinity=False)
+        v_min = np.array(data.draw(st.lists(st.floats(-3.0, 3.0, **finite),
+                                            min_size=r, max_size=r)))
+        v_step = np.array(data.draw(st.lists(st.floats(0.01, 1.0, **finite),
+                                             min_size=r, max_size=r)))
+        counts = np.array(data.draw(st.lists(st.integers(0, 4), min_size=r, max_size=r)))
+        spec = GridSpec(pv_max=1.0, pv_levels=2, v_min=v_min,
+                        v_max=v_min + counts * v_step, v_step=v_step)
+        assert spec.v_counts == tuple(counts.tolist())
+        axes = [spec.v_min[k] + np.arange(nj + 1) * spec.v_step[k]
+                for k, nj in enumerate(spec.v_counts)]
+        rows = list(itertools.product(*axes))
+        expected = np.array(rows, dtype=float).reshape(len(rows), r)
+        got = spec.v_lattice()
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     def test_validation(self):
         with pytest.raises(ScenarioError):
             spec_1d(pv_max=-1.0)
@@ -114,7 +138,7 @@ class TestBuildGrid:
         grid = build_grid(arm, line_path(2), spec_1d(pv_max=1.5, pv_levels=6))
         assert np.array_equal(grid.pv_values, np.arange(7) * 0.25)
 
-    @pytest.mark.parametrize("builder", ["build_grid", "grid_from_configurations", "exclude"])
+    @pytest.mark.parametrize("builder", ["build_grid", "grid_from_configurations"])
     def test_rest_to_rest_boundary_levels(self, arm, builder):
         # the planner and the oracle take stage_ids(n) as the terminal set
         # as it is, so every builder must leave only level 0 at both ends
@@ -122,28 +146,30 @@ class TestBuildGrid:
             grid = make_toy_grid(n_stages=4, pv_levels=3, rest=True)
         else:
             grid = build_grid(arm, line_path(4), spec_1d(rest=True))
-        if builder == "exclude":
-            grid = exclude(grid, node=lambda i, l, j, g: (l == 2) | (g == 1))
         for i in (0, 4):
             ids = grid.stage_ids(i)
             assert ids.size > 0
             assert np.all(ids < grid.cfg_count)               # level 0
         for i in (1, 2, 3):
-            levels = {grid.node_coords(f)[0] for f in grid.stage_ids(i)}
+            levels = {f // grid.cfg_count for f in grid.stage_ids(i)}
             assert 0 not in levels
 
     def test_free_boundaries_keep_all_levels(self, arm):
         grid = build_grid(arm, line_path(4), spec_1d(rest=False))
-        levels0 = {grid.node_coords(f)[0] for f in grid.stage_ids(0)}
+        levels0 = {f // grid.cfg_count for f in grid.stage_ids(0)}
         assert levels0 == set(range(7))
         for i in (1, 2, 3):
-            levels = {grid.node_coords(f)[0] for f in grid.stage_ids(i)}
+            levels = {f // grid.cfg_count for f in grid.stage_ids(i)}
             assert 0 not in levels
 
     def test_node_ids_sorted_lexicographically(self, arm):
         grid = build_grid(arm, line_path(4), spec_1d())
         ids = grid.stage_ids(2)
-        coords = [grid.node_coords(f) for f in ids]
+        # (level, lattice row, branch) of each flat id
+        coords = []
+        for f in ids:
+            l, c = divmod(int(f), grid.cfg_count)
+            coords.append((l, *divmod(c, grid.branch_count)))
         assert coords == sorted(coords)
         assert np.all(np.diff(ids) > 0)
 
@@ -189,42 +215,17 @@ class TestBuildGrid:
 
 
 class TestExclude:
-    def test_node_predicate_set_difference(self, arm):
-        path = line_path(4)
-        grid = build_grid(arm, path, spec_1d())
+    """Nodes taken out of a built grid: the scenario's branch filter and a
+    bare replace of the admissibility mask."""
 
-        def fast_at_stage_2(stage, l, j, g):
-            return (stage == 2) & (l >= 4)
-
-        trimmed = exclude(grid, node=fast_at_stage_2)
-        before = set(grid.stage_ids(2).tolist())
-        after = set(trimmed.stage_ids(2).tolist())
-        removed = {f for f in before if grid.node_coords(f)[0] >= 4}
-        assert after == before - removed
-        for i in (0, 1, 3, 4):
-            assert np.array_equal(trimmed.admissible[i], grid.admissible[i])
-        # original untouched
-        assert set(grid.stage_ids(2).tolist()) == before
-
-    def test_branch_predicate(self, arm):
-        grid = build_grid(arm, line_path(3), spec_1d())
-        only_down = exclude(grid, node=lambda i, l, j, g: g == 1)
-        for i in range(4):
-            for f in only_down.stage_ids(i):
-                assert only_down.node_coords(f)[2] == 0
-
-    def test_config_predicate(self, arm):
-        grid = build_grid(arm, line_path(3), spec_1d())
-        trimmed = exclude(grid, config=lambda q: q[:, 0] > 0.3)
-        for i in range(4):
-            kept = trimmed.q_table[i][trimmed.cfg_ok[i] & trimmed.admissible[i].any(axis=0)]
-            assert np.all(kept[:, 0] <= 0.3)
-
-    def test_exclusion_emptying_stage_raises(self, arm):
-        grid = build_grid(arm, line_path(3), spec_1d())
-        with pytest.raises(EmptyStage) as err:
-            exclude(grid, node=lambda i, l, j, g: i == 1)
-        assert err.value.stage == 1
+    def test_branch_predicate(self):
+        scenario = bundled_scenario("line")
+        full = scenario.build()
+        cell = np.arange(full.cfg_count)
+        for g in range(full.branch_count):
+            kept = replace(scenario, branches=[g]).build()
+            assert np.array_equal(kept.admissible,
+                                  full.admissible & (cell % full.branch_count == g))
 
     def test_replace_emptying_stage_raises(self, arm):
         # the check runs in StateGrid itself, so a bare replace runs it too
@@ -234,10 +235,6 @@ class TestExclude:
         with pytest.raises(EmptyStage) as err:
             replace(grid, admissible=admissible)
         assert err.value.stage == 2
-
-    def test_no_predicates_returns_same_grid(self, arm):
-        grid = build_grid(arm, line_path(2), spec_1d())
-        assert exclude(grid) is grid
 
 
 class TestRefinement:
@@ -296,6 +293,8 @@ class TestConfigurationGrid:
 
     def test_signature_changes_with_admissibility(self, arm):
         grid = build_grid(arm, line_path(3), spec_1d())
-        trimmed = exclude(grid, node=lambda i, l, j, g: (i == 1) & (l == 3))
+        admissible = grid.admissible.copy()
+        admissible[1, 3] = False
+        trimmed = replace(grid, admissible=admissible)
         assert grid.signature() != trimmed.signature()
         assert grid.signature() == build_grid(arm, line_path(3), spec_1d()).signature()
