@@ -2,8 +2,8 @@
 
 Subcommands: plan | baseline | verify | sweep | export. Every run loads one
 scenario file, writes its artifacts to the output directory, and exits with
-0 on success, 2 on infeasibility, 3 on configuration errors, and 4 when the
-exact search's budget is exceeded.
+0 on success, 2 on infeasibility, 3 on configuration errors (a malformed
+command line included), and 4 when the exact search's budget is exceeded.
 """
 
 from __future__ import annotations
@@ -167,8 +167,17 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors (exit
+    3 with a payload), not argparse's exit 2, which means infeasible here.
+    Subparsers are made with the same class."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="redplan",
         description="Unified time-optimal trajectory planning for redundant "
                     "manipulators on prescribed paths.")
@@ -215,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except EmptyStage as exc:
         _structured_error("EmptyStage", str(exc), stage=exc.stage)

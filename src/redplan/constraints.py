@@ -17,8 +17,16 @@ order. The sweep calls it once per stage and block of labels; a replay of a
 chain calls it once per edge, its 1 x 1 x 1 case, and therefore reproduces
 the sweep's numbers bit for bit. `initial_samples` gives both the stage-0
 samples. The endpoint torques split inverse dynamics in two: the
-rigid-body terms (H, G and gravity) are computed once per next-stage cell,
-the torque once per evaluated lane from its cell's terms.
+rigid-body terms (H, G and gravity) depend on the cell alone, so the
+caller computes them once per grid (the sweep for all its cells, a replay
+for its chain) and passes the next stage's in; the engine gathers them
+and computes the torque once per evaluated lane.
+
+The per-lane arrays are (K, n) or (K, n, n) but stored joint-major, with
+the lane axis fastest in memory (`_gather`, `_keep`), so that every
+per-joint operation and joint reduction runs over all K lanes at once
+rather than n elements at a time. Every operation on them is elementwise
+or an exact boolean reduction, so the layout changes no bit.
 
 The engine screens by joint velocity first, in two steps. A closed-form
 table, the shortest time step tmin[p, c] = max_j |dq_j| / qd_max_j at which
@@ -39,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScenarioError
-from .robot import PlanarArm
+from .robot import PlanarArm, RigidTerms
 
 Array = np.ndarray
 
@@ -136,9 +144,22 @@ def edge_durations(pv_prev, pv_next, dlam: float) -> Array:
 
 
 def _order_ok(value: Array, bound: Array) -> Array:
-    """Per-sample feasibility of one order; NaN samples are skipped."""
+    """Per-sample feasibility of one order; NaN samples are skipped (a NaN
+    compares false, so it never exceeds its bound)."""
     with np.errstate(invalid="ignore"):
-        return np.all((np.abs(value) <= bound) | np.isnan(value), axis=-1)
+        return ~np.any(np.abs(value) > bound, axis=-1)
+
+
+def _gather(table: Array, idx: Array) -> Array:
+    """Rows idx of table, (K, ...), stored with the lane axis fastest in
+    memory, so that per-joint arithmetic and joint reductions run over
+    whole lanes at a time."""
+    return np.take(table.T, idx, axis=-1).T
+
+
+def _keep(a: Array, ok: Array) -> Array:
+    """The rows of a where ok holds, in the layout of _gather."""
+    return np.compress(ok, a.T, axis=-1).T
 
 
 def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
@@ -178,7 +199,7 @@ class StageEval:
     the per-order masks are (P, L, C). The endpoint stack is carried on the
     evaluated lanes only: row k of each (K, n) array belongs to the lane
     with flat id lanes[k] = p * L * C + l * C + c (strictly ascending), and
-    rows() finds a lane's row.
+    rows() finds a lane's row. Those arrays are stored joint-major.
     """
 
     dt: Array
@@ -216,12 +237,13 @@ class StageEval:
 def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                       q_prev: Array, pv_prev: Array, qd_prev: Array,
                       qdd_prev: Array, tau_prev: Array,
-                      q_next: Array, pv_next: Array,
+                      q_next: Array, terms_next: RigidTerms, pv_next: Array,
                       check_count: int = 0, candidates: Array | None = None) -> StageEval:
     """Evaluate every predecessor against every next-stage node of every level.
 
     q_prev (P, n) with chain samples qd/qdd/tau_prev (P, n); q_next (C, n)
-    holds the next stage's cells and pv_next (L,) its levels. Lane
+    holds the next stage's cells, terms_next their rigid-body terms
+    (robot.rigid_terms(q_next)), and pv_next (L,) its levels. Lane
     p * L * C + l * C + c is the edge from predecessor p to cell c at level
     l, so for one predecessor the lane ids are the grid's node ids.
     candidates, a (P, L, C) mask, restricts the search to its lanes (None
@@ -252,23 +274,21 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
             screen &= ~(tmin[:, None, :] > step[:, :, None] * (1.0 + _TABLE_SLACK))
     lanes = np.flatnonzero(screen)
     p, l, c = np.unravel_index(lanes, shape)
-    qd = q_next[c] - q_prev[p]
+    qd = _gather(q_next, c) - _gather(q_prev, p)
     with np.errstate(invalid="ignore"):
         qd /= step[p, l][:, None]
-    keep = np.arange(lanes.size)
     if limits.qd is not None:
         passed = _order_ok(qd, limits.qd)
         qd_ok[lanes] = passed
-        keep = np.flatnonzero(passed)
-    lanes, p, l, c, qd = lanes[keep], p[keep], l[keep], c[keep], qd[keep]
-    qd_prev, step = qd_prev[p], step[p, l][:, None]
+        lanes, p, l, c, qd = (_keep(a, passed) for a in (lanes, p, l, c, qd))
+    qd_prev, step = _gather(qd_prev, p), step[p, l][:, None]
+    terms = RigidTerms(_gather(terms_next.H, c), _gather(terms_next.G, c),
+                       _gather(terms_next.gravity, c))
     with np.errstate(invalid="ignore"):
-        # the rigid-body terms depend on the cell alone: once per cell
-        terms = robot.rigid_terms(q_next)
         qdd = (qd - qd_prev) / step
-        qddd = (qdd - qdd_prev[p]) / step
-        tau = robot.torque(terms[c], qd, qdd)
-        taud = (tau - tau_prev[p]) / step
+        qddd = (qdd - _gather(qdd_prev, p)) / step
+        tau = robot.torque(terms, qd, qdd)
+        taud = (tau - _gather(tau_prev, p)) / step
     stack = (qd, qdd, qddd, tau, taud)
     # each enabled order's verdict on the evaluated lanes: its endpoint
     # check, the Coulomb exemption of the torque rate, then the check points
@@ -283,8 +303,8 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         # on these bits
         pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[l][:, None]
         pv2_prev = pv_prev[p][:, None] ** 2
-        for q_s, qd_s, qdd_s in _interior_samples(q_prev[p], q_next[c], pv2_prev, pv2_next,
-                                                  dlam, check_count):
+        for q_s, qd_s, qdd_s in _interior_samples(_gather(q_prev, p), _gather(q_next, c),
+                                                  pv2_prev, pv2_next, dlam, check_count):
             sample = {"qd": qd_s, "qdd": qdd_s}
             if limits.tau is not None:
                 sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)

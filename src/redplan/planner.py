@@ -143,6 +143,8 @@ def _sweep(grid, limits, check_count, window, depth=0):
     if window is not None and window.max_dj is not None:
         lattice_rows = grid.cell_lattice()
     rows_per_block = max(1, LANE_BUDGET // S)
+    # the rigid-body terms depend on the cell alone: once per grid
+    terms = grid.robot.rigid_terms(grid.q_table)
 
     for i in range(grid.n_stages):
         # Labels with the same tail (the key without its oldest node, once
@@ -182,7 +184,7 @@ def _sweep(grid, limits, check_count, window, depth=0):
                 candidates = candidates & lattice_ok[rows, None, :]
             ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev[rows],
                                    pv_prev[rows], qd[rows], qdd[rows], tau[rows],
-                                   grid.q_table[i + 1], grid.pv_values,
+                                   grid.q_table[i + 1], terms[i + 1], grid.pv_values,
                                    check_count=check_count, candidates=candidates)
             for key, count in ev.rejections().items():
                 histogram[key] = histogram.get(key, 0) + count
@@ -278,13 +280,14 @@ def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
     qd, qdd, qddd, tau, taud = np.full((5, n_stages + 1, n), np.nan)
 
     qd[:1], qdd[:1], tau[:1] = initial_samples(grid.robot, q[:1], pv[:1])
+    terms = grid.robot.rigid_terms(q)
     if pv[0] == 0.0:
         qddd[0] = 0.0
         taud[0] = 0.0
     for i in range(1, n_stages + 1):
         ev = stage_transitions(grid.robot, limits, grid.path.dlam, q[i - 1:i], pv[i - 1:i],
                                qd[i - 1:i], qdd[i - 1:i], tau[i - 1:i], q[i:i + 1],
-                               pv[i:i + 1], check_count=check_count)
+                               terms[i:i + 1], pv[i:i + 1], check_count=check_count)
         if not ev.feasible[0, 0, 0]:
             cause = ("has no time step" if ev.no_step
                      else f"is infeasible: {', '.join(ev.rejections())}")

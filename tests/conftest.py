@@ -98,7 +98,8 @@ def edge(robot, limits, dlam, state, q_next, pv_next, check_count=0):
     q, pv, qd, qdd, tau = state
     q_next = np.asarray(q_next, dtype=float)
     ev = stage_transitions(robot, limits, dlam, q[None], np.array([pv]), qd[None],
-                           qdd[None], tau[None], q_next[None], np.array([pv_next]),
+                           qdd[None], tau[None], q_next[None],
+                           robot.rigid_terms(q_next[None]), np.array([pv_next]),
                            check_count=check_count)
     if not ev.feasible[0, 0, 0]:
         return ev, None

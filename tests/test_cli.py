@@ -372,6 +372,29 @@ def test_export_bad_rate(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan"],                                                    # no --scenario
+    ["export", "--scenario", bundled_path("toy_full"), "--rate", "abc"],
+    ["export", "--scenario", bundled_path("toy_full"), "--rate", "-inf"],
+    ["replan", "--scenario", bundled_path("toy_full")],          # no such command
+])
+def test_malformed_command_line_is_a_configuration_error(tmp_path, capsys, argv):
+    # argparse's own exit code, 2, means "no feasible plan" here
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError"
+    assert payload["message"].startswith("redplan")
+    assert not out.exists()
+
+
+def test_help_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--help"])
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
 # --- determinism ----------------------------------------------------------------
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redplan.constraints import (ORDERS, LimitSets, TrajectoryProfile, edge_durations,
-                                 initial_samples, saturation_percentage, stage_transitions)
+from redplan import planner
+from redplan.constraints import (ORDERS, LimitSets, TrajectoryProfile, _order_ok,
+                                 edge_durations, initial_samples, saturation_percentage,
+                                 stage_transitions)
 from redplan.errors import ScenarioError
-from redplan.robot import PlanarArm
+from redplan.robot import PlanarArm, RigidTerms
 
-from conftest import edge, make_reference_arm, start_state
+from conftest import edge, make_reference_arm, make_toy_grid, start_state
 
 
 def inf_limits(n=3):
@@ -312,12 +314,13 @@ class TestStageTransitions:
         velocity check reads as passed.
         """
         q, pv, qd, qdd, tau = prev
-        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, pv_next,
-                               check_count=check_count)
+        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
+                               arm.rigid_terms(q_next), pv_next, check_count=check_count)
         P, L, C = ev.feasible.shape
         assert ev.dt.shape == (P, L) and L == len(pv_next)
         free = stage_transitions(arm, limits.disable("qd"), 0.1, q, pv, qd, qdd, tau,
-                                 q_next, pv_next, check_count=check_count)
+                                 q_next, arm.rigid_terms(q_next), pv_next,
+                                 check_count=check_count)
         evaluated = np.zeros(P * L * C, dtype=bool)
         evaluated[ev.lanes] = True
         evaluated = evaluated.reshape(P, L, C)
@@ -435,9 +438,10 @@ class TestStageTransitions:
         levels = np.unique([0.0, pv_next, 0.3])
         L = levels.size
         limits = LimitSets(qd=np.full(3, 0.25), qdd=np.full(3, 5.0))
-        full = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, levels)
+        terms = arm.rigid_terms(q_next)
+        full = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, terms, levels)
         candidates = rng.random((8, L, 6)) < 0.5
-        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, levels,
+        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, terms, levels,
                                candidates=candidates)
         assert np.array_equal(ev.feasible, full.feasible & candidates)
         # a stop from rest has no time step; only candidate lanes count
@@ -458,7 +462,7 @@ class TestStageTransitions:
         q_next = rng.uniform(-0.8, 0.8, (4, 3))
         limits = LimitSets.from_joint_limits(arm.limits)
         ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
-                               np.array([0.0, 0.6]))
+                               arm.rigid_terms(q_next), np.array([0.0, 0.6]))
         folded = np.isfinite(ev.dt)[:, :, None] & np.ones(4, dtype=bool)
         for mask in ev.order_ok.values():
             folded = folded & mask
@@ -486,7 +490,8 @@ class TestStageTransitions:
         check_count = data.draw(st.sampled_from([0, 2]))
         limits = LimitSets(qd=np.full(3, 20.0), tau=np.full(3, 100.0))
         ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
-                               np.array([0.0, 0.4, 1.0]), check_count=check_count)
+                               arm.rigid_terms(q_next), np.array([0.0, 0.4, 1.0]),
+                               check_count=check_count)
         assert ev.lanes.size > 0
         # each evaluated lane once, in order: exactly the lanes with a time
         # step whose endpoint velocity passes
@@ -501,12 +506,9 @@ class TestStageTransitions:
 
     @pytest.mark.parametrize("check_count", [0, 2])
     def test_rigid_terms_once_per_cell(self, arm, monkeypatch, check_count):
-        rng = np.random.default_rng(43)
-        center = np.array([0.3, -0.6, 0.9])
-        prev = self.build_prev(arm, rng, 9, center=center, spread=0.06)
-        C = 7
-        q_next = center + rng.uniform(-0.06, 0.06, (C, 3))
-        limits = LimitSets(qd=np.full(3, 0.25), tau=np.full(3, 100.0))
+        # the sweep computes the rigid-body terms of the whole grid in one
+        # pass; an engine call gathers them and adds one pass per check
+        # point on its evaluated lanes
         shapes = []
         components = PlanarArm._com_jacobian_components
 
@@ -514,13 +516,84 @@ class TestStageTransitions:
             shapes.append(np.shape(q))
             return components(robot, q)
 
+        rng = np.random.default_rng(43)
+        center = np.array([0.3, -0.6, 0.9])
+        prev = self.build_prev(arm, rng, 9, center=center, spread=0.06)
+        C = 7
+        q_next = center + rng.uniform(-0.06, 0.06, (C, 3))
+        terms = arm.rigid_terms(q_next)
+        limits = LimitSets(qd=np.full(3, 0.25), tau=np.full(3, 100.0))
         monkeypatch.setattr(PlanarArm, "_com_jacobian_components", recording)
-        ev = stage_transitions(arm, limits, 0.1, *prev, q_next, np.array([0.0, 0.3, 0.5]),
-                               check_count=check_count)
+        ev = stage_transitions(arm, limits, 0.1, *prev, q_next, terms,
+                               np.array([0.0, 0.3, 0.5]), check_count=check_count)
         K = ev.lanes.size
         assert K > C
-        # one pass on the C cells, then one per check point on the K lanes
-        assert shapes == [(C, 3)] + [(K, 3)] * check_count
+        assert shapes == [(K, 3)] * check_count
+
+        grid = make_toy_grid(n_stages=3, pv_levels=3, v_values=(0.7, 0.8, 0.9, 1.0))
+        N, C = grid.n_stages, grid.cfg_count
+        limits = LimitSets(qd=np.full(3, 20.0), tau=np.full(3, 100.0))
+        shapes.clear()
+        value = planner._sweep(grid, limits, check_count, None)
+        # the stage-0 samples, the grid, then each stage's check points
+        start = grid.stage_ids(0).size
+        assert shapes[:2] == [(start, 3), (N + 1, C, 3)]
+        assert len(shapes) == 2 + N * check_count
+        assert all(len(shape) == 2 for shape in shapes[2:])
+        shapes.clear()
+        planner.extract(value)
+        # replay: the stage-0 samples, the chain, then one lane per check point
+        assert shapes == [(1, 3), (N + 1, 3)] + [(1, 3)] * (N * check_count)
+
+    @pytest.mark.parametrize("check_count", [0, 2])
+    def test_layout_independence(self, arm, check_count):
+        # the engine gathers its lanes joint-major; C-ordered, Fortran-ordered
+        # and strided inputs must give the same bytes
+        rng = np.random.default_rng(44)
+        center = np.array([0.3, -0.6, 0.9])
+        q, pv, qd, qdd, tau = self.build_prev(arm, rng, 12, center=center, spread=0.06)
+        q_next = center + rng.uniform(-0.06, 0.06, (8, 3))
+        terms = arm.rigid_terms(q_next)
+        levels = np.array([0.0, 0.3, 0.5])
+        limits = LimitSets(qd=np.full(3, 0.25), qdd=np.full(3, 5.0),
+                           qddd=np.full(3, 40.0), tau=np.array([30.0, 10.0, 1.8]),
+                           taud=np.full(3, 100.0))
+
+        def run(layout):
+            tables = [layout(a) for a in (q, qd, qdd, tau, q_next, terms.H, terms.G,
+                                          terms.gravity)]
+            ev = stage_transitions(arm, limits, 0.1, tables[0], pv, *tables[1:4],
+                                   tables[4], RigidTerms(*tables[5:]), levels,
+                                   check_count=check_count)
+            stack = [getattr(ev, field) for field in ORDERS]
+            masks = [ev.order_ok[order] for order in sorted(ev.order_ok)]
+            return [a.tobytes() for a in (ev.dt, ev.lanes, *stack, ev.feasible, *masks)]
+
+        def strided(a):
+            return np.stack([a, np.zeros_like(a)], axis=-1)[..., 0]
+
+        expect = run(np.ascontiguousarray)
+        assert run(np.asfortranarray) == expect
+        assert run(strided) == expect
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_order_ok_matches_the_nan_skipping_form(data):
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0, -1.0])
+    value_floats = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
+    rows = data.draw(st.integers(0, 6))
+    n = data.draw(st.integers(1, 4))
+    value = np.reshape(data.draw(st.lists(value_floats, min_size=rows * n,
+                                          max_size=rows * n)), (rows, n))
+    bound = np.array(data.draw(st.lists(
+        st.one_of(st.just(np.inf), st.just(1.0), st.floats(min_value=1e-300,
+                                                           allow_infinity=True)),
+        min_size=n, max_size=n)))
+    with np.errstate(invalid="ignore"):
+        old = np.all((np.abs(value) <= bound) | np.isnan(value), axis=-1)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        assert np.array_equal(_order_ok(layout(value), bound), old)
 
 
 class TestLimitSets:

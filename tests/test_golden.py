@@ -9,6 +9,7 @@ with the reason.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -62,3 +63,29 @@ def test_baseline_artifacts_match_golden_digests(name, tmp_path):
     for artifact, digest in zip(("baseline_report.json", "joint_path.csv",
                                  "trajectory.csv"), GOLDEN_BASELINE[name]):
         assert _sha256(tmp_path / artifact) == digest
+
+
+# (report.json, trajectory.csv) sha256 with check_count 2: no bundled
+# scenario sets check points, so these pin the engine's check-point branch
+GOLDEN_CHECK_POINTS = {
+    "ellipse": ("d3c2e801985d58349b57a48efcb35a01c5ff9320423eae797cc01db2c576e73c",
+                "a1ee123d71a3a028aecb7bc0283f97602825c120ee40954e536cf032559a8fdf"),
+    "line": ("4b8162a376b301ef64c79a2de4d3f21008cba865a5be9940f94219ae04832ca9",
+             "0f6cb477517e649ad8e7daba0c3789947f707340d16feb31bad2096276d5d5c4"),
+    "toy_full": ("322dc478ed5b7855031d5da6d3e3889613d3bc60c18be1a21fea965aa7dce448",
+                 "179bb84bec1869b584102214e8b7f9c78a276f8e50d5327ca12cd0377bbe118d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHECK_POINTS))
+def test_check_point_plan_artifacts_match_golden_digests(name, tmp_path):
+    with open(os.path.join(_bundled_dir(), name + ".json")) as fh:
+        data = json.load(fh)
+    data["check_count"] = 2
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["plan", "--scenario", str(scenario), "--out", str(out)]) == 0
+    report, trajectory = GOLDEN_CHECK_POINTS[name]
+    assert _sha256(out / "report.json") == report
+    assert _sha256(out / "trajectory.csv") == trajectory

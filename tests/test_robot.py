@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redplan.errors import BranchDegenerate, ScenarioError, Unreachable
 from redplan.robot import PlanarArm, load_robot
@@ -307,6 +308,26 @@ def test_rigid_terms_split_bitwise_equal_inverse_dynamics(arm):
     for k, i in enumerate(idx):
         one = arm.torque(arm.rigid_terms(q[i]), qd[k], qdd[k])
         assert one.tobytes() == tau[k].tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stages=st.integers(1, 4), cells=st.integers(1, 5), data=st.data())
+def test_rigid_terms_of_a_grid_bitwise_equal_per_stage(stages, cells, data):
+    # the sweep computes the terms of every stage in one call and hands
+    # stage i's slice to the engine
+    arm = make_reference_arm()
+    values = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=stages * cells * 3,
+                                max_size=stages * cells * 3))
+    q_table = np.reshape(values, (stages, cells, 3))
+    unreachable = data.draw(st.lists(st.booleans(), min_size=stages * cells,
+                                     max_size=stages * cells))
+    q_table[np.reshape(unreachable, (stages, cells))] = np.nan
+    whole = arm.rigid_terms(q_table)
+    for i in range(stages):
+        one = arm.rigid_terms(q_table[i])
+        for got, expect in zip((whole[i].H, whole[i].G, whole[i].gravity),
+                               (one.H, one.G, one.gravity)):
+            assert got.tobytes() == expect.tobytes()
 
 
 def test_broadcast_dynamics_bitwise_equal_tiled(arm):
