@@ -16,7 +16,7 @@ from .constraints import (HISTORY_DEPENDENT_ORDERS, ORDERS, LimitSets,
 from .errors import (BudgetExceeded, ContractViolation, CorruptChain,
                      DegenerateCurve, EmptyStage, NoConvergence,
                      NoFeasiblePlan, PlanningError, ScenarioError,
-                     SingularJacobian, Unreachable)
+                     SingularJacobian)
 from .grid import GridSpec, StateGrid, build_grid, grid_from_configurations
 from .oracle import GapReport, OracleBudget, compare, exhaustive_plan
 from .path import CurveSpec, WorkspacePath, load_path, sample_path, tangent
@@ -36,7 +36,7 @@ __all__ = [
     "PlanResult", "PlanarArm", "PlanningError", "ReachedSets",
     "ResolutionConfig", "SaturationReport", "Scenario",
     "ScenarioError", "SingularJacobian", "StateGrid",
-    "TrajectoryProfile", "Unreachable", "ValueMap",
+    "TrajectoryProfile", "ValueMap",
     "Window", "WorkspacePath", "build_grid", "bundled_scenario",
     "bundled_scenario_names", "compare", "dumps_canonical",
     "dynamic_manipulability_cost",

@@ -91,15 +91,18 @@ class JointPath:
         return self.q.shape[0] - 1
 
 
-def _pinv_from_svd(U: Array, s: Array, Vt: Array, cond_cap: float) -> Array:
-    """Pseudo-inverse of one Jacobian from its thin SVD, after the rank and
-    condition checks that every caller shares."""
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-        raise SingularJacobian("Jacobian lost rank")
-    if s[0] / s[-1] > cond_cap:
-        raise SingularJacobian(
-            f"Jacobian condition number {s[0] / s[-1]:.3g} exceeds cap {cond_cap:.3g}")
-    return (Vt.T * (1.0 / s)) @ U.T
+def _pseudo_inverses(J: Array, cond_cap: float) -> Array:
+    """Moore-Penrose pseudo-inverses of a (R, 2, n) Jacobian stack, from one
+    SVD call. Every row's rank and condition checks run first, in row order,
+    so the first offending row raises."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    for s_max, s_min in s[:, [0, -1]].tolist():
+        if s_max == 0.0 or s_min <= RANK_TOL * s_max:
+            raise SingularJacobian("Jacobian lost rank")
+        if s_max / s_min > cond_cap:
+            raise SingularJacobian(f"Jacobian condition number {s_max / s_min:.3g} "
+                                   f"exceeds cap {cond_cap:.3g}")
+    return (np.swapaxes(Vt, -1, -2) * (1.0 / s)[:, None, :]) @ np.swapaxes(U, -1, -2)
 
 
 def pseudo_inverse(J: Array, cond_cap: float = 1e8) -> Array:
@@ -109,7 +112,7 @@ def pseudo_inverse(J: Array, cond_cap: float = 1e8) -> Array:
         SingularJacobian: rank loss (singular value below RANK_TOL * sigma_max)
             or condition number above cond_cap.
     """
-    return _pinv_from_svd(*np.linalg.svd(J, full_matrices=False), cond_cap)
+    return _pseudo_inverses(np.asarray(J, dtype=float)[None], cond_cap)[0]
 
 
 def dynamic_manipulability_cost(robot: PlanarArm, q: Array, t: Array,
@@ -126,29 +129,40 @@ def dynamic_manipulability_cost(robot: PlanarArm, q: Array, t: Array,
     return float(w @ w)
 
 
-def _cost_gradient(robot: PlanarArm, q: Array, t: Array, cond_cap: float) -> Array:
-    """Central-difference gradient of dynamic_manipulability_cost at q.
+def _linearize(robot: PlanarArm, q: Array,
+               neighbours: bool) -> tuple[Array, Array, Array | None]:
+    """Everything one resolution iteration reads at q, from one trig pass.
 
-    The 2n neighbours q + h e_0, q - h e_0, q + h e_1, ... are stacked so
-    that one jacobian, one inertia_matrix and one SVD call cover them all.
-    The pseudo-inverse and the cost of each row are then formed with
-    ordinary 2-D matmuls, because stacked matmul rounds differently in the
-    last place and the division by 2h magnifies that. The result is bitwise
-    equal to differencing the scalar cost, and the first row in that order
-    that fails the rank or condition check raises.
+    The stacked rows are q and, if neighbours, its 2n central-difference
+    neighbours q + h e_0, q - h e_0, q + h e_1, ... Returns the end-effector
+    position at q, the (R, 2, n) Jacobians of every row, and the (2n, n, n)
+    inertia of the neighbours (None without them). Each row's arithmetic is
+    elementwise, so it equals the scalar call's bit for bit.
     """
-    n = robot.n
-    h = FD_STEP * np.eye(n)
-    qs = np.empty((2 * n, n))
-    qs[0::2] = q + h
-    qs[1::2] = q - h
-    H = robot.inertia_matrix(qs)
-    U, s, Vt = np.linalg.svd(robot.jacobian(qs), full_matrices=False)
-    t = np.asarray(t, dtype=float)
-    cost = np.empty(2 * n)
-    for r in range(2 * n):
-        w = H[r] @ _pinv_from_svd(U[r], s[r], Vt[r], cond_cap) @ t
-        cost[r] = w @ w
+    rows = q[None]
+    if neighbours:
+        h = FD_STEP * np.eye(robot.n)
+        rows = np.empty((2 * robot.n + 1, robot.n))
+        rows[0] = q
+        rows[1::2] = q + h
+        rows[2::2] = q - h
+    ct, st = robot._trig(rows)
+    H = robot._inertia(robot._com_jacobian_components(ct[1:], st[1:])) if neighbours else None
+    return robot._position(ct[0], st[0]), robot._jacobian(ct, st), H
+
+
+def _cost_gradient(H: Array, P: Array, t: Array) -> Array:
+    """Central-difference gradient of dynamic_manipulability_cost, from the
+    inertia H and pseudo-inverses P of the 2n neighbour rows of _linearize.
+
+    Each row's cost || H P t ||^2 is a stacked matmul, which runs the same
+    BLAS call per row as the scalar cost's 2-D matmul and its w @ w; an
+    einsum or an elementwise sum would round differently in the last
+    place, and the division by 2h magnifies that. So the gradient equals
+    differencing the scalar cost bit for bit.
+    """
+    W = H @ P @ np.asarray(t, dtype=float)
+    cost = (W[:, None, :] @ W[:, :, None])[:, 0, 0]
     return (cost[0::2] - cost[1::2]) / (2 * FD_STEP)
 
 
@@ -158,7 +172,10 @@ def resolve_redundancy(robot: PlanarArm, path: WorkspacePath,
     descent on the dynamic-manipulability cost, warm-started in sequence.
 
     Waypoint 0 is iterated from config.q0 first, so q0 only needs to be in
-    the basin of the starting waypoint.
+    the basin of the starting waypoint. Each step ends with one _linearize
+    call at the new q, which serves the convergence test, the next
+    iteration and the next waypoint's first one; the Jacobian of q is row
+    0 of its stack and is checked before any neighbour's.
 
     Raises:
         NoConvergence: a waypoint's residual is still above tolerance after
@@ -171,23 +188,24 @@ def resolve_redundancy(robot: PlanarArm, path: WorkspacePath,
     iterations = np.zeros(n_pts, dtype=np.int64)
     q = config.q0.copy()
     eye = np.eye(robot.n)
+    neighbours = config.alpha > 0.0
+    x_q, J, H = _linearize(robot, q, neighbours)
     for i in range(n_pts):
         x = path.waypoints[i]
         t = tangent(path, i)
-        err = x - robot.forward_kinematics(q)
+        err = x - x_q
         k = 0
         while np.linalg.norm(err) >= config.tolerance:
             if k >= config.max_iterations:
                 raise NoConvergence(i, float(np.linalg.norm(err)))
-            J = robot.jacobian(q)
-            J_pinv = pseudo_inverse(J, config.cond_cap)
-            step = config.beta * (J_pinv @ err)
-            if config.alpha > 0.0:
-                null_proj = eye - J_pinv @ J
-                step = step - config.alpha * (null_proj @ _cost_gradient(
-                    robot, q, t, config.cond_cap))
+            P = _pseudo_inverses(J, config.cond_cap)
+            step = config.beta * (P[0] @ err)
+            if neighbours:
+                null_proj = eye - P[0] @ J[0]
+                step = step - config.alpha * (null_proj @ _cost_gradient(H, P[1:], t))
             q = q + step
-            err = x - robot.forward_kinematics(q)
+            x_q, J, H = _linearize(robot, q, neighbours)
+            err = x - x_q
             k += 1
         q_out[i] = q
         residuals[i] = np.linalg.norm(err)

@@ -8,14 +8,6 @@ class PlanningError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class Unreachable(PlanningError):
-    """The task point cannot be reached for the given redundancy values."""
-
-
-class BranchDegenerate(PlanningError):
-    """The IK branches coincide; the solution exists only in branch 0."""
-
-
 class DegenerateCurve(PlanningError):
     """The requested curve has zero length or coincident waypoints."""
 

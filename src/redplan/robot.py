@@ -15,8 +15,13 @@ and the second per lane.
 
 All kinematics/dynamics methods broadcast over leading batch dimensions: a
 joint vector argument of shape ``(..., n)`` yields results with the same
-leading shape. Scalar and batched calls go through identical elementwise
-arithmetic, so they agree bit for bit.
+leading shape. Each reads one cos/sin pass over the cumulative link angles,
+which a caller can share: the baseline's redundancy resolution takes the
+position, the Jacobians and the inertia of its stacked rows from one. The
+kernels loop over the links and add each link's term to a slice of
+entries, so every entry takes its terms in the same order as a one-entry
+loop would. Scalar, batched and stacked calls therefore go through
+identical elementwise arithmetic and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (BranchDegenerate, ScenarioError, Unreachable, as_int,
-                     reject_booleans, reject_unknown)
+from .errors import ScenarioError, as_int, reject_booleans, reject_unknown
 
 Array = np.ndarray
 
@@ -163,37 +167,40 @@ class PlanarArm:
         self.limits = limits
         self.dynamics = dynamics
         self._L = lengths
+        self._lower = np.tri(n, dtype=bool)      # entries (k, b) with b <= k
 
     # ------------------------------------------------------------------
     # kinematics
 
+    def _trig(self, q: Array) -> tuple[Array, Array]:
+        """cos and sin of the cumulative link angles, (..., n) each: the one
+        transcendental pass that every kinematic quantity below reads."""
+        th = np.cumsum(np.asarray(q, dtype=float), axis=-1)
+        return np.cos(th), np.sin(th)
+
     def forward_kinematics(self, q: Array) -> Array:
         """End-effector position k(q), shape (..., 2)."""
-        q = np.asarray(q, dtype=float)
-        th = np.cumsum(q, axis=-1)
-        x = np.zeros(q.shape[:-1])
-        y = np.zeros(q.shape[:-1])
+        return self._position(*self._trig(q))
+
+    def _position(self, ct: Array, st: Array) -> Array:
+        x = np.zeros(ct.shape[:-1])
+        y = np.zeros(ct.shape[:-1])
         for a in range(self.n):
-            x = x + self._L[a] * np.cos(th[..., a])
-            y = y + self._L[a] * np.sin(th[..., a])
+            x = x + self._L[a] * ct[..., a]
+            y = y + self._L[a] * st[..., a]
         return np.stack([x, y], axis=-1)
 
     def jacobian(self, q: Array) -> Array:
         """Task Jacobian dk/dq, shape (..., 2, n)."""
-        q = np.asarray(q, dtype=float)
-        th = np.cumsum(q, axis=-1)
-        st, ct = np.sin(th), np.cos(th)
-        n = self.n
-        J = np.zeros(q.shape[:-1] + (2, n))
-        # column b accumulates the lever arms of every link at or beyond b
-        for b in range(n):
-            jx = np.zeros(q.shape[:-1])
-            jy = np.zeros(q.shape[:-1])
-            for a in range(b, n):
-                jx = jx - self._L[a] * st[..., a]
-                jy = jy + self._L[a] * ct[..., a]
-            J[..., 0, b] = jx
-            J[..., 1, b] = jy
+        return self._jacobian(*self._trig(q))
+
+    def _jacobian(self, ct: Array, st: Array) -> Array:
+        J = np.zeros(ct.shape[:-1] + (2, self.n))
+        # column b accumulates the lever arms of every link a >= b, in
+        # increasing a
+        for a in range(self.n):
+            J[..., 0, :a + 1] -= self._L[a] * st[..., a, None]
+            J[..., 1, :a + 1] += self._L[a] * ct[..., a, None]
         return J
 
     def _distal_geometry(self, x: Array, v: Array) -> tuple[Array, Array, Array, Array]:
@@ -219,37 +226,9 @@ class PlanarArm:
         cos_elbow = (d2 - l2 * l2 - l3 * l3) / (2.0 * l2 * l3)
         return wx, wy, cos_elbow, thp[..., r - 1]
 
-    def inverse_kinematics(self, x: Array, v: Array, g: int) -> Array:
-        """Joint vector with the redundancy joints pinned to v, on branch g.
-
-        Raises:
-            Unreachable: the distal subchain cannot reach x for this v.
-            BranchDegenerate: the branches coincide and g is not 0 (the
-                coincident solution is reported only on branch 0).
-        """
-        if not (0 <= int(g) < self.branch_count):
-            raise ScenarioError(f"branch index {g} out of range")
-        x = np.asarray(x, dtype=float)
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        wx, wy, ce, base = self._distal_geometry(x, v)
-        ce = float(ce)
-        if ce > 1.0 + _REACH_TOL or ce < -1.0 - _REACH_TOL:
-            raise Unreachable(f"distal subchain cannot reach target (cos elbow = {ce:.6g})")
-        ce_c = min(1.0, max(-1.0, ce))
-        degenerate = (1.0 - abs(ce_c)) <= _DEGENERATE_TOL
-        if degenerate and int(g) != 0:
-            raise BranchDegenerate("IK branches coincide; solution reported on branch 0")
-        gamma = float(np.arccos(ce_c))
-        q_elbow = gamma if int(g) == 0 else -gamma
-        l2, l3 = self._L[self.n - 2], self._L[self.n - 1]
-        phi = float(np.arctan2(wy, wx))
-        psi = float(np.arctan2(l3 * np.sin(q_elbow), l2 + l3 * np.cos(q_elbow)))
-        th_pen = phi - psi
-        q_pen = float(_wrap_angle(th_pen - float(base)))
-        return np.concatenate([v, [q_pen, q_elbow]])
-
     def ik_table(self, x: Array, v_values: Array) -> tuple[Array, Array, Array]:
-        """Both branches of inverse_kinematics for x over a (J, r) batch of v.
+        """The joint vectors that reach x on both branches, with the
+        redundancy joints pinned to each row of a (J, r) batch v.
 
         Returns (q, reachable, degenerate): q of shape (J, 2, n), NaN where
         unreachable; (J,) masks of reachable and of coincident-branch rows
@@ -279,43 +258,36 @@ class PlanarArm:
     # ------------------------------------------------------------------
     # dynamics
 
-    def _com_jacobian_components(self, q: Array) -> tuple[Array, Array, Array, Array]:
+    def _com_jacobian_components(self, ct: Array, st: Array) -> tuple[Array, Array, Array, Array]:
         """COM Jacobian columns of every link, as separate x/y components.
 
-        Returns (Ax, Ay, ct, st): Ax[..., k, b] is the x component of
-        d(p_com_k)/d(q_b); ct/st are cos/sin of the cumulative link angles.
+        Takes the result of _trig. Returns (Ax, Ay, ct, st): Ax[..., k, b] is
+        the x component of d(p_com_k)/d(q_b).
         """
-        q = np.asarray(q, dtype=float)
-        th = np.cumsum(q, axis=-1)
-        ct, st = np.cos(th), np.sin(th)
         n = self.n
         lc = self.dynamics.com
-        Ax = np.zeros(q.shape[:-1] + (n, n))
-        Ay = np.zeros(q.shape[:-1] + (n, n))
-        for k in range(n):
-            for b in range(k + 1):
-                ax = -lc[k] * st[..., k]
-                ay = lc[k] * ct[..., k]
-                for a in range(b, k):
-                    ax = ax - self._L[a] * st[..., a]
-                    ay = ay + self._L[a] * ct[..., a]
-                Ax[..., k, b] = ax
-                Ay[..., k, b] = ay
+        # for b <= k, entry (k, b) starts at the COM lever of link k and then
+        # takes every whole link b..k-1, in increasing order
+        Ax = np.where(self._lower, ((-lc) * st)[..., :, None], 0.0)
+        Ay = np.where(self._lower, (lc * ct)[..., :, None], 0.0)
+        for a in range(n - 1):
+            Ax[..., a + 1:, :a + 1] -= self._L[a] * st[..., a, None, None]
+            Ay[..., a + 1:, :a + 1] += self._L[a] * ct[..., a, None, None]
         return Ax, Ay, ct, st
 
     def inertia_matrix(self, q: Array) -> Array:
         """Joint-space inertia H(q), shape (..., n, n)."""
-        return self._inertia(self._com_jacobian_components(q))
+        return self._inertia(self._com_jacobian_components(*self._trig(q)))
 
     def bias_forces(self, q: Array, qd: Array) -> Array:
         """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
-        components = self._com_jacobian_components(q)
+        components = self._com_jacobian_components(*self._trig(q))
         return self._bias(self._centripetal(components), self._gravity(components), qd)
 
     def rigid_terms(self, q: Array) -> RigidTerms:
         """The velocity-independent terms H, G and gravity torque at q, from
         one pass over the COM Jacobians."""
-        components = self._com_jacobian_components(q)
+        components = self._com_jacobian_components(*self._trig(q))
         return RigidTerms(self._inertia(components), self._centripetal(components),
                           self._gravity(components))
 
@@ -329,7 +301,9 @@ class PlanarArm:
 
     # _inertia, _centripetal and _gravity take the result of
     # _com_jacobian_components, so one pass derives all three; _bias takes
-    # G and the gravity torque.
+    # G and the gravity torque. Each loops over the links k and adds link
+    # k's term to every entry it reaches, so an entry sums its terms in
+    # increasing k.
 
     def _inertia(self, components) -> Array:
         Ax, Ay, _, _ = components
@@ -337,16 +311,16 @@ class PlanarArm:
         mass = self.dynamics.mass
         inertia = self.dynamics.inertia
         H = np.zeros(Ax.shape[:-2] + (n, n))
-        for a in range(n):
-            for b in range(a, n):
-                h = np.zeros(Ax.shape[:-2])
-                for k in range(max(a, b), n):
-                    h = h + mass[k] * (Ax[..., k, a] * Ax[..., k, b]
-                                       + Ay[..., k, a] * Ay[..., k, b])
-                    h = h + inertia[k]
-                H[..., a, b] = h
-                if b != a:
-                    H[..., b, a] = h
+        # the lower triangle's products take their factors in swapped order,
+        # which IEEE multiplication does not notice, so H is symmetric
+        for k in range(n):
+            ax = Ax[..., k, :k + 1]
+            ay = Ay[..., k, :k + 1]
+            term = ax[..., :, None] * ax[..., None, :]
+            term += ay[..., :, None] * ay[..., None, :]
+            block = H[..., :k + 1, :k + 1]
+            block += np.multiply(mass[k], term, out=term)
+            block += inertia[k]
         return H
 
     def _centripetal(self, components) -> Array:
@@ -359,29 +333,22 @@ class PlanarArm:
         Ax, Ay, ct, st = components
         n = self.n
         mass = self.dynamics.mass
-        lc = self.dynamics.com
         G = np.zeros(Ax.shape[:-2] + (n, n))
-        for b in range(n):
-            for c in range(n):
-                gv = np.zeros(Ax.shape[:-2])
-                for k in range(max(b, c), n):
-                    w = lc[k] if c == k else self._L[c]
-                    gv = gv - mass[k] * w * (Ax[..., k, b] * ct[..., c]
-                                             + Ay[..., k, b] * st[..., c])
-                G[..., b, c] = gv
+        for k in range(n):
+            # link c < k swings COM k on its whole length, link k on its COM offset
+            lever = np.append(self._L[:k], self.dynamics.com[k])
+            term = Ax[..., k, :k + 1, None] * ct[..., None, :k + 1]
+            term += Ay[..., k, :k + 1, None] * st[..., None, :k + 1]
+            G[..., :k + 1, :k + 1] -= np.multiply(mass[k] * lever, term, out=term)
         return G
 
     def _gravity(self, components) -> Array:
         Ax, Ay, _, _ = components
         gx, gy = self.dynamics.gravity
         mass = self.dynamics.mass
-        n = self.n
-        tg = np.zeros(Ax.shape[:-2] + (n,))
-        for b in range(n):
-            t = np.zeros(Ax.shape[:-2])
-            for k in range(b, n):
-                t = t - mass[k] * (Ax[..., k, b] * gx + Ay[..., k, b] * gy)
-            tg[..., b] = t
+        tg = np.zeros(Ax.shape[:-2] + (self.n,))
+        for k in range(self.n):
+            tg[..., :k + 1] -= mass[k] * (Ax[..., k, :k + 1] * gx + Ay[..., k, :k + 1] * gy)
         return tg
 
     def _bias(self, G: Array, gravity: Array, qd: Array) -> Array:

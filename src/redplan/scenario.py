@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -217,6 +218,14 @@ class Scenario:
             raise ScenarioError(
                 f"grid lattice has {self.grid.r} redundancy parameters, "
                 f"robot has {self.robot.r}")
+        # numpy allocates no array with more elements than an index can
+        # address, so a grid past that fails here, typed, and not at its
+        # first allocation
+        nodes = ((self.n_stages + 1) * (self.grid.pv_levels + 1) * self.robot.branch_count
+                 * math.prod(c + 1 for c in self.grid.v_counts))
+        if nodes > np.iinfo(np.intp).max:
+            raise ScenarioError("n_stages, grid pv_levels and the redundancy lattice "
+                                "give more grid nodes than an array index can address")
         for order in self.limits.enabled_orders:
             bound = self.limits.bound(order)
             if bound.shape not in ((1,), (self.robot.n,)):

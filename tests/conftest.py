@@ -6,7 +6,45 @@ import numpy as np
 import pytest
 
 from redplan.constraints import initial_samples, stage_transitions
-from redplan.robot import DynamicParams, JointLimits, PlanarArm
+from redplan.errors import PlanningError
+from redplan.robot import (_DEGENERATE_TOL, _REACH_TOL, DynamicParams, JointLimits,
+                           PlanarArm, _wrap_angle)
+
+
+class Unreachable(PlanningError):
+    """The task point cannot be reached for the given redundancy values."""
+
+
+class BranchDegenerate(PlanningError):
+    """The IK branches coincide; the solution exists only in branch 0."""
+
+
+def inverse_kinematics(arm: PlanarArm, x, v, g: int):
+    """Joint vector with the redundancy joints pinned to v, on branch g: the
+    scalar reference for PlanarArm.ik_table, one query at a time.
+
+    Raises:
+        Unreachable: the distal subchain cannot reach x for this v.
+        BranchDegenerate: the branches coincide and g is not 0 (the
+            coincident solution is reported only on branch 0).
+    """
+    assert 0 <= int(g) < arm.branch_count
+    x = np.asarray(x, dtype=float)
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    wx, wy, ce, base = arm._distal_geometry(x, v)
+    ce = float(ce)
+    if ce > 1.0 + _REACH_TOL or ce < -1.0 - _REACH_TOL:
+        raise Unreachable(f"distal subchain cannot reach target (cos elbow = {ce:.6g})")
+    ce_c = min(1.0, max(-1.0, ce))
+    if (1.0 - abs(ce_c)) <= _DEGENERATE_TOL and int(g) != 0:
+        raise BranchDegenerate("IK branches coincide; solution reported on branch 0")
+    gamma = float(np.arccos(ce_c))
+    q_elbow = gamma if int(g) == 0 else -gamma
+    l2, l3 = arm.link_lengths[-2], arm.link_lengths[-1]
+    phi = float(np.arctan2(wy, wx))
+    psi = float(np.arctan2(l3 * np.sin(q_elbow), l2 + l3 * np.cos(q_elbow)))
+    q_pen = float(_wrap_angle(phi - psi - float(base)))
+    return np.concatenate([v, [q_pen, q_elbow]])
 
 
 def make_reference_arm(coulomb=(0.2, 0.15, 0.1), gravity=(0.0, -9.81)) -> PlanarArm:
@@ -74,7 +112,7 @@ def make_toy_grid(n_stages=2, pv_levels=2, rest=True, v_values=(0.7, 1.0), pv_ma
     q_table = np.zeros((n_stages + 1, len(v_values), 3))
     for i in range(n_stages + 1):
         for c, v in enumerate(v_values):
-            q_table[i, c] = arm.inverse_kinematics(path.waypoints[i], np.array([v]), 0)
+            q_table[i, c] = inverse_kinematics(arm, path.waypoints[i], np.array([v]), 0)
     span = max(v_values) - min(v_values)
     spec = GridSpec(pv_max=pv_max, pv_levels=pv_levels, v_min=[min(v_values)],
                     v_max=[max(v_values)], v_step=[span if span > 0 else 1.0],

@@ -10,7 +10,7 @@ PUBLIC = [
     "NoConvergence", "NoFeasiblePlan", "ORDERS", "OracleBudget", "PlanResult",
     "PlanarArm", "PlanningError", "ReachedSets", "ResolutionConfig",
     "SaturationReport", "Scenario", "ScenarioError", "SingularJacobian",
-    "StateGrid", "TrajectoryProfile", "Unreachable", "ValueMap", "Window",
+    "StateGrid", "TrajectoryProfile", "ValueMap", "Window",
     "WorkspacePath", "build_grid", "bundled_scenario", "bundled_scenario_names",
     "compare", "dumps_canonical", "dynamic_manipulability_cost",
     "exhaustive_plan", "grid_from_configurations", "initial_samples", "load_path",

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_inf_limits, make_line_path, make_reference_arm
+from conftest import (inverse_kinematics, make_inf_limits, make_line_path,
+                      make_reference_arm)
 
 from redplan.baseline import (FD_STEP, RANK_TOL, JointPath, ResolutionConfig,
-                              _cost_gradient, _pinv_from_svd,
+                              _cost_gradient, _linearize, _pseudo_inverses,
                               dynamic_manipulability_cost, pseudo_inverse,
                               resolve_redundancy, time_parametrize)
 from redplan.constraints import LimitSets
@@ -30,7 +31,7 @@ def interior_config(arm, rng):
 
 
 def start_config(arm, path):
-    return arm.inverse_kinematics(path.waypoints[0], np.array([0.8]), 0)
+    return inverse_kinematics(arm, path.waypoints[0], np.array([0.8]), 0)
 
 
 def unified_spec(rest=True, pv_levels=4):
@@ -178,14 +179,13 @@ def test_cost_scales_quadratically_with_inertia():
 
 
 def test_null_space_term_lies_in_jacobian_kernel(arm):
-    from redplan.baseline import _cost_gradient
     for _ in range(20):
         q = interior_config(arm, RNG)
         t = RNG.standard_normal(2)
         t /= np.linalg.norm(t)
         J = arm.jacobian(q)
         J_pinv = pseudo_inverse(J)
-        term = (np.eye(3) - J_pinv @ J) @ _cost_gradient(arm, q, t, 1e8)
+        term = (np.eye(3) - J_pinv @ J) @ loop_gradient(arm, q, t, 1e8)
         assert np.linalg.norm(J @ term) <= 1e-10 * max(1.0, np.linalg.norm(term))
 
 
@@ -195,14 +195,41 @@ def test_null_space_term_lies_in_jacobian_kernel(arm):
 GRADIENT_ARM = make_reference_arm()
 
 
+def loop_gradient(arm, q, t, cond_cap):
+    """The gradient as resolve_redundancy forms it, from the same helpers:
+    one stack at q, its pseudo-inverses with J(q) in row 0 checked first,
+    then the neighbour rows."""
+    _, J, H = _linearize(arm, q, True)
+    return _cost_gradient(H, _pseudo_inverses(J, cond_cap)[1:], t)
+
+
+def scalar_pinv(J, cond_cap):
+    """One 2-D SVD, the shared rank and condition checks, V diag(1/s) U^T."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+        raise SingularJacobian("Jacobian lost rank")
+    if s[0] / s[-1] > cond_cap:
+        raise SingularJacobian(
+            f"Jacobian condition number {s[0] / s[-1]:.3g} exceeds cap {cond_cap:.3g}")
+    return (Vt.T * (1.0 / s)) @ U.T
+
+
+def scalar_cost(arm, q, t, cond_cap):
+    """|| H(q) J(q)^+ t ||^2 with one unstacked call per quantity."""
+    w = arm.inertia_matrix(q) @ scalar_pinv(arm.jacobian(q), cond_cap) @ t
+    return w @ w
+
+
 def scalar_gradient(arm, q, t, cond_cap):
-    """The definition: central differences of the scalar cost, joint by joint."""
+    """The definition: central differences of the scalar cost, joint by
+    joint, after the check of J(q) that the iteration makes first."""
+    scalar_pinv(arm.jacobian(q), cond_cap)
     grad = np.empty(arm.n)
     for j in range(arm.n):
         step = np.zeros(arm.n)
         step[j] = FD_STEP
-        grad[j] = (dynamic_manipulability_cost(arm, q + step, t, cond_cap)
-                   - dynamic_manipulability_cost(arm, q - step, t, cond_cap)) / (2 * FD_STEP)
+        grad[j] = (scalar_cost(arm, q + step, t, cond_cap)
+                   - scalar_cost(arm, q - step, t, cond_cap)) / (2 * FD_STEP)
     return grad
 
 
@@ -221,8 +248,36 @@ def gradient_outcome(gradient, q, t, cond_cap):
 def test_stacked_gradient_bitwise_equals_scalar(q, heading, cond_cap):
     q = np.array(q)
     t = np.array([np.cos(heading), np.sin(heading)])
-    assert (gradient_outcome(_cost_gradient, q, t, cond_cap)
+    assert (gradient_outcome(loop_gradient, q, t, cond_cap)
             == gradient_outcome(scalar_gradient, q, t, cond_cap))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+       neighbours=st.booleans())
+def test_linearized_stack_bitwise_equals_scalar_calls(q, neighbours):
+    # row 0 is the iteration's own FK(q), J(q) and pseudo-inverse; the
+    # neighbour rows are what the scalar cost would see at q +- h e_j
+    arm = GRADIENT_ARM
+    q = np.array(q)
+    x_q, J, H = _linearize(arm, q, neighbours)
+    assert x_q.tobytes() == arm.forward_kinematics(q).tobytes()
+    rows = [q]
+    for j in range(arm.n * neighbours):
+        step = np.zeros(arm.n)
+        step[j] = FD_STEP
+        rows += [q + step, q - step]
+    assert J.shape == (len(rows), 2, arm.n)
+    for r, row in enumerate(rows):
+        assert J[r].tobytes() == arm.jacobian(row).tobytes()
+        if r:
+            assert H[r - 1].tobytes() == arm.inertia_matrix(row).tobytes()
+    assert (H is None) == (not neighbours)
+    try:
+        P = _pseudo_inverses(J[:1], 1e8)
+    except SingularJacobian:
+        return
+    assert P[0].tobytes() == scalar_pinv(J[0], 1e8).tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -237,7 +292,7 @@ def test_pinv_scales_columns_bitwise_like_diagonal_product(n, data):
     U, s, Vt = np.linalg.svd(J, full_matrices=False)
     assume(s[0] > 0.0 and s[-1] > RANK_TOL * s[0] and s[0] / s[-1] <= 1e8)
     diagonal = Vt.T @ np.diag(1.0 / s) @ U.T
-    assert (_pinv_from_svd(U, s, Vt, 1e8) + 0.0).tobytes() == (diagonal + 0.0).tobytes()
+    assert (pseudo_inverse(J, 1e8) + 0.0).tobytes() == (diagonal + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("cond_cap,message", [
@@ -249,10 +304,42 @@ def test_gradient_raises_first_offending_neighbour(arm, cond_cap, message):
     # nearly stretched: the condition number grows fast as q_2 falls to 0
     q = np.array([0.3, 0.0, 3 * FD_STEP])
     t = np.array([1.0, 0.0])
-    for gradient in (_cost_gradient, scalar_gradient):
+    for gradient in (loop_gradient, scalar_gradient):
         with pytest.raises(SingularJacobian) as info:
             gradient(arm, q, t, cond_cap)
         assert str(info.value) == message
+
+
+def test_singular_jacobian_at_q_raises_before_any_neighbour(arm):
+    # nearly stretched: J(q) and q +- h e_0 have condition number 2.03e6,
+    # the bending neighbours q +- h e_1, q +- h e_2 their own ones, and the
+    # cap lies below them all
+    q = np.array([0.3, 0.0, 3 * FD_STEP])
+    _, J, _ = _linearize(arm, q, True)
+    with pytest.raises(SingularJacobian, match="number 1.55e"):
+        _pseudo_inverses(J[3:], 1.5e6)
+    message = "^Jacobian condition number 2.03e[+]06 exceeds cap 1.5e[+]06$"
+    with pytest.raises(SingularJacobian, match=message):
+        _pseudo_inverses(J, 1.5e6)
+    with pytest.raises(SingularJacobian, match=message):
+        resolve_redundancy(arm, make_line_path(4), ResolutionConfig(q0=q, cond_cap=1.5e6))
+
+
+def test_alpha_zero_builds_no_neighbour_rows(arm, monkeypatch):
+    path = make_line_path(6)
+    q0 = start_config(arm, path)
+    shapes = []
+    trig = arm._trig
+
+    def recording_trig(q):
+        shapes.append(np.shape(q))
+        return trig(q)
+
+    monkeypatch.setattr(arm, "_trig", recording_trig)
+    monkeypatch.setattr(arm, "_inertia", None)      # never called without neighbours
+    jp = resolve_redundancy(arm, path, ResolutionConfig(q0=q0, alpha=0.0))
+    assert set(shapes) == {(1, 3)}
+    assert len(shapes) == 1 + int(jp.iterations.sum())
 
 
 def test_singular_jacobian_raises(arm):
@@ -306,7 +393,7 @@ def test_unified_superset_grid_dominates_baseline(arm):
     cols = [jp.q]
     for v in (0.7, 0.9, 1.0):
         cols.append(np.stack([
-            arm.inverse_kinematics(path.waypoints[i], np.array([v]), 0)
+            inverse_kinematics(arm, path.waypoints[i], np.array([v]), 0)
             for i in range(11)]))
     q_table = np.stack(cols, axis=1)
     unified = plan(grid_from_configurations(arm, path, q_table, spec), limits)

@@ -102,6 +102,28 @@ def test_nan_link_mass_is_config_error(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command", ["plan", "baseline"])
+@pytest.mark.parametrize("block,field", [(None, "n_stages"), ("grid", "pv_levels")])
+def test_oversized_counts_are_config_errors(tmp_path, capsys, command, block, field):
+    # 1e308 is an integral number, so it passes as a count; numpy used to
+    # reject the first array it sized, with exit 1
+    if block is None:
+        override = {field: 1e308}
+    else:
+        with open(bundled_path("line")) as fh:
+            override = {block: json.load(fh)[block]}
+        override[block][field] = 1e308
+    out = tmp_path / "x"
+    out.mkdir()
+    code = main([command, "--scenario", tweaked(tmp_path, "line", **override),
+                 "--out", str(out)])
+    assert code == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError"
+    assert "array index" in payload["message"]
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("name,block,field,value", [
     pytest.param(name, block, field, value, id=f"{name}-{block}.{field}={value}")
     for name, block, field, value in (

@@ -510,11 +510,11 @@ class TestStageTransitions:
         # pass; an engine call gathers them and adds one pass per check
         # point on its evaluated lanes
         shapes = []
-        components = PlanarArm._com_jacobian_components
+        trig = PlanarArm._trig
 
         def recording(robot, q):
             shapes.append(np.shape(q))
-            return components(robot, q)
+            return trig(robot, q)
 
         rng = np.random.default_rng(43)
         center = np.array([0.3, -0.6, 0.9])
@@ -523,7 +523,7 @@ class TestStageTransitions:
         q_next = center + rng.uniform(-0.06, 0.06, (C, 3))
         terms = arm.rigid_terms(q_next)
         limits = LimitSets(qd=np.full(3, 0.25), tau=np.full(3, 100.0))
-        monkeypatch.setattr(PlanarArm, "_com_jacobian_components", recording)
+        monkeypatch.setattr(PlanarArm, "_trig", recording)
         ev = stage_transitions(arm, limits, 0.1, *prev, q_next, terms,
                                np.array([0.0, 0.3, 0.5]), check_count=check_count)
         K = ev.lanes.size

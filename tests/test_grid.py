@@ -13,7 +13,7 @@ from redplan.path import CurveSpec, sample_path
 from redplan.robot import JointLimits, PlanarArm
 from redplan.scenario import bundled_scenario
 
-from conftest import make_reference_arm, make_toy_grid
+from conftest import inverse_kinematics, make_reference_arm, make_toy_grid
 
 
 def line_path(n_stages, p0=(0.5, 0.2), p1=(0.5, -0.2)):
@@ -36,7 +36,7 @@ def admissible_cells_by_sweep(robot, path, spec):
         for combo in itertools.product(*axes):
             for g in range(robot.branch_count):
                 try:
-                    q = robot.inverse_kinematics(path.waypoints[i], np.array(combo), g)
+                    q = inverse_kinematics(robot, path.waypoints[i], np.array(combo), g)
                 except PlanningError:
                     continue
                 if np.all(q >= lim.q_min) and np.all(q <= lim.q_max):
@@ -131,7 +131,7 @@ class TestBuildGrid:
                     c = j * 2 + g
                     if not grid.cfg_ok[i, c]:
                         continue
-                    q = arm.inverse_kinematics(path.waypoints[i], rows[j], g)
+                    q = inverse_kinematics(arm, path.waypoints[i], rows[j], g)
                     assert np.array_equal(grid.q_table[i, c], q)
 
     def test_levels_are_multiples_of_step(self, arm):
@@ -264,7 +264,7 @@ class TestConfigurationGrid:
         path = line_path(3)
         q_table = np.zeros((4, 1, 3))
         for i in range(4):
-            q_table[i, 0] = arm.inverse_kinematics(path.waypoints[i], np.array([0.9]), 0)
+            q_table[i, 0] = inverse_kinematics(arm, path.waypoints[i], np.array([0.9]), 0)
         spec = spec_1d()
         grid = grid_from_configurations(arm, path, q_table, spec)
         assert grid.cfg_count == 1

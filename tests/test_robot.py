@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redplan.errors import BranchDegenerate, ScenarioError, Unreachable
-from redplan.robot import PlanarArm, load_robot
+from redplan.errors import ScenarioError
+from redplan.robot import DynamicParams, JointLimits, PlanarArm, load_robot
 
-from conftest import make_reference_arm
+from conftest import BranchDegenerate, Unreachable, inverse_kinematics, make_reference_arm
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -103,15 +103,15 @@ def test_fk_batched_matches_scalar(arm):
 
 
 def test_ik_stretched_solution_is_canonical(unit_arm):
-    q = unit_arm.inverse_kinematics(np.array([3.0, 0.0]), np.array([0.0]), 0)
+    q = inverse_kinematics(unit_arm, np.array([3.0, 0.0]), np.array([0.0]), 0)
     assert q == pytest.approx([0.0, 0.0, 0.0], abs=1e-14)
     with pytest.raises(BranchDegenerate):
-        unit_arm.inverse_kinematics(np.array([3.0, 0.0]), np.array([0.0]), 1)
+        inverse_kinematics(unit_arm, np.array([3.0, 0.0]), np.array([0.0]), 1)
 
 
 def test_ik_unreachable_beyond_annulus(unit_arm):
     with pytest.raises(Unreachable):
-        unit_arm.inverse_kinematics(np.array([3.5, 0.0]), np.array([0.0]), 0)
+        inverse_kinematics(unit_arm, np.array([3.5, 0.0]), np.array([0.0]), 0)
 
 
 def test_ik_round_trip_1000_poses(arm):
@@ -121,13 +121,13 @@ def test_ik_round_trip_1000_poses(arm):
     for q in qs:
         x = arm.forward_kinematics(q)
         g = 0 if q[2] >= 0.0 else 1
-        q_back = arm.inverse_kinematics(x, q[:1], g)
+        q_back = inverse_kinematics(arm, x, q[:1], g)
         assert np.max(np.abs(q_back - q)) < 1e-10
 
 
 def test_ik_branches_distinct_off_degeneracy(arm):
-    q0 = arm.inverse_kinematics(np.array([0.55, 0.2]), np.array([0.9]), 0)
-    q1 = arm.inverse_kinematics(np.array([0.55, 0.2]), np.array([0.9]), 1)
+    q0 = inverse_kinematics(arm, np.array([0.55, 0.2]), np.array([0.9]), 0)
+    q1 = inverse_kinematics(arm, np.array([0.55, 0.2]), np.array([0.9]), 1)
     assert q0[2] > 0.0 > q1[2]
     assert arm.forward_kinematics(q0) == pytest.approx([0.55, 0.2], abs=1e-12)
     assert arm.forward_kinematics(q1) == pytest.approx([0.55, 0.2], abs=1e-12)
@@ -137,7 +137,7 @@ def test_ik_elbow_below_chord_on_branch_zero(arm):
     # elbow-down: distal elbow lies below the chord from subchain base to target
     v = np.array([0.2])
     target = np.array([0.6, 0.1])
-    q = arm.inverse_kinematics(target, v, 0)
+    q = inverse_kinematics(arm, target, v, 0)
     base = 0.5 * np.array([np.cos(v[0]), np.sin(v[0])])
     elbow = base + 0.4 * np.array([np.cos(q[0] + q[1]), np.sin(q[0] + q[1])])
     chord = target - base
@@ -152,7 +152,7 @@ def test_ik_table_matches_scalar_calls(arm):
     for j, v in enumerate(vs):
         for g in range(2):
             try:
-                q = arm.inverse_kinematics(x, v, g)
+                q = inverse_kinematics(arm, x, v, g)
             except (Unreachable, BranchDegenerate):
                 assert np.all(np.isnan(table[j, g]))
                 continue
@@ -339,6 +339,145 @@ def test_broadcast_dynamics_bitwise_equal_tiled(arm):
     tau = arm.inverse_dynamics(q, qd, qdd)
     tau_tiled = arm.inverse_dynamics(np.broadcast_to(q, (4, 6, 3)).copy(), qd, qdd)
     assert np.array_equal(tau, tau_tiled)
+
+
+# ---------------------------------------------------------------------------
+# kernels against their scalar-index loop forms
+#
+# The kernels add each term to a slice of entries at once; these loops
+# compute one entry at a time, with the same operations in the same order,
+# so the two agree bit for bit, NaN payloads and zero signs included.
+
+
+def loop_position(arm, q):
+    th = np.cumsum(q, axis=-1)
+    x = np.zeros(q.shape[:-1])
+    y = np.zeros(q.shape[:-1])
+    for a in range(arm.n):
+        x = x + arm._L[a] * np.cos(th[..., a])
+        y = y + arm._L[a] * np.sin(th[..., a])
+    return np.stack([x, y], axis=-1)
+
+
+def loop_jacobian(arm, q):
+    th = np.cumsum(q, axis=-1)
+    st, ct = np.sin(th), np.cos(th)
+    J = np.zeros(q.shape[:-1] + (2, arm.n))
+    for b in range(arm.n):
+        jx = np.zeros(q.shape[:-1])
+        jy = np.zeros(q.shape[:-1])
+        for a in range(b, arm.n):
+            jx = jx - arm._L[a] * st[..., a]
+            jy = jy + arm._L[a] * ct[..., a]
+        J[..., 0, b] = jx
+        J[..., 1, b] = jy
+    return J
+
+
+def loop_com_jacobian_components(arm, q):
+    th = np.cumsum(q, axis=-1)
+    ct, st = np.cos(th), np.sin(th)
+    n, lc = arm.n, arm.dynamics.com
+    Ax = np.zeros(q.shape[:-1] + (n, n))
+    Ay = np.zeros(q.shape[:-1] + (n, n))
+    for k in range(n):
+        for b in range(k + 1):
+            ax = -lc[k] * st[..., k]
+            ay = lc[k] * ct[..., k]
+            for a in range(b, k):
+                ax = ax - arm._L[a] * st[..., a]
+                ay = ay + arm._L[a] * ct[..., a]
+            Ax[..., k, b] = ax
+            Ay[..., k, b] = ay
+    return Ax, Ay, ct, st
+
+
+def loop_inertia(arm, components):
+    Ax, Ay, _, _ = components
+    n, mass, inertia = arm.n, arm.dynamics.mass, arm.dynamics.inertia
+    H = np.zeros(Ax.shape[:-2] + (n, n))
+    for a in range(n):
+        for b in range(a, n):
+            h = np.zeros(Ax.shape[:-2])
+            for k in range(max(a, b), n):
+                h = h + mass[k] * (Ax[..., k, a] * Ax[..., k, b]
+                                   + Ay[..., k, a] * Ay[..., k, b])
+                h = h + inertia[k]
+            H[..., a, b] = h
+            if b != a:
+                H[..., b, a] = h
+    return H
+
+
+def loop_centripetal(arm, components):
+    Ax, Ay, ct, st = components
+    n, mass, lc = arm.n, arm.dynamics.mass, arm.dynamics.com
+    G = np.zeros(Ax.shape[:-2] + (n, n))
+    for b in range(n):
+        for c in range(n):
+            gv = np.zeros(Ax.shape[:-2])
+            for k in range(max(b, c), n):
+                w = lc[k] if c == k else arm._L[c]
+                gv = gv - mass[k] * w * (Ax[..., k, b] * ct[..., c]
+                                         + Ay[..., k, b] * st[..., c])
+            G[..., b, c] = gv
+    return G
+
+
+def loop_gravity(arm, components):
+    Ax, Ay, _, _ = components
+    gx, gy = arm.dynamics.gravity
+    n, mass = arm.n, arm.dynamics.mass
+    tg = np.zeros(Ax.shape[:-2] + (n,))
+    for b in range(n):
+        t = np.zeros(Ax.shape[:-2])
+        for k in range(b, n):
+            t = t - mass[k] * (Ax[..., k, b] * gx + Ay[..., k, b] * gy)
+        tg[..., b] = t
+    return tg
+
+
+def chain_arm(n):
+    """An n-link arm with distinct, uneven parameters on every link."""
+    k = np.arange(n)
+    lengths = 0.5 - 0.05 * k
+    limits = JointLimits(q_min=np.full(n, -3.0), q_max=np.full(n, 3.0),
+                         qd_max=np.ones(n), qdd_max=np.ones(n), qddd_max=np.ones(n),
+                         tau_max=np.ones(n), taud_max=np.ones(n))
+    dynamics = DynamicParams(mass=2.0 - 0.25 * k, com=lengths * (0.3 + 0.07 * k),
+                             inertia=0.03 + 0.011 * k, viscous=np.zeros(n),
+                             coulomb=np.zeros(n), gravity=np.array([0.7, -9.81]))
+    return PlanarArm(lengths, limits, dynamics)
+
+
+CHAIN_ARMS = {n: chain_arm(n) for n in range(3, 8)}
+ENTRIES = st.sampled_from([0.0, -0.0, np.nan, -np.nan]) | st.floats(-4.0, 4.0)
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(3, 7), batch=st.sampled_from([(), (1,), (7,), (5, 4)]),
+       data=st.data())
+def test_kernels_bitwise_equal_loop_forms(n, batch, data):
+    arm = CHAIN_ARMS[n]
+    size = int(np.prod(batch, dtype=int)) * n
+    q = np.reshape(data.draw(st.lists(ENTRIES, min_size=size, max_size=size)), batch + (n,))
+    trig = arm._trig(q)
+    components = arm._com_jacobian_components(*trig)
+    reference = loop_com_jacobian_components(arm, q)
+    for got, expect in zip(components, reference):
+        assert np.array_equal(bits(got), bits(expect))
+    pairs = [(arm.forward_kinematics(q), loop_position(arm, q)),
+             (arm.jacobian(q), loop_jacobian(arm, q)),
+             (arm._inertia(components), loop_inertia(arm, reference)),
+             (arm._centripetal(components), loop_centripetal(arm, reference)),
+             (arm._gravity(components), loop_gravity(arm, reference))]
+    for got, expect in pairs:
+        assert got.shape == expect.shape
+        assert np.array_equal(bits(got), bits(expect))
 
 
 # ---------------------------------------------------------------------------
