@@ -1,7 +1,8 @@
 """Golden digests: `redplan plan` on every bundled scenario must write the
-same report.json and trajectory.csv, byte for byte, and `redplan baseline`
+same report.json and trajectory.csv, byte for byte, `redplan baseline`
 the same baseline_report.json, joint_path.csv and trajectory.csv on every
-bundled scenario with a baseline block.
+bundled scenario with a baseline block, and `redplan verify` the same
+gap_report.json on the bundled toys.
 
 A speed-up of the planner has to leave these artifacts untouched; when a
 change is meant to move a plan, the digests are updated in the same change
@@ -89,3 +90,27 @@ def test_check_point_plan_artifacts_match_golden_digests(name, tmp_path):
     report, trajectory = GOLDEN_CHECK_POINTS[name]
     assert _sha256(out / "report.json") == report
     assert _sha256(out / "trajectory.csv") == trajectory
+
+
+# gap_report.json sha256 of `verify`, keyed by (scenario, check_count);
+# toy_jerk's gap is positive, so its digest pins the attribution too
+GOLDEN_VERIFY = {
+    ("toy_full", 0): "f0e2898df26cd1c8c099283e89723a52c2cc1f104afb097e79253ef1617a0591",
+    ("toy_full", 2): "2feeff43ec4b498326f9c67e0a480a52564200f660141ca26531d38a4dcaad0b",
+    ("toy_jerk", 0): "e178f2e38df4be8ec7388974235da2bc88c2aa71c84df06ea65b684fc98700f0",
+    ("toy_velocity", 0): "e1a330ebd5cbab34fe33f76a5ba1884335ebe9945fd1d3943486c6885c5cf70f",
+}
+
+
+@pytest.mark.parametrize("name,check_count", sorted(GOLDEN_VERIFY))
+def test_verify_artifact_matches_golden_digest(name, check_count, tmp_path):
+    scenario = os.path.join(_bundled_dir(), name + ".json")
+    if check_count:
+        with open(scenario) as fh:
+            data = json.load(fh)
+        data["check_count"] = check_count
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert _sha256(out / "gap_report.json") == GOLDEN_VERIFY[name, check_count]
