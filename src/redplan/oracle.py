@@ -14,7 +14,11 @@ cheapest label equals the cheapest feasible chain, bit for bit.
 On velocity-only runs the two searches must agree; with history-dependent
 orders enabled the DP cost can only be higher, and compare() quantifies
 and attributes that gap. Both searches run the same sweep and replay, so
-they differ only in the histories they keep.
+they differ only in the histories they keep. The attribution searches
+again only the subsets of orders whose gap it cannot derive: an order
+bounded by +inf on every joint rejects nothing, so adding it changes no
+search; a subset with no finite bound after it searches like the full set;
+and a subset without a finite history-dependent bound has no gap.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ORDERS, LimitSets
+from .constraints import HISTORY_DEPENDENT_ORDERS, ORDERS, LimitSets
 from .errors import BudgetExceeded, ContractViolation, ScenarioError
 from .grid import StateGrid
 from .planner import PlanResult, _sweep, extract, plan
@@ -63,7 +67,9 @@ class GapReport:
 
     attribution maps each enabled constraint order to the gap increment it
     introduces when added cumulatively (edge-local orders contribute 0);
-    the increments telescope to the total gap.
+    the increments telescope to the total gap. Each increment has the bits
+    that searching every cumulative subset would give, though compare()
+    derives most subsets' gaps without a search.
     """
 
     oracle_cost: float
@@ -129,6 +135,20 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
     GAP_TOLERANCE, the enabled orders are added back one at a time
     (cheapest first) and each one's gap increment is recorded.
 
+    An order binds when its bound has a finite entry; one that does not
+    rejects no edge (|v| > inf is false for every sample, and the velocity
+    table's shortest step is 0). The gap of a cumulative subset is derived
+    without a search, with the bits its search would give:
+    - its last order does not bind: the gap of the subset before it;
+    - no later order binds: the total gap, the subset being the full set;
+    - none of its binding orders is history-dependent: 0.0, since the DP
+      is exact there.
+    Only a subset with a binding history-dependent order and a binding
+    order after it runs plan() and exhaustive_plan(), budget guarding the
+    latter. With the budget of oracle_result's search, no derived subset
+    could have raised: each is looser than the full instance, whose
+    searches succeeded, and the budget check reads the grid alone.
+
     Raises:
         ScenarioError: results from different instances.
         ContractViolation: DP cost below the oracle cost by more than
@@ -148,17 +168,23 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
             f"{oracle_result.cost!r}; one of the searches is unsound")
     relative = gap / oracle_result.cost if oracle_result.cost > 0 else 0.0
 
-    enabled = dp_result.limits.enabled_orders
+    limits = dp_result.limits
+    enabled = limits.enabled_orders
     attribution = {order: 0.0 for order in enabled}
     if gap > GAP_TOLERANCE:
         grid = dp_result.grid
         check_count = dp_result.check_count
+        binds = {order: bool(np.isfinite(limits.bound(order)).any()) for order in enabled}
         prev_gap = 0.0
         for k, order in enumerate(enabled):
-            subset = dp_result.limits.disable(*enabled[k + 1:])
-            if order == enabled[-1]:
-                gap_k = gap
+            if not binds[order]:
+                gap_k = prev_gap        # the same searches as subset k - 1
+            elif not any(binds[o] for o in enabled[k + 1:]):
+                gap_k = gap             # the same searches as the full set
+            elif not any(binds[o] for o in enabled[:k + 1] if o in HISTORY_DEPENDENT_ORDERS):
+                gap_k = 0.0             # the DP is exact without history
             else:
+                subset = limits.disable(*enabled[k + 1:])
                 dp_k = plan(grid, subset, check_count=check_count)
                 oracle_k = exhaustive_plan(grid, subset, budget=budget,
                                            check_count=check_count)

@@ -577,6 +577,47 @@ class TestStageTransitions:
         assert run(strided) == expect
 
 
+    # typical magnitudes of each order on build_prev's lanes at dt 0.1-0.3
+    FINITE_SCALE = {"qd": 0.25, "qdd": 5.0, "qddd": 40.0, "tau": np.array([30.0, 10.0, 1.8]),
+                    "taud": 100.0}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(order=st.sampled_from(ORDERS),
+           kinds=st.lists(st.sampled_from(("off", "inf", "finite")), min_size=5, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1), check_count=st.sampled_from([0, 2]),
+           windowed=st.booleans())
+    def test_inf_bound_rejects_nothing(self, order, kinds, seed, check_count, windowed):
+        # an order bounded by +inf on every joint leaves every lane, sample
+        # and other order's verdict as they are with the order disabled: the
+        # premise on which compare() derives a subset's gap from the one
+        # before it
+        arm = make_reference_arm()
+        rng = np.random.default_rng(seed)
+        center = np.array([0.3, -0.6, 0.9])
+        prev = self.build_prev(arm, rng, 6, center=center, spread=0.06)
+        q_next = center + rng.uniform(-0.06, 0.06, (5, 3))
+        levels = np.array([0.0, 0.3, 0.5])
+        candidates = rng.random((6, 3, 5)) < 0.7 if windowed else None
+        caps = {o: np.full(3, np.inf) if kind == "inf"
+                else self.FINITE_SCALE[o] * rng.uniform(0.5, 2.0, 3)
+                for o, kind in zip(ORDERS, kinds) if kind != "off"}
+        unbounded = LimitSets(**{**caps, order: np.full(3, np.inf)})
+
+        def run(limits):
+            return stage_transitions(arm, limits, 0.1, *prev, q_next, arm.rigid_terms(q_next),
+                                     levels, check_count=check_count, candidates=candidates)
+
+        a, b = run(unbounded), run(unbounded.disable(order))
+        fields = ("dt", "lanes", *ORDERS, "feasible")
+        assert [getattr(a, f).tobytes() for f in fields] == [getattr(b, f).tobytes()
+                                                              for f in fields]
+        assert set(a.order_ok) == set(b.order_ok) | {order}
+        for other, ok in b.order_ok.items():
+            assert a.order_ok[other].tobytes() == ok.tobytes()
+        assert a.order_ok[order].all()
+        assert a.rejections() == b.rejections()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_order_ok_matches_the_nan_skipping_form(data):

@@ -10,6 +10,8 @@ start node stays feasible.
 from __future__ import annotations
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -17,14 +19,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import enumerate_chains, feasible_prefixes, make_toy_grid, sweep_record
 
-from redplan import planner
-from redplan.constraints import LimitSets, edge_durations
+from redplan import oracle as oracle_module, planner
+from redplan.constraints import ORDERS, LimitSets, edge_durations
 from redplan.errors import (BudgetExceeded, ContractViolation, NoFeasiblePlan,
                             ScenarioError)
 from redplan.grid import grid_from_configurations
-from redplan.oracle import MAX_CELLS, GapReport, OracleBudget, compare, exhaustive_plan
+from redplan.oracle import (GAP_TOLERANCE, MAX_CELLS, GapReport, OracleBudget, compare,
+                            exhaustive_plan)
 from redplan.planner import plan
-from redplan.scenario import bundled_scenario
+from redplan.scenario import bundled_scenario, load_scenario
 
 INF3 = np.full(3, np.inf)
 
@@ -152,9 +155,22 @@ def toy_instances(draw):
     assume(math.prod(grid.admissible_counts) <= 600)
     caps = {"qd": np.full(3, draw(st.just(np.inf) | st.floats(1.0, 4.0)))}
     for order, low, high in (("qddd", 40.0, 160.0), ("tau", 15.0, 40.0)):
-        if draw(st.booleans()):
-            caps[order] = np.full(3, draw(st.floats(low, high)))
+        kind = draw(st.sampled_from(("off", "inf", "finite")))
+        if kind != "off":
+            caps[order] = np.full(3, np.inf if kind == "inf" else draw(st.floats(low, high)))
     return grid, LimitSets(**caps), draw(st.sampled_from([0, 2]))
+
+
+def one_joint(j, cap):
+    """A bound that is cap on joint j and +inf on the others."""
+    bound = INF3.copy()
+    bound[j] = cap
+    return bound
+
+
+def binds(limits, order):
+    """True when the order's bound has a finite entry (it can reject)."""
+    return bool(np.isfinite(limits.bound(order)).any())
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -182,7 +198,9 @@ def test_oracle_is_exact_on_random_toys(instance):
     except NoFeasiblePlan:
         dp_cost = np.inf
     assert dp_cost >= oracle.cost
-    if limits.enabled_orders == ("qd",):
+    # an order bounded by +inf rejects nothing, so without a finite history
+    # bound the search is velocity-only, where the DP is exact
+    if not any(binds(limits, o) for o in limits.history_dependent_orders):
         assert dp_cost == oracle.cost
 
 
@@ -294,3 +312,150 @@ def test_oracle_profile_replay_consistency():
     assert t[-1] == result.cost
     assert result.profile.pv[0] == 0.0 and result.profile.pv[-1] == 0.0
     assert np.all(np.isfinite(result.profile.qddd[1:]))
+
+
+# --- attribution: derived subsets against searched ones --------------------
+
+
+def rerun_attribution(dp, oracle):
+    """compare()'s attribution with a search of every cumulative subset
+    but the full one, the reference for the subsets compare() derives."""
+    enabled = dp.limits.enabled_orders
+    attribution = {order: 0.0 for order in enabled}
+    gap = dp.cost - oracle.cost
+    if gap > GAP_TOLERANCE:
+        prev_gap = 0.0
+        for k, order in enumerate(enabled):
+            if order == enabled[-1]:
+                gap_k = gap
+            else:
+                subset = dp.limits.disable(*enabled[k + 1:])
+                gap_k = (plan(dp.grid, subset, check_count=dp.check_count).cost
+                         - exhaustive_plan(dp.grid, subset, check_count=dp.check_count).cost)
+            attribution[order] = gap_k - prev_gap
+            prev_gap = gap_k
+    return attribution
+
+
+def assert_attribution_bitwise(grid, limits, check_count):
+    dp = plan(grid, limits, check_count=check_count)
+    oracle = exhaustive_plan(grid, limits, check_count=check_count)
+    derived = compare(dp, oracle).attribution
+    reference = rerun_attribution(dp, oracle)
+    assert {o: v.hex() for o, v in derived.items()} == {o: v.hex() for o, v in reference.items()}
+    return dp.cost - oracle.cost
+
+
+def all_finite_jerk_instance():
+    """jerk_instance with every order bounded, and still a positive gap."""
+    grid, limits = jerk_instance()
+    return grid, LimitSets(qd=np.full(3, 10.0), qdd=np.full(3, 40.0), qddd=limits.qddd,
+                           tau=np.full(3, 60.0), taud=np.full(3, 2000.0))
+
+
+def searched_qdd_instance():
+    """A positive gap that the searched {qd, qdd} subset carries whole,
+    with qddd at +inf after it."""
+    grid = make_toy_grid(n_stages=3, pv_levels=2, rest=False)
+    return grid, LimitSets(qd=one_joint(0, 2.9), qdd=np.full(3, 20.3), qddd=INF3,
+                           tau=np.full(3, 50.0), taud=np.full(3, 1793.1))
+
+
+def verify_oracle_scenario(tmp_path):
+    """The benchmark's verify-oracle scenario at seed 0."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    try:
+        from workloads import write_scenario
+    finally:
+        sys.path.pop(0)
+    return load_scenario(write_scenario("verify-oracle", 0, False, str(tmp_path)))
+
+
+@pytest.mark.parametrize("name,check_count", [("toy_velocity", 0), ("toy_full", 0),
+                                              ("toy_full", 2), ("toy_jerk", 0),
+                                              ("toy_jerk", 2)])
+def test_attribution_bitwise_on_bundled_toys(name, check_count):
+    sc = bundled_scenario(name)
+    assert_attribution_bitwise(sc.build(), sc.limits, check_count)
+
+
+def test_attribution_bitwise_on_jerk_instances():
+    assert assert_attribution_bitwise(*jerk_instance(), 0) > 0
+    assert assert_attribution_bitwise(*all_finite_jerk_instance(), 0) > 0
+
+
+# typical finite bounds on the toy grids, per order
+ATTRIBUTION_RANGES = {"qd": (1.5, 4.0), "qdd": (15.0, 60.0), "qddd": (60.0, 140.0),
+                      "tau": (10.0, 60.0), "taud": (100.0, 2000.0)}
+
+
+@st.composite
+def attribution_instances(draw):
+    """Toys near the adversarial jerk instance, each order disabled, +inf
+    on every joint, or finite (on every joint or on one)."""
+    grid = make_toy_grid(n_stages=draw(st.integers(3, 4)), pv_levels=draw(st.integers(1, 2)),
+                         rest=draw(st.booleans()),
+                         v_values=draw(st.sampled_from([(0.7, 1.0), (0.75, 0.9)])))
+    caps = {}
+    for order, (low, high) in ATTRIBUTION_RANGES.items():
+        kind = draw(st.sampled_from(("off", "inf", "finite", "one joint")))
+        if kind == "inf":
+            caps[order] = INF3
+        elif kind == "finite":
+            caps[order] = np.full(3, draw(st.floats(low, high)))
+        elif kind == "one joint":
+            caps[order] = one_joint(draw(st.integers(0, 2)), draw(st.floats(low, high)))
+    assume(caps)
+    return grid, LimitSets(**caps), draw(st.sampled_from([0, 2]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(instance=attribution_instances())
+# pinned positive gaps, the last with single-joint bounds and check points
+@example(instance=(*searched_qdd_instance(), 0))
+@example(instance=(make_toy_grid(n_stages=3, pv_levels=1, rest=False),
+                   LimitSets(qdd=one_joint(2, 31.6), qddd=one_joint(1, 71.8),
+                             tau=np.full(3, 59.6), taud=one_joint(2, 1905.0)), 2))
+@example(instance=(*all_finite_jerk_instance(), 2))
+def test_attribution_bitwise_on_random_toys(instance):
+    grid, limits, check_count = instance
+    try:
+        assert_attribution_bitwise(grid, limits, check_count)
+    except NoFeasiblePlan:
+        assume(False)
+
+
+def searches_of_compare(monkeypatch, grid, limits, check_count=0):
+    """The enabled orders of every plan() call compare() makes on a
+    positive-gap instance; it makes the same exhaustive_plan() calls."""
+    dp = plan(grid, limits, check_count=check_count)
+    oracle = exhaustive_plan(grid, limits, check_count=check_count)
+    calls = {"plan": [], "exhaustive_plan": []}
+    for name in calls:
+        search = getattr(oracle_module, name)
+
+        def counted(grid, limits, *args, _search=search, _calls=calls[name], **kwargs):
+            _calls.append(limits.enabled_orders)
+            return _search(grid, limits, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, name, counted)
+    report = compare(dp, oracle)
+    monkeypatch.undo()
+    assert report.gap > 0
+    assert calls["plan"] == calls["exhaustive_plan"]
+    return calls["plan"]
+
+
+def test_only_subsets_that_can_differ_are_searched(monkeypatch, tmp_path):
+    # toy_jerk and the benchmark's verify-oracle: only qddd binds, so every
+    # subset is derived although the gap is positive
+    for sc in (bundled_scenario("toy_jerk"), verify_oracle_scenario(tmp_path)):
+        assert searches_of_compare(monkeypatch, sc.build(), sc.limits, sc.check_count) == []
+    # every order bounded: {qd} has no history and {qd, ..., taud} is the
+    # full set; each subset between them is searched once
+    assert searches_of_compare(monkeypatch, *all_finite_jerk_instance()) == [
+        ORDERS[:2], ORDERS[:3], ORDERS[:4]]
+    # qddd at +inf adds nothing to {qd, qdd}, which is searched, as is
+    # {qd, ..., tau}, since taud binds after it
+    assert searches_of_compare(monkeypatch, *searched_qdd_instance()) == [ORDERS[:2],
+                                                                         ORDERS[:4]]
