@@ -12,11 +12,14 @@ with the reason.
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from redplan.baseline import resolve_redundancy
 from redplan.cli import main
-from redplan.scenario import _bundled_dir
+from redplan.errors import NoConvergence
+from redplan.scenario import _bundled_dir, load_scenario
 
 # (report.json, trajectory.csv) sha256 per bundled scenario
 GOLDEN = {
@@ -114,3 +117,35 @@ def test_verify_artifact_matches_golden_digest(name, check_count, tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--scenario", str(scenario), "--out", str(out)]) == 0
     assert _sha256(out / "gap_report.json") == GOLDEN_VERIFY[name, check_count]
+
+
+# sha256 over the bytes of JointPath q, residuals, iterations and step_norms
+# from resolve_redundancy, keyed by (scenario, alpha); None keeps the
+# scenario's own alpha. ellipse at alpha 1e-2 stalls, so its entry pins the
+# NoConvergence waypoint and residual instead
+GOLDEN_RESOLVED = {
+    ("ellipse", None): "6c92faf282019755f2e5e1c5df63f28f7365b3a960b88955099a990dddcdead9",
+    ("ellipse", 0.0): "fc4b9d9d01844c008df5b5e1370b6dc003ded1f4dde4403ff10ee7356fdb3127",
+    ("ellipse", 1e-2): "NoConvergence 43 0x1.e8aa3b94d89d7p-27",
+    ("line", None): "f7b6d9551534721e845521cccb01f9b22150584f96bb15751d05b6c5901b6907",
+    ("line", 0.0): "a73698f37fec152763259f70d922272597c48a18db6c4cb7474fa8344b956c74",
+    ("line", 1e-2): "6c1a43e94b7b5323d3fa96ca06fd9d9f5b8df85ccfaa749a490f74e3015607fe",
+}
+
+
+def _resolved_digest(name, alpha) -> str:
+    scenario = load_scenario(os.path.join(_bundled_dir(), name + ".json"))
+    config = scenario.baseline if alpha is None else replace(scenario.baseline, alpha=alpha)
+    try:
+        jp = resolve_redundancy(scenario.robot, scenario.sample(), config)
+    except NoConvergence as exc:
+        return f"NoConvergence {exc.waypoint} {exc.residual.hex()}"
+    digest = hashlib.sha256()
+    for array in (jp.q, jp.residuals, jp.iterations, jp.step_norms):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name,alpha", list(GOLDEN_RESOLVED))
+def test_resolved_joint_paths_match_golden_digests(name, alpha):
+    assert _resolved_digest(name, alpha) == GOLDEN_RESOLVED[name, alpha]
