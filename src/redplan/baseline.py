@@ -10,6 +10,7 @@ structural handicap this baseline has against the unified planner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,26 +130,44 @@ def dynamic_manipulability_cost(robot: PlanarArm, q: Array, t: Array,
     return float(w @ w)
 
 
+def _row_offsets(n: int, neighbours: bool) -> Array:
+    """Offsets from q of the rows that _linearize stacks: q itself, then,
+    if neighbours, its 2n central-difference neighbours q + h e_0,
+    q - h e_0, q + h e_1, ...
+
+    Row 0 is all -0.0, because q + (-0.0) is q to the bit, signed zeros
+    included. The rows -h e_j hold -0.0 off the diagonal for the same
+    reason, so q + (-h e_j) equals q - h e_j exactly.
+    """
+    offsets = np.full((2 * n + 1 if neighbours else 1, n), -0.0)
+    if neighbours:
+        h = FD_STEP * np.eye(n)
+        offsets[1::2] = h
+        offsets[2::2] = -h
+    return offsets
+
+
 def _linearize(robot: PlanarArm, q: Array,
-               neighbours: bool) -> tuple[Array, Array, Array | None]:
+               offsets: Array) -> tuple[Array, Array, Array | None]:
     """Everything one resolution iteration reads at q, from one trig pass.
 
-    The stacked rows are q and, if neighbours, its 2n central-difference
-    neighbours q + h e_0, q - h e_0, q + h e_1, ... Returns the end-effector
-    position at q, the (R, 2, n) Jacobians of every row, and the (2n, n, n)
-    inertia of the neighbours (None without them). Each row's arithmetic is
-    elementwise, so it equals the scalar call's bit for bit.
+    The stacked rows are q + offsets, offsets from _row_offsets. Returns
+    the end-effector position at q, the (R, 2, n) Jacobians of every row,
+    and the (2n, n, n) inertia of the neighbours (None without them). Each
+    row's arithmetic is elementwise, so it equals the scalar call's bit for
+    bit.
+
+    The position is read off J(q): its column 0 sums the same products as
+    the position, in the same order, with y's negated. J[1, 0] is
+    0 - (-L_0 c_0) - ..., which is x's 0 + L_0 c_0 + ... exactly; and
+    0 - J[0, 0] is y, because rounding to nearest is symmetric under
+    negation and neither sum can be -0.0.
     """
-    rows = q[None]
-    if neighbours:
-        h = FD_STEP * np.eye(robot.n)
-        rows = np.empty((2 * robot.n + 1, robot.n))
-        rows[0] = q
-        rows[1::2] = q + h
-        rows[2::2] = q - h
-    ct, st = robot._trig(rows)
-    H = robot._inertia(robot._com_jacobian_components(ct[1:], st[1:])) if neighbours else None
-    return robot._position(ct[0], st[0]), robot._jacobian(ct, st), H
+    ct, st = robot._trig(q + offsets)
+    J = robot._jacobian(ct, st)
+    H = (robot._inertia(robot._com_jacobian_components(ct[1:], st[1:]))
+         if len(offsets) > 1 else None)
+    return np.array([J[0, 1, 0], 0.0 - J[0, 0, 0]]), J, H
 
 
 def _cost_gradient(H: Array, P: Array, t: Array) -> Array:
@@ -172,14 +191,17 @@ def resolve_redundancy(robot: PlanarArm, path: WorkspacePath,
     descent on the dynamic-manipulability cost, warm-started in sequence.
 
     Waypoint 0 is iterated from config.q0 first, so q0 only needs to be in
-    the basin of the starting waypoint. Each step ends with one _linearize
-    call at the new q, which serves the convergence test, the next
-    iteration and the next waypoint's first one; the Jacobian of q is row
-    0 of its stack and is checked before any neighbour's.
+    the basin of the starting waypoint. The row offsets of _linearize are
+    built once per call. Each step ends with one _linearize call at the
+    new q, which serves the convergence test, the next iteration and the
+    next waypoint's first one; the Jacobian of q is row 0 of its stack and
+    is checked before any neighbour's. The residual is
+    sqrt(err . err), which is what np.linalg.norm computes on a vector.
 
     Raises:
         NoConvergence: a waypoint's residual is still above tolerance after
-            max_iterations.
+            max_iterations, or is not finite (the iteration diverged; it
+            raises before any SVD of the non-finite Jacobian).
         SingularJacobian: the iteration walked into an ill-conditioned pose.
     """
     n_pts = path.n_stages + 1
@@ -189,27 +211,34 @@ def resolve_redundancy(robot: PlanarArm, path: WorkspacePath,
     q = config.q0.copy()
     eye = np.eye(robot.n)
     neighbours = config.alpha > 0.0
-    x_q, J, H = _linearize(robot, q, neighbours)
-    for i in range(n_pts):
-        x = path.waypoints[i]
-        t = tangent(path, i)
-        err = x - x_q
-        k = 0
-        while np.linalg.norm(err) >= config.tolerance:
-            if k >= config.max_iterations:
-                raise NoConvergence(i, float(np.linalg.norm(err)))
-            P = _pseudo_inverses(J, config.cond_cap)
-            step = config.beta * (P[0] @ err)
-            if neighbours:
-                null_proj = eye - P[0] @ J[0]
-                step = step - config.alpha * (null_proj @ _cost_gradient(H, P[1:], t))
-            q = q + step
-            x_q, J, H = _linearize(robot, q, neighbours)
+    offsets = _row_offsets(robot.n, neighbours)
+    x_q, J, H = _linearize(robot, q, offsets)
+    # a diverging iteration overflows to inf and NaN; the residual test
+    # below reports it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_pts):
+            x = path.waypoints[i]
+            t = tangent(path, i)
             err = x - x_q
-            k += 1
-        q_out[i] = q
-        residuals[i] = np.linalg.norm(err)
-        iterations[i] = k
+            residual = math.sqrt(err.dot(err))
+            k = 0
+            # "not <" lets a NaN residual in, to be reported as diverged
+            while not residual < config.tolerance:
+                if k >= config.max_iterations or not math.isfinite(residual):
+                    raise NoConvergence(i, residual)
+                P = _pseudo_inverses(J, config.cond_cap)
+                step = config.beta * (P[0] @ err)
+                if neighbours:
+                    null_proj = eye - P[0] @ J[0]
+                    step = step - config.alpha * (null_proj @ _cost_gradient(H, P[1:], t))
+                q = q + step
+                x_q, J, H = _linearize(robot, q, offsets)
+                err = x - x_q
+                residual = math.sqrt(err.dot(err))
+                k += 1
+            q_out[i] = q
+            residuals[i] = residual
+            iterations[i] = k
     step_norms = np.linalg.norm(np.diff(q_out, axis=0), axis=1)
     return JointPath(q=q_out, residuals=residuals, iterations=iterations,
                      step_norms=step_norms,

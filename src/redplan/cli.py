@@ -167,6 +167,16 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are configuration errors (exit
     3 with a payload), not argparse's exit 2, which means infeasible here.
@@ -187,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="artifact directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and recorded in run_meta.json; planning "
-                            "is single-threaded, so it changes no result")
+        p.add_argument("--threads", type=_thread_count, default=1,
+                       help="at least 1; accepted and recorded in run_meta.json; "
+                            "planning is single-threaded, so it changes no result")
 
     p = sub.add_parser("plan", help="run the unified planner")
     common(p)

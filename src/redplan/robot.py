@@ -18,10 +18,17 @@ joint vector argument of shape ``(..., n)`` yields results with the same
 leading shape. Each reads one cos/sin pass over the cumulative link angles,
 which a caller can share: the baseline's redundancy resolution takes the
 position, the Jacobians and the inertia of its stacked rows from one. The
-kernels loop over the links and add each link's term to a slice of
-entries, so every entry takes its terms in the same order as a one-entry
-loop would. Scalar, batched and stacked calls therefore go through
-identical elementwise arithmetic and agree bit for bit.
+kinematics kernels work on the whole stack at once. _jacobian and
+_com_jacobian_components multiply the trig values by the link levers into
+one table with a column of +0.0, gather each entry's terms into a fixed
+number of slots, and subtract the slots in order; a sum with fewer terms
+points its spare slots at the zero column, and x - (+0.0) is x for every
+x, -0.0 and NaN included. _inertia forms every link's term at once, puts
++0.0 outside each link's block, and adds the links in increasing order.
+So every entry takes its terms in the same order as a one-entry loop
+would, with only +0.0 added before its first term. Scalar, batched and
+stacked calls therefore go through identical elementwise arithmetic and
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -167,7 +174,24 @@ class PlanarArm:
         self.limits = limits
         self.dynamics = dynamics
         self._L = lengths
-        self._lower = np.tri(n, dtype=bool)      # entries (k, b) with b <= k
+        # Tables of the whole-stack kernels. Lever products: row x scales
+        # sin, row y scales cos; the kernels append a column of +0.0 that
+        # pads the shorter sums.
+        lc = dynamics.com
+        self._lever_scale = np.array([np.concatenate([-lc, lengths]),
+                                      np.concatenate([lc, -lengths])])
+        # term j of Jacobian column b: link b + j, or the zero column n
+        j, b = np.ogrid[:n, :n]
+        self._jac_index = np.where(b + j < n, b + j, n)
+        # term j of COM Jacobian entry (k, b): link k's COM lever, then the
+        # whole links b..k-1, or the zero column 2n
+        j, k, b = np.ogrid[:n, :n, :n]
+        self._com_index = np.where(j == 0, np.where(b <= k, k, 2 * n),
+                                   np.where(b + j - 1 < k, n + b + j - 1, 2 * n))
+        # link k's block of H (rows and columns 0..k), as a (k, a, b) mask
+        k, a, b = np.ogrid[:n, :n, :n]
+        self._link_block = (a <= k) & (b <= k)
+        self._link_inertia = np.where(self._link_block, dynamics.inertia[:, None, None], 0.0)
 
     # ------------------------------------------------------------------
     # kinematics
@@ -195,12 +219,16 @@ class PlanarArm:
         return self._jacobian(*self._trig(q))
 
     def _jacobian(self, ct: Array, st: Array) -> Array:
-        J = np.zeros(ct.shape[:-1] + (2, self.n))
-        # column b accumulates the lever arms of every link a >= b, in
-        # increasing a
-        for a in range(self.n):
-            J[..., 0, :a + 1] -= self._L[a] * st[..., a, None]
-            J[..., 1, :a + 1] += self._L[a] * ct[..., a, None]
+        # column b is 0 - L_b s_b - L_b+1 s_b+1 - ... in x, and the same
+        # over -L c in y, which adds L c; the zero column pads short sums
+        n, shape = self.n, ct.shape[:-1]
+        table = np.zeros(shape + (2, n + 1))
+        np.multiply(np.concatenate((st, ct), axis=-1).reshape(shape + (2, n)),
+                    self._lever_scale[:, n:], out=table[..., :n])
+        terms = table.take(self._jac_index, axis=-1)
+        J = 0.0 - terms[..., 0, :]
+        for j in range(1, n):
+            J -= terms[..., j, :]
         return J
 
     def _distal_geometry(self, x: Array, v: Array) -> tuple[Array, Array, Array, Array]:
@@ -264,16 +292,18 @@ class PlanarArm:
         Takes the result of _trig. Returns (Ax, Ay, ct, st): Ax[..., k, b] is
         the x component of d(p_com_k)/d(q_b).
         """
-        n = self.n
-        lc = self.dynamics.com
         # for b <= k, entry (k, b) starts at the COM lever of link k and then
-        # takes every whole link b..k-1, in increasing order
-        Ax = np.where(self._lower, ((-lc) * st)[..., :, None], 0.0)
-        Ay = np.where(self._lower, (lc * ct)[..., :, None], 0.0)
-        for a in range(n - 1):
-            Ax[..., a + 1:, :a + 1] -= self._L[a] * st[..., a, None, None]
-            Ay[..., a + 1:, :a + 1] += self._L[a] * ct[..., a, None, None]
-        return Ax, Ay, ct, st
+        # takes every whole link b..k-1, in increasing order; for b > k it
+        # is the zero column's 0 - 0 - ... = +0.0
+        n, shape = self.n, ct.shape[:-1]
+        table = np.zeros(shape + (2, 2 * n + 1))
+        np.multiply(np.concatenate((st, st, ct, ct), axis=-1).reshape(shape + (2, 2 * n)),
+                    self._lever_scale, out=table[..., :2 * n])
+        terms = table.take(self._com_index, axis=-1)
+        A = terms[..., 0, :, :] - terms[..., 1, :, :]
+        for j in range(2, n):
+            A -= terms[..., j, :, :]
+        return A[..., 0, :, :], A[..., 1, :, :], ct, st
 
     def inertia_matrix(self, q: Array) -> Array:
         """Joint-space inertia H(q), shape (..., n, n)."""
@@ -301,26 +331,27 @@ class PlanarArm:
 
     # _inertia, _centripetal and _gravity take the result of
     # _com_jacobian_components, so one pass derives all three; _bias takes
-    # G and the gravity torque. Each loops over the links k and adds link
-    # k's term to every entry it reaches, so an entry sums its terms in
-    # increasing k.
+    # G and the gravity torque. Each adds link k's term to every entry it
+    # reaches in increasing k, so an entry sums its terms in increasing k.
 
     def _inertia(self, components) -> Array:
         Ax, Ay, _, _ = components
         n = self.n
-        mass = self.dynamics.mass
-        inertia = self.dynamics.inertia
-        H = np.zeros(Ax.shape[:-2] + (n, n))
-        # the lower triangle's products take their factors in swapped order,
-        # which IEEE multiplication does not notice, so H is symmetric
-        for k in range(n):
-            ax = Ax[..., k, :k + 1]
-            ay = Ay[..., k, :k + 1]
-            term = ax[..., :, None] * ax[..., None, :]
-            term += ay[..., :, None] * ay[..., None, :]
-            block = H[..., :k + 1, :k + 1]
-            block += np.multiply(mass[k], term, out=term)
-            block += inertia[k]
+        # every link's m_k (ax_a ax_b + ay_a ay_b) at once, (..., k, a, b),
+        # kept on link k's block and +0.0 elsewhere; the lower triangle's
+        # products take their factors in swapped order, which IEEE
+        # multiplication does not notice, so H is symmetric
+        term = Ax[..., :, :, None] * Ax[..., :, None, :]
+        term += Ay[..., :, :, None] * Ay[..., :, None, :]
+        term *= self.dynamics.mass[:, None, None]
+        term = np.where(self._link_block, term, 0.0)
+        # entry (a, b) meets only +0.0 before its first link max(a, b), so
+        # it sums 0 + T_k + I_k + T_k+1 + ... from there as a loop would
+        H = 0.0 + term[..., 0, :, :]
+        H += self._link_inertia[0]
+        for k in range(1, n):
+            H += term[..., k, :, :]
+            H += self._link_inertia[k]
         return H
 
     def _centripetal(self, components) -> Array:

@@ -11,6 +11,7 @@ from conftest import (inverse_kinematics, make_inf_limits, make_line_path,
 
 from redplan.baseline import (FD_STEP, RANK_TOL, JointPath, ResolutionConfig,
                               _cost_gradient, _linearize, _pseudo_inverses,
+                              _row_offsets,
                               dynamic_manipulability_cost, pseudo_inverse,
                               resolve_redundancy, time_parametrize)
 from redplan.constraints import LimitSets
@@ -199,7 +200,7 @@ def loop_gradient(arm, q, t, cond_cap):
     """The gradient as resolve_redundancy forms it, from the same helpers:
     one stack at q, its pseudo-inverses with J(q) in row 0 checked first,
     then the neighbour rows."""
-    _, J, H = _linearize(arm, q, True)
+    _, J, H = _linearize(arm, q, _row_offsets(arm.n, True))
     return _cost_gradient(H, _pseudo_inverses(J, cond_cap)[1:], t)
 
 
@@ -252,15 +253,22 @@ def test_stacked_gradient_bitwise_equals_scalar(q, heading, cond_cap):
             == gradient_outcome(scalar_gradient, q, t, cond_cap))
 
 
+# signed zeros and multiples of pi/2, where sin or cos is exactly 0 or +-1,
+# exercise the sign-of-zero cases that reading FK(q) off J(q) and adding
+# signed-zero offsets rest on
+LINEARIZE_ENTRIES = (st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])
+                     | st.floats(-np.pi, np.pi))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(q=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+@given(q=st.lists(LINEARIZE_ENTRIES, min_size=3, max_size=3),
        neighbours=st.booleans())
 def test_linearized_stack_bitwise_equals_scalar_calls(q, neighbours):
     # row 0 is the iteration's own FK(q), J(q) and pseudo-inverse; the
     # neighbour rows are what the scalar cost would see at q +- h e_j
     arm = GRADIENT_ARM
     q = np.array(q)
-    x_q, J, H = _linearize(arm, q, neighbours)
+    x_q, J, H = _linearize(arm, q, _row_offsets(arm.n, neighbours))
     assert x_q.tobytes() == arm.forward_kinematics(q).tobytes()
     rows = [q]
     for j in range(arm.n * neighbours):
@@ -315,7 +323,7 @@ def test_singular_jacobian_at_q_raises_before_any_neighbour(arm):
     # the bending neighbours q +- h e_1, q +- h e_2 their own ones, and the
     # cap lies below them all
     q = np.array([0.3, 0.0, 3 * FD_STEP])
-    _, J, _ = _linearize(arm, q, True)
+    _, J, _ = _linearize(arm, q, _row_offsets(arm.n, True))
     with pytest.raises(SingularJacobian, match="number 1.55e"):
         _pseudo_inverses(J[3:], 1.5e6)
     message = "^Jacobian condition number 2.03e[+]06 exceeds cap 1.5e[+]06$"

@@ -223,6 +223,21 @@ def test_baseline_no_convergence_exit(tmp_path, capsys):
     assert payload["waypoint"] == 0
 
 
+def test_baseline_divergence_is_no_convergence(tmp_path, capsys):
+    # beta 1e308 overflows a step to inf at waypoint 1; the NaN residual
+    # that follows must not pass the convergence test
+    with open(bundled_path("ellipse")) as fh:
+        baseline = json.load(fh)["baseline"]
+    baseline["beta"] = 1e308
+    scenario = tweaked(tmp_path, "ellipse", baseline=baseline)
+    out = tmp_path / "x"
+    assert main(["baseline", "--scenario", scenario, "--out", str(out)]) == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "NoConvergence"
+    assert payload["waypoint"] == 1
+    assert not out.exists()
+
+
 # --- verify ------------------------------------------------------------------
 
 
@@ -407,6 +422,17 @@ def test_malformed_command_line_is_a_configuration_error(tmp_path, capsys, argv)
     payload = stderr_payload(capsys)
     assert payload["error"] == "ScenarioError"
     assert payload["message"].startswith("redplan")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_thread_count_below_one_is_a_configuration_error(tmp_path, capsys, threads):
+    out = tmp_path / "x"
+    assert main(["plan", "--scenario", bundled_path("toy_full"),
+                 "--threads", threads, "--out", str(out)]) == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError"
+    assert "--threads" in payload["message"]
     assert not out.exists()
 
 
