@@ -198,8 +198,9 @@ class StageEval:
     dt is (P, L) (it depends only on the pseudo-velocities); feasible and
     the per-order masks are (P, L, C). The endpoint stack is carried on the
     evaluated lanes only: row k of each (K, n) array belongs to the lane
-    with flat id lanes[k] = p * L * C + l * C + c (strictly ascending), and
-    rows() finds a lane's row. Those arrays are stored joint-major.
+    with flat id lanes[k] = p * L * C + l * C + c (strictly ascending), so
+    np.searchsorted(lanes, ids) finds the lanes' rows. Those arrays are
+    stored joint-major.
     """
 
     dt: Array
@@ -212,11 +213,6 @@ class StageEval:
     feasible: Array
     order_ok: dict
     no_step: int
-
-    def rows(self, lane_ids) -> Array:
-        """Rows of the stack arrays that hold the evaluated lanes with
-        these flat ids."""
-        return np.searchsorted(self.lanes, lane_ids)
 
     def rejections(self) -> dict:
         """Failed checks per order, plus the candidate lanes without a time

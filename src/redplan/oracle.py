@@ -36,9 +36,6 @@ from .planner import PlanResult, _sweep, extract, plan
 # keys of HISTORY_DEPTH + 1 nodes carry every sample an edge reads
 HISTORY_DEPTH = 2
 
-# the exact search refuses a grid with more admissible nodes than this
-MAX_CELLS = 20000
-
 # a DP cost below the exact optimum by more than this breaks the contract;
 # a gap above it is attributed
 GAP_TOLERANCE = 1e-12
@@ -97,16 +94,12 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     label with the smallest key.
 
     Raises:
-        BudgetExceeded: the grid has more admissible nodes than MAX_CELLS,
-            or the label bound exceeds budget.max_labels.
+        BudgetExceeded: the label bound exceeds budget.max_labels.
         NoFeasiblePlan: no admissible chain satisfies the constraints; as
             from plan(), it carries the stage where the sweep died and the
             rejection histogram of the transition out of it.
     """
     budget = budget if budget is not None else OracleBudget()
-    if grid.total_admissible > MAX_CELLS:
-        raise BudgetExceeded(f"grid has {grid.total_admissible} admissible nodes, "
-                             f"budget allows {MAX_CELLS}")
     counts = grid.admissible_counts
     bound = sum(math.prod(counts[max(0, i - HISTORY_DEPTH):i + 1])
                 for i in range(len(counts)))

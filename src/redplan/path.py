@@ -63,6 +63,8 @@ class CurveSpec:
         elif self.kind == "waypoints":
             if self.points is None or len(self.points) < 1:
                 raise ScenarioError("waypoint spec needs at least one point")
+            if len({len(point) for point in self.points}) != 1:
+                raise ScenarioError("waypoints must share a dimension")
             numbers = tuple(x for point in self.points for x in point)
         else:
             raise ScenarioError(f"unknown curve kind {self.kind!r}")

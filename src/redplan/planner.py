@@ -11,8 +11,11 @@ k is full, k + (f,) before; each next key keeps its cheapest predecessor
 label, on a tie the one with the smallest key, so results are
 bit-reproducible. A chain's cost is its duration, the sum of its time
 steps. There is one engine call per stage and block of labels; the blocks
-bound the peak memory. The labels are the search's whole record: extract()
-starts from the cheapest terminal label and follows the predecessor rows.
+bound the engine's memory. Each block's feasible lanes are reduced to one
+entry per next key, and the blocks' entries once more, so a stage holds
+no table over all next keys. The labels are the search's whole record:
+extract() starts from the cheapest terminal label and follows the
+predecessor rows.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -132,7 +135,6 @@ def _sweep(grid, limits, check_count, window, depth=0):
     from, and that transition's rejection histogram."""
     L, C = grid.level_count, grid.cfg_count
     S = L * C
-    n = grid.robot.n
     start = grid.stage_ids(0)
     keys, cost = start[:, None], np.zeros(start.size)
     label_node, label_pred, label_cost = [start], [np.full(start.size, -1)], [cost]
@@ -162,10 +164,7 @@ def _sweep(grid, limits, check_count, window, depth=0):
         node = keys[:, -1]
         q_prev = grid.q_table[i, node % C]
         pv_prev = grid.pv_values[node // C]
-        best_cost = np.full((tails.shape[0], S), np.inf)
-        best_row = np.full((tails.shape[0], S), -1)
-        next_qd, next_qdd, next_tau = np.full((3, tails.shape[0], S, n), np.nan)
-        histogram = {}
+        histogram, winners = {}, []
 
         # the window's level bound (P, L) and lattice bound (P, C)
         level_ok = lattice_ok = None
@@ -186,51 +185,40 @@ def _sweep(grid, limits, check_count, window, depth=0):
                                    pv_prev[rows], qd[rows], qdd[rows], tau[rows],
                                    grid.q_table[i + 1], terms[i + 1], grid.pv_values,
                                    check_count=check_count, candidates=candidates)
-            for key, count in ev.rejections().items():
-                histogram[key] = histogram.get(key, 0) + count
-            cand = np.where(ev.feasible, (cost[rows, None] + ev.dt)[:, :, None], np.inf)
-            cand = cand.reshape(rows.size, S)
-            # the block's groups, consecutive ids, and the rows where each starts
-            block = group[first:first + rows_per_block]
-            g = np.arange(block[0], block[-1] + 1)
-            win = _first_argmin(cand, np.searchsorted(block, g))
-            win_cost = cand[win, np.arange(S)]
-            # a later block holds later labels of a group: it wins a next key
-            # only on a strictly lower cost, so ties keep the smallest key
-            run, s = np.nonzero(win_cost < best_cost[g])
-            if run.size:
-                lane = ev.rows(win[run, s] * S + s)
-                at = g[run], s
-                best_cost[at] = win_cost[run, s]
-                best_row[at] = rows[win[run, s]]
-                next_qd[at], next_qdd[at], next_tau[at] = ev.qd[lane], ev.qdd[lane], ev.tau[lane]
+            for name, count in ev.rejections().items():
+                histogram[name] = histogram.get(name, 0) + count
+            # the feasible evaluated lanes (rows of the stack): next key
+            # (group, s), cost and position in order, reduced per block to
+            # each key's cheapest; only the winners' samples are gathered
+            ok = np.flatnonzero(ev.feasible.ravel()[ev.lanes])
+            p, s = np.divmod(ev.lanes[ok], S)
+            *best, row = _cheapest(group[first + p] * S + s, cost[rows[p]] + ev.dt[p, s // C],
+                                   first + p, ok)
+            winners.append((*best, ev.qd[row], ev.qdd[row], ev.tau[row]))
             # free this block's arrays before the next block's call builds its own
-            del ev, cand
+            del ev
 
-        reached = np.flatnonzero(np.isfinite(best_cost))
-        if not reached.size:
+        key, cost, pos, qd, qdd, tau = _cheapest(*map(np.concatenate, zip(*winners)))
+        if not key.size:
             raise NoFeasiblePlan(i, histogram)
-        g, s = np.divmod(reached, S)
+        g, s = np.divmod(key, S)
         keys = np.concatenate([tails[g], s[:, None]], axis=1)
-        cost, pred = best_cost.ravel()[reached], best_row.ravel()[reached]
-        qd, qdd, tau = (a.reshape(-1, n)[reached] for a in (next_qd, next_qdd, next_tau))
         label_node.append(s)
-        label_pred.append(pred)
+        label_pred.append(order[pos])
         label_cost.append(cost)
 
     return ValueMap(grid, limits, check_count, tuple(label_node), tuple(label_pred),
                     tuple(label_cost))
 
 
-def _first_argmin(table: Array, runs: Array) -> Array:
-    """(len(runs), columns): for each run of rows of table, starting at the
-    row indices runs, the row of each column's first minimum."""
-    if runs.size == 1:          # always at depth 0
-        return np.argmin(table, axis=0)[None]
-    low = np.repeat(np.minimum.reduceat(table, runs, axis=0),
-                    np.diff(runs, append=len(table)), axis=0)
-    hit = np.where(table == low, np.arange(len(table))[:, None], len(table))
-    return np.minimum.reduceat(hit, runs, axis=0)
+def _cheapest(key: Array, cost: Array, pos: Array, *rest: Array) -> tuple:
+    """Each key's entry of lowest cost, on a tie the one of lowest pos, in
+    key order: key, cost, pos and every array of rest at those entries."""
+    at = np.lexsort((pos, cost, key))
+    first = np.ones(at.size, dtype=bool)
+    first[1:] = key[at[1:]] != key[at[:-1]]
+    at = at[first]
+    return key[at], cost[at], pos[at], *(a[at] for a in rest)
 
 
 def extract(value: ValueMap) -> PlanResult:

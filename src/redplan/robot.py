@@ -167,7 +167,7 @@ class PlanarArm:
         lengths = np.asarray(self.link_lengths)
         if not np.all((lengths > 0) & np.isfinite(lengths)):
             raise ScenarioError("link lengths must be positive and finite")
-        if np.any(dynamics.com > lengths):
+        if not np.all((dynamics.com >= 0.0) & (dynamics.com <= lengths)):
             raise ScenarioError("COM offsets must lie on their links")
         self.n = n
         self.r = n - 2

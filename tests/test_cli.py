@@ -155,6 +155,57 @@ def test_non_finite_grid_and_path_numbers_are_config_errors(tmp_path, capsys, na
     assert os.listdir(out) == []
 
 
+RAGGED = [[0.9, 0.2], [1.0, 0.3, 0.1], [1.1, 0.4]]
+
+
+@pytest.mark.parametrize("source", ["json", "csv"])
+def test_ragged_waypoints_are_config_errors(tmp_path, capsys, source):
+    # numpy's "inhomogeneous shape" ValueError used to escape main (exit 1)
+    if source == "json":
+        path = {"kind": "waypoints", "points": RAGGED}
+    else:
+        path = tmp_path / "points.csv"
+        path.write_text("".join(",".join(map(str, p)) + "\n" for p in RAGGED))
+        path = str(path)
+    scenario = tweaked(tmp_path, "toy_velocity", path=path)
+    with pytest.raises(ScenarioError, match="waypoints must share a dimension"):
+        load_scenario(scenario)
+    out = tmp_path / "x"
+    out.mkdir()
+    assert main(["plan", "--scenario", scenario, "--out", str(out)]) == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError"
+    assert "share a dimension" in payload["message"]
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("com", [-0.2, -1e-300, 0.5000000000000001])
+def test_com_off_its_link_is_config_error(tmp_path, capsys, com):
+    # the first link is 0.5 m long; a negative offset used to plan and exit 0
+    with open(bundled_path("toy_velocity")) as fh:
+        robot = json.load(fh)["robot"]
+    robot["dynamics"]["com"][0] = com
+    out = tmp_path / "x"
+    out.mkdir()
+    code = main(["plan", "--scenario", tweaked(tmp_path, "toy_velocity", robot=robot),
+                 "--out", str(out)])
+    assert code == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ScenarioError"
+    assert "lie on their links" in payload["message"]
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("com", [0.0, 0.5])
+def test_com_at_a_link_end_plans(tmp_path, com):
+    with open(bundled_path("toy_velocity")) as fh:
+        robot = json.load(fh)["robot"]
+    robot["dynamics"]["com"][0] = com
+    code = main(["plan", "--scenario", tweaked(tmp_path, "toy_velocity", robot=robot),
+                 "--out", str(tmp_path / "x")])
+    assert code == 0
+
+
 # --- baseline ----------------------------------------------------------------
 
 

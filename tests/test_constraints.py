@@ -344,7 +344,7 @@ class TestStageTransitions:
                             assert ev.order_ok["qd"][p, l, c]
                         continue
                     # the unscreened lane: its velocity, bitwise, and its verdict
-                    ref = free.rows(lane)
+                    ref = np.searchsorted(free.lanes, lane)
                     assert free.lanes[ref] == lane
                     dq = q_next[c] - q[p]
                     assert np.array_equal(free.qd[ref], dq / ev.dt[p, l])
@@ -355,7 +355,7 @@ class TestStageTransitions:
                         for order, ok in ev.order_ok.items():
                             assert ok[p, l, c] == (order != "qd")
                         continue
-                    row = ev.rows(lane)
+                    row = np.searchsorted(ev.lanes, lane)
                     for field in ORDERS:
                         got = getattr(ev, field)[row]
                         assert np.array_equal(got, getattr(s, field)[0], equal_nan=True)
@@ -451,7 +451,7 @@ class TestStageTransitions:
         assert np.all(np.isin(ev.lanes, np.flatnonzero(candidates)))
         for order in ev.order_ok:
             assert np.array_equal(ev.order_ok[order], full.order_ok[order] | ~candidates)
-        rows = full.rows(ev.lanes)
+        rows = np.searchsorted(full.lanes, ev.lanes)
         for field in ORDERS:
             assert np.array_equal(getattr(ev, field), getattr(full, field)[rows],
                                   equal_nan=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from redplan.constraints import ORDERS, LimitSets, edge_durations
 from redplan.errors import (BudgetExceeded, ContractViolation, NoFeasiblePlan,
                             ScenarioError)
 from redplan.grid import grid_from_configurations
-from redplan.oracle import (GAP_TOLERANCE, MAX_CELLS, GapReport, OracleBudget, compare,
+from redplan.oracle import (GAP_TOLERANCE, GapReport, OracleBudget, compare,
                             exhaustive_plan)
 from redplan.planner import plan
 from redplan.scenario import bundled_scenario, load_scenario
@@ -101,14 +102,15 @@ def test_budget_guards(monkeypatch):
     for bad in (0, -1.0, np.nan, -np.inf):
         with pytest.raises(ScenarioError):
             OracleBudget(max_labels=bad)
-    # the cell guard: the toy's cells repeated 2,501 times give 30,012
-    # admissible nodes, over MAX_CELLS, and it refuses before any search
+    # a wide grid: the toy's cells repeated 2,501 times give 30,012
+    # admissible nodes, and the default label budget refuses it before any
+    # search
     wide = grid_from_configurations(grid.robot, grid.path, np.tile(grid.q_table, (1, 2501, 1)),
                                     grid.spec)
-    assert wide.total_admissible == 30012 > MAX_CELLS
+    assert wide.total_admissible == 30012
     monkeypatch.setattr("redplan.oracle._sweep", None)
-    with pytest.raises(BudgetExceeded, match="30012 admissible nodes, budget allows 20000"):
-        exhaustive_plan(wide, qd_only(), budget=OracleBudget(max_labels=np.inf))
+    with pytest.raises(BudgetExceeded, match="1e\\+12 labels, budget allows 2e\\+06"):
+        exhaustive_plan(wide, qd_only())
 
 
 def test_no_feasible_plan_reports_orders():
@@ -202,6 +204,30 @@ def test_oracle_is_exact_on_random_toys(instance):
     # bound the search is velocity-only, where the DP is exact
     if not any(binds(limits, o) for o in limits.history_dependent_orders):
         assert dp_cost == oracle.cost
+
+
+def test_sweep_memory_is_bounded_by_its_labels():
+    # toy_jerk at 3 stages, 4 levels and a 0.02 lattice step: admissible
+    # counts 16-64-64-16, a label bound of 1.32e5. Its tracemalloc peak
+    # was 69-72 MB when the sweep filled dense (tails, L * C) stage tables,
+    # and 26-28 MB with the per-key reduction; 45 MB sits between the two,
+    # about the geometric mean, so it fails on dense tables and leaves the
+    # sparse sweep 1.6x headroom.
+    doc = bundled_scenario("toy_jerk").to_dict()
+    doc["n_stages"] = 3
+    doc["grid"].update(pv_levels=4, v_step=[0.02])
+    sc = load_scenario(doc)
+    grid = sc.build()
+    assert grid.admissible_counts == [16, 64, 64, 16]
+    tracemalloc.start()
+    try:
+        result = exhaustive_plan(grid, sc.limits, budget=OracleBudget(max_labels=np.inf),
+                                 check_count=sc.check_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.cost == 0.6666666666666667
+    assert peak < 45e6
 
 
 @pytest.mark.parametrize("name", ["toy_jerk", "toy_full", "ties"])
