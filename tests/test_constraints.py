@@ -581,6 +581,72 @@ class TestStageTransitions:
     FINITE_SCALE = {"qd": 0.25, "qdd": 5.0, "qddd": 40.0, "tau": np.array([30.0, 10.0, 1.8]),
                     "taud": 100.0}
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_block_is_its_rows_stacked(self, data):
+        # a block must give the bytes of its rows' one-row calls, stacked:
+        # the engine may share work between predecessors, never change it.
+        # The rows repeat three configurations, the last two equal but for
+        # the sign of a zero joint, at rest and moving levels; rest rows and
+        # the zero level take the trapezoid step, and some rows have no
+        # history
+        arm = make_reference_arm()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        center = np.array([0.0, -0.6, 0.9])
+        configs = center + rng.uniform(-0.06, 0.06, (3, 3))
+        configs[1, 0] = 0.0
+        configs[2] = configs[1]
+        configs[2, 0] = -0.0
+        P = data.draw(st.integers(1, 8))
+        rows = st.lists(st.integers(0, 2), min_size=P, max_size=P)
+        q = configs[data.draw(rows)]
+        pv = rng.choice([0.0, 0.25, 0.5], size=P)
+        qd = rng.normal(0, 0.8, (P, 3))
+        qdd = rng.normal(0, 2.0, (P, 3))
+        tau = rng.normal(0, 10.0, (P, 3))
+        rest = pv == 0.0
+        qd[rest] = qdd[rest] = 0.0
+        tau[rest] = arm.inverse_dynamics(q[rest], qd[rest], qdd[rest])
+        free = rng.random(P) < 0.25
+        qd[free] = qdd[free] = tau[free] = np.nan
+        C = 5
+        q_next = center + rng.uniform(-0.06, 0.06, (C, 3))
+        levels = np.array([0.0, 0.3, 0.5])
+        L = levels.size
+        candidates = None
+        if data.draw(st.booleans()):
+            # a window's masks: a level band around each row's own level,
+            # and cells that differ from row to row
+            band = np.abs(rng.integers(0, L, P)[:, None] - np.arange(L)) <= 1
+            candidates = band[:, :, None] & (rng.random((P, L, C)) < 0.7)
+        kinds = data.draw(st.lists(st.sampled_from(("off", "finite")), min_size=5,
+                                   max_size=5))
+        limits = LimitSets(**{o: self.FINITE_SCALE[o] * rng.uniform(0.5, 2.0, 3)
+                              for o, kind in zip(ORDERS, kinds) if kind == "finite"})
+        check_count = data.draw(st.sampled_from([0, 2]))
+        terms = arm.rigid_terms(q_next)
+
+        def run(at):
+            return stage_transitions(arm, limits, 0.1, q[at], pv[at], qd[at], qdd[at],
+                                     tau[at], q_next, terms, levels, check_count=check_count,
+                                     candidates=None if candidates is None else candidates[at])
+
+        block = run(slice(None))
+        parts = [run(slice(p, p + 1)) for p in range(P)]
+
+        def stacked(field):
+            return np.concatenate([getattr(part, field) for part in parts]).tobytes()
+
+        for field in ("dt", *ORDERS, "feasible"):
+            assert getattr(block, field).tobytes() == stacked(field)
+        lanes = np.concatenate([p * L * C + part.lanes for p, part in enumerate(parts)])
+        assert block.lanes.tobytes() == lanes.tobytes()
+        assert all(part.order_ok.keys() == block.order_ok.keys() for part in parts)
+        for order, ok in block.order_ok.items():
+            assert ok.tobytes() == np.concatenate([part.order_ok[order]
+                                                   for part in parts]).tobytes()
+        assert block.no_step == sum(part.no_step for part in parts)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(order=st.sampled_from(ORDERS),
            kinds=st.lists(st.sampled_from(("off", "inf", "finite")), min_size=5, max_size=5),

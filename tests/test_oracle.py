@@ -27,7 +27,7 @@ from redplan.errors import (BudgetExceeded, ContractViolation, NoFeasiblePlan,
 from redplan.grid import grid_from_configurations
 from redplan.oracle import (GAP_TOLERANCE, GapReport, OracleBudget, compare,
                             exhaustive_plan)
-from redplan.planner import plan
+from redplan.planner import Window, plan
 from redplan.scenario import bundled_scenario, load_scenario
 
 INF3 = np.full(3, np.inf)
@@ -232,10 +232,12 @@ def test_sweep_memory_is_bounded_by_its_labels():
 
 @pytest.mark.parametrize("name", ["toy_jerk", "toy_full", "ties"])
 def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
-    # the depth-2 sweep scores its labels in blocks of at most LANE_BUDGET
-    # lanes; a group of competing labels may span blocks. "ties" has two
-    # cells with the same configuration, so every next key has tied
-    # predecessors, which one-row blocks put apart
+    # the sweep scores its labels in blocks of at most LANE_BUDGET lanes; a
+    # group of competing labels may span blocks, and so may the labels that
+    # end in one cell (97 lanes hold a few rows, one lane one row). "ties"
+    # has two cells with the same configuration, so every next key has
+    # tied predecessors, which one-row blocks put apart. Windowed sweeps
+    # give the blocks ragged candidate masks
     if name == "ties":
         grid = make_toy_grid(n_stages=4, pv_levels=2, rest=False, v_values=(0.8, 0.8))
         limits, check_count = qd_only(), 0
@@ -243,13 +245,15 @@ def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
         sc = bundled_scenario(name)
         grid, limits, check_count = sc.build(), sc.limits, sc.check_count
 
-    monkeypatch.setattr(planner, "LANE_BUDGET", 2 ** 62)
-    whole = sweep_record(grid, limits, check_count, depth=2)
-    assert whole[0] is not None
     S = grid.level_count * grid.cfg_count
-    for budget in (1, 3 * S - 1):             # one and two labels per block
-        monkeypatch.setattr(planner, "LANE_BUDGET", budget)
-        assert sweep_record(grid, limits, check_count, depth=2) == whole
+    for window in (None, Window(max_dl=1), Window(max_dl=1, max_dj=0)):
+        for depth in (0, 2):
+            monkeypatch.setattr(planner, "LANE_BUDGET", 2 ** 62)
+            whole = sweep_record(grid, limits, check_count, window, depth)
+            assert whole[0] is not None
+            for budget in (1, 97, 3 * S - 1):
+                monkeypatch.setattr(planner, "LANE_BUDGET", budget)
+                assert sweep_record(grid, limits, check_count, window, depth) == whole
 
 
 # --- gap measurement -----------------------------------------------------

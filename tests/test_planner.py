@@ -362,6 +362,39 @@ class TestPredecessorBlocks:
                 assert all(labels[i - 1][0][p] % C == 0 for p in pred)
 
 
+class TestEngineTallies:
+    """What a sweep's engine calls did, summed over the calls: the lanes
+    evaluated (ev.lanes), the feasible lanes and the rejections per order.
+    bench/tracing.py derives its constraints.* counters from these fields,
+    so a change in how the sweep forms its blocks, or in how the engine
+    computes a lane, must leave these sums as they are."""
+
+    @pytest.mark.parametrize("name,depth,expect", [
+        ("line", 0, {"lanes": 43499, "feasible": 24934, "qd": 278605, "qdd": 8746,
+                     "qddd": 10201, "tau": 8855, "taud": 3650}),
+        ("ellipse", 0, {"lanes": 19433, "feasible": 7653, "qd": 238617, "qdd": 10659,
+                        "qddd": 9937, "tau": 999, "taud": 1806}),
+        ("toy_jerk", 0, {"lanes": 30, "feasible": 22, "qddd": 8}),
+        ("toy_jerk", 2, {"lanes": 76, "feasible": 60, "qddd": 16}),
+    ])
+    def test_bundled_sweeps(self, monkeypatch, name, depth, expect):
+        engine = planner.stage_transitions
+        tally = {"lanes": 0, "feasible": 0}
+
+        def counting(*args, **kwargs):
+            ev = engine(*args, **kwargs)
+            tally["lanes"] += ev.lanes.size
+            tally["feasible"] += int(np.count_nonzero(ev.feasible))
+            for key, count in ev.rejections().items():
+                tally[key] = tally.get(key, 0) + count
+            return ev
+
+        monkeypatch.setattr(planner, "stage_transitions", counting)
+        sc = bundled_scenario(name)
+        planner._sweep(sc.build(), sc.limits, sc.check_count, sc.window, depth)
+        assert tally == expect
+
+
 def pst_rows(result):
     """The rows of a plan's pst.csv: lambda, the redundancy parameters, pv."""
     lines = pst_csv(result).splitlines()
