@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScenarioError
-from .robot import PlanarArm, RigidTerms
+from .robot import PlanarArm, RigidTerms, _matvec
 
 Array = np.ndarray
 
@@ -145,21 +145,21 @@ def edge_durations(pv_prev, pv_next, dlam: float) -> Array:
 
 def _order_ok(value: Array, bound: Array) -> Array:
     """Per-sample feasibility of one order; NaN samples are skipped (a NaN
-    compares false, so it never exceeds its bound)."""
-    with np.errstate(invalid="ignore"):
-        return ~np.any(np.abs(value) > bound, axis=-1)
+    compares false, so it never exceeds its bound, and numpy's comparisons
+    raise no floating-point error on it)."""
+    return ~(np.abs(value) > bound).any(axis=-1)
 
 
 def _gather(table: Array, idx: Array) -> Array:
     """Rows idx of table, (K, ...), stored with the lane axis fastest in
     memory, so that per-joint arithmetic and joint reductions run over
     whole lanes at a time."""
-    return np.take(table.T, idx, axis=-1).T
+    return table.T.take(idx, axis=-1).T
 
 
 def _keep(a: Array, ok: Array) -> Array:
     """The rows of a where ok holds, in the layout of _gather."""
-    return np.compress(ok, a.T, axis=-1).T
+    return a.T.compress(ok, axis=-1).T
 
 
 def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
@@ -168,10 +168,31 @@ def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
     Coulomb friction is discontinuous at zero velocity, so the finite
     difference behind the torque-rate check is meaningless across a sign
     flip; those edges skip the torque-rate check. NaN history never counts
-    as a crossing.
+    as a crossing. The caller silences the invalid operations of the
+    product (inf times zero).
     """
-    with np.errstate(invalid="ignore"):
-        return np.any(qd_prev * qd_next < 0.0, axis=-1)
+    return (qd_prev * qd_next < 0.0).any(axis=-1)
+
+
+def _predecessor_groups(q_prev: Array, dt: Array, union: Array) -> tuple[Array, Array]:
+    """Predecessors whose configuration and whose time steps at every level
+    a candidate lane uses (a row of union, (L, C)) are bitwise equal:
+    (group, first), with group (P,) each predecessor's group and first a
+    member of each group. Such predecessors share every edge's joint
+    velocity and velocity-dependent torque. A one-row call skips the sort.
+    """
+    P = q_prev.shape[0]
+    if P == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    # the bits of each row (+0.0 and -0.0 differ, so do NaN payloads);
+    # rows with equal bits are adjacent in any lexicographic order
+    key = np.concatenate((q_prev, dt[:, union.any(axis=1)]), axis=1).view(np.int64)
+    at = np.lexsort(key.T)
+    new = np.ones(P, dtype=bool)
+    new[1:] = np.any(key[at[1:]] != key[at[:-1]], axis=1)
+    group = np.empty(P, dtype=np.intp)
+    group[at] = np.cumsum(new) - 1
+    return group, at[new]
 
 
 def _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, count):
@@ -250,48 +271,58 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     """
     pv_prev = np.asarray(pv_prev, dtype=float)
     pv_next = np.asarray(pv_next, dtype=float)
-    shape = (q_prev.shape[0], pv_next.size, q_next.shape[0])
+    shape = P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
     if candidates is None:
         candidates = np.ones(shape, dtype=bool)
     dt = edge_durations(pv_prev[:, None], pv_next, dlam)
     has_step = np.isfinite(dt)
     step = np.where(has_step, dt, 1.0)
-    # the lanes without a time step drop out first, then the velocity table
-    # drops the lanes that cannot pass, and the exact velocity check runs on
-    # the rest
-    screen = candidates & has_step[:, :, None]
-    if limits.qd is not None:
-        # the velocity verdict of every lane, passed where a lane is no
-        # candidate or has no time step (it has no velocity to check)
-        qd_ok = ~screen.ravel()
-        # NaN in tmin never drops a lane: the exact check skips NaN
-        with np.errstate(invalid="ignore"):
-            tmin = np.max(np.abs(q_next - q_prev[:, None, :]) / limits.qd, axis=-1)
-            screen &= ~(tmin[:, None, :] > step[:, :, None] * (1.0 + _TABLE_SLACK))
-    lanes = np.flatnonzero(screen)
-    p, l, c = np.unravel_index(lanes, shape)
-    qd = _gather(q_next, c) - _gather(q_prev, p)
+    union = candidates.any(axis=0)
+    group, first = _predecessor_groups(q_prev, dt, union)
+    # the velocity part runs once per (group, level, cell) that some member's
+    # candidate lane uses: the lanes without a time step drop out first,
+    # then the velocity table drops the lanes that cannot pass, and the
+    # exact velocity check runs on the rest
+    screen = union & has_step[first][:, :, None]
+    shared_step = step[first]
+    dq = q_next - q_prev[first][:, None, :]
     with np.errstate(invalid="ignore"):
-        qd /= step[p, l][:, None]
-    if limits.qd is not None:
-        passed = _order_ok(qd, limits.qd)
-        qd_ok[lanes] = passed
-        lanes, p, l, c, qd = (_keep(a, passed) for a in (lanes, p, l, c, qd))
-    qd_prev, step = _gather(qd_prev, p), step[p, l][:, None]
-    terms = RigidTerms(_gather(terms_next.H, c), _gather(terms_next.G, c),
-                       _gather(terms_next.gravity, c))
-    with np.errstate(invalid="ignore"):
+        if limits.qd is not None:
+            # NaN in tmin never drops a lane: the exact check skips NaN
+            tmin = np.max(np.abs(dq) / limits.qd, axis=-1)
+            screen &= ~(tmin[:, None, :] > shared_step[:, :, None] * (1.0 + _TABLE_SLACK))
+        shared = np.flatnonzero(screen)
+        g, l, c = np.unravel_index(shared, screen.shape)
+        qd = _gather(dq.reshape(-1, q_next.shape[1]), g * C + c)
+        qd /= shared_step[g, l][:, None]
+        if limits.qd is not None:
+            passed = _order_ok(qd, limits.qd)
+            shared, c, qd = (_keep(a, passed) for a in (shared, c, qd))
+        bias = robot.bias_torque(_gather(terms_next.G, c), _gather(terms_next.gravity, c), qd)
+        # the evaluated lanes: each candidate lane whose group's lane passed,
+        # with that lane's velocity and bias torque
+        vel_ok = np.zeros(screen.size, dtype=bool)
+        vel_ok[shared] = True
+        vel_ok = vel_ok.reshape(screen.shape)[group]
+        lanes = np.flatnonzero(candidates & vel_ok)
+        p, l, c = np.unravel_index(lanes, shape)
+        row = np.searchsorted(shared, lanes + (group[p] - p) * (L * C))
+        qd, bias = _gather(qd, row), _gather(bias, row)
+        qd_prev, step = _gather(qd_prev, p), step[p, l][:, None]
         qdd = (qd - qd_prev) / step
         qddd = (qdd - _gather(qdd_prev, p)) / step
-        tau = robot.torque(terms, qd, qdd)
+        tau = _matvec(_gather(terms_next.H, c), qdd) + bias
         taud = (tau - _gather(tau_prev, p)) / step
-    stack = (qd, qdd, qddd, tau, taud)
-    # each enabled order's verdict on the evaluated lanes: its endpoint
-    # check, the Coulomb exemption of the torque rate, then the check points
-    lane_ok = {order: _order_ok(value, limits.bound(order))
-               for order, value in zip(ORDERS, stack) if limits.bound(order) is not None}
-    if "taud" in lane_ok:
-        lane_ok["taud"] |= _coulomb_crossing(qd_prev, qd)
+        stack = (qd, qdd, qddd, tau, taud)
+        # each enabled order's verdict on the evaluated lanes: its endpoint
+        # check, the Coulomb exemption of the torque rate, then (outside
+        # this context: the samples take a square root and inverse
+        # dynamics) the check points
+        lane_ok = {order: _order_ok(value, limits.bound(order))
+                   for order, value in zip(ORDERS, stack)
+                   if limits.bound(order) is not None}
+        if "taud" in lane_ok:
+            lane_ok["taud"] |= _coulomb_crossing(qd_prev, qd)
     if check_count:
         # each level is squared as a Python float, not by numpy (numpy's
         # square and ** differ in the last place on some doubles): the
@@ -309,13 +340,20 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                     lane_ok[order] &= _order_ok(sample[order], limits.bound(order))
     feasible = np.zeros(candidates.size, dtype=bool)
     feasible[lanes] = np.all(list(lane_ok.values()), axis=0) if lane_ok else True
+    with_step = candidates & has_step[:, :, None]
     order_ok = {}
     for order, ok in lane_ok.items():
-        # every evaluated lane is a candidate that passed the velocity bound
-        mask = qd_ok if order == "qd" else np.ones(candidates.size, dtype=bool)
+        # every evaluated lane is a candidate that passed the velocity bound;
+        # the velocity verdict of every other lane is its group's, passed
+        # where a lane is no candidate or has no time step (it has no
+        # velocity to check)
+        if order == "qd":
+            mask = (~with_step | vel_ok).ravel()
+        else:
+            mask = np.ones(candidates.size, dtype=bool)
         mask[lanes] = ok
         order_ok[order] = mask.reshape(shape)
-    no_step = int(np.count_nonzero(~has_step[:, :, None] & candidates))
+    no_step = int(np.count_nonzero(candidates) - np.count_nonzero(with_step))
     return StageEval(dt, lanes, *stack, feasible=feasible.reshape(shape),
                      order_ok=order_ok, no_step=no_step)
 

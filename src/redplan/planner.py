@@ -174,8 +174,14 @@ def _sweep(grid, limits, check_count, window, depth=0):
             dj = np.abs(lattice_rows[node % C][:, None, :] - lattice_rows[None, :, :])
             lattice_ok = np.all(dj <= window.max_dj, axis=-1)
 
+        # the blocks take the labels cell by cell, in key order within a
+        # cell: a block's labels then end in few configurations, which the
+        # engine's velocity part runs once each. at holds positions in
+        # order, the tie rule's pos
+        by_cell = np.argsort(node[order] % C, kind="stable")
         for first in range(0, order.size, rows_per_block):
-            rows = order[first:first + rows_per_block]
+            at = by_cell[first:first + rows_per_block]
+            rows = order[at]
             candidates = np.broadcast_to(grid.admissible[i + 1], (rows.size, L, C))
             if level_ok is not None:
                 candidates = candidates & level_ok[rows, :, None]
@@ -192,8 +198,8 @@ def _sweep(grid, limits, check_count, window, depth=0):
             # each key's cheapest; only the winners' samples are gathered
             ok = np.flatnonzero(ev.feasible.ravel()[ev.lanes])
             p, s = np.divmod(ev.lanes[ok], S)
-            *best, row = _cheapest(group[first + p] * S + s, cost[rows[p]] + ev.dt[p, s // C],
-                                   first + p, ok)
+            *best, row = _cheapest(group[at[p]] * S + s, cost[rows[p]] + ev.dt[p, s // C],
+                                   at[p], ok)
             winners.append((*best, ev.qd[row], ev.qdd[row], ev.tau[row]))
             # free this block's arrays before the next block's call builds its own
             del ev

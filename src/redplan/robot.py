@@ -312,7 +312,7 @@ class PlanarArm:
     def bias_forces(self, q: Array, qd: Array) -> Array:
         """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
         components = self._com_jacobian_components(*self._trig(q))
-        return self._bias(self._centripetal(components), self._gravity(components), qd)
+        return self.bias_torque(self._centripetal(components), self._gravity(components), qd)
 
     def rigid_terms(self, q: Array) -> RigidTerms:
         """The velocity-independent terms H, G and gravity torque at q, from
@@ -323,15 +323,25 @@ class PlanarArm:
 
     def torque(self, terms: RigidTerms, qd: Array, qdd: Array) -> Array:
         """tau = H qdd + f(qd) from precomputed rigid-body terms."""
-        return _matvec(terms.H, qdd) + self._bias(terms.G, terms.gravity, qd)
+        return _matvec(terms.H, qdd) + self.bias_torque(terms.G, terms.gravity, qd)
+
+    def bias_torque(self, G: Array, gravity: Array, qd: Array) -> Array:
+        """f(qd): the centripetal, viscous, Coulomb and gravity torques from
+        the centripetal matrix G and gravity torque of rigid_terms."""
+        qd = np.asarray(qd, dtype=float)
+        thd = np.cumsum(qd, axis=-1)
+        tau = _matvec(G, thd * thd)
+        tau = tau + self.dynamics.viscous * qd
+        tau = tau + self.dynamics.coulomb * np.sign(qd)
+        return tau + gravity
 
     def inverse_dynamics(self, q: Array, qd: Array, qdd: Array) -> Array:
         """tau = H(q) qdd + f(q, qd), from one pass over the COM Jacobians."""
         return self.torque(self.rigid_terms(q), qd, qdd)
 
     # _inertia, _centripetal and _gravity take the result of
-    # _com_jacobian_components, so one pass derives all three; _bias takes
-    # G and the gravity torque. Each adds link k's term to every entry it
+    # _com_jacobian_components, so one pass derives all three; bias_torque
+    # takes G and the gravity torque. Each adds link k's term to every entry it
     # reaches in increasing k, so an entry sums its terms in increasing k.
 
     def _inertia(self, components) -> Array:
@@ -381,14 +391,6 @@ class PlanarArm:
         for k in range(self.n):
             tg[..., :k + 1] -= mass[k] * (Ax[..., k, :k + 1] * gx + Ay[..., k, :k + 1] * gy)
         return tg
-
-    def _bias(self, G: Array, gravity: Array, qd: Array) -> Array:
-        qd = np.asarray(qd, dtype=float)
-        thd = np.cumsum(qd, axis=-1)
-        tau = _matvec(G, thd * thd)
-        tau = tau + self.dynamics.viscous * qd
-        tau = tau + self.dynamics.coulomb * np.sign(qd)
-        return tau + gravity
 
     # ------------------------------------------------------------------
     # serialization
