@@ -19,8 +19,23 @@ the sweep's numbers bit for bit. `initial_samples` gives both the stage-0
 samples. The endpoint torques split inverse dynamics in two: the
 rigid-body terms (H, G and gravity) depend on the cell alone, so the
 caller computes them once per grid (the sweep for all its cells, a replay
-for its chain) and passes the next stage's in; the engine gathers them
-and computes the torque once per evaluated lane.
+for its chain) and passes the next stage's in.
+
+An edge's time step, joint velocity and velocity-dependent torque (the
+centripetal, viscous, Coulomb and gravity terms, `PlanarArm.bias_torque`)
+depend only on its two configurations and its time step. An interior
+edge's step is dlam / pv_next whatever the predecessor's level, so
+predecessors that end in the same cell share all of them. The engine
+therefore groups the P predecessors whose configuration and whose time
+steps at the levels some candidate lane uses are bitwise equal, and runs
+the velocity table, the exact velocity check, the G and gravity gathers
+and the bias torque once per (group, level, cell) of the candidates'
+union. Each candidate lane looks up its group's velocity, verdict and
+bias torque; the acceleration, jerk, H qdd + bias, torque rate, the order
+checks and the check points, which read the predecessor's history or
+level, stay per lane. A looked-up value is the same IEEE operation on
+bitwise-equal operands as the lane's own would be, so every lane keeps
+its bits, and a block gives what its rows would give one at a time.
 
 The per-lane arrays are (K, n) or (K, n, n) but stored joint-major, with
 the lane axis fastest in memory (`_gather`, `_keep`), so that every
@@ -29,7 +44,7 @@ rather than n elements at a time. Every operation on them is elementwise
 or an exact boolean reduction, so the layout changes no bit.
 
 The engine screens by joint velocity first, in two steps. A closed-form
-table, the shortest time step tmin[p, c] = max_j |dq_j| / qd_max_j at which
+table, the shortest time step tmin[g, c] = max_j |dq_j| / qd_max_j at which
 a pair of configurations meets the velocity bound (the discrete
 maximum-velocity curve of TOPP, Bobrow et al. 1985, and TOPP-RA), drops
 every level whose time step falls short of it at once, with a relative
@@ -38,6 +53,12 @@ runs on the survivors only. Only the lanes with a time step that pass it go
 on to the higher orders, inverse dynamics and the check points. The checks
 above joint velocity therefore count only the lanes they actually
 evaluated: a lane that fails the velocity bound is rejected under qd alone.
+
+One errstate context per call silences the invalid operations (NaN
+history, inf times zero) of the table, the difference stack, the torque
+and the endpoint checks. The check-point samples take a square root and
+inverse dynamics, which stay outside it; their checks are comparisons,
+which raise no floating-point error on NaN.
 """
 
 from __future__ import annotations

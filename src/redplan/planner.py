@@ -11,7 +11,9 @@ k is full, k + (f,) before; each next key keeps its cheapest predecessor
 label, on a tie the one with the smallest key, so results are
 bit-reproducible. A chain's cost is its duration, the sum of its time
 steps. There is one engine call per stage and block of labels; the blocks
-bound the engine's memory. Each block's feasible lanes are reduced to one
+bound the engine's memory, and they take the labels cell by cell, so that
+a block's labels end in few configurations and the engine shares each
+one's velocity work among them. Each block's feasible lanes are reduced to one
 entry per next key, and the blocks' entries once more, so a stage holds
 no table over all next keys. The labels are the search's whole record:
 extract() starts from the cheapest terminal label and follows the

@@ -9,9 +9,10 @@ dynamics are closed form, which keeps every mechanism cheap to evaluate.
 Inverse dynamics comes in two parts. :meth:`PlanarArm.rigid_terms` computes
 the terms that depend on the configuration alone (inertia H, centripetal
 matrix G, gravity torque), once per configuration; :meth:`PlanarArm.torque`
-adds the velocity-dependent part, once per lane. The edge engine evaluates
-many lanes at few configurations, so it calls the first per configuration
-and the second per lane.
+adds H qdd and the velocity-dependent part, :meth:`PlanarArm.bias_torque`.
+The edge engine evaluates many lanes at few configurations, so it calls
+the first per configuration, bias_torque per configuration pair and time
+step, and adds H qdd per lane.
 
 All kinematics/dynamics methods broadcast over leading batch dimensions: a
 joint vector argument of shape ``(..., n)`` yields results with the same
