@@ -8,62 +8,48 @@ starts) propagate as NaN and their checks are skipped until enough chain
 depth exists, which mirrors starting the bookkeeping at zero depth rather
 than guessing values.
 
-One function computes every edge: `stage_transitions` runs the time step,
-the difference stack, inverse dynamics, the per-order checks with the
-Coulomb exemption for the torque rate, and the interior check points over
-P x L x C lanes (P predecessors against the C cells of the next stage at
-each of its L pseudo-velocity levels) and folds the checks into one mask per
-order. The sweep calls it once per stage and block of labels; a replay of a
-chain calls it once per edge, its 1 x 1 x 1 case, and therefore reproduces
-the sweep's numbers bit for bit. `initial_samples` gives both the stage-0
-samples. The endpoint torques split inverse dynamics in two: the
+One function computes every edge: `stage_transitions` scores candidate
+lanes, the edges from P predecessors to the C cells of the next stage at
+each of its L pseudo-velocity levels. Its candidates are an (L, C) mask
+that every predecessor shares or a sorted list of lane ids; it answers
+lane by lane (`StageEval`) and builds no P x L x C array. The sweep calls
+it once per stage and block of labels; a replay scores a chain of N edges
+as the diagonal lanes of three N x N x N calls, each fed the samples of
+the one before, and so reproduces the sweep's numbers bit for bit. The
 rigid-body terms (H, G and gravity) depend on the cell alone, so the
-caller computes them once per grid (the sweep for all its cells, a replay
-for its chain) and passes the next stage's in.
+caller computes them once per grid and passes the next stage's in.
 
-An edge's time step, joint velocity and velocity-dependent torque (the
-centripetal, viscous, Coulomb and gravity terms, `PlanarArm.bias_torque`)
-depend only on its two configurations and its time step. An interior
-edge's step is dlam / pv_next whatever the predecessor's level, so
-predecessors that end in the same cell share all of them. The engine
-therefore groups the P predecessors whose configuration and whose time
-steps at the levels some candidate lane uses are bitwise equal, and runs
-the velocity table, the exact velocity check, the G and gravity gathers
-and the bias torque once per (group, level, cell) of the candidates'
-union. Each candidate lane looks up its group's velocity, verdict and
-bias torque; the acceleration, jerk, H qdd + bias, torque rate, the order
-checks and the check points, which read the predecessor's history or
-level, stay per lane. A looked-up value is the same IEEE operation on
-bitwise-equal operands as the lane's own would be, so every lane keeps
-its bits, and a block gives what its rows would give one at a time.
+An edge's time step, joint velocity and velocity-dependent torque
+(`PlanarArm.bias_torque`) depend only on its two configurations and its
+time step, and an interior edge's step is dlam / pv_next whatever the
+predecessor's level. So the engine groups the predecessors whose
+configuration and time steps at the levels in use are bitwise equal, and
+runs the velocity screen and the bias torque once per (group, candidate
+lane) pair. A closed-form table, the shortest time step max_j |dq_j| /
+qd_max_j at which a pair meets the velocity bound (the discrete
+maximum-velocity curve of TOPP, Bobrow et al. 1985, and TOPP-RA), drops the
+pairs that cannot pass, with a relative slack that keeps it conservative;
+the exact velocity check runs on the rest. Each group's passed pairs go to
+its members in ascending predecessor order, which lists the evaluated lanes
+in order. What reads a predecessor's history or level stays per lane:
+acceleration, jerk, H qdd + bias, torque rate, the checks and the check
+points. A shared value is the same IEEE operation on bitwise-equal operands
+as the lane's own, so a block gives what its rows would give one at a time.
 
-The per-lane arrays are (K, n) or (K, n, n) but stored joint-major, with
-the lane axis fastest in memory (`_gather`, `_keep`), so that every
-per-joint operation and joint reduction runs over all K lanes at once
-rather than n elements at a time. Every operation on them is elementwise
-or an exact boolean reduction, so the layout changes no bit.
-
-The engine screens by joint velocity first, in two steps. A closed-form
-table, the shortest time step tmin[g, c] = max_j |dq_j| / qd_max_j at which
-a pair of configurations meets the velocity bound (the discrete
-maximum-velocity curve of TOPP, Bobrow et al. 1985, and TOPP-RA), drops
-every level whose time step falls short of it at once, with a relative
-slack that keeps it conservative. The exact endpoint velocity check then
-runs on the survivors only. Only the lanes with a time step that pass it go
-on to the higher orders, inverse dynamics and the check points. The checks
-above joint velocity therefore count only the lanes they actually
-evaluated: a lane that fails the velocity bound is rejected under qd alone.
-
-One errstate context per call silences the invalid operations (NaN
-history, inf times zero) of the table, the difference stack, the torque
-and the endpoint checks. The check-point samples take a square root and
-inverse dynamics, which stay outside it; their checks are comparisons,
-which raise no floating-point error on NaN.
+The per-lane arrays are stored joint-major (`_gather`), so each per-joint
+operation runs over all lanes at once; every operation on them is
+elementwise or an exact boolean reduction, so the layout changes no bit.
+One errstate context per call silences the invalid operations (NaN history,
+inf times zero) of the table, the difference stack, the torque and the
+endpoint checks. The check-point samples take a square root and inverse
+dynamics, which stay outside it; their checks are comparisons, which raise
+no floating-point error on NaN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -156,8 +142,7 @@ def edge_durations(pv_prev, pv_next, dlam: float) -> Array:
     2 dlam / (pv_prev + pv_next). Lanes with zero pseudo-velocity at both
     ends have no time step and come back as +inf.
     """
-    pv_prev = np.asarray(pv_prev, dtype=float)
-    pv_next = np.asarray(pv_next, dtype=float)
+    pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
     with np.errstate(divide="ignore", invalid="ignore"):
         trapezoid = 2.0 * dlam / (pv_prev + pv_next)
         backward = dlam / pv_next
@@ -178,11 +163,6 @@ def _gather(table: Array, idx: Array) -> Array:
     return table.T.take(idx, axis=-1).T
 
 
-def _keep(a: Array, ok: Array) -> Array:
-    """The rows of a where ok holds, in the layout of _gather."""
-    return a.T.compress(ok, axis=-1).T
-
-
 def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
     """True where some joint's velocity flips sign across the edge.
 
@@ -195,25 +175,16 @@ def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
     return (qd_prev * qd_next < 0.0).any(axis=-1)
 
 
-def _predecessor_groups(q_prev: Array, dt: Array, union: Array) -> tuple[Array, Array]:
-    """Predecessors whose configuration and whose time steps at every level
-    a candidate lane uses (a row of union, (L, C)) are bitwise equal:
-    (group, first), with group (P,) each predecessor's group and first a
-    member of each group. Such predecessors share every edge's joint
-    velocity and velocity-dependent torque. A one-row call skips the sort.
-    """
-    P = q_prev.shape[0]
-    if P == 1:
-        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    # the bits of each row (+0.0 and -0.0 differ, so do NaN payloads);
-    # rows with equal bits are adjacent in any lexicographic order
-    key = np.concatenate((q_prev, dt[:, union.any(axis=1)]), axis=1).view(np.int64)
-    at = np.lexsort(key.T)
-    new = np.ones(P, dtype=bool)
+def _groups(key: Array) -> tuple[Array, Array, Array]:
+    """Rows of key (N, m) with equal bits: (group, first, at). at sorts the
+    rows lexicographically, ties in row order; group numbers each row's
+    group in that order, and first holds each group's first row."""
+    at = np.lexsort((np.arange(key.shape[0]), *key.T[::-1]))
+    new = np.ones(key.shape[0], dtype=bool)
     new[1:] = np.any(key[at[1:]] != key[at[:-1]], axis=1)
-    group = np.empty(P, dtype=np.intp)
+    group = np.empty(key.shape[0], dtype=np.intp)
     group[at] = np.cumsum(new) - 1
-    return group, at[new]
+    return group, at[new], at
 
 
 def _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, count):
@@ -235,14 +206,18 @@ def _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, count):
 
 @dataclass(frozen=True)
 class StageEval:
-    """Vectorized evaluation of the P x L x C transitions into one stage.
+    """One stage_transitions call's answer, lane by lane.
 
-    dt is (P, L) (it depends only on the pseudo-velocities); feasible and
-    the per-order masks are (P, L, C). The endpoint stack is carried on the
-    evaluated lanes only: row k of each (K, n) array belongs to the lane
-    with flat id lanes[k] = p * L * C + l * C + c (strictly ascending), so
-    np.searchsorted(lanes, ids) finds the lanes' rows. Those arrays are
-    stored joint-major.
+    dt (P, L) depends only on the pseudo-velocities. lanes (K,), strictly
+    ascending, are the evaluated lanes; row k of the stack qd ... taud
+    ((K, n) each, joint-major), of ok and of each order's verdict belongs
+    to lanes[k]. Every other lane is infeasible. with_step and no_step
+    count the candidate lanes with and without a time step.
+
+    feasible and order_ok, the dense (P, L, C) forms of ok and verdicts,
+    are built read-only on first access, only for bench/tracing.py and
+    tests until ROADMAP items 1 and 3 retire them; the sweep, replay and
+    the oracle never read them.
     """
 
     dt: Array
@@ -252,24 +227,42 @@ class StageEval:
     qddd: Array
     tau: Array
     taud: Array
-    feasible: Array
-    order_ok: dict
+    ok: Array
+    verdicts: dict
+    shape: tuple
+    candidates: Array
+    with_step: int
     no_step: int
 
     def rejections(self) -> dict:
-        """Failed checks per order, plus the candidate lanes without a time
-        step (under "duration"); a key with no failure is left out.
-
-        Only candidate lanes count (the window of a windowed search keeps
-        the others out). A lane without a time step counts under duration
-        alone. Joint velocity is checked on every other candidate lane;
-        every order above it only on the lanes that were evaluated, those
-        that pass the velocity bound. A lane that fails the velocity bound
-        is therefore counted under qd alone.
-        """
-        counts = {o: int(np.count_nonzero(~ok)) for o, ok in self.order_ok.items()}
+        """Failed checks per order and candidate lanes without a time step
+        ("duration"), keys without a failure left out. A candidate lane
+        counts under duration alone without a step, under qd alone if it
+        fails the velocity bound, and otherwise under every order it fails."""
+        counts = {o: int(np.count_nonzero(~ok)) for o, ok in self.verdicts.items()}
+        counts["qd"] = counts.get("qd", 0) + self.with_step - self.lanes.size
         counts["duration"] = self.no_step
         return {key: count for key, count in counts.items() if count}
+
+    def _dense(self, fill, at: Array, values) -> Array:
+        mask = np.full(self.shape, fill)
+        mask.reshape(-1)[at] = values
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def feasible(self) -> Array:
+        return self._dense(False, self.lanes, self.ok)
+
+    @cached_property
+    def order_ok(self) -> dict:
+        # off the evaluated lanes, a candidate with a time step failed the
+        # velocity bound, and every other lane passes
+        listed = (self.candidates if self.candidates.ndim == 2
+                  else self._dense(False, self.candidates, True))
+        failed = np.isfinite(self.dt)[:, :, None] & listed
+        return {order: self._dense(~failed if order == "qd" else True, self.lanes, ok)
+                for order, ok in self.verdicts.items()}
 
 
 def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
@@ -277,57 +270,78 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                       qdd_prev: Array, tau_prev: Array,
                       q_next: Array, terms_next: RigidTerms, pv_next: Array,
                       check_count: int = 0, candidates: Array | None = None) -> StageEval:
-    """Evaluate every predecessor against every next-stage node of every level.
+    """Score the candidate transitions into one stage, lane by lane.
 
     q_prev (P, n) with chain samples qd/qdd/tau_prev (P, n); q_next (C, n)
     holds the next stage's cells, terms_next their rigid-body terms
     (robot.rigid_terms(q_next)), and pv_next (L,) its levels. Lane
     p * L * C + l * C + c is the edge from predecessor p to cell c at level
-    l, so for one predecessor the lane ids are the grid's node ids.
-    candidates, a (P, L, C) mask, restricts the search to its lanes (None
-    keeps all). Lanes whose time step does not exist carry dt = +inf and
-    are marked infeasible. Only the candidate lanes with a time step that
-    pass the joint-velocity bound are evaluated further; every other lane
-    is infeasible, and its checks above joint velocity read as passed.
+    l. candidates is a boolean (L, C) mask that every predecessor shares
+    (None: every lane) or a sorted array of lane ids. A lane without a time step
+    has dt = +inf; only the candidates with a time step that pass the
+    joint-velocity bound are evaluated.
     """
-    pv_prev = np.asarray(pv_prev, dtype=float)
-    pv_next = np.asarray(pv_next, dtype=float)
-    shape = P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
-    if candidates is None:
-        candidates = np.ones(shape, dtype=bool)
+    pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
+    P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
+    S = L * C
+    candidates = np.ones((L, C), dtype=bool) if candidates is None else candidates
     dt = edge_durations(pv_prev[:, None], pv_next, dlam)
     has_step = np.isfinite(dt)
     step = np.where(has_step, dt, 1.0)
-    union = candidates.any(axis=0)
-    group, first = _predecessor_groups(q_prev, dt, union)
-    # the velocity part runs once per (group, level, cell) that some member's
-    # candidate lane uses: the lanes without a time step drop out first,
-    # then the velocity table drops the lanes that cannot pass, and the
-    # exact velocity check runs on the rest
-    screen = union & has_step[first][:, :, None]
-    shared_step = step[first]
+    shared = candidates.ndim == 2
+    if shared:
+        # every group meets every lane l * C + c of the mask
+        levels = candidates.any(axis=1)
+        pair_g, pair_u = slice(None), np.flatnonzero(candidates)
+        with_step = int(has_step.sum(axis=0) @ candidates.sum(axis=1))
+        no_step = P * pair_u.size - with_step
+    else:
+        cand_p, cand_u = np.divmod(candidates, S)
+        levels = np.bincount(cand_u // C, minlength=L) > 0
+        with_step = int(np.count_nonzero(has_step[cand_p, cand_u // C]))
+        no_step = candidates.size - with_step
+    group, first, _ = _groups(np.concatenate((q_prev, dt[:, levels]), axis=1).view(np.int64))
+    if not shared:
+        # each (group, lane) pair some candidate uses, once; pair[k] is k's,
+        # and with no shared group every candidate is its own pair
+        key = group[cand_p] * S + cand_u
+        pair, at, _ = _groups(key[:, None]) if first.size < P else (np.arange(key.size),) * 3
+        pair_g, pair_u = np.divmod(key[at], S)
+    # the velocity part, once per pair: the pairs without a time step drop
+    # out, then those the table drops; the exact check runs on the rest
+    pair_l, pair_c = np.divmod(pair_u, C)
+    shared_step = step[first][pair_g, pair_l]
+    screen = has_step[first][pair_g, pair_l]
     dq = q_next - q_prev[first][:, None, :]
     with np.errstate(invalid="ignore"):
         if limits.qd is not None:
             # NaN in tmin never drops a lane: the exact check skips NaN
             tmin = np.max(np.abs(dq) / limits.qd, axis=-1)
-            screen &= ~(tmin[:, None, :] > shared_step[:, :, None] * (1.0 + _TABLE_SLACK))
-        shared = np.flatnonzero(screen)
-        g, l, c = np.unravel_index(shared, screen.shape)
+            screen &= ~(tmin[pair_g, pair_c] > shared_step * (1.0 + _TABLE_SLACK))
+        kept = np.flatnonzero(screen)
+        g, k = np.divmod(kept, pair_u.size) if shared else (pair_g[kept], kept)
+        c = pair_c[k]
         qd = _gather(dq.reshape(-1, q_next.shape[1]), g * C + c)
-        qd /= shared_step[g, l][:, None]
+        qd /= shared_step.ravel()[kept][:, None]
         if limits.qd is not None:
             passed = _order_ok(qd, limits.qd)
-            shared, c, qd = (_keep(a, passed) for a in (shared, c, qd))
+            g, k, c, qd = (a.T.compress(passed, axis=-1).T for a in (g, k, c, qd))
         bias = robot.bias_torque(_gather(terms_next.G, c), _gather(terms_next.gravity, c), qd)
-        # the evaluated lanes: each candidate lane whose group's lane passed,
-        # with that lane's velocity and bias torque
-        vel_ok = np.zeros(screen.size, dtype=bool)
-        vel_ok[shared] = True
-        vel_ok = vel_ok.reshape(screen.shape)[group]
-        lanes = np.flatnonzero(candidates & vel_ok)
-        p, l, c = np.unravel_index(lanes, shape)
-        row = np.searchsorted(shared, lanes + (group[p] - p) * (L * C))
+        # the evaluated lanes in ascending order, each with its pair's row
+        if shared:
+            # each predecessor takes its group's passed pairs: one run of rows
+            per_group = np.bincount(g, minlength=first.size)
+            count = per_group[group]
+            row = np.arange(count.sum()) + np.repeat(np.cumsum(per_group)[group]
+                                                     - np.cumsum(count), count)
+            p, lc = np.repeat(np.arange(P), count), pair_u[k[row]]
+        else:
+            pair_row = np.full(pair_u.size, -1)
+            pair_row[k] = np.arange(k.size)
+            row = pair_row[pair]
+            p, lc, row = cand_p[row >= 0], cand_u[row >= 0], row[row >= 0]
+        lanes = p * S + lc
+        l, c = np.divmod(lc, C)
         qd, bias = _gather(qd, row), _gather(bias, row)
         qd_prev, step = _gather(qd_prev, p), step[p, l][:, None]
         qdd = (qd - qd_prev) / step
@@ -339,11 +353,11 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         # check, the Coulomb exemption of the torque rate, then (outside
         # this context: the samples take a square root and inverse
         # dynamics) the check points
-        lane_ok = {order: _order_ok(value, limits.bound(order))
-                   for order, value in zip(ORDERS, stack)
-                   if limits.bound(order) is not None}
-        if "taud" in lane_ok:
-            lane_ok["taud"] |= _coulomb_crossing(qd_prev, qd)
+        verdicts = {order: _order_ok(value, limits.bound(order))
+                    for order, value in zip(ORDERS, stack)
+                    if limits.bound(order) is not None}
+        if "taud" in verdicts:
+            verdicts["taud"] |= _coulomb_crossing(qd_prev, qd)
     if check_count:
         # each level is squared as a Python float, not by numpy (numpy's
         # square and ** differ in the last place on some doubles): the
@@ -357,26 +371,10 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
             if limits.tau is not None:
                 sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)
             for order in _CHECK_POINT_ORDERS:
-                if order in lane_ok:
-                    lane_ok[order] &= _order_ok(sample[order], limits.bound(order))
-    feasible = np.zeros(candidates.size, dtype=bool)
-    feasible[lanes] = np.all(list(lane_ok.values()), axis=0) if lane_ok else True
-    with_step = candidates & has_step[:, :, None]
-    order_ok = {}
-    for order, ok in lane_ok.items():
-        # every evaluated lane is a candidate that passed the velocity bound;
-        # the velocity verdict of every other lane is its group's, passed
-        # where a lane is no candidate or has no time step (it has no
-        # velocity to check)
-        if order == "qd":
-            mask = (~with_step | vel_ok).ravel()
-        else:
-            mask = np.ones(candidates.size, dtype=bool)
-        mask[lanes] = ok
-        order_ok[order] = mask.reshape(shape)
-    no_step = int(np.count_nonzero(candidates) - np.count_nonzero(with_step))
-    return StageEval(dt, lanes, *stack, feasible=feasible.reshape(shape),
-                     order_ok=order_ok, no_step=no_step)
+                if order in verdicts:
+                    verdicts[order] &= _order_ok(sample[order], limits.bound(order))
+    ok = np.all(list(verdicts.values()), axis=0) if verdicts else np.ones(lanes.size, bool)
+    return StageEval(dt, lanes, *stack, ok, verdicts, (P, L, C), candidates, with_step, no_step)
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,9 @@ class NoFeasiblePlan(PlanningError):
 
 class CorruptChain(PlanningError):
     """A plan's chain is broken: its back-pointers do not terminate at
-    stage 0 (``planner.extract``), or a replayed edge, scored by the same
-    engine call as the sweep's, has no time step or fails a check
-    (``planner.replay``; the message names the failed orders)."""
+    stage 0 (``planner.extract``), or a replayed edge, scored as the sweep
+    scored it, has no time step or fails a check (``planner.replay``; the
+    message names the first such edge and its failed orders)."""
 
 
 class NoConvergence(PlanningError):

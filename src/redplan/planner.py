@@ -33,15 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (LimitSets, TrajectoryProfile, initial_samples,
+from .constraints import (LimitSets, TrajectoryProfile, _groups, initial_samples,
                           saturation_percentage, stage_transitions)
 from .errors import CorruptChain, NoFeasiblePlan, ScenarioError, as_int
 from .grid import StateGrid
 
 Array = np.ndarray
 
-# lanes (predecessor rows x next-stage nodes) of one engine call; larger
-# blocks raise the sweep's peak memory
+# candidate lanes (predecessor rows x next-stage nodes) of one engine call: they
+# bound its (group, lane) pairs, evaluated lanes and lane lists, so its memory
 LANE_BUDGET = 65536
 
 
@@ -143,9 +143,6 @@ def _sweep(grid, limits, check_count, window, depth=0):
     qd, qdd, tau = initial_samples(grid.robot, grid.q_table[0, start % C],
                                    grid.pv_values[start // C])
 
-    lattice_rows = None
-    if window is not None and window.max_dj is not None:
-        lattice_rows = grid.cell_lattice()
     rows_per_block = max(1, LANE_BUDGET // S)
     # the rigid-body terms depend on the cell alone: once per grid
     terms = grid.robot.rigid_terms(grid.q_table)
@@ -157,24 +154,19 @@ def _sweep(grid, limits, check_count, window, depth=0):
         # next key tails[g] + (s,), and reached (g, s) come in key order.
         # (np.unique imports numpy.ma on first use: +0.5 MB resident.)
         tail = keys[:, 1:] if keys.shape[1] > depth else keys
-        order = np.lexsort((np.arange(len(keys)), *tail.T[::-1]))
-        tail = tail[order]
-        new_tail = np.ones(len(tail), dtype=bool)
-        new_tail[1:] = np.any(tail[1:] != tail[:-1], axis=1)
-        group = np.cumsum(new_tail) - 1
-        tails = tail[new_tail]
+        group, first_label, order = _groups(tail)
+        group, tails = group[order], tail[first_label]
         node = keys[:, -1]
         q_prev = grid.q_table[i, node % C]
         pv_prev = grid.pv_values[node // C]
         histogram, winners = {}, []
 
         # the window's level bound (P, L) and lattice bound (P, C)
-        level_ok = lattice_ok = None
-        if window is not None and window.max_dl is not None:
-            level_ok = np.abs(node[:, None] // C - np.arange(L)) <= window.max_dl
-        if lattice_rows is not None:
-            dj = np.abs(lattice_rows[node % C][:, None, :] - lattice_rows[None, :, :])
-            lattice_ok = np.all(dj <= window.max_dj, axis=-1)
+        if window is not None:
+            max_dl, max_dj = (np.inf if b is None else b for b in (window.max_dl, window.max_dj))
+            level_ok = np.abs(node[:, None] // C - np.arange(L)) <= max_dl
+            lattice = grid.cell_lattice()
+            lattice_ok = np.all(np.abs(lattice[node % C][:, None, :] - lattice) <= max_dj, axis=-1)
 
         # the blocks take the labels cell by cell, in key order within a
         # cell: a block's labels then end in few configurations, which the
@@ -184,11 +176,11 @@ def _sweep(grid, limits, check_count, window, depth=0):
         for first in range(0, order.size, rows_per_block):
             at = by_cell[first:first + rows_per_block]
             rows = order[at]
-            candidates = np.broadcast_to(grid.admissible[i + 1], (rows.size, L, C))
-            if level_ok is not None:
-                candidates = candidates & level_ok[rows, :, None]
-            if lattice_ok is not None:
-                candidates = candidates & lattice_ok[rows, None, :]
+            # a window's bounds differ from row to row: list the block's lanes
+            candidates = grid.admissible[i + 1]
+            if window is not None:
+                candidates = np.flatnonzero(candidates & level_ok[rows, :, None]
+                                            & lattice_ok[rows, None, :])
             ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev[rows],
                                    pv_prev[rows], qd[rows], qdd[rows], tau[rows],
                                    grid.q_table[i + 1], terms[i + 1], grid.pv_values,
@@ -198,7 +190,7 @@ def _sweep(grid, limits, check_count, window, depth=0):
             # the feasible evaluated lanes (rows of the stack): next key
             # (group, s), cost and position in order, reduced per block to
             # each key's cheapest; only the winners' samples are gathered
-            ok = np.flatnonzero(ev.feasible.ravel()[ev.lanes])
+            ok = np.flatnonzero(ev.ok)
             p, s = np.divmod(ev.lanes[ok], S)
             *best, row = _cheapest(group[at[p]] * S + s, cost[rows[p]] + ev.dt[p, s // C],
                                    at[p], ok)
@@ -254,49 +246,52 @@ def extract(value: ValueMap) -> PlanResult:
 
 def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
            cost: float, reached: ReachedSets) -> PlanResult:
-    """Re-evaluate a node chain edge by edge into a PlanResult.
+    """Re-evaluate a node chain into a PlanResult in three engine calls.
 
-    Each edge is one stage_transitions call, the 1 x 1 x 1 case of the
-    sweep's call, so the times and samples come out bit-identical and the
-    last time equals the chain's cost. cost and reached are the producing
-    search's own and are passed through.
+    The chain's edges are the diagonal lanes of a call whose rows are
+    stages 0..N-1 and whose levels and cells are stages 1..N. Each call is
+    fed the samples of the one before, shifted by a stage: call 1 gives the
+    time steps and joint velocities, call 2 the accelerations and torques,
+    call 3 the jerks, torque rates, check points and verdicts. Each lane
+    computes what the sweep did for its edge, bit for bit, so the last time
+    is the chain's cost. cost and reached pass through from the search.
 
     Raises:
-        CorruptChain: an edge of the chain has no time step or fails a
-            check; the message names the failed orders.
+        CorruptChain: an edge has no time step or fails a check; the
+            message names the first such edge and its failed orders.
     """
     n_stages = grid.n_stages
-    C = grid.cfg_count
-    n = grid.robot.n
     ids = np.asarray(node_ids, dtype=np.int64)
-    q = grid.q_table[np.arange(n_stages + 1), ids % C]
-    pv = grid.pv_values[ids // C].astype(float)
-    t = np.zeros(n_stages + 1)
-    dt = np.zeros(n_stages + 1)
-    qd, qdd, qddd, tau, taud = np.full((5, n_stages + 1, n), np.nan)
-
-    qd[:1], qdd[:1], tau[:1] = initial_samples(grid.robot, q[:1], pv[:1])
+    q = grid.q_table[np.arange(n_stages + 1), ids % grid.cfg_count]
+    pv = grid.pv_values[ids // grid.cfg_count].astype(float)
+    # qd, qdd and tau of stages 0..N, as far as the calls so far give them
+    samples = np.full((3, n_stages + 1, grid.robot.n), np.nan)
+    samples[:, :1] = initial_samples(grid.robot, q[:1], pv[:1])
     terms = grid.robot.rigid_terms(q)
-    if pv[0] == 0.0:
-        qddd[0] = 0.0
-        taud[0] = 0.0
-    for i in range(1, n_stages + 1):
-        ev = stage_transitions(grid.robot, limits, grid.path.dlam, q[i - 1:i], pv[i - 1:i],
-                               qd[i - 1:i], qdd[i - 1:i], tau[i - 1:i], q[i:i + 1],
-                               terms[i:i + 1], pv[i:i + 1], check_count=check_count)
-        if not ev.feasible[0, 0, 0]:
-            cause = ("has no time step" if ev.no_step
-                     else f"is infeasible: {', '.join(ev.rejections())}")
-            raise CorruptChain(f"replayed edge into stage {i} {cause}")
-        dt[i] = ev.dt[0, 0]
-        t[i] = t[i - 1] + dt[i]
-        qd[i], qdd[i], qddd[i] = ev.qd[0], ev.qdd[0], ev.qddd[0]
-        tau[i], taud[i] = ev.tau[0], ev.taud[0]
-
-    profile = TrajectoryProfile(t=t, dt=dt, lam=grid.path.lam.copy(), pv=pv,
-                                q=q, qd=qd, qdd=qdd, qddd=qddd, tau=tau, taud=taud)
+    stride = n_stages ** 2 + n_stages + 1
+    for count in (0, 0, check_count):
+        ev = stage_transitions(grid.robot, limits, grid.path.dlam, q[:-1], pv[:-1],
+                               *samples[:, :-1], q[1:], terms[1:], pv[1:], check_count=count,
+                               candidates=np.arange(n_stages) * stride)
+        edges = ev.lanes // stride
+        samples[:, edges + 1] = ev.qd, ev.qdd, ev.tau
+    ok = np.zeros(n_stages, dtype=bool)
+    ok[edges] = ev.ok
+    if not ok.all():
+        k = int(np.argmin(ok))
+        # the edges before k passed, so k, if evaluated, is row k; an edge
+        # with a time step that was not evaluated failed the velocity bound
+        failed = [o for o, v in ev.verdicts.items() if not v[k]] if k in edges else ["qd"]
+        cause = (f"is infeasible: {', '.join(failed)}" if np.isfinite(ev.dt[k, k])
+                 else "has no time step")
+        raise CorruptChain(f"replayed edge into stage {k + 1} {cause}")
+    dt = np.concatenate(([0.0], np.diagonal(ev.dt)))
+    rest = np.full((1, grid.robot.n), 0.0 if pv[0] == 0.0 else np.nan)
+    profile = TrajectoryProfile(t=np.cumsum(dt), dt=dt, lam=grid.path.lam.copy(), pv=pv, q=q,
+                                qd=samples[0], qdd=samples[1], tau=samples[2],
+                                qddd=np.concatenate((rest, ev.qddd)),
+                                taud=np.concatenate((rest, ev.taud)))
     return PlanResult(cost=float(cost), node_ids=ids, profile=profile,
                       saturation=saturation_percentage(profile, limits),
                       reached=reached, history_orders=limits.history_dependent_orders,
                       grid=grid, limits=limits, check_count=check_count)
-

@@ -427,13 +427,20 @@ def verify_report(scenario: Scenario, gap) -> dict:
 
 
 def run_meta(started: float, threads: int, argv: list | None = None) -> dict:
-    """Nondeterministic sidecar: wall clock and machine identity."""
+    """Nondeterministic sidecar: wall clock and machine identity, with the
+    SIMD targets numpy runs on this CPU (some ufuncs' bits depend on them)."""
+    try:
+        from numpy._core import _multiarray_umath as umath      # numpy 2
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath       # numpy 1.24-1.26
     return {
         "wall_clock_s": time.time() - started,
         "started_unix": started,
         "machine": platform.platform(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "simd": {"baseline": list(umath.__cpu_baseline__),
+                 "found": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]},
         "threads": int(threads),
         "argv": list(argv) if argv is not None else list(sys.argv),
     }

@@ -139,7 +139,7 @@ def edge(robot, limits, dlam, state, q_next, pv_next, check_count=0):
                            qdd[None], tau[None], q_next[None],
                            robot.rigid_terms(q_next[None]), np.array([pv_next]),
                            check_count=check_count)
-    if not ev.feasible[0, 0, 0]:
+    if not ev.ok.any():                     # no lane, or one infeasible lane
         return ev, None
     return ev, (q_next, float(pv_next), ev.qd[0], ev.qdd[0], ev.tau[0])
 

@@ -1,5 +1,7 @@
 """Constraint engine: time steps, difference stacks, checks, saturation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -442,7 +444,7 @@ class TestStageTransitions:
         full = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, terms, levels)
         candidates = rng.random((8, L, 6)) < 0.5
         ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, terms, levels,
-                               candidates=candidates)
+                               candidates=np.flatnonzero(candidates))
         assert np.array_equal(ev.feasible, full.feasible & candidates)
         # a stop from rest has no time step; only candidate lanes count
         no_step = (pv[:, None] == 0.0) & (levels == 0.0)
@@ -542,8 +544,9 @@ class TestStageTransitions:
         assert all(len(shape) == 2 for shape in shapes[2:])
         shapes.clear()
         planner.extract(value)
-        # replay: the stage-0 samples, the chain, then one lane per check point
-        assert shapes == [(1, 3), (N + 1, 3)] + [(1, 3)] * (N * check_count)
+        # replay: the stage-0 samples, the chain, then the check points of
+        # its last call, one lane per edge
+        assert shapes == [(1, 3), (N + 1, 3)] + [(N, 3)] * check_count
 
     @pytest.mark.parametrize("check_count", [0, 2])
     def test_layout_independence(self, arm, check_count):
@@ -629,7 +632,8 @@ class TestStageTransitions:
         def run(at):
             return stage_transitions(arm, limits, 0.1, q[at], pv[at], qd[at], qdd[at],
                                      tau[at], q_next, terms, levels, check_count=check_count,
-                                     candidates=None if candidates is None else candidates[at])
+                                     candidates=None if candidates is None
+                                     else np.flatnonzero(candidates[at]))
 
         block = run(slice(None))
         parts = [run(slice(p, p + 1)) for p in range(P)]
@@ -637,14 +641,16 @@ class TestStageTransitions:
         def stacked(field):
             return np.concatenate([getattr(part, field) for part in parts]).tobytes()
 
-        for field in ("dt", *ORDERS, "feasible"):
+        for field in ("dt", *ORDERS, "ok", "feasible"):
             assert getattr(block, field).tobytes() == stacked(field)
         lanes = np.concatenate([p * L * C + part.lanes for p, part in enumerate(parts)])
         assert block.lanes.tobytes() == lanes.tobytes()
-        assert all(part.order_ok.keys() == block.order_ok.keys() for part in parts)
-        for order, ok in block.order_ok.items():
-            assert ok.tobytes() == np.concatenate([part.order_ok[order]
+        assert all(part.verdicts.keys() == block.verdicts.keys() for part in parts)
+        for order, ok in block.verdicts.items():
+            assert ok.tobytes() == np.concatenate([part.verdicts[order]
                                                    for part in parts]).tobytes()
+            assert block.order_ok[order].tobytes() == np.concatenate(
+                [part.order_ok[order] for part in parts]).tobytes()
         assert block.no_step == sum(part.no_step for part in parts)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -663,7 +669,7 @@ class TestStageTransitions:
         prev = self.build_prev(arm, rng, 6, center=center, spread=0.06)
         q_next = center + rng.uniform(-0.06, 0.06, (5, 3))
         levels = np.array([0.0, 0.3, 0.5])
-        candidates = rng.random((6, 3, 5)) < 0.7 if windowed else None
+        candidates = np.flatnonzero(rng.random((6, 3, 5)) < 0.7) if windowed else None
         caps = {o: np.full(3, np.inf) if kind == "inf"
                 else self.FINITE_SCALE[o] * rng.uniform(0.5, 2.0, 3)
                 for o, kind in zip(ORDERS, kinds) if kind != "off"}
@@ -674,7 +680,7 @@ class TestStageTransitions:
                                      levels, check_count=check_count, candidates=candidates)
 
         a, b = run(unbounded), run(unbounded.disable(order))
-        fields = ("dt", "lanes", *ORDERS, "feasible")
+        fields = ("dt", "lanes", *ORDERS, "ok", "feasible")
         assert [getattr(a, f).tobytes() for f in fields] == [getattr(b, f).tobytes()
                                                               for f in fields]
         assert set(a.order_ok) == set(b.order_ok) | {order}
@@ -682,6 +688,129 @@ class TestStageTransitions:
             assert a.order_ok[other].tobytes() == ok.tobytes()
         assert a.order_ok[order].all()
         assert a.rejections() == b.rejections()
+
+
+class TestLaneContract:
+    """The engine answers lane by lane: ok and the per-order verdicts on its
+    evaluated lanes, and tallies for the rest. The dense (P, L, C) views are
+    built from those fields; each must agree with the other, and a shared
+    (L, C) mask must give what the same candidates listed as lane ids give.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_lanes_match_dense_views(self, data):
+        arm = make_reference_arm()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        P, C = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 6))
+        center = np.array([0.3, -0.6, 0.9])
+        q = center + rng.uniform(-0.06, 0.06, (P, 3))
+        pv = rng.choice([0.0, 0.25, 0.5], size=P)
+        qd = rng.normal(0, 0.8, (P, 3))
+        qdd = rng.normal(0, 2.0, (P, 3))
+        tau = rng.normal(0, 10.0, (P, 3))
+        free = rng.random(P) < 0.25
+        qd[free] = qdd[free] = tau[free] = np.nan
+        q_next = center + rng.uniform(-0.06, 0.06, (C, 3))
+        levels = np.array([0.0, 0.3, 0.5])
+        L = levels.size
+        kinds = data.draw(st.lists(st.booleans(), min_size=5, max_size=5))
+        limits = LimitSets(**{o: TestStageTransitions.FINITE_SCALE[o] * rng.uniform(0.5, 2.0, 3)
+                              for o, on in zip(ORDERS, kinds) if on})
+        check_count = data.draw(st.sampled_from([0, 2]))
+        form = data.draw(st.sampled_from(("all", "mask", "lanes")))
+        mask = rng.random((L, C)) < 0.7
+        dense = {"all": np.ones((P, L, C), dtype=bool),
+                 "mask": np.broadcast_to(mask, (P, L, C)),
+                 "lanes": rng.random((P, L, C)) < 0.6}[form]
+        candidates = {"all": None, "mask": mask, "lanes": np.flatnonzero(dense)}[form]
+
+        def run(candidates):
+            return stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
+                                     arm.rigid_terms(q_next), levels,
+                                     check_count=check_count, candidates=candidates)
+
+        ev = run(candidates)
+        # each evaluated lane once, in order, and only candidates
+        assert np.all(np.diff(ev.lanes) > 0)
+        assert dense.reshape(-1)[ev.lanes].all()
+        assert ev.ok.shape == ev.lanes.shape
+        folded = np.ones(ev.lanes.size, dtype=bool)
+        for order, ok in ev.verdicts.items():
+            assert ok.shape == ev.lanes.shape
+            assert np.array_equal(ev.order_ok[order].reshape(-1)[ev.lanes], ok)
+            folded &= ok
+        assert np.array_equal(ev.ok, folded)
+        assert np.array_equal(ev.feasible.reshape(-1)[ev.lanes], ev.ok)
+        assert np.count_nonzero(ev.feasible) == np.count_nonzero(ev.ok)
+        assert not ev.feasible.flags.writeable
+        assert not any(view.flags.writeable for view in ev.order_ok.values())
+        # the tallies count what the dense views hold
+        with_step = dense & np.isfinite(ev.dt)[:, :, None]
+        assert ev.no_step == np.count_nonzero(dense) - np.count_nonzero(with_step)
+        expect = {order: int(np.count_nonzero(~view)) for order, view in ev.order_ok.items()}
+        expect["duration"] = ev.no_step
+        assert ev.rejections() == {key: count for key, count in expect.items() if count}
+        if "qd" in ev.order_ok:
+            # off the evaluated lanes, only candidates with a time step fail qd
+            unevaluated = np.ones(P * L * C, dtype=bool)
+            unevaluated[ev.lanes] = False
+            failed = ~ev.order_ok["qd"].reshape(-1) & unevaluated
+            assert np.array_equal(failed, with_step.reshape(-1) & unevaluated)
+        if form == "lanes":
+            return
+        # the same candidates listed as lane ids
+        listed = run(np.flatnonzero(dense))
+        for field in ("dt", "lanes", *ORDERS, "ok"):
+            assert getattr(ev, field).tobytes() == getattr(listed, field).tobytes()
+        assert ev.verdicts.keys() == listed.verdicts.keys()
+        assert all(ok.tobytes() == listed.verdicts[o].tobytes()
+                   for o, ok in ev.verdicts.items())
+        assert ev.rejections() == listed.rejections()
+
+
+    def test_memory_does_not_grow_with_the_dense_shape(self):
+        # a shared (L, C) mask costs memory per predecessor and level, not
+        # per lane: ten times the cells leave the peak where it was. A
+        # replay-shaped call of N diagonal lanes costs O(N^2): twice the
+        # edges, about four times the peak, not the eight of an N^3 array
+        arm = make_reference_arm()
+        rng = np.random.default_rng(61)
+        limits = LimitSets.from_joint_limits(arm.limits)
+
+        def peak(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                ev = stage_transitions(arm, *args, **kwargs)
+                return tracemalloc.get_traced_memory()[1], ev
+            finally:
+                tracemalloc.stop()
+
+        def shared(C):
+            # 2,000 rows in one configuration, every lane failing qd
+            P, L = 2000, 10
+            q = np.tile([0.3, -0.6, 0.9], (P, 1))
+            hist = np.zeros((P, 3))
+            q_next = 0.3 + rng.uniform(-0.5, 0.5, (C, 3))
+            return peak(LimitSets(qd=np.full(3, 1e-3)), 0.1, q, np.full(P, 0.5), hist, hist,
+                        hist, q_next, arm.rigid_terms(q_next), np.linspace(0.1, 1.0, L),
+                        candidates=np.ones((L, C), dtype=bool))
+
+        (small, _), (large, ev) = shared(40), shared(400)
+        assert ev.no_step == 0 and ev.rejections() == {"qd": 2000 * 10 * 400}
+        assert large < 1.5 * small
+
+        def diagonal(N):
+            q = np.cumsum(rng.uniform(-0.01, 0.01, (N + 1, 3)), axis=0)
+            pv = rng.uniform(0.2, 1.0, N + 1)
+            hist = np.full((N, 3), np.nan)
+            return peak(limits, 0.1, q[:-1], pv[:-1], hist, hist, hist, q[1:],
+                        arm.rigid_terms(q[1:]), pv[1:],
+                        candidates=np.arange(N) * (N * N + N + 1))
+
+        (small, _), (large, ev) = diagonal(100), diagonal(200)
+        assert ev.lanes.size == 200
+        assert large < 5 * small
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -8,7 +8,8 @@ import pytest
 
 from redplan import planner
 
-from redplan.constraints import LimitSets
+from redplan.baseline import resolve_redundancy, time_parametrize
+from redplan.constraints import LimitSets, StageEval
 from redplan.errors import CorruptChain, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
 from redplan.oracle import exhaustive_plan
@@ -232,6 +233,122 @@ class TestExtraction:
         assert full.history_orders == ("qdd", "qddd", "tau", "taud")
 
 
+def edge_by_edge(grid, limits, check_count, node_ids):
+    """A node chain folded through the engine one 1 x 1 x 1 call per edge:
+    each edge's StageEval, up to and including the first infeasible one."""
+    C = grid.cfg_count
+    state = start_state(grid.robot, *node_state(grid, 0, node_ids[0]))
+    evals = []
+    for i in range(1, grid.n_stages + 1):
+        q, pv = grid.q_table[i, node_ids[i] % C], grid.pv_values[node_ids[i] // C]
+        ev, state = edge(grid.robot, limits, grid.path.dlam, state, q, pv, check_count)
+        evals.append(ev)
+        if state is None:
+            break
+    return evals
+
+
+class TestChainReplay:
+    """replay scores a chain in three engine calls of N lanes each; it must
+    give what one call per edge gives, and name the first bad edge."""
+
+    @pytest.mark.parametrize("check_count", [0, 2])
+    @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
+                                      "toy_velocity"])
+    def test_matches_edge_by_edge(self, name, check_count):
+        sc = bundled_scenario(name)
+        grid = sc.build()
+        result = plan(grid, sc.limits, check_count=check_count, window=sc.window)
+        profile = result.profile
+        evals = edge_by_edge(grid, sc.limits, check_count, result.node_ids)
+        assert len(evals) == grid.n_stages and all(ev.ok.tolist() == [True] for ev in evals)
+        dt = np.concatenate(([0.0], [ev.dt[0, 0] for ev in evals]))
+        assert profile.dt.tobytes() == dt.tobytes()
+        first = start_state(grid.robot, profile.q[0], profile.pv[0])
+        assert profile.qd[0].tobytes() == first[2].tobytes()
+        assert profile.qdd[0].tobytes() == first[3].tobytes()
+        assert profile.tau[0].tobytes() == first[4].tobytes()
+        for field in ("qd", "qdd", "qddd", "tau", "taud"):
+            want = np.concatenate([getattr(ev, field) for ev in evals])
+            assert getattr(profile, field)[1:].tobytes() == want.tobytes()
+        assert profile.t[-1] == result.cost
+
+    def test_corrupt_middle_node_names_its_edge(self):
+        # every other node of the middle stage in place of the plan's: where
+        # the edge into it is the chain's first infeasible edge, replay must
+        # name that stage and the orders the edge-by-edge reference fails
+        sc = bundled_scenario("line")
+        grid = sc.build()
+        result = plan(grid, sc.limits)
+        m = grid.n_stages // 2
+        named = []
+        for f in grid.stage_ids(m):
+            ids = result.node_ids.copy()
+            ids[m] = f
+            evals = edge_by_edge(grid, sc.limits, 0, ids)
+            failed = list(evals[-1].rejections())
+            if len(evals) != m or evals[-1].ok.any() or "duration" in failed:
+                continue
+            with pytest.raises(CorruptChain) as err:
+                replay(grid, sc.limits, 0, ids, result.cost, result.reached)
+            assert str(err.value) == (f"replayed edge into stage {m} is infeasible: "
+                                      f"{', '.join(failed)}")
+            named.append(failed)
+        # the velocity bound alone, and orders above it
+        assert ["qd"] in named and any("qd" not in failed for failed in named)
+
+    def test_middle_edge_without_time_step(self):
+        # two consecutive interior nodes at rest: the edge between them has
+        # no time step, and no bound rejects anything else
+        sc = bundled_scenario("line")
+        grid = sc.build()
+        result = plan(grid, sc.limits)
+        m = grid.n_stages // 2
+        ids = result.node_ids.copy()
+        ids[m:m + 2] %= grid.cfg_count
+        with pytest.raises(CorruptChain, match=f"^replayed edge into stage {m + 1} "
+                                               "has no time step$"):
+            replay(grid, inf_limits(), 0, ids, result.cost, result.reached)
+
+
+class TestLaneSparseHotPaths:
+    """The sweep, replay, the exact search and the baseline read the
+    engine's lane fields only: with the dense (P, L, C) views made to raise,
+    each still reaches its pinned cost."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_views(self, monkeypatch):
+        def dense(ev):
+            raise AssertionError("a dense (P, L, C) view was read")
+
+        for name in ("feasible", "order_ok"):
+            monkeypatch.setattr(StageEval, name, property(dense))
+
+    @pytest.mark.parametrize("name,check_count,cost,baseline", [
+        ("line", 0, 0.6811343418486278, 1.0155573593073597),
+        ("ellipse", 0, 2.256789291904326, 2.7536970259016083),
+        ("ellipse", 2, 2.360311736487093, 2.795106003734715),
+        ("toy_jerk", 0, 0.9333333333333333, None),
+    ])
+    def test_plan_and_baseline(self, name, check_count, cost, baseline):
+        sc = bundled_scenario(name)
+        assert plan(sc.build(), sc.limits, check_count=check_count).cost == cost
+        if baseline is not None:
+            path = sc.sample()
+            joint_path = resolve_redundancy(sc.robot, path, sc.baseline)
+            pinned = time_parametrize(sc.robot, path, joint_path, sc.limits, sc.grid,
+                                      check_count=check_count)
+            assert pinned.cost == baseline
+
+    def test_windowed_plan(self):
+        sc = bundled_scenario("line")
+        assert plan(sc.build(), sc.limits, window=Window(max_dj=1)).cost == 0.6811343418486278
+
+    def test_exact_search(self):
+        sc = bundled_scenario("toy_jerk")
+        assert exhaustive_plan(sc.build(), sc.limits).cost == 0.6666666666666667
+
+
 class TestInfeasibility:
     def test_impossible_velocity_bound(self):
         grid = toy_grid()
@@ -384,7 +501,7 @@ class TestEngineTallies:
         def counting(*args, **kwargs):
             ev = engine(*args, **kwargs)
             tally["lanes"] += ev.lanes.size
-            tally["feasible"] += int(np.count_nonzero(ev.feasible))
+            tally["feasible"] += int(np.count_nonzero(ev.ok))
             for key, count in ev.rejections().items():
                 tally[key] = tally.get(key, 0) + count
             return ev

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from conftest import make_reference_arm
 from redplan.errors import ScenarioError
 from redplan.grid import GridSpec
+from redplan import scenario as scenario_module
 from redplan.planner import plan
 from redplan.scenario import (Scenario, active_constraint_csv, atomic_write_text,
                               bundled_scenario, bundled_scenario_names,
@@ -401,8 +404,39 @@ def test_run_meta_fields():
     meta = run_meta(started=0.0, threads=8, argv=["redplan", "plan"])
     assert meta["threads"] == 8
     assert meta["argv"] == ["redplan", "plan"]
-    assert set(meta) >= {"wall_clock_s", "machine", "python", "numpy"}
+    assert set(meta) >= {"wall_clock_s", "machine", "python", "numpy", "simd"}
+    # numpy's SIMD dispatch: the baseline features, and the dispatch
+    # targets this CPU runs, in numpy's dispatch order
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    simd = meta["simd"]
+    assert set(simd) == {"baseline", "found"}
+    assert simd["baseline"] == list(umath.__cpu_baseline__)
+    assert all(isinstance(name, str) for name in simd["baseline"] + simd["found"])
+    dispatch = list(umath.__cpu_dispatch__)
+    assert simd["found"] == [t for t in dispatch if t in simd["found"]]
+    assert all(umath.__cpu_features__[t] for t in simd["found"])
+    assert not [t for t in dispatch if umath.__cpu_features__.get(t) and t not in simd["found"]]
+    json.dumps(meta)                            # the sidecar is plain JSON
 
+
+
+def test_run_meta_simd_follows_the_dispatch_numpy_runs():
+    # switching dispatch targets off in a fresh interpreter drops them from
+    # the record: it names what numpy runs, not what the CPU could run
+    found = run_meta(0.0, 1, [])["simd"]["found"]
+    if len(found) < 2:
+        pytest.skip("numpy dispatches to fewer than two targets on this CPU")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scenario_module.__file__)))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(found[1:]),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import json; from redplan.scenario import run_meta; "
+            "print(json.dumps(run_meta(0.0, 1, [])['simd']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert json.loads(out.stdout)["found"] == found[:1]
 
 # --- CSV exports -------------------------------------------------------------
 
