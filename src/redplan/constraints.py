@@ -14,10 +14,11 @@ each of its L pseudo-velocity levels. Its candidates are an (L, C) mask
 that every predecessor shares or a sorted list of lane ids; it answers
 lane by lane (`StageEval`) and builds no P x L x C array. The sweep calls
 it once per stage and block of labels; a replay scores a chain of N edges
-as the diagonal lanes of three N x N x N calls, each fed the samples of
-the one before, and so reproduces the sweep's numbers bit for bit. The
-rigid-body terms (H, G and gravity) depend on the cell alone, so the
-caller computes them once per grid and passes the next stage's in.
+as N listed lanes of three calls (rows stages 0..N-1, cells stages 1..N),
+each fed the samples of the one before, and so reproduces the sweep's
+numbers bit for bit. The rigid-body terms (H, G and gravity) depend on the
+cell alone, so the caller computes them once per grid and passes the next
+stage's in.
 
 An edge's time step, joint velocity and velocity-dependent torque
 (`PlanarArm.bias_torque`) depend only on its two configurations and its
@@ -180,8 +181,9 @@ def _groups(key: Array) -> tuple[Array, Array, Array]:
     rows lexicographically, ties in row order; group numbers each row's
     group in that order, and first holds each group's first row."""
     at = np.lexsort((np.arange(key.shape[0]), *key.T[::-1]))
+    key = key[at]
     new = np.ones(key.shape[0], dtype=bool)
-    new[1:] = np.any(key[at[1:]] != key[at[:-1]], axis=1)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
     group = np.empty(key.shape[0], dtype=np.intp)
     group[at] = np.cumsum(new) - 1
     return group, at[new], at
@@ -302,26 +304,31 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         no_step = candidates.size - with_step
     group, first, _ = _groups(np.concatenate((q_prev, dt[:, levels]), axis=1).view(np.int64))
     if not shared:
-        # each (group, lane) pair some candidate uses, once; pair[k] is k's,
-        # and with no shared group every candidate is its own pair
+        # each (group, lane) pair some candidate uses, once; pair[k] is k's
         key = group[cand_p] * S + cand_u
-        pair, at, _ = _groups(key[:, None]) if first.size < P else (np.arange(key.size),) * 3
+        pair, at, _ = _groups(key[:, None])
         pair_g, pair_u = np.divmod(key[at], S)
     # the velocity part, once per pair: the pairs without a time step drop
-    # out, then those the table drops; the exact check runs on the rest
+    # out, then those the table drops; the exact check runs on the rest.
+    # dq is a (group, cell) table for a mask, one row per pair for a list
     pair_l, pair_c = np.divmod(pair_u, C)
     shared_step = step[first][pair_g, pair_l]
     screen = has_step[first][pair_g, pair_l]
-    dq = q_next - q_prev[first][:, None, :]
+    if shared:
+        dq = (q_next - q_prev[first][:, None, :]).reshape(-1, q_next.shape[1])
+        pair_dq = np.arange(first.size)[:, None] * C + pair_c
+    else:
+        dq = _gather(q_next, pair_c) - _gather(q_prev, first[pair_g])
+        pair_dq = np.arange(pair_c.size)
     with np.errstate(invalid="ignore"):
         if limits.qd is not None:
             # NaN in tmin never drops a lane: the exact check skips NaN
             tmin = np.max(np.abs(dq) / limits.qd, axis=-1)
-            screen &= ~(tmin[pair_g, pair_c] > shared_step * (1.0 + _TABLE_SLACK))
+            screen &= ~(tmin[pair_dq] > shared_step * (1.0 + _TABLE_SLACK))
         kept = np.flatnonzero(screen)
         g, k = np.divmod(kept, pair_u.size) if shared else (pair_g[kept], kept)
         c = pair_c[k]
-        qd = _gather(dq.reshape(-1, q_next.shape[1]), g * C + c)
+        qd = _gather(dq, pair_dq.ravel()[kept])
         qd /= shared_step.ravel()[kept][:, None]
         if limits.qd is not None:
             passed = _order_ok(qd, limits.qd)

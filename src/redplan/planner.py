@@ -143,6 +143,9 @@ def _sweep(grid, limits, check_count, window, depth=0):
     qd, qdd, tau = initial_samples(grid.robot, grid.q_table[0, start % C],
                                    grid.pv_values[start // C])
 
+    lattice_rows = None
+    if window is not None and window.max_dj is not None:
+        lattice_rows = grid.cell_lattice()
     rows_per_block = max(1, LANE_BUDGET // S)
     # the rigid-body terms depend on the cell alone: once per grid
     terms = grid.robot.rigid_terms(grid.q_table)
@@ -162,11 +165,12 @@ def _sweep(grid, limits, check_count, window, depth=0):
         histogram, winners = {}, []
 
         # the window's level bound (P, L) and lattice bound (P, C)
-        if window is not None:
-            max_dl, max_dj = (np.inf if b is None else b for b in (window.max_dl, window.max_dj))
-            level_ok = np.abs(node[:, None] // C - np.arange(L)) <= max_dl
-            lattice = grid.cell_lattice()
-            lattice_ok = np.all(np.abs(lattice[node % C][:, None, :] - lattice) <= max_dj, axis=-1)
+        level_ok = lattice_ok = None
+        if window is not None and window.max_dl is not None:
+            level_ok = np.abs(node[:, None] // C - np.arange(L)) <= window.max_dl
+        if lattice_rows is not None:
+            dj = np.abs(lattice_rows[node % C][:, None, :] - lattice_rows[None, :, :])
+            lattice_ok = np.all(dj <= window.max_dj, axis=-1)
 
         # the blocks take the labels cell by cell, in key order within a
         # cell: a block's labels then end in few configurations, which the
@@ -178,9 +182,12 @@ def _sweep(grid, limits, check_count, window, depth=0):
             rows = order[at]
             # a window's bounds differ from row to row: list the block's lanes
             candidates = grid.admissible[i + 1]
-            if window is not None:
-                candidates = np.flatnonzero(candidates & level_ok[rows, :, None]
-                                            & lattice_ok[rows, None, :])
+            if level_ok is not None or lattice_ok is not None:
+                if level_ok is not None:
+                    candidates = candidates & level_ok[rows, :, None]
+                if lattice_ok is not None:
+                    candidates = candidates & lattice_ok[rows, None, :]
+                candidates = np.flatnonzero(candidates)
             ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev[rows],
                                    pv_prev[rows], qd[rows], qdd[rows], tau[rows],
                                    grid.q_table[i + 1], terms[i + 1], grid.pv_values,
@@ -248,44 +255,48 @@ def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
            cost: float, reached: ReachedSets) -> PlanResult:
     """Re-evaluate a node chain into a PlanResult in three engine calls.
 
-    The chain's edges are the diagonal lanes of a call whose rows are
-    stages 0..N-1 and whose levels and cells are stages 1..N. Each call is
-    fed the samples of the one before, shifted by a stage: call 1 gives the
-    time steps and joint velocities, call 2 the accelerations and torques,
-    call 3 the jerks, torque rates, check points and verdicts. Each lane
-    computes what the sweep did for its edge, bit for bit, so the last time
-    is the chain's cost. cost and reached pass through from the search.
+    A call's rows are stages 0..N-1, its cells stages 1..N and its levels
+    the grid's; edge i is the lane from row i into cell i at stage i + 1's
+    level. Each call is fed the samples of the one before, shifted by a
+    stage: call 1 gives the time steps and joint velocities, call 2 the
+    accelerations and torques, call 3 the jerks, torque rates, check points
+    and verdicts. Each lane computes what the sweep did for its edge, bit
+    for bit, so the last time is the chain's cost. cost and reached pass
+    through from the search.
 
     Raises:
         CorruptChain: an edge has no time step or fails a check; the
             message names the first such edge and its failed orders.
     """
     n_stages = grid.n_stages
+    L, C = grid.pv_values.size, grid.cfg_count
     ids = np.asarray(node_ids, dtype=np.int64)
-    q = grid.q_table[np.arange(n_stages + 1), ids % grid.cfg_count]
-    pv = grid.pv_values[ids // grid.cfg_count].astype(float)
+    q = grid.q_table[np.arange(n_stages + 1), ids % C]
+    level = ids // C
+    pv = grid.pv_values[level].astype(float)
     # qd, qdd and tau of stages 0..N, as far as the calls so far give them
     samples = np.full((3, n_stages + 1, grid.robot.n), np.nan)
     samples[:, :1] = initial_samples(grid.robot, q[:1], pv[:1])
     terms = grid.robot.rigid_terms(q)
-    stride = n_stages ** 2 + n_stages + 1
+    edge = np.arange(n_stages)
     for count in (0, 0, check_count):
         ev = stage_transitions(grid.robot, limits, grid.path.dlam, q[:-1], pv[:-1],
-                               *samples[:, :-1], q[1:], terms[1:], pv[1:], check_count=count,
-                               candidates=np.arange(n_stages) * stride)
-        edges = ev.lanes // stride
+                               *samples[:, :-1], q[1:], terms[1:], grid.pv_values,
+                               check_count=count,
+                               candidates=(edge * L + level[1:]) * n_stages + edge)
+        edges = ev.lanes // (L * n_stages)
         samples[:, edges + 1] = ev.qd, ev.qdd, ev.tau
     ok = np.zeros(n_stages, dtype=bool)
     ok[edges] = ev.ok
+    dt = np.concatenate(([0.0], ev.dt[edge, level[1:]]))
     if not ok.all():
         k = int(np.argmin(ok))
         # the edges before k passed, so k, if evaluated, is row k; an edge
         # with a time step that was not evaluated failed the velocity bound
         failed = [o for o, v in ev.verdicts.items() if not v[k]] if k in edges else ["qd"]
-        cause = (f"is infeasible: {', '.join(failed)}" if np.isfinite(ev.dt[k, k])
+        cause = (f"is infeasible: {', '.join(failed)}" if np.isfinite(dt[k + 1])
                  else "has no time step")
         raise CorruptChain(f"replayed edge into stage {k + 1} {cause}")
-    dt = np.concatenate(([0.0], np.diagonal(ev.dt)))
     rest = np.full((1, grid.robot.n), 0.0 if pv[0] == 0.0 else np.nan)
     profile = TrajectoryProfile(t=np.cumsum(dt), dt=dt, lam=grid.path.lam.copy(), pv=pv, q=q,
                                 qd=samples[0], qdd=samples[1], tau=samples[2],

@@ -772,8 +772,9 @@ class TestLaneContract:
     def test_memory_does_not_grow_with_the_dense_shape(self):
         # a shared (L, C) mask costs memory per predecessor and level, not
         # per lane: ten times the cells leave the peak where it was. A
-        # replay-shaped call of N diagonal lanes costs O(N^2): twice the
-        # edges, about four times the peak, not the eight of an N^3 array
+        # replay-shaped call, N listed lanes over N rows, N cells and a
+        # grid's levels, costs O(N): twice the edges, about twice the peak,
+        # not the four of an N^2 array
         arm = make_reference_arm()
         rng = np.random.default_rng(61)
         limits = LimitSets.from_joint_limits(arm.limits)
@@ -800,17 +801,20 @@ class TestLaneContract:
         assert ev.no_step == 0 and ev.rejections() == {"qd": 2000 * 10 * 400}
         assert large < 1.5 * small
 
-        def diagonal(N):
+        def chain(N):
+            L = 10
             q = np.cumsum(rng.uniform(-0.01, 0.01, (N + 1, 3)), axis=0)
-            pv = rng.uniform(0.2, 1.0, N + 1)
+            levels = np.linspace(0.2, 1.0, L)
+            level = rng.integers(0, L, N + 1)
             hist = np.full((N, 3), np.nan)
-            return peak(limits, 0.1, q[:-1], pv[:-1], hist, hist, hist, q[1:],
-                        arm.rigid_terms(q[1:]), pv[1:],
-                        candidates=np.arange(N) * (N * N + N + 1))
+            edge = np.arange(N)
+            return peak(limits, 0.1, q[:-1], levels[level[:-1]], hist, hist, hist, q[1:],
+                        arm.rigid_terms(q[1:]), levels,
+                        candidates=(edge * L + level[1:]) * N + edge)
 
-        (small, _), (large, ev) = diagonal(100), diagonal(200)
-        assert ev.lanes.size == 200
-        assert large < 5 * small
+        (small, _), (large, ev) = chain(1000), chain(2000)
+        assert ev.lanes.size == 2000
+        assert large < 3 * small
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

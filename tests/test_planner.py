@@ -348,6 +348,24 @@ class TestLaneSparseHotPaths:
         sc = bundled_scenario("toy_jerk")
         assert exhaustive_plan(sc.build(), sc.limits).cost == 0.6666666666666667
 
+    @pytest.mark.parametrize("window,listed", [
+        (None, False), (Window(), False), (Window(max_dl=1), True), (Window(max_dj=1), True),
+    ])
+    def test_only_a_set_window_bound_lists_lanes(self, monkeypatch, window, listed):
+        # the sweep passes the stage's admissible (L, C) mask, which every
+        # row shares, unless a window bound is set; then each block's lanes
+        # differ from row to row and go as a list of lane ids
+        engine, forms = planner.stage_transitions, set()
+
+        def spy(*args, candidates=None, **kwargs):
+            forms.add(np.ndim(candidates))
+            return engine(*args, candidates=candidates, **kwargs)
+
+        monkeypatch.setattr(planner, "stage_transitions", spy)
+        sc = bundled_scenario("line")
+        planner._sweep(sc.build(), sc.limits, 0, window)
+        assert forms == ({1} if listed else {2})
+
 
 class TestInfeasibility:
     def test_impossible_velocity_bound(self):
