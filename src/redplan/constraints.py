@@ -23,19 +23,20 @@ stage's in.
 An edge's time step, joint velocity and velocity-dependent torque
 (`PlanarArm.bias_torque`) depend only on its two configurations and its
 time step, and an interior edge's step is dlam / pv_next whatever the
-predecessor's level. So the engine groups the predecessors whose
-configuration and time steps at the levels in use are bitwise equal, and
+predecessor's level. So for a mask the engine groups the predecessors
+whose configuration and time steps at the levels in use are bitwise equal,
 runs the velocity screen and the bias torque once per (group, candidate
-lane) pair. A closed-form table, the shortest time step max_j |dq_j| /
-qd_max_j at which a pair meets the velocity bound (the discrete
-maximum-velocity curve of TOPP, Bobrow et al. 1985, and TOPP-RA), drops the
-pairs that cannot pass, with a relative slack that keeps it conservative;
-the exact velocity check runs on the rest. Each group's passed pairs go to
-its members in ascending predecessor order, which lists the evaluated lanes
-in order. What reads a predecessor's history or level stays per lane:
-acceleration, jerk, H qdd + bias, torque rate, the checks and the check
-points. A shared value is the same IEEE operation on bitwise-equal operands
-as the lane's own, so a block gives what its rows would give one at a time.
+lane) pair, and hands each group's passed pairs to its members in ascending
+predecessor order, which lists the evaluated lanes in order; a listed lane
+is scored on its own. A closed-form table, the shortest time step
+max_j |dq_j| / qd_max_j at which a pair meets the velocity bound (the
+discrete maximum-velocity curve of TOPP, Bobrow et al. 1985, and TOPP-RA),
+drops the pairs that cannot pass, with a relative slack that keeps it
+conservative; the exact velocity check runs on the rest. What reads a
+predecessor's history or level stays per lane: acceleration, jerk, H qdd +
+bias, torque rate, the checks and the check points. A shared value is the
+same IEEE operation on bitwise-equal operands as the lane's own, so a block
+gives what its rows would give one at a time.
 
 The per-lane arrays are stored joint-major (`_gather`), so each per-joint
 operation runs over all lanes at once; every operation on them is
@@ -279,9 +280,10 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     (robot.rigid_terms(q_next)), and pv_next (L,) its levels. Lane
     p * L * C + l * C + c is the edge from predecessor p to cell c at level
     l. candidates is a boolean (L, C) mask that every predecessor shares
-    (None: every lane) or a sorted array of lane ids. A lane without a time step
-    has dt = +inf; only the candidates with a time step that pass the
-    joint-velocity bound are evaluated.
+    (None: every lane), whose velocity work runs once per group of bitwise-
+    equal predecessors, or a sorted array of lane ids, each scored on its
+    own. A lane without a time step has dt = +inf; only the candidates with
+    a time step that pass the joint-velocity bound are evaluated.
     """
     pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
     P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
@@ -292,41 +294,34 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     step = np.where(has_step, dt, 1.0)
     shared = candidates.ndim == 2
     if shared:
-        # every group meets every lane l * C + c of the mask
+        # each group of bitwise-equal rows meets every lane l * C + c of the mask
         levels = candidates.any(axis=1)
-        pair_g, pair_u = slice(None), np.flatnonzero(candidates)
+        group, first, _ = _groups(np.concatenate((q_prev, dt[:, levels]), axis=1).view(np.int64))
+        pair_u = np.flatnonzero(candidates)
+        pair_l, pair_c = np.divmod(pair_u, C)
+        shared_step, screen = step[first][:, pair_l], has_step[first][:, pair_l]
         with_step = int(has_step.sum(axis=0) @ candidates.sum(axis=1))
         no_step = P * pair_u.size - with_step
-    else:
-        cand_p, cand_u = np.divmod(candidates, S)
-        levels = np.bincount(cand_u // C, minlength=L) > 0
-        with_step = int(np.count_nonzero(has_step[cand_p, cand_u // C]))
-        no_step = candidates.size - with_step
-    group, first, _ = _groups(np.concatenate((q_prev, dt[:, levels]), axis=1).view(np.int64))
-    if not shared:
-        # each (group, lane) pair some candidate uses, once; pair[k] is k's
-        key = group[cand_p] * S + cand_u
-        pair, at, _ = _groups(key[:, None])
-        pair_g, pair_u = np.divmod(key[at], S)
-    # the velocity part, once per pair: the pairs without a time step drop
-    # out, then those the table drops; the exact check runs on the rest.
-    # dq is a (group, cell) table for a mask, one row per pair for a list
-    pair_l, pair_c = np.divmod(pair_u, C)
-    shared_step = step[first][pair_g, pair_l]
-    screen = has_step[first][pair_g, pair_l]
-    if shared:
         dq = (q_next - q_prev[first][:, None, :]).reshape(-1, q_next.shape[1])
         pair_dq = np.arange(first.size)[:, None] * C + pair_c
     else:
-        dq = _gather(q_next, pair_c) - _gather(q_prev, first[pair_g])
+        # each listed lane is its own pair, with its own row of dq
+        pair_p, pair_u = np.divmod(candidates, S)
+        pair_l, pair_c = np.divmod(pair_u, C)
+        shared_step, screen = step[pair_p, pair_l], has_step[pair_p, pair_l]
+        with_step = int(np.count_nonzero(screen))
+        no_step = candidates.size - with_step
+        dq = _gather(q_next, pair_c) - _gather(q_prev, pair_p)
         pair_dq = np.arange(pair_c.size)
+    # the velocity part, once per pair: the pairs without a time step drop
+    # out, then those the table drops; the exact check runs on the rest
     with np.errstate(invalid="ignore"):
         if limits.qd is not None:
             # NaN in tmin never drops a lane: the exact check skips NaN
             tmin = np.max(np.abs(dq) / limits.qd, axis=-1)
             screen &= ~(tmin[pair_dq] > shared_step * (1.0 + _TABLE_SLACK))
         kept = np.flatnonzero(screen)
-        g, k = np.divmod(kept, pair_u.size) if shared else (pair_g[kept], kept)
+        g, k = np.divmod(kept, pair_u.size) if shared else (kept, kept)
         c = pair_c[k]
         qd = _gather(dq, pair_dq.ravel()[kept])
         qd /= shared_step.ravel()[kept][:, None]
@@ -343,10 +338,7 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                                                      - np.cumsum(count), count)
             p, lc = np.repeat(np.arange(P), count), pair_u[k[row]]
         else:
-            pair_row = np.full(pair_u.size, -1)
-            pair_row[k] = np.arange(k.size)
-            row = pair_row[pair]
-            p, lc, row = cand_p[row >= 0], cand_u[row >= 0], row[row >= 0]
+            p, lc, row = pair_p[k], pair_u[k], np.arange(k.size)
         lanes = p * S + lc
         l, c = np.divmod(lc, C)
         qd, bias = _gather(qd, row), _gather(bias, row)

@@ -40,8 +40,8 @@ from .grid import StateGrid
 
 Array = np.ndarray
 
-# candidate lanes (predecessor rows x next-stage nodes) of one engine call: they
-# bound its (group, lane) pairs, evaluated lanes and lane lists, so its memory
+# candidate lanes (predecessor rows x next-stage nodes) of one engine call bound its
+# memory: a lane list, a mask's (group, lane) pairs and the evaluated lanes
 LANE_BUDGET = 65536
 
 

@@ -226,6 +226,8 @@ class Scenario:
         if nodes > np.iinfo(np.intp).max:
             raise ScenarioError("n_stages, grid pv_levels and the redundancy lattice "
                                 "give more grid nodes than an array index can address")
+        if not self.limits.enabled_orders:
+            raise ScenarioError("limits enable no constraint order; a plan needs at least one")
         for order in self.limits.enabled_orders:
             bound = self.limits.bound(order)
             if bound.shape not in ((1,), (self.robot.n,)):
@@ -378,7 +380,7 @@ def _saturation_dict(sat: SaturationReport) -> dict:
 
 def plan_report(scenario: Scenario, result: PlanResult) -> dict:
     profile = result.profile
-    cap = result.grid.spec.pv_max
+    cap = result.grid.pv_values[-1]   # the top level: pv_levels * pv_step may miss pv_max
     return {
         "artifact": "plan",
         "scenario_name": scenario.name,
@@ -543,8 +545,10 @@ def resample_export(result: PlanResult, rate: float) -> str:
         raise ScenarioError("sample rate must be positive and finite")
     profile = result.profile
     T = float(profile.t[-1])
-    count = int(np.floor(T * rate + 1e-9))
-    t = np.arange(count + 1) / rate
+    count = np.floor(T * rate + 1e-9)
+    if not count < np.iinfo(np.intp).max:         # checked before int(): it may be inf
+        raise ScenarioError("sample rate gives more samples than an array index can address")
+    t = np.arange(int(count) + 1) / rate
     if t[-1] < T:
         t = np.append(t, T)
     n = profile.q.shape[1]

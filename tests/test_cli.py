@@ -448,10 +448,11 @@ def test_export_dense_resample(tmp_path):
     assert float(lines[-1].split(",")[0]) == 0.6666666666666667
 
 
-@pytest.mark.parametrize("rate", ["0", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("rate", ["0", "nan", "inf", "-inf", "1e300"])
 def test_export_bad_rate(tmp_path, capsys, rate):
     # NaN and infinity pass a bare "rate <= 0" check and then fail in the
-    # sample count; they must be configuration errors too
+    # sample count, and 1e300 asks for more samples than an array index can
+    # address; they must be configuration errors too
     out = tmp_path / "x"
     code = main(["export", "--scenario", bundled_path("toy_full"),
                  f"--rate={rate}", "--out", str(out)])

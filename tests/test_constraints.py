@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redplan import planner
+from redplan import constraints, planner
 from redplan.constraints import (ORDERS, LimitSets, TrajectoryProfile, _order_ok,
                                  edge_durations, initial_samples, saturation_percentage,
                                  stage_transitions)
@@ -768,6 +768,36 @@ class TestLaneContract:
                    for o, ok in ev.verdicts.items())
         assert ev.rejections() == listed.rejections()
 
+    def test_only_a_mask_groups_its_rows(self, monkeypatch):
+        # a mask's velocity work runs once per group of bitwise-equal
+        # predecessors, found by one _groups call; a listed lane is scored
+        # on its own and groups nothing
+        arm = make_reference_arm()
+        calls = []
+        groups = constraints._groups
+        monkeypatch.setattr(constraints, "_groups",
+                            lambda key: calls.append(key.shape) or groups(key))
+        rng = np.random.default_rng(7)
+        q = np.repeat(0.3 + rng.uniform(-0.05, 0.05, (2, 3)), 3, axis=0)
+        pv = np.tile([0.25, 0.5, 0.5], 2)
+        hist = np.zeros((6, 3))
+        q_next = 0.3 + rng.uniform(-0.05, 0.05, (4, 3))
+        levels = np.array([0.25, 0.5])
+        mask = rng.random((2, 4)) < 0.7
+
+        def run(candidates):
+            calls.clear()
+            ev = stage_transitions(arm, LimitSets.from_joint_limits(arm.limits), 0.1, q, pv,
+                                   hist, hist, hist, q_next, arm.rigid_terms(q_next), levels,
+                                   candidates=candidates)
+            return ev, len(calls)
+
+        (shared, shared_calls), (listed, listed_calls) = (
+            run(mask), run(np.flatnonzero(np.broadcast_to(mask, (6, 2, 4)))))
+        assert (shared_calls, listed_calls) == (1, 0)
+        assert shared.lanes.size > 0
+        for field in ("lanes", *ORDERS, "ok"):
+            assert getattr(shared, field).tobytes() == getattr(listed, field).tobytes()
 
     def test_memory_does_not_grow_with_the_dense_shape(self):
         # a shared (L, C) mask costs memory per predecessor and level, not

@@ -156,6 +156,16 @@ def test_limits_rejects_unknown_fields():
         load_scenario(toy_doc(limits={"from_robot": ["tau"], "qd": [1.0, 1.0, 1.0]}))
 
 
+@pytest.mark.parametrize("limits", [dict.fromkeys(("qd", "qdd", "qddd", "tau", "taud")),
+                                    {}, {"from_robot": []}])
+def test_limits_enabling_no_order_rejected_at_load(limits):
+    # caught at load, and not after the whole search when saturation needs
+    # an enabled order
+    with pytest.raises(ScenarioError,
+                       match="limits enable no constraint order; a plan needs at least one"):
+        load_scenario(toy_doc(limits=limits))
+
+
 def test_limits_length_validated_against_robot():
     with pytest.raises(ScenarioError, match="bound has length"):
         load_scenario(toy_doc(limits={"qd": [1.0, 1.0]}))
@@ -385,6 +395,19 @@ def test_plan_report_contents():
     assert report["node_ids"] == [int(f) for f in result.node_ids]
     assert 0.0 <= report["saturation"]["percentage"] <= 100.0
     dumps_canonical(report)  # must be canonically serializable
+
+
+def test_pv_cap_touched_compares_against_the_top_level():
+    # 3 * (0.9 / 3) is 0.8999999999999999, not 0.9: the cap is the grid's
+    # top level, not pv_max
+    doc = bundled_scenario("toy_velocity").to_dict()
+    doc["grid"].update(pv_max=0.9, pv_levels=3)
+    doc["limits"] = {"qd": [100.0, 100.0, 100.0]}
+    sc = load_scenario(doc)
+    result = plan(sc.build(), sc.limits)
+    assert result.grid.pv_values[-1] != sc.grid.pv_max
+    assert result.grid.pv_values[-1] in result.profile.pv
+    assert plan_report(sc, result)["pv_cap_touched"] is True
 
 
 def test_verify_report_merges_gap():
