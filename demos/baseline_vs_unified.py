@@ -20,8 +20,8 @@ def main():
         joint_path = resolve_redundancy(sc.robot, path, sc.baseline)
         pinned = time_parametrize(sc.robot, path, joint_path, sc.limits, sc.grid,
                                   check_count=sc.check_count)
-        unified = plan(sc.build(), sc.limits, check_count=sc.check_count,
-                       window=sc.window)
+        # the pinned grid is searched whole, so the unified one is too
+        unified = plan(sc.build(), sc.limits, check_count=sc.check_count)
 
         v_index = 0  # the redundancy parameters are the first r joints
         v_pinned = joint_path.q[:, v_index]

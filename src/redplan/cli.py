@@ -19,7 +19,7 @@ from . import __version__
 from .baseline import resolve_redundancy, time_parametrize
 from .errors import (BudgetExceeded, EmptyStage, NoConvergence, NoFeasiblePlan,
                      PlanningError, ScenarioError, as_int)
-from .oracle import OracleBudget, compare, exhaustive_plan
+from .oracle import OracleBudget, compare
 from .planner import plan
 from .scenario import (Scenario, active_constraint_csv, atomic_write_text,
                        baseline_report, dumps_canonical, joint_path_csv,
@@ -106,16 +106,12 @@ def cmd_verify(args) -> int:
     started = time.time()
     scenario = load_scenario(args.scenario)
     if scenario.window is not None:
-        # the oracle searches the whole grid, so the DP must not be windowed
+        # compare searches the whole grid, so a window would go unused
         raise ScenarioError("verify searches the whole grid; remove the "
                             "scenario's window")
     budget = (OracleBudget() if args.budget is None
               else OracleBudget(max_labels=args.budget))
-    grid = scenario.build()
-    dp = plan(grid, scenario.limits, check_count=scenario.check_count)
-    oracle = exhaustive_plan(grid, scenario.limits, budget=budget,
-                             check_count=scenario.check_count)
-    gap = compare(dp, oracle, budget=budget)
+    gap = compare(scenario.build(), scenario.limits, scenario.check_count, budget)
     out = _out_dir(args, scenario)
     _write_report(out, "gap_report.json", verify_report(scenario, gap),
                   started, args)

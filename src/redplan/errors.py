@@ -19,9 +19,9 @@ class EmptyStage(PlanningError):
         stage: index of the first empty stage.
     """
 
-    def __init__(self, stage: int, message: str | None = None):
+    def __init__(self, stage: int):
         self.stage = stage
-        super().__init__(message or f"stage {stage} has no admissible node")
+        super().__init__(f"stage {stage} has no admissible node")
 
 
 class NoFeasiblePlan(PlanningError):

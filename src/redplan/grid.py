@@ -13,8 +13,6 @@ branch) row-major, so ascending id order is exactly the lexicographic
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -147,16 +145,6 @@ class StateGrid:
     @property
     def total_admissible(self) -> int:
         return int(self.admissible.sum())
-
-    def signature(self) -> str:
-        """Digest identifying robot, path, lattice, and admissibility."""
-        h = hashlib.sha256()
-        h.update(json.dumps(self.robot.to_dict(), sort_keys=True).encode())
-        for arr in (self.path.waypoints, self.pv_values, self.q_table,
-                    self.cfg_ok, self.admissible):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(b"rest" if self.spec.rest_to_rest else b"free")
-        return h.hexdigest()
 
 
 def _level_mask(n_stages: int, n_levels: int, rest_to_rest: bool) -> Array:

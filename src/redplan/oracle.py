@@ -12,13 +12,14 @@ and meet the same future edges, and since IEEE addition is monotone the
 cheapest label equals the cheapest feasible chain, bit for bit.
 
 On velocity-only runs the two searches must agree; with history-dependent
-orders enabled the DP cost can only be higher, and compare() quantifies
-and attributes that gap. Both searches run the same sweep and replay, so
-they differ only in the histories they keep. The attribution searches
-again only the subsets of orders whose gap it cannot derive: an order
-bounded by +inf on every joint rejects nothing, so adding it changes no
-search; a subset with no finite bound after it searches like the full set;
-and a subset without a finite history-dependent bound has no gap.
+orders enabled the DP cost can only be higher, and compare() runs both on
+one instance to quantify and attribute that gap. Both searches run the
+same sweep and replay, so they differ only in the histories they keep.
+The attribution searches again only the subsets of orders whose gap it
+cannot derive: an order bounded by +inf on every joint rejects nothing, so
+adding it changes no search; a subset with no finite bound after it
+searches like the full set; and a subset without a finite
+history-dependent bound has no gap.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import HISTORY_DEPENDENT_ORDERS, ORDERS, LimitSets
+from .constraints import HISTORY_DEPENDENT_ORDERS, LimitSets
 from .errors import BudgetExceeded, ContractViolation, ScenarioError
 from .grid import StateGrid
 from .planner import PlanResult, _sweep, extract, plan
@@ -62,18 +63,27 @@ class OracleBudget:
 class GapReport:
     """DP-vs-oracle comparison on one shared instance.
 
-    attribution maps each enabled constraint order to the gap increment it
-    introduces when added cumulatively (edge-local orders contribute 0);
-    the increments telescope to the total gap. Each increment has the bits
-    that searching every cumulative subset would give, though compare()
-    derives most subsets' gaps without a search.
+    dp and oracle are the instance's two searches. attribution maps each
+    enabled constraint order to the gap increment it introduces when added
+    cumulatively (edge-local orders contribute 0); the increments telescope
+    to the total gap. Each increment has the bits that searching every
+    cumulative subset would give, though compare() derives most subsets'
+    gaps without a search.
     """
 
-    oracle_cost: float
-    dp_cost: float
+    dp: PlanResult
+    oracle: PlanResult
     gap: float
     relative_gap: float
     attribution: dict
+
+    @property
+    def dp_cost(self) -> float:
+        return self.dp.cost
+
+    @property
+    def oracle_cost(self) -> float:
+        return self.oracle.cost
 
     def to_dict(self) -> dict:
         return {"oracle_cost": self.oracle_cost, "dp_cost": self.dp_cost,
@@ -109,24 +119,14 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     return extract(_sweep(grid, limits, check_count, None, depth=HISTORY_DEPTH))
 
 
-def _same_limits(a: LimitSets, b: LimitSets) -> bool:
-    for order in ORDERS:
-        x, y = a.bound(order), b.bound(order)
-        if (x is None) != (y is None):
-            return False
-        if x is not None and not np.array_equal(x, y):
-            return False
-    return True
-
-
-def compare(dp_result: PlanResult, oracle_result: PlanResult,
+def compare(grid: StateGrid, limits: LimitSets, check_count: int = 0,
             budget: OracleBudget | None = None) -> GapReport:
     """Measure the DP approximation gap against the exact optimum.
 
-    Both results must come from the same grid, limits, and check-point
-    count; their costs are plan durations. When the gap exceeds
-    GAP_TOLERANCE, the enabled orders are added back one at a time
-    (cheapest first) and each one's gap increment is recorded.
+    Runs plan() and then exhaustive_plan() on the whole grid; their costs
+    are plan durations. When the gap exceeds GAP_TOLERANCE, the enabled
+    orders are added back one at a time (cheapest first) and each one's
+    gap increment is recorded.
 
     An order binds when its bound has a finite entry; one that does not
     rejects no edge (|v| > inf is false for every sample, and the velocity
@@ -137,36 +137,27 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
     - none of its binding orders is history-dependent: 0.0, since the DP
       is exact there.
     Only a subset with a binding history-dependent order and a binding
-    order after it runs plan() and exhaustive_plan(), budget guarding the
-    latter. With the budget of oracle_result's search, no derived subset
-    could have raised: each is looser than the full instance, whose
-    searches succeeded, and the budget check reads the grid alone.
+    order after it runs plan() and exhaustive_plan(). budget guards every
+    exact search.
 
     Raises:
-        ScenarioError: results from different instances.
+        NoFeasiblePlan: from plan(), before the exact search runs.
+        BudgetExceeded: the exact search's label bound exceeds budget.
         ContractViolation: DP cost below the oracle cost by more than
             GAP_TOLERANCE (one of the two searches is broken).
     """
-    if dp_result.grid.signature() != oracle_result.grid.signature():
-        raise ScenarioError("gap comparison needs results from the same grid")
-    if not _same_limits(dp_result.limits, oracle_result.limits):
-        raise ScenarioError("gap comparison needs identical limit sets")
-    if dp_result.check_count != oracle_result.check_count:
-        raise ScenarioError("gap comparison needs the same check-point count")
-
-    gap = dp_result.cost - oracle_result.cost
+    dp = plan(grid, limits, check_count=check_count)
+    oracle = exhaustive_plan(grid, limits, budget=budget, check_count=check_count)
+    gap = dp.cost - oracle.cost
     if gap < -GAP_TOLERANCE:
         raise ContractViolation(
-            f"DP cost {dp_result.cost!r} beats the exact optimum "
-            f"{oracle_result.cost!r}; one of the searches is unsound")
-    relative = gap / oracle_result.cost if oracle_result.cost > 0 else 0.0
+            f"DP cost {dp.cost!r} beats the exact optimum "
+            f"{oracle.cost!r}; one of the searches is unsound")
+    relative = gap / oracle.cost if oracle.cost > 0 else 0.0
 
-    limits = dp_result.limits
     enabled = limits.enabled_orders
     attribution = {order: 0.0 for order in enabled}
     if gap > GAP_TOLERANCE:
-        grid = dp_result.grid
-        check_count = dp_result.check_count
         binds = {order: bool(np.isfinite(limits.bound(order)).any()) for order in enabled}
         prev_gap = 0.0
         for k, order in enumerate(enabled):
@@ -184,5 +175,5 @@ def compare(dp_result: PlanResult, oracle_result: PlanResult,
                 gap_k = dp_k.cost - oracle_k.cost
             attribution[order] = gap_k - prev_gap
             prev_gap = gap_k
-    return GapReport(oracle_cost=oracle_result.cost, dp_cost=dp_result.cost,
-                     gap=gap, relative_gap=relative, attribution=attribution)
+    return GapReport(dp=dp, oracle=oracle, gap=gap, relative_gap=relative,
+                     attribution=attribution)

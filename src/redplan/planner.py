@@ -50,9 +50,11 @@ class Window:
     """Optional per-stage candidate restriction (speed/optimality knob).
 
     Edges whose endpoints differ by more than max_dl levels or max_dj
-    lattice steps (per parameter) are skipped before they are evaluated,
-    so a tighter window saves work. None disables a bound; a bound is
-    otherwise a nonnegative integer.
+    lattice steps (per parameter) are skipped before they are evaluated.
+    A windowed block lists its edges and scores each on its own, without
+    the per-group velocity sharing of an unwindowed block, so only a tight
+    window saves work; a loose one costs more than none. None disables a
+    bound; a bound is otherwise a nonnegative integer.
     """
 
     max_dl: int | None = None

@@ -281,12 +281,13 @@ class Scenario:
         return hashlib.sha256(dumps_canonical(payload).encode()).hexdigest()
 
 
-def load_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
+def load_scenario(source: str | dict) -> Scenario:
     """Parse and cross-validate a scenario document or file.
 
     Relative robot file references resolve against the scenario file's
-    directory (or base_dir for in-memory documents).
+    directory (or the working directory for in-memory documents).
     """
+    base_dir = "."
     if isinstance(source, str):
         base_dir = os.path.dirname(os.path.abspath(source))
         try:
@@ -302,7 +303,7 @@ def load_scenario(source: str | dict, base_dir: str | None = None) -> Scenario:
 
     robot_ref = data.get("robot")
     if isinstance(robot_ref, str) and not os.path.isabs(robot_ref):
-        robot_ref = os.path.join(base_dir or ".", robot_ref)
+        robot_ref = os.path.join(base_dir, robot_ref)
     robot = load_robot(robot_ref)
 
     # a value of the wrong type surfaces as TypeError/ValueError from the

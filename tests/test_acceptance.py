@@ -123,12 +123,9 @@ def _scenario_runs(name):
     return _RUNS[name]
 
 
-def _toy_scenario_plan(name):
+def _toy_scenario_gap(name):
     sc = bundled_scenario(name)
-    grid = sc.build()
-    dp = plan(grid, sc.limits, check_count=sc.check_count)
-    oracle = exhaustive_plan(grid, sc.limits, check_count=sc.check_count)
-    return dp, oracle
+    return compare(sc.build(), sc.limits, sc.check_count)
 
 
 def _replay(result):
@@ -154,10 +151,9 @@ def test_1_oracle_exactness(toys):
     # velocity-only search has no history dependence, so the stage DP must
     # reproduce the exact oracle cost bit for bit (same duration arithmetic)
     for grid, qd_only, _ in toys:
-        dp = plan(grid, qd_only)
-        oracle = exhaustive_plan(grid, qd_only)
-        assert dp.cost == oracle.cost
-        assert compare(dp, oracle).gap == 0.0
+        rep = compare(grid, qd_only)
+        assert rep.dp_cost == rep.oracle_cost
+        assert rep.gap == 0.0
     return f"{len(toys)} random velocity-only grids, bit-level cost equality"
 
 
@@ -167,28 +163,26 @@ def test_2_conservatism(toys):
     safe_misses = 0
     for grid, _, full in toys:
         try:
-            dp = plan(grid, full)
+            rep = compare(grid, full)  # raises ContractViolation on dp < oracle
         except NoFeasiblePlan:
-            dp = None
-        try:
-            oracle = exhaustive_plan(grid, full)
-        except NoFeasiblePlan:
-            oracle = None
-        if dp is None:
+            # compare searches the DP first: if it found a plan, the oracle
+            # missed one
+            with pytest.raises(NoFeasiblePlan):
+                plan(grid, full)
             # pinned-history pruning may only err on the safe side
-            safe_misses += oracle is not None
+            try:
+                exhaustive_plan(grid, full)
+                safe_misses += 1
+            except NoFeasiblePlan:
+                pass
             continue
-        assert oracle is not None, "DP found a plan the oracle missed"
-        rep = compare(dp, oracle)  # raises ContractViolation on dp < oracle
         assert rep.gap >= 0.0
         gaps.append(rep.relative_gap)
 
     for name in ("toy_velocity", "toy_full"):
-        dp, oracle = _toy_scenario_plan(name)
-        assert compare(dp, oracle).gap == 0.0
+        assert _toy_scenario_gap(name).gap == 0.0
 
-    dp, oracle = _toy_scenario_plan("toy_jerk")
-    rep = compare(dp, oracle)
+    rep = _toy_scenario_gap("toy_jerk")
     assert rep.gap > 0.0
     assert rep.gap == 0.2666666666666666  # pinned adversarial instance
     assert rep.attribution["qddd"] == rep.gap
@@ -237,7 +231,7 @@ def test_5_replay_every_emitted_trajectory(toys):
         _, pinned, unified = _scenario_runs(name)
         results += [pinned, unified]
     for name in ("toy_velocity", "toy_full", "toy_jerk"):
-        results.append(_toy_scenario_plan(name)[0])
+        results.append(_toy_scenario_gap(name).dp)
     for grid, qd_only, _ in toys:
         results.append(plan(grid, qd_only))
 

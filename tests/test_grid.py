@@ -290,11 +290,3 @@ class TestConfigurationGrid:
         with pytest.raises(EmptyStage) as err:
             grid_from_configurations(arm, path, np.zeros((4, 2, 3)), spec_1d(), cfg_ok=cfg_ok)
         assert err.value.stage == 1
-
-    def test_signature_changes_with_admissibility(self, arm):
-        grid = build_grid(arm, line_path(3), spec_1d())
-        admissible = grid.admissible.copy()
-        admissible[1, 3] = False
-        trimmed = replace(grid, admissible=admissible)
-        assert grid.signature() != trimmed.signature()
-        assert grid.signature() == build_grid(arm, line_path(3), spec_1d()).signature()

@@ -262,40 +262,25 @@ def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
 def test_compare_identical_results_zero_gap():
     grid = make_toy_grid(n_stages=3, pv_levels=2, rest=True)
     limits = qd_only()
-    dp = plan(grid, limits)
-    oracle = exhaustive_plan(grid, limits)
-    report = compare(dp, oracle)
+    dp, oracle = plan(grid, limits), exhaustive_plan(grid, limits)
+    report = compare(grid, limits)
     assert isinstance(report, GapReport)
     assert report.gap == 0.0
     assert report.relative_gap == 0.0
     assert report.dp_cost == report.oracle_cost == dp.cost
+    assert report.dp.node_ids.tolist() == dp.node_ids.tolist()
+    assert report.oracle.node_ids.tolist() == oracle.node_ids.tolist()
     assert set(report.attribution) == {"qd"}
     assert report.attribution["qd"] == 0.0
     d = report.to_dict()
     assert d["gap"] == 0.0 and d["attribution"] == {"qd": 0.0}
 
 
-def test_compare_rejects_mismatched_instances():
-    limits = qd_only()
-    a = plan(make_toy_grid(n_stages=3, pv_levels=2, rest=True), limits)
-    b = exhaustive_plan(make_toy_grid(n_stages=4, pv_levels=2, rest=True), limits)
-    with pytest.raises(ScenarioError, match="same grid"):
-        compare(a, b)
-
-    grid = make_toy_grid(n_stages=3, pv_levels=2, rest=True)
-    dp = plan(grid, limits)
-    with pytest.raises(ScenarioError, match="limit sets"):
-        compare(dp, exhaustive_plan(grid, qd_only(cap=2.5)))
-    with pytest.raises(ScenarioError, match="check-point"):
-        compare(dp, exhaustive_plan(grid, limits, check_count=2))
-
-
 def test_adversarial_jerk_instance_positive_gap():
     grid, limits = jerk_instance()
-    dp = plan(grid, limits)
-    oracle = exhaustive_plan(grid, limits)
+    report = compare(grid, limits)
+    dp, oracle = report.dp, report.oracle
     assert oracle.cost < dp.cost
-    report = compare(dp, oracle)
     # the DP loses exactly the two-stage ramp advantage: 2 * dlam here
     assert report.gap == pytest.approx(2.0 * grid.path.dlam, rel=1e-12)
     assert report.relative_gap == pytest.approx(0.4, rel=1e-12)
@@ -313,16 +298,35 @@ def test_adversarial_gap_window_edges():
     # outside the window the two searches agree again
     for cap in (70.0, 130.0):
         grid, limits = jerk_instance(cap)
-        report = compare(plan(grid, limits), exhaustive_plan(grid, limits))
+        report = compare(grid, limits)
         assert report.gap == 0.0
 
 
-def test_swapped_arguments_raise_contract_violation():
+def test_swapped_arguments_raise_contract_violation(monkeypatch):
+    # the two searches swapped: the DP reads cheaper than the exact optimum
     grid, limits = jerk_instance()
-    dp = plan(grid, limits)
-    oracle = exhaustive_plan(grid, limits)
+    dp, oracle = plan(grid, limits), exhaustive_plan(grid, limits)
+    monkeypatch.setattr(oracle_module, "plan", lambda *args, **kwargs: oracle)
+    monkeypatch.setattr(oracle_module, "exhaustive_plan", lambda *args, **kwargs: dp)
     with pytest.raises(ContractViolation):
-        compare(oracle, dp)
+        compare(grid, limits)
+
+
+def test_one_budget_guards_every_exact_search(monkeypatch):
+    grid, limits = all_finite_jerk_instance()
+    budget = OracleBudget(max_labels=1e9)
+    budgets = []
+    search = oracle_module.exhaustive_plan
+
+    def recorded(grid, limits, budget=None, check_count=0):
+        budgets.append(budget)
+        return search(grid, limits, budget=budget, check_count=check_count)
+
+    monkeypatch.setattr(oracle_module, "exhaustive_plan", recorded)
+    assert compare(grid, limits, budget=budget).gap > 0
+    # the full search and the three searched subsets
+    assert len(budgets) == 4
+    assert all(b is budget for b in budgets)
 
 
 def test_dp_reached_subset_of_full_history_reached():
@@ -368,9 +372,9 @@ def rerun_attribution(dp, oracle):
 
 
 def assert_attribution_bitwise(grid, limits, check_count):
-    dp = plan(grid, limits, check_count=check_count)
-    oracle = exhaustive_plan(grid, limits, check_count=check_count)
-    derived = compare(dp, oracle).attribution
+    report = compare(grid, limits, check_count)
+    dp, oracle = report.dp, report.oracle
+    derived = report.attribution
     reference = rerun_attribution(dp, oracle)
     assert {o: v.hex() for o, v in derived.items()} == {o: v.hex() for o, v in reference.items()}
     return dp.cost - oracle.cost
@@ -457,9 +461,8 @@ def test_attribution_bitwise_on_random_toys(instance):
 
 def searches_of_compare(monkeypatch, grid, limits, check_count=0):
     """The enabled orders of every plan() call compare() makes on a
-    positive-gap instance; it makes the same exhaustive_plan() calls."""
-    dp = plan(grid, limits, check_count=check_count)
-    oracle = exhaustive_plan(grid, limits, check_count=check_count)
+    positive-gap instance after its searches of the full set; it makes the
+    same exhaustive_plan() calls."""
     calls = {"plan": [], "exhaustive_plan": []}
     for name in calls:
         search = getattr(oracle_module, name)
@@ -469,11 +472,12 @@ def searches_of_compare(monkeypatch, grid, limits, check_count=0):
             return _search(grid, limits, *args, **kwargs)
 
         monkeypatch.setattr(oracle_module, name, counted)
-    report = compare(dp, oracle)
+    report = compare(grid, limits, check_count)
     monkeypatch.undo()
     assert report.gap > 0
     assert calls["plan"] == calls["exhaustive_plan"]
-    return calls["plan"]
+    assert calls["plan"][0] == limits.enabled_orders
+    return calls["plan"][1:]
 
 
 def test_only_subsets_that_can_differ_are_searched(monkeypatch, tmp_path):

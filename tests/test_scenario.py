@@ -115,12 +115,16 @@ def test_scenario_file_loading(tmp_path):
         load_scenario(str(bad))
 
 
-def test_robot_file_reference(tmp_path):
+def test_robot_file_reference(tmp_path, monkeypatch):
     arm = make_reference_arm()
     (tmp_path / "arm.json").write_text(json.dumps(arm.to_dict()))
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(toy_doc(robot="arm.json")))
     sc = load_scenario(str(path))
+    assert np.array_equal(sc.robot.link_lengths, arm.link_lengths)
+    # an in-memory document resolves against the working directory
+    monkeypatch.chdir(tmp_path)
+    sc = load_scenario(toy_doc(robot="arm.json"))
     assert np.array_equal(sc.robot.link_lengths, arm.link_lengths)
 
 
