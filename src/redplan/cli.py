@@ -9,6 +9,7 @@ command line included), and 4 when the exact search's budget is exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -182,7 +183,10 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = _Parser(
         prog="redplan",
         description="Unified time-optimal trajectory planning for redundant "

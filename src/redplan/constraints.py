@@ -181,7 +181,11 @@ def _groups(key: Array) -> tuple[Array, Array, Array]:
     """Rows of key (N, m) with equal bits: (group, first, at). at sorts the
     rows lexicographically, ties in row order; group numbers each row's
     group in that order, and first holds each group's first row."""
-    at = np.lexsort((np.arange(key.shape[0]), *key.T[::-1]))
+    n = key.shape[0]
+    if not key.shape[1]:
+        # one group of every row (none if there are no rows)
+        return np.zeros(n, dtype=np.intp), np.zeros(min(1, n), dtype=np.intp), np.arange(n)
+    at = np.lexsort((np.arange(n), *key.T[::-1]))
     key = key[at]
     new = np.ones(key.shape[0], dtype=bool)
     new[1:] = np.any(key[1:] != key[:-1], axis=1)

@@ -13,11 +13,12 @@ bit-reproducible. A chain's cost is its duration, the sum of its time
 steps. There is one engine call per stage and block of labels; the blocks
 bound the engine's memory, and they take the labels cell by cell, so that
 a block's labels end in few configurations and the engine shares each
-one's velocity work among them. Each block's feasible lanes are reduced to one
-entry per next key, and the blocks' entries once more, so a stage holds
-no table over all next keys. The labels are the search's whole record:
-extract() starts from the cheapest terminal label and follows the
-predecessor rows.
+one's velocity work among them. Each block reduces its feasible lanes to
+one entry per next key with a scatter-min over the block's own keys, which
+its few tail groups keep within its lane budget; one sort per stage then
+merges the blocks' entries, so a stage holds no table over all next keys.
+The labels are the search's whole record: extract() starts from the
+cheapest terminal label and follows the predecessor rows.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -43,6 +44,8 @@ Array = np.ndarray
 # candidate lanes (predecessor rows x next-stage nodes) of one engine call bound its
 # memory: a lane list, a mask's (group, lane) pairs and the evaluated lanes
 LANE_BUDGET = 65536
+# above every position a label can have
+_NO_POS = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -177,11 +180,17 @@ def _sweep(grid, limits, check_count, window, depth=0):
         # the blocks take the labels cell by cell, in key order within a
         # cell: a block's labels then end in few configurations, which the
         # engine's velocity part runs once each. at holds positions in
-        # order, the tie rule's pos
+        # order, the tie rule's pos. A group's labels share their last node
+        # (at depth 0 there is one group), so they stay together; along
+        # numbers the groups in this order, and a block's own groups from 0
         by_cell = np.argsort(node[order] % C, kind="stable")
+        in_cell = group[by_cell]
+        along = np.zeros(order.size, dtype=np.intp)
+        np.add.accumulate(in_cell[1:] != in_cell[:-1], dtype=np.intp, out=along[1:])
         for first in range(0, order.size, rows_per_block):
             at = by_cell[first:first + rows_per_block]
             rows = order[at]
+            local = along[first:first + rows_per_block] - along[first]
             # a window's bounds differ from row to row: list the block's lanes
             candidates = grid.admissible[i + 1]
             if level_ok is not None or lattice_ok is not None:
@@ -196,14 +205,17 @@ def _sweep(grid, limits, check_count, window, depth=0):
                                    check_count=check_count, candidates=candidates)
             for name, count in ev.rejections().items():
                 histogram[name] = histogram.get(name, 0) + count
-            # the feasible evaluated lanes (rows of the stack): next key
-            # (group, s), cost and position in order, reduced per block to
-            # each key's cheapest; only the winners' samples are gathered
+            # the feasible evaluated lanes (rows of the stack), reduced per
+            # block to each next key's cheapest over the block's own keys
+            # (local group, s); only the winners' global key (group, s),
+            # cost, position in order and samples are gathered
             ok = np.flatnonzero(ev.ok)
             p, s = np.divmod(ev.lanes[ok], S)
-            *best, row = _cheapest(group[at[p]] * S + s, cost[rows[p]] + ev.dt[p, s // C],
-                                   at[p], ok)
-            winners.append((*best, ev.qd[row], ev.qdd[row], ev.tau[row]))
+            pos, lane_cost = at[p], cost[rows[p]] + ev.dt[p, s // C]
+            win = _scatter_cheapest(local[p] * S + s, lane_cost, pos, (local[-1] + 1) * S)
+            pos, s, row = pos[win], s[win], ok[win]
+            winners.append((group[pos] * S + s, lane_cost[win], pos,
+                            ev.qd[row], ev.qdd[row], ev.tau[row]))
             # free this block's arrays before the next block's call builds its own
             del ev
 
@@ -228,6 +240,19 @@ def _cheapest(key: Array, cost: Array, pos: Array, *rest: Array) -> tuple:
     first[1:] = key[at[1:]] != key[at[:-1]]
     at = at[first]
     return key[at], cost[at], pos[at], *(a[at] for a in rest)
+
+
+def _scatter_cheapest(key: Array, cost: Array, pos: Array, slots: int) -> Array:
+    """The entries _cheapest keeps, for keys in range(slots) with pos
+    distinct within a key, found by two scatter-mins instead of a sort:
+    their indices, in entry order."""
+    best = np.full(slots, np.inf)
+    np.minimum.at(best, key, cost)
+    tie = np.flatnonzero(cost == best[key])
+    key, pos = key[tie], pos[tie]
+    lowest = np.full(slots, _NO_POS)
+    np.minimum.at(lowest, key, pos)
+    return tie[pos == lowest[key]]
 
 
 def extract(value: ValueMap) -> PlanResult:

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from redplan import cli
 from redplan.cli import main
 from redplan.errors import ScenarioError
 from redplan.scenario import _bundled_dir, bundled_scenario, load_scenario
@@ -477,6 +480,27 @@ def test_malformed_command_line_is_a_configuration_error(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+def test_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a call must leave it fit for
+    # the next, whatever that call's subcommand or outcome
+    seen = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    assert main(["plan", "--scenario", bundled_path("toy_full"),
+                 "--out", str(tmp_path / "p")]) == 0
+    assert main(["verify", "--scenario", bundled_path("toy_jerk"),
+                 "--out", str(tmp_path / "v")]) == 0
+    assert main(["plan", "--out", str(tmp_path / "x")]) == 3
+    assert stderr_payload(capsys)["error"] == "ScenarioError"
+    assert not (tmp_path / "x").exists()
+    assert len(seen) == 3 and all(parser is seen[0] for parser in seen)
+
+
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])
 def test_thread_count_below_one_is_a_configuration_error(tmp_path, capsys, threads):
     out = tmp_path / "x"
@@ -493,6 +517,26 @@ def test_help_flag(capsys):
         main(["plan", "--help"])
     assert exc.value.code == 0
     assert "--scenario" in capsys.readouterr().out
+
+
+def test_runs_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma adds about 0.5 MB resident on first import, and np.unique
+    # imports it; no command may load it. A fresh interpreter, since any
+    # earlier test in this one may have
+    runs = [["plan", name] for name in ("ellipse", "line", "toy_full", "toy_jerk",
+                                        "toy_velocity")]
+    runs += [["baseline", name] for name in ("ellipse", "line")]
+    runs += [["verify", name] for name in ("toy_full", "toy_jerk", "toy_velocity")]
+    argvs = [[command, "--scenario", bundled_path(name), "--out", str(tmp_path / str(k))]
+             for k, (command, name) in enumerate(runs)]
+    code = ("import sys; from redplan.cli import main; "
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(runs)} False"
 
 
 # --- determinism ----------------------------------------------------------------

@@ -866,6 +866,15 @@ def test_order_ok_matches_the_nan_skipping_form(data):
         assert np.array_equal(_order_ok(layout(value), bound), old)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_zero_width_key_is_one_group(n):
+    # a depth-0 sweep groups its labels by an empty tail; that must give
+    # what the sorting path gives for a key whose rows are all equal
+    fast, sorted_ = constraints._groups(np.zeros((n, 0))), constraints._groups(np.zeros((n, 1)))
+    for a, b in zip(fast, sorted_):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestLimitSets:
     def test_validation(self):
         with pytest.raises(ScenarioError):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redplan import planner
 
@@ -483,6 +484,30 @@ class TestPredecessorBlocks:
                                                             limits)
         assert labels is None and deepest == 4 and histogram["tau"] > 0
 
+    def test_depth_two(self, monkeypatch):
+        # a block's keys are numbered by its own tail groups, which only
+        # depth 2 has more than one of
+        sc = bundled_scenario("toy_jerk")
+        labels, _, _ = self.assert_block_free(monkeypatch, sc.build(), sc.limits,
+                                              sc.check_count, sc.window, 2)
+        assert labels is not None
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_block_keys_fit_the_budget(self, monkeypatch, depth):
+        # a block's scatter spans its own tail groups times S slots, which
+        # its rows bound: a group's labels are never split over a block
+        sc = bundled_scenario("toy_jerk")
+        grid = sc.build()
+        S = grid.level_count * grid.cfg_count
+        reduce, slots = planner._scatter_cheapest, []
+        monkeypatch.setattr(planner, "_scatter_cheapest",
+                            lambda *args: slots.append(args[-1]) or reduce(*args))
+        for budget in (1, S - 1, 3 * S - 1, 97, 2 ** 62):
+            monkeypatch.setattr(planner, "LANE_BUDGET", budget)
+            slots.clear()
+            sweep_record(grid, sc.limits, sc.check_count, sc.window, depth)
+            assert slots and max(slots) <= max(budget, S)
+
     def test_tie_across_blocks_keeps_lowest_predecessor(self, monkeypatch):
         # two cells with the same configuration at every stage: node (l, 0)
         # and node (l, 1) always tie, and one-row blocks put them apart
@@ -495,6 +520,24 @@ class TestPredecessorBlocks:
             assert all(cost_of.get(f ^ 1) == c for f, c in cost_of.items())
             if i:
                 assert all(labels[i - 1][0][p] % C == 0 for p in pred)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scatter_reduce_equals_cheapest(data):
+    # a block's reduce keeps the entries the stage merge would: per key the
+    # lowest cost, on a tie the lowest pos; few distinct costs make many ties
+    slots = data.draw(st.integers(1, 12))
+    entries = data.draw(st.lists(st.tuples(st.integers(0, slots - 1), st.integers(0, 30)),
+                                 unique=True, max_size=40))
+    cost = data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+                              min_size=len(entries), max_size=len(entries)))
+    key, pos = np.array(entries, dtype=np.intp).reshape(-1, 2).T
+    cost = np.array(cost, dtype=float)
+    win = planner._scatter_cheapest(key, cost, pos, slots)
+    *_, want = planner._cheapest(key, cost, pos, np.arange(key.size))
+    assert np.all(np.diff(win) > 0)
+    assert np.array_equal(win, np.sort(want))
 
 
 class TestEngineTallies:
