@@ -181,8 +181,9 @@ def _sweep(grid, limits, check_count, window, depth=0):
         # cell: a block's labels then end in few configurations, which the
         # engine's velocity part runs once each. at holds positions in
         # order, the tie rule's pos. A group's labels share their last node
-        # (at depth 0 there is one group), so they stay together; along
-        # numbers the groups in this order, and a block's own groups from 0
+        # (at depth 0 there is one group), so they stay together: along
+        # numbers the groups in this order, local a block's own from 0, and
+        # a block's keys (local group, s) fit in rows_per_block * S slots
         by_cell = np.argsort(node[order] % C, kind="stable")
         in_cell = group[by_cell]
         along = np.zeros(order.size, dtype=np.intp)
