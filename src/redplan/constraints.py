@@ -23,15 +23,17 @@ stage's in.
 An edge's time step, joint velocity and velocity-dependent torque
 (`PlanarArm.bias_torque`) depend only on its two configurations and its
 time step, and an interior edge's step is dlam / pv_next whatever the
-predecessor's level. So for a mask the engine groups the predecessors
-whose configuration and time steps at the levels in use are bitwise equal,
-runs the velocity screen and the bias torque once per (group, candidate
-lane) pair, and hands each group's passed pairs to its members in ascending
-predecessor order, which lists the evaluated lanes in order; a listed lane
-is scored on its own. A closed-form table, the shortest time step
-max_j |dq_j| / qd_max_j at which a pair meets the velocity bound (the
-discrete maximum-velocity curve of TOPP, Bobrow et al. 1985, and TOPP-RA),
-drops the pairs that cannot pass, with a relative slack that keeps it
+predecessor's level. So for a mask the engine takes each run of adjacent
+predecessors whose configuration and time steps at the levels in use are
+bitwise equal as one group (the sweep orders its rows by cell, then
+level, which makes equal rows adjacent; equal rows apart only share
+less), runs the velocity screen and the bias torque once per (group,
+candidate lane) pair, and hands each group's passed pairs to its members
+in ascending predecessor order, which lists the evaluated lanes in order;
+a listed lane is scored on its own. A closed-form table, the shortest
+time step max_j |dq_j| / qd_max_j at which a pair meets the velocity
+bound (the discrete maximum-velocity curve of TOPP, Bobrow et al. 1985,
+and TOPP-RA), drops the pairs that cannot pass, with a relative slack that keeps it
 conservative; the exact velocity check runs on the rest. What reads a
 predecessor's history or level stays per lane: acceleration, jerk, H qdd +
 bias, torque rate, the checks and the check points. A shared value is the
@@ -177,21 +179,12 @@ def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
     return (qd_prev * qd_next < 0.0).any(axis=-1)
 
 
-def _groups(key: Array) -> tuple[Array, Array, Array]:
-    """Rows of key (N, m) with equal bits: (group, first, at). at sorts the
-    rows lexicographically, ties in row order; group numbers each row's
-    group in that order, and first holds each group's first row."""
-    n = key.shape[0]
-    if not key.shape[1]:
-        # one group of every row (none if there are no rows)
-        return np.zeros(n, dtype=np.intp), np.zeros(min(1, n), dtype=np.intp), np.arange(n)
-    at = np.lexsort((np.arange(n), *key.T[::-1]))
-    key = key[at]
+def _runs(key: Array) -> tuple[Array, Array]:
+    """Runs of adjacent rows of key (N, ...) with equal bits: (run, first).
+    run numbers each row's run from 0, and first holds each run's first row."""
     new = np.ones(key.shape[0], dtype=bool)
-    new[1:] = np.any(key[1:] != key[:-1], axis=1)
-    group = np.empty(key.shape[0], dtype=np.intp)
-    group[at] = np.cumsum(new) - 1
-    return group, at[new], at
+    new[1:] = (key[1:] != key[:-1]).any(axis=tuple(range(1, key.ndim)))
+    return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
 def _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, count):
@@ -284,10 +277,11 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     (robot.rigid_terms(q_next)), and pv_next (L,) its levels. Lane
     p * L * C + l * C + c is the edge from predecessor p to cell c at level
     l. candidates is a boolean (L, C) mask that every predecessor shares
-    (None: every lane), whose velocity work runs once per group of bitwise-
-    equal predecessors, or a sorted array of lane ids, each scored on its
-    own. A lane without a time step has dt = +inf; only the candidates with
-    a time step that pass the joint-velocity bound are evaluated.
+    (None: every lane), whose velocity work runs once per run of adjacent
+    predecessors with bitwise-equal q_prev and time steps, or a sorted
+    array of lane ids, each scored on its own. A lane without a time step
+    has dt = +inf; only the candidates with a time step that pass the
+    joint-velocity bound are evaluated.
     """
     pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
     P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
@@ -298,9 +292,9 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     step = np.where(has_step, dt, 1.0)
     shared = candidates.ndim == 2
     if shared:
-        # each group of bitwise-equal rows meets every lane l * C + c of the mask
+        # each run of bitwise-equal rows meets every lane l * C + c of the mask
         levels = candidates.any(axis=1)
-        group, first, _ = _groups(np.concatenate((q_prev, dt[:, levels]), axis=1).view(np.int64))
+        group, first = _runs(np.concatenate((q_prev, dt[:, levels]), axis=1).view(np.int64))
         pair_u = np.flatnonzero(candidates)
         pair_l, pair_c = np.divmod(pair_u, C)
         shared_step, screen = step[first][:, pair_l], has_step[first][:, pair_l]

@@ -36,7 +36,9 @@ class NoFeasiblePlan(PlanningError):
             ("qd") is checked on every candidate with a time step; the
             orders above it only on the edges that pass the velocity bound,
             so an edge that fails the velocity bound counts under "qd"
-            alone.
+            alone. When no start node can hold still within the torque
+            bound (a rest start must), deepest_stage is 0 and the
+            histogram counts those start nodes under "tau".
     """
 
     def __init__(self, deepest_stage: int, violation_histogram: dict[str, int] | None = None):

@@ -9,16 +9,19 @@ a level/lattice window before any evaluation), screening by joint velocity
 before the higher orders. Key k followed by node f gives k[1:] + (f,) once
 k is full, k + (f,) before; each next key keeps its cheapest predecessor
 label, on a tie the one with the smallest key, so results are
-bit-reproducible. A chain's cost is its duration, the sum of its time
-steps. There is one engine call per stage and block of labels; the blocks
-bound the engine's memory, and they take the labels cell by cell, so that
-a block's labels end in few configurations and the engine shares each
-one's velocity work among them. Each block reduces its feasible lanes to
-one entry per next key with a scatter-min over the block's own keys, which
-its few tail groups keep within its lane budget; one sort per stage then
-merges the blocks' entries, so a stage holds no table over all next keys.
-The labels are the search's whole record: extract() starts from the
-cheapest terminal label and follows the predecessor rows.
+bit-reproducible. A rest start node that cannot hold still within the
+torque bound starts no chain. A chain's cost is its duration, the sum of
+its time steps. There is one engine call per stage and block of labels;
+the blocks bound the engine's memory. The sweep orders each stage's
+labels once, by last cell, then last level, so that a block's labels end
+in few configurations and the labels that share a configuration and time
+steps are adjacent, and the engine shares their velocity work. Each block
+reduces its feasible lanes to one entry per next key with a scatter-min
+over the block's own keys, which its few tail groups keep within its lane
+budget; one sort per stage then merges the blocks' entries, so a stage
+holds no table over all next keys. The labels are the search's whole
+record: extract() starts from the cheapest terminal label and follows the
+predecessor rows.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (LimitSets, TrajectoryProfile, _groups, initial_samples,
+from .constraints import (LimitSets, TrajectoryProfile, _order_ok, _runs, initial_samples,
                           saturation_percentage, stage_transitions)
 from .errors import CorruptChain, NoFeasiblePlan, ScenarioError, as_int
 from .grid import StateGrid
@@ -139,14 +142,22 @@ def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
 def _sweep(grid, limits, check_count, window, depth=0):
     """Forward sweep over labels keyed by their last depth + 1 nodes into
     a ValueMap. NoFeasiblePlan carries the stage a transition left no label
-    from, and that transition's rejection histogram."""
+    from, and that transition's rejection histogram; or stage 0 and
+    {"tau": start nodes}, when no start node can hold still."""
     L, C = grid.level_count, grid.cfg_count
     S = L * C
     start = grid.stage_ids(0)
-    keys, cost = start[:, None], np.zeros(start.size)
-    label_node, label_pred, label_cost = [start], [np.full(start.size, -1)], [cost]
     qd, qdd, tau = initial_samples(grid.robot, grid.q_table[0, start % C],
                                    grid.pv_values[start // C])
+    if limits.tau is not None:
+        # a rest start must hold still: one whose holding torque fails the
+        # bound starts no chain (qd and qdd, zero or NaN, fail no bound)
+        holds = _order_ok(tau, limits.tau)
+        if not holds.any():
+            raise NoFeasiblePlan(0, {"tau": holds.size})
+        start, qd, qdd, tau = start[holds], qd[holds], qdd[holds], tau[holds]
+    keys, cost = start[:, None], np.zeros(start.size)
+    label_node, label_pred, label_cost = [start], [np.full(start.size, -1)], [cost]
 
     lattice_rows = None
     if window is not None and window.max_dj is not None:
@@ -157,13 +168,12 @@ def _sweep(grid, limits, check_count, window, depth=0):
 
     for i in range(grid.n_stages):
         # Labels with the same tail (the key without its oldest node, once
-        # full) compete for the same next keys. order sorts by tail, then
-        # key, so ties keep the smallest key; group g then node s is the
-        # next key tails[g] + (s,), and reached (g, s) come in key order.
-        # (np.unique imports numpy.ma on first use: +0.5 MB resident.)
+        # full) compete for the same next keys; group g then node s is the
+        # next key tails[g] + (s,), in key order. (np.unique imports
+        # numpy.ma on first use: +0.5 MB resident.)
         tail = keys[:, 1:] if keys.shape[1] > depth else keys
-        group, first_label, order = _groups(tail)
-        group, tails = group[order], tail[first_label]
+        group, first_label = _groups(tail)
+        tails = tail[first_label]
         node = keys[:, -1]
         q_prev = grid.q_table[i, node % C]
         pv_prev = grid.pv_values[node // C]
@@ -177,20 +187,17 @@ def _sweep(grid, limits, check_count, window, depth=0):
             dj = np.abs(lattice_rows[node % C][:, None, :] - lattice_rows[None, :, :])
             lattice_ok = np.all(dj <= window.max_dj, axis=-1)
 
-        # the blocks take the labels cell by cell, in key order within a
-        # cell: a block's labels then end in few configurations, which the
-        # engine's velocity part runs once each. at holds positions in
-        # order, the tie rule's pos. A group's labels share their last node
-        # (at depth 0 there is one group), so they stay together: along
-        # numbers the groups in this order, local a block's own from 0, and
-        # a block's keys (local group, s) fit in rows_per_block * S slots
-        by_cell = np.argsort(node[order] % C, kind="stable")
-        in_cell = group[by_cell]
-        along = np.zeros(order.size, dtype=np.intp)
-        np.add.accumulate(in_cell[1:] != in_cell[:-1], dtype=np.intp, out=along[1:])
-        for first in range(0, order.size, rows_per_block):
-            at = by_cell[first:first + rows_per_block]
-            rows = order[at]
+        # the blocks take the labels by last cell, then last level, then
+        # tail group, ties in key order: the rows that share a configuration
+        # and time steps are then adjacent, and the engine runs their
+        # velocity part once. A group's labels share their last node (at
+        # depth 0 there is one group), so they stay together: along numbers
+        # the groups in this order, local a block's own from 0, and a
+        # block's keys (local group, s) fit in rows_per_block * S slots
+        by = np.lexsort((group, node // C, node % C))
+        along, _ = _runs(group[by])
+        for first in range(0, by.size, rows_per_block):
+            rows = by[first:first + rows_per_block]
             local = along[first:first + rows_per_block] - along[first]
             # a window's bounds differ from row to row: list the block's lanes
             candidates = grid.admissible[i + 1]
@@ -209,10 +216,10 @@ def _sweep(grid, limits, check_count, window, depth=0):
             # the feasible evaluated lanes (rows of the stack), reduced per
             # block to each next key's cheapest over the block's own keys
             # (local group, s); only the winners' global key (group, s),
-            # cost, position in order and samples are gathered
+            # cost, label (its tie position) and samples are gathered
             ok = np.flatnonzero(ev.ok)
             p, s = np.divmod(ev.lanes[ok], S)
-            pos, lane_cost = at[p], cost[rows[p]] + ev.dt[p, s // C]
+            pos, lane_cost = rows[p], cost[rows[p]] + ev.dt[p, s // C]
             win = _scatter_cheapest(local[p] * S + s, lane_cost, pos, (local[-1] + 1) * S)
             pos, s, row = pos[win], s[win], ok[win]
             winners.append((group[pos] * S + s, lane_cost[win], pos,
@@ -226,11 +233,22 @@ def _sweep(grid, limits, check_count, window, depth=0):
         g, s = np.divmod(key, S)
         keys = np.concatenate([tails[g], s[:, None]], axis=1)
         label_node.append(s)
-        label_pred.append(order[pos])
+        label_pred.append(pos)
         label_cost.append(cost)
 
     return ValueMap(grid, limits, check_count, tuple(label_node), tuple(label_pred),
                     tuple(label_cost))
+
+
+def _groups(key: Array) -> tuple[Array, Array]:
+    """Rows of key (N, m) with equal bits: (group, first). group numbers
+    each row's group in lexicographic order of the rows, and first holds
+    each group's first row."""
+    at = np.lexsort((np.arange(key.shape[0]), *key.T[::-1]))
+    run, first = _runs(key[at])
+    group = np.empty_like(run)
+    group[at] = run
+    return group, at[first]
 
 
 def _cheapest(key: Array, cost: Array, pos: Array, *rest: Array) -> tuple:

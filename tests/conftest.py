@@ -127,6 +127,15 @@ def start_state(robot, q, pv):
     return q, float(pv), qd[0], qdd[0], tau[0]
 
 
+def holds(limits, state):
+    """True when a stage-0 node's samples meet every enabled bound: a rest
+    start must hold still; a moving start's NaN samples pass."""
+    _, _, *samples = state
+    return all(not np.any(np.abs(value) > limits.bound(order))
+               for order, value in zip(("qd", "qdd", "tau"), samples)
+               if limits.bound(order) is not None)
+
+
 def edge(robot, limits, dlam, state, q_next, pv_next, check_count=0):
     """One edge through the engine, as the 1 x 1 x 1 case of stage_transitions.
 
@@ -158,6 +167,8 @@ def feasible_chains(grid, limits, check_count=0):
         stage_ids[n] = stage_ids[n][stage_ids[n] < C]
     for chain in itertools.product(*stage_ids):
         state = start_state(grid.robot, *node_state(grid, 0, chain[0]))
+        if not holds(limits, state):
+            continue
         cost = 0.0
         for i in range(1, n + 1):
             ev, state = edge(grid.robot, limits, grid.path.dlam, state,
@@ -201,11 +212,13 @@ def sweep_record(grid, limits, check_count=0, window=None, depth=0):
 def feasible_prefixes(grid, limits, check_count=0):
     """Every feasible chain prefix, per stage, as a list of node-id tuples.
 
-    Each feasible prefix is extended by every admissible node of the next
-    stage, one edge at a time, with the prefix's own history.
+    A stage-0 node is a feasible prefix when its samples hold. Each feasible
+    prefix is extended by every admissible node of the next stage, one edge
+    at a time, with the prefix's own history.
     """
-    layer = {(int(f),): start_state(grid.robot, *node_state(grid, 0, f))
-             for f in grid.stage_ids(0)}
+    starts = {(int(f),): start_state(grid.robot, *node_state(grid, 0, f))
+              for f in grid.stage_ids(0)}
+    layer = {prefix: state for prefix, state in starts.items() if holds(limits, state)}
     layers = [list(layer)]
     for i in range(1, grid.n_stages + 1):
         extended = {}

@@ -277,6 +277,29 @@ def test_baseline_no_convergence_exit(tmp_path, capsys):
     assert payload["waypoint"] == 0
 
 
+def test_baseline_singular_jacobian_exit(tmp_path, capsys):
+    # the Jacobian at the first waypoint, condition number 2.37, exceeds
+    # a cap of 1
+    scenario = tweaked(tmp_path, "line",
+                       baseline={"q0": [0.8, -2.1331738363318813, 2.537525199990199],
+                                 "cond_cap": 1.0})
+    out = tmp_path / "x"
+    assert main(["baseline", "--scenario", scenario, "--out", str(out)]) == 3
+    assert stderr_payload(capsys) == {
+        "error": "SingularJacobian",
+        "message": "Jacobian condition number 2.37 exceeds cap 1"}
+    assert not out.exists()
+
+
+def test_degenerate_curve_exit(tmp_path, capsys):
+    scenario = tweaked(tmp_path, "line",
+                       path={"kind": "line", "start": [0.55, 0.25], "end": [0.55, 0.25]})
+    out = tmp_path / "x"
+    assert main(["plan", "--scenario", scenario, "--out", str(out)]) == 3
+    assert stderr_payload(capsys)["error"] == "DegenerateCurve"
+    assert not out.exists()
+
+
 def test_baseline_divergence_is_no_convergence(tmp_path, capsys):
     # beta 1e308 overflows a step to inf at waypoint 1; the NaN residual
     # that follows must not pass the convergence test

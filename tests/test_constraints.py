@@ -769,14 +769,14 @@ class TestLaneContract:
         assert ev.rejections() == listed.rejections()
 
     def test_only_a_mask_groups_its_rows(self, monkeypatch):
-        # a mask's velocity work runs once per group of bitwise-equal
-        # predecessors, found by one _groups call; a listed lane is scored
-        # on its own and groups nothing
+        # a mask's velocity work runs once per run of adjacent bitwise-
+        # equal predecessors, found by one _runs call; a listed lane is
+        # scored on its own and groups nothing
         arm = make_reference_arm()
         calls = []
-        groups = constraints._groups
-        monkeypatch.setattr(constraints, "_groups",
-                            lambda key: calls.append(key.shape) or groups(key))
+        runs = constraints._runs
+        monkeypatch.setattr(constraints, "_runs",
+                            lambda key: calls.append(key.shape) or runs(key))
         rng = np.random.default_rng(7)
         q = np.repeat(0.3 + rng.uniform(-0.05, 0.05, (2, 3)), 3, axis=0)
         pv = np.tile([0.25, 0.5, 0.5], 2)
@@ -869,9 +869,9 @@ def test_order_ok_matches_the_nan_skipping_form(data):
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_zero_width_key_is_one_group(n):
     # a depth-0 sweep groups its labels by an empty tail; that must give
-    # what the sorting path gives for a key whose rows are all equal
-    fast, sorted_ = constraints._groups(np.zeros((n, 0))), constraints._groups(np.zeros((n, 1)))
-    for a, b in zip(fast, sorted_):
+    # what a key whose rows are all equal gives
+    empty, equal = planner._groups(np.zeros((n, 0))), planner._groups(np.zeros((n, 1)))
+    for a, b in zip(empty, equal):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 

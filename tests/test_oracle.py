@@ -28,7 +28,7 @@ from redplan.grid import grid_from_configurations
 from redplan.oracle import (GAP_TOLERANCE, GapReport, OracleBudget, compare,
                             exhaustive_plan)
 from redplan.planner import Window, plan
-from redplan.scenario import bundled_scenario, load_scenario
+from redplan.scenario import bundled_scenario, load_scenario, trajectory_csv
 
 INF3 = np.full(3, np.inf)
 
@@ -175,6 +175,29 @@ def binds(limits, order):
     return bool(np.isfinite(limits.bound(order)).any())
 
 
+def assert_emitted_within_bounds(result):
+    """An emitted profile's last time is the plan's cost, bit for bit, and
+    each stage value of each enabled order is NaN (the chain is too
+    shallow for it) or within its bound; the torque rate is exempt at a
+    stage where some joint velocity changes sign from the stage before.
+    The values checked are the ones trajectory.csv shows."""
+    profile = result.profile
+    assert profile.t[-1] == result.cost
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in trajectory_csv(profile).splitlines()[1:]])
+    assert rows[:, 0].tobytes() == profile.t.tobytes()
+    shown = dict(zip(("q", *ORDERS), np.split(rows[:, 1:], 6, axis=1)))
+    flip = np.zeros(profile.n_stages + 1, dtype=bool)
+    flip[1:] = (profile.qd[1:] * profile.qd[:-1] < 0.0).any(axis=1)
+    for order in result.limits.enabled_orders:
+        value = getattr(profile, order)
+        assert np.array_equal(shown[order], value, equal_nan=True)
+        within = np.isnan(value) | (np.abs(value) <= result.limits.bound(order))
+        if order == "taud":
+            within |= flip[:, None]
+        assert within.all(), (order, np.argwhere(~within).tolist())
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(instance=toy_instances())
 # pinned: a gap that keys of two nodes still miss, and the adversarial jerk
@@ -193,12 +216,16 @@ def test_oracle_is_exact_on_random_toys(instance):
         return
     oracle = exhaustive_plan(grid, limits, check_count=check_count)
     assert oracle.cost == best_cost
+    assert_emitted_within_bounds(oracle)
     for i, stage in enumerate(feasible_prefixes(grid, limits, check_count)):
         assert oracle.reached.node_ids[i].tolist() == sorted({p[-1] for p in stage})
     try:
-        dp_cost = plan(grid, limits, check_count=check_count).cost
+        dp = plan(grid, limits, check_count=check_count)
     except NoFeasiblePlan:
         dp_cost = np.inf
+    else:
+        assert_emitted_within_bounds(dp)
+        dp_cost = dp.cost
     assert dp_cost >= oracle.cost
     # an order bounded by +inf rejects nothing, so without a finite history
     # bound the search is velocity-only, where the DP is exact

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redplan import planner
+from redplan import constraints, planner
 
 from redplan.baseline import resolve_redundancy, time_parametrize
 from redplan.constraints import LimitSets, StageEval
@@ -482,7 +482,23 @@ class TestPredecessorBlocks:
         limits = replace(sc.limits, tau=0.5 * sc.limits.tau)
         labels, deepest, histogram = self.assert_block_free(monkeypatch, sc.build(),
                                                             limits)
-        assert labels is None and deepest == 4 and histogram["tau"] > 0
+        # 10 of the 14 start cells cannot hold still at half the torque
+        # bound and start no chain; the chains from the other 4 die a
+        # stage earlier than the 14 did
+        assert labels is None and deepest == 3 and histogram["tau"] > 0
+
+    def test_a_rest_start_must_hold_its_torque(self):
+        # every start cell of line needs at least 12.7668 N m on joint 1 to
+        # hold still, so a 12.7541 bound leaves no start node
+        sc = bundled_scenario("line")
+        limits = LimitSets(qd=sc.limits.qd, tau=[12.7541, 1e9, 1e9])
+        with pytest.raises(NoFeasiblePlan) as err:
+            plan(sc.build(), limits, check_count=sc.check_count)
+        assert (err.value.deepest_stage, err.value.violation_histogram) == (0, {"tau": 14})
+        # at 12.7669 the start holds, and the plan's torque stays in bounds
+        result = plan(sc.build(), replace(limits, tau=np.array([12.7669, 1e9, 1e9])),
+                      check_count=sc.check_count)
+        assert np.nanmax(np.abs(result.profile.tau[:, 0])) <= 12.7669
 
     def test_depth_two(self, monkeypatch):
         # a block's keys are numbered by its own tail groups, which only
@@ -571,6 +587,27 @@ class TestEngineTallies:
         sc = bundled_scenario(name)
         planner._sweep(sc.build(), sc.limits, sc.check_count, sc.window, depth)
         assert tally == expect
+
+    @pytest.mark.parametrize("name,depth", [
+        ("ellipse", 0), ("line", 0), ("toy_full", 0), ("toy_jerk", 0), ("toy_velocity", 0),
+        ("ellipse", 2), ("toy_full", 2), ("toy_jerk", 2), ("toy_velocity", 2),
+    ])
+    def test_equal_rows_are_adjacent(self, monkeypatch, name, depth):
+        # the engine shares a mask's velocity work over runs of adjacent
+        # rows with equal (q_prev, dt) bits; the sweep orders its rows so
+        # that all equal rows of a block form one run, which an order that
+        # split them would not show in any result, only in the work done
+        runs, calls = constraints._runs, []
+
+        def spy(key):
+            run, first = runs(key)
+            calls.append((first.size, np.unique(key, axis=0).shape[0]))
+            return run, first
+
+        monkeypatch.setattr(constraints, "_runs", spy)
+        sc = bundled_scenario(name)
+        planner._sweep(sc.build(), sc.limits, sc.check_count, sc.window, depth)
+        assert calls and all(found == distinct for found, distinct in calls)
 
 
 def pst_rows(result):
