@@ -17,8 +17,8 @@ it once per stage and block of labels; a replay scores a chain of N edges
 as N listed lanes of three calls (rows stages 0..N-1, cells stages 1..N),
 each fed the samples of the one before, and so reproduces the sweep's
 numbers bit for bit. The rigid-body terms (H, G and gravity) depend on the
-cell alone, so the caller computes them once per grid and passes the next
-stage's in.
+cell alone: the grid holds them (StateGrid.terms), and the caller passes
+the next stage's in.
 
 An edge's time step, joint velocity and velocity-dependent torque
 (`PlanarArm.bias_torque`) depend only on its two configurations and its
@@ -36,18 +36,23 @@ bound (the discrete maximum-velocity curve of TOPP, Bobrow et al. 1985,
 and TOPP-RA), drops the pairs that cannot pass, with a relative slack that keeps it
 conservative; the exact velocity check runs on the rest. What reads a
 predecessor's history or level stays per lane: acceleration, jerk, H qdd +
-bias, torque rate, the checks and the check points. A shared value is the
-same IEEE operation on bitwise-equal operands as the lane's own, so a block
-gives what its rows would give one at a time.
+bias, torque rate, the checks and the check-point velocities and torques.
+A check point's configuration q_prev + s * dq reads only the lane's row of
+dq (its (group, cell) pair for a mask, the lane itself for a list), so its
+rigid-body terms are computed once per row that an evaluated lane reads
+and gathered per lane. A shared value is the same IEEE operation on
+bitwise-equal operands as the lane's own, so a block gives what its rows
+would give one at a time.
 
 The per-lane arrays are stored joint-major (`_gather`), so each per-joint
 operation runs over all lanes at once; every operation on them is
 elementwise or an exact boolean reduction, so the layout changes no bit.
 One errstate context per call silences the invalid operations (NaN history,
 inf times zero) of the table, the difference stack, the torque and the
-endpoint checks. The check-point samples take a square root and inverse
-dynamics, which stay outside it; their checks are comparisons, which raise
-no floating-point error on NaN.
+endpoint checks. The check-point samples take a square root and the
+rigid-body terms of rows that evaluated lanes read (finite configurations
+in every sweep and replay), which stay outside it; their checks are
+comparisons, which raise no floating-point error on NaN.
 """
 
 from __future__ import annotations
@@ -123,19 +128,21 @@ class LimitSets:
         return replace(self, **{o: None for o in orders})
 
 
-def initial_samples(robot: PlanarArm, q: Array, pv: Array) -> tuple[Array, Array, Array]:
-    """Chain samples qd, qdd, tau, each (P, n), of stage-0 nodes at q (P, n)
-    and pseudo-velocities pv (P,).
+def initial_samples(robot: PlanarArm, terms: RigidTerms,
+                    pv: Array) -> tuple[Array, Array, Array]:
+    """Chain samples qd, qdd, tau, each (P, n), of stage-0 nodes at
+    pseudo-velocities pv (P,), given the rigid-body terms of their (P, n)
+    configurations (robot.rigid_terms, e.g. rows of StateGrid.terms).
 
     A rest start (pv = 0) pins velocity and acceleration to zero and the
     torque to the static hold torque; a moving start has unknown history, so
     every sample is NaN and is skipped by the checks until the chain is deep
     enough.
     """
-    q = np.asarray(q, dtype=float)
-    qd = np.where(np.asarray(pv)[:, None] == 0.0, 0.0, np.full_like(q, np.nan))
+    rest = np.asarray(pv)[:, None] == 0.0
+    qd = np.where(rest, 0.0, np.full(terms.gravity.shape, np.nan))
     # NaN velocity and acceleration make the moving rows' torque NaN
-    return qd, qd.copy(), robot.torque(robot.rigid_terms(q), qd, qd)
+    return qd, qd.copy(), robot.torque(terms, qd, qd)
 
 
 def edge_durations(pv_prev, pv_next, dlam: float) -> Array:
@@ -187,21 +194,22 @@ def _runs(key: Array) -> tuple[Array, Array]:
     return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
-def _interior_samples(q_prev, q_next, pv2_prev, pv2_next, dlam, count):
-    """States (q, qd, qdd) at the interior check points of the edges, one
-    check point after the other; pv2_prev and pv2_next are the squared end
-    pseudo-velocities.
+def _interior_samples(dq, pv2_prev, pv2_next, dlam, count):
+    """(s, qd, qdd) at the interior check points of the edges with
+    configuration steps dq = q_next - q_prev, one check point after the
+    other; pv2_prev and pv2_next are the squared end pseudo-velocities.
 
     The profile between stages keeps the pseudo-acceleration constant
     (pv^2 linear in lambda) and interpolates q linearly in lambda, which
-    makes the joint acceleration constant along the edge.
+    makes the joint acceleration constant along the edge: the check point
+    at fraction s of the edge sits at q_prev + s * dq.
     """
-    slope = (q_next - q_prev) / dlam
+    slope = dq / dlam
     qdd_edge = slope * ((pv2_next - pv2_prev) / (2.0 * dlam))
     for k in range(1, count + 1):
         s = k / (count + 1.0)
         pv_s = np.sqrt((1.0 - s) * pv2_prev + s * pv2_next)
-        yield q_prev + s * (q_next - q_prev), slope * pv_s, qdd_edge
+        yield s, slope * pv_s, qdd_edge
 
 
 @dataclass(frozen=True)
@@ -274,14 +282,14 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
 
     q_prev (P, n) with chain samples qd/qdd/tau_prev (P, n); q_next (C, n)
     holds the next stage's cells, terms_next their rigid-body terms
-    (robot.rigid_terms(q_next)), and pv_next (L,) its levels. Lane
-    p * L * C + l * C + c is the edge from predecessor p to cell c at level
-    l. candidates is a boolean (L, C) mask that every predecessor shares
-    (None: every lane), whose velocity work runs once per run of adjacent
-    predecessors with bitwise-equal q_prev and time steps, or a sorted
-    array of lane ids, each scored on its own. A lane without a time step
-    has dt = +inf; only the candidates with a time step that pass the
-    joint-velocity bound are evaluated.
+    (robot.rigid_terms(q_next), a stage of StateGrid.terms), and pv_next
+    (L,) its levels. Lane p * L * C + l * C + c is the edge from
+    predecessor p to cell c at level l. candidates is a boolean (L, C)
+    mask that every predecessor shares (None: every lane), whose velocity
+    work runs once per run of adjacent predecessors with bitwise-equal
+    q_prev and time steps, or a sorted array of lane ids, each scored on
+    its own. A lane without a time step has dt = +inf; only the candidates
+    with a time step that pass the joint-velocity bound are evaluated.
     """
     pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
     P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
@@ -348,8 +356,8 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         stack = (qd, qdd, qddd, tau, taud)
         # each enabled order's verdict on the evaluated lanes: its endpoint
         # check, the Coulomb exemption of the torque rate, then (outside
-        # this context: the samples take a square root and inverse
-        # dynamics) the check points
+        # this context: the samples take a square root and rigid-body
+        # terms) the check points
         verdicts = {order: _order_ok(value, limits.bound(order))
                     for order, value in zip(ORDERS, stack)
                     if limits.bound(order) is not None}
@@ -362,11 +370,24 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         # on these bits
         pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[l][:, None]
         pv2_prev = pv_prev[p][:, None] ** 2
-        for q_s, qd_s, qdd_s in _interior_samples(_gather(q_prev, p), _gather(q_next, c),
-                                                  pv2_prev, pv2_next, dlam, check_count):
+        # a check point's configuration q_prev + s * dq depends on the
+        # lane's row of dq alone: its rigid-body terms are computed once
+        # per row that some evaluated lane reads, from the row's own q_prev
+        # (the group's first row for a mask), and gathered per lane
+        lane_dq = group[p] * C + c if shared else k
+        read = np.zeros(dq.shape[0], dtype=bool)
+        read[lane_dq] = True
+        at = np.flatnonzero(read)
+        base, at_dq = q_prev[first[at // C] if shared else pair_p[at]], dq[at]
+        slot = (np.cumsum(read) - 1)[lane_dq]
+        for s, qd_s, qdd_s in _interior_samples(_gather(dq, lane_dq), pv2_prev, pv2_next,
+                                                dlam, check_count):
             sample = {"qd": qd_s, "qdd": qdd_s}
             if limits.tau is not None:
-                sample["tau"] = robot.inverse_dynamics(q_s, qd_s, qdd_s)
+                terms = robot.rigid_terms(base + s * at_dq)
+                sample["tau"] = robot.torque(
+                    RigidTerms(*(_gather(a, slot) for a in (terms.H, terms.G, terms.gravity))),
+                    qd_s, qdd_s)
             for order in _CHECK_POINT_ORDERS:
                 if order in verdicts:
                     verdicts[order] &= _order_ok(sample[order], limits.bound(order))

@@ -53,9 +53,10 @@ class NoFeasiblePlan(PlanningError):
 
 class CorruptChain(PlanningError):
     """A plan's chain is broken: its back-pointers do not terminate at
-    stage 0 (``planner.extract``), or a replayed edge, scored as the sweep
-    scored it, has no time step or fails a check (``planner.replay``; the
-    message names the first such edge and its failed orders)."""
+    stage 0 (``planner.extract``), or, replayed as the sweep scored it,
+    its rest start cannot hold still within the torque bound or an edge has
+    no time step or fails a check (``planner.replay``; the message names
+    the start or the first such edge, and its failed orders)."""
 
 
 class NoConvergence(PlanningError):

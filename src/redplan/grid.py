@@ -14,13 +14,14 @@ branch) row-major, so ascending id order is exactly the lexicographic
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .errors import EmptyStage, ScenarioError
 from .path import WorkspacePath
-from .robot import PlanarArm
+from .robot import PlanarArm, RigidTerms
 
 Array = np.ndarray
 
@@ -94,7 +95,10 @@ class StateGrid:
     """Immutable state grid shared by the planner, engine, and oracle.
 
     Construction raises EmptyStage at the first stage without an admissible
-    node, so every way to a grid (the builders, replace) checks it.
+    node, so every way to a grid (the builders, replace) checks it. The
+    grid holds its cells' rigid-body terms (`terms`), computed on first use
+    and shared by every search and replay on it; a replace() copy starts
+    without them.
     """
 
     robot: PlanarArm
@@ -115,6 +119,12 @@ class StateGrid:
     @property
     def n_stages(self) -> int:
         return self.q_table.shape[0] - 1
+
+    @cached_property
+    def terms(self) -> RigidTerms:
+        """H, G and gravity torque of every cell, (N_i + 1, C, ...), in one
+        rigid_terms pass on first use (NaN where IK failed)."""
+        return self.robot.rigid_terms(self.q_table)
 
     @property
     def cfg_count(self) -> int:

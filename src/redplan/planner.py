@@ -21,7 +21,10 @@ over the block's own keys, which its few tail groups keep within its lane
 budget; one sort per stage then merges the blocks' entries, so a stage
 holds no table over all next keys. The labels are the search's whole
 record: extract() starts from the cheapest terminal label and follows the
-predecessor rows.
+predecessor rows. The rigid-body terms of the grid's cells come from the
+grid (StateGrid.terms), computed once however many sweeps and replays
+read them; a replay gathers its chain's rows and checks, as the sweep
+does, that a rest start holds still.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -147,8 +150,8 @@ def _sweep(grid, limits, check_count, window, depth=0):
     L, C = grid.level_count, grid.cfg_count
     S = L * C
     start = grid.stage_ids(0)
-    qd, qdd, tau = initial_samples(grid.robot, grid.q_table[0, start % C],
-                                   grid.pv_values[start // C])
+    terms = grid.terms
+    qd, qdd, tau = initial_samples(grid.robot, terms[0, start % C], grid.pv_values[start // C])
     if limits.tau is not None:
         # a rest start must hold still: one whose holding torque fails the
         # bound starts no chain (qd and qdd, zero or NaN, fail no bound)
@@ -163,8 +166,6 @@ def _sweep(grid, limits, check_count, window, depth=0):
     if window is not None and window.max_dj is not None:
         lattice_rows = grid.cell_lattice()
     rows_per_block = max(1, LANE_BUDGET // S)
-    # the rigid-body terms depend on the cell alone: once per grid
-    terms = grid.robot.rigid_terms(grid.q_table)
 
     for i in range(grid.n_stages):
         # Labels with the same tail (the key without its oldest node, once
@@ -307,23 +308,30 @@ def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
     stage: call 1 gives the time steps and joint velocities, call 2 the
     accelerations and torques, call 3 the jerks, torque rates, check points
     and verdicts. Each lane computes what the sweep did for its edge, bit
-    for bit, so the last time is the chain's cost. cost and reached pass
-    through from the search.
+    for bit, so the last time is the chain's cost. The chain's rigid-body
+    terms are rows of grid.terms: a replay computes no dynamics terms of
+    its own but at its check points. cost and reached pass through from
+    the search.
 
     Raises:
-        CorruptChain: an edge has no time step or fails a check; the
-            message names the first such edge and its failed orders.
+        CorruptChain: the chain's rest start cannot hold still within the
+            torque bound, or an edge has no time step or fails a check; the
+            message names the start or the first such edge, and its failed
+            orders.
     """
     n_stages = grid.n_stages
     L, C = grid.pv_values.size, grid.cfg_count
     ids = np.asarray(node_ids, dtype=np.int64)
-    q = grid.q_table[np.arange(n_stages + 1), ids % C]
+    cell = (np.arange(n_stages + 1), ids % C)
+    q, terms = grid.q_table[cell], grid.terms[cell]
     level = ids // C
     pv = grid.pv_values[level].astype(float)
     # qd, qdd and tau of stages 0..N, as far as the calls so far give them
     samples = np.full((3, n_stages + 1, grid.robot.n), np.nan)
-    samples[:, :1] = initial_samples(grid.robot, q[:1], pv[:1])
-    terms = grid.robot.rigid_terms(q)
+    samples[:, :1] = initial_samples(grid.robot, terms[:1], pv[:1])
+    if limits.tau is not None and not _order_ok(samples[2, 0], limits.tau):
+        # as in the sweep: a rest start must hold still
+        raise CorruptChain("replayed start at stage 0 is infeasible: tau")
     edge = np.arange(n_stages)
     for count in (0, 0, check_count):
         ev = stage_transitions(grid.robot, limits, grid.path.dlam, q[:-1], pv[:-1],

@@ -10,9 +10,12 @@ Inverse dynamics comes in two parts. :meth:`PlanarArm.rigid_terms` computes
 the terms that depend on the configuration alone (inertia H, centripetal
 matrix G, gravity torque), once per configuration; :meth:`PlanarArm.torque`
 adds H qdd and the velocity-dependent part, :meth:`PlanarArm.bias_torque`.
-The edge engine evaluates many lanes at few configurations, so it calls
-the first per configuration, bias_torque per configuration pair and time
-step, and adds H qdd per lane.
+The edge engine evaluates many lanes at few configurations: the state grid
+holds its cells' rigid terms from one call (``StateGrid.terms``), the
+engine calls bias_torque per configuration pair and time step, adds H qdd
+per lane, and calls rigid_terms once per check point and configuration
+pair. :meth:`PlanarArm.inverse_dynamics` composes the two parts in one
+call; no search calls it.
 
 All kinematics/dynamics methods broadcast over leading batch dimensions: a
 joint vector argument of shape ``(..., n)`` yields results with the same

@@ -123,7 +123,7 @@ def make_toy_grid(n_stages=2, pv_levels=2, rest=True, v_values=(0.7, 1.0), pv_ma
 def start_state(robot, q, pv):
     """(q, pv, qd, qdd, tau) of a stage-0 node, from initial_samples."""
     q = np.asarray(q, dtype=float)
-    qd, qdd, tau = initial_samples(robot, q[None], np.array([pv]))
+    qd, qdd, tau = initial_samples(robot, robot.rigid_terms(q[None]), np.array([pv]))
     return q, float(pv), qd[0], qdd[0], tau[0]
 
 

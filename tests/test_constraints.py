@@ -1,10 +1,11 @@
 """Constraint engine: time steps, difference stacks, checks, saturation."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from redplan import constraints, planner
 from redplan.constraints import (ORDERS, LimitSets, TrajectoryProfile, _order_ok,
@@ -111,20 +112,21 @@ class TestInitialState:
 
     def test_rest_is_static(self, arm):
         q = np.array([[0.4, -0.3, 0.2]])
-        qd, qdd, tau = initial_samples(arm, q, np.zeros(1))
+        qd, qdd, tau = initial_samples(arm, arm.rigid_terms(q), np.zeros(1))
         assert np.array_equal(qd, np.zeros((1, 3)))
         assert np.array_equal(qdd, np.zeros((1, 3)))
         assert np.array_equal(tau[0], arm.rigid_terms(q[0]).gravity)
 
     def test_moving_start_has_no_history(self, arm):
-        qd, qdd, tau = initial_samples(arm, np.zeros((1, 3)), np.array([0.6]))
+        qd, qdd, tau = initial_samples(arm, arm.rigid_terms(np.zeros((1, 3))),
+                                       np.array([0.6]))
         assert np.all(np.isnan(qd)) and np.all(np.isnan(qdd)) and np.all(np.isnan(tau))
 
     def test_mixed_rest_and_moving_rows(self, arm):
         rng = np.random.default_rng(8)
         q = rng.uniform(-1.0, 1.0, (6, 3))
         pv = np.array([0.0, 0.6, 0.0, 0.3, 1.0, 0.0])
-        qd, qdd, tau = initial_samples(arm, q, pv)
+        qd, qdd, tau = initial_samples(arm, arm.rigid_terms(q), pv)
         zero = np.zeros(3)
         for p in range(6):
             if pv[p] == 0.0:
@@ -508,9 +510,11 @@ class TestStageTransitions:
 
     @pytest.mark.parametrize("check_count", [0, 2])
     def test_rigid_terms_once_per_cell(self, arm, monkeypatch, check_count):
-        # the sweep computes the rigid-body terms of the whole grid in one
-        # pass; an engine call gathers them and adds one pass per check
-        # point on its evaluated lanes
+        # the grid computes the rigid-body terms of all its cells in one
+        # pass, on first use; the sweep and replay gather them. An engine
+        # call adds one pass per check point, over the rows of dq that its
+        # evaluated lanes read: one per (group, cell) for a mask, one per
+        # lane for a lane list
         shapes = []
         trig = PlanarArm._trig
 
@@ -520,16 +524,26 @@ class TestStageTransitions:
 
         rng = np.random.default_rng(43)
         center = np.array([0.3, -0.6, 0.9])
-        prev = self.build_prev(arm, rng, 9, center=center, spread=0.06)
+        # each row twice: the pairs of equal adjacent rows share their dq rows
+        prev = [np.repeat(a, 2, axis=0)
+                for a in self.build_prev(arm, rng, 9, center=center, spread=0.06)]
         C = 7
         q_next = center + rng.uniform(-0.06, 0.06, (C, 3))
         terms = arm.rigid_terms(q_next)
         limits = LimitSets(qd=np.full(3, 0.25), tau=np.full(3, 100.0))
+        levels = np.array([0.0, 0.3, 0.5])
         monkeypatch.setattr(PlanarArm, "_trig", recording)
-        ev = stage_transitions(arm, limits, 0.1, *prev, q_next, terms,
-                               np.array([0.0, 0.3, 0.5]), check_count=check_count)
+        ev = stage_transitions(arm, limits, 0.1, *prev, q_next, terms, levels,
+                               check_count=check_count)
         K = ev.lanes.size
-        assert K > C
+        p, _, c = np.unravel_index(ev.lanes, ev.shape)
+        read = np.unique((p // 2) * C + c).size
+        assert K > read > C
+        assert shapes == [(read, 3)] * check_count
+        shapes.clear()
+        listed = stage_transitions(arm, limits, 0.1, *prev, q_next, terms, levels,
+                                   check_count=check_count, candidates=ev.lanes)
+        assert listed.lanes.size == K
         assert shapes == [(K, 3)] * check_count
 
         grid = make_toy_grid(n_stages=3, pv_levels=3, v_values=(0.7, 0.8, 0.9, 1.0))
@@ -537,16 +551,74 @@ class TestStageTransitions:
         limits = LimitSets(qd=np.full(3, 20.0), tau=np.full(3, 100.0))
         shapes.clear()
         value = planner._sweep(grid, limits, check_count, None)
-        # the stage-0 samples, the grid, then each stage's check points
-        start = grid.stage_ids(0).size
-        assert shapes[:2] == [(start, 3), (N + 1, C, 3)]
-        assert len(shapes) == 2 + N * check_count
-        assert all(len(shape) == 2 for shape in shapes[2:])
+        # the grid's terms, then each stage's check points
+        assert shapes[0] == (N + 1, C, 3)
+        assert len(shapes) == 1 + N * check_count
+        assert all(len(shape) == 2 for shape in shapes[1:])
+        # a second sweep on the same grid reuses the terms
+        shapes.clear()
+        again = planner._sweep(grid, limits, check_count, None)
+        assert len(shapes) == N * check_count
+        assert all(len(shape) == 2 for shape in shapes)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again.cost, value.cost))
+        # replay: only the check points of its last call, one lane per edge
         shapes.clear()
         planner.extract(value)
-        # replay: the stage-0 samples, the chain, then the check points of
-        # its last call, one lane per edge
-        assert shapes == [(1, 3), (N + 1, 3)] + [(N, 3)] * check_count
+        assert shapes == [(N, 3)] * check_count
+        # a replace() copy starts without the terms
+        shapes.clear()
+        copy = dataclasses.replace(grid)
+        assert copy.terms.H.tobytes() == grid.terms.H.tobytes()
+        assert shapes == [(N + 1, C, 3)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_check_point_torque_is_inverse_dynamics_per_lane(self, data):
+        # the engine computes a check point's rigid-body terms once per row
+        # of dq; each lane's torque verdict must be the one that inverse
+        # dynamics at the lane's own interpolated state gives, for a shared
+        # mask (some rows repeat, so groups share rows) and for a lane list
+        arm = make_reference_arm()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        center = np.array([0.3, -0.6, 0.9])
+        P = data.draw(st.integers(1, 8))
+        prev = self.build_prev(arm, rng, 3, center=center, spread=0.3)
+        q, pv, qd, qdd, tau = (a[np.sort(rng.integers(0, 3, P))] for a in prev)
+        C = data.draw(st.integers(1, 5))
+        q_next = center + rng.uniform(-0.3, 0.3, (C, 3))
+        levels = np.array([0.0, 0.3, 0.5])
+        L = levels.size
+        candidates = (np.flatnonzero(rng.random((P, L, C)) < 0.7) if data.draw(st.booleans())
+                      else rng.random((L, C)) < 0.7)
+        check_count = data.draw(st.integers(1, 3))
+
+        def run(tau_max):
+            return stage_transitions(arm, LimitSets(qd=np.full(3, 20.0), tau=tau_max), 0.1,
+                                     q, pv, qd, qdd, tau, q_next, arm.rigid_terms(q_next),
+                                     levels, check_count=check_count, candidates=candidates)
+
+        # the torques at each evaluated lane's endpoint and check points
+        ev = run(np.full(3, np.inf))
+        assume(ev.lanes.size > 0)
+        p, l, c = np.unravel_index(ev.lanes, ev.shape)
+        ref = np.empty((ev.lanes.size, check_count + 1, 3))
+        for row in range(ev.lanes.size):
+            a, b = q[p[row]], q_next[c[row]]
+            pv2_prev, pv2_next = pv[p[row]] ** 2, float(levels[l[row]]) ** 2
+            slope = (b - a) / 0.1
+            qdd_edge = slope * ((pv2_next - pv2_prev) / (2.0 * 0.1))
+            ref[row, 0] = ev.tau[row]
+            for k in range(1, check_count + 1):
+                s = k / (check_count + 1.0)
+                pv_s = np.sqrt((1.0 - s) * pv2_prev + s * pv2_next)
+                ref[row, k] = arm.inverse_dynamics(a + s * (b - a), slope * pv_s, qdd_edge)
+        # each joint's bound is exactly one of its samples, so a sample one
+        # ulp off its reference can flip its lane's verdict
+        ref = np.abs(ref)
+        pick = [data.draw(st.integers(0, ref[..., j].size - 1)) for j in range(3)]
+        tau_max = np.array([np.sort(ref[..., j], axis=None)[pick[j]] for j in range(3)])
+        assume(np.all(tau_max > 0.0))
+        assert run(tau_max).verdicts["tau"].tolist() == (~(ref > tau_max).any(axis=(1, 2))).tolist()
 
     @pytest.mark.parametrize("check_count", [0, 2])
     def test_layout_independence(self, arm, check_count):

@@ -28,6 +28,7 @@ from redplan.grid import grid_from_configurations
 from redplan.oracle import (GAP_TOLERANCE, GapReport, OracleBudget, compare,
                             exhaustive_plan)
 from redplan.planner import Window, plan
+from redplan.robot import PlanarArm
 from redplan.scenario import bundled_scenario, load_scenario, trajectory_csv
 
 INF3 = np.full(3, np.inf)
@@ -354,6 +355,22 @@ def test_one_budget_guards_every_exact_search(monkeypatch):
     # the full search and the three searched subsets
     assert len(budgets) == 4
     assert all(b is budget for b in budgets)
+
+
+def test_compare_makes_one_rigid_body_pass(monkeypatch):
+    # eight searches (the full set and three searched subsets, each by the
+    # DP and the exact search) and their replays read the grid's terms
+    grid, limits = all_finite_jerk_instance()
+    shapes = []
+    rigid_terms = PlanarArm.rigid_terms
+
+    def recorded(robot, q):
+        shapes.append(np.shape(q))
+        return rigid_terms(robot, q)
+
+    monkeypatch.setattr(PlanarArm, "rigid_terms", recorded)
+    assert len(searches_of_compare(monkeypatch, grid, limits)) == 3
+    assert shapes == [grid.q_table.shape]
 
 
 def test_dp_reached_subset_of_full_history_reached():

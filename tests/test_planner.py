@@ -14,7 +14,7 @@ from redplan.constraints import LimitSets, StageEval
 from redplan.errors import CorruptChain, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
 from redplan.oracle import exhaustive_plan
-from redplan.planner import Window, extract, plan, replay
+from redplan.planner import ReachedSets, Window, extract, plan, replay
 from redplan.scenario import bundled_scenario, pst_csv
 
 
@@ -499,6 +499,19 @@ class TestPredecessorBlocks:
         result = plan(sc.build(), replace(limits, tau=np.array([12.7669, 1e9, 1e9])),
                       check_count=sc.check_count)
         assert np.nanmax(np.abs(result.profile.tau[:, 0])) <= 12.7669
+
+    def test_replay_rejects_a_start_that_cannot_hold_still(self):
+        # a chain the sweep emitted before it checked rest starts: its edges
+        # pass at both bounds, but its start needs 12.7668 N m on joint 1
+        sc = bundled_scenario("line")
+        grid = sc.build()
+        chain = [16, 214, 142, 160, 142, 212, 192, 172, 170, 168, 0]
+        limits = LimitSets(qd=sc.limits.qd, tau=[12.7669, 1e9, 1e9])
+        result = replay(grid, limits, 0, chain, 0.0, ReachedSets(()))
+        assert 12.7668 <= result.profile.tau[0, 0] <= 12.7669
+        with pytest.raises(CorruptChain, match="^replayed start at stage 0 is infeasible: tau$"):
+            replay(grid, replace(limits, tau=np.array([12.7541, 1e9, 1e9])), 0, chain, 0.0,
+                   ReachedSets(()))
 
     def test_depth_two(self, monkeypatch):
         # a block's keys are numbered by its own tail groups, which only

@@ -462,8 +462,10 @@ def test_run_meta_simd_follows_the_dispatch_numpy_runs():
     code = ("import json; from redplan.scenario import run_meta; "
             "print(json.dumps(run_meta(0.0, 1, [])['simd']))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert json.loads(out.stdout)["found"] == found[:1]
+                         text=True, timeout=120)
+    # the child's stderr names the cause of a failure
+    assert out.returncode == 0, f"exit status {out.returncode}; stderr:\n{out.stderr}"
+    assert json.loads(out.stdout)["found"] == found[:1], out.stderr
 
 # --- CSV exports -------------------------------------------------------------
 
