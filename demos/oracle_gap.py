@@ -15,7 +15,7 @@ def main():
     for name in ("toy_velocity", "toy_full", "toy_jerk"):
         sc = bundled_scenario(name)
         rep = compare(sc.build(), sc.limits, sc.check_count)
-        print(f"{name}: dp {rep.dp_cost:.10g}  oracle {rep.oracle_cost:.10g}  "
+        print(f"{name}: dp {rep.dp.cost:.10g}  oracle {rep.oracle.cost:.10g}  "
               f"gap {rep.gap:.10g}")
         if rep.gap > 0:
             blame = {k: v for k, v in rep.attribution.items() if v != 0.0}

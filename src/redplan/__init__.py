@@ -7,8 +7,8 @@ two-stage pipeline and an exact-search oracle ship alongside it for
 comparison and verification.
 """
 
-from .baseline import (JointPath, ResolutionConfig, dynamic_manipulability_cost,
-                       pseudo_inverse, resolve_redundancy, time_parametrize)
+from .baseline import (JointPath, ResolutionConfig, resolve_redundancy,
+                       time_parametrize)
 from .constraints import (HISTORY_DEPENDENT_ORDERS, ORDERS, LimitSets,
                           SaturationReport, TrajectoryProfile,
                           initial_samples, saturation_percentage,
@@ -39,9 +39,8 @@ __all__ = [
     "TrajectoryProfile", "ValueMap",
     "Window", "WorkspacePath", "build_grid", "bundled_scenario",
     "bundled_scenario_names", "compare", "dumps_canonical",
-    "dynamic_manipulability_cost",
     "exhaustive_plan", "grid_from_configurations", "initial_samples", "load_path",
-    "load_robot", "load_scenario", "plan", "pseudo_inverse",
+    "load_robot", "load_scenario", "plan",
     "resample_export", "resolve_redundancy", "sample_path",
     "saturation_percentage", "stage_transitions", "tangent",
     "time_parametrize",

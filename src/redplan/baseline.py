@@ -106,30 +106,6 @@ def _pseudo_inverses(J: Array, cond_cap: float) -> Array:
     return (np.swapaxes(Vt, -1, -2) * (1.0 / s)[:, None, :]) @ np.swapaxes(U, -1, -2)
 
 
-def pseudo_inverse(J: Array, cond_cap: float = 1e8) -> Array:
-    """Moore-Penrose pseudo-inverse by SVD with a documented rank tolerance.
-
-    Raises:
-        SingularJacobian: rank loss (singular value below RANK_TOL * sigma_max)
-            or condition number above cond_cap.
-    """
-    return _pseudo_inverses(np.asarray(J, dtype=float)[None], cond_cap)[0]
-
-
-def dynamic_manipulability_cost(robot: PlanarArm, q: Array, t: Array,
-                                cond_cap: float = 1e8) -> float:
-    """Squared inertia-weighted effort to accelerate along the unit tangent t.
-
-    The quadratic form || H(q) J(q)^+ t ||^2: large where the arm is poorly
-    posed to accelerate along the path, so descending it in the null space
-    improves the acceleration capability at fixed task position.
-    """
-    J = robot.jacobian(q)
-    H = robot.inertia_matrix(q)
-    w = H @ pseudo_inverse(J, cond_cap) @ np.asarray(t, dtype=float)
-    return float(w @ w)
-
-
 def _row_offsets(n: int, neighbours: bool) -> Array:
     """Offsets from q of the rows that _linearize stacks: q itself, then,
     if neighbours, its 2n central-difference neighbours q + h e_0,
@@ -171,14 +147,15 @@ def _linearize(robot: PlanarArm, q: Array,
 
 
 def _cost_gradient(H: Array, P: Array, t: Array) -> Array:
-    """Central-difference gradient of dynamic_manipulability_cost, from the
-    inertia H and pseudo-inverses P of the 2n neighbour rows of _linearize.
+    """Central-difference gradient of the dynamic-manipulability cost
+    || H(q) J(q)^+ t ||^2, from the inertia H and pseudo-inverses P of the
+    2n neighbour rows of _linearize.
 
-    Each row's cost || H P t ||^2 is a stacked matmul, which runs the same
-    BLAS call per row as the scalar cost's 2-D matmul and its w @ w; an
-    einsum or an elementwise sum would round differently in the last
-    place, and the division by 2h magnifies that. So the gradient equals
-    differencing the scalar cost bit for bit.
+    Each row's cost is a stacked matmul, which runs the same BLAS call per
+    row as a scalar 2-D matmul and its w @ w; an einsum or an elementwise
+    sum would round differently in the last place, and the division by 2h
+    magnifies that. So the gradient equals differencing the scalar cost bit
+    for bit.
     """
     W = H @ P @ np.asarray(t, dtype=float)
     cost = (W[:, None, :] @ W[:, :, None])[:, 0, 0]

@@ -3,7 +3,8 @@
 Subcommands: plan | baseline | verify | sweep | export. Every run loads one
 scenario file, writes its artifacts to the output directory, and exits with
 0 on success, 2 on infeasibility, 3 on configuration errors (a malformed
-command line included), and 4 when the exact search's budget is exceeded.
+command line and a grid too large for memory included), and 4 when the
+exact search's budget is exceeded.
 """
 
 from __future__ import annotations
@@ -256,6 +257,10 @@ def main(argv: list | None = None) -> int:
         return EXIT_CONFIG
     except PlanningError as exc:
         _structured_error(type(exc).__name__, str(exc))
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a grid or search too large for this host: a configuration error
+        _structured_error("MemoryError", str(exc) or "out of memory")
         return EXIT_CONFIG
 
 

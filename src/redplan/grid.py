@@ -106,7 +106,6 @@ class StateGrid:
     spec: GridSpec
     pv_values: Array          # (N_l + 1,)
     q_table: Array            # (N_i + 1, C, n), NaN where IK failed
-    cfg_ok: Array             # (N_i + 1, C) bool
     admissible: Array         # (N_i + 1, N_l + 1, C) bool
     degenerate: Array         # (N_i + 1, C) bool: flagged coincident branches
     branch_count: int = field(default=2)
@@ -211,13 +210,10 @@ def grid_from_configurations(robot: PlanarArm, path: WorkspacePath, q_table: Arr
     if q_table.shape[2] != robot.n:
         raise ScenarioError("q_table joint dimension does not match the robot")
     finite = np.all(np.isfinite(q_table), axis=2)
-    if cfg_ok is None:
-        cfg_ok = finite
-    else:
-        cfg_ok = np.asarray(cfg_ok, dtype=bool) & finite
+    cfg_ok = finite if cfg_ok is None else np.asarray(cfg_ok, dtype=bool) & finite
     pv_values = np.arange(spec.pv_levels + 1) * spec.pv_step
     level_mask = _level_mask(path.n_stages, spec.pv_levels + 1, spec.rest_to_rest)
     return StateGrid(robot=robot, path=path, spec=spec, pv_values=pv_values,
-                     q_table=q_table, cfg_ok=cfg_ok,
+                     q_table=q_table,
                      admissible=level_mask[:, :, None] & cfg_ok[:, None, :],
                      degenerate=np.zeros_like(cfg_ok), branch_count=branch_count)

@@ -77,16 +77,8 @@ class GapReport:
     relative_gap: float
     attribution: dict
 
-    @property
-    def dp_cost(self) -> float:
-        return self.dp.cost
-
-    @property
-    def oracle_cost(self) -> float:
-        return self.oracle.cost
-
     def to_dict(self) -> dict:
-        return {"oracle_cost": self.oracle_cost, "dp_cost": self.dp_cost,
+        return {"oracle_cost": self.oracle.cost, "dp_cost": self.dp.cost,
                 "gap": self.gap, "relative_gap": self.relative_gap,
                 "attribution": dict(self.attribution)}
 

@@ -6,7 +6,7 @@ redundancy parameters and the distal 2-R subchain is solved analytically on
 two IK branches. Kinematics, the task Jacobian and the joint-space inverse
 dynamics are closed form, which keeps every mechanism cheap to evaluate.
 
-Inverse dynamics comes in two parts. :meth:`PlanarArm.rigid_terms` computes
+The dynamics API is three methods. :meth:`PlanarArm.rigid_terms` computes
 the terms that depend on the configuration alone (inertia H, centripetal
 matrix G, gravity torque), once per configuration; :meth:`PlanarArm.torque`
 adds H qdd and the velocity-dependent part, :meth:`PlanarArm.bias_torque`.
@@ -14,8 +14,7 @@ The edge engine evaluates many lanes at few configurations: the state grid
 holds its cells' rigid terms from one call (``StateGrid.terms``), the
 engine calls bias_torque per configuration pair and time step, adds H qdd
 per lane, and calls rigid_terms once per check point and configuration
-pair. :meth:`PlanarArm.inverse_dynamics` composes the two parts in one
-call; no search calls it.
+pair.
 
 All kinematics/dynamics methods broadcast over leading batch dimensions: a
 joint vector argument of shape ``(..., n)`` yields results with the same
@@ -206,23 +205,8 @@ class PlanarArm:
         th = np.cumsum(np.asarray(q, dtype=float), axis=-1)
         return np.cos(th), np.sin(th)
 
-    def forward_kinematics(self, q: Array) -> Array:
-        """End-effector position k(q), shape (..., 2)."""
-        return self._position(*self._trig(q))
-
-    def _position(self, ct: Array, st: Array) -> Array:
-        x = np.zeros(ct.shape[:-1])
-        y = np.zeros(ct.shape[:-1])
-        for a in range(self.n):
-            x = x + self._L[a] * ct[..., a]
-            y = y + self._L[a] * st[..., a]
-        return np.stack([x, y], axis=-1)
-
-    def jacobian(self, q: Array) -> Array:
-        """Task Jacobian dk/dq, shape (..., 2, n)."""
-        return self._jacobian(*self._trig(q))
-
     def _jacobian(self, ct: Array, st: Array) -> Array:
+        """Task Jacobian dk/dq, shape (..., 2, n), from the result of _trig."""
         # column b is 0 - L_b s_b - L_b+1 s_b+1 - ... in x, and the same
         # over -L c in y, which adds L c; the zero column pads short sums
         n, shape = self.n, ct.shape[:-1]
@@ -309,15 +293,6 @@ class PlanarArm:
             A -= terms[..., j, :, :]
         return A[..., 0, :, :], A[..., 1, :, :], ct, st
 
-    def inertia_matrix(self, q: Array) -> Array:
-        """Joint-space inertia H(q), shape (..., n, n)."""
-        return self._inertia(self._com_jacobian_components(*self._trig(q)))
-
-    def bias_forces(self, q: Array, qd: Array) -> Array:
-        """Velocity, friction, and gravity torques f(q, qd), shape (..., n)."""
-        components = self._com_jacobian_components(*self._trig(q))
-        return self.bias_torque(self._centripetal(components), self._gravity(components), qd)
-
     def rigid_terms(self, q: Array) -> RigidTerms:
         """The velocity-independent terms H, G and gravity torque at q, from
         one pass over the COM Jacobians."""
@@ -338,10 +313,6 @@ class PlanarArm:
         tau = tau + self.dynamics.viscous * qd
         tau = tau + self.dynamics.coulomb * np.sign(qd)
         return tau + gravity
-
-    def inverse_dynamics(self, q: Array, qd: Array, qdd: Array) -> Array:
-        """tau = H(q) qdd + f(q, qd), from one pass over the COM Jacobians."""
-        return self.torque(self.rigid_terms(q), qd, qdd)
 
     # _inertia, _centripetal and _gravity take the result of
     # _com_jacobian_components, so one pass derives all three; bias_torque

@@ -47,6 +47,11 @@ def inverse_kinematics(arm: PlanarArm, x, v, g: int):
     return np.concatenate([v, [q_pen, q_elbow]])
 
 
+def inverse_dynamics(robot: PlanarArm, q, qd, qdd):
+    """tau = H(q) qdd + f(q, qd) through the engine's two parts."""
+    return robot.torque(robot.rigid_terms(q), qd, qdd)
+
+
 def make_reference_arm(coulomb=(0.2, 0.15, 0.1), gravity=(0.0, -9.81)) -> PlanarArm:
     """Desk-scale planar 3R arm used throughout the suite."""
     limits = JointLimits(

@@ -12,10 +12,9 @@ PUBLIC = [
     "SaturationReport", "Scenario", "ScenarioError", "SingularJacobian",
     "StateGrid", "TrajectoryProfile", "ValueMap", "Window",
     "WorkspacePath", "build_grid", "bundled_scenario", "bundled_scenario_names",
-    "compare", "dumps_canonical", "dynamic_manipulability_cost",
-    "exhaustive_plan", "grid_from_configurations", "initial_samples", "load_path",
-    "load_robot", "load_scenario", "plan", "pseudo_inverse", "resample_export",
-    "resolve_redundancy", "sample_path", "saturation_percentage",
+    "compare", "dumps_canonical", "exhaustive_plan", "grid_from_configurations",
+    "initial_samples", "load_path", "load_robot", "load_scenario", "plan",
+    "resample_export", "resolve_redundancy", "sample_path", "saturation_percentage",
     "stage_transitions", "tangent", "time_parametrize",
 ]
 

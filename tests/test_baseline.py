@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (inverse_kinematics, make_inf_limits, make_line_path,
                       make_reference_arm)
+from test_robot import transform_chain_fk
 
 from redplan.baseline import (FD_STEP, RANK_TOL, JointPath, ResolutionConfig,
                               _cost_gradient, _linearize, _pseudo_inverses,
-                              _row_offsets,
-                              dynamic_manipulability_cost, pseudo_inverse,
-                              resolve_redundancy, time_parametrize)
+                              _row_offsets, resolve_redundancy, time_parametrize)
 from redplan.constraints import LimitSets
 from redplan.errors import NoConvergence, ScenarioError, SingularJacobian
 from redplan.grid import GridSpec, StateGrid, build_grid, grid_from_configurations
@@ -26,7 +25,7 @@ def interior_config(arm, rng):
     """Random configuration with a comfortably conditioned Jacobian."""
     while True:
         q = rng.uniform(-1.8, 1.8, 3)
-        s = np.linalg.svd(arm.jacobian(q), compute_uv=False)
+        s = np.linalg.svd(arm._jacobian(*arm._trig(q)), compute_uv=False)
         if s[-1] > 0.05 * s[0]:
             return q
 
@@ -51,7 +50,7 @@ def test_resolved_path_tracks_waypoints(arm):
     assert jp.q.shape == (13, 3)
     # independent residual check through forward kinematics
     for i in range(13):
-        err = np.linalg.norm(arm.forward_kinematics(jp.q[i]) - path.waypoints[i])
+        err = np.linalg.norm(transform_chain_fk(arm, jp.q[i]) - path.waypoints[i])
         assert err < 1e-8
     assert np.all(jp.residuals < 1e-8)
     assert not jp.branch_jump
@@ -68,12 +67,12 @@ def test_alpha_zero_is_pure_pseudo_inverse_tracking(arm):
     q = q0.copy()
     expected = []
     for i in range(7):
-        err = path.waypoints[i] - arm.forward_kinematics(q)
+        err = path.waypoints[i] - loop_position(arm, q)
         k = 0
         while np.linalg.norm(err) >= config.tolerance:
             assert k < config.max_iterations
-            q = q + config.beta * (pseudo_inverse(arm.jacobian(q)) @ err)
-            err = path.waypoints[i] - arm.forward_kinematics(q)
+            q = q + config.beta * (scalar_pinv(arm._jacobian(*arm._trig(q)), 1e8) @ err)
+            err = path.waypoints[i] - loop_position(arm, q)
             k += 1
         expected.append(q.copy())
     assert np.array_equal(jp.q, np.array(expected))
@@ -86,8 +85,8 @@ def test_null_space_descent_lowers_cost(arm):
     jp_desc = resolve_redundancy(arm, path, ResolutionConfig(
         q0=q0, alpha=1e-2, max_iterations=2000))
     t_end = np.array([0.0, -1.0])
-    c_plain = dynamic_manipulability_cost(arm, jp_plain.q[-1], t_end)
-    c_desc = dynamic_manipulability_cost(arm, jp_desc.q[-1], t_end)
+    c_plain = scalar_cost(arm, jp_plain.q[-1], t_end, 1e8)
+    c_desc = scalar_cost(arm, jp_desc.q[-1], t_end, 1e8)
     assert c_desc < c_plain
 
 
@@ -143,7 +142,13 @@ def test_config_infinite_caps_mean_no_cap():
     assert config.step_cap == config.cond_cap == np.inf
 
 
-# --- dynamic manipulability cost -------------------------------------------
+# --- dynamic manipulability cost, as the gradient the iteration descends ---
+
+
+def dense_cost(arm, q, t):
+    """|| H(q) J(q)^+ t ||^2 with numpy's own pseudo-inverse."""
+    w = arm.rigid_terms(q).H @ np.linalg.pinv(arm._jacobian(*arm._trig(q))) @ t
+    return float(w @ w)
 
 
 def test_cost_matches_dense_assembly(arm):
@@ -151,17 +156,10 @@ def test_cost_matches_dense_assembly(arm):
         q = interior_config(arm, RNG)
         t = RNG.standard_normal(2)
         t /= np.linalg.norm(t)
-        w = arm.inertia_matrix(q) @ np.linalg.pinv(arm.jacobian(q)) @ t
-        assert dynamic_manipulability_cost(arm, q, t) == pytest.approx(
-            float(w @ w), rel=1e-10)
-
-
-def test_cost_nonnegative(arm):
-    for _ in range(50):
-        q = interior_config(arm, RNG)
-        t = RNG.standard_normal(2)
-        t /= np.linalg.norm(t)
-        assert dynamic_manipulability_cost(arm, q, t) >= 0.0
+        step = FD_STEP * np.eye(3)
+        dense = [(dense_cost(arm, q + e, t) - dense_cost(arm, q - e, t)) / (2 * FD_STEP)
+                 for e in step]
+        assert loop_gradient(arm, q, t, 1e8) == pytest.approx(dense, rel=1e-6, abs=1e-8)
 
 
 def test_cost_scales_quadratically_with_inertia():
@@ -174,9 +172,9 @@ def test_cost_scales_quadratically_with_inertia():
         coulomb=heavy.dynamics.coulomb, gravity=heavy.dynamics.gravity))
     q = np.array([0.4, -0.7, 0.9])
     t = np.array([1.0, 0.0])
-    c1 = dynamic_manipulability_cost(arm, q, t)
-    c2 = dynamic_manipulability_cost(heavy, q, t)
-    assert c2 == pytest.approx(s**2 * c1, rel=1e-12)
+    g1 = loop_gradient(arm, q, t, 1e8)
+    g2 = loop_gradient(heavy, q, t, 1e8)
+    assert g2 == pytest.approx(s**2 * g1, rel=1e-6)
 
 
 def test_null_space_term_lies_in_jacobian_kernel(arm):
@@ -184,8 +182,8 @@ def test_null_space_term_lies_in_jacobian_kernel(arm):
         q = interior_config(arm, RNG)
         t = RNG.standard_normal(2)
         t /= np.linalg.norm(t)
-        J = arm.jacobian(q)
-        J_pinv = pseudo_inverse(J)
+        J = arm._jacobian(*arm._trig(q))
+        J_pinv = _pseudo_inverses(J[None], 1e8)[0]
         term = (np.eye(3) - J_pinv @ J) @ loop_gradient(arm, q, t, 1e8)
         assert np.linalg.norm(J @ term) <= 1e-10 * max(1.0, np.linalg.norm(term))
 
@@ -217,14 +215,14 @@ def scalar_pinv(J, cond_cap):
 
 def scalar_cost(arm, q, t, cond_cap):
     """|| H(q) J(q)^+ t ||^2 with one unstacked call per quantity."""
-    w = arm.inertia_matrix(q) @ scalar_pinv(arm.jacobian(q), cond_cap) @ t
+    w = arm.rigid_terms(q).H @ scalar_pinv(arm._jacobian(*arm._trig(q)), cond_cap) @ t
     return w @ w
 
 
 def scalar_gradient(arm, q, t, cond_cap):
     """The definition: central differences of the scalar cost, joint by
     joint, after the check of J(q) that the iteration makes first."""
-    scalar_pinv(arm.jacobian(q), cond_cap)
+    scalar_pinv(arm._jacobian(*arm._trig(q)), cond_cap)
     grad = np.empty(arm.n)
     for j in range(arm.n):
         step = np.zeros(arm.n)
@@ -253,6 +251,17 @@ def test_stacked_gradient_bitwise_equals_scalar(q, heading, cond_cap):
             == gradient_outcome(scalar_gradient, q, t, cond_cap))
 
 
+def loop_position(arm, q):
+    """End-effector position, summed link by link from +0.0."""
+    th = np.cumsum(q, axis=-1)
+    x = np.zeros(q.shape[:-1])
+    y = np.zeros(q.shape[:-1])
+    for a in range(arm.n):
+        x = x + arm._L[a] * np.cos(th[..., a])
+        y = y + arm._L[a] * np.sin(th[..., a])
+    return np.stack([x, y], axis=-1)
+
+
 # signed zeros and multiples of pi/2, where sin or cos is exactly 0 or +-1,
 # exercise the sign-of-zero cases that reading FK(q) off J(q) and adding
 # signed-zero offsets rest on
@@ -269,7 +278,7 @@ def test_linearized_stack_bitwise_equals_scalar_calls(q, neighbours):
     arm = GRADIENT_ARM
     q = np.array(q)
     x_q, J, H = _linearize(arm, q, _row_offsets(arm.n, neighbours))
-    assert x_q.tobytes() == arm.forward_kinematics(q).tobytes()
+    assert x_q.tobytes() == loop_position(arm, q).tobytes()
     rows = [q]
     for j in range(arm.n * neighbours):
         step = np.zeros(arm.n)
@@ -277,9 +286,9 @@ def test_linearized_stack_bitwise_equals_scalar_calls(q, neighbours):
         rows += [q + step, q - step]
     assert J.shape == (len(rows), 2, arm.n)
     for r, row in enumerate(rows):
-        assert J[r].tobytes() == arm.jacobian(row).tobytes()
+        assert J[r].tobytes() == arm._jacobian(*arm._trig(row)).tobytes()
         if r:
-            assert H[r - 1].tobytes() == arm.inertia_matrix(row).tobytes()
+            assert H[r - 1].tobytes() == arm.rigid_terms(row).H.tobytes()
     assert (H is None) == (not neighbours)
     try:
         P = _pseudo_inverses(J[:1], 1e8)
@@ -300,7 +309,7 @@ def test_pinv_scales_columns_bitwise_like_diagonal_product(n, data):
     U, s, Vt = np.linalg.svd(J, full_matrices=False)
     assume(s[0] > 0.0 and s[-1] > RANK_TOL * s[0] and s[0] / s[-1] <= 1e8)
     diagonal = Vt.T @ np.diag(1.0 / s) @ U.T
-    assert (pseudo_inverse(J, 1e8) + 0.0).tobytes() == (diagonal + 0.0).tobytes()
+    assert (_pseudo_inverses(J[None], 1e8)[0] + 0.0).tobytes() == (diagonal + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("cond_cap,message", [
@@ -353,9 +362,9 @@ def test_alpha_zero_builds_no_neighbour_rows(arm, monkeypatch):
 def test_singular_jacobian_raises(arm):
     # fully stretched arm: the position Jacobian drops to rank 1
     with pytest.raises(SingularJacobian):
-        dynamic_manipulability_cost(arm, np.zeros(3), np.array([1.0, 0.0]))
+        loop_gradient(arm, np.zeros(3), np.array([1.0, 0.0]), 1e8)
     with pytest.raises(SingularJacobian, match="condition"):
-        pseudo_inverse(np.diag([1.0, 1e-5]), cond_cap=1e3)
+        _pseudo_inverses(np.diag([1.0, 1e-5])[None], 1e3)
 
 
 # --- time parametrization ---------------------------------------------------

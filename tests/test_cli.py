@@ -415,6 +415,22 @@ def test_no_feasible_plan_exit(tmp_path, capsys):
     assert payload["deepest_stage"] >= 0
 
 
+@pytest.mark.parametrize("owner,name", [(cli, "plan"), (cli.Scenario, "build")])
+def test_out_of_memory_exit(tmp_path, capsys, monkeypatch, owner, name):
+    # a grid too large for memory fails at its first allocation; the raise
+    # stands in for it, so nothing large is allocated here
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 80.0 GiB for an array")
+
+    monkeypatch.setattr(owner, name, exhausted)
+    code = main(["plan", "--scenario", bundled_path("toy_full"),
+                 "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert stderr_payload(capsys) == {"error": "MemoryError",
+                                      "message": "Unable to allocate 80.0 GiB for an array"}
+    assert not (tmp_path / "x").exists()
+
+
 # --- sweep and export ----------------------------------------------------------
 
 

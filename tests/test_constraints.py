@@ -14,7 +14,7 @@ from redplan.constraints import (ORDERS, LimitSets, TrajectoryProfile, _order_ok
 from redplan.errors import ScenarioError
 from redplan.robot import PlanarArm, RigidTerms
 
-from conftest import edge, make_reference_arm, make_toy_grid, start_state
+from conftest import edge, inverse_dynamics, make_reference_arm, make_toy_grid, start_state
 
 
 def inf_limits(n=3):
@@ -35,12 +35,12 @@ def chain_oracle(robot, q_seq, pv_seq, dlam):
     qddd = np.zeros((N + 1, n))
     tau = np.zeros((N + 1, n))
     taud = np.zeros((N + 1, n))
-    tau[0] = robot.inverse_dynamics(q_seq[0], qd[0], qdd[0])
+    tau[0] = inverse_dynamics(robot, q_seq[0], qd[0], qdd[0])
     for k in range(1, N + 1):
         qd[k] = (q_seq[k] - q_seq[k - 1]) / dt[k]
         qdd[k] = (qd[k] - qd[k - 1]) / dt[k]
         qddd[k] = (qdd[k] - qdd[k - 1]) / dt[k]
-        tau[k] = robot.inverse_dynamics(q_seq[k], qd[k], qdd[k])
+        tau[k] = inverse_dynamics(robot, q_seq[k], qd[k], qdd[k])
         taud[k] = (tau[k] - tau[k - 1]) / dt[k]
     return dt, qd, qdd, qddd, tau, taud
 
@@ -95,7 +95,7 @@ class TestScriptedChain:
         q_seq = rng.uniform(-0.5, 0.5, size=(4, 3))
         evals = run_chain(arm, inf_limits(), q_seq, [0.0, 0.5, 0.9, 0.7], 0.1)
         for k, ev in enumerate(evals, start=1):
-            assert np.array_equal(ev.tau[0], arm.inverse_dynamics(q_seq[k], ev.qd[0], ev.qdd[0]))
+            assert np.array_equal(ev.tau[0], inverse_dynamics(arm, q_seq[k], ev.qd[0], ev.qdd[0]))
 
     def test_velocity_consistency(self, arm):
         rng = np.random.default_rng(4)
@@ -132,7 +132,7 @@ class TestInitialState:
             if pv[p] == 0.0:
                 assert np.array_equal(qd[p], zero) and np.array_equal(qdd[p], zero)
                 # bitwise: the per-node inverse dynamics and the hold torque
-                assert tau[p].tobytes() == arm.inverse_dynamics(q[p], zero, zero).tobytes()
+                assert tau[p].tobytes() == inverse_dynamics(arm, q[p], zero, zero).tobytes()
                 assert tau[p].tobytes() == arm.rigid_terms(q[p]).gravity.tobytes()
             else:
                 assert np.all(np.isnan(qd[p])) and np.all(np.isnan(qdd[p]))
@@ -170,12 +170,13 @@ class TestEvaluateEdge:
     def test_identical_endpoints(self, arm):
         q = np.array([0.3, -0.2, 0.5])
         w = np.array([0.4, -0.1, 0.2])
-        prev = (q, 0.5, w, np.zeros(3), arm.inverse_dynamics(q, w, np.zeros(3)))
+        prev = (q, 0.5, w, np.zeros(3), inverse_dynamics(arm, q, w, np.zeros(3)))
         ev, _ = edge(arm, inf_limits(), 0.1, prev, q, 0.5)
         assert np.array_equal(ev.qd[0], np.zeros(3))
         assert np.array_equal(ev.qdd[0], -w / ev.dt[0, 0])
         from redplan.robot import _matvec
-        expect = _matvec(arm.inertia_matrix(q), ev.qdd[0]) + arm.rigid_terms(q).gravity
+        terms = arm.rigid_terms(q)
+        expect = _matvec(terms.H, ev.qdd[0]) + terms.gravity
         assert np.allclose(ev.tau[0], expect, atol=1e-13)
 
     def test_zero_pv_edge_has_no_time_step(self, arm):
@@ -189,7 +190,7 @@ class TestEvaluateEdge:
     def test_coulomb_crossing_skips_torque_rate(self, arm):
         q = np.zeros(3)
         qd_prev = np.array([0.5, 0.3, 0.2])
-        prev = (q, 0.5, qd_prev, np.zeros(3), arm.inverse_dynamics(q, qd_prev, np.zeros(3)))
+        prev = (q, 0.5, qd_prev, np.zeros(3), inverse_dynamics(arm, q, qd_prev, np.zeros(3)))
         limits = LimitSets(taud=np.full(3, 1e-6))
         q_back = q - np.array([0.05, 0.03, 0.02])   # reverses every joint
         ev, _ = edge(arm, limits, 0.1, prev, q_back, 0.5)
@@ -247,7 +248,7 @@ class TestCheckPoints:
         tau_hold = np.abs(arm.rigid_terms(q).gravity) + 0.5
         limits = LimitSets(qd=np.full(3, 1e-9), qdd=np.full(3, 1e-9), tau=tau_hold)
         prev = (q, 0.5, np.zeros(3), np.zeros(3),
-                arm.inverse_dynamics(q, np.zeros(3), np.zeros(3)))
+                inverse_dynamics(arm, q, np.zeros(3), np.zeros(3)))
         ev, _ = edge(arm, limits, 0.1, prev, q, 0.5, check_count=7)
         assert ev.feasible[0, 0, 0]
 
@@ -263,14 +264,14 @@ class TestCheckPoints:
         taus = []
         for s in np.linspace(0.0, 1.0, 101):
             q_s = q_prev + s * (q_next - q_prev)
-            taus.append(np.abs(arm.inverse_dynamics(q_s, slope * pv, qdd_edge)))
+            taus.append(np.abs(inverse_dynamics(arm, q_s, slope * pv, qdd_edge)))
         taus = np.array(taus)
         mid_peak = taus[40:60, 0].max()
         end_peak = max(taus[0, 0], taus[-1, 0])
         assert mid_peak > end_peak + 1.0
         bound = np.array([(mid_peak + end_peak) / 2.0, 50.0, 50.0])
         prev = (q_prev, pv, slope * pv, np.zeros(3),
-                arm.inverse_dynamics(q_prev, slope * pv, np.zeros(3)))
+                inverse_dynamics(arm, q_prev, slope * pv, np.zeros(3)))
         limits = LimitSets(tau=bound)
         endpoint, _ = edge(arm, limits, dlam, prev, q_next, pv, check_count=0)
         assert endpoint.feasible[0, 0, 0]
@@ -299,7 +300,7 @@ class TestStageTransitions:
         qd[:2] = 0.0
         qdd[:2] = 0.0
         for p in (0, 1):
-            tau[p] = arm.inverse_dynamics(q[p], qd[p], qdd[p])
+            tau[p] = inverse_dynamics(arm, q[p], qd[p], qdd[p])
         qd[2] = qdd[2] = tau[2] = np.nan
         return q, pv, qd, qdd, tau
 
@@ -426,7 +427,7 @@ class TestStageTransitions:
         q = np.zeros((2, 3))
         qd = np.array([[0.1, 0.1, 0.1], [0.0, 0.0, 0.0]])
         qdd = np.zeros((2, 3))
-        tau = np.array([arm.inverse_dynamics(q[p], qd[p], qdd[p]) for p in range(2)])
+        tau = np.array([inverse_dynamics(arm, q[p], qd[p], qdd[p]) for p in range(2)])
         limits = LimitSets(qd=qd_max)
         ev = self.match_scalar(arm, limits, (q, pv, qd, qdd, tau), q_next, levels, 0)
         # the grid straddles the bound: some of these edges pass, some fail
@@ -482,7 +483,7 @@ class TestStageTransitions:
         q, qd, qdd = (data.draw(joint_table(P, scale)) for scale in (0.2, 1.0, 4.0))
         pv = np.full(P, 0.5)
         pv[0], qd[0], qdd[0] = 0.0, 0.0, 0.0                 # a rest node
-        tau = arm.inverse_dynamics(q, qd, qdd)
+        tau = inverse_dynamics(arm, q, qd, qdd)
         if P > 1:
             qd[1] = qdd[1] = tau[1] = np.nan                  # a free start
         q_next = data.draw(joint_table(C, 0.2))
@@ -505,7 +506,7 @@ class TestStageTransitions:
         assert ev.lanes.size == np.count_nonzero(np.isfinite(ev.dt)[:, :, None] & passed)
         c = np.unravel_index(ev.lanes, ev.feasible.shape)[2]
         for row in range(ev.lanes.size):
-            ref = arm.inverse_dynamics(q_next[c[row]], ev.qd[row], ev.qdd[row])
+            ref = inverse_dynamics(arm, q_next[c[row]], ev.qd[row], ev.qdd[row])
             assert ev.tau[row].tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("check_count", [0, 2])
@@ -611,7 +612,7 @@ class TestStageTransitions:
             for k in range(1, check_count + 1):
                 s = k / (check_count + 1.0)
                 pv_s = np.sqrt((1.0 - s) * pv2_prev + s * pv2_next)
-                ref[row, k] = arm.inverse_dynamics(a + s * (b - a), slope * pv_s, qdd_edge)
+                ref[row, k] = inverse_dynamics(arm, a + s * (b - a), slope * pv_s, qdd_edge)
         # each joint's bound is exactly one of its samples, so a sample one
         # ulp off its reference can flip its lane's verdict
         ref = np.abs(ref)
@@ -681,7 +682,7 @@ class TestStageTransitions:
         tau = rng.normal(0, 10.0, (P, 3))
         rest = pv == 0.0
         qd[rest] = qdd[rest] = 0.0
-        tau[rest] = arm.inverse_dynamics(q[rest], qd[rest], qdd[rest])
+        tau[rest] = inverse_dynamics(arm, q[rest], qd[rest], qdd[rest])
         free = rng.random(P) < 0.25
         qd[free] = qdd[free] = tau[free] = np.nan
         C = 5

@@ -129,7 +129,7 @@ class TestBuildGrid:
             for j in range(rows.shape[0]):
                 for g in range(2):
                     c = j * 2 + g
-                    if not grid.cfg_ok[i, c]:
+                    if not grid.admissible[i, :, c].any():
                         continue
                     q = inverse_kinematics(arm, path.waypoints[i], rows[j], g)
                     assert np.array_equal(grid.q_table[i, c], q)
@@ -185,7 +185,7 @@ class TestBuildGrid:
         path = line_path(3)
         spec = spec_1d()
         grid = build_grid(clamped, path, spec)
-        assert np.all(grid.q_table[grid.cfg_ok][:, 0] >= 0.0)
+        assert np.all(grid.q_table[grid.admissible.any(axis=1)][:, 0] >= 0.0)
         cells = admissible_cells_by_sweep(clamped, path, spec)
         expected = [cells[0], cells[1] * 6, cells[2] * 6, cells[3]]
         assert grid.admissible_counts == expected
@@ -204,7 +204,8 @@ class TestBuildGrid:
         spec = spec_1d(v_min=0.0, v_max=0.4, v_step=0.4, rest=False)
         grid = build_grid(unit_arm, path, spec)
         assert grid.degenerate[0, 0] and grid.degenerate[0, 1]
-        assert grid.cfg_ok[0, 0] and not grid.cfg_ok[0, 1]
+        cfg_ok = grid.admissible.any(axis=1)
+        assert cfg_ok[0, 0] and not cfg_ok[0, 1]
         assert np.array_equal(grid.q_table[0, 0], np.zeros(3))
 
     def test_mismatched_redundancy_dimension(self, arm):
@@ -253,8 +254,8 @@ class TestRefinement:
             for j in range(cv.size):
                 for g in range(G):
                     cc, fc = j * G + g, 2 * j * G + g
-                    if coarse.cfg_ok[i, cc]:
-                        assert fine.cfg_ok[i, fc]
+                    if coarse.admissible[i, :, cc].any():
+                        assert fine.admissible[i, :, fc].any()
                         assert np.array_equal(coarse.q_table[i, cc], fine.q_table[i, fc])
                         assert np.array_equal(coarse.admissible[i, :, cc], fine.admissible[i, :, fc])
 
@@ -275,8 +276,9 @@ class TestConfigurationGrid:
         q_table = np.zeros((3, 2, 3))
         q_table[1, 1] = np.nan
         grid = grid_from_configurations(arm, path, q_table, spec_1d())
-        assert not grid.cfg_ok[1, 1]
-        assert grid.cfg_ok[1, 0]
+        cfg_ok = grid.admissible.any(axis=1)
+        assert not cfg_ok[1, 1]
+        assert cfg_ok[1, 0]
 
     def test_emptied_stage_raises_empty_stage(self, arm):
         path = line_path(3)

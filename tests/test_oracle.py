@@ -295,7 +295,7 @@ def test_compare_identical_results_zero_gap():
     assert isinstance(report, GapReport)
     assert report.gap == 0.0
     assert report.relative_gap == 0.0
-    assert report.dp_cost == report.oracle_cost == dp.cost
+    assert report.dp.cost == report.oracle.cost == dp.cost
     assert report.dp.node_ids.tolist() == dp.node_ids.tolist()
     assert report.oracle.node_ids.tolist() == oracle.node_ids.tolist()
     assert set(report.attribution) == {"qd"}

@@ -400,7 +400,7 @@ class TestInfeasibility:
 
     def test_check_points_can_kill_all_chains(self):
         # gravity peaks mid-edge; endpoint checks alone miss it
-        from conftest import make_reference_arm
+        from conftest import inverse_dynamics, make_reference_arm
         arm = make_reference_arm()
         path = line_path(1)
         q_table = np.array([[[-0.5, 0.0, 0.0]], [[0.5, 0.0, 0.0]]])
@@ -408,8 +408,8 @@ class TestInfeasibility:
                         v_step=[1.0], rest_to_rest=False)
         grid = grid_from_configurations(arm, path, q_table, spec)
         slope = (q_table[1, 0] - q_table[0, 0]) / path.dlam
-        taus = [np.abs(arm.inverse_dynamics(q_table[0, 0] + s * (q_table[1, 0] - q_table[0, 0]),
-                                            slope * 0.05, np.zeros(3)))[0]
+        taus = [np.abs(inverse_dynamics(arm, q_table[0, 0] + s * (q_table[1, 0] - q_table[0, 0]),
+                                        slope * 0.05, np.zeros(3)))[0]
                 for s in np.linspace(0, 1, 101)]
         bound = np.array([(max(taus) + taus[0]) / 2.0, 50.0, 50.0])
         limits = LimitSets(tau=bound)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redplan.baseline import _linearize, _row_offsets
 from redplan.errors import ScenarioError
 from redplan.robot import DynamicParams, JointLimits, PlanarArm, load_robot
 
-from conftest import BranchDegenerate, Unreachable, inverse_kinematics, make_reference_arm
+from conftest import (BranchDegenerate, Unreachable, inverse_dynamics, inverse_kinematics,
+                      make_reference_arm)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -60,7 +62,7 @@ def christoffel_bias(arm: PlanarArm, q, qd, h=1e-6):
     for c in range(n):
         e = np.zeros(n)
         e[c] = h
-        dH[:, :, c] = (arm.inertia_matrix(q + e) - arm.inertia_matrix(q - e)) / (2.0 * h)
+        dH[:, :, c] = (arm.rigid_terms(q + e).H - arm.rigid_terms(q - e).H) / (2.0 * h)
     bias = np.zeros(n)
     for a in range(n):
         for b in range(n):
@@ -75,27 +77,22 @@ def random_joint_vectors(arm: PlanarArm, count, rng):
 
 
 # ---------------------------------------------------------------------------
-# forward kinematics
+# forward kinematics: the position the baseline reads off the Jacobian
+
+
+def position(arm, q):
+    return _linearize(arm, q, _row_offsets(arm.n, False))[0]
 
 
 def test_fk_stretched_unit_arm(unit_arm):
-    assert unit_arm.forward_kinematics(np.zeros(3)) == pytest.approx([3.0, 0.0])
-    assert unit_arm.forward_kinematics(np.array([np.pi / 2, 0.0, 0.0])) == pytest.approx([0.0, 3.0])
+    assert position(unit_arm, np.zeros(3)) == pytest.approx([3.0, 0.0])
+    assert position(unit_arm, np.array([np.pi / 2, 0.0, 0.0])) == pytest.approx([0.0, 3.0])
 
 
 def test_fk_matches_transform_chain(arm):
     rng = np.random.default_rng(7)
     for q in random_joint_vectors(arm, 200, rng):
-        assert arm.forward_kinematics(q) == pytest.approx(transform_chain_fk(arm, q), abs=1e-12)
-
-
-def test_fk_batched_matches_scalar(arm):
-    rng = np.random.default_rng(8)
-    qs = random_joint_vectors(arm, 50, rng).reshape(5, 10, 3)
-    batched = arm.forward_kinematics(qs)
-    for i in range(5):
-        for j in range(10):
-            assert np.array_equal(batched[i, j], arm.forward_kinematics(qs[i, j]))
+        assert position(arm, q) == pytest.approx(transform_chain_fk(arm, q), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +116,7 @@ def test_ik_round_trip_1000_poses(arm):
     rng = np.random.default_rng(11)
     qs = random_joint_vectors(arm, 1000, rng)
     for q in qs:
-        x = arm.forward_kinematics(q)
+        x = transform_chain_fk(arm, q)
         g = 0 if q[2] >= 0.0 else 1
         q_back = inverse_kinematics(arm, x, q[:1], g)
         assert np.max(np.abs(q_back - q)) < 1e-10
@@ -129,8 +126,8 @@ def test_ik_branches_distinct_off_degeneracy(arm):
     q0 = inverse_kinematics(arm, np.array([0.55, 0.2]), np.array([0.9]), 0)
     q1 = inverse_kinematics(arm, np.array([0.55, 0.2]), np.array([0.9]), 1)
     assert q0[2] > 0.0 > q1[2]
-    assert arm.forward_kinematics(q0) == pytest.approx([0.55, 0.2], abs=1e-12)
-    assert arm.forward_kinematics(q1) == pytest.approx([0.55, 0.2], abs=1e-12)
+    assert transform_chain_fk(arm, q0) == pytest.approx([0.55, 0.2], abs=1e-12)
+    assert transform_chain_fk(arm, q1) == pytest.approx([0.55, 0.2], abs=1e-12)
 
 
 def test_ik_elbow_below_chord_on_branch_zero(arm):
@@ -170,7 +167,7 @@ def test_branch_count_constant(arm):
 
 
 def test_jacobian_lever_arms(unit_arm):
-    J = unit_arm.jacobian(np.zeros(3))
+    J = unit_arm._jacobian(*unit_arm._trig(np.zeros(3)))
     assert J[1] == pytest.approx([3.0, 2.0, 1.0])
     assert J[0] == pytest.approx([0.0, 0.0, 0.0])
 
@@ -179,15 +176,16 @@ def test_jacobian_matches_central_differences(arm):
     rng = np.random.default_rng(12)
     h = 1e-6
     for q in random_joint_vectors(arm, 100, rng):
-        J = arm.jacobian(q)
+        J = arm._jacobian(*arm._trig(q))
         delta = rng.standard_normal(3)
-        fd = (arm.forward_kinematics(q + h * delta) - arm.forward_kinematics(q - h * delta)) / (2 * h)
+        fd = (transform_chain_fk(arm, q + h * delta)
+              - transform_chain_fk(arm, q - h * delta)) / (2 * h)
         assert J @ delta == pytest.approx(fd, abs=1e-6)
 
 
 def test_jacobian_full_rank_generic(arm):
     q = np.array([0.3, -0.7, 1.1])
-    assert np.linalg.matrix_rank(arm.jacobian(q)) == 2
+    assert np.linalg.matrix_rank(arm._jacobian(*arm._trig(q))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +194,7 @@ def test_jacobian_full_rank_generic(arm):
 
 def test_static_unloaded_torque_zero():
     arm = make_reference_arm(coulomb=(0.0, 0.0, 0.0), gravity=(0.0, 0.0))
-    tau = arm.inverse_dynamics(np.array([0.4, -0.8, 1.2]), np.zeros(3), np.zeros(3))
+    tau = inverse_dynamics(arm, np.array([0.4, -0.8, 1.2]), np.zeros(3), np.zeros(3))
     assert np.array_equal(tau, np.zeros(3))
 
 
@@ -204,7 +202,7 @@ def test_gravity_torque_matches_potential_gradient(arm):
     rng = np.random.default_rng(13)
     h = 1e-6
     for q in random_joint_vectors(arm, 100, rng):
-        tau = arm.inverse_dynamics(q, np.zeros(3), np.zeros(3))
+        tau = inverse_dynamics(arm, q, np.zeros(3), np.zeros(3))
         grad = np.array([
             (potential_energy(arm, q + h * e) - potential_energy(arm, q - h * e)) / (2 * h)
             for e in np.eye(3)
@@ -216,7 +214,7 @@ def test_gravity_torque_matches_potential_gradient(arm):
 def test_inertia_spd_1000_configurations(arm):
     rng = np.random.default_rng(14)
     qs = random_joint_vectors(arm, 1000, rng)
-    H = arm.inertia_matrix(qs)
+    H = arm.rigid_terms(qs).H
     assert np.array_equal(H, np.swapaxes(H, -1, -2))
     assert np.linalg.eigvalsh(H).min() > 0.0
 
@@ -225,7 +223,7 @@ def test_inertia_matches_kinetic_energy(arm):
     rng = np.random.default_rng(15)
     for q in random_joint_vectors(arm, 50, rng):
         qd = rng.standard_normal(3)
-        ke = 0.5 * qd @ arm.inertia_matrix(q) @ qd
+        ke = 0.5 * qd @ arm.rigid_terms(q).H @ qd
         assert ke == pytest.approx(kinetic_energy(arm, q, qd), rel=1e-6)
 
 
@@ -234,16 +232,8 @@ def test_bias_matches_christoffel_oracle():
     rng = np.random.default_rng(16)
     for q in random_joint_vectors(arm, 50, rng):
         qd = rng.standard_normal(3)
-        bias = arm.bias_forces(q, qd) - arm.dynamics.viscous * qd
+        bias = inverse_dynamics(arm, q, qd, np.zeros(3)) - arm.dynamics.viscous * qd
         assert bias == pytest.approx(christoffel_bias(arm, q, qd), abs=1e-7)
-
-
-def test_inverse_dynamics_consistent_with_parts(arm):
-    rng = np.random.default_rng(17)
-    q, qd, qdd = rng.standard_normal((3, 3))
-    tau = arm.inverse_dynamics(q, qd, qdd)
-    ref = arm.inertia_matrix(q) @ qdd + arm.bias_forces(q, qd)
-    assert tau == pytest.approx(ref, rel=1e-13)
 
 
 def test_energy_balance_along_trajectory():
@@ -261,12 +251,12 @@ def test_energy_balance_along_trajectory():
 
     def energy(t):
         q, qd, _ = state(t)
-        return 0.5 * qd @ arm.inertia_matrix(q) @ qd + potential_energy(arm, q)
+        return 0.5 * qd @ arm.rigid_terms(q).H @ qd + potential_energy(arm, q)
 
     h = 1e-5
     for t in np.linspace(0.2, 2.8, 9):
         q, qd, qdd = state(t)
-        tau = arm.inverse_dynamics(q, qd, qdd)
+        tau = inverse_dynamics(arm, q, qd, qdd)
         power = qd @ (tau - arm.dynamics.viscous * qd)
         dE = (energy(t + h) - energy(t - h)) / (2 * h)
         assert dE == pytest.approx(power, rel=1e-5, abs=1e-7)
@@ -276,7 +266,8 @@ def test_coulomb_term_uses_sign_with_zero_at_rest(arm):
     q = np.array([0.3, 0.2, -0.5])
     qd = np.array([0.4, 0.0, -0.2])
     # centripetal torque is even in qd, so the odd part isolates friction exactly
-    odd = 0.5 * (arm.bias_forces(q, qd) - arm.bias_forces(q, -qd))
+    zero = np.zeros(3)
+    odd = 0.5 * (inverse_dynamics(arm, q, qd, zero) - inverse_dynamics(arm, q, -qd, zero))
     expected = arm.dynamics.viscous * qd + arm.dynamics.coulomb * np.sign(qd)
     assert odd == pytest.approx(expected, abs=1e-13)
     assert odd[1] == pytest.approx(0.0, abs=1e-15)  # sign(0) = 0: no stiction
@@ -287,10 +278,10 @@ def test_batched_dynamics_bitwise_equal_scalar(arm):
     q = rng.standard_normal((4, 5, 3))
     qd = rng.standard_normal((4, 5, 3))
     qdd = rng.standard_normal((4, 5, 3))
-    tau = arm.inverse_dynamics(q, qd, qdd)
+    tau = inverse_dynamics(arm, q, qd, qdd)
     for i in range(4):
         for j in range(5):
-            assert np.array_equal(tau[i, j], arm.inverse_dynamics(q[i, j], qd[i, j], qdd[i, j]))
+            assert np.array_equal(tau[i, j], inverse_dynamics(arm, q[i, j], qd[i, j], qdd[i, j]))
 
 
 def test_rigid_terms_split_bitwise_equal_inverse_dynamics(arm):
@@ -304,7 +295,7 @@ def test_rigid_terms_split_bitwise_equal_inverse_dynamics(arm):
     qd[1] = 0.0                          # sign(0) = 0 in the Coulomb term
     qdd[2] = np.nan                      # a lane without enough history
     tau = arm.torque(arm.rigid_terms(q)[idx], qd, qdd)
-    assert tau.tobytes() == arm.inverse_dynamics(q[idx], qd, qdd).tobytes()
+    assert tau.tobytes() == inverse_dynamics(arm, q[idx], qd, qdd).tobytes()
     for k, i in enumerate(idx):
         one = arm.torque(arm.rigid_terms(q[i]), qd[k], qdd[k])
         assert one.tobytes() == tau[k].tobytes()
@@ -336,8 +327,8 @@ def test_broadcast_dynamics_bitwise_equal_tiled(arm):
     q = rng.standard_normal((1, 6, 3))
     qd = rng.standard_normal((4, 6, 3))
     qdd = rng.standard_normal((4, 6, 3))
-    tau = arm.inverse_dynamics(q, qd, qdd)
-    tau_tiled = arm.inverse_dynamics(np.broadcast_to(q, (4, 6, 3)).copy(), qd, qdd)
+    tau = inverse_dynamics(arm, q, qd, qdd)
+    tau_tiled = inverse_dynamics(arm, np.broadcast_to(q, (4, 6, 3)).copy(), qd, qdd)
     assert np.array_equal(tau, tau_tiled)
 
 
@@ -347,16 +338,6 @@ def test_broadcast_dynamics_bitwise_equal_tiled(arm):
 # The kernels add each term to a slice of entries at once; these loops
 # compute one entry at a time, with the same operations in the same order,
 # so the two agree bit for bit, NaN payloads and zero signs included.
-
-
-def loop_position(arm, q):
-    th = np.cumsum(q, axis=-1)
-    x = np.zeros(q.shape[:-1])
-    y = np.zeros(q.shape[:-1])
-    for a in range(arm.n):
-        x = x + arm._L[a] * np.cos(th[..., a])
-        y = y + arm._L[a] * np.sin(th[..., a])
-    return np.stack([x, y], axis=-1)
 
 
 def loop_jacobian(arm, q):
@@ -470,8 +451,7 @@ def test_kernels_bitwise_equal_loop_forms(n, batch, data):
     reference = loop_com_jacobian_components(arm, q)
     for got, expect in zip(components, reference):
         assert np.array_equal(bits(got), bits(expect))
-    pairs = [(arm.forward_kinematics(q), loop_position(arm, q)),
-             (arm.jacobian(q), loop_jacobian(arm, q)),
+    pairs = [(arm._jacobian(*trig), loop_jacobian(arm, q)),
              (arm._inertia(components), loop_inertia(arm, reference)),
              (arm._centripetal(components), loop_centripetal(arm, reference)),
              (arm._gravity(components), loop_gravity(arm, reference))]
@@ -488,8 +468,8 @@ def test_robot_round_trips_through_dict(arm):
     clone = load_robot(arm.to_dict())
     assert clone.to_dict() == arm.to_dict()
     q = np.array([0.2, -0.4, 0.9])
-    assert np.array_equal(clone.forward_kinematics(q), arm.forward_kinematics(q))
-    assert np.array_equal(clone.inertia_matrix(q), arm.inertia_matrix(q))
+    assert np.array_equal(clone._jacobian(*clone._trig(q)), arm._jacobian(*arm._trig(q)))
+    assert np.array_equal(clone.rigid_terms(q).H, arm.rigid_terms(q).H)
 
 
 def test_load_robot_rejects_bad_descriptions(arm):
