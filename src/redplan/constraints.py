@@ -11,10 +11,13 @@ than guessing values.
 One function computes every edge: `stage_transitions` scores candidate
 lanes, the edges from P predecessors to the C cells of the next stage at
 each of its L pseudo-velocity levels. Its candidates are an (L, C) mask
-that every predecessor shares or a sorted list of lane ids; it answers
-lane by lane (`StageEval`) and builds no P x L x C array. The sweep calls
-it once per stage and block of labels; a replay scores a chain of N edges
-as N listed lanes of three calls (rows stages 0..N-1, cells stages 1..N),
+that every predecessor shares, that mask's `Screen` over the call's rows,
+or a sorted list of lane ids; it answers lane by lane (`StageEval`) and
+builds no P x L x C array. The sweep screens a stage's shared mask once
+(`velocity_screens`, in chunks of groups only when the stage is large) and
+calls it once per block of labels with the block's part of the screen
+(`Screen.rows`), a block cut by the lanes it is handed; a windowed block
+lists its lanes. A replay scores a chain of N edges as N listed lanes of three calls (rows stages 0..N-1, cells stages 1..N),
 each fed the samples of the one before, and so reproduces the sweep's
 numbers bit for bit. The rigid-body terms (H, G and gravity) depend on the
 cell alone: the grid holds them (StateGrid.terms), and the caller passes
@@ -42,17 +45,18 @@ dq (its (group, cell) pair for a mask, the lane itself for a list), so its
 rigid-body terms are computed once per row that an evaluated lane reads
 and gathered per lane. A shared value is the same IEEE operation on
 bitwise-equal operands as the lane's own, so a block gives what its rows
-would give one at a time.
+would give one at a time, and a screen's chunks and blocks change no bit.
 
 The per-lane arrays are stored joint-major (`_gather`), so each per-joint
 operation runs over all lanes at once; every operation on them is
 elementwise or an exact boolean reduction, so the layout changes no bit.
-One errstate context per call silences the invalid operations (NaN history,
-inf times zero) of the table, the difference stack, the torque and the
-endpoint checks. The check-point samples take a square root and the
-rigid-body terms of rows that evaluated lanes read (finite configurations
-in every sweep and replay), which stay outside it; their checks are
-comparisons, which raise no floating-point error on NaN.
+Two errstate contexts, around the screen and around the per-lane part,
+silence the invalid operations (NaN history, inf times zero) of the
+table, the difference stack, the torque and the endpoint checks. The
+check-point samples take a square root and the rigid-body terms of rows
+that evaluated lanes read (finite configurations in every sweep and
+replay), which stay outside them; their checks are comparisons, which
+raise no floating-point error on NaN.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ScenarioError
-from .robot import PlanarArm, RigidTerms, _matvec
+from .robot import PlanarArm, RigidTerms
 
 Array = np.ndarray
 
@@ -153,7 +157,7 @@ def edge_durations(pv_prev, pv_next, dlam: float) -> Array:
     2 dlam / (pv_prev + pv_next). Lanes with zero pseudo-velocity at both
     ends have no time step and come back as +inf.
     """
-    pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
+    pv_prev, pv_next = np.asarray(pv_prev, dtype=float), np.asarray(pv_next, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         trapezoid = 2.0 * dlam / (pv_prev + pv_next)
         backward = dlam / pv_next
@@ -164,7 +168,7 @@ def _order_ok(value: Array, bound: Array) -> Array:
     """Per-sample feasibility of one order; NaN samples are skipped (a NaN
     compares false, so it never exceeds its bound, and numpy's comparisons
     raise no floating-point error on it)."""
-    return ~(np.abs(value) > bound).any(axis=-1)
+    return ~np.logical_or.reduce(np.abs(value) > bound, axis=-1)
 
 
 def _gather(table: Array, idx: Array) -> Array:
@@ -183,14 +187,14 @@ def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
     as a crossing. The caller silences the invalid operations of the
     product (inf times zero).
     """
-    return (qd_prev * qd_next < 0.0).any(axis=-1)
+    return np.logical_or.reduce(qd_prev * qd_next < 0.0, axis=-1)
 
 
 def _runs(key: Array) -> tuple[Array, Array]:
     """Runs of adjacent rows of key (N, ...) with equal bits: (run, first).
     run numbers each row's run from 0, and first holds each run's first row."""
     new = np.ones(key.shape[0], dtype=bool)
-    new[1:] = (key[1:] != key[:-1]).any(axis=tuple(range(1, key.ndim)))
+    new[1:] = np.logical_or.reduce(key[1:] != key[:-1], axis=tuple(range(1, key.ndim)))
     return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
@@ -273,11 +277,112 @@ class StageEval:
                 for order, ok in self.verdicts.items()}
 
 
+@dataclass(frozen=True)
+class Screen:
+    """The velocity screen of an (L, C) candidate mask over rows 0..P-1 of
+    predecessors (one chunk of velocity_screens), which stage_transitions
+    takes as its candidates to score those rows' lanes.
+
+    dt (P, L) holds the rows' time steps (edge_durations). group (P,)
+    numbers each row's group, a run of rows with bitwise-equal
+    configuration and time steps, and q (G, n) holds each group's
+    configuration; row g * C + c of dq is the step from group g to cell c.
+    Each row is handed its group's passed (group, candidate lane) pairs,
+    counts (P,) of them: for group g, entries start[g] on, in lane order, of
+    the lane l * C + c within a row (lc), the joint velocity qd and the
+    bias torque ((K, n) each, joint-major).
+    """
+
+    mask: Array
+    dt: Array
+    group: Array
+    counts: Array
+    q: Array
+    dq: Array
+    start: Array
+    lc: Array
+    qd: Array
+    bias: Array
+
+    def rows(self, a: int, b: int) -> "Screen":
+        """The screen of rows a..b-1, renumbered from 0 (b > a)."""
+        if (a, b) == (0, self.group.size):
+            return self
+        g0, g1 = self.group[a], self.group[b - 1] + 1
+        e0, e1 = self.start[g0], self.start[g1 - 1] + self.counts[b - 1]
+        C = self.mask.shape[1]
+        return Screen(self.mask, self.dt[a:b], self.group[a:b] - g0, self.counts[a:b],
+                      self.q[g0:g1], self.dq[g0 * C:g1 * C], self.start[g0:g1] - e0,
+                      self.lc[e0:e1], self.qd[e0:e1], self.bias[e0:e1])
+
+
+def _velocity(robot, limits, terms_next, dq, pair_dq, step, keep, pair_c):
+    """The velocity part of a screen of (row, pair) entries, (rows, pairs)
+    for a mask or (pairs,) for a list (row 0): keep marks the entries
+    with a time step (it is updated in place), step holds their time steps,
+    pair_dq their rows of dq and pair_c each pair's cell. The table drops
+    entries, then the exact check does: (row, pair, qd, bias) of the rest,
+    in entry order. The caller silences the invalid operations."""
+    if limits.qd is not None:
+        # NaN in tmin never drops a lane: the exact check skips NaN
+        tmin = np.max(np.abs(dq) / limits.qd, axis=-1)
+        keep &= ~(tmin[pair_dq] > step * (1.0 + _TABLE_SLACK))
+    kept = np.flatnonzero(keep)
+    qd = _gather(dq, pair_dq.ravel()[kept])
+    qd /= step.ravel()[kept][:, None]
+    if limits.qd is not None:
+        passed = _order_ok(qd, limits.qd)
+        kept, qd = kept[passed], qd.T.compress(passed, axis=-1).T
+    g, k = np.divmod(kept, keep.shape[-1])
+    c = pair_c[k]
+    bias = robot.bias_torque(_gather(terms_next.G, c), _gather(terms_next.gravity, c), qd)
+    return g, k, qd, bias
+
+
+def velocity_screens(robot: PlanarArm, limits: LimitSets, dlam: float, q_prev: Array,
+                     pv_prev: Array, q_next: Array, terms_next: RigidTerms, pv_next: Array,
+                     candidates: Array | None = None, max_entries: int | None = None):
+    """Screen the lanes of an (L, C) candidate mask that rows q_prev (P, n)
+    at levels pv_prev share (None: every lane) by joint velocity, in chunks
+    of consecutive rows: yields (a, the Screen of rows a..b-1) per chunk.
+    Arguments are as for stage_transitions. A chunk holds whole groups, at
+    most max_entries // pairs of them (at least one; None: one chunk), so
+    its (group, pair) entries stay within max_entries unless one group's
+    exceed it alone.
+    """
+    pv_prev, pv_next = np.asarray(pv_prev, dtype=float), np.asarray(pv_next, dtype=float)
+    P, C = q_prev.shape[0], q_next.shape[0]
+    mask = np.ones((pv_next.size, C), dtype=bool) if candidates is None else candidates
+    dt = edge_durations(pv_prev[:, None], pv_next, dlam)
+    has_step = np.isfinite(dt)
+    step = np.where(has_step, dt, 1.0)
+    # each run of bitwise-equal rows meets every lane l * C + c of the mask
+    group, first = _runs(np.concatenate((q_prev, dt[:, mask.any(axis=1)]), axis=1)
+                         .view(np.int64))
+    pair_u = np.flatnonzero(mask)
+    pair_l, pair_c = np.divmod(pair_u, C)
+    G = first.size
+    per_chunk = max(1, G if max_entries is None else max_entries // max(pair_u.size, 1))
+    for g0 in range(0, max(G, 1), per_chunk):
+        g1 = min(g0 + per_chunk, G)
+        at = first[g0:g1]
+        dq = (q_next - q_prev[at][:, None, :]).reshape(-1, q_next.shape[1])
+        with np.errstate(invalid="ignore"):
+            g, k, qd, bias = _velocity(robot, limits, terms_next, dq,
+                                       np.arange(at.size)[:, None] * C + pair_c,
+                                       step[at][:, pair_l], has_step[at][:, pair_l], pair_c)
+        per_group = np.bincount(g, minlength=at.size)
+        a, b = (first[g0] if g0 < G else 0), (first[g1] if g1 < G else P)
+        local = group[a:b] - g0
+        yield a, Screen(mask, dt[a:b], local, per_group[local], q_prev[at], dq,
+                        np.cumsum(per_group) - per_group, pair_u[k], qd, bias)
+
+
 def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                       q_prev: Array, pv_prev: Array, qd_prev: Array,
                       qdd_prev: Array, tau_prev: Array,
                       q_next: Array, terms_next: RigidTerms, pv_next: Array,
-                      check_count: int = 0, candidates: Array | None = None) -> StageEval:
+                      check_count: int = 0, candidates=None) -> StageEval:
     """Score the candidate transitions into one stage, lane by lane.
 
     q_prev (P, n) with chain samples qd/qdd/tau_prev (P, n); q_next (C, n)
@@ -287,71 +392,59 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     predecessor p to cell c at level l. candidates is a boolean (L, C)
     mask that every predecessor shares (None: every lane), whose velocity
     work runs once per run of adjacent predecessors with bitwise-equal
-    q_prev and time steps, or a sorted array of lane ids, each scored on
-    its own. A lane without a time step has dt = +inf; only the candidates
-    with a time step that pass the joint-velocity bound are evaluated.
+    q_prev and time steps; the Screen of such a mask over these rows
+    (velocity_screens), whose velocity work is done; or a sorted array of
+    lane ids, each scored on its own. A lane without a time step has dt =
+    +inf; only the candidates with a time step that pass the joint-velocity
+    bound are evaluated.
     """
-    pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
+    pv_prev, pv_next = np.asarray(pv_prev, dtype=float), np.asarray(pv_next, dtype=float)
     P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
     S = L * C
-    candidates = np.ones((L, C), dtype=bool) if candidates is None else candidates
-    dt = edge_durations(pv_prev[:, None], pv_next, dlam)
+    shared = not isinstance(candidates, np.ndarray) or candidates.ndim == 2
+    if shared and not isinstance(candidates, Screen):
+        (_, candidates), = velocity_screens(robot, limits, dlam, q_prev, pv_prev, q_next,
+                                            terms_next, pv_next, candidates)
+    dt = candidates.dt if shared else edge_durations(pv_prev[:, None], pv_next, dlam)
     has_step = np.isfinite(dt)
     step = np.where(has_step, dt, 1.0)
-    shared = candidates.ndim == 2
     if shared:
-        # each run of bitwise-equal rows meets every lane l * C + c of the mask
-        levels = candidates.any(axis=1)
-        group, first = _runs(np.concatenate((q_prev, dt[:, levels]), axis=1).view(np.int64))
-        pair_u = np.flatnonzero(candidates)
-        pair_l, pair_c = np.divmod(pair_u, C)
-        shared_step, screen = step[first][:, pair_l], has_step[first][:, pair_l]
-        with_step = int(has_step.sum(axis=0) @ candidates.sum(axis=1))
-        no_step = P * pair_u.size - with_step
-        dq = (q_next - q_prev[first][:, None, :]).reshape(-1, q_next.shape[1])
-        pair_dq = np.arange(first.size)[:, None] * C + pair_c
+        screen = candidates
+        with_step = int(has_step.sum(axis=0) @ screen.mask.sum(axis=1))
+        no_step = P * np.count_nonzero(screen.mask) - with_step
+        # each predecessor takes its group's passed pairs: one run of
+        # entries, so the evaluated lanes come in ascending order
+        count = screen.counts
+        row = np.arange(count.sum()) + np.repeat(screen.start[screen.group]
+                                                 - np.cumsum(count) + count, count)
+        p, lc = np.repeat(np.arange(P), count), screen.lc[row]
+        qd, bias, dq = screen.qd, screen.bias, screen.dq
+        candidates = screen.mask
     else:
         # each listed lane is its own pair, with its own row of dq
         pair_p, pair_u = np.divmod(candidates, S)
         pair_l, pair_c = np.divmod(pair_u, C)
-        shared_step, screen = step[pair_p, pair_l], has_step[pair_p, pair_l]
-        with_step = int(np.count_nonzero(screen))
+        listed_step = has_step[pair_p, pair_l]
+        with_step = int(np.count_nonzero(listed_step))
         no_step = candidates.size - with_step
         dq = _gather(q_next, pair_c) - _gather(q_prev, pair_p)
-        pair_dq = np.arange(pair_c.size)
-    # the velocity part, once per pair: the pairs without a time step drop
-    # out, then those the table drops; the exact check runs on the rest
+        with np.errstate(invalid="ignore"):
+            _, k, qd, bias = _velocity(robot, limits, terms_next, dq, np.arange(pair_c.size),
+                                       step[pair_p, pair_l], listed_step, pair_c)
+        p, lc, row = pair_p[k], pair_u[k], np.arange(k.size)
+    lanes = p * S + lc
+    l, c = np.divmod(lc, C)
     with np.errstate(invalid="ignore"):
-        if limits.qd is not None:
-            # NaN in tmin never drops a lane: the exact check skips NaN
-            tmin = np.max(np.abs(dq) / limits.qd, axis=-1)
-            screen &= ~(tmin[pair_dq] > shared_step * (1.0 + _TABLE_SLACK))
-        kept = np.flatnonzero(screen)
-        g, k = np.divmod(kept, pair_u.size) if shared else (kept, kept)
-        c = pair_c[k]
-        qd = _gather(dq, pair_dq.ravel()[kept])
-        qd /= shared_step.ravel()[kept][:, None]
-        if limits.qd is not None:
-            passed = _order_ok(qd, limits.qd)
-            g, k, c, qd = (a.T.compress(passed, axis=-1).T for a in (g, k, c, qd))
-        bias = robot.bias_torque(_gather(terms_next.G, c), _gather(terms_next.gravity, c), qd)
-        # the evaluated lanes in ascending order, each with its pair's row
-        if shared:
-            # each predecessor takes its group's passed pairs: one run of rows
-            per_group = np.bincount(g, minlength=first.size)
-            count = per_group[group]
-            row = np.arange(count.sum()) + np.repeat(np.cumsum(per_group)[group]
-                                                     - np.cumsum(count), count)
-            p, lc = np.repeat(np.arange(P), count), pair_u[k[row]]
-        else:
-            p, lc, row = pair_p[k], pair_u[k], np.arange(k.size)
-        lanes = p * S + lc
-        l, c = np.divmod(lc, C)
-        qd, bias = _gather(qd, row), _gather(bias, row)
+        qd = _gather(qd, row)
         qd_prev, step = _gather(qd_prev, p), step[p, l][:, None]
         qdd = (qd - qd_prev) / step
         qddd = (qdd - _gather(qdd_prev, p)) / step
-        tau = _matvec(_gather(terms_next.H, c), qdd) + bias
+        # H qdd column by column, folded left to right as _matvec folds
+        # it, from the cells' columns of H: no (K, n, n) gather
+        tau = _gather(terms_next.H[:, :, 0], c) * qdd[:, :1]
+        for b in range(1, qdd.shape[1]):
+            tau += _gather(terms_next.H[:, :, b], c) * qdd[:, b:b + 1]
+        tau += _gather(bias, row)
         taud = (tau - _gather(tau_prev, p)) / step
         stack = (qd, qdd, qddd, tau, taud)
         # each enabled order's verdict on the evaluated lanes: its endpoint
@@ -373,12 +466,12 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         # a check point's configuration q_prev + s * dq depends on the
         # lane's row of dq alone: its rigid-body terms are computed once
         # per row that some evaluated lane reads, from the row's own q_prev
-        # (the group's first row for a mask), and gathered per lane
-        lane_dq = group[p] * C + c if shared else k
+        # (its group's for a mask), and gathered per lane
+        lane_dq = screen.group[p] * C + c if shared else k
         read = np.zeros(dq.shape[0], dtype=bool)
         read[lane_dq] = True
         at = np.flatnonzero(read)
-        base, at_dq = q_prev[first[at // C] if shared else pair_p[at]], dq[at]
+        base, at_dq = screen.q[at // C] if shared else q_prev[pair_p[at]], dq[at]
         slot = (np.cumsum(read) - 1)[lane_dq]
         for s, qd_s, qdd_s in _interior_samples(_gather(dq, lane_dq), pv2_prev, pv2_next,
                                                 dlam, check_count):
@@ -391,7 +484,9 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
             for order in _CHECK_POINT_ORDERS:
                 if order in verdicts:
                     verdicts[order] &= _order_ok(sample[order], limits.bound(order))
-    ok = np.all(list(verdicts.values()), axis=0) if verdicts else np.ones(lanes.size, bool)
+    ok = np.ones(lanes.size, bool)
+    for verdict in verdicts.values():
+        ok &= verdict
     return StageEval(dt, lanes, *stack, ok, verdicts, (P, L, C), candidates, with_step, no_step)
 
 

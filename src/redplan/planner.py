@@ -11,20 +11,25 @@ k is full, k + (f,) before; each next key keeps its cheapest predecessor
 label, on a tie the one with the smallest key, so results are
 bit-reproducible. A rest start node that cannot hold still within the
 torque bound starts no chain. A chain's cost is its duration, the sum of
-its time steps. There is one engine call per stage and block of labels;
-the blocks bound the engine's memory. The sweep orders each stage's
-labels once, by last cell, then last level, so that a block's labels end
-in few configurations and the labels that share a configuration and time
-steps are adjacent, and the engine shares their velocity work. Each block
-reduces its feasible lanes to one entry per next key with a scatter-min
-over the block's own keys, which its few tail groups keep within its lane
-budget; one sort per stage then merges the blocks' entries, so a stage
-holds no table over all next keys. The labels are the search's whole
-record: extract() starts from the cheapest terminal label and follows the
-predecessor rows. The rigid-body terms of the grid's cells come from the
-grid (StateGrid.terms), computed once however many sweeps and replays
-read them; a replay gathers its chain's rows and checks, as the sweep
-does, that a rest start holds still.
+its time steps. The sweep orders each stage's labels once, by last cell,
+then last level, so that the labels that share a configuration and time
+steps are adjacent. The velocity screen (constraints.velocity_screens)
+then runs once per stage, over each run of such labels and candidate
+lane, and hands each label the lanes that pass; it is split into chunks
+of runs only when a stage's runs times lanes exceed SCREEN_BUDGET. One
+engine call scores the lanes handed to one block of labels, and a block
+takes at most LANE_BUDGET of them: the evaluated lanes, not the
+candidates, bound its memory. Under a window a block's labels list their
+lanes, and the listed lanes fill the budget. Each block reduces its
+feasible lanes to one entry per next key with a scatter-min over the
+block's own keys, whose tail groups the cut keeps within
+max(LANE_BUDGET, S) slots; one sort per stage then merges the blocks'
+entries, so a stage holds no table over all next keys. The labels are
+the search's whole record: extract() starts from the cheapest terminal
+label and follows the predecessor rows. The rigid-body terms of the
+grid's cells come from the grid (StateGrid.terms), computed once however
+many sweeps and replays read them; a replay gathers its chain's rows and
+checks, as the sweep does, that a rest start holds still.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -41,15 +46,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (LimitSets, TrajectoryProfile, _order_ok, _runs, initial_samples,
-                          saturation_percentage, stage_transitions)
+                          saturation_percentage, stage_transitions, velocity_screens)
 from .errors import CorruptChain, NoFeasiblePlan, ScenarioError, as_int
 from .grid import StateGrid
 
 Array = np.ndarray
 
-# candidate lanes (predecessor rows x next-stage nodes) of one engine call bound its
-# memory: a lane list, a mask's (group, lane) pairs and the evaluated lanes
-LANE_BUDGET = 65536
+# the lanes an engine call evaluates (those the screen hands out) or lists
+# (under a window) bound its memory, about 240 B each (3.9 MB at the budget,
+# plan-dense): a block's rows take at most LANE_BUDGET lanes, unless one row
+# alone takes more
+LANE_BUDGET = 16384
+# a screen chunk's (group, candidate lane) entries and a window block's
+# (row, lane) candidate mask stay within SCREEN_BUDGET, unless one group or
+# row alone exceeds it. A screen entry peaks at about 53 B (plan-dense), so a
+# full chunk costs about what a full block does; with no velocity bound every
+# entry passes and peaks at about 270 B
+SCREEN_BUDGET = 4 * LANE_BUDGET
 # above every position a label can have
 _NO_POS = np.iinfo(np.intp).max
 
@@ -61,9 +74,11 @@ class Window:
     Edges whose endpoints differ by more than max_dl levels or max_dj
     lattice steps (per parameter) are skipped before they are evaluated.
     A windowed block lists its edges and scores each on its own, without
-    the per-group velocity sharing of an unwindowed block, so only a tight
-    window saves work; a loose one costs more than none. None disables a
-    bound; a bound is otherwise a nonnegative integer.
+    the per-group velocity sharing of an unwindowed stage's screen, so a
+    window saves work only where it removes most edges, and can cost more
+    than none. A windowed block holds the labels whose listed edges fit
+    LANE_BUDGET and whose (label, edge) candidate mask fits SCREEN_BUDGET.
+    None disables a bound; a bound is otherwise a nonnegative integer.
     """
 
     max_dl: int | None = None
@@ -162,10 +177,10 @@ def _sweep(grid, limits, check_count, window, depth=0):
     keys, cost = start[:, None], np.zeros(start.size)
     label_node, label_pred, label_cost = [start], [np.full(start.size, -1)], [cost]
 
-    lattice_rows = None
-    if window is not None and window.max_dj is not None:
-        lattice_rows = grid.cell_lattice()
-    rows_per_block = max(1, LANE_BUDGET // S)
+    windowed = window is not None and (window.max_dl, window.max_dj) != (None, None)
+    lattice_rows = grid.cell_lattice() if windowed and window.max_dj is not None else None
+    robot, dlam = grid.robot, grid.path.dlam
+    max_groups = max(1, LANE_BUDGET // S)
 
     for i in range(grid.n_stages):
         # Labels with the same tail (the key without its oldest node, once
@@ -176,41 +191,61 @@ def _sweep(grid, limits, check_count, window, depth=0):
         group, first_label = _groups(tail)
         tails = tail[first_label]
         node = keys[:, -1]
-        q_prev = grid.q_table[i, node % C]
-        pv_prev = grid.pv_values[node // C]
+        q_next, terms_next, admissible = grid.q_table[i + 1], terms[i + 1], grid.admissible[i + 1]
         histogram, winners = {}, []
 
-        # the window's level bound (P, L) and lattice bound (P, C)
-        level_ok = lattice_ok = None
-        if window is not None and window.max_dl is not None:
-            level_ok = np.abs(node[:, None] // C - np.arange(L)) <= window.max_dl
-        if lattice_rows is not None:
-            dj = np.abs(lattice_rows[node % C][:, None, :] - lattice_rows[None, :, :])
-            lattice_ok = np.all(dj <= window.max_dj, axis=-1)
-
-        # the blocks take the labels by last cell, then last level, then
-        # tail group, ties in key order: the rows that share a configuration
-        # and time steps are then adjacent, and the engine runs their
-        # velocity part once. A group's labels share their last node (at
-        # depth 0 there is one group), so they stay together: along numbers
-        # the groups in this order, local a block's own from 0, and a
-        # block's keys (local group, s) fit in rows_per_block * S slots
+        # the stage's labels by last cell, then last level, then tail group,
+        # ties in key order: the rows that share a configuration and time
+        # steps are then adjacent, and the screen runs their velocity part
+        # once. A group's labels share their last node (at depth 0 there is
+        # one group), so they stay together: along numbers the groups in
+        # this order, local a block's own from 0, and a block's keys (local
+        # group, s) fit in max(LANE_BUDGET, S) slots
         by = np.lexsort((group, node // C, node % C))
         along, _ = _runs(group[by])
-        for first in range(0, by.size, rows_per_block):
-            rows = by[first:first + rows_per_block]
-            local = along[first:first + rows_per_block] - along[first]
-            # a window's bounds differ from row to row: list the block's lanes
-            candidates = grid.admissible[i + 1]
-            if level_ok is not None or lattice_ok is not None:
+        # the labels' configurations and levels, in that order
+        level, cell = np.divmod(node[by], C)
+        q_prev, pv_prev = grid.q_table[i, cell], grid.pv_values[level]
+        if windowed:
+            # a window's bounds differ from row to row: its level bound
+            # (P, L) and lattice bound (P, C) list each row's lanes, of
+            # which a row has the sum over l and c of level_ok[l]
+            # admissible[l, c] lattice_ok[c] (a float product is exact here)
+            level_ok = lattice_ok = None
+            if window.max_dl is not None:
+                level_ok = np.abs(level[:, None] - np.arange(L)) <= window.max_dl
+            if lattice_rows is not None:
+                dj = np.abs(lattice_rows[cell][:, None, :] - lattice_rows[None, :, :])
+                lattice_ok = np.all(dj <= window.max_dj, axis=-1)
+            if lattice_ok is None:
+                listed = level_ok @ admissible.sum(axis=1)
+            elif level_ok is None:
+                listed = lattice_ok @ admissible.sum(axis=0)
+            else:
+                listed = ((level_ok @ admissible.astype(float)) * lattice_ok).sum(axis=1)
+            chunks = [(0, listed.astype(np.intp), None)]
+            max_rows = max(1, SCREEN_BUDGET // S)
+        else:
+            # the screen runs once per chunk of the stage's rows and hands
+            # each row its lanes
+            chunks = ((at, screen.counts, screen) for at, screen in velocity_screens(
+                robot, limits, dlam, q_prev, pv_prev, q_next, terms_next,
+                grid.pv_values, admissible, SCREEN_BUDGET))
+            max_rows = by.size
+        blocks = ((at + a, at + b, None if screen is None else screen.rows(a, b))
+                  for at, lanes, screen in chunks
+                  for a, b in _blocks(lanes, along[at:at + lanes.size], max_groups, max_rows))
+        for a, b, candidates in blocks:
+            rows, local = by[a:b], along[a:b] - along[a]
+            if candidates is None:
+                candidates = admissible
                 if level_ok is not None:
-                    candidates = candidates & level_ok[rows, :, None]
+                    candidates = candidates & level_ok[a:b, :, None]
                 if lattice_ok is not None:
-                    candidates = candidates & lattice_ok[rows, None, :]
+                    candidates = candidates & lattice_ok[a:b, None, :]
                 candidates = np.flatnonzero(candidates)
-            ev = stage_transitions(grid.robot, limits, grid.path.dlam, q_prev[rows],
-                                   pv_prev[rows], qd[rows], qdd[rows], tau[rows],
-                                   grid.q_table[i + 1], terms[i + 1], grid.pv_values,
+            ev = stage_transitions(robot, limits, dlam, q_prev[a:b], pv_prev[a:b], qd[rows],
+                                   qdd[rows], tau[rows], q_next, terms_next, grid.pv_values,
                                    check_count=check_count, candidates=candidates)
             for name, count in ev.rejections().items():
                 histogram[name] = histogram.get(name, 0) + count
@@ -239,6 +274,27 @@ def _sweep(grid, limits, check_count, window, depth=0):
 
     return ValueMap(grid, limits, check_count, tuple(label_node), tuple(label_pred),
                     tuple(label_cost))
+
+
+def _blocks(lanes: Array, along: Array, max_groups: int, max_rows: int):
+    """Cut consecutive rows into engine blocks: (a, b) for rows a..b-1. A
+    block's rows take at most LANE_BUDGET lanes in all (lanes per row),
+    span at most max_groups groups (along numbers each row's, ascending)
+    and max_rows rows; a row that alone breaks a bound is a block of its
+    own."""
+    if lanes.sum() <= LANE_BUDGET and along[-1] - along[0] < max_groups and lanes.size <= max_rows:
+        yield 0, lanes.size     # a small stage: one block, without the cuts
+        return
+    # the end of the longest block from each row that the lane and group
+    # bounds allow, found for every row at once
+    end = np.concatenate(([0], np.cumsum(lanes)))
+    stop = np.minimum(np.searchsorted(end, end[:-1] + LANE_BUDGET, "right") - 1,
+                      np.searchsorted(along, along + max_groups))
+    a = 0
+    while a < lanes.size:
+        b = max(min(int(stop[a]), a + max_rows), a + 1)
+        yield a, b
+        a = b
 
 
 def _groups(key: Array) -> tuple[Array, Array]:

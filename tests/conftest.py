@@ -214,6 +214,43 @@ def sweep_record(grid, limits, check_count=0, window=None, depth=0):
     return labels, None, None
 
 
+def sweep_blocks(monkeypatch, grid, budgets, *args):
+    """sweep_record(grid, *args) with planner.LANE_BUDGET and SCREEN_BUDGET
+    set to budgets, and how the sweep cut its stages: (record, log).
+    log["calls"] holds (rows, listed lanes or None, evaluated lanes) of
+    each engine call, log["screens"] the (groups, candidate lanes) of each
+    screen chunk, per stage, and log["split"] counts the blocks that start
+    inside a screen group."""
+    from redplan import constraints, planner
+    log = {"calls": [], "screens": [], "split": 0}
+    engine, screens, rows = (planner.stage_transitions, planner.velocity_screens,
+                             constraints.Screen.rows)
+
+    def engine_spy(*args, candidates=None, **kwargs):
+        ev = engine(*args, candidates=candidates, **kwargs)
+        listed = candidates.size if isinstance(candidates, np.ndarray) else None
+        log["calls"].append((args[3].shape[0], listed, ev.lanes.size))
+        return ev
+
+    def screens_spy(*args, **kwargs):
+        log["screens"].append([])
+        for at, screen in screens(*args, **kwargs):
+            log["screens"][-1].append((screen.q.shape[0], int(np.count_nonzero(screen.mask))))
+            yield at, screen
+
+    def rows_spy(screen, a, b):
+        log["split"] += bool(a > 0 and screen.group[a] == screen.group[a - 1])
+        return rows(screen, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "LANE_BUDGET", budgets[0])
+        patch.setattr(planner, "SCREEN_BUDGET", budgets[1])
+        patch.setattr(planner, "stage_transitions", engine_spy)
+        patch.setattr(planner, "velocity_screens", screens_spy)
+        patch.setattr(constraints.Screen, "rows", rows_spy)
+        return sweep_record(grid, *args), log
+
+
 def feasible_prefixes(grid, limits, check_count=0):
     """Every feasible chain prefix, per stage, as a list of node-id tuples.
 

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import enumerate_chains, feasible_prefixes, make_toy_grid, sweep_record
+from conftest import enumerate_chains, feasible_prefixes, make_toy_grid, sweep_blocks
 
-from redplan import oracle as oracle_module, planner
+from redplan import oracle as oracle_module
 from redplan.constraints import ORDERS, LimitSets, edge_durations
 from redplan.errors import (BudgetExceeded, ContractViolation, NoFeasiblePlan,
                             ScenarioError)
@@ -260,12 +260,15 @@ def test_sweep_memory_is_bounded_by_its_labels():
 
 @pytest.mark.parametrize("name", ["toy_jerk", "toy_full", "ties"])
 def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
-    # the sweep scores its labels in blocks of at most LANE_BUDGET lanes; a
-    # group of competing labels may span blocks, and so may the labels that
-    # end in one cell (97 lanes hold a few rows, one lane one row). "ties"
-    # has two cells with the same configuration, so every next key has
-    # tied predecessors, which one-row blocks put apart. Windowed sweeps
-    # give the blocks ragged candidate masks
+    # the sweep screens a stage's labels in chunks of at most SCREEN_BUDGET
+    # (group, lane) entries and scores them in blocks of at most LANE_BUDGET
+    # evaluated (or, under a window, listed) lanes; a group of competing
+    # labels may span blocks, and so may the labels that end in one cell.
+    # One lane and one entry give one-row blocks and one screen group per
+    # chunk, 97 lanes a few rows under one screen per stage or chunks of a
+    # few groups. "ties" has two cells with the same configuration, so
+    # every next key has tied predecessors, which one-row blocks put apart.
+    # Windowed sweeps give the blocks ragged candidate lists
     if name == "ties":
         grid = make_toy_grid(n_stages=4, pv_levels=2, rest=False, v_values=(0.8, 0.8))
         limits, check_count = qd_only(), 0
@@ -276,12 +279,12 @@ def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
     S = grid.level_count * grid.cfg_count
     for window in (None, Window(max_dl=1), Window(max_dl=1, max_dj=0)):
         for depth in (0, 2):
-            monkeypatch.setattr(planner, "LANE_BUDGET", 2 ** 62)
-            whole = sweep_record(grid, limits, check_count, window, depth)
+            whole, _ = sweep_blocks(monkeypatch, grid, (2 ** 62, 2 ** 62), limits,
+                                    check_count, window, depth)
             assert whole[0] is not None
-            for budget in (1, 97, 3 * S - 1):
-                monkeypatch.setattr(planner, "LANE_BUDGET", budget)
-                assert sweep_record(grid, limits, check_count, window, depth) == whole
+            for budgets in ((1, 1), (97, 2 ** 62), (97, 97), (3 * S - 1, S)):
+                assert sweep_blocks(monkeypatch, grid, budgets, limits, check_count, window,
+                                    depth)[0] == whole
 
 
 # --- gap measurement -----------------------------------------------------

@@ -10,19 +10,19 @@ from hypothesis import given, settings, strategies as st
 from redplan import constraints, planner
 
 from redplan.baseline import resolve_redundancy, time_parametrize
-from redplan.constraints import LimitSets, StageEval
+from redplan.constraints import LimitSets, Screen, StageEval
 from redplan.errors import CorruptChain, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
 from redplan.oracle import exhaustive_plan
 from redplan.planner import ReachedSets, Window, extract, plan, replay
-from redplan.scenario import bundled_scenario, pst_csv
+from redplan.scenario import bundled_scenario, load_scenario, pst_csv
 
 
 from conftest import make_inf_limits as inf_limits
 from conftest import make_line_path as line_path
 from conftest import make_toy_grid as toy_grid
 from conftest import (edge, enumerate_chains, feasible_chains, node_state, start_state,
-                      sweep_record)
+                      sweep_blocks, sweep_record)
 
 
 class TestExactnessVsEnumeration:
@@ -353,19 +353,20 @@ class TestLaneSparseHotPaths:
         (None, False), (Window(), False), (Window(max_dl=1), True), (Window(max_dj=1), True),
     ])
     def test_only_a_set_window_bound_lists_lanes(self, monkeypatch, window, listed):
-        # the sweep passes the stage's admissible (L, C) mask, which every
-        # row shares, unless a window bound is set; then each block's lanes
-        # differ from row to row and go as a list of lane ids
+        # the sweep screens the stage's admissible (L, C) mask, which every
+        # row shares, and passes each block its rows' Screen, unless a
+        # window bound is set; then each block's lanes differ from row to
+        # row and go as a list of lane ids
         engine, forms = planner.stage_transitions, set()
 
         def spy(*args, candidates=None, **kwargs):
-            forms.add(np.ndim(candidates))
+            forms.add("screen" if isinstance(candidates, Screen) else np.ndim(candidates))
             return engine(*args, candidates=candidates, **kwargs)
 
         monkeypatch.setattr(planner, "stage_transitions", spy)
         sc = bundled_scenario("line")
         planner._sweep(sc.build(), sc.limits, 0, window)
-        assert forms == ({1} if listed else {2})
+        assert forms == ({1} if listed else {"screen"})
 
 
 class TestInfeasibility:
@@ -452,18 +453,74 @@ class TestWindow:
 
 
 class TestPredecessorBlocks:
-    """The sweep scores its predecessors in blocks of at most LANE_BUDGET
-    lanes and merges the blocks; the result must not depend on the block
-    size."""
+    """The sweep screens each stage's predecessors in chunks of at most
+    SCREEN_BUDGET entries, scores them in blocks of at most LANE_BUDGET
+    evaluated (or listed) lanes and merges the blocks; the result must not
+    depend on either budget."""
 
-    def assert_block_free(self, monkeypatch, grid, *args):
-        monkeypatch.setattr(planner, "LANE_BUDGET", 2 ** 62)
-        whole = sweep_record(grid, *args)
+    def assert_block_free(self, monkeypatch, grid, *args, logs=None):
+        whole, _ = sweep_blocks(monkeypatch, grid, (2 ** 62, 2 ** 62), *args)
         S = grid.level_count * grid.cfg_count
-        for budget in (1, 3 * S - 1):          # one and two rows per block
-            monkeypatch.setattr(planner, "LANE_BUDGET", budget)
-            assert sweep_record(grid, *args) == whole
+        # (lane, screen) budgets: one row per block and one group per
+        # screen chunk; a whole-stage screen whose groups' rows go to
+        # several blocks; a few groups per chunk and rows per block
+        for budgets in ((1, 1), (97, 2 ** 62), (3 * S - 1, S)):
+            record, log = sweep_blocks(monkeypatch, grid, budgets, *args)
+            assert record == whole
+            if logs is not None:
+                logs.append(log)
         return whole
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("window", [None, Window(max_dl=1, max_dj=1)])
+    def test_budgets_cut_screens_groups_and_rows(self, monkeypatch, window, depth):
+        # toy_full as bundled and at 0.4 times its velocity bound, where
+        # some screen groups pass no lane: the budgets above give one-row
+        # blocks and blocks that evaluate no lane, and without a window
+        # they split a stage's screen between its groups and a group's
+        # rows between blocks
+        sc = bundled_scenario("toy_full")
+        grid, logs = sc.build(), []
+        for limits in (sc.limits, replace(sc.limits, qd=0.4 * sc.limits.qd)):
+            whole = self.assert_block_free(monkeypatch, grid, limits, sc.check_count, window,
+                                           depth, logs=logs)
+            assert whole[0] is not None
+        calls = [call for log in logs for call in log["calls"]]
+        assert any(rows == 1 for rows, _, _ in calls)
+        assert any(lanes == 0 for _, _, lanes in calls)
+        screens = [chunks for log in logs for chunks in log["screens"]]
+        if window is None:
+            assert any(len(chunks) > 1 for chunks in screens)
+            assert sum(log["split"] for log in logs) > 0
+        else:
+            assert not screens and all(listed is not None for _, listed, _ in calls)
+
+    @pytest.mark.parametrize("window", [None, Window(max_dl=8)])
+    def test_calls_stay_within_the_budgets(self, monkeypatch, window):
+        # the bundled line over 4 stages with the velocity bound off: every
+        # candidate with a time step is evaluated, up to 288 x 288 lanes a
+        # stage. At the module's budgets each engine call evaluates (or
+        # lists) at most LANE_BUDGET lanes and each screen chunk holds at
+        # most SCREEN_BUDGET (group, lane) entries, unless one row or group
+        # alone takes more; a window block's (row, lane) mask stays within
+        # SCREEN_BUDGET too
+        doc = bundled_scenario("line").to_dict()
+        doc["n_stages"] = 4
+        sc = load_scenario(doc)
+        grid = sc.build()
+        S = grid.level_count * grid.cfg_count
+        budgets = planner.LANE_BUDGET, planner.SCREEN_BUDGET
+        record, log = sweep_blocks(monkeypatch, grid, budgets, sc.limits.disable("qd"),
+                                   sc.check_count, window)
+        assert record[0] is not None
+        for rows, listed, lanes in log["calls"]:
+            assert rows == 1 or (lanes if listed is None else listed) <= budgets[0]
+            assert window is None or rows == 1 or rows * S <= budgets[1]
+        work = [lanes if listed is None else listed for _, listed, lanes in log["calls"]]
+        assert max(work) > budgets[0] // 2 and sum(work) > 3 * budgets[0]
+        for groups, pairs in (chunk for stage in log["screens"] for chunk in stage):
+            assert groups == 1 or groups * pairs <= budgets[1]
+        assert bool(log["screens"]) == (window is None)
 
     @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
                                       "toy_velocity"])
