@@ -14,14 +14,15 @@ each of its L pseudo-velocity levels. Its candidates are an (L, C) mask
 that every predecessor shares, that mask's `Screen` over the call's rows,
 or a sorted list of lane ids; it answers lane by lane (`StageEval`) and
 builds no P x L x C array. The sweep screens a stage's shared mask once
-(`velocity_screens`, in chunks of groups only when the stage is large) and
-calls it once per block of labels with the block's part of the screen
-(`Screen.rows`), a block cut by the lanes it is handed; a windowed block
-lists its lanes. A replay scores a chain of N edges as N listed lanes of three calls (rows stages 0..N-1, cells stages 1..N),
-each fed the samples of the one before, and so reproduces the sweep's
-numbers bit for bit. The rigid-body terms (H, G and gravity) depend on the
-cell alone: the grid holds them (StateGrid.terms), and the caller passes
-the next stage's in.
+(`velocity_screens`, in slices of rows and chunks of groups only when the
+stage is large) and calls it once per block of labels with the block's
+part of the screen (`Screen.rows`), a block cut by the lanes it is handed;
+a windowed block lists its lanes. A replay scores a chain of N edges as N
+listed lanes of three calls (rows stages 0..N-1, cells stages 1..N), each
+fed the samples of the one before, and so reproduces the sweep's numbers
+bit for bit. The rigid-body terms (H, G and gravity) depend on the cell
+alone: the grid holds them (StateGrid.terms), and the caller passes the
+next stage's in.
 
 An edge's time step, joint velocity and velocity-dependent torque
 (`PlanarArm.bias_torque`) depend only on its two configurations and its
@@ -45,7 +46,8 @@ dq (its (group, cell) pair for a mask, the lane itself for a list), so its
 rigid-body terms are computed once per row that an evaluated lane reads
 and gathered per lane. A shared value is the same IEEE operation on
 bitwise-equal operands as the lane's own, so a block gives what its rows
-would give one at a time, and a screen's chunks and blocks change no bit.
+would give one at a time, and a screen's slices, chunks and blocks change
+no bit.
 
 The per-lane arrays are stored joint-major (`_gather`), so each per-joint
 operation runs over all lanes at once; every operation on them is
@@ -67,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ScenarioError
-from .robot import PlanarArm, RigidTerms
+from .robot import PlanarArm, RigidTerms, _fold_columns
 
 Array = np.ndarray
 
@@ -157,7 +159,7 @@ def edge_durations(pv_prev, pv_next, dlam: float) -> Array:
     2 dlam / (pv_prev + pv_next). Lanes with zero pseudo-velocity at both
     ends have no time step and come back as +inf.
     """
-    pv_prev, pv_next = np.asarray(pv_prev, dtype=float), np.asarray(pv_next, dtype=float)
+    pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
     with np.errstate(divide="ignore", invalid="ignore"):
         trapezoid = 2.0 * dlam / (pv_prev + pv_next)
         backward = dlam / pv_next
@@ -168,7 +170,7 @@ def _order_ok(value: Array, bound: Array) -> Array:
     """Per-sample feasibility of one order; NaN samples are skipped (a NaN
     compares false, so it never exceeds its bound, and numpy's comparisons
     raise no floating-point error on it)."""
-    return ~np.logical_or.reduce(np.abs(value) > bound, axis=-1)
+    return ~(np.abs(value) > bound).any(axis=-1)
 
 
 def _gather(table: Array, idx: Array) -> Array:
@@ -187,14 +189,14 @@ def _coulomb_crossing(qd_prev: Array, qd_next: Array) -> Array:
     as a crossing. The caller silences the invalid operations of the
     product (inf times zero).
     """
-    return np.logical_or.reduce(qd_prev * qd_next < 0.0, axis=-1)
+    return (qd_prev * qd_next < 0.0).any(axis=-1)
 
 
 def _runs(key: Array) -> tuple[Array, Array]:
     """Runs of adjacent rows of key (N, ...) with equal bits: (run, first).
     run numbers each row's run from 0, and first holds each run's first row."""
     new = np.ones(key.shape[0], dtype=bool)
-    new[1:] = np.logical_or.reduce(key[1:] != key[:-1], axis=tuple(range(1, key.ndim)))
+    new[1:] = (key[1:] != key[:-1]).any(axis=tuple(range(1, key.ndim)))
     return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
@@ -306,8 +308,6 @@ class Screen:
 
     def rows(self, a: int, b: int) -> "Screen":
         """The screen of rows a..b-1, renumbered from 0 (b > a)."""
-        if (a, b) == (0, self.group.size):
-            return self
         g0, g1 = self.group[a], self.group[b - 1] + 1
         e0, e1 = self.start[g0], self.start[g1 - 1] + self.counts[b - 1]
         C = self.mask.shape[1]
@@ -345,37 +345,42 @@ def velocity_screens(robot: PlanarArm, limits: LimitSets, dlam: float, q_prev: A
     """Screen the lanes of an (L, C) candidate mask that rows q_prev (P, n)
     at levels pv_prev share (None: every lane) by joint velocity, in chunks
     of consecutive rows: yields (a, the Screen of rows a..b-1) per chunk.
-    Arguments are as for stage_transitions. A chunk holds whole groups, at
-    most max_entries // pairs of them (at least one; None: one chunk), so
-    its (group, pair) entries stay within max_entries unless one group's
-    exceed it alone.
+    Arguments are as for stage_transitions. The rows go in slices of at
+    most max_entries // L rows, whose time steps and groups are found per
+    slice (a group that a slice edge cuts becomes two, which changes no
+    bit), and a chunk holds whole groups of one slice, at most max_entries
+    // pairs of them (at least one), so its (group, pair) entries stay
+    within max_entries unless one group's exceed it alone. None: one slice
+    and one chunk.
     """
-    pv_prev, pv_next = np.asarray(pv_prev, dtype=float), np.asarray(pv_next, dtype=float)
-    P, C = q_prev.shape[0], q_next.shape[0]
-    mask = np.ones((pv_next.size, C), dtype=bool) if candidates is None else candidates
-    dt = edge_durations(pv_prev[:, None], pv_next, dlam)
-    has_step = np.isfinite(dt)
-    step = np.where(has_step, dt, 1.0)
-    # each run of bitwise-equal rows meets every lane l * C + c of the mask
-    group, first = _runs(np.concatenate((q_prev, dt[:, mask.any(axis=1)]), axis=1)
-                         .view(np.int64))
+    pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
+    P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
+    mask = np.ones((L, C), dtype=bool) if candidates is None else candidates
+    levels = mask.any(axis=1)
     pair_u = np.flatnonzero(mask)
     pair_l, pair_c = np.divmod(pair_u, C)
-    G = first.size
-    per_chunk = max(1, G if max_entries is None else max_entries // max(pair_u.size, 1))
-    for g0 in range(0, max(G, 1), per_chunk):
-        g1 = min(g0 + per_chunk, G)
-        at = first[g0:g1]
-        dq = (q_next - q_prev[at][:, None, :]).reshape(-1, q_next.shape[1])
-        with np.errstate(invalid="ignore"):
-            g, k, qd, bias = _velocity(robot, limits, terms_next, dq,
-                                       np.arange(at.size)[:, None] * C + pair_c,
-                                       step[at][:, pair_l], has_step[at][:, pair_l], pair_c)
-        per_group = np.bincount(g, minlength=at.size)
-        a, b = (first[g0] if g0 < G else 0), (first[g1] if g1 < G else P)
-        local = group[a:b] - g0
-        yield a, Screen(mask, dt[a:b], local, per_group[local], q_prev[at], dq,
-                        np.cumsum(per_group) - per_group, pair_u[k], qd, bias)
+    span = max(P, 1) if max_entries is None else max(1, max_entries // L)
+    for r0 in range(0, max(P, 1), span):
+        q, dt = q_prev[r0:r0 + span], edge_durations(pv_prev[r0:r0 + span, None], pv_next, dlam)
+        has_step = np.isfinite(dt)
+        step = np.where(has_step, dt, 1.0)
+        # each run of bitwise-equal rows meets every lane l * C + c of the mask
+        group, first = _runs(np.concatenate((q, dt[:, levels]), axis=1).view(np.int64))
+        G = first.size
+        per_chunk = max(1, G if max_entries is None else max_entries // max(pair_u.size, 1))
+        for g0 in range(0, max(G, 1), per_chunk):
+            g1 = min(g0 + per_chunk, G)
+            at = first[g0:g1]
+            dq = (q_next - q[at][:, None, :]).reshape(-1, q_next.shape[1])
+            with np.errstate(invalid="ignore"):
+                g, k, qd, bias = _velocity(robot, limits, terms_next, dq,
+                                           np.arange(at.size)[:, None] * C + pair_c,
+                                           step[at][:, pair_l], has_step[at][:, pair_l], pair_c)
+            per_group = np.bincount(g, minlength=at.size)
+            a, b = (first[g0] if g0 < G else 0), (first[g1] if g1 < G else q.shape[0])
+            local = group[a:b] - g0
+            yield r0 + a, Screen(mask, dt[a:b], local, per_group[local], q[at], dq,
+                                 np.cumsum(per_group) - per_group, pair_u[k], qd, bias)
 
 
 def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
@@ -439,11 +444,9 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         qd_prev, step = _gather(qd_prev, p), step[p, l][:, None]
         qdd = (qd - qd_prev) / step
         qddd = (qdd - _gather(qdd_prev, p)) / step
-        # H qdd column by column, folded left to right as _matvec folds
-        # it, from the cells' columns of H: no (K, n, n) gather
-        tau = _gather(terms_next.H[:, :, 0], c) * qdd[:, :1]
-        for b in range(1, qdd.shape[1]):
-            tau += _gather(terms_next.H[:, :, b], c) * qdd[:, b:b + 1]
+        # H qdd from the cells' columns of H, gathered one at a time: no
+        # (K, n, n) gather
+        tau = _fold_columns(lambda b: _gather(terms_next.H[:, :, b], c), qdd)
         tau += _gather(bias, row)
         taud = (tau - _gather(tau_prev, p)) / step
         stack = (qd, qdd, qddd, tau, taud)
@@ -484,9 +487,7 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
             for order in _CHECK_POINT_ORDERS:
                 if order in verdicts:
                     verdicts[order] &= _order_ok(sample[order], limits.bound(order))
-    ok = np.ones(lanes.size, bool)
-    for verdict in verdicts.values():
-        ok &= verdict
+    ok = np.all(list(verdicts.values()), axis=0) if verdicts else np.ones(lanes.size, bool)
     return StageEval(dt, lanes, *stack, ok, verdicts, (P, L, C), candidates, with_step, no_step)
 
 

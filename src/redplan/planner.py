@@ -14,21 +14,21 @@ torque bound starts no chain. A chain's cost is its duration, the sum of
 its time steps. The sweep orders each stage's labels once, by last cell,
 then last level, so that the labels that share a configuration and time
 steps are adjacent. The velocity screen (constraints.velocity_screens)
-then runs once per stage, over each run of such labels and candidate
-lane, and hands each label the lanes that pass; it is split into chunks
-of runs only when a stage's runs times lanes exceed SCREEN_BUDGET. One
-engine call scores the lanes handed to one block of labels, and a block
-takes at most LANE_BUDGET of them: the evaluated lanes, not the
-candidates, bound its memory. Under a window a block's labels list their
-lanes, and the listed lanes fill the budget. Each block reduces its
-feasible lanes to one entry per next key with a scatter-min over the
-block's own keys, whose tail groups the cut keeps within
-max(LANE_BUDGET, S) slots; one sort per stage then merges the blocks'
-entries, so a stage holds no table over all next keys. The labels are
-the search's whole record: extract() starts from the cheapest terminal
-label and follows the predecessor rows. The rigid-body terms of the
-grid's cells come from the grid (StateGrid.terms), computed once however
-many sweeps and replays read them; a replay gathers its chain's rows and
+then runs once per stage, over each run of such labels and candidate lane,
+and hands each label the lanes that pass; it is split into slices of
+labels and chunks of runs only when a stage's labels times levels or runs
+times lanes exceed SCREEN_BUDGET. One engine call scores the lanes handed
+to one block of labels, and a block takes at most LANE_BUDGET of them: the
+evaluated lanes, not the candidates, bound its memory. Under a window a
+block's labels list their lanes, and the listed lanes fill the budget.
+Each block reduces its feasible lanes to one entry per next key with a
+scatter-min over the block's own keys, whose tail groups the cut keeps
+within max(LANE_BUDGET, S) slots; one sort per stage then merges the
+blocks' entries, so a stage holds no table over all next keys. The labels
+are the search's whole record: extract() starts from the cheapest terminal
+label and follows the predecessor rows. The rigid-body terms of the grid's
+cells come from the grid (StateGrid.terms), computed once however many
+sweeps and replays read them; a replay gathers its chain's rows and
 checks, as the sweep does, that a rest start holds still.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
@@ -57,11 +57,12 @@ Array = np.ndarray
 # plan-dense): a block's rows take at most LANE_BUDGET lanes, unless one row
 # alone takes more
 LANE_BUDGET = 16384
-# a screen chunk's (group, candidate lane) entries and a window block's
-# (row, lane) candidate mask stay within SCREEN_BUDGET, unless one group or
-# row alone exceeds it. A screen entry peaks at about 53 B (plan-dense), so a
-# full chunk costs about what a full block does; with no velocity bound every
-# entry passes and peaks at about 270 B
+# a screen slice's (row, level) time steps, a screen chunk's (group,
+# candidate lane) entries and a window block's (row, lane) candidate mask
+# stay within SCREEN_BUDGET, unless one group or row alone exceeds it. A
+# screen entry peaks at about 53 B (plan-dense), so a full chunk costs about
+# what a full block does; with no velocity bound every entry passes and
+# peaks at about 270 B
 SCREEN_BUDGET = 4 * LANE_BUDGET
 # above every position a label can have
 _NO_POS = np.iinfo(np.intp).max
@@ -282,9 +283,6 @@ def _blocks(lanes: Array, along: Array, max_groups: int, max_rows: int):
     span at most max_groups groups (along numbers each row's, ascending)
     and max_rows rows; a row that alone breaks a bound is a block of its
     own."""
-    if lanes.sum() <= LANE_BUDGET and along[-1] - along[0] < max_groups and lanes.size <= max_rows:
-        yield 0, lanes.size     # a small stage: one block, without the cuts
-        return
     # the end of the longest block from each row that the lane and group
     # bounds allow, found for every row at once
     end = np.concatenate(([0], np.cumsum(lanes)))

@@ -128,10 +128,16 @@ def _matvec(M: Array, v: Array) -> Array:
     Broadcast-stable: scalar and batched calls run the same per-element
     additions in the same order, so results are bit-identical.
     """
-    n = M.shape[-1]
-    out = M[..., :, 0] * v[..., 0, None]
-    for b in range(1, n):
-        out = out + M[..., :, b] * v[..., b, None]
+    return _fold_columns(lambda b: M[..., :, b], v)
+
+
+def _fold_columns(column, v: Array) -> Array:
+    """The sum over b of column(b) * v[..., b], folded left to right: the
+    fold of _matvec over a matrix whose columns (..., n) column(b) builds
+    one at a time, as the fold reaches them (e.g. gathered per lane)."""
+    out = column(0) * v[..., 0, None]
+    for b in range(1, v.shape[-1]):
+        out += column(b) * v[..., b, None]
     return out
 
 

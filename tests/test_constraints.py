@@ -762,6 +762,51 @@ class TestStageTransitions:
         assert a.order_ok[order].all()
         assert a.rejections() == b.rejections()
 
+    def test_screen_slices_bound_their_row_arrays(self, monkeypatch):
+        # velocity_screens finds the time steps and groups of at most
+        # max_entries // L rows at a time and cuts its chunks of whole
+        # groups within those slices; every row is handed the lanes,
+        # velocities and bias torques that one unsliced screen hands it
+        arm = make_reference_arm()
+        rng = np.random.default_rng(67)
+        P, L, C = 300, 10, 7
+        # runs of ten equal configurations, levels ascending within a run
+        q = np.repeat(rng.uniform(-0.8, 0.8, (P // 10, 3)), 10, axis=0)
+        pv = np.sort(rng.choice([0.0, 0.25, 0.5], (P // 10, 10)), axis=1).ravel()
+        q_next = rng.uniform(-0.8, 0.8, (C, 3))
+        mask = rng.random((L, C)) < 0.7
+        args = (arm, LimitSets.from_joint_limits(arm.limits), 0.1, q, pv, q_next,
+                arm.rigid_terms(q_next), np.linspace(0.0, 1.0, L), mask)
+
+        def handed(screen):
+            out = []
+            for r, g in enumerate(screen.group):
+                at = slice(screen.start[g], screen.start[g] + screen.counts[r])
+                out.append((screen.lc[at], screen.qd[at], screen.bias[at]))
+            return out
+
+        (_, whole), = constraints.velocity_screens(*args)
+        expect = handed(whole)
+        assert whole.q.shape[0] < P and sum(whole.counts) > 0
+        rows, durations, runs = [], constraints.edge_durations, constraints._runs
+        monkeypatch.setattr(constraints, "edge_durations",
+                            lambda *a: rows.append(a[0].shape[0]) or durations(*a))
+        monkeypatch.setattr(constraints, "_runs", lambda key: rows.append(key.shape[0])
+                            or runs(key))
+        for max_entries in (1, 25, 97, 3 * L * C):
+            rows.clear()
+            got, at = [], 0
+            for a, screen in constraints.velocity_screens(*args, max_entries=max_entries):
+                assert a == at
+                at += screen.group.size
+                assert screen.q.shape[0] == 1 or screen.q.shape[0] * mask.sum() <= max_entries
+                assert screen.dt.tobytes() == whole.dt[a:at].tobytes()
+                got += handed(screen)
+            assert at == P and max(rows) <= max(1, max_entries // L)
+            assert sum(rows) == 2 * P
+            for mine, theirs in zip(got, expect):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(mine, theirs))
+
 
 class TestLaneContract:
     """The engine answers lane by lane: ok and the per-order verdicts on its

@@ -461,10 +461,12 @@ class TestPredecessorBlocks:
     def assert_block_free(self, monkeypatch, grid, *args, logs=None):
         whole, _ = sweep_blocks(monkeypatch, grid, (2 ** 62, 2 ** 62), *args)
         S = grid.level_count * grid.cfg_count
-        # (lane, screen) budgets: one row per block and one group per
-        # screen chunk; a whole-stage screen whose groups' rows go to
-        # several blocks; a few groups per chunk and rows per block
-        for budgets in ((1, 1), (97, 2 ** 62), (3 * S - 1, S)):
+        # (lane, screen) budgets: one row per block and per screen slice;
+        # one row per block under a whole-stage screen, which splits its
+        # groups between blocks; a whole-stage screen whose groups' rows go
+        # to several blocks; slices of C rows, a few groups per chunk and
+        # rows per block
+        for budgets in ((1, 1), (1, 2 ** 62), (97, 2 ** 62), (3 * S - 1, S)):
             record, log = sweep_blocks(monkeypatch, grid, budgets, *args)
             assert record == whole
             if logs is not None:
