@@ -35,12 +35,19 @@ less), runs the velocity screen and the bias torque once per (group,
 candidate lane) pair, and hands each group's passed pairs to its members
 in ascending predecessor order, which lists the evaluated lanes in order;
 a listed lane is scored on its own. A closed-form table, the shortest
-time step max_j |dq_j| / qd_max_j at which a pair meets the velocity
-bound (the discrete maximum-velocity curve of TOPP, Bobrow et al. 1985,
-and TOPP-RA), drops the pairs that cannot pass, with a relative slack that keeps it
-conservative; the exact velocity check runs on the rest. What reads a
-predecessor's history or level stays per lane: acceleration, jerk, H qdd +
-bias, torque rate, the checks and the check-point velocities and torques.
+time step max_j |dq_j| / qd_max_j at which a (group, cell) pair meets the
+velocity bound (the discrete maximum-velocity curve of TOPP, Bobrow et
+al. 1985, and TOPP-RA), is compared with each level's time step in one
+broadcast over the (group, level, cell) box, with a relative slack that
+keeps it conservative, and drops the entries that cannot pass; the exact
+velocity check runs on the rest. The screen keeps each passed entry's
+cell and time step beside its lane, and a lane reads them from its entry
+(a listed lane from its own id), so no lane splits its id again (only
+check points read a lane's level); StageEval hands the sweep and replay
+each lane's row, next node and time step the same way. What reads a
+predecessor's history or level stays per lane: acceleration, jerk, H qdd
++ bias, torque rate, the checks and the check-point velocities and
+torques.
 A check point's configuration q_prev + s * dq reads only the lane's row of
 dq (its (group, cell) pair for a mask, the lane itself for a list), so its
 rigid-body terms are computed once per row that an evaluated lane reads
@@ -64,7 +71,7 @@ raise no floating-point error on NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -222,20 +229,25 @@ def _interior_samples(dq, pv2_prev, pv2_next, dlam, count):
 class StageEval:
     """One stage_transitions call's answer, lane by lane.
 
-    dt (P, L) depends only on the pseudo-velocities. lanes (K,), strictly
-    ascending, are the evaluated lanes; row k of the stack qd ... taud
-    ((K, n) each, joint-major), of ok and of each order's verdict belongs
-    to lanes[k]. Every other lane is infeasible. with_step and no_step
-    count the candidate lanes with and without a time step.
+    dt (P, L) depends only on the pseudo-velocities. The evaluated lanes
+    come in ascending lane order; row, node and step (K,) hold each one's
+    predecessor row p, next node l * C + c and time step, and row k of the
+    stack qd ... taud ((K, n) each, joint-major), of ok and of each order's
+    verdict belongs to the same lane. Every other lane is infeasible.
+    with_step and no_step count the candidate lanes with and without a time
+    step.
 
-    feasible and order_ok, the dense (P, L, C) forms of ok and verdicts,
-    are built read-only on first access, only for bench/tracing.py and
-    tests until ROADMAP items 1 and 3 retire them; the sweep, replay and
-    the oracle never read them.
+    lanes, the evaluated lane ids p * L * C + l * C + c, and feasible and
+    order_ok, the dense (P, L, C) forms of ok and verdicts, are built
+    read-only on first access, only for bench/tracing.py and tests until
+    ROADMAP items 1 and 3 retire them; the sweep, replay and the oracle
+    never read them.
     """
 
     dt: Array
-    lanes: Array
+    row: Array
+    node: Array
+    step: Array
     qd: Array
     qdd: Array
     qddd: Array
@@ -254,7 +266,7 @@ class StageEval:
         counts under duration alone without a step, under qd alone if it
         fails the velocity bound, and otherwise under every order it fails."""
         counts = {o: int(np.count_nonzero(~ok)) for o, ok in self.verdicts.items()}
-        counts["qd"] = counts.get("qd", 0) + self.with_step - self.lanes.size
+        counts["qd"] = counts.get("qd", 0) + self.with_step - self.row.size
         counts["duration"] = self.no_step
         return {key: count for key, count in counts.items() if count}
 
@@ -263,6 +275,10 @@ class StageEval:
         mask.reshape(-1)[at] = values
         mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def lanes(self) -> Array:
+        return self.row * (self.shape[1] * self.shape[2]) + self.node
 
     @cached_property
     def feasible(self) -> Array:
@@ -289,10 +305,11 @@ class Screen:
     numbers each row's group, a run of rows with bitwise-equal
     configuration and time steps, and q (G, n) holds each group's
     configuration; row g * C + c of dq is the step from group g to cell c.
-    Each row is handed its group's passed (group, candidate lane) pairs,
-    counts (P,) of them: for group g, entries start[g] on, in lane order, of
-    the lane l * C + c within a row (lc), the joint velocity qd and the
-    bias torque ((K, n) each, joint-major).
+    Each row is handed the entries of its group that passed, counts (P,)
+    of them: for group g, entries start[g] on, in lane order. An entry
+    holds its lane within a row, lc = l * C + c, its cell c, its time step,
+    its joint velocity qd and its bias torque ((K, n) each, joint-major);
+    only check points read its level, lc // C.
     """
 
     mask: Array
@@ -303,6 +320,8 @@ class Screen:
     dq: Array
     start: Array
     lc: Array
+    cell: Array
+    step: Array
     qd: Array
     bias: Array
 
@@ -313,30 +332,62 @@ class Screen:
         C = self.mask.shape[1]
         return Screen(self.mask, self.dt[a:b], self.group[a:b] - g0, self.counts[a:b],
                       self.q[g0:g1], self.dq[g0 * C:g1 * C], self.start[g0:g1] - e0,
-                      self.lc[e0:e1], self.qd[e0:e1], self.bias[e0:e1])
+                      *(x[e0:e1] for x in (self.lc, self.cell, self.step, self.qd,
+                                           self.bias)))
 
 
-def _velocity(robot, limits, terms_next, dq, pair_dq, step, keep, pair_c):
-    """The velocity part of a screen of (row, pair) entries, (rows, pairs)
-    for a mask or (pairs,) for a list (row 0): keep marks the entries
-    with a time step (it is updated in place), step holds their time steps,
-    pair_dq their rows of dq and pair_c each pair's cell. The table drops
-    entries, then the exact check does: (row, pair, qd, bias) of the rest,
-    in entry order. The caller silences the invalid operations."""
-    if limits.qd is not None:
-        # NaN in tmin never drops a lane: the exact check skips NaN
-        tmin = np.max(np.abs(dq) / limits.qd, axis=-1)
-        keep &= ~(tmin[pair_dq] > step * (1.0 + _TABLE_SLACK))
-    kept = np.flatnonzero(keep)
-    qd = _gather(dq, pair_dq.ravel()[kept])
-    qd /= step.ravel()[kept][:, None]
+def _table_drops(dq: Array, step: Array, qd_max: Array) -> Array:
+    """The velocity table: True where a configuration step dq (..., n)
+    cannot meet the velocity bound at time step step (which broadcasts
+    against dq's leading axes), as its shortest time step max_j |dq_j| /
+    qd_max_j exceeds step by more than the slack; a NaN row is never
+    dropped. The maximum is folded joint by joint, which gives the bits of
+    np.max (exact, NaN propagates) several times faster than numpy's loops
+    over a short last axis."""
+    tmin = reduce(np.maximum, (np.abs(dq[..., j]) / qd_max[j] for j in range(dq.shape[-1])))
+    return tmin > step * (1.0 + _TABLE_SLACK)
+
+
+def _velocity(robot, limits, terms_next, qd, step, cell, *fields):
+    """The exact velocity check and the bias torque of the screen entries
+    that the table kept, in entry order: qd (K, n, joint-major) holds their
+    configuration steps and becomes their joint velocities in place, step
+    holds their time steps and cell their next cells. Returns the joint
+    velocity and bias torque ((K, n) each, joint-major) of the entries that
+    pass, then step, cell and each array of fields at those entries. The
+    caller silences the invalid operations."""
+    qd /= step[:, None]
     if limits.qd is not None:
         passed = _order_ok(qd, limits.qd)
-        kept, qd = kept[passed], qd.T.compress(passed, axis=-1).T
-    g, k = np.divmod(kept, keep.shape[-1])
-    c = pair_c[k]
-    bias = robot.bias_torque(_gather(terms_next.G, c), _gather(terms_next.gravity, c), qd)
-    return g, k, qd, bias
+        qd = qd.T.compress(passed, axis=-1).T
+        step, cell, *fields = (x[passed] for x in (step, cell, *fields))
+    bias = robot.bias_torque(_gather(terms_next.G, cell), _gather(terms_next.gravity, cell), qd)
+    return (qd, bias, step, cell, *fields)
+
+
+def _box_entries(robot, limits, terms_next, dq, step, levels, box_mask):
+    """The screen of G groups whose configuration steps dq (G, C, n) and
+    time steps step (G, L') meet the C cells at the candidate mask's
+    levels (L',), box_mask (L', C) of them: the table runs as one broadcast
+    over the (group, level, cell) box, and its kept entries, in (group,
+    lane) order, go to the exact check. Returns each group's count of
+    passed entries, then their lc, cell, step, qd and bias as Screen holds
+    them."""
+    G, C = dq.shape[:2]
+    with np.errstate(invalid="ignore"):
+        box = np.isfinite(step)[:, :, None] & box_mask
+        if limits.qd is not None:
+            box &= ~_table_drops(dq[:, None], step[:, :, None], limits.qd)
+        gl, cell = np.divmod(np.flatnonzero(box), C)
+        g, j = np.divmod(gl, levels.size)
+        step, lc = step.reshape(-1)[gl], levels[j] * C + cell
+        # free the box and its index arrays before the exact check builds
+        # its own
+        del box, gl, j
+        qd, bias, step, cell, g, lc = _velocity(
+            robot, limits, terms_next, _gather(dq.reshape(G * C, -1), g * C + cell), step,
+            cell, g, lc)
+    return np.bincount(g, minlength=G), lc, cell, step, qd, bias
 
 
 def velocity_screens(robot: PlanarArm, limits: LimitSets, dlam: float, q_prev: Array,
@@ -348,39 +399,37 @@ def velocity_screens(robot: PlanarArm, limits: LimitSets, dlam: float, q_prev: A
     Arguments are as for stage_transitions. The rows go in slices of at
     most max_entries // L rows, whose time steps and groups are found per
     slice (a group that a slice edge cuts becomes two, which changes no
-    bit), and a chunk holds whole groups of one slice, at most max_entries
-    // pairs of them (at least one), so its (group, pair) entries stay
-    within max_entries unless one group's exceed it alone. None: one slice
-    and one chunk.
+    bit), and a chunk holds whole groups of one slice. The table of a chunk
+    is a (group, level, cell) box over the levels that the mask uses and
+    every cell, so a chunk takes at most max_entries // (levels x C) groups
+    (at least one), and its box stays within max_entries unless one
+    group's exceeds it alone. None: one slice and one chunk.
     """
     pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
     P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
     mask = np.ones((L, C), dtype=bool) if candidates is None else candidates
-    levels = mask.any(axis=1)
-    pair_u = np.flatnonzero(mask)
-    pair_l, pair_c = np.divmod(pair_u, C)
+    # the box spans the levels that the mask uses (one level into a rest stop)
+    levels = np.flatnonzero(mask.any(axis=1))
+    box_mask = mask[levels]
     span = max(P, 1) if max_entries is None else max(1, max_entries // L)
     for r0 in range(0, max(P, 1), span):
         q, dt = q_prev[r0:r0 + span], edge_durations(pv_prev[r0:r0 + span, None], pv_next, dlam)
-        has_step = np.isfinite(dt)
-        step = np.where(has_step, dt, 1.0)
+        used_dt = dt[:, levels]
         # each run of bitwise-equal rows meets every lane l * C + c of the mask
-        group, first = _runs(np.concatenate((q, dt[:, levels]), axis=1).view(np.int64))
+        group, first = _runs(np.concatenate((q, used_dt), axis=1).view(np.int64))
         G = first.size
-        per_chunk = max(1, G if max_entries is None else max_entries // max(pair_u.size, 1))
+        per_chunk = max(1, G if max_entries is None else max_entries // max(box_mask.size, 1))
         for g0 in range(0, max(G, 1), per_chunk):
             g1 = min(g0 + per_chunk, G)
             at = first[g0:g1]
-            dq = (q_next - q[at][:, None, :]).reshape(-1, q_next.shape[1])
-            with np.errstate(invalid="ignore"):
-                g, k, qd, bias = _velocity(robot, limits, terms_next, dq,
-                                           np.arange(at.size)[:, None] * C + pair_c,
-                                           step[at][:, pair_l], has_step[at][:, pair_l], pair_c)
-            per_group = np.bincount(g, minlength=at.size)
+            dq = q_next - q[at][:, None, :]
+            per_group, *entries = _box_entries(robot, limits, terms_next, dq, used_dt[at],
+                                               levels, box_mask)
             a, b = (first[g0] if g0 < G else 0), (first[g1] if g1 < G else q.shape[0])
             local = group[a:b] - g0
-            yield r0 + a, Screen(mask, dt[a:b], local, per_group[local], q[at], dq,
-                                 np.cumsum(per_group) - per_group, pair_u[k], qd, bias)
+            yield r0 + a, Screen(mask, dt[a:b], local, per_group[local], q[at],
+                                 dq.reshape(-1, q_next.shape[1]),
+                                 np.cumsum(per_group) - per_group, *entries)
 
 
 def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
@@ -401,7 +450,8 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     (velocity_screens), whose velocity work is done; or a sorted array of
     lane ids, each scored on its own. A lane without a time step has dt =
     +inf; only the candidates with a time step that pass the joint-velocity
-    bound are evaluated.
+    bound are evaluated. Each evaluated lane takes its cell and time step
+    from its screen entry (or, listed, from its own lane id).
     """
     pv_prev, pv_next = np.asarray(pv_prev, dtype=float), np.asarray(pv_next, dtype=float)
     P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
@@ -410,45 +460,46 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     if shared and not isinstance(candidates, Screen):
         (_, candidates), = velocity_screens(robot, limits, dlam, q_prev, pv_prev, q_next,
                                             terms_next, pv_next, candidates)
-    dt = candidates.dt if shared else edge_durations(pv_prev[:, None], pv_next, dlam)
-    has_step = np.isfinite(dt)
-    step = np.where(has_step, dt, 1.0)
     if shared:
-        screen = candidates
-        with_step = int(has_step.sum(axis=0) @ screen.mask.sum(axis=1))
+        screen, dt = candidates, candidates.dt
+        with_step = int(np.isfinite(dt).sum(axis=0) @ screen.mask.sum(axis=1))
         no_step = P * np.count_nonzero(screen.mask) - with_step
-        # each predecessor takes its group's passed pairs: one run of
+        # each predecessor takes its group's passed entries: one run of
         # entries, so the evaluated lanes come in ascending order
         count = screen.counts
         row = np.arange(count.sum()) + np.repeat(screen.start[screen.group]
                                                  - np.cumsum(count) + count, count)
-        p, lc = np.repeat(np.arange(P), count), screen.lc[row]
+        p, lc, c, step = (np.repeat(np.arange(P), count), screen.lc[row], screen.cell[row],
+                          screen.step[row])
         qd, bias, dq = screen.qd, screen.bias, screen.dq
         candidates = screen.mask
     else:
-        # each listed lane is its own pair, with its own row of dq
+        # each listed lane is its own entry, with its own row of dq
+        dt = edge_durations(pv_prev[:, None], pv_next, dlam)
         pair_p, pair_u = np.divmod(candidates, S)
         pair_l, pair_c = np.divmod(pair_u, C)
-        listed_step = has_step[pair_p, pair_l]
-        with_step = int(np.count_nonzero(listed_step))
+        pair_step = dt[pair_p, pair_l]
+        keep = np.isfinite(pair_step)
+        with_step = int(np.count_nonzero(keep))
         no_step = candidates.size - with_step
         dq = _gather(q_next, pair_c) - _gather(q_prev, pair_p)
         with np.errstate(invalid="ignore"):
-            _, k, qd, bias = _velocity(robot, limits, terms_next, dq, np.arange(pair_c.size),
-                                       step[pair_p, pair_l], listed_step, pair_c)
+            if limits.qd is not None:
+                keep &= ~_table_drops(dq, pair_step, limits.qd)
+            k = np.flatnonzero(keep)
+            qd, bias, step, c, k = _velocity(robot, limits, terms_next, _gather(dq, k),
+                                             pair_step[k], pair_c[k], k)
         p, lc, row = pair_p[k], pair_u[k], np.arange(k.size)
-    lanes = p * S + lc
-    l, c = np.divmod(lc, C)
     with np.errstate(invalid="ignore"):
         qd = _gather(qd, row)
-        qd_prev, step = _gather(qd_prev, p), step[p, l][:, None]
-        qdd = (qd - qd_prev) / step
-        qddd = (qdd - _gather(qdd_prev, p)) / step
+        qd_prev, lane_step = _gather(qd_prev, p), step[:, None]
+        qdd = (qd - qd_prev) / lane_step
+        qddd = (qdd - _gather(qdd_prev, p)) / lane_step
         # H qdd from the cells' columns of H, gathered one at a time: no
         # (K, n, n) gather
         tau = _fold_columns(lambda b: _gather(terms_next.H[:, :, b], c), qdd)
         tau += _gather(bias, row)
-        taud = (tau - _gather(tau_prev, p)) / step
+        taud = (tau - _gather(tau_prev, p)) / lane_step
         stack = (qd, qdd, qddd, tau, taud)
         # each enabled order's verdict on the evaluated lanes: its endpoint
         # check, the Coulomb exemption of the torque rate, then (outside
@@ -464,7 +515,7 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         # square and ** differ in the last place on some doubles): the
         # check-point samples, and through them the golden digests, depend
         # on these bits
-        pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[l][:, None]
+        pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[lc // C][:, None]
         pv2_prev = pv_prev[p][:, None] ** 2
         # a check point's configuration q_prev + s * dq depends on the
         # lane's row of dq alone: its rigid-body terms are computed once
@@ -487,8 +538,9 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
             for order in _CHECK_POINT_ORDERS:
                 if order in verdicts:
                     verdicts[order] &= _order_ok(sample[order], limits.bound(order))
-    ok = np.all(list(verdicts.values()), axis=0) if verdicts else np.ones(lanes.size, bool)
-    return StageEval(dt, lanes, *stack, ok, verdicts, (P, L, C), candidates, with_step, no_step)
+    ok = np.all(list(verdicts.values()), axis=0) if verdicts else np.ones(p.size, bool)
+    return StageEval(dt, p, lc, step, *stack, ok, verdicts, (P, L, C), candidates, with_step,
+                     no_step)
 
 
 @dataclass(frozen=True)

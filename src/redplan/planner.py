@@ -15,21 +15,23 @@ its time steps. The sweep orders each stage's labels once, by last cell,
 then last level, so that the labels that share a configuration and time
 steps are adjacent. The velocity screen (constraints.velocity_screens)
 then runs once per stage, over each run of such labels and candidate lane,
-and hands each label the lanes that pass; it is split into slices of
-labels and chunks of runs only when a stage's labels times levels or runs
-times lanes exceed SCREEN_BUDGET. One engine call scores the lanes handed
-to one block of labels, and a block takes at most LANE_BUDGET of them: the
-evaluated lanes, not the candidates, bound its memory. Under a window a
-block's labels list their lanes, and the listed lanes fill the budget.
-Each block reduces its feasible lanes to one entry per next key with a
-scatter-min over the block's own keys, whose tail groups the cut keeps
-within max(LANE_BUDGET, S) slots; one sort per stage then merges the
-blocks' entries, so a stage holds no table over all next keys. The labels
-are the search's whole record: extract() starts from the cheapest terminal
-label and follows the predecessor rows. The rigid-body terms of the grid's
-cells come from the grid (StateGrid.terms), computed once however many
-sweeps and replays read them; a replay gathers its chain's rows and
-checks, as the sweep does, that a rest start holds still.
+and hands each label the lanes that pass, each with its level, cell and
+time step; it is split into slices of labels and chunks of runs only when
+a stage's labels times levels or its (run, level, cell) box exceeds
+SCREEN_BUDGET. One engine call scores the lanes handed to one block of
+labels, and a block takes at most LANE_BUDGET of them: the evaluated
+lanes, not the candidates, bound its memory. Under a window a block's
+labels list their lanes, and the listed lanes fill the budget. Each block
+reduces its feasible lanes, read by their row, next node and time step
+(StageEval), to one entry per next key with a scatter-min over the
+block's own keys, whose tail groups the cut keeps within max(LANE_BUDGET,
+S) slots; one sort per stage then merges the blocks' entries, so a stage
+holds no table over all next keys. The labels are the search's whole
+record: extract() starts from the cheapest terminal label and follows the
+predecessor rows. The rigid-body terms of the grid's cells come from the
+grid (StateGrid.terms), computed once however many sweeps and replays
+read them; a replay gathers its chain's rows and checks, as the sweep
+does, that a rest start holds still.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -53,16 +55,16 @@ from .grid import StateGrid
 Array = np.ndarray
 
 # the lanes an engine call evaluates (those the screen hands out) or lists
-# (under a window) bound its memory, about 240 B each (3.9 MB at the budget,
+# (under a window) bound its memory, about 215 B each (3.5 MB at the budget,
 # plan-dense): a block's rows take at most LANE_BUDGET lanes, unless one row
 # alone takes more
 LANE_BUDGET = 16384
-# a screen slice's (row, level) time steps, a screen chunk's (group,
-# candidate lane) entries and a window block's (row, lane) candidate mask
-# stay within SCREEN_BUDGET, unless one group or row alone exceeds it. A
-# screen entry peaks at about 53 B (plan-dense), so a full chunk costs about
-# what a full block does; with no velocity bound every entry passes and
-# peaks at about 270 B
+# a screen slice's (row, level) time steps, a screen chunk's (group, level,
+# cell) box over the levels its mask uses, and a window block's (row,
+# lane) candidate mask stay within SCREEN_BUDGET, unless one group or
+# row alone exceeds it. A box entry peaks at about 30 B (plan-dense), so a
+# full chunk costs about half a full block; with no velocity bound every
+# entry with a time step passes and peaks at about 275 B
 SCREEN_BUDGET = 4 * LANE_BUDGET
 # above every position a label can have
 _NO_POS = np.iinfo(np.intp).max
@@ -250,19 +252,22 @@ def _sweep(grid, limits, check_count, window, depth=0):
                                    check_count=check_count, candidates=candidates)
             for name, count in ev.rejections().items():
                 histogram[name] = histogram.get(name, 0) + count
-            # the feasible evaluated lanes (rows of the stack), reduced per
-            # block to each next key's cheapest over the block's own keys
-            # (local group, s); only the winners' global key (group, s),
-            # cost, label (its tie position) and samples are gathered
+            # the feasible evaluated lanes (rows of the stack), each with
+            # its row, next node s and time step from the engine, reduced
+            # per block to each next key's cheapest over the block's own
+            # keys (local group, s); only the winners' global key (group,
+            # s), cost, label (its tie position) and samples are gathered
             ok = np.flatnonzero(ev.ok)
-            p, s = np.divmod(ev.lanes[ok], S)
-            pos, lane_cost = rows[p], cost[rows[p]] + ev.dt[p, s // C]
+            p, s = ev.row[ok], ev.node[ok]
+            pos = rows[p]
+            lane_cost = cost[pos] + ev.step[ok]
             win = _scatter_cheapest(local[p] * S + s, lane_cost, pos, (local[-1] + 1) * S)
             pos, s, row = pos[win], s[win], ok[win]
             winners.append((group[pos] * S + s, lane_cost[win], pos,
                             ev.qd[row], ev.qdd[row], ev.tau[row]))
-            # free this block's arrays before the next block's call builds its own
-            del ev
+            # free this block's arrays, and its screen's once no block reads
+            # it, before the next call or screen builds its own
+            del ev, candidates
 
         key, cost, pos, qd, qdd, tau = _cheapest(*map(np.concatenate, zip(*winners)))
         if not key.size:
@@ -392,7 +397,7 @@ def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
                                *samples[:, :-1], q[1:], terms[1:], grid.pv_values,
                                check_count=count,
                                candidates=(edge * L + level[1:]) * n_stages + edge)
-        edges = ev.lanes // (L * n_stages)
+        edges = ev.row
         samples[:, edges + 1] = ev.qd, ev.qdd, ev.tau
     ok = np.zeros(n_stages, dtype=bool)
     ok[edges] = ev.ok

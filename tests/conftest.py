@@ -218,9 +218,9 @@ def sweep_blocks(monkeypatch, grid, budgets, *args):
     """sweep_record(grid, *args) with planner.LANE_BUDGET and SCREEN_BUDGET
     set to budgets, and how the sweep cut its stages: (record, log).
     log["calls"] holds (rows, listed lanes or None, evaluated lanes) of
-    each engine call, log["screens"] the (groups, candidate lanes) of each
-    screen chunk, per stage, and log["split"] counts the blocks that start
-    inside a screen group."""
+    each engine call, log["screens"] the (groups, box entries per group:
+    the levels the mask uses times cells) of each screen chunk, per stage, and
+    log["split"] counts the blocks that start inside a screen group."""
     from redplan import constraints, planner
     log = {"calls": [], "screens": [], "split": 0}
     engine, screens, rows = (planner.stage_transitions, planner.velocity_screens,
@@ -235,7 +235,8 @@ def sweep_blocks(monkeypatch, grid, budgets, *args):
     def screens_spy(*args, **kwargs):
         log["screens"].append([])
         for at, screen in screens(*args, **kwargs):
-            log["screens"][-1].append((screen.q.shape[0], int(np.count_nonzero(screen.mask))))
+            box = np.count_nonzero(screen.mask.any(axis=1)) * screen.mask.shape[1]
+            log["screens"][-1].append((screen.q.shape[0], int(box)))
             yield at, screen
 
     def rows_spy(screen, a, b):

@@ -782,11 +782,15 @@ class TestStageTransitions:
             out = []
             for r, g in enumerate(screen.group):
                 at = slice(screen.start[g], screen.start[g] + screen.counts[r])
-                out.append((screen.lc[at], screen.qd[at], screen.bias[at]))
+                out.append(tuple(getattr(screen, f)[at] for f in
+                                 ("lc", "cell", "step", "qd", "bias")))
             return out
 
         (_, whole), = constraints.velocity_screens(*args)
         expect = handed(whole)
+        # a chunk's table is a (group, level, cell) box over the levels
+        # that the mask uses
+        box = np.count_nonzero(mask.any(axis=1)) * C
         assert whole.q.shape[0] < P and sum(whole.counts) > 0
         rows, durations, runs = [], constraints.edge_durations, constraints._runs
         monkeypatch.setattr(constraints, "edge_durations",
@@ -799,7 +803,7 @@ class TestStageTransitions:
             for a, screen in constraints.velocity_screens(*args, max_entries=max_entries):
                 assert a == at
                 at += screen.group.size
-                assert screen.q.shape[0] == 1 or screen.q.shape[0] * mask.sum() <= max_entries
+                assert screen.q.shape[0] == 1 or screen.q.shape[0] * box <= max_entries
                 assert screen.dt.tobytes() == whole.dt[a:at].tobytes()
                 got += handed(screen)
             assert at == P and max(rows) <= max(1, max_entries // L)
@@ -963,6 +967,131 @@ class TestLaneContract:
         (small, _), (large, ev) = chain(1000), chain(2000)
         assert ev.lanes.size == 2000
         assert large < 3 * small
+
+
+def per_pair_table(dq, dt, mask, qd_max):
+    """The velocity table as one expression per (group, pair) entry: dq (G
+    * C, n) the groups' configuration steps, dt (G, L) their time steps
+    (+inf: none), mask the (L, C) candidates, qd_max None for no bound. The
+    (group, level, cell) of each kept entry, in (group, lane) order."""
+    C = mask.shape[1]
+    pair_l, pair_c = np.divmod(np.flatnonzero(mask), C)
+    has_step = np.isfinite(dt)
+    step = np.where(has_step, dt, 1.0)
+    keep = has_step[:, pair_l]
+    if qd_max is not None:
+        with np.errstate(invalid="ignore"):
+            tmin = np.max(np.abs(dq) / qd_max, axis=-1)
+            pair_dq = np.arange(dt.shape[0])[:, None] * C + pair_c
+            keep &= ~(tmin[pair_dq] > step[:, pair_l] * (1.0 + constraints._TABLE_SLACK))
+    g, k = np.divmod(np.flatnonzero(keep), pair_l.size)
+    return g, pair_l[k], pair_c[k]
+
+
+class TestScreenFields:
+    """The screen works out each entry's level, cell and time step once;
+    the engine hands them to its lanes, and the sweep and replay read them
+    from StageEval instead of splitting lane ids again."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_box_table_keeps_what_the_per_pair_formula_keeps(self, data):
+        # the table over the (group, level, cell) box keeps exactly the
+        # entries of the per-pair formula, in the same order: cells without
+        # IK (NaN rows), levels without a time step, masks with holes, no
+        # velocity bound, and configuration steps that sit exactly on the
+        # table's slack (q_prev = 0, one joint at step * (1 + slack))
+        arm = make_reference_arm()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        P, C = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+        levels = np.array([0.0, 0.25, 0.5, 1.0])
+        L, dlam = levels.size, 0.1
+        base = np.vstack([np.zeros(3), rng.uniform(-0.3, 0.3, (2, 3))])
+        q = base[rng.integers(0, 3, P)]
+        pv = rng.choice([0.0, 0.25, 0.5], P)
+        q_next = rng.uniform(-0.3, 0.3, (C, 3))
+        q_next[rng.random(C) < 0.2] = np.nan
+        for c in np.flatnonzero(rng.random(C) < 0.4):
+            q_next[c] = 0.0
+            q_next[c, rng.integers(0, 3)] = (dlam / rng.choice(levels[1:])
+                                             * (1.0 + constraints._TABLE_SLACK))
+        mask = rng.random((L, C)) < data.draw(st.sampled_from([0.3, 0.8, 1.0]))
+        qd_max = data.draw(st.sampled_from([None, np.ones(3), np.array([0.5, 2.0, 1.0])]))
+        kept = []
+        velocity = constraints._velocity
+
+        def spy(robot, limits, terms_next, qd, step, cell, g, lc):
+            kept.append((g.copy(), lc // C, cell.copy()))
+            return velocity(robot, limits, terms_next, qd, step, cell, g, lc)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(constraints, "_velocity", spy)
+            (_, screen), = constraints.velocity_screens(
+                arm, LimitSets(qd=qd_max), dlam, q, pv, q_next, arm.rigid_terms(q_next),
+                levels, mask)
+        (g, level, cell), = kept
+        first = np.flatnonzero(np.diff(screen.group, prepend=-1))
+        dq = (q_next - q[first][:, None, :]).reshape(-1, 3)
+        dt = edge_durations(pv[first][:, None], levels, dlam)
+        for got, want in zip((g, level, cell), per_pair_table(dq, dt, mask, qd_max)):
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_lane_fields_are_the_lane_ids_and_their_steps(self, data):
+        # for a mask, its Screen cut into blocks and a lane list, each
+        # evaluated lane's row, node and step are divmod(lane, S) and the
+        # time step of its row and level, bit for bit; each screen entry's
+        # cell is its lc's, and its step is each of its group's rows' time
+        # step at its lc's level
+        arm = make_reference_arm()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        P, C = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 6))
+        center = np.array([0.3, -0.6, 0.9])
+        q = (center + rng.uniform(-0.06, 0.06, (3, 3)))[rng.integers(0, 3, P)]
+        pv = rng.choice([0.0, 0.25, 0.5], P)
+        hist = rng.normal(0, 0.5, (3, P, 3))
+        q_next = center + rng.uniform(-0.06, 0.06, (C, 3))
+        levels = np.array([0.0, 0.3, 0.5])
+        L, S = levels.size, levels.size * C
+        limits = LimitSets(qd=np.full(3, data.draw(st.sampled_from([0.3, 1.0, np.inf]))))
+        check_count = data.draw(st.sampled_from([0, 2]))
+        mask = rng.random((L, C)) < 0.8
+        args = (arm, limits, 0.1, q, pv, q_next, arm.rigid_terms(q_next), levels)
+
+        def run(candidates, a=0, b=P):
+            return stage_transitions(arm, limits, 0.1, q[a:b], pv[a:b], *hist[:, a:b], q_next,
+                                     arm.rigid_terms(q_next), levels,
+                                     check_count=check_count, candidates=candidates)
+
+        def check(ev, at=0):
+            row, node = np.divmod(ev.lanes, S)
+            assert ev.row.tobytes() == row.tobytes() and ev.node.tobytes() == node.tobytes()
+            assert ev.step.tobytes() == ev.dt[ev.row, ev.node // C].tobytes()
+            want = edge_durations(pv[at + ev.row], levels[ev.node // C], 0.1)
+            assert ev.step.tobytes() == want.tobytes()
+
+        dense = run(mask)
+        check(dense)
+        listed = run(np.flatnonzero(np.broadcast_to(mask, (P, L, C))))
+        check(listed)
+        for field in ("row", "node", "step", "lanes"):
+            assert getattr(dense, field).tobytes() == getattr(listed, field).tobytes()
+        blocks = []
+        for a, screen in constraints.velocity_screens(*args, mask, max_entries=2 * L * C):
+            level, cell = np.divmod(screen.lc, C)
+            assert screen.cell.tobytes() == cell.tobytes()
+            for r, g in enumerate(screen.group):
+                at = slice(screen.start[g], screen.start[g] + screen.counts[r])
+                assert screen.step[at].tobytes() == screen.dt[r, level[at]].tobytes()
+            rows = screen.group.size
+            for b0 in range(0, rows, 2):
+                b1 = min(b0 + 2, rows)
+                ev = run(screen.rows(b0, b1), a + b0, a + b1)
+                check(ev, a + b0)
+                blocks.append((ev.row + a + b0, ev.node, ev.step))
+        for field, got in zip(("row", "node", "step"), map(np.concatenate, zip(*blocks))):
+            assert got.tobytes() == getattr(dense, field).tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -261,7 +261,7 @@ def test_sweep_memory_is_bounded_by_its_labels():
 @pytest.mark.parametrize("name", ["toy_jerk", "toy_full", "ties"])
 def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
     # the sweep screens a stage's labels in chunks of at most SCREEN_BUDGET
-    # (group, lane) entries and scores them in blocks of at most LANE_BUDGET
+    # (group, level, cell) entries and scores them in blocks of at most LANE_BUDGET
     # evaluated (or, under a window, listed) lanes; a group of competing
     # labels may span blocks, and so may the labels that end in one cell.
     # One lane and one entry give one-row blocks and one screen group per

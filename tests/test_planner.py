@@ -1,6 +1,7 @@
 """DP planner: exactness vs enumeration, determinism, extraction, PST."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -497,15 +498,59 @@ class TestPredecessorBlocks:
         else:
             assert not screens and all(listed is not None for _, listed, _ in calls)
 
+    # a screen chunk's tracemalloc peak per SCREEN_BUDGET entry with the
+    # velocity bound off: the figure of the SCREEN_BUDGET comment
+    NO_QD_ENTRY_PEAK_B = 275
+
+    def test_a_chunk_without_a_velocity_bound_stays_within_its_memory(self, monkeypatch):
+        # with the velocity bound off every (group, level, cell) entry with
+        # a time step passes the screen and keeps its qd and bias torque.
+        # The bundled line with 66 cells and three stages fills chunks to
+        # near SCREEN_BUDGET entries; each chunk's peak, from the call that
+        # builds it to its Screen, stays within NO_QD_ENTRY_PEAK_B bytes per
+        # budget entry
+        doc = bundled_scenario("line").to_dict()
+        doc["n_stages"] = 3
+        doc["grid"]["v_step"] = [0.0125]
+        sc = load_scenario(doc)
+        grid = sc.build()
+        grid.terms
+        screens, chunks = planner.velocity_screens, []
+
+        def measured(*args, **kwargs):
+            mask = args[8]
+            box = np.count_nonzero(mask.any(axis=1)) * mask.shape[1]
+            chunk = screens(*args, **kwargs)
+            while True:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                try:
+                    at, screen = next(chunk)
+                except StopIteration:
+                    return
+                chunks.append((screen.q.shape[0] * box, tracemalloc.get_traced_memory()[1] - base))
+                yield at, screen
+
+        monkeypatch.setattr(planner, "velocity_screens", measured)
+        tracemalloc.start()
+        try:
+            planner._sweep(grid, sc.limits.disable("qd"), sc.check_count, None)
+        finally:
+            tracemalloc.stop()
+        assert max(entries for entries, _ in chunks) > 0.9 * planner.SCREEN_BUDGET
+        for entries, peak in chunks:
+            assert entries <= planner.SCREEN_BUDGET
+            assert peak <= self.NO_QD_ENTRY_PEAK_B * planner.SCREEN_BUDGET
+
     @pytest.mark.parametrize("window", [None, Window(max_dl=8)])
     def test_calls_stay_within_the_budgets(self, monkeypatch, window):
         # the bundled line over 4 stages with the velocity bound off: every
         # candidate with a time step is evaluated, up to 288 x 288 lanes a
         # stage. At the module's budgets each engine call evaluates (or
-        # lists) at most LANE_BUDGET lanes and each screen chunk holds at
-        # most SCREEN_BUDGET (group, lane) entries, unless one row or group
-        # alone takes more; a window block's (row, lane) mask stays within
-        # SCREEN_BUDGET too
+        # lists) at most LANE_BUDGET lanes and each screen chunk's (group,
+        # level, cell) box holds at most SCREEN_BUDGET entries, unless one
+        # row or group alone takes more; a window block's (row, lane) mask
+        # stays within SCREEN_BUDGET too
         doc = bundled_scenario("line").to_dict()
         doc["n_stages"] = 4
         sc = load_scenario(doc)
@@ -520,8 +565,8 @@ class TestPredecessorBlocks:
             assert window is None or rows == 1 or rows * S <= budgets[1]
         work = [lanes if listed is None else listed for _, listed, lanes in log["calls"]]
         assert max(work) > budgets[0] // 2 and sum(work) > 3 * budgets[0]
-        for groups, pairs in (chunk for stage in log["screens"] for chunk in stage):
-            assert groups == 1 or groups * pairs <= budgets[1]
+        for groups, box in (chunk for stage in log["screens"] for chunk in stage):
+            assert groups == 1 or groups * box <= budgets[1]
         assert bool(log["screens"]) == (window is None)
 
     @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
