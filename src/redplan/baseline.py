@@ -125,7 +125,8 @@ def _row_offsets(n: int, neighbours: bool) -> Array:
 
 def _linearize(robot: PlanarArm, q: Array,
                offsets: Array) -> tuple[Array, Array, Array | None]:
-    """Everything one resolution iteration reads at q, from one trig pass.
+    """Everything one resolution iteration reads at q, from one kinematics
+    pass.
 
     The stacked rows are q + offsets, offsets from _row_offsets. Returns
     the end-effector position at q, the (R, 2, n) Jacobians of every row,
@@ -139,10 +140,8 @@ def _linearize(robot: PlanarArm, q: Array,
     0 - J[0, 0] is y, because rounding to nearest is symmetric under
     negation and neither sum can be -0.0.
     """
-    ct, st = robot._trig(q + offsets)
-    J = robot._jacobian(ct, st)
-    H = (robot._inertia(robot._com_jacobian_components(ct[1:], st[1:]))
-         if len(offsets) > 1 else None)
+    J, components = robot._kinematics(q + offsets)
+    H = robot._inertia(components)[1:] if len(offsets) > 1 else None
     return np.array([J[0, 1, 0], 0.0 - J[0, 0, 0]]), J, H
 
 

@@ -504,8 +504,10 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         # each enabled order's verdict on the evaluated lanes: its endpoint
         # check, the Coulomb exemption of the torque rate, then (outside
         # this context: the samples take a square root and rigid-body
-        # terms) the check points
-        verdicts = {order: _order_ok(value, limits.bound(order))
+        # terms) the check points. Every evaluated lane passed the exact
+        # velocity check of _velocity, so qd's endpoint verdict is all True
+        verdicts = {order: (np.ones(p.size, bool) if order == "qd"
+                            else _order_ok(value, limits.bound(order)))
                     for order, value in zip(ORDERS, stack)
                     if limits.bound(order) is not None}
         if "taud" in verdicts:

@@ -170,7 +170,8 @@ def _level_mask(n_stages: int, n_levels: int, rest_to_rest: bool) -> Array:
 
 
 def build_grid(robot: PlanarArm, path: WorkspacePath, spec: GridSpec) -> StateGrid:
-    """Populate the full lattice via inverse kinematics (once per cell).
+    """Populate the full lattice via one inverse-kinematics call over every
+    waypoint and lattice row.
 
     Raises:
         EmptyStage: some waypoint is unreachable for every (v, g).
@@ -181,13 +182,12 @@ def build_grid(robot: PlanarArm, path: WorkspacePath, spec: GridSpec) -> StateGr
     if path.m != robot.m:
         raise ScenarioError("path dimension does not match the robot task space")
     G = robot.branch_count
-    v_rows = spec.v_lattice()
-    tables = [robot.ik_table(x, v_rows) for x in path.waypoints]
-    q_table = np.stack([q.reshape(-1, robot.n) for q, _, _ in tables])
+    q, _, degenerate = robot.ik_table(path.waypoints, spec.v_lattice())
+    q_table = q.reshape(path.n_stages + 1, -1, robot.n)
     in_limits = np.all((q_table >= robot.limits.q_min) & (q_table <= robot.limits.q_max), axis=2)
     grid = grid_from_configurations(robot, path, q_table, spec, cfg_ok=in_limits,
                                     branch_count=G)
-    return replace(grid, degenerate=np.stack([np.repeat(degen, G) for _, _, degen in tables]))
+    return replace(grid, degenerate=np.repeat(degenerate, G, axis=1))
 
 
 def grid_from_configurations(robot: PlanarArm, path: WorkspacePath, q_table: Array,

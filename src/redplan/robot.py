@@ -18,16 +18,17 @@ pair.
 
 All kinematics/dynamics methods broadcast over leading batch dimensions: a
 joint vector argument of shape ``(..., n)`` yields results with the same
-leading shape. Each reads one cos/sin pass over the cumulative link angles,
-which a caller can share: the baseline's redundancy resolution takes the
-position, the Jacobians and the inertia of its stacked rows from one. The
-kinematics kernels work on the whole stack at once. _jacobian and
-_com_jacobian_components multiply the trig values by the link levers into
-one table with a column of +0.0, gather each entry's terms into a fixed
-number of slots, and subtract the slots in order; a sum with fewer terms
-points its spare slots at the zero column, and x - (+0.0) is x for every
-x, -0.0 and NaN included. _inertia forms every link's term at once, puts
-+0.0 outside each link's block, and adds the links in increasing order.
+leading shape. One kernel, _kinematics, gives the task Jacobian and every
+link's COM Jacobian from one cos/sin pass over the cumulative link angles:
+it multiplies the trig values by the link levers into one table with a
+column of +0.0, gathers each entry's terms into n + 1 slots and subtracts
+the slots in order. A sum with fewer terms points its spare slots at the
+zero column: the task Jacobian's first slot, so that it computes
+0 - L_b s_b - ..., and the COM Jacobians' trailing ones, where x - (+0.0)
+is x for every x, -0.0 and NaN included. The baseline's redundancy resolution takes the
+position, the Jacobians and the inertia of its stacked rows from one such
+pass. _inertia forms every link's term over every entry, with no mask, and
+adds the links in increasing order with their inertias between them.
 So every entry takes its terms in the same order as a one-entry loop
 would, with only +0.0 added before its first term. Scalar, batched and
 stacked calls therefore go through identical elementwise arithmetic and
@@ -184,46 +185,46 @@ class PlanarArm:
         self.dynamics = dynamics
         self._L = lengths
         # Tables of the whole-stack kernels. Lever products: row x scales
-        # sin, row y scales cos; the kernels append a column of +0.0 that
-        # pads the shorter sums.
+        # sin, row y scales cos, the COM levers first and then the whole
+        # links; _kinematics appends a column of +0.0.
         lc = dynamics.com
         self._lever_scale = np.array([np.concatenate([-lc, lengths]),
                                       np.concatenate([lc, -lengths])])
-        # term j of Jacobian column b: link b + j, or the zero column n
-        j, b = np.ogrid[:n, :n]
-        self._jac_index = np.where(b + j < n, b + j, n)
-        # term j of COM Jacobian entry (k, b): link k's COM lever, then the
-        # whole links b..k-1, or the zero column 2n
-        j, k, b = np.ogrid[:n, :n, :n]
-        self._com_index = np.where(j == 0, np.where(b <= k, k, 2 * n),
-                                   np.where(b + j - 1 < k, n + b + j - 1, 2 * n))
-        # link k's block of H (rows and columns 0..k), as a (k, a, b) mask
+        # term j of entry (k, b): for a link k < n, link k's COM lever and
+        # then the whole links b..k-1; for the tip k = n (the task
+        # Jacobian), no lever and the whole links b..n-1; or the zero column
+        j, k, b = np.ogrid[:n + 1, :n + 1, :n]
+        self._lever_index = np.where(j == 0, np.where((b <= k) & (k < n), k, 2 * n),
+                                     np.where(b + j - 1 < k, n + b + j - 1, 2 * n))
+        # link k's inertia on its block of H (rows and columns 0..k), as a
+        # (k, a, b) table with +0.0 elsewhere
         k, a, b = np.ogrid[:n, :n, :n]
-        self._link_block = (a <= k) & (b <= k)
-        self._link_inertia = np.where(self._link_block, dynamics.inertia[:, None, None], 0.0)
+        self._link_inertia = np.where((a <= k) & (b <= k),
+                                      dynamics.inertia[:, None, None], 0.0)
 
     # ------------------------------------------------------------------
     # kinematics
 
-    def _trig(self, q: Array) -> tuple[Array, Array]:
-        """cos and sin of the cumulative link angles, (..., n) each: the one
-        transcendental pass that every kinematic quantity below reads."""
+    def _kinematics(self, q: Array) -> tuple[Array, tuple]:
+        """The task Jacobian dk/dq (..., 2, n) and the COM Jacobian
+        components (Ax, Ay, ct, st) at q: Ax[..., k, b] is the x component
+        of d(p_com_k)/d(q_b), and ct, st the cos and sin of the cumulative
+        link angles, the one transcendental pass that both read."""
         th = np.cumsum(np.asarray(q, dtype=float), axis=-1)
-        return np.cos(th), np.sin(th)
-
-    def _jacobian(self, ct: Array, st: Array) -> Array:
-        """Task Jacobian dk/dq, shape (..., 2, n), from the result of _trig."""
-        # column b is 0 - L_b s_b - L_b+1 s_b+1 - ... in x, and the same
-        # over -L c in y, which adds L c; the zero column pads short sums
-        n, shape = self.n, ct.shape[:-1]
-        table = np.zeros(shape + (2, n + 1))
-        np.multiply(np.concatenate((st, ct), axis=-1).reshape(shape + (2, n)),
-                    self._lever_scale[:, n:], out=table[..., :n])
-        terms = table.take(self._jac_index, axis=-1)
-        J = 0.0 - terms[..., 0, :]
-        for j in range(1, n):
-            J -= terms[..., j, :]
-        return J
+        ct, st = np.cos(th), np.sin(th)
+        # entry (k, b) is t0 - t1 - ... - tn over its slots: in x the
+        # products with sin, in y those with cos, whose levers are negated
+        # for the whole links, so that y adds L c; for b > k every slot is
+        # the zero column and the entry is +0.0
+        n, shape = self.n, th.shape[:-1]
+        table = np.zeros(shape + (2, 2 * n + 1))
+        np.multiply(np.concatenate((st, st, ct, ct), axis=-1).reshape(shape + (2, 2 * n)),
+                    self._lever_scale, out=table[..., :2 * n])
+        terms = table.take(self._lever_index, axis=-1)
+        A = terms[..., 0, :, :] - terms[..., 1, :, :]
+        for j in range(2, n + 1):
+            A -= terms[..., j, :, :]
+        return A[..., n, :], (A[..., 0, :n, :], A[..., 1, :n, :], ct, st)
 
     def _distal_geometry(self, x: Array, v: Array) -> tuple[Array, Array, Array, Array]:
         """Per-query quantities of the distal 2-R subproblem.
@@ -249,30 +250,29 @@ class PlanarArm:
         return wx, wy, cos_elbow, thp[..., r - 1]
 
     def ik_table(self, x: Array, v_values: Array) -> tuple[Array, Array, Array]:
-        """The joint vectors that reach x on both branches, with the
-        redundancy joints pinned to each row of a (J, r) batch v.
+        """The joint vectors that reach each row of a (W, 2) batch of
+        targets x on both branches, with the redundancy joints pinned to
+        each row of a (J, r) batch v.
 
-        Returns (q, reachable, degenerate): q of shape (J, 2, n), NaN where
-        unreachable; (J,) masks of reachable and of coincident-branch rows
-        (whose solution is kept on branch 0 only).
+        Returns (q, reachable, degenerate): q of shape (W, J, 2, n), NaN
+        where unreachable; (W, J) masks of reachable and of coincident-branch
+        rows (whose solution is kept on branch 0 only).
         """
         x = np.asarray(x, dtype=float)
         v_values = np.asarray(v_values, dtype=float)
-        wx, wy, ce, base = self._distal_geometry(x[None, :], v_values)
+        wx, wy, ce, base = self._distal_geometry(x[:, None, :], v_values)
         reachable = (ce <= 1.0 + _REACH_TOL) & (ce >= -1.0 - _REACH_TOL)
         ce_c = np.clip(ce, -1.0, 1.0)
         degenerate = reachable & ((1.0 - np.abs(ce_c)) <= _DEGENERATE_TOL)
         gamma = np.arccos(ce_c)
         l2, l3 = self._L[self.n - 2], self._L[self.n - 1]
         phi = np.arctan2(wy, wx)
-        J = v_values.shape[0]
-        q = np.full((J, 2, self.n), np.nan)
+        q = np.full(ce.shape + (2, self.n), np.nan)
         for g, q_elbow in ((0, gamma), (1, -gamma)):
             psi = np.arctan2(l3 * np.sin(q_elbow), l2 + l3 * np.cos(q_elbow))
-            q_pen = _wrap_angle(phi - psi - base)
-            q[:, g, : self.r] = v_values
-            q[:, g, self.n - 2] = q_pen
-            q[:, g, self.n - 1] = q_elbow
+            q[..., g, : self.r] = v_values
+            q[..., g, self.n - 2] = _wrap_angle(phi - psi - base)
+            q[..., g, self.n - 1] = q_elbow
         q[~reachable] = np.nan
         q[degenerate, 1] = np.nan
         return q, reachable, degenerate
@@ -280,29 +280,10 @@ class PlanarArm:
     # ------------------------------------------------------------------
     # dynamics
 
-    def _com_jacobian_components(self, ct: Array, st: Array) -> tuple[Array, Array, Array, Array]:
-        """COM Jacobian columns of every link, as separate x/y components.
-
-        Takes the result of _trig. Returns (Ax, Ay, ct, st): Ax[..., k, b] is
-        the x component of d(p_com_k)/d(q_b).
-        """
-        # for b <= k, entry (k, b) starts at the COM lever of link k and then
-        # takes every whole link b..k-1, in increasing order; for b > k it
-        # is the zero column's 0 - 0 - ... = +0.0
-        n, shape = self.n, ct.shape[:-1]
-        table = np.zeros(shape + (2, 2 * n + 1))
-        np.multiply(np.concatenate((st, st, ct, ct), axis=-1).reshape(shape + (2, 2 * n)),
-                    self._lever_scale, out=table[..., :2 * n])
-        terms = table.take(self._com_index, axis=-1)
-        A = terms[..., 0, :, :] - terms[..., 1, :, :]
-        for j in range(2, n):
-            A -= terms[..., j, :, :]
-        return A[..., 0, :, :], A[..., 1, :, :], ct, st
-
     def rigid_terms(self, q: Array) -> RigidTerms:
         """The velocity-independent terms H, G and gravity torque at q, from
         one pass over the COM Jacobians."""
-        components = self._com_jacobian_components(*self._trig(q))
+        components = self._kinematics(q)[1]
         return RigidTerms(self._inertia(components), self._centripetal(components),
                           self._gravity(components))
 
@@ -320,24 +301,26 @@ class PlanarArm:
         tau = tau + self.dynamics.coulomb * np.sign(qd)
         return tau + gravity
 
-    # _inertia, _centripetal and _gravity take the result of
-    # _com_jacobian_components, so one pass derives all three; bias_torque
+    # _inertia, _centripetal and _gravity take the COM Jacobian components
+    # of _kinematics, so one pass derives all three; bias_torque
     # takes G and the gravity torque. Each adds link k's term to every entry it
     # reaches in increasing k, so an entry sums its terms in increasing k.
 
     def _inertia(self, components) -> Array:
         Ax, Ay, _, _ = components
         n = self.n
-        # every link's m_k (ax_a ax_b + ay_a ay_b) at once, (..., k, a, b),
-        # kept on link k's block and +0.0 elsewhere; the lower triangle's
-        # products take their factors in swapped order, which IEEE
-        # multiplication does not notice, so H is symmetric
+        # every link's term T_k = m_k (ax_a ax_b + ay_a ay_b) on every
+        # entry, (..., k, a, b); the lower triangle's products take their
+        # factors in swapped order, which IEEE multiplication does not
+        # notice, so H is symmetric
         term = Ax[..., :, :, None] * Ax[..., :, None, :]
         term += Ay[..., :, :, None] * Ay[..., :, None, :]
         term *= self.dynamics.mass[:, None, None]
-        term = np.where(self._link_block, term, 0.0)
-        # entry (a, b) meets only +0.0 before its first link max(a, b), so
-        # it sums 0 + T_k + I_k + T_k+1 + ... from there as a loop would
+        # off link k's block one factor is +0.0, so T_k is +-0.0 there (or
+        # NaN, where a NaN angle makes link max(a, b)'s term NaN as well),
+        # and +0.0 plus +-0.0 stays +0.0: in 0 + T_0 + I_0 + T_1 + I_1 + ...
+        # entry (a, b) meets only +0.0 before its first link max(a, b), and
+        # from there it sums as a loop would
         H = 0.0 + term[..., 0, :, :]
         H += self._link_inertia[0]
         for k in range(1, n):

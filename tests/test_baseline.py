@@ -25,7 +25,7 @@ def interior_config(arm, rng):
     """Random configuration with a comfortably conditioned Jacobian."""
     while True:
         q = rng.uniform(-1.8, 1.8, 3)
-        s = np.linalg.svd(arm._jacobian(*arm._trig(q)), compute_uv=False)
+        s = np.linalg.svd(arm._kinematics(q)[0], compute_uv=False)
         if s[-1] > 0.05 * s[0]:
             return q
 
@@ -71,7 +71,7 @@ def test_alpha_zero_is_pure_pseudo_inverse_tracking(arm):
         k = 0
         while np.linalg.norm(err) >= config.tolerance:
             assert k < config.max_iterations
-            q = q + config.beta * (scalar_pinv(arm._jacobian(*arm._trig(q)), 1e8) @ err)
+            q = q + config.beta * (scalar_pinv(arm._kinematics(q)[0], 1e8) @ err)
             err = path.waypoints[i] - loop_position(arm, q)
             k += 1
         expected.append(q.copy())
@@ -147,7 +147,7 @@ def test_config_infinite_caps_mean_no_cap():
 
 def dense_cost(arm, q, t):
     """|| H(q) J(q)^+ t ||^2 with numpy's own pseudo-inverse."""
-    w = arm.rigid_terms(q).H @ np.linalg.pinv(arm._jacobian(*arm._trig(q))) @ t
+    w = arm.rigid_terms(q).H @ np.linalg.pinv(arm._kinematics(q)[0]) @ t
     return float(w @ w)
 
 
@@ -182,7 +182,7 @@ def test_null_space_term_lies_in_jacobian_kernel(arm):
         q = interior_config(arm, RNG)
         t = RNG.standard_normal(2)
         t /= np.linalg.norm(t)
-        J = arm._jacobian(*arm._trig(q))
+        J = arm._kinematics(q)[0]
         J_pinv = _pseudo_inverses(J[None], 1e8)[0]
         term = (np.eye(3) - J_pinv @ J) @ loop_gradient(arm, q, t, 1e8)
         assert np.linalg.norm(J @ term) <= 1e-10 * max(1.0, np.linalg.norm(term))
@@ -215,14 +215,14 @@ def scalar_pinv(J, cond_cap):
 
 def scalar_cost(arm, q, t, cond_cap):
     """|| H(q) J(q)^+ t ||^2 with one unstacked call per quantity."""
-    w = arm.rigid_terms(q).H @ scalar_pinv(arm._jacobian(*arm._trig(q)), cond_cap) @ t
+    w = arm.rigid_terms(q).H @ scalar_pinv(arm._kinematics(q)[0], cond_cap) @ t
     return w @ w
 
 
 def scalar_gradient(arm, q, t, cond_cap):
     """The definition: central differences of the scalar cost, joint by
     joint, after the check of J(q) that the iteration makes first."""
-    scalar_pinv(arm._jacobian(*arm._trig(q)), cond_cap)
+    scalar_pinv(arm._kinematics(q)[0], cond_cap)
     grad = np.empty(arm.n)
     for j in range(arm.n):
         step = np.zeros(arm.n)
@@ -286,7 +286,7 @@ def test_linearized_stack_bitwise_equals_scalar_calls(q, neighbours):
         rows += [q + step, q - step]
     assert J.shape == (len(rows), 2, arm.n)
     for r, row in enumerate(rows):
-        assert J[r].tobytes() == arm._jacobian(*arm._trig(row)).tobytes()
+        assert J[r].tobytes() == arm._kinematics(row)[0].tobytes()
         if r:
             assert H[r - 1].tobytes() == arm.rigid_terms(row).H.tobytes()
     assert (H is None) == (not neighbours)
@@ -346,13 +346,13 @@ def test_alpha_zero_builds_no_neighbour_rows(arm, monkeypatch):
     path = make_line_path(6)
     q0 = start_config(arm, path)
     shapes = []
-    trig = arm._trig
+    kinematics = arm._kinematics
 
-    def recording_trig(q):
+    def recording_kinematics(q):
         shapes.append(np.shape(q))
-        return trig(q)
+        return kinematics(q)
 
-    monkeypatch.setattr(arm, "_trig", recording_trig)
+    monkeypatch.setattr(arm, "_kinematics", recording_kinematics)
     monkeypatch.setattr(arm, "_inertia", None)      # never called without neighbours
     jp = resolve_redundancy(arm, path, ResolutionConfig(q0=q0, alpha=0.0))
     assert set(shapes) == {(1, 3)}

@@ -517,11 +517,11 @@ class TestStageTransitions:
         # evaluated lanes read: one per (group, cell) for a mask, one per
         # lane for a lane list
         shapes = []
-        trig = PlanarArm._trig
+        kinematics = PlanarArm._kinematics
 
         def recording(robot, q):
             shapes.append(np.shape(q))
-            return trig(robot, q)
+            return kinematics(robot, q)
 
         rng = np.random.default_rng(43)
         center = np.array([0.3, -0.6, 0.9])
@@ -533,7 +533,7 @@ class TestStageTransitions:
         terms = arm.rigid_terms(q_next)
         limits = LimitSets(qd=np.full(3, 0.25), tau=np.full(3, 100.0))
         levels = np.array([0.0, 0.3, 0.5])
-        monkeypatch.setattr(PlanarArm, "_trig", recording)
+        monkeypatch.setattr(PlanarArm, "_kinematics", recording)
         ev = stage_transitions(arm, limits, 0.1, *prev, q_next, terms, levels,
                                check_count=check_count)
         K = ev.lanes.size

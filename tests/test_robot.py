@@ -4,6 +4,8 @@ potential energy, kinetic-energy quadratic form)."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,19 +145,39 @@ def test_ik_elbow_below_chord_on_branch_zero(arm):
 
 
 def test_ik_table_matches_scalar_calls(arm):
+    # a (W, 2) batch of targets: two in the workspace, one beyond every
+    # row's reach, and one that stretches row 5's distal subchain, where the
+    # branches coincide
     vs = np.linspace(-0.8, 0.9, 18).reshape(-1, 1)
-    x = np.array([0.55, 0.15])
-    table, reachable, degenerate = arm.ik_table(x, vs)
-    for j, v in enumerate(vs):
-        for g in range(2):
-            try:
-                q = inverse_kinematics(arm, x, v, g)
-            except (Unreachable, BranchDegenerate):
-                assert np.all(np.isnan(table[j, g]))
-                continue
-            assert reachable[j]
-            assert table[j, g] == pytest.approx(q, abs=0.0)
-    assert not degenerate.any()
+    l0, l1, l2 = arm.link_lengths
+    stretched = (l0 * np.array([np.cos(vs[5, 0]), np.sin(vs[5, 0])])
+                 + (l1 + l2) * np.array([np.cos(0.3), np.sin(0.3)]))
+    xs = np.array([[0.55, 0.15], [0.3, -0.4], [5.0, 5.0], stretched])
+    table, reachable, degenerate = arm.ik_table(xs, vs)
+    assert table.shape == (4, 18, 2, 3)
+    assert reachable.shape == degenerate.shape == (4, 18)
+    for w, x in enumerate(xs):
+        # the batch equals one call per waypoint byte for byte
+        for got, one in zip((table, reachable, degenerate), arm.ik_table(x[None], vs)):
+            assert got[w].tobytes() == one[0].tobytes()
+        for j, v in enumerate(vs):
+            for g in range(2):
+                try:
+                    q = inverse_kinematics(arm, x, v, g)
+                except Unreachable:
+                    assert not reachable[w, j]
+                    assert np.all(np.isnan(table[w, j, g]))
+                    continue
+                except BranchDegenerate:
+                    assert degenerate[w, j]
+                    assert np.all(np.isnan(table[w, j, g]))
+                    continue
+                assert reachable[w, j]
+                assert table[w, j, g].tobytes() == q.tobytes()
+    # the first targets are out of reach from some rows only
+    assert reachable[:2].any(axis=1).all() and not reachable[:2].all()
+    assert not reachable[2].any()
+    assert np.flatnonzero(degenerate).tolist() == [3 * 18 + 5]
 
 
 def test_branch_count_constant(arm):
@@ -167,7 +189,7 @@ def test_branch_count_constant(arm):
 
 
 def test_jacobian_lever_arms(unit_arm):
-    J = unit_arm._jacobian(*unit_arm._trig(np.zeros(3)))
+    J = unit_arm._kinematics(np.zeros(3))[0]
     assert J[1] == pytest.approx([3.0, 2.0, 1.0])
     assert J[0] == pytest.approx([0.0, 0.0, 0.0])
 
@@ -176,7 +198,7 @@ def test_jacobian_matches_central_differences(arm):
     rng = np.random.default_rng(12)
     h = 1e-6
     for q in random_joint_vectors(arm, 100, rng):
-        J = arm._jacobian(*arm._trig(q))
+        J = arm._kinematics(q)[0]
         delta = rng.standard_normal(3)
         fd = (transform_chain_fk(arm, q + h * delta)
               - transform_chain_fk(arm, q - h * delta)) / (2 * h)
@@ -185,7 +207,7 @@ def test_jacobian_matches_central_differences(arm):
 
 def test_jacobian_full_rank_generic(arm):
     q = np.array([0.3, -0.7, 1.1])
-    assert np.linalg.matrix_rank(arm._jacobian(*arm._trig(q))) == 2
+    assert np.linalg.matrix_rank(arm._kinematics(q)[0]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +468,37 @@ def test_kernels_bitwise_equal_loop_forms(n, batch, data):
     arm = CHAIN_ARMS[n]
     size = int(np.prod(batch, dtype=int)) * n
     q = np.reshape(data.draw(st.lists(ENTRIES, min_size=size, max_size=size)), batch + (n,))
-    trig = arm._trig(q)
-    components = arm._com_jacobian_components(*trig)
+    J, components = arm._kinematics(q)
     reference = loop_com_jacobian_components(arm, q)
     for got, expect in zip(components, reference):
         assert np.array_equal(bits(got), bits(expect))
-    pairs = [(arm._jacobian(*trig), loop_jacobian(arm, q)),
+    pairs = [(J, loop_jacobian(arm, q)),
              (arm._inertia(components), loop_inertia(arm, reference)),
              (arm._centripetal(components), loop_centripetal(arm, reference)),
              (arm._gravity(components), loop_gravity(arm, reference))]
+    for got, expect in pairs:
+        assert got.shape == expect.shape
+        assert np.array_equal(bits(got), bits(expect))
+
+
+# signed zeros and multiples of pi/2: poses where some COM Jacobian entries
+# and some of _inertia's terms off a link's block are -0.0
+AXIS_ANGLES = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1.5 * np.pi, -1.5 * np.pi]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernels_bitwise_equal_loop_forms_at_axis_poses(n):
+    arm = CHAIN_ARMS[n]
+    q = np.array(list(itertools.product(AXIS_ANGLES, repeat=n)))
+    J, components = arm._kinematics(q)
+    reference = loop_com_jacobian_components(arm, q)
+    Ax, Ay = components[:2]
+    term = Ax[..., :, :, None] * Ax[..., :, None, :] + Ay[..., :, :, None] * Ay[..., :, None, :]
+    k, a, b = np.ogrid[:n, :n, :n]
+    off_block = term[:, (a > k) | (b > k)]
+    assert np.any((off_block == 0.0) & np.signbit(off_block))
+    pairs = [(J, loop_jacobian(arm, q)), *zip(components, reference),
+             (arm._inertia(components), loop_inertia(arm, reference))]
     for got, expect in pairs:
         assert got.shape == expect.shape
         assert np.array_equal(bits(got), bits(expect))
@@ -468,7 +512,7 @@ def test_robot_round_trips_through_dict(arm):
     clone = load_robot(arm.to_dict())
     assert clone.to_dict() == arm.to_dict()
     q = np.array([0.2, -0.4, 0.9])
-    assert np.array_equal(clone._jacobian(*clone._trig(q)), arm._jacobian(*arm._trig(q)))
+    assert np.array_equal(clone._kinematics(q)[0], arm._kinematics(q)[0])
     assert np.array_equal(clone.rigid_terms(q).H, arm.rigid_terms(q).H)
 
 
