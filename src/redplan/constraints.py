@@ -463,7 +463,7 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
     if shared:
         screen, dt = candidates, candidates.dt
         with_step = int(np.isfinite(dt).sum(axis=0) @ screen.mask.sum(axis=1))
-        no_step = P * np.count_nonzero(screen.mask) - with_step
+        no_step = P * int(np.count_nonzero(screen.mask)) - with_step
         # each predecessor takes its group's passed entries: one run of
         # entries, so the evaluated lanes come in ascending order
         count = screen.counts

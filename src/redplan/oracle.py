@@ -12,14 +12,16 @@ and meet the same future edges, and since IEEE addition is monotone the
 cheapest label equals the cheapest feasible chain, bit for bit.
 
 On velocity-only runs the two searches must agree; with history-dependent
-orders enabled the DP cost can only be higher, and compare() runs both on
-one instance to quantify and attribute that gap. Both searches run the
-same sweep and replay, so they differ only in the histories they keep.
-The attribution searches again only the subsets of orders whose gap it
-cannot derive: an order bounded by +inf on every joint rejects nothing, so
-adding it changes no search; a subset with no finite bound after it
-searches like the full set; and a subset without a finite
-history-dependent bound has no gap.
+orders enabled the DP cost can only be higher, and compare() quantifies
+and attributes that gap. Both searches are the same sweep and replay and
+differ only in the histories they keep, so compare() runs them as one
+sweep that carries a label set per depth, stage by stage, and each
+search's labels and ties are those of its sweep alone. The attribution
+searches again only the subsets of orders whose gap it cannot derive: an
+order bounded by +inf on every joint rejects nothing, so adding it
+changes no search; a subset with no finite bound after it searches like
+the full set; and a subset without a finite history-dependent bound has
+no gap.
 """
 
 from __future__ import annotations
@@ -101,6 +103,14 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
             from plan(), it carries the stage where the sweep died and the
             rejection histogram of the transition out of it.
     """
+    _check_budget(grid, budget)
+    value, = _sweep(grid, limits, check_count, None, (HISTORY_DEPTH,))
+    return extract(value)
+
+
+def _check_budget(grid: StateGrid, budget: OracleBudget | None) -> None:
+    """Raise BudgetExceeded when the exact search's label bound exceeds
+    budget (None: the default budget)."""
     budget = budget if budget is not None else OracleBudget()
     counts = grid.admissible_counts
     bound = sum(math.prod(counts[max(0, i - HISTORY_DEPTH):i + 1])
@@ -108,17 +118,32 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
     if bound > budget.max_labels:
         raise BudgetExceeded(f"the search may keep up to {bound:.3g} labels, "
                              f"budget allows {budget.max_labels:.3g}")
-    return extract(_sweep(grid, limits, check_count, None, depth=HISTORY_DEPTH))
+
+
+def _dp_and_exact(grid: StateGrid, limits: LimitSets, budget: OracleBudget | None,
+                  check_count: int) -> tuple[PlanResult, PlanResult]:
+    """plan() and exhaustive_plan() of one instance, bit for bit, from one
+    sweep at depths 0 and HISTORY_DEPTH. The label bound is checked before
+    any work; over it, plan() runs alone first, so an instance that the DP
+    cannot plan raises NoFeasiblePlan before BudgetExceeded, as the two
+    calls in turn would. NoFeasiblePlan is the DP's when both die."""
+    try:
+        _check_budget(grid, budget)
+    except BudgetExceeded:
+        plan(grid, limits, check_count=check_count)
+        raise
+    return tuple(map(extract, _sweep(grid, limits, check_count, None, (0, HISTORY_DEPTH))))
 
 
 def compare(grid: StateGrid, limits: LimitSets, check_count: int = 0,
             budget: OracleBudget | None = None) -> GapReport:
     """Measure the DP approximation gap against the exact optimum.
 
-    Runs plan() and then exhaustive_plan() on the whole grid; their costs
-    are plan durations. When the gap exceeds GAP_TOLERANCE, the enabled
-    orders are added back one at a time (cheapest first) and each one's
-    gap increment is recorded.
+    Runs plan() and exhaustive_plan() on the whole grid as one sweep that
+    steps both searches through each stage together, with the results of
+    the two calls; their costs are plan durations. When the gap exceeds
+    GAP_TOLERANCE, the enabled orders are added back one at a time
+    (cheapest first) and each one's gap increment is recorded.
 
     An order binds when its bound has a finite entry; one that does not
     rejects no edge (|v| > inf is false for every sample, and the velocity
@@ -129,17 +154,19 @@ def compare(grid: StateGrid, limits: LimitSets, check_count: int = 0,
     - none of its binding orders is history-dependent: 0.0, since the DP
       is exact there.
     Only a subset with a binding history-dependent order and a binding
-    order after it runs plan() and exhaustive_plan(). budget guards every
-    exact search.
+    order after it is searched, by both searches in one sweep. budget
+    guards every exact search.
 
     Raises:
-        NoFeasiblePlan: from plan(), before the exact search runs.
-        BudgetExceeded: the exact search's label bound exceeds budget.
+        NoFeasiblePlan: from plan(), or, when the DP plans the instance,
+            from exhaustive_plan(); the DP's when both die.
+        BudgetExceeded: the exact search's label bound exceeds budget,
+            checked before any search; over it, plan() runs alone first,
+            so an instance it cannot plan raises NoFeasiblePlan instead.
         ContractViolation: DP cost below the oracle cost by more than
             GAP_TOLERANCE (one of the two searches is broken).
     """
-    dp = plan(grid, limits, check_count=check_count)
-    oracle = exhaustive_plan(grid, limits, budget=budget, check_count=check_count)
+    dp, oracle = _dp_and_exact(grid, limits, budget, check_count)
     gap = dp.cost - oracle.cost
     if gap < -GAP_TOLERANCE:
         raise ContractViolation(
@@ -160,10 +187,8 @@ def compare(grid: StateGrid, limits: LimitSets, check_count: int = 0,
             elif not any(binds[o] for o in enabled[:k + 1] if o in HISTORY_DEPENDENT_ORDERS):
                 gap_k = 0.0             # the DP is exact without history
             else:
-                subset = limits.disable(*enabled[k + 1:])
-                dp_k = plan(grid, subset, check_count=check_count)
-                oracle_k = exhaustive_plan(grid, subset, budget=budget,
-                                           check_count=check_count)
+                dp_k, oracle_k = _dp_and_exact(grid, limits.disable(*enabled[k + 1:]),
+                                               budget, check_count)
                 gap_k = dp_k.cost - oracle_k.cost
             attribution[order] = gap_k - prev_gap
             prev_gap = gap_k

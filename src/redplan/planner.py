@@ -38,7 +38,11 @@ predecessor id, the lexicographically smallest (level, lattice index,
 branch). Its orders above joint velocity see only the winning predecessor's
 history, so for them it is a conservative approximation (exact when only
 velocity-type constraints are enabled). The oracle sweeps at depth 2, which
-keeps every history an edge reads and is exact.
+keeps every history an edge reads and is exact. A sweep carries one or more
+label sets, one per depth, in one label array: oracle.compare() sweeps
+depths 0 and 2 together, so that every stage orders, screens, scores and
+reduces the rows of both searches at once, and each search's labels come
+out as its own sweep would give them.
 """
 
 from __future__ import annotations
@@ -157,14 +161,20 @@ def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
             the deepest stage reached and per-order counts of failed edge
             checks at the transition that died.
     """
-    return extract(_sweep(grid, limits, check_count, window))
+    value, = _sweep(grid, limits, check_count, window)
+    return extract(value)
 
 
-def _sweep(grid, limits, check_count, window, depth=0):
-    """Forward sweep over labels keyed by their last depth + 1 nodes into
-    a ValueMap. NoFeasiblePlan carries the stage a transition left no label
-    from, and that transition's rejection histogram; or stage 0 and
-    {"tau": start nodes}, when no start node can hold still."""
+def _sweep(grid, limits, check_count, window, depths=(0,)):
+    """Forward sweep over labels keyed by their last depth + 1 nodes, one
+    search per entry of depths, into a ValueMap each. Search k's labels are
+    a contiguous range of each stage's rows and its tail groups follow
+    those of the searches before it, so it keeps the labels, order and ties
+    of a sweep on its own. NoFeasiblePlan is that of the first search in
+    depths that dies, as if the searches ran in turn: the stage a
+    transition left it no label from, and that transition's rejection
+    histogram over its own labels; or stage 0 and {"tau": start nodes},
+    when no start node can hold still."""
     L, C = grid.level_count, grid.cfg_count
     S = L * C
     start = grid.stage_ids(0)
@@ -177,33 +187,38 @@ def _sweep(grid, limits, check_count, window, depth=0):
         if not holds.any():
             raise NoFeasiblePlan(0, {"tau": holds.size})
         start, qd, qdd, tau = start[holds], qd[holds], qdd[holds], tau[holds]
-    keys, cost = start[:, None], np.zeros(start.size)
-    label_node, label_pred, label_cost = [start], [np.full(start.size, -1)], [cost]
+    # every search starts from the same labels; search k holds rows
+    # begin[k]..begin[k + 1] - 1 of a stage
+    n = len(depths)
+    begin = list(range(0, (n + 1) * start.size, start.size))
+    node, cost = np.tile(start, n), np.zeros(begin[-1])
+    qd, qdd, tau = (np.tile(x, (n, 1)) for x in (qd, qdd, tau))
+    keys = [start[:, None]] * n
+    labels = [([start], [np.full(start.size, -1)], [np.zeros(start.size)]) for _ in depths]
+    failed = {}
 
     windowed = window is not None and (window.max_dl, window.max_dj) != (None, None)
     lattice_rows = grid.cell_lattice() if windowed and window.max_dj is not None else None
     robot, dlam = grid.robot, grid.path.dlam
     max_groups = max(1, LANE_BUDGET // S)
 
-    for i in range(grid.n_stages):
-        # Labels with the same tail (the key without its oldest node, once
-        # full) compete for the same next keys; group g then node s is the
-        # next key tails[g] + (s,), in key order. (np.unique imports
-        # numpy.ma on first use: +0.5 MB resident.)
-        tail = keys[:, 1:] if keys.shape[1] > depth else keys
-        group, first_label = _groups(tail)
-        tails = tail[first_label]
-        node = keys[:, -1]
+    def transition(i, node, group, cost, qd, qdd, tau):
+        """The labels that stage i's labels lead to, each next key's
+        cheapest in key order: key (group * S + s), cost, pos (its
+        predecessor's row), qd, qdd and tau; then the transition's
+        rejection histogram."""
         q_next, terms_next, admissible = grid.q_table[i + 1], terms[i + 1], grid.admissible[i + 1]
         histogram, winners = {}, []
 
         # the stage's labels by last cell, then last level, then tail group,
         # ties in key order: the rows that share a configuration and time
         # steps are then adjacent, and the screen runs their velocity part
-        # once. A group's labels share their last node (at depth 0 there is
-        # one group), so they stay together: along numbers the groups in
-        # this order, local a block's own from 0, and a block's keys (local
-        # group, s) fit in max(LANE_BUDGET, S) slots
+        # once. A group's labels share their last node, so they stay
+        # together, but for a depth-0 search's one group, which another
+        # search's rows can split into runs. along numbers the runs of a
+        # group in this order, local a block's own from 0: a block's keys
+        # (local run, s) fit in max(LANE_BUDGET, S) slots, and the runs of
+        # one group only reduce to more entries for the stage's merge
         by = np.lexsort((group, node // C, node % C))
         along, _ = _runs(group[by])
         # the labels' configurations and levels, in that order
@@ -255,8 +270,8 @@ def _sweep(grid, limits, check_count, window, depth=0):
             # the feasible evaluated lanes (rows of the stack), each with
             # its row, next node s and time step from the engine, reduced
             # per block to each next key's cheapest over the block's own
-            # keys (local group, s); only the winners' global key (group,
-            # s), cost, label (its tie position) and samples are gathered
+            # keys (local run, s); only the winners' global key (group, s),
+            # cost, label (its tie position) and samples are gathered
             ok = np.flatnonzero(ev.ok)
             p, s = ev.row[ok], ev.node[ok]
             pos = rows[p]
@@ -268,18 +283,46 @@ def _sweep(grid, limits, check_count, window, depth=0):
             # free this block's arrays, and its screen's once no block reads
             # it, before the next call or screen builds its own
             del ev, candidates
+        return (*_cheapest(*map(np.concatenate, zip(*winners))), histogram)
 
-        key, cost, pos, qd, qdd, tau = _cheapest(*map(np.concatenate, zip(*winners)))
-        if not key.size:
-            raise NoFeasiblePlan(i, histogram)
+    for i in range(grid.n_stages):
+        # Labels with the same tail (the key without its oldest node, once
+        # full) compete for the same next keys; group g then node s is
+        # search k's next key tails[k][g - first[k]] + (s,), in key order.
+        # (np.unique imports numpy.ma on first use: +0.5 MB resident.)
+        # Search 0's groups and rows start at 0, so a lone search shifts
+        # none of its arrays
+        groups, tails, first = [], [], [0]
+        for depth, key in zip(depths, keys):
+            tail = key[:, 1:] if key.shape[1] > depth else key
+            group, first_label = _groups(tail)
+            groups.append(group + first[-1] if first[-1] else group)
+            tails.append(tail[first_label])
+            first.append(first[-1] + first_label.size)
+        group = np.concatenate(groups) if n > 1 else groups[0]
+        key, next_cost, pos, next_qd, next_qdd, next_tau, histogram = transition(
+            i, node, group, cost, qd, qdd, tau)
+        ends = [0, *(int(np.searchsorted(key, f * S)) for f in first[1:-1]), key.size]
         g, s = np.divmod(key, S)
-        keys = np.concatenate([tails[g], s[:, None]], axis=1)
-        label_node.append(s)
-        label_pred.append(pos)
-        label_cost.append(cost)
-
-    return ValueMap(grid, limits, check_count, tuple(label_node), tuple(label_pred),
-                    tuple(label_cost))
+        for k in range(n):
+            a, b = ends[k], ends[k + 1]
+            if a == b and k not in failed:
+                # among other searches, a search that dies counts the edges
+                # of its own labels alone
+                rows = slice(begin[k], begin[k + 1])
+                failed[k] = NoFeasiblePlan(i, histogram if n == 1 else transition(
+                    i, node[rows], group[rows], cost[rows], qd[rows], qdd[rows], tau[rows])[-1])
+            keys[k] = np.concatenate([tails[k][g[a:b] - first[k] if k else g[:b]],
+                                      s[a:b, None]], axis=1)
+            for record, x in zip(labels[k], (s[a:b], pos[a:b] - begin[k] if k else pos[:b],
+                                             next_cost[a:b])):
+                record.append(x)
+        if 0 in failed:
+            raise failed[0]
+        node, cost, qd, qdd, tau, begin = s, next_cost, next_qd, next_qdd, next_tau, ends
+    if failed:
+        raise failed[min(failed)]
+    return tuple(ValueMap(grid, limits, check_count, *map(tuple, record)) for record in labels)
 
 
 def _blocks(lanes: Array, along: Array, max_groups: int, max_rows: int):

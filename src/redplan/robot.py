@@ -205,11 +205,11 @@ class PlanarArm:
     # ------------------------------------------------------------------
     # kinematics
 
-    def _kinematics(self, q: Array) -> tuple[Array, tuple]:
-        """The task Jacobian dk/dq (..., 2, n) and the COM Jacobian
-        components (Ax, Ay, ct, st) at q: Ax[..., k, b] is the x component
-        of d(p_com_k)/d(q_b), and ct, st the cos and sin of the cumulative
-        link angles, the one transcendental pass that both read."""
+    def _kinematics(self, q: Array, task: bool = True) -> tuple[Array | None, tuple]:
+        """The task Jacobian dk/dq (..., 2, n; None without task) and the COM
+        Jacobian components (Ax, Ay, ct, st) at q: Ax[..., k, b] is the x
+        component of d(p_com_k)/d(q_b), and ct, st the cos and sin of the
+        cumulative link angles, the one transcendental pass that both read."""
         th = np.cumsum(np.asarray(q, dtype=float), axis=-1)
         ct, st = np.cos(th), np.sin(th)
         # entry (k, b) is t0 - t1 - ... - tn over its slots: in x the
@@ -220,11 +220,11 @@ class PlanarArm:
         table = np.zeros(shape + (2, 2 * n + 1))
         np.multiply(np.concatenate((st, st, ct, ct), axis=-1).reshape(shape + (2, 2 * n)),
                     self._lever_scale, out=table[..., :2 * n])
-        terms = table.take(self._lever_index, axis=-1)
+        terms = table.take(self._lever_index if task else self._lever_index[:, :n], axis=-1)
         A = terms[..., 0, :, :] - terms[..., 1, :, :]
         for j in range(2, n + 1):
             A -= terms[..., j, :, :]
-        return A[..., n, :], (A[..., 0, :n, :], A[..., 1, :n, :], ct, st)
+        return A[..., n, :] if task else None, (A[..., 0, :n, :], A[..., 1, :n, :], ct, st)
 
     def _distal_geometry(self, x: Array, v: Array) -> tuple[Array, Array, Array, Array]:
         """Per-query quantities of the distal 2-R subproblem.
@@ -283,7 +283,7 @@ class PlanarArm:
     def rigid_terms(self, q: Array) -> RigidTerms:
         """The velocity-independent terms H, G and gravity torque at q, from
         one pass over the COM Jacobians."""
-        components = self._kinematics(q)[1]
+        components = self._kinematics(q, task=False)[1]
         return RigidTerms(self._inertia(components), self._centripetal(components),
                           self._gravity(components))
 

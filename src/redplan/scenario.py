@@ -59,21 +59,28 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# json.dumps of a str, without its call overhead
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _ser(x, out: list) -> None:
     if isinstance(x, dict):
         out.append("{")
         for k, key in enumerate(sorted(x)):
             if not isinstance(key, str):
                 raise ScenarioError("canonical JSON keys must be strings")
-            if k:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
+            out.append(f"{', ' if k else ''}{_quote(key)}: ")
             _ser(x[key], out)
         out.append("}")
     elif isinstance(x, (list, tuple)) or (isinstance(x, np.ndarray) and x.ndim == 1):
+        items = x.tolist() if isinstance(x, np.ndarray) else x
+        if set(map(type, items)) <= {float, int}:
+            # a flat list of numbers, as the items' own calls would write it
+            out.append("[" + ", ".join([_fmt_float(v) if type(v) is float else str(v)
+                                        for v in items]) + "]")
+            return
         out.append("[")
-        for k, item in enumerate(x):
+        for k, item in enumerate(items):
             if k:
                 out.append(", ")
             _ser(item, out)
@@ -85,7 +92,7 @@ def _ser(x, out: list) -> None:
     elif isinstance(x, (float, np.floating)):
         out.append(_fmt_float(float(x)))
     elif isinstance(x, str):
-        out.append(json.dumps(x))
+        out.append(_quote(x))
     elif x is None:
         out.append("null")
     else:
@@ -275,10 +282,13 @@ class Scenario:
     def hash(self) -> str:
         """Content digest of the planning problem (name and out_dir are
         labels, not problem data, and do not enter the hash)."""
-        payload = self.to_dict()
-        payload.pop("name")
-        payload.pop("out_dir")
-        return hashlib.sha256(dumps_canonical(payload).encode()).hexdigest()
+        return _content_hash(self.to_dict())
+
+
+def _content_hash(parameters: dict) -> str:
+    """Scenario.hash() of the scenario whose to_dict() is parameters."""
+    payload = {key: value for key, value in parameters.items() if key not in ("name", "out_dir")}
+    return hashlib.sha256(dumps_canonical(payload).encode()).hexdigest()
 
 
 def load_scenario(source: str | dict) -> Scenario:
@@ -382,11 +392,12 @@ def _saturation_dict(sat: SaturationReport) -> dict:
 def plan_report(scenario: Scenario, result: PlanResult) -> dict:
     profile = result.profile
     cap = result.grid.pv_values[-1]   # the top level: pv_levels * pv_step may miss pv_max
+    parameters = scenario.to_dict()
     return {
         "artifact": "plan",
         "scenario_name": scenario.name,
-        "scenario_hash": scenario.hash(),
-        "parameters": scenario.to_dict(),
+        "scenario_hash": _content_hash(parameters),
+        "parameters": parameters,
         "grid": _grid_statistics(result.grid),
         "cost": float(result.cost),
         "pv_cap_touched": bool(np.any(profile.pv == cap)),
@@ -423,8 +434,9 @@ def baseline_report(scenario: Scenario, joint_path: JointPath,
 
 
 def verify_report(scenario: Scenario, gap) -> dict:
+    parameters = scenario.to_dict()
     out = {"artifact": "verify", "scenario_name": scenario.name,
-           "scenario_hash": scenario.hash(), "parameters": scenario.to_dict()}
+           "scenario_hash": _content_hash(parameters), "parameters": parameters}
     out.update(gap.to_dict())
     return out
 

@@ -202,16 +202,19 @@ def enumerate_chains(grid, limits, check_count=0):
 def sweep_record(grid, limits, check_count=0, window=None, depth=0):
     """What planner._sweep records, as plain lists: (labels, None, None)
     with labels[i] the (node, pred, cost) lists of stage i, or (None,
-    deepest stage, histogram) from its NoFeasiblePlan."""
+    deepest stage, histogram) from its NoFeasiblePlan. A tuple of depths is
+    one sweep over them all, and labels then holds each search's."""
     from redplan import planner
     from redplan.errors import NoFeasiblePlan
+    depths = depth if isinstance(depth, tuple) else (depth,)
     try:
-        value = planner._sweep(grid, limits, check_count, window, depth)
+        values = planner._sweep(grid, limits, check_count, window, depths)
     except NoFeasiblePlan as exc:
         return None, exc.deepest_stage, exc.violation_histogram
-    labels = [tuple(a.tolist() for a in stage)
-              for stage in zip(value.node, value.pred, value.cost)]
-    return labels, None, None
+    labels = [[tuple(a.tolist() for a in stage) for stage in zip(value.node, value.pred,
+                                                                  value.cost)]
+              for value in values]
+    return labels if isinstance(depth, tuple) else labels[0], None, None
 
 
 def sweep_blocks(monkeypatch, grid, budgets, *args):

@@ -415,6 +415,29 @@ def test_no_feasible_plan_exit(tmp_path, capsys):
     assert payload["deepest_stage"] >= 0
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget", "1"]])
+@pytest.mark.parametrize("overrides,dies", [
+    # the DP dies on the way out of stage 1, where the exact search plans
+    ({"limits": {"qddd": [12.0, 12.0, 12.0]}}, [1, {"qddd": 8}]),
+    # one stage from a free start: both die on the way out of stage 0, and
+    # the DP's histogram, with its qd and duration counts, is reported
+    ({"n_stages": 1, "limits": {"qd": [0.1, 0.1, 0.1]},
+      "grid": {"pv_max": 1.0, "pv_levels": 2, "v_min": [0.7], "v_max": [1.0],
+               "v_step": [0.3], "rest_to_rest": False}}, [0, {"qd": 32, "duration": 4}])])
+def test_verify_infeasible_exits_as_plan(tmp_path, capsys, overrides, dies, budget):
+    # verify raises the DP's NoFeasiblePlan, over its budget too: the DP
+    # then runs alone before the budget's exit 4
+    scenario = tweaked(tmp_path, "toy_jerk", **overrides)
+    assert main(["plan", "--scenario", scenario, "--out", str(tmp_path / "p")]) == 2
+    planned = stderr_payload(capsys)
+    assert planned["error"] == "NoFeasiblePlan"
+    assert [planned["deepest_stage"], planned["violation_histogram"]] == dies
+    code = main(["verify", "--scenario", scenario, "--out", str(tmp_path / "v"), *budget])
+    assert code == 2
+    assert stderr_payload(capsys) == planned
+
+
+
 @pytest.mark.parametrize("owner,name", [(cli, "plan"), (cli.Scenario, "build")])
 def test_out_of_memory_exit(tmp_path, capsys, monkeypatch, owner, name):
     # a grid too large for memory fails at its first allocation; the raise

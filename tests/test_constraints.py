@@ -519,9 +519,9 @@ class TestStageTransitions:
         shapes = []
         kinematics = PlanarArm._kinematics
 
-        def recording(robot, q):
+        def recording(robot, q, **kwargs):
             shapes.append(np.shape(q))
-            return kinematics(robot, q)
+            return kinematics(robot, q, **kwargs)
 
         rng = np.random.default_rng(43)
         center = np.array([0.3, -0.6, 0.9])
@@ -551,14 +551,14 @@ class TestStageTransitions:
         N, C = grid.n_stages, grid.cfg_count
         limits = LimitSets(qd=np.full(3, 20.0), tau=np.full(3, 100.0))
         shapes.clear()
-        value = planner._sweep(grid, limits, check_count, None)
+        value, = planner._sweep(grid, limits, check_count, None)
         # the grid's terms, then each stage's check points
         assert shapes[0] == (N + 1, C, 3)
         assert len(shapes) == 1 + N * check_count
         assert all(len(shape) == 2 for shape in shapes[1:])
         # a second sweep on the same grid reuses the terms
         shapes.clear()
-        again = planner._sweep(grid, limits, check_count, None)
+        again, = planner._sweep(grid, limits, check_count, None)
         assert len(shapes) == N * check_count
         assert all(len(shape) == 2 for shape in shapes)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again.cost, value.cost))

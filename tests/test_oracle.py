@@ -25,7 +25,8 @@ from redplan.constraints import ORDERS, LimitSets, edge_durations
 from redplan.errors import (BudgetExceeded, ContractViolation, NoFeasiblePlan,
                             ScenarioError)
 from redplan.grid import grid_from_configurations
-from redplan.oracle import (GAP_TOLERANCE, GapReport, OracleBudget, compare,
+from redplan import planner
+from redplan.oracle import (GAP_TOLERANCE, HISTORY_DEPTH, GapReport, OracleBudget, compare,
                             exhaustive_plan)
 from redplan.planner import Window, plan
 from redplan.robot import PlanarArm
@@ -147,6 +148,32 @@ def test_no_feasible_plan_duration_histogram():
     assert exc.value.violation_histogram.get("duration", 0) > 0
 
 
+def value_bytes(value):
+    """A ValueMap's node, pred and cost arrays, stage by stage, as bytes."""
+    return [tuple((a.dtype.str, a.tobytes()) for a in stage)
+            for stage in zip(value.node, value.pred, value.cost)]
+
+
+def sweep_bytes(grid, limits, check_count, depths):
+    """value_bytes of each ValueMap of one sweep over depths, or the
+    (deepest stage, histogram) of the NoFeasiblePlan it raises."""
+    try:
+        values = planner._sweep(grid, limits, check_count, None, depths)
+    except NoFeasiblePlan as exc:
+        return exc.deepest_stage, exc.violation_histogram
+    return [value_bytes(value) for value in values]
+
+
+def assert_one_sweep_matches_lone_sweeps(grid, limits, check_count, depths):
+    """One sweep over depths gives each search the ValueMap of its sweep
+    alone, bit for bit, or raises what the first lone sweep to fail, in
+    the order of depths, raises."""
+    lone = [sweep_bytes(grid, limits, check_count, (depth,)) for depth in depths]
+    failed = [record for record in lone if isinstance(record, tuple)]
+    assert sweep_bytes(grid, limits, check_count, depths) == (
+        failed[0] if failed else [values for values, in lone])
+
+
 @st.composite
 def toy_instances(draw):
     """A small rest-to-rest or free toy grid with random bounds, small
@@ -208,6 +235,9 @@ def assert_emitted_within_bounds(result):
 @example(instance=(*jerk_instance(), 0))
 def test_oracle_is_exact_on_random_toys(instance):
     grid, limits, check_count = instance
+    # compare()'s one sweep, and any other order or set of depths
+    for depths in ((0, HISTORY_DEPTH), (HISTORY_DEPTH, 1, 0)):
+        assert_one_sweep_matches_lone_sweeps(grid, limits, check_count, depths)
     best_cost, _, n_feasible = enumerate_chains(grid, limits, check_count)
     if n_feasible == 0:
         with pytest.raises(NoFeasiblePlan):
@@ -268,7 +298,9 @@ def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
     # chunk, 97 lanes a few rows under one screen per stage or chunks of a
     # few groups. "ties" has two cells with the same configuration, so
     # every next key has tied predecessors, which one-row blocks put apart.
-    # Windowed sweeps give the blocks ragged candidate lists
+    # Windowed sweeps give the blocks ragged candidate lists. One sweep of
+    # both depths mixes their rows in the blocks and splits the depth-0
+    # search's one group into runs
     if name == "ties":
         grid = make_toy_grid(n_stages=4, pv_levels=2, rest=False, v_values=(0.8, 0.8))
         limits, check_count = qd_only(), 0
@@ -278,13 +310,16 @@ def test_label_blocks_do_not_change_the_sweep(monkeypatch, name):
 
     S = grid.level_count * grid.cfg_count
     for window in (None, Window(max_dl=1), Window(max_dl=1, max_dj=0)):
-        for depth in (0, 2):
+        records = []
+        for depth in (0, 2, (0, 2)):
             whole, _ = sweep_blocks(monkeypatch, grid, (2 ** 62, 2 ** 62), limits,
                                     check_count, window, depth)
             assert whole[0] is not None
+            records.append(whole[0])
             for budgets in ((1, 1), (97, 2 ** 62), (97, 97), (3 * S - 1, S)):
                 assert sweep_blocks(monkeypatch, grid, budgets, limits, check_count, window,
                                     depth)[0] == whole
+        assert records[2] == records[:2]
 
 
 # --- gap measurement -----------------------------------------------------
@@ -337,23 +372,76 @@ def test_swapped_arguments_raise_contract_violation(monkeypatch):
     # the two searches swapped: the DP reads cheaper than the exact optimum
     grid, limits = jerk_instance()
     dp, oracle = plan(grid, limits), exhaustive_plan(grid, limits)
-    monkeypatch.setattr(oracle_module, "plan", lambda *args, **kwargs: oracle)
-    monkeypatch.setattr(oracle_module, "exhaustive_plan", lambda *args, **kwargs: dp)
+    monkeypatch.setattr(oracle_module, "_dp_and_exact", lambda *args: (oracle, dp))
     with pytest.raises(ContractViolation):
         compare(grid, limits)
+
+
+@pytest.mark.parametrize("name,check_count", [(name, check_count)
+                                              for name in ("toy_velocity", "toy_full", "toy_jerk")
+                                              for check_count in (0, 2)])
+def test_compare_sweeps_match_lone_sweeps(monkeypatch, name, check_count):
+    # compare() steps the DP and the exact search through each stage
+    # together; each search's labels are those of its sweep alone
+    sc = bundled_scenario(name)
+    grid = sc.build()
+    sweeps, sweep = [], oracle_module._sweep
+
+    def recorded(grid, limits, check_count, window, depths):
+        values = sweep(grid, limits, check_count, window, depths)
+        sweeps.append((limits, depths, values))
+        return values
+
+    monkeypatch.setattr(oracle_module, "_sweep", recorded)
+    compare(grid, sc.limits, check_count)
+    assert sweeps
+    for limits, depths, values in sweeps:
+        assert depths == (0, HISTORY_DEPTH)
+        assert [value_bytes(value) for value in values] == [
+            sweep_bytes(grid, limits, check_count, (depth,))[0] for depth in depths]
+
+
+@pytest.mark.parametrize("budget", [None, OracleBudget(max_labels=1)])
+@pytest.mark.parametrize("instance,dp_dies,exact_plans", [
+    # one stage out of a free start: the DP and the exact search die on
+    # the way out of stage 0, each with the same histogram, as plan()
+    # counts it once
+    ((make_toy_grid(n_stages=1, pv_levels=2, rest=False), qd_only(cap=0.5)),
+     (0, {"qd": 32, "duration": 4}), False),
+    # the DP dies on the way out of stage 1, where the exact search plans
+    ((make_toy_grid(n_stages=3, pv_levels=1, rest=True),
+      LimitSets(qd=INF3, qddd=np.full(3, 100.0))), (1, {"qddd": 4}), True),
+])
+def test_compare_raises_the_dp_error(instance, dp_dies, exact_plans, budget):
+    # over budget too: the DP runs alone first, so the instance still
+    # reads infeasible, not over budget
+    grid, limits = instance
+    with pytest.raises(NoFeasiblePlan) as dp:
+        plan(grid, limits)
+    assert (dp.value.deepest_stage, dp.value.violation_histogram) == dp_dies
+    try:
+        exhaustive_plan(grid, limits)
+    except NoFeasiblePlan:
+        assert not exact_plans
+    else:
+        assert exact_plans
+    with pytest.raises(NoFeasiblePlan) as exc:
+        compare(grid, limits, budget=budget)
+    assert (exc.value.deepest_stage, exc.value.violation_histogram) == dp_dies
+    assert str(exc.value) == str(dp.value)
 
 
 def test_one_budget_guards_every_exact_search(monkeypatch):
     grid, limits = all_finite_jerk_instance()
     budget = OracleBudget(max_labels=1e9)
     budgets = []
-    search = oracle_module.exhaustive_plan
+    search = oracle_module._dp_and_exact
 
-    def recorded(grid, limits, budget=None, check_count=0):
+    def recorded(grid, limits, budget, check_count):
         budgets.append(budget)
-        return search(grid, limits, budget=budget, check_count=check_count)
+        return search(grid, limits, budget, check_count)
 
-    monkeypatch.setattr(oracle_module, "exhaustive_plan", recorded)
+    monkeypatch.setattr(oracle_module, "_dp_and_exact", recorded)
     assert compare(grid, limits, budget=budget).gap > 0
     # the full search and the three searched subsets
     assert len(budgets) == 4
@@ -507,18 +595,19 @@ def test_attribution_bitwise_on_random_toys(instance):
 
 
 def searches_of_compare(monkeypatch, grid, limits, check_count=0):
-    """The enabled orders of every plan() call compare() makes on a
+    """The enabled orders of every DP search compare() makes on a
     positive-gap instance after its searches of the full set; it makes the
-    same exhaustive_plan() calls."""
+    same exact searches."""
     calls = {"plan": [], "exhaustive_plan": []}
-    for name in calls:
-        search = getattr(oracle_module, name)
+    search = oracle_module._dp_and_exact
 
-        def counted(grid, limits, *args, _search=search, _calls=calls[name], **kwargs):
-            _calls.append(limits.enabled_orders)
-            return _search(grid, limits, *args, **kwargs)
+    def counted(*args):
+        results = search(*args)
+        for found, result in zip(calls.values(), results):
+            found.append(result.limits.enabled_orders)
+        return results
 
-        monkeypatch.setattr(oracle_module, name, counted)
+    monkeypatch.setattr(oracle_module, "_dp_and_exact", counted)
     report = compare(grid, limits, check_count)
     monkeypatch.undo()
     assert report.gap > 0

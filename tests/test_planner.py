@@ -63,7 +63,7 @@ class TestExactnessVsEnumeration:
         # predecessor's stored chain
         grid = toy_grid(n_stages=3, rest=True)
         limits = LimitSets(qd=np.full(3, 3.0))
-        value = planner._sweep(grid, limits, 0, None)
+        value, = planner._sweep(grid, limits, 0, None)
 
         def replay_state(i, row):
             ids = []
@@ -168,7 +168,7 @@ class TestExtraction:
         grid = build_grid(arm, line_path(2),
                           GridSpec(pv_max=1.0, pv_levels=2, v_min=[0.6],
                                    v_max=[1.2], v_step=[0.3]))
-        value = planner._sweep(grid, inf_limits(), 0, None)
+        value, = planner._sweep(grid, inf_limits(), 0, None)
         pred = value.pred[-1].copy()
         pred[np.lexsort((value.node[-1], value.cost[-1]))[0]] = -1
         corrupt = replace(value, pred=value.pred[:-1] + (pred,))
@@ -702,7 +702,7 @@ class TestEngineTallies:
 
         monkeypatch.setattr(planner, "stage_transitions", counting)
         sc = bundled_scenario(name)
-        planner._sweep(sc.build(), sc.limits, sc.check_count, sc.window, depth)
+        planner._sweep(sc.build(), sc.limits, sc.check_count, sc.window, (depth,))
         assert tally == expect
 
     @pytest.mark.parametrize("name,depth", [
@@ -723,7 +723,7 @@ class TestEngineTallies:
 
         monkeypatch.setattr(constraints, "_runs", spy)
         sc = bundled_scenario(name)
-        planner._sweep(sc.build(), sc.limits, sc.check_count, sc.window, depth)
+        planner._sweep(sc.build(), sc.limits, sc.check_count, sc.window, (depth,))
         assert calls and all(found == distinct for found, distinct in calls)
 
 

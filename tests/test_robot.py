@@ -504,6 +504,34 @@ def test_kernels_bitwise_equal_loop_forms_at_axis_poses(n):
         assert np.array_equal(bits(got), bits(expect))
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_rigid_terms_skip_the_task_row_bitwise(n):
+    # rigid_terms reads no task Jacobian, so its kinematics pass skips that
+    # row; the COM Jacobians and the terms keep the bits of the full pass
+    # and of the loop forms, at random poses with signed zeros and NaNs, and
+    # at the axis poses
+    arm = CHAIN_ARMS[n]
+    rng = np.random.default_rng(n)
+    q = rng.uniform(-4.0, 4.0, (60, n))
+    q[rng.random(q.shape) < 0.1] = -0.0
+    q[rng.random(q.shape) < 0.02] = np.nan
+    if n <= 4:
+        q = np.concatenate((q, list(itertools.product(AXIS_ANGLES, repeat=n))))
+    for stack in (q, q.reshape(-1, 4, n), q[0]):
+        J, components = arm._kinematics(stack, task=False)
+        assert J is None
+        for got, expect in zip(components, arm._kinematics(stack)[1]):
+            assert got.shape == expect.shape
+            assert np.array_equal(bits(got), bits(expect))
+        reference = loop_com_jacobian_components(arm, stack)
+        terms = arm.rigid_terms(stack)
+        for got, expect in [(terms.H, loop_inertia(arm, reference)),
+                            (terms.G, loop_centripetal(arm, reference)),
+                            (terms.gravity, loop_gravity(arm, reference))]:
+            assert got.shape == expect.shape
+            assert np.array_equal(bits(got), bits(expect))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

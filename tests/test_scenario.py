@@ -65,6 +65,36 @@ def test_canonical_ndarray_and_int_keys():
         dumps_canonical(object())
 
 
+@pytest.mark.parametrize("value,text", [
+    ([-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1e308, np.inf, -np.inf],
+     "[-0, 0, 4.9406564584124654e-324, 2.2250738585072009e-308, 1e+308, Infinity, -Infinity]"),
+    ([np.float32(0.1), np.float16(-0.0), np.int8(-3), np.uint64(2 ** 64 - 1), np.bool_(True),
+      np.float64(-0.0)], "[0.10000000149011612, -0, -3, 18446744073709551615, true, -0]"),
+    ([True, 1, 1.0, -0.0, 2 ** 70], "[true, 1, 1, -0, 1180591620717411303424]"),
+    (((1, 2.5), (), ((-0.0,),), [np.inf]), "[[1, 2.5], [], [[-0]], [Infinity]]"),
+    (np.array([-0.0, 5e-324, np.inf, -np.inf, 0.1]),
+     "[-0, 4.9406564584124654e-324, Infinity, -Infinity, 0.10000000000000001]"),
+    (np.array([0.1, -0.0], dtype=np.float32), "[0.10000000149011612, -0]"),
+    (np.array([1, 255], dtype=np.uint8), "[1, 255]"),
+    (np.array([True, False]), "[true, false]"),
+    ({"b": (np.float64(5e-324), [-0.0]), "a": np.arange(2)},
+     '{"a": [0, 1], "b": [4.9406564584124654e-324, [-0]]}'),
+])
+def test_canonical_numbers_in_lists(value, text):
+    # a list of plain floats and ints takes a flat path; every list writes
+    # each item as the item alone would be written
+    assert dumps_canonical(value) == text
+    if not isinstance(value, dict):
+        assert text == "[" + ", ".join(dumps_canonical(item) for item in value) + "]"
+
+
+@pytest.mark.parametrize("value", [[1.0, float("nan")], np.array([0.0, np.nan]),
+                                   (1, (np.float32("nan"),))])
+def test_canonical_nan_in_a_list(value):
+    with pytest.raises(ScenarioError, match="NaN"):
+        dumps_canonical(value)
+
+
 def test_canonical_parses_back():
     doc = toy_doc()
     text = dumps_canonical(doc)
