@@ -1,6 +1,8 @@
 """DP planner: exactness vs enumeration, determinism, extraction, PST."""
 
+import hashlib
 import itertools
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -420,6 +422,11 @@ class TestInfeasibility:
             plan(grid, limits, check_count=3)
 
 
+# sha256 of sweep_record's JSON for a search that dies at stage 0 with an
+# empty histogram
+DIED_AT_STAGE_0 = "1e1d58d7d7f320c64c015a3913f0e30fe6fe7a895d475d0a1ab0f8a24a5a6ed9"
+
+
 class TestWindow:
     def test_window_restricts_level_jumps(self, arm):
         grid = build_grid(arm, line_path(5),
@@ -451,6 +458,92 @@ class TestWindow:
         result = plan(sc.build(), sc.limits, check_count=sc.check_count, window=window)
         assert result.cost == cost
         assert result.node_ids.tolist() == node_ids
+
+    # sha256 of the JSON of sweep_record under each window, per (scenario,
+    # window, depths). The digests were taken at commit 86ca006, where a
+    # windowed block listed its lanes and scored each on its own, before
+    # windows went through the velocity screen. A rest start's level-0
+    # window reaches no candidate lane: every search dies at stage 0 with
+    # an empty histogram
+    WINDOWS = {"dl0": Window(max_dl=0), "dl1": Window(max_dl=1), "dj1": Window(max_dj=1),
+               "dl1dj0": Window(max_dl=1, max_dj=0)}
+    SWEEP_DIGESTS = {
+        ("ellipse", "dl1", 0): "2f1d5c5b1c7e04ef54fa907f9cfaa4a502c7e20c03f6830967d2dc0e1ca16227",
+        ("ellipse", "dj1", 0): "7bdff50569b14b65954fa05cd8e636214400296fea6960eeb3d0483d791394ea",
+        ("ellipse", "dl1dj0", 0):
+            "f4d40ce73c013b6f0cd3670469ad48c3dd4e14dc7edbef9f12839a127a869b8a",
+        ("line", "dl1", 0): "e2aaf28c3d114a4ae6221300b703d3d4d71a396c130a6937e78038cfe2180196",
+        ("line", "dj1", 0): "be39aeee8d1ce1f01adaaca1bf62b2896e6dfad09ffb160d596d606896f50ede",
+        ("line", "dl1dj0", 0): "b61ba2806f474840fe8e82788be26759a496659e83914df6006e3e27d9963e68",
+        ("toy_full", "dl1", 0): "b4a1578836aafa44e053250bf83fd2e208189584aee35abbf023d466ed07cc8a",
+        ("toy_full", "dl1", 2): "24e3260429acd61c3d2a4fd5518a46e177c18f769a0c01530c77218ae7e4d5c9",
+        ("toy_full", "dl1", (0, 2)):
+            "aa3aea2e061ea5fc95a9bb3cd831bb547b88b8a326724e695e85870048f635a3",
+        ("toy_full", "dj1", 0): "60456608c0b015bd907213e48bac7499b1ef420fbd26c85c830cb0f5ae6df602",
+        ("toy_full", "dj1", 2): "23127b648404990e3c9ce1667f921f3a6a31f5cd60a264d23508430b8f3c42bc",
+        ("toy_full", "dj1", (0, 2)):
+            "65f0eccc42d591c177faa924629228a4e33debe23a8327808033f930136a3361",
+        ("toy_full", "dl1dj0", 0):
+            "759dbcf2212a36c52bf48f6024fd2d6d7b4dcc67aaa416d344f092ad5584f8cf",
+        ("toy_full", "dl1dj0", 2):
+            "759dbcf2212a36c52bf48f6024fd2d6d7b4dcc67aaa416d344f092ad5584f8cf",
+        ("toy_full", "dl1dj0", (0, 2)):
+            "57322cc46b43d85487661dcae20ebe4353f522996b69bac85adaecbee3a54165",
+        ("toy_jerk", "dl1", 0): "8f6dcc3d233f9b50fde6525fd5a9673222f1cfcfb85adecd5e844e55ae97d766",
+        ("toy_jerk", "dl1", 2): "38c5db825bd3fdf40e7478d7bceb3d582ee8ca07449aadb7708f2b87032b3b88",
+        ("toy_jerk", "dl1", (0, 2)):
+            "096c02236c648ccebd2a1f1f4af1b12cf7ee73e76765a59653fdfc8da7f316c1",
+        ("toy_jerk", "dj1", 0): "624e863fd321379e9726c3986f7510899c5ea6db3d6fd4c0236f221a87bd24a1",
+        ("toy_jerk", "dj1", 2): "b3a1d19653dfb4b7701c90c0f34b576a304645cf064b8e1683b5e8532fee900c",
+        ("toy_jerk", "dj1", (0, 2)):
+            "3d39f9aa99fe9aba80688908152ed95e5f201463f91131f7b11c6210ac9f00b4",
+        ("toy_jerk", "dl1dj0", 0):
+            "ebaf0aa5f679bf470eb9f3c538cdd377ccf6317e16e172ab12bd97a829ca521d",
+        ("toy_jerk", "dl1dj0", 2):
+            "ebaf0aa5f679bf470eb9f3c538cdd377ccf6317e16e172ab12bd97a829ca521d",
+        ("toy_jerk", "dl1dj0", (0, 2)):
+            "fbdc8822671bfea18826c9a65cc2453d3dd69482d4ebd3613d99a21224b1b8cf",
+        ("toy_velocity", "dl1", 0):
+            "fd4ac073f76f80c5e77e8645ae2203b310c6b4a7f686ed486e07fe453eeb7d71",
+        ("toy_velocity", "dl1", 2):
+            "2312cc1d1c37f157d680a73b1533c771f099991a35fb97169c2c3a1f0395ad19",
+        ("toy_velocity", "dl1", (0, 2)):
+            "05bc0127badd3cdaf99c23754a0b8ea8495a8c8ec226f4d7ca692de75602e9d1",
+        ("toy_velocity", "dj1", 0):
+            "a14cdd73da83322402a98034203db73d74a339ee07c3b9c6239ad2ff4a352839",
+        ("toy_velocity", "dj1", 2):
+            "bb5f83c223bcd5a49c86f451e18a7b0c892fceb9a6a830066413f9ef14e74d0e",
+        ("toy_velocity", "dj1", (0, 2)):
+            "b4251e68415d4c057cc08037b9a3f31d435faa858eda2671cf05e2496bafdc66",
+        ("toy_velocity", "dl1dj0", 0):
+            "1a7f059022251b3384ce596ca63a0001e66800ccbd478ea64c46399affe48850",
+        ("toy_velocity", "dl1dj0", 2):
+            "d95f9140aecf6c710fba2a748b6040f2261158e56aafae09f1440cfc1f42781e",
+        ("toy_velocity", "dl1dj0", (0, 2)):
+            "f42e6429a5f6a6b50faaef8b4251130ac144505d63541441f455ed715cb69731",
+        **{(name, "dl0", depth): DIED_AT_STAGE_0 for name in ("ellipse", "line") for depth in (0,)},
+        **{(name, "dl0", depth): DIED_AT_STAGE_0 for name in ("toy_full", "toy_jerk", "toy_velocity")
+           for depth in (0, 2, (0, 2))},
+    }
+
+    @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
+                                      "toy_velocity"])
+    def test_windowed_sweeps_pinned(self, name):
+        sc = bundled_scenario(name)
+        grid = sc.build()
+        cases = [key for key in self.SWEEP_DIGESTS if key[0] == name]
+        assert len(cases) == (12 if name.startswith("toy") else 4)
+        for key in cases:
+            _, window, depth = key
+            record = sweep_record(grid, sc.limits, sc.check_count, self.WINDOWS[window], depth)
+            digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+            assert digest == self.SWEEP_DIGESTS[key], key
+        if name == "line":
+            # at half the torque bound the windowed search dies; the edges
+            # outside the window count nowhere in its histogram
+            record = sweep_record(grid, replace(sc.limits, tau=0.5 * sc.limits.tau),
+                                  sc.check_count, Window(max_dl=1))
+            assert record == (None, 3, {"qd": 151, "tau": 47})
 
 
 class TestPredecessorBlocks:
