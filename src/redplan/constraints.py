@@ -10,51 +10,45 @@ than guessing values.
 
 One function computes every edge: `stage_transitions` scores candidate
 lanes, the edges from P predecessors to the C cells of the next stage at
-each of its L pseudo-velocity levels. Its candidates are an (L, C) mask
-that every predecessor shares, that mask's `Screen` over the call's rows,
-or a sorted list of lane ids; it answers lane by lane (`StageEval`) and
-builds no P x L x C array. The sweep screens a stage's shared mask once
-(`velocity_screens`, in slices of rows and chunks of groups only when the
-stage is large) and calls it once per block of labels with the block's
-part of the screen (`Screen.rows`), a block cut by the lanes it is handed;
-a windowed block lists its lanes. A replay scores a chain of N edges as N
-listed lanes of three calls (rows stages 0..N-1, cells stages 1..N), each
-fed the samples of the one before, and so reproduces the sweep's numbers
-bit for bit. The rigid-body terms (H, G and gravity) depend on the cell
-alone: the grid holds them (StateGrid.terms), and the caller passes the
-next stage's in.
+each of its L pseudo-velocity levels, and answers lane by lane
+(`StageEval`), with no P x L x C array. Its one input is a `Screen` of its
+rows: each row's lanes that pass the joint-velocity bound, their velocity
+work done. `velocity_screens` builds it for the lanes of an (L, C) mask
+that every row shares, cut by each row's window (a level interval and a
+lattice mask); the sweep screens each stage once and hands each block of
+labels its part (`Screen.rows`). `lane_screen` builds it for a sorted list
+of lane ids: a replay screens a chain of N edges as N lanes (rows stages
+0..N-1, cells stages 1..N) and scores them in three calls, each fed the
+samples of the one before, and so reproduces the sweep's numbers bit for
+bit. The rigid-body terms (H, G and gravity) depend on the cell alone: the
+grid holds them (StateGrid.terms), and the caller passes the next stage's
+in.
 
 An edge's time step, joint velocity and velocity-dependent torque
 (`PlanarArm.bias_torque`) depend only on its two configurations and its
 time step, and an interior edge's step is dlam / pv_next whatever the
-predecessor's level. So for a mask the engine takes each run of adjacent
-predecessors whose configuration and time steps at the levels in use are
-bitwise equal as one group (the sweep orders its rows by cell, then
-level, which makes equal rows adjacent; equal rows apart only share
-less), runs the velocity screen and the bias torque once per (group,
-candidate lane) pair, and hands each group's passed pairs to its members
-in ascending predecessor order, which lists the evaluated lanes in order;
-a listed lane is scored on its own. A closed-form table, the shortest
-time step max_j |dq_j| / qd_max_j at which a (group, cell) pair meets the
-velocity bound (the discrete maximum-velocity curve of TOPP, Bobrow et
-al. 1985, and TOPP-RA), is compared with each level's time step in one
-broadcast over the (group, level, cell) box, with a relative slack that
-keeps it conservative, and drops the entries that cannot pass; the exact
-velocity check runs on the rest. The screen keeps each passed entry's
-cell and time step beside its lane, and a lane reads them from its entry
-(a listed lane from its own id), so no lane splits its id again (only
-check points read a lane's level); StageEval hands the sweep and replay
-each lane's row, next node and time step the same way. What reads a
-predecessor's history or level stays per lane: acceleration, jerk, H qdd
-+ bias, torque rate, the checks and the check-point velocities and
-torques.
-A check point's configuration q_prev + s * dq reads only the lane's row of
-dq (its (group, cell) pair for a mask, the lane itself for a list), so its
-rigid-body terms are computed once per row that an evaluated lane reads
-and gathered per lane. A shared value is the same IEEE operation on
-bitwise-equal operands as the lane's own, so a block gives what its rows
-would give one at a time, and a screen's slices, chunks and blocks change
-no bit.
+predecessor's level. So velocity_screens takes each run of adjacent rows
+whose configuration, time steps at the levels in use and lattice mask are
+bitwise equal as one group (the sweep orders its rows by cell, then level,
+which makes equal rows adjacent; equal rows apart only share less), runs
+the velocity screen and the bias torque once per (group, candidate lane)
+pair over its rows' levels, and hands each row the run of its group's
+passed pairs at its own levels, in lane order. A closed-form table, the
+shortest time step max_j |dq_j| / qd_max_j at which a (group, cell) pair
+meets the velocity bound (the discrete maximum-velocity curve of TOPP,
+Bobrow et al. 1985, and TOPP-RA), is compared with each level's time step
+in one broadcast over the (group, level, cell) box, with a relative slack
+that keeps it conservative, and drops the entries that cannot pass; the
+exact velocity check runs on the rest. A lane reads its cell and time step
+from its entry (only check points read its level), and StageEval hands them
+to the sweep and replay. What reads a predecessor's history or level stays
+per lane: acceleration, jerk, H qdd + bias, torque rate, the checks and the
+check-point velocities and torques. A check point's configuration q_prev +
+s * dq reads only its entry's row of dq, so its rigid-body terms are
+computed once per row that an evaluated lane reads and gathered per lane. A
+shared value is the same IEEE operation on bitwise-equal operands as the
+lane's own, so a block gives what its rows would give one at a time, and a
+screen's slices, chunks and blocks change no bit.
 
 The per-lane arrays are stored joint-major (`_gather`), so each per-joint
 operation runs over all lanes at once; every operation on them is
@@ -71,7 +65,7 @@ raise no floating-point error on NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -239,9 +233,9 @@ class StageEval:
 
     lanes, the evaluated lane ids p * L * C + l * C + c, and feasible and
     order_ok, the dense (P, L, C) forms of ok and verdicts, are built
-    read-only on first access, only for bench/tracing.py and tests until
-    ROADMAP items 1 and 3 retire them; the sweep, replay and the oracle
-    never read them.
+    read-only on first access (with the screen's candidates()), only for
+    bench/tracing.py and tests until ROADMAP items 1 and 3 retire them; the
+    sweep, replay and the oracle never read them.
     """
 
     dt: Array
@@ -256,7 +250,7 @@ class StageEval:
     ok: Array
     verdicts: dict
     shape: tuple
-    candidates: Array
+    candidates: object
     with_step: int
     no_step: int
 
@@ -288,52 +282,45 @@ class StageEval:
     def order_ok(self) -> dict:
         # off the evaluated lanes, a candidate with a time step failed the
         # velocity bound, and every other lane passes
-        listed = (self.candidates if self.candidates.ndim == 2
-                  else self._dense(False, self.candidates, True))
-        failed = np.isfinite(self.dt)[:, :, None] & listed
+        failed = np.isfinite(self.dt)[:, :, None] & self.candidates()
         return {order: self._dense(~failed if order == "qd" else True, self.lanes, ok)
                 for order, ok in self.verdicts.items()}
 
 
 @dataclass(frozen=True)
 class Screen:
-    """The velocity screen of an (L, C) candidate mask over rows 0..P-1 of
-    predecessors (one chunk of velocity_screens), which stage_transitions
-    takes as its candidates to score those rows' lanes.
-
-    dt (P, L) holds the rows' time steps (edge_durations). group (P,)
-    numbers each row's group, a run of rows with bitwise-equal
-    configuration and time steps, and q (G, n) holds each group's
-    configuration; row g * C + c of dq is the step from group g to cell c.
-    Each row is handed the entries of its group that passed, counts (P,)
-    of them: for group g, entries start[g] on, in lane order. An entry
-    holds its lane within a row, lc = l * C + c, its cell c, its time step,
-    its joint velocity qd and its bias torque ((K, n) each, joint-major);
-    only check points read its level, lc // C.
+    """The candidate lanes of rows 0..P-1 of predecessors that pass the
+    joint-velocity bound, their velocity work done (velocity_screens,
+    lane_screen): stage_transitions's one input. dt (P, L) holds the rows'
+    time steps and cells (P, L) counts each row's candidate lanes at each
+    level. Row p is handed counts[p] entries, first[p] on, in lane order;
+    the rows of a group (P,) share its entries. An entry holds its lane
+    within a row, lc = l * C + c, its cell c, its time step, its joint
+    velocity qd and its bias torque ((K, n) each, joint-major), and dqrow,
+    its row of dq: q_next[c] - q_prev[p] for each lane that reads it. Only
+    check points read dq and a level, lc // C. candidates() builds the (P,
+    L, C) candidate mask for StageEval's dense views alone.
     """
 
-    mask: Array
     dt: Array
     group: Array
+    first: Array
     counts: Array
-    q: Array
+    cells: Array
+    candidates: object
     dq: Array
-    start: Array
     lc: Array
     cell: Array
     step: Array
     qd: Array
     bias: Array
+    dqrow: Array
 
     def rows(self, a: int, b: int) -> "Screen":
-        """The screen of rows a..b-1, renumbered from 0 (b > a)."""
-        g0, g1 = self.group[a], self.group[b - 1] + 1
-        e0, e1 = self.start[g0], self.start[g1 - 1] + self.counts[b - 1]
-        C = self.mask.shape[1]
-        return Screen(self.mask, self.dt[a:b], self.group[a:b] - g0, self.counts[a:b],
-                      self.q[g0:g1], self.dq[g0 * C:g1 * C], self.start[g0:g1] - e0,
-                      *(x[e0:e1] for x in (self.lc, self.cell, self.step, self.qd,
-                                           self.bias)))
+        """The screen of rows a..b-1, renumbered from 0; the entries stay."""
+        return Screen(self.dt[a:b], self.group[a:b], self.first[a:b], self.counts[a:b],
+                      self.cells[a:b], lambda: self.candidates()[a:b], self.dq, self.lc,
+                      self.cell, self.step, self.qd, self.bias, self.dqrow)
 
 
 def _table_drops(dq: Array, step: Array, qd_max: Array) -> Array:
@@ -368,11 +355,11 @@ def _velocity(robot, limits, terms_next, qd, step, cell, *fields):
 def _box_entries(robot, limits, terms_next, dq, step, levels, box_mask):
     """The screen of G groups whose configuration steps dq (G, C, n) and
     time steps step (G, L') meet the C cells at the candidate mask's
-    levels (L',), box_mask (L', C) of them: the table runs as one broadcast
-    over the (group, level, cell) box, and its kept entries, in (group,
-    lane) order, go to the exact check. Returns each group's count of
-    passed entries, then their lc, cell, step, qd and bias as Screen holds
-    them."""
+    levels (L',), box_mask (L', C) of them, or (G, L', C) under a window:
+    the table runs as one broadcast over the (group, level, cell) box, and
+    its kept entries, in (group, lane) order, go to the exact check.
+    Returns each group's count of passed entries, then their lc, cell,
+    step, qd, bias and dqrow (g * C + c) as Screen holds them."""
     G, C = dq.shape[:2]
     with np.errstate(invalid="ignore"):
         box = np.isfinite(step)[:, :, None] & box_mask
@@ -380,29 +367,38 @@ def _box_entries(robot, limits, terms_next, dq, step, levels, box_mask):
             box &= ~_table_drops(dq[:, None], step[:, :, None], limits.qd)
         gl, cell = np.divmod(np.flatnonzero(box), C)
         g, j = np.divmod(gl, levels.size)
-        step, lc = step.reshape(-1)[gl], levels[j] * C + cell
+        step, lc, dqrow = step.reshape(-1)[gl], levels[j] * C + cell, g * C + cell
         # free the box and its index arrays before the exact check builds
         # its own
-        del box, gl, j
-        qd, bias, step, cell, g, lc = _velocity(
-            robot, limits, terms_next, _gather(dq.reshape(G * C, -1), g * C + cell), step,
-            cell, g, lc)
-    return np.bincount(g, minlength=G), lc, cell, step, qd, bias
+        del box, gl, g, j
+        qd, bias, step, cell, lc, dqrow = _velocity(
+            robot, limits, terms_next, _gather(dq.reshape(G * C, -1), dqrow), step, cell, lc,
+            dqrow)
+    per_group = np.bincount(dqrow, minlength=G * C).reshape(G, C).sum(axis=1)
+    return per_group, lc, cell, step, qd, bias, dqrow
 
 
 def velocity_screens(robot: PlanarArm, limits: LimitSets, dlam: float, q_prev: Array,
                      pv_prev: Array, q_next: Array, terms_next: RigidTerms, pv_next: Array,
-                     candidates: Array | None = None, max_entries: int | None = None):
-    """Screen the lanes of an (L, C) candidate mask that rows q_prev (P, n)
-    at levels pv_prev share (None: every lane) by joint velocity, in chunks
-    of consecutive rows: yields (a, the Screen of rows a..b-1) per chunk.
-    Arguments are as for stage_transitions. The rows go in slices of at
-    most max_entries // L rows, whose time steps and groups are found per
-    slice (a group that a slice edge cuts becomes two, which changes no
-    bit), and a chunk holds whole groups of one slice. The table of a chunk
-    is a (group, level, cell) box over the levels that the mask uses and
-    every cell, so a chunk takes at most max_entries // (levels x C) groups
-    (at least one), and its box stays within max_entries unless one
+                     candidates: Array | None = None, max_entries: int | None = None,
+                     bounds: tuple | None = None, lattice: Array | None = None):
+    """Screen by joint velocity the candidate lanes of rows q_prev (P, n) at
+    levels pv_prev, in chunks of consecutive rows: yields (a, the Screen of
+    rows a..b-1) per chunk. Arguments are as for stage_transitions. The
+    candidates are the lanes of an (L, C) mask at each row's levels
+    bounds[0][p]..bounds[1][p] (two (P,) arrays in 0..L-1) and cells
+    lattice[p] ((P, C) bool); each of the three is None for all.
+
+    The rows go in slices of at most max_entries // L rows, whose time
+    steps and groups are found per slice (a group that a slice edge cuts
+    becomes two, which changes no bit). A group is a run of adjacent rows
+    with bitwise-equal configuration, time steps at the levels the mask
+    uses and lattice mask; its velocity work runs once over the union of
+    its rows' levels, and a row takes the run of its group's entries at its
+    own levels. A chunk holds whole groups of one slice. The table of a
+    chunk is a (group, level, cell) box over the levels that the mask uses
+    and every cell, so a chunk takes at most max_entries // (levels x C)
+    groups (at least one), and its box stays within max_entries unless one
     group's exceeds it alone. None: one slice and one chunk.
     """
     pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
@@ -413,92 +409,122 @@ def velocity_screens(robot: PlanarArm, limits: LimitSets, dlam: float, q_prev: A
     box_mask = mask[levels]
     span = max(P, 1) if max_entries is None else max(1, max_entries // L)
     for r0 in range(0, max(P, 1), span):
-        q, dt = q_prev[r0:r0 + span], edge_durations(pv_prev[r0:r0 + span, None], pv_next, dlam)
+        rows = slice(r0, r0 + span)
+        q, dt = q_prev[rows], edge_durations(pv_prev[rows, None], pv_next, dlam)
         used_dt = dt[:, levels]
-        # each run of bitwise-equal rows meets every lane l * C + c of the mask
-        group, first = _runs(np.concatenate((q, used_dt), axis=1).view(np.int64))
+        # each row's candidate cells per level, within its levels level_ok
+        # and cells near (all of them without a window)
+        key, cells = [q, used_dt], np.broadcast_to(mask.sum(axis=1), dt.shape)
+        level_ok = near = np.ones((q.shape[0], 1), dtype=bool)
+        if lattice is not None:
+            near = lattice[rows]
+            key.append(near)
+            cells = np.matmul(near, mask.T, dtype=float).astype(np.intp)
+        lo, hi = (None, None) if bounds is None else (b[rows] for b in bounds)
+        # the level bounds bind a slice that leaves some row a used level out
+        binding = lo is not None and levels.size > 0 and bool(
+            np.any(lo > levels[0]) or np.any(hi < levels[-1]))
+        if binding:
+            level_ok = (lo[:, None] <= np.arange(L)) & (np.arange(L) <= hi[:, None])
+            cells = cells * level_ok
+        # each run of rows with bitwise-equal keys shares its velocity work
+        group, first = _runs(np.concatenate(key, axis=1).view(np.int64))
         G = first.size
         per_chunk = max(1, G if max_entries is None else max_entries // max(box_mask.size, 1))
         for g0 in range(0, max(G, 1), per_chunk):
             g1 = min(g0 + per_chunk, G)
             at = first[g0:g1]
-            dq = q_next - q[at][:, None, :]
-            per_group, *entries = _box_entries(robot, limits, terms_next, dq, used_dt[at],
-                                               levels, box_mask)
             a, b = (first[g0] if g0 < G else 0), (first[g1] if g1 < G else q.shape[0])
+            group_mask, step = box_mask, used_dt[at]
+            if binding:
+                # a group's box spans its rows' levels: no time step at others
+                step = np.where(np.logical_or.reduceat(level_ok[a:b], at - a)[:, levels],
+                                step, np.inf)
+            if lattice is not None:
+                group_mask = group_mask & near[at][:, None, :]
+            dq = q_next - q[at][:, None, :]
+            per_group, *entries = _box_entries(robot, limits, terms_next, dq, step, levels,
+                                               group_mask)
             local = group[a:b] - g0
-            yield r0 + a, Screen(mask, dt[a:b], local, per_group[local], q[at],
-                                 dq.reshape(-1, q_next.shape[1]),
-                                 np.cumsum(per_group) - per_group, *entries)
+            start, counts = (np.cumsum(per_group) - per_group)[local], per_group[local]
+            if binding:
+                # a row's levels are one run of its group's entries, which
+                # come in (group, lane) order
+                order = entries[-1] // C * (L * C) + entries[0]
+                start = np.searchsorted(order, local * (L * C) + lo[a:b] * C)
+                counts = np.searchsorted(order, local * (L * C) + (hi[a:b] + 1) * C) - start
+            yield r0 + a, Screen(
+                dt[a:b], local, start, counts, cells[a:b],
+                partial(reduce, np.logical_and, (mask, level_ok[a:b, :, None],
+                                                 near[a:b, None, :])),
+                dq.reshape(-1, q_next.shape[1]), *entries)
+
+
+def lane_screen(robot: PlanarArm, limits: LimitSets, dlam: float, q_prev: Array,
+                pv_prev: Array, q_next: Array, terms_next: RigidTerms, pv_next: Array,
+                lanes: Array) -> Screen:
+    """The Screen of a sorted array of lane ids p * L * C + l * C + c over
+    rows q_prev (P, n) at levels pv_prev; other arguments are as for
+    stage_transitions. Each lane is its own entry, with its own row of dq,
+    so N lanes over N rows and N cells (a replay) cost O(N), not N^2."""
+    pv_prev, pv_next = (np.asarray(pv, dtype=float) for pv in (pv_prev, pv_next))
+    P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
+    dt = edge_durations(pv_prev[:, None], pv_next, dlam)
+    pair_p, pair_u = np.divmod(lanes, L * C)
+    pair_c, pair_step = pair_u % C, dt[pair_p, pair_u // C]
+    cells = np.bincount(lanes // C, minlength=P * L).reshape(P, L)
+    keep = np.isfinite(pair_step)
+    dq = _gather(q_next, pair_c) - _gather(q_prev, pair_p)
+    with np.errstate(invalid="ignore"):
+        if limits.qd is not None:
+            keep &= ~_table_drops(dq, pair_step, limits.qd)
+        k = np.flatnonzero(keep)
+        qd, bias, step, cell, p, lc, k = _velocity(robot, limits, terms_next, _gather(dq, k),
+                                                   pair_step[k], pair_c[k], pair_p[k],
+                                                   pair_u[k], k)
+    counts = np.bincount(p, minlength=P)
+    return Screen(dt, np.arange(P), np.cumsum(counts) - counts, counts, cells,
+                  lambda: np.isin(np.arange(P * L * C), lanes).reshape(P, L, C), dq, lc, cell,
+                  step, qd, bias, k)
 
 
 def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                       q_prev: Array, pv_prev: Array, qd_prev: Array,
                       qdd_prev: Array, tau_prev: Array,
                       q_next: Array, terms_next: RigidTerms, pv_next: Array,
-                      check_count: int = 0, candidates=None) -> StageEval:
+                      check_count: int = 0, candidates: Screen | None = None) -> StageEval:
     """Score the candidate transitions into one stage, lane by lane.
 
     q_prev (P, n) with chain samples qd/qdd/tau_prev (P, n); q_next (C, n)
     holds the next stage's cells, terms_next their rigid-body terms
     (robot.rigid_terms(q_next), a stage of StateGrid.terms), and pv_next
     (L,) its levels. Lane p * L * C + l * C + c is the edge from
-    predecessor p to cell c at level l. candidates is a boolean (L, C)
-    mask that every predecessor shares (None: every lane), whose velocity
-    work runs once per run of adjacent predecessors with bitwise-equal
-    q_prev and time steps; the Screen of such a mask over these rows
-    (velocity_screens), whose velocity work is done; or a sorted array of
-    lane ids, each scored on its own. A lane without a time step has dt =
-    +inf; only the candidates with a time step that pass the joint-velocity
-    bound are evaluated. Each evaluated lane takes its cell and time step
-    from its screen entry (or, listed, from its own lane id).
+    predecessor p to cell c at level l. candidates is the Screen of these
+    rows (velocity_screens or lane_screen), whose velocity work is done;
+    None screens every lane in one velocity_screens call. A lane without a
+    time step has dt = +inf; only the candidates with a time step that pass
+    the joint-velocity bound are evaluated, and each takes its cell, time
+    step, joint velocity and bias torque from its screen entry.
     """
     pv_prev, pv_next = np.asarray(pv_prev, dtype=float), np.asarray(pv_next, dtype=float)
     P, L, C = q_prev.shape[0], pv_next.size, q_next.shape[0]
-    S = L * C
-    shared = not isinstance(candidates, np.ndarray) or candidates.ndim == 2
-    if shared and not isinstance(candidates, Screen):
-        (_, candidates), = velocity_screens(robot, limits, dlam, q_prev, pv_prev, q_next,
-                                            terms_next, pv_next, candidates)
-    if shared:
-        screen, dt = candidates, candidates.dt
-        with_step = int(np.isfinite(dt).sum(axis=0) @ screen.mask.sum(axis=1))
-        no_step = P * int(np.count_nonzero(screen.mask)) - with_step
-        # each predecessor takes its group's passed entries: one run of
-        # entries, so the evaluated lanes come in ascending order
-        count = screen.counts
-        row = np.arange(count.sum()) + np.repeat(screen.start[screen.group]
-                                                 - np.cumsum(count) + count, count)
-        p, lc, c, step = (np.repeat(np.arange(P), count), screen.lc[row], screen.cell[row],
-                          screen.step[row])
-        qd, bias, dq = screen.qd, screen.bias, screen.dq
-        candidates = screen.mask
-    else:
-        # each listed lane is its own entry, with its own row of dq
-        dt = edge_durations(pv_prev[:, None], pv_next, dlam)
-        pair_p, pair_u = np.divmod(candidates, S)
-        pair_l, pair_c = np.divmod(pair_u, C)
-        pair_step = dt[pair_p, pair_l]
-        keep = np.isfinite(pair_step)
-        with_step = int(np.count_nonzero(keep))
-        no_step = candidates.size - with_step
-        dq = _gather(q_next, pair_c) - _gather(q_prev, pair_p)
-        with np.errstate(invalid="ignore"):
-            if limits.qd is not None:
-                keep &= ~_table_drops(dq, pair_step, limits.qd)
-            k = np.flatnonzero(keep)
-            qd, bias, step, c, k = _velocity(robot, limits, terms_next, _gather(dq, k),
-                                             pair_step[k], pair_c[k], k)
-        p, lc, row = pair_p[k], pair_u[k], np.arange(k.size)
+    screen = candidates if candidates is not None else next(velocity_screens(
+        robot, limits, dlam, q_prev, pv_prev, q_next, terms_next, pv_next))[1]
+    # each predecessor takes its run of entries, so the evaluated lanes come
+    # in ascending order
+    count = screen.counts
+    row = np.arange(count.sum()) + np.repeat(screen.first - np.cumsum(count) + count, count)
+    p, lc, c, step = (np.repeat(np.arange(P), count), screen.lc[row], screen.cell[row],
+                      screen.step[row])
     with np.errstate(invalid="ignore"):
-        qd = _gather(qd, row)
+        qd = _gather(screen.qd, row)
         qd_prev, lane_step = _gather(qd_prev, p), step[:, None]
         qdd = (qd - qd_prev) / lane_step
         qddd = (qdd - _gather(qdd_prev, p)) / lane_step
         # H qdd from the cells' columns of H, gathered one at a time: no
         # (K, n, n) gather
         tau = _fold_columns(lambda b: _gather(terms_next.H[:, :, b], c), qdd)
-        tau += _gather(bias, row)
+        tau += _gather(screen.bias, row)
         taud = (tau - _gather(tau_prev, p)) / lane_step
         stack = (qd, qdd, qddd, tau, taud)
         # each enabled order's verdict on the evaluated lanes: its endpoint
@@ -520,16 +546,16 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
         pv2_next = np.array([v ** 2 for v in pv_next.tolist()])[lc // C][:, None]
         pv2_prev = pv_prev[p][:, None] ** 2
         # a check point's configuration q_prev + s * dq depends on the
-        # lane's row of dq alone: its rigid-body terms are computed once
-        # per row that some evaluated lane reads, from the row's own q_prev
-        # (its group's for a mask), and gathered per lane
-        lane_dq = screen.group[p] * C + c if shared else k
-        read = np.zeros(dq.shape[0], dtype=bool)
-        read[lane_dq] = True
-        at = np.flatnonzero(read)
-        base, at_dq = screen.q[at // C] if shared else q_prev[pair_p[at]], dq[at]
-        slot = (np.cumsum(read) - 1)[lane_dq]
-        for s, qd_s, qdd_s in _interior_samples(_gather(dq, lane_dq), pv2_prev, pv2_next,
+        # lane's row of dq alone, and every lane that reads a row has the
+        # same q_prev bits: the row's rigid-body terms are computed once,
+        # from one such lane's q_prev, and gathered per lane
+        lane_dq = screen.dqrow[row]
+        owner = np.full(screen.dq.shape[0], -1)
+        owner[lane_dq] = np.arange(lane_dq.size)
+        at = np.flatnonzero(owner >= 0)
+        base, at_dq = q_prev[p[owner[at]]], screen.dq[at]
+        slot = (np.cumsum(owner >= 0) - 1)[lane_dq]
+        for s, qd_s, qdd_s in _interior_samples(_gather(screen.dq, lane_dq), pv2_prev, pv2_next,
                                                 dlam, check_count):
             sample = {"qd": qd_s, "qdd": qdd_s}
             if limits.tau is not None:
@@ -541,8 +567,9 @@ def stage_transitions(robot: PlanarArm, limits: LimitSets, dlam: float,
                 if order in verdicts:
                     verdicts[order] &= _order_ok(sample[order], limits.bound(order))
     ok = np.all(list(verdicts.values()), axis=0) if verdicts else np.ones(p.size, bool)
-    return StageEval(dt, p, lc, step, *stack, ok, verdicts, (P, L, C), candidates, with_step,
-                     no_step)
+    with_step = int((np.isfinite(screen.dt) * screen.cells).sum())
+    return StageEval(screen.dt, p, lc, step, *stack, ok, verdicts, (P, L, C),
+                     screen.candidates, with_step, int(screen.cells.sum()) - with_step)
 
 
 @dataclass(frozen=True)

@@ -5,33 +5,31 @@ by the node ids of their last depth + 1 stages (fewer near the start), each
 with its cost, its predecessor label and the cached qd/qdd/tau samples of
 its last node. At each transition the constraint engine scores every label
 against every admissible next node of every level (optionally restricted by
-a level/lattice window before any evaluation), screening by joint velocity
-before the higher orders. Key k followed by node f gives k[1:] + (f,) once
-k is full, k + (f,) before; each next key keeps its cheapest predecessor
-label, on a tie the one with the smallest key, so results are
-bit-reproducible. A rest start node that cannot hold still within the
-torque bound starts no chain. A chain's cost is its duration, the sum of
-its time steps. The sweep orders each stage's labels once, by last cell,
-then last level, so that the labels that share a configuration and time
-steps are adjacent. The velocity screen (constraints.velocity_screens)
-then runs once per stage, over each run of such labels and candidate lane,
-and hands each label the lanes that pass, each with its level, cell and
-time step; it is split into slices of labels and chunks of runs only when
-a stage's labels times levels or its (run, level, cell) box exceeds
-SCREEN_BUDGET. One engine call scores the lanes handed to one block of
-labels, and a block takes at most LANE_BUDGET of them: the evaluated
-lanes, not the candidates, bound its memory. Under a window a block's
-labels list their lanes, and the listed lanes fill the budget. Each block
-reduces its feasible lanes, read by their row, next node and time step
-(StageEval), to one entry per next key with a scatter-min over the
-block's own keys, whose tail groups the cut keeps within max(LANE_BUDGET,
-S) slots; one sort per stage then merges the blocks' entries, so a stage
-holds no table over all next keys. The labels are the search's whole
-record: extract() starts from the cheapest terminal label and follows the
-predecessor rows. The rigid-body terms of the grid's cells come from the
-grid (StateGrid.terms), computed once however many sweeps and replays
-read them; a replay gathers its chain's rows and checks, as the sweep
-does, that a rest start holds still.
+a level/lattice window), screening by joint velocity before the higher
+orders. Key k followed by node f gives k[1:] + (f,) once k is full, k +
+(f,) before; each next key keeps its cheapest predecessor label, on a tie
+the one with the smallest key, so results are bit-reproducible. A rest
+start node that cannot hold still within the torque bound starts no chain.
+A chain's cost is its duration, the sum of its time steps. The sweep orders
+each stage's labels once, by last cell, then last level, so that the labels
+that share a configuration and time steps are adjacent. The velocity screen
+(constraints.velocity_screens) then runs once per stage, over each run of
+such labels and candidate lane, and hands each label the lanes in its
+window that pass, each with its level, cell and time step; it is split into
+slices of labels and chunks of runs only when a stage's labels times levels
+or its (run, level, cell) box exceeds SCREEN_BUDGET. One engine call scores
+the lanes handed to one block of labels, and a block takes at most
+LANE_BUDGET of them: the evaluated lanes, not the candidates, bound its
+memory. Each block reduces its feasible lanes, read by their row, next node
+and time step (StageEval), to one entry per next key with a scatter-min
+over the block's own keys, whose tail groups the cut keeps within
+max(LANE_BUDGET, S) slots; one sort per stage then merges the blocks'
+entries, so a stage holds no table over all next keys. The labels are the
+search's whole record: extract() starts from the cheapest terminal label
+and follows the predecessor rows. The rigid-body terms of the grid's cells
+come from the grid (StateGrid.terms), computed once however many sweeps and
+replays read them; a replay gathers its chain's rows and checks, as the
+sweep does, that a rest start holds still.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -52,23 +50,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (LimitSets, TrajectoryProfile, _order_ok, _runs, initial_samples,
-                          saturation_percentage, stage_transitions, velocity_screens)
+                          lane_screen, saturation_percentage, stage_transitions,
+                          velocity_screens)
 from .errors import CorruptChain, NoFeasiblePlan, ScenarioError, as_int
 from .grid import StateGrid
 
 Array = np.ndarray
 
-# the lanes an engine call evaluates (those the screen hands out) or lists
-# (under a window) bound its memory, about 215 B each (3.5 MB at the budget,
-# plan-dense): a block's rows take at most LANE_BUDGET lanes, unless one row
-# alone takes more
+# the lanes an engine call evaluates (those the screen hands out) bound its
+# memory, about 215 B each (3.5 MB at the budget, plan-dense): a block's
+# rows take at most LANE_BUDGET lanes, unless one row alone takes more
 LANE_BUDGET = 16384
-# a screen slice's (row, level) time steps, a screen chunk's (group, level,
-# cell) box over the levels its mask uses, and a window block's (row,
-# lane) candidate mask stay within SCREEN_BUDGET, unless one group or
-# row alone exceeds it. A box entry peaks at about 30 B (plan-dense), so a
-# full chunk costs about half a full block; with no velocity bound every
-# entry with a time step passes and peaks at about 275 B
+# a screen slice's (row, level) time steps and a screen chunk's (group,
+# level, cell) box over the levels its mask uses stay within SCREEN_BUDGET,
+# unless one group alone exceeds it. A box entry peaks at about 30 B
+# (plan-dense), so a full chunk costs about half a full block; with no
+# velocity bound every entry with a time step passes and peaks at about
+# 275 B
 SCREEN_BUDGET = 4 * LANE_BUDGET
 # above every position a label can have
 _NO_POS = np.iinfo(np.intp).max
@@ -79,13 +77,10 @@ class Window:
     """Optional per-stage candidate restriction (speed/optimality knob).
 
     Edges whose endpoints differ by more than max_dl levels or max_dj
-    lattice steps (per parameter) are skipped before they are evaluated.
-    A windowed block lists its edges and scores each on its own, without
-    the per-group velocity sharing of an unwindowed stage's screen, so a
-    window saves work only where it removes most edges, and can cost more
-    than none. A windowed block holds the labels whose listed edges fit
-    LANE_BUDGET and whose (label, edge) candidate mask fits SCREEN_BUDGET.
-    None disables a bound; a bound is otherwise a nonnegative integer.
+    lattice steps (per parameter) are skipped: the velocity screen neither
+    evaluates nor counts them, and shares its work over the labels of a
+    configuration as without a window. None disables a bound; a bound is
+    otherwise a nonnegative integer.
     """
 
     max_dl: int | None = None
@@ -197,10 +192,12 @@ def _sweep(grid, limits, check_count, window, depths=(0,)):
     labels = [([start], [np.full(start.size, -1)], [np.zeros(start.size)]) for _ in depths]
     failed = {}
 
-    windowed = window is not None and (window.max_dl, window.max_dj) != (None, None)
-    lattice_rows = grid.cell_lattice() if windowed and window.max_dj is not None else None
     robot, dlam = grid.robot, grid.path.dlam
     max_groups = max(1, LANE_BUDGET // S)
+    window, lattice = window or Window(), grid.cell_lattice()
+    # near[c] holds the cells within max_dj lattice steps of cell c
+    near = None if window.max_dj is None else np.all(
+        np.abs(lattice[:, None] - lattice[None]) <= window.max_dj, axis=-1)
 
     def transition(i, node, group, cost, qd, qdd, tau):
         """The labels that stage i's labels lead to, each next key's
@@ -224,47 +221,21 @@ def _sweep(grid, limits, check_count, window, depths=(0,)):
         # the labels' configurations and levels, in that order
         level, cell = np.divmod(node[by], C)
         q_prev, pv_prev = grid.q_table[i, cell], grid.pv_values[level]
-        if windowed:
-            # a window's bounds differ from row to row: its level bound
-            # (P, L) and lattice bound (P, C) list each row's lanes, of
-            # which a row has the sum over l and c of level_ok[l]
-            # admissible[l, c] lattice_ok[c] (a float product is exact here)
-            level_ok = lattice_ok = None
-            if window.max_dl is not None:
-                level_ok = np.abs(level[:, None] - np.arange(L)) <= window.max_dl
-            if lattice_rows is not None:
-                dj = np.abs(lattice_rows[cell][:, None, :] - lattice_rows[None, :, :])
-                lattice_ok = np.all(dj <= window.max_dj, axis=-1)
-            if lattice_ok is None:
-                listed = level_ok @ admissible.sum(axis=1)
-            elif level_ok is None:
-                listed = lattice_ok @ admissible.sum(axis=0)
-            else:
-                listed = ((level_ok @ admissible.astype(float)) * lattice_ok).sum(axis=1)
-            chunks = [(0, listed.astype(np.intp), None)]
-            max_rows = max(1, SCREEN_BUDGET // S)
-        else:
-            # the screen runs once per chunk of the stage's rows and hands
-            # each row its lanes
-            chunks = ((at, screen.counts, screen) for at, screen in velocity_screens(
-                robot, limits, dlam, q_prev, pv_prev, q_next, terms_next,
-                grid.pv_values, admissible, SCREEN_BUDGET))
-            max_rows = by.size
-        blocks = ((at + a, at + b, None if screen is None else screen.rows(a, b))
-                  for at, lanes, screen in chunks
-                  for a, b in _blocks(lanes, along[at:at + lanes.size], max_groups, max_rows))
-        for a, b, candidates in blocks:
+        # a window bounds each row's levels and cells; the screen runs once
+        # per chunk of the stage's rows and hands each row its lanes
+        bounds = None if window.max_dl is None else (np.maximum(level - window.max_dl, 0),
+                                                     np.minimum(level + window.max_dl, L - 1))
+        screens = velocity_screens(robot, limits, dlam, q_prev, pv_prev, q_next, terms_next,
+                                   grid.pv_values, admissible, SCREEN_BUDGET, bounds,
+                                   None if near is None else near[cell])
+        blocks = ((at + a, at + b, screen.rows(a, b)) for at, screen in screens
+                  for a, b in _blocks(screen.counts, along[at:at + screen.counts.size],
+                                      max_groups))
+        for a, b, screen in blocks:
             rows, local = by[a:b], along[a:b] - along[a]
-            if candidates is None:
-                candidates = admissible
-                if level_ok is not None:
-                    candidates = candidates & level_ok[a:b, :, None]
-                if lattice_ok is not None:
-                    candidates = candidates & lattice_ok[a:b, None, :]
-                candidates = np.flatnonzero(candidates)
             ev = stage_transitions(robot, limits, dlam, q_prev[a:b], pv_prev[a:b], qd[rows],
                                    qdd[rows], tau[rows], q_next, terms_next, grid.pv_values,
-                                   check_count=check_count, candidates=candidates)
+                                   check_count=check_count, candidates=screen)
             for name, count in ev.rejections().items():
                 histogram[name] = histogram.get(name, 0) + count
             # the feasible evaluated lanes (rows of the stack), each with
@@ -282,7 +253,7 @@ def _sweep(grid, limits, check_count, window, depths=(0,)):
                             ev.qd[row], ev.qdd[row], ev.tau[row]))
             # free this block's arrays, and its screen's once no block reads
             # it, before the next call or screen builds its own
-            del ev, candidates
+            del ev, screen
         return (*_cheapest(*map(np.concatenate, zip(*winners))), histogram)
 
     for i in range(grid.n_stages):
@@ -325,12 +296,11 @@ def _sweep(grid, limits, check_count, window, depths=(0,)):
     return tuple(ValueMap(grid, limits, check_count, *map(tuple, record)) for record in labels)
 
 
-def _blocks(lanes: Array, along: Array, max_groups: int, max_rows: int):
+def _blocks(lanes: Array, along: Array, max_groups: int):
     """Cut consecutive rows into engine blocks: (a, b) for rows a..b-1. A
-    block's rows take at most LANE_BUDGET lanes in all (lanes per row),
-    span at most max_groups groups (along numbers each row's, ascending)
-    and max_rows rows; a row that alone breaks a bound is a block of its
-    own."""
+    block's rows take at most LANE_BUDGET lanes in all (lanes per row) and
+    span at most max_groups groups (along numbers each row's, ascending); a
+    row that alone breaks a bound is a block of its own."""
     # the end of the longest block from each row that the lane and group
     # bounds allow, found for every row at once
     end = np.concatenate(([0], np.cumsum(lanes)))
@@ -338,7 +308,7 @@ def _blocks(lanes: Array, along: Array, max_groups: int, max_rows: int):
                       np.searchsorted(along, along + max_groups))
     a = 0
     while a < lanes.size:
-        b = max(min(int(stop[a]), a + max_rows), a + 1)
+        b = max(int(stop[a]), a + 1)
         yield a, b
         a = b
 
@@ -435,11 +405,12 @@ def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
         # as in the sweep: a rest start must hold still
         raise CorruptChain("replayed start at stage 0 is infeasible: tau")
     edge = np.arange(n_stages)
+    screen = lane_screen(grid.robot, limits, grid.path.dlam, q[:-1], pv[:-1], q[1:], terms[1:],
+                         grid.pv_values, (edge * L + level[1:]) * n_stages + edge)
     for count in (0, 0, check_count):
         ev = stage_transitions(grid.robot, limits, grid.path.dlam, q[:-1], pv[:-1],
                                *samples[:, :-1], q[1:], terms[1:], grid.pv_values,
-                               check_count=count,
-                               candidates=(edge * L + level[1:]) * n_stages + edge)
+                               check_count=count, candidates=screen)
         edges = ev.row
         samples[:, edges + 1] = ev.qd, ev.qdd, ev.tau
     ok = np.zeros(n_stages, dtype=bool)

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from redplan.constraints import initial_samples, stage_transitions
+from redplan.constraints import (initial_samples, lane_screen, stage_transitions,
+                                 velocity_screens)
 from redplan.errors import PlanningError
 from redplan.robot import (_DEGENERATE_TOL, _REACH_TOL, DynamicParams, JointLimits,
                            PlanarArm, _wrap_angle)
@@ -158,6 +159,22 @@ def edge(robot, limits, dlam, state, q_next, pv_next, check_count=0):
     return ev, (q_next, float(pv_next), ev.qd[0], ev.qdd[0], ev.tau[0])
 
 
+def transitions(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_prev, q_next,
+                terms_next, pv_next, check_count=0, candidates=None):
+    """stage_transitions with candidates also an (L, C) mask that every row
+    shares, screened by velocity_screens, or a sorted array of lane ids,
+    screened by lane_screen."""
+    if isinstance(candidates, np.ndarray):
+        args = (robot, limits, dlam, q_prev, pv_prev, q_next, terms_next, pv_next, candidates)
+        if candidates.ndim == 1:
+            candidates = lane_screen(*args)
+        else:
+            (_, candidates), = velocity_screens(*args)
+    return stage_transitions(robot, limits, dlam, q_prev, pv_prev, qd_prev, qdd_prev, tau_prev,
+                             q_next, terms_next, pv_next, check_count=check_count,
+                             candidates=candidates)
+
+
 def node_state(grid, i, f):
     """(q, pv) of node f at stage i."""
     return grid.q_table[i, f % grid.cfg_count], float(grid.pv_values[f // grid.cfg_count])
@@ -220,26 +237,26 @@ def sweep_record(grid, limits, check_count=0, window=None, depth=0):
 def sweep_blocks(monkeypatch, grid, budgets, *args):
     """sweep_record(grid, *args) with planner.LANE_BUDGET and SCREEN_BUDGET
     set to budgets, and how the sweep cut its stages: (record, log).
-    log["calls"] holds (rows, listed lanes or None, evaluated lanes) of
-    each engine call, log["screens"] the (groups, box entries per group:
-    the levels the mask uses times cells) of each screen chunk, per stage, and
-    log["split"] counts the blocks that start inside a screen group."""
+    log["calls"] holds (rows, evaluated lanes) of each engine call,
+    log["screens"] the (groups, box entries per group: the levels the mask
+    uses times cells) of each screen chunk, per stage, and log["split"]
+    counts the blocks that start inside a screen group."""
     from redplan import constraints, planner
     log = {"calls": [], "screens": [], "split": 0}
     engine, screens, rows = (planner.stage_transitions, planner.velocity_screens,
                              constraints.Screen.rows)
 
-    def engine_spy(*args, candidates=None, **kwargs):
-        ev = engine(*args, candidates=candidates, **kwargs)
-        listed = candidates.size if isinstance(candidates, np.ndarray) else None
-        log["calls"].append((args[3].shape[0], listed, ev.lanes.size))
+    def engine_spy(*args, **kwargs):
+        ev = engine(*args, **kwargs)
+        log["calls"].append((args[3].shape[0], ev.lanes.size))
         return ev
 
     def screens_spy(*args, **kwargs):
         log["screens"].append([])
+        mask = args[8]
+        box = np.count_nonzero(mask.any(axis=1)) * mask.shape[1]
         for at, screen in screens(*args, **kwargs):
-            box = np.count_nonzero(screen.mask.any(axis=1)) * screen.mask.shape[1]
-            log["screens"][-1].append((screen.q.shape[0], int(box)))
+            log["screens"][-1].append((int(screen.group[-1]) + 1, int(box)))
             yield at, screen
 
     def rows_spy(screen, a, b):

@@ -14,7 +14,8 @@ from redplan.constraints import (ORDERS, LimitSets, TrajectoryProfile, _order_ok
 from redplan.errors import ScenarioError
 from redplan.robot import PlanarArm, RigidTerms
 
-from conftest import edge, inverse_dynamics, make_reference_arm, make_toy_grid, start_state
+from conftest import (edge, inverse_dynamics, make_reference_arm, make_toy_grid, start_state,
+                      transitions)
 
 
 def inf_limits(n=3):
@@ -446,8 +447,8 @@ class TestStageTransitions:
         terms = arm.rigid_terms(q_next)
         full = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, terms, levels)
         candidates = rng.random((8, L, 6)) < 0.5
-        ev = stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, terms, levels,
-                               candidates=np.flatnonzero(candidates))
+        ev = transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next, terms, levels,
+                         candidates=np.flatnonzero(candidates))
         assert np.array_equal(ev.feasible, full.feasible & candidates)
         # a stop from rest has no time step; only candidate lanes count
         no_step = (pv[:, None] == 0.0) & (levels == 0.0)
@@ -542,8 +543,8 @@ class TestStageTransitions:
         assert K > read > C
         assert shapes == [(read, 3)] * check_count
         shapes.clear()
-        listed = stage_transitions(arm, limits, 0.1, *prev, q_next, terms, levels,
-                                   check_count=check_count, candidates=ev.lanes)
+        listed = transitions(arm, limits, 0.1, *prev, q_next, terms, levels,
+                             check_count=check_count, candidates=ev.lanes)
         assert listed.lanes.size == K
         assert shapes == [(K, 3)] * check_count
 
@@ -594,9 +595,9 @@ class TestStageTransitions:
         check_count = data.draw(st.integers(1, 3))
 
         def run(tau_max):
-            return stage_transitions(arm, LimitSets(qd=np.full(3, 20.0), tau=tau_max), 0.1,
-                                     q, pv, qd, qdd, tau, q_next, arm.rigid_terms(q_next),
-                                     levels, check_count=check_count, candidates=candidates)
+            return transitions(arm, LimitSets(qd=np.full(3, 20.0), tau=tau_max), 0.1,
+                               q, pv, qd, qdd, tau, q_next, arm.rigid_terms(q_next),
+                               levels, check_count=check_count, candidates=candidates)
 
         # the torques at each evaluated lane's endpoint and check points
         ev = run(np.full(3, np.inf))
@@ -703,10 +704,10 @@ class TestStageTransitions:
         terms = arm.rigid_terms(q_next)
 
         def run(at):
-            return stage_transitions(arm, limits, 0.1, q[at], pv[at], qd[at], qdd[at],
-                                     tau[at], q_next, terms, levels, check_count=check_count,
-                                     candidates=None if candidates is None
-                                     else np.flatnonzero(candidates[at]))
+            return transitions(arm, limits, 0.1, q[at], pv[at], qd[at], qdd[at],
+                               tau[at], q_next, terms, levels, check_count=check_count,
+                               candidates=None if candidates is None
+                               else np.flatnonzero(candidates[at]))
 
         block = run(slice(None))
         parts = [run(slice(p, p + 1)) for p in range(P)]
@@ -749,8 +750,8 @@ class TestStageTransitions:
         unbounded = LimitSets(**{**caps, order: np.full(3, np.inf)})
 
         def run(limits):
-            return stage_transitions(arm, limits, 0.1, *prev, q_next, arm.rigid_terms(q_next),
-                                     levels, check_count=check_count, candidates=candidates)
+            return transitions(arm, limits, 0.1, *prev, q_next, arm.rigid_terms(q_next),
+                               levels, check_count=check_count, candidates=candidates)
 
         a, b = run(unbounded), run(unbounded.disable(order))
         fields = ("dt", "lanes", *ORDERS, "ok", "feasible")
@@ -780,8 +781,8 @@ class TestStageTransitions:
 
         def handed(screen):
             out = []
-            for r, g in enumerate(screen.group):
-                at = slice(screen.start[g], screen.start[g] + screen.counts[r])
+            for r in range(screen.group.size):
+                at = slice(screen.first[r], screen.first[r] + screen.counts[r])
                 out.append(tuple(getattr(screen, f)[at] for f in
                                  ("lc", "cell", "step", "qd", "bias")))
             return out
@@ -791,7 +792,7 @@ class TestStageTransitions:
         # a chunk's table is a (group, level, cell) box over the levels
         # that the mask uses
         box = np.count_nonzero(mask.any(axis=1)) * C
-        assert whole.q.shape[0] < P and sum(whole.counts) > 0
+        assert whole.group[-1] + 1 < P and sum(whole.counts) > 0
         rows, durations, runs = [], constraints.edge_durations, constraints._runs
         monkeypatch.setattr(constraints, "edge_durations",
                             lambda *a: rows.append(a[0].shape[0]) or durations(*a))
@@ -803,7 +804,8 @@ class TestStageTransitions:
             for a, screen in constraints.velocity_screens(*args, max_entries=max_entries):
                 assert a == at
                 at += screen.group.size
-                assert screen.q.shape[0] == 1 or screen.q.shape[0] * box <= max_entries
+                groups = screen.group[-1] + 1
+                assert groups == 1 or groups * box <= max_entries
                 assert screen.dt.tobytes() == whole.dt[a:at].tobytes()
                 got += handed(screen)
             assert at == P and max(rows) <= max(1, max_entries // L)
@@ -848,9 +850,9 @@ class TestLaneContract:
         candidates = {"all": None, "mask": mask, "lanes": np.flatnonzero(dense)}[form]
 
         def run(candidates):
-            return stage_transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
-                                     arm.rigid_terms(q_next), levels,
-                                     check_count=check_count, candidates=candidates)
+            return transitions(arm, limits, 0.1, q, pv, qd, qdd, tau, q_next,
+                               arm.rigid_terms(q_next), levels,
+                               check_count=check_count, candidates=candidates)
 
         ev = run(candidates)
         # each evaluated lane once, in order, and only candidates
@@ -909,9 +911,9 @@ class TestLaneContract:
 
         def run(candidates):
             calls.clear()
-            ev = stage_transitions(arm, LimitSets.from_joint_limits(arm.limits), 0.1, q, pv,
-                                   hist, hist, hist, q_next, arm.rigid_terms(q_next), levels,
-                                   candidates=candidates)
+            ev = transitions(arm, LimitSets.from_joint_limits(arm.limits), 0.1, q, pv,
+                             hist, hist, hist, q_next, arm.rigid_terms(q_next), levels,
+                             candidates=candidates)
             return ev, len(calls)
 
         (shared, shared_calls), (listed, listed_calls) = (
@@ -934,7 +936,7 @@ class TestLaneContract:
         def peak(*args, **kwargs):
             tracemalloc.start()
             try:
-                ev = stage_transitions(arm, *args, **kwargs)
+                ev = transitions(arm, *args, **kwargs)
                 return tracemalloc.get_traced_memory()[1], ev
             finally:
                 tracemalloc.stop()
@@ -1020,9 +1022,9 @@ class TestScreenFields:
         kept = []
         velocity = constraints._velocity
 
-        def spy(robot, limits, terms_next, qd, step, cell, g, lc):
-            kept.append((g.copy(), lc // C, cell.copy()))
-            return velocity(robot, limits, terms_next, qd, step, cell, g, lc)
+        def spy(robot, limits, terms_next, qd, step, cell, lc, dqrow):
+            kept.append((dqrow // C, lc // C, cell.copy()))
+            return velocity(robot, limits, terms_next, qd, step, cell, lc, dqrow)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(constraints, "_velocity", spy)
@@ -1060,9 +1062,9 @@ class TestScreenFields:
         args = (arm, limits, 0.1, q, pv, q_next, arm.rigid_terms(q_next), levels)
 
         def run(candidates, a=0, b=P):
-            return stage_transitions(arm, limits, 0.1, q[a:b], pv[a:b], *hist[:, a:b], q_next,
-                                     arm.rigid_terms(q_next), levels,
-                                     check_count=check_count, candidates=candidates)
+            return transitions(arm, limits, 0.1, q[a:b], pv[a:b], *hist[:, a:b], q_next,
+                               arm.rigid_terms(q_next), levels,
+                               check_count=check_count, candidates=candidates)
 
         def check(ev, at=0):
             row, node = np.divmod(ev.lanes, S)
@@ -1081,8 +1083,8 @@ class TestScreenFields:
         for a, screen in constraints.velocity_screens(*args, mask, max_entries=2 * L * C):
             level, cell = np.divmod(screen.lc, C)
             assert screen.cell.tobytes() == cell.tobytes()
-            for r, g in enumerate(screen.group):
-                at = slice(screen.start[g], screen.start[g] + screen.counts[r])
+            for r in range(screen.group.size):
+                at = slice(screen.first[r], screen.first[r] + screen.counts[r])
                 assert screen.step[at].tobytes() == screen.dt[r, level[at]].tobytes()
             rows = screen.group.size
             for b0 in range(0, rows, 2):

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from redplan import constraints, planner
 
 from redplan.baseline import resolve_redundancy, time_parametrize
-from redplan.constraints import LimitSets, Screen, StageEval
+from redplan.constraints import (LimitSets, Screen, StageEval, initial_samples,
+                                 lane_screen, stage_transitions)
 from redplan.errors import CorruptChain, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
 from redplan.oracle import exhaustive_plan
@@ -352,24 +353,21 @@ class TestLaneSparseHotPaths:
         sc = bundled_scenario("toy_jerk")
         assert exhaustive_plan(sc.build(), sc.limits).cost == 0.6666666666666667
 
-    @pytest.mark.parametrize("window,listed", [
-        (None, False), (Window(), False), (Window(max_dl=1), True), (Window(max_dj=1), True),
-    ])
-    def test_only_a_set_window_bound_lists_lanes(self, monkeypatch, window, listed):
+    @pytest.mark.parametrize("window", [None, Window(), Window(max_dl=1), Window(max_dj=1)])
+    def test_every_sweep_call_gets_a_screen(self, monkeypatch, window):
         # the sweep screens the stage's admissible (L, C) mask, which every
-        # row shares, and passes each block its rows' Screen, unless a
-        # window bound is set; then each block's lanes differ from row to
-        # row and go as a list of lane ids
+        # row shares, with each row's window, and passes each block its
+        # rows' Screen
         engine, forms = planner.stage_transitions, set()
 
         def spy(*args, candidates=None, **kwargs):
-            forms.add("screen" if isinstance(candidates, Screen) else np.ndim(candidates))
+            forms.add(type(candidates))
             return engine(*args, candidates=candidates, **kwargs)
 
         monkeypatch.setattr(planner, "stage_transitions", spy)
         sc = bundled_scenario("line")
         planner._sweep(sc.build(), sc.limits, 0, window)
-        assert forms == ({1} if listed else {"screen"})
+        assert forms == {Screen}
 
 
 class TestInfeasibility:
@@ -458,6 +456,50 @@ class TestWindow:
         result = plan(sc.build(), sc.limits, check_count=sc.check_count, window=window)
         assert result.cost == cost
         assert result.node_ids.tolist() == node_ids
+
+    def test_windowed_sweep_scores_each_rows_own_window(self):
+        # cells 0 and 1 have bitwise-equal configurations on lattice rows 0
+        # and 1 (a configuration-table grid numbers its cells' rows), so the
+        # sweep's last row of cell 0 and first row of cell 1 share their
+        # configuration and time steps; under max_dj=0 each must keep its
+        # own cell. The reference scores each label's own window through
+        # lane_screen, one label at a time, and keeps each next node's
+        # cheapest lane, on a tie the first label's. Of the 4 levels, a
+        # level bound of 2 leaves some stages' rows every level in use, and
+        # one of 3 leaves every row all of them
+        grid = toy_grid(n_stages=3, pv_levels=3, rest=False, v_values=(0.8, 0.8, 1.0))
+        assert grid.q_table[:, 0].tobytes() == grid.q_table[:, 1].tobytes()
+        limits = LimitSets(qd=np.full(3, 3.0), qdd=np.full(3, 40.0))
+        L, C, lattice = grid.level_count, grid.cfg_count, grid.cell_lattice()
+        for window in (Window(max_dj=0), *(Window(max_dl=k, max_dj=0) for k in (1, 2, 3))):
+            node = grid.stage_ids(0)
+            cost = np.zeros(node.size)
+            qd, qdd, tau = initial_samples(grid.robot, grid.terms[0, node % C],
+                                           grid.pv_values[node // C])
+            record = [(node.tolist(), [-1] * node.size, cost.tolist())]
+            for i in range(grid.n_stages):
+                best = {}
+                for p, (level, cell) in enumerate(zip(*np.divmod(node, C))):
+                    lanes = grid.admissible[i + 1] & np.all(
+                        np.abs(lattice - lattice[cell]) <= window.max_dj, axis=-1)
+                    if window.max_dl is not None:
+                        lanes &= (np.abs(np.arange(L) - level) <= window.max_dl)[:, None]
+                    args = (grid.robot, limits, grid.path.dlam, grid.q_table[i, cell][None],
+                            grid.pv_values[level][None])
+                    nxt = (grid.q_table[i + 1], grid.terms[i + 1], grid.pv_values)
+                    ev = stage_transitions(*args, qd[p:p + 1], qdd[p:p + 1], tau[p:p + 1], *nxt,
+                                           candidates=lane_screen(*args, *nxt,
+                                                                  np.flatnonzero(lanes)))
+                    for k in np.flatnonzero(ev.ok):
+                        s, c = int(ev.node[k]), cost[p] + ev.step[k]
+                        if s not in best or c < best[s][0]:
+                            best[s] = (c, p, ev.qd[k], ev.qdd[k], ev.tau[k])
+                node = np.array(sorted(best))
+                cost, pred, qd, qdd, tau = map(np.array, zip(*(best[s] for s in node)))
+                record.append((node.tolist(), pred.tolist(), cost.tolist()))
+            # the cells 0 and 1 both stay reached
+            assert all({0, 1} <= {f % C for f in stage[0]} for stage in record)
+            assert sweep_record(grid, limits, 0, window) == (record, None, None)
 
     # sha256 of the JSON of sweep_record under each window, per (scenario,
     # window, depths). The digests were taken at commit 86ca006, where a
@@ -572,9 +614,9 @@ class TestPredecessorBlocks:
     def test_budgets_cut_screens_groups_and_rows(self, monkeypatch, window, depth):
         # toy_full as bundled and at 0.4 times its velocity bound, where
         # some screen groups pass no lane: the budgets above give one-row
-        # blocks and blocks that evaluate no lane, and without a window
-        # they split a stage's screen between its groups and a group's
-        # rows between blocks
+        # blocks and blocks that evaluate no lane, and with or without a
+        # window they split a stage's screen between its groups and a
+        # group's rows between blocks
         sc = bundled_scenario("toy_full")
         grid, logs = sc.build(), []
         for limits in (sc.limits, replace(sc.limits, qd=0.4 * sc.limits.qd)):
@@ -582,14 +624,13 @@ class TestPredecessorBlocks:
                                            depth, logs=logs)
             assert whole[0] is not None
         calls = [call for log in logs for call in log["calls"]]
-        assert any(rows == 1 for rows, _, _ in calls)
-        assert any(lanes == 0 for _, _, lanes in calls)
+        assert any(rows == 1 for rows, _ in calls)
+        assert any(lanes == 0 for _, lanes in calls)
         screens = [chunks for log in logs for chunks in log["screens"]]
-        if window is None:
-            assert any(len(chunks) > 1 for chunks in screens)
-            assert sum(log["split"] for log in logs) > 0
-        else:
-            assert not screens and all(listed is not None for _, listed, _ in calls)
+        assert any(len(chunks) > 1 for chunks in screens)
+        # a level window from a rest start leaves the depth-0 search one
+        # label per screen group on this grid, so nothing is there to split
+        assert (sum(log["split"] for log in logs) > 0) == (window is None or depth == 2)
 
     # a screen chunk's tracemalloc peak per SCREEN_BUDGET entry with the
     # velocity bound off: the figure of the SCREEN_BUDGET comment
@@ -621,7 +662,7 @@ class TestPredecessorBlocks:
                     at, screen = next(chunk)
                 except StopIteration:
                     return
-                chunks.append((screen.q.shape[0] * box, tracemalloc.get_traced_memory()[1] - base))
+                chunks.append(((screen.group[-1] + 1) * box, tracemalloc.get_traced_memory()[1] - base))
                 yield at, screen
 
         monkeypatch.setattr(planner, "velocity_screens", measured)
@@ -638,29 +679,26 @@ class TestPredecessorBlocks:
     @pytest.mark.parametrize("window", [None, Window(max_dl=8)])
     def test_calls_stay_within_the_budgets(self, monkeypatch, window):
         # the bundled line over 4 stages with the velocity bound off: every
-        # candidate with a time step is evaluated, up to 288 x 288 lanes a
-        # stage. At the module's budgets each engine call evaluates (or
-        # lists) at most LANE_BUDGET lanes and each screen chunk's (group,
-        # level, cell) box holds at most SCREEN_BUDGET entries, unless one
-        # row or group alone takes more; a window block's (row, lane) mask
-        # stays within SCREEN_BUDGET too
+        # candidate with a time step (in the window) is evaluated, up to 288
+        # x 288 lanes a stage. At the module's budgets each engine call
+        # evaluates at most LANE_BUDGET lanes and each screen chunk's
+        # (group, level, cell) box holds at most SCREEN_BUDGET entries,
+        # unless one row or group alone takes more
         doc = bundled_scenario("line").to_dict()
         doc["n_stages"] = 4
         sc = load_scenario(doc)
         grid = sc.build()
-        S = grid.level_count * grid.cfg_count
         budgets = planner.LANE_BUDGET, planner.SCREEN_BUDGET
         record, log = sweep_blocks(monkeypatch, grid, budgets, sc.limits.disable("qd"),
                                    sc.check_count, window)
         assert record[0] is not None
-        for rows, listed, lanes in log["calls"]:
-            assert rows == 1 or (lanes if listed is None else listed) <= budgets[0]
-            assert window is None or rows == 1 or rows * S <= budgets[1]
-        work = [lanes if listed is None else listed for _, listed, lanes in log["calls"]]
+        for rows, lanes in log["calls"]:
+            assert rows == 1 or lanes <= budgets[0]
+        work = [lanes for _, lanes in log["calls"]]
         assert max(work) > budgets[0] // 2 and sum(work) > 3 * budgets[0]
+        assert log["screens"]
         for groups, box in (chunk for stage in log["screens"] for chunk in stage):
             assert groups == 1 or groups * box <= budgets[1]
-        assert bool(log["screens"]) == (window is None)
 
     @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
                                       "toy_velocity"])
@@ -670,9 +708,14 @@ class TestPredecessorBlocks:
                                sc.window)
 
     def test_windowed(self, monkeypatch):
+        # a windowed sweep screens its stages too, and the budgets split its
+        # screens and their groups
         sc = bundled_scenario("line")
+        logs = []
         self.assert_block_free(monkeypatch, sc.build(), sc.limits, sc.check_count,
-                               Window(max_dl=1, max_dj=1))
+                               Window(max_dl=1, max_dj=1), logs=logs)
+        assert any(len(chunks) > 1 for log in logs for chunks in log["screens"])
+        assert sum(log["split"] for log in logs) > 0
 
     def test_infeasible_histogram(self, monkeypatch):
         sc = bundled_scenario("line")
