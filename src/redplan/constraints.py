@@ -17,12 +17,13 @@ work done. `velocity_screens` builds it for the lanes of an (L, C) mask
 that every row shares, cut by each row's window (a level interval and a
 lattice mask); the sweep screens each stage once and hands each block of
 labels its part (`Screen.rows`). `lane_screen` builds it for a sorted list
-of lane ids: a replay screens a chain of N edges as N lanes (rows stages
-0..N-1, cells stages 1..N) and scores them in three calls, each fed the
-samples of the one before, and so reproduces the sweep's numbers bit for
-bit. The rigid-body terms (H, G and gravity) depend on the cell alone: the
-grid holds them (StateGrid.terms), and the caller passes the next stage's
-in.
+of lane ids: a replay screens the N edges of each of K chains as K * N
+lanes, one per row (rows the chains' stages 0..N-1, cells their stages
+1..N), takes their joint velocities from the screen and scores them in two
+calls, each fed the samples of the one before, and so reproduces the
+sweep's numbers bit for bit. The rigid-body terms (H, G and gravity)
+depend on the cell alone: the grid holds them (StateGrid.terms), and the
+caller passes the next stage's in.
 
 An edge's time step, joint velocity and velocity-dependent torque
 (`PlanarArm.bias_torque`) depend only on its two configurations and its

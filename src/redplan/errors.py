@@ -38,7 +38,9 @@ class NoFeasiblePlan(PlanningError):
             so an edge that fails the velocity bound counts under "qd"
             alone. When no start node can hold still within the torque
             bound (a rest start must), deepest_stage is 0 and the
-            histogram counts those start nodes under "tau".
+            histogram counts those start nodes under "tau". An empty
+            histogram means that no candidate edge leaves deepest_stage,
+            and the message says so.
     """
 
     def __init__(self, deepest_stage: int, violation_histogram: dict[str, int] | None = None):
@@ -47,16 +49,19 @@ class NoFeasiblePlan(PlanningError):
         detail = ", ".join(f"{k}={v}" for k, v in sorted(self.violation_histogram.items()))
         super().__init__(
             f"no feasible plan; deepest reached stage {deepest_stage}"
-            + (f" (rejected edges: {detail})" if detail else "")
+            + (f" (rejected edges: {detail})" if detail else
+               f" (no candidate edge leaves stage {deepest_stage}; a search window can "
+               "admit none)")
         )
 
 
 class CorruptChain(PlanningError):
     """A plan's chain is broken: its back-pointers do not terminate at
     stage 0 (``planner.extract``), or, replayed as the sweep scored it,
-    its rest start cannot hold still within the torque bound or an edge has
-    no time step or fails a check (``planner.replay``; the message names
-    the start or the first such edge, and its failed orders)."""
+    its rest start cannot hold still within the torque bound, an edge has
+    no time step or fails a check, or its duration differs from the cost
+    the search recorded (``planner.replay``; the message names the start
+    or the first such edge, and its failed orders)."""
 
 
 class NoConvergence(PlanningError):

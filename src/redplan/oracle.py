@@ -15,13 +15,13 @@ On velocity-only runs the two searches must agree; with history-dependent
 orders enabled the DP cost can only be higher, and compare() quantifies
 and attributes that gap. Both searches are the same sweep and replay and
 differ only in the histories they keep, so compare() runs them as one
-sweep that carries a label set per depth, stage by stage, and each
-search's labels and ties are those of its sweep alone. The attribution
-searches again only the subsets of orders whose gap it cannot derive: an
-order bounded by +inf on every joint rejects nothing, so adding it
-changes no search; a subset with no finite bound after it searches like
-the full set; and a subset without a finite history-dependent bound has
-no gap.
+sweep that carries a label set per depth, stage by stage, and replays
+their two chains as one stack; each search's labels, ties and profile are
+those of its own sweep and replay. The attribution searches again only
+the subsets of orders whose gap it cannot derive: an order bounded by
++inf on every joint rejects nothing, so adding it changes no search; a
+subset with no finite bound after it searches like the full set; and a
+subset without a finite history-dependent bound has no gap.
 """
 
 from __future__ import annotations
@@ -104,8 +104,7 @@ def exhaustive_plan(grid: StateGrid, limits: LimitSets,
             rejection histogram of the transition out of it.
     """
     _check_budget(grid, budget)
-    value, = _sweep(grid, limits, check_count, None, (HISTORY_DEPTH,))
-    return extract(value)
+    return extract(_sweep(grid, limits, check_count, None, (HISTORY_DEPTH,)))[0]
 
 
 def _check_budget(grid: StateGrid, budget: OracleBudget | None) -> None:
@@ -123,7 +122,8 @@ def _check_budget(grid: StateGrid, budget: OracleBudget | None) -> None:
 def _dp_and_exact(grid: StateGrid, limits: LimitSets, budget: OracleBudget | None,
                   check_count: int) -> tuple[PlanResult, PlanResult]:
     """plan() and exhaustive_plan() of one instance, bit for bit, from one
-    sweep at depths 0 and HISTORY_DEPTH. The label bound is checked before
+    sweep at depths 0 and HISTORY_DEPTH and one replay of both chains
+    (extract() of both ValueMaps). The label bound is checked before
     any work; over it, plan() runs alone first, so an instance that the DP
     cannot plan raises NoFeasiblePlan before BudgetExceeded, as the two
     calls in turn would. NoFeasiblePlan is the DP's when both die."""
@@ -132,7 +132,7 @@ def _dp_and_exact(grid: StateGrid, limits: LimitSets, budget: OracleBudget | Non
     except BudgetExceeded:
         plan(grid, limits, check_count=check_count)
         raise
-    return tuple(map(extract, _sweep(grid, limits, check_count, None, (0, HISTORY_DEPTH))))
+    return extract(_sweep(grid, limits, check_count, None, (0, HISTORY_DEPTH)))
 
 
 def compare(grid: StateGrid, limits: LimitSets, check_count: int = 0,
@@ -140,10 +140,11 @@ def compare(grid: StateGrid, limits: LimitSets, check_count: int = 0,
     """Measure the DP approximation gap against the exact optimum.
 
     Runs plan() and exhaustive_plan() on the whole grid as one sweep that
-    steps both searches through each stage together, with the results of
-    the two calls; their costs are plan durations. When the gap exceeds
-    GAP_TOLERANCE, the enabled orders are added back one at a time
-    (cheapest first) and each one's gap increment is recorded.
+    steps both searches through each stage together, and replays both
+    chains together, with the results of the two calls; their costs are
+    plan durations. When the gap exceeds GAP_TOLERANCE, the enabled orders
+    are added back one at a time (cheapest first) and each one's gap
+    increment is recorded.
 
     An order binds when its bound has a finite entry; one that does not
     rejects no edge (|v| > inf is false for every sample, and the velocity

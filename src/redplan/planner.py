@@ -25,11 +25,13 @@ and time step (StageEval), to one entry per next key with a scatter-min
 over the block's own keys, whose tail groups the cut keeps within
 max(LANE_BUDGET, S) slots; one sort per stage then merges the blocks'
 entries, so a stage holds no table over all next keys. The labels are the
-search's whole record: extract() starts from the cheapest terminal label
-and follows the predecessor rows. The rigid-body terms of the grid's cells
-come from the grid (StateGrid.terms), computed once however many sweeps and
-replays read them; a replay gathers its chain's rows and checks, as the
-sweep does, that a rest start holds still.
+search's whole record: extract() starts from each search's cheapest
+terminal label, follows the predecessor rows, and replays every chain of
+the sweep at once, in one lane screen and two engine calls (replay). The
+rigid-body terms of the grid's cells come from the grid (StateGrid.terms),
+computed once however many sweeps and replays read them; a replay gathers
+its chains' rows and checks, as the sweep does, that a rest start holds
+still, and that each chain's duration is the cost its search recorded.
 
 plan() sweeps at depth 0, where a label is a node and ties keep the lowest
 predecessor id, the lexicographically smallest (level, lattice index,
@@ -40,7 +42,8 @@ keeps every history an edge reads and is exact. A sweep carries one or more
 label sets, one per depth, in one label array: oracle.compare() sweeps
 depths 0 and 2 together, so that every stage orders, screens, scores and
 reduces the rows of both searches at once, and each search's labels come
-out as its own sweep would give them.
+out as its own sweep would give them; extract() then replays both chains
+in one stack.
 """
 
 from __future__ import annotations
@@ -156,8 +159,7 @@ def plan(grid: StateGrid, limits: LimitSets, check_count: int = 0,
             the deepest stage reached and per-order counts of failed edge
             checks at the transition that died.
     """
-    value, = _sweep(grid, limits, check_count, window)
-    return extract(value)
+    return extract(_sweep(grid, limits, check_count, window))[0]
 
 
 def _sweep(grid, limits, check_count, window, depths=(0,)):
@@ -347,89 +349,130 @@ def _scatter_cheapest(key: Array, cost: Array, pos: Array, slots: int) -> Array:
     return tie[pos == lowest[key]]
 
 
-def extract(value: ValueMap) -> PlanResult:
-    """Walk the predecessor rows backward from the cheapest terminal label
-    and replay its chain. Ties go to the lowest node id, then to the first
-    label in key order; at depth 0 that is the lowest node id.
+def extract(values) -> tuple[PlanResult, ...]:
+    """Walk each ValueMap's predecessor rows backward from its cheapest
+    terminal label and replay the chains together, one PlanResult per
+    ValueMap. The ValueMaps come from one sweep: one grid, limit set and
+    check count. Ties go to the lowest node id, then to the first label in
+    key order; at depth 0 that is the lowest node id.
 
     Raises:
-        CorruptChain: dangling predecessor pointer, or a replayed edge that
-            fails its own feasibility check.
+        CorruptChain: dangling predecessor pointer, or a replayed chain
+            that fails replay's checks. The error is the one that
+            extracting the chains in turn would raise: the first chain's
+            that has one.
     """
-    grid = value.grid
+    grid, limits, check_count = values[0].grid, values[0].limits, values[0].check_count
     n_stages = grid.n_stages
-    row = np.lexsort((value.node[-1], value.cost[-1]))[0]    # stable: then key order
-    ids = np.empty(n_stages + 1, dtype=np.int64)
-    ids[n_stages] = value.node[-1][row]
-    cost = float(value.cost[-1][row])
-    for i in range(n_stages, 0, -1):
-        row = value.pred[i][row]
-        if row < 0:
-            raise CorruptChain(f"dangling predecessor at stage {i}")
-        ids[i - 1] = value.node[i - 1][row]
-    return replay(grid, value.limits, value.check_count, ids, cost, value.reached_sets())
+    ids = np.empty((len(values), n_stages + 1), dtype=np.int64)
+    cost, reached = np.empty(len(values)), [value.reached_sets() for value in values]
+    for k, value in enumerate(values):
+        row = np.lexsort((value.node[-1], value.cost[-1]))[0]    # stable: then key order
+        ids[k, n_stages], cost[k] = value.node[-1][row], value.cost[-1][row]
+        for i in range(n_stages, 0, -1):
+            row = value.pred[i][row]
+            if row < 0:
+                # the chains before this one raise their own errors first
+                if k:
+                    replay(grid, limits, check_count, ids[:k], cost[:k], reached[:k])
+                raise CorruptChain(f"dangling predecessor at stage {i}")
+            ids[k, i - 1] = value.node[i - 1][row]
+    return replay(grid, limits, check_count, ids, cost, reached)
 
 
 def replay(grid: StateGrid, limits: LimitSets, check_count: int, node_ids,
-           cost: float, reached: ReachedSets) -> PlanResult:
-    """Re-evaluate a node chain into a PlanResult in three engine calls.
+           cost, reached) -> tuple[PlanResult, ...]:
+    """Re-evaluate a stack of K node chains, (K, N + 1), into one
+    PlanResult each, in one lane screen and two engine calls.
 
-    A call's rows are stages 0..N-1, its cells stages 1..N and its levels
-    the grid's; edge i is the lane from row i into cell i at stage i + 1's
-    level. Each call is fed the samples of the one before, shifted by a
-    stage: call 1 gives the time steps and joint velocities, call 2 the
-    accelerations and torques, call 3 the jerks, torque rates, check points
-    and verdicts. Each lane computes what the sweep did for its edge, bit
-    for bit, so the last time is the chain's cost. The chain's rigid-body
-    terms are rows of grid.terms: a replay computes no dynamics terms of
-    its own but at its check points. cost and reached pass through from
-    the search.
+    The screen's rows are the chains' stages 0..N-1 and its cells their
+    stages 1..N, chain after chain, and its levels the grid's: edge i of
+    chain k is the lane from row k * N + i into cell k * N + i at the level
+    of its stage i + 1. The screen gives each edge's time step and joint
+    velocity; the first call, fed those velocities, gives the
+    accelerations and torques, and the second, fed those, the jerks,
+    torque rates, check points and verdicts. Each lane computes what the
+    sweep did for its edge, bit for bit, and no lane reads another chain's
+    samples, so a stack gives what its chains give one at a time. The
+    chains' rigid-body terms are rows of grid.terms: a replay computes no
+    dynamics terms of its own but at its check points. cost (K,) holds
+    the costs the search recorded, which the replayed durations must
+    equal, and reached (K ReachedSets) passes through.
 
     Raises:
-        CorruptChain: the chain's rest start cannot hold still within the
-            torque bound, or an edge has no time step or fails a check; the
+        CorruptChain: a chain's rest start cannot hold still within the
+            torque bound, an edge has no time step or fails a check (the
             message names the start or the first such edge, and its failed
-            orders.
+            orders), or its duration differs from its cost. The error is
+            that of the first chain with one, as replaying the chains in
+            turn would raise.
     """
-    n_stages = grid.n_stages
+    robot, dlam, n_stages = grid.robot, grid.path.dlam, grid.n_stages
     L, C = grid.pv_values.size, grid.cfg_count
     ids = np.asarray(node_ids, dtype=np.int64)
-    cell = (np.arange(n_stages + 1), ids % C)
-    q, terms = grid.q_table[cell], grid.terms[cell]
-    level = ids // C
+    K = ids.shape[0]
+    stage, cell = np.broadcast_to(np.arange(n_stages + 1), ids.shape), ids % C
+    q, level = grid.q_table[stage, cell], ids // C
     pv = grid.pv_values[level].astype(float)
-    # qd, qdd and tau of stages 0..N, as far as the calls so far give them
-    samples = np.full((3, n_stages + 1, grid.robot.n), np.nan)
-    samples[:, :1] = initial_samples(grid.robot, terms[:1], pv[:1])
-    if limits.tau is not None and not _order_ok(samples[2, 0], limits.tau):
-        # as in the sweep: a rest start must hold still
-        raise CorruptChain("replayed start at stage 0 is infeasible: tau")
-    edge = np.arange(n_stages)
-    screen = lane_screen(grid.robot, limits, grid.path.dlam, q[:-1], pv[:-1], q[1:], terms[1:],
-                         grid.pv_values, (edge * L + level[1:]) * n_stages + edge)
-    for count in (0, 0, check_count):
-        ev = stage_transitions(grid.robot, limits, grid.path.dlam, q[:-1], pv[:-1],
-                               *samples[:, :-1], q[1:], terms[1:], grid.pv_values,
-                               check_count=count, candidates=screen)
-        edges = ev.row
-        samples[:, edges + 1] = ev.qd, ev.qdd, ev.tau
-    ok = np.zeros(n_stages, dtype=bool)
-    ok[edges] = ev.ok
-    dt = np.concatenate(([0.0], ev.dt[edge, level[1:]]))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        # the edges before k passed, so k, if evaluated, is row k; an edge
-        # with a time step that was not evaluated failed the velocity bound
-        failed = [o for o, v in ev.verdicts.items() if not v[k]] if k in edges else ["qd"]
-        cause = (f"is infeasible: {', '.join(failed)}" if np.isfinite(dt[k + 1])
-                 else "has no time step")
-        raise CorruptChain(f"replayed edge into stage {k + 1} {cause}")
-    rest = np.full((1, grid.robot.n), 0.0 if pv[0] == 0.0 else np.nan)
-    profile = TrajectoryProfile(t=np.cumsum(dt), dt=dt, lam=grid.path.lam.copy(), pv=pv, q=q,
-                                qd=samples[0], qdd=samples[1], tau=samples[2],
-                                qddd=np.concatenate((rest, ev.qddd)),
-                                taud=np.concatenate((rest, ev.taud)))
-    return PlanResult(cost=float(cost), node_ids=ids, profile=profile,
-                      saturation=saturation_percentage(profile, limits),
-                      reached=reached, history_orders=limits.history_dependent_orders,
-                      grid=grid, limits=limits, check_count=check_count)
+    # the screen's rows and cells, chain after chain: row r is edge
+    # r % N of chain r // N
+    rows = K * n_stages
+    r, next_level = np.arange(rows), level[:, 1:].reshape(rows)
+    q_prev, pv_prev = q[:, :-1].reshape(rows, -1), pv[:, :-1].reshape(rows)
+    nxt = stage[:, 1:].reshape(rows), cell[:, 1:].reshape(rows)
+    q_next, terms_next = grid.q_table[nxt], grid.terms[nxt]
+    # qd, qdd and tau of every chain's stages 0..N, as far as the screen and
+    # the calls so far give them
+    samples = np.full((3, K, n_stages + 1, robot.n), np.nan)
+    samples[:, :, 0] = initial_samples(robot, grid.terms[0, cell[:, 0]], pv[:, 0])
+    # as in the sweep: a rest start must hold still
+    holds = (np.ones(K, dtype=bool) if limits.tau is None
+             else _order_ok(samples[2, :, 0], limits.tau))
+    screen = lane_screen(robot, limits, dlam, q_prev, pv_prev, q_next, terms_next,
+                         grid.pv_values, (r * L + next_level) * rows + r)
+    # one lane per row: the rows with an entry are the edges that pass the
+    # velocity bound, and each entry holds the velocity the engine gathers
+    k, i = np.divmod(np.flatnonzero(screen.counts), n_stages)
+    samples[0, k, i + 1] = screen.qd
+    for count in (0, check_count):
+        ev = stage_transitions(robot, limits, dlam, q_prev, pv_prev,
+                               *samples[:, :, :-1].reshape(3, rows, robot.n), q_next, terms_next,
+                               grid.pv_values, check_count=count, candidates=screen)
+        k, i = np.divmod(ev.row, n_stages)
+        samples[:, k, i + 1] = ev.qd, ev.qdd, ev.tau
+    ok = np.zeros(rows, dtype=bool)
+    ok[ev.row] = ev.ok
+    ok = ok.reshape(K, n_stages)
+    dt = np.concatenate((np.zeros((K, 1)), screen.dt[r, next_level].reshape(K, n_stages)),
+                        axis=1)
+    t = np.cumsum(dt, axis=1)
+    results = []
+    for k in range(K):
+        # every edge of the chains before this one passed, so lane
+        # k * N + i of the call, if evaluated, is this chain's edge i
+        lanes = slice(k * n_stages, (k + 1) * n_stages)
+        if not holds[k]:
+            raise CorruptChain("replayed start at stage 0 is infeasible: tau")
+        if not ok[k].all():
+            i = int(np.argmin(ok[k]))
+            # an edge with a time step that the screen dropped failed the
+            # velocity bound
+            failed = ([o for o, v in ev.verdicts.items() if not v[lanes][i]]
+                      if screen.counts[lanes][i] else ["qd"])
+            cause = (f"is infeasible: {', '.join(failed)}" if np.isfinite(dt[k, i + 1])
+                     else "has no time step")
+            raise CorruptChain(f"replayed edge into stage {i + 1} {cause}")
+        if t[k, -1] != cost[k]:
+            raise CorruptChain(f"replayed duration {float(t[k, -1])!r} differs from the search's "
+                               f"cost {float(cost[k])!r}")
+        rest = np.full((1, robot.n), 0.0 if pv[k, 0] == 0.0 else np.nan)
+        profile = TrajectoryProfile(t=t[k], dt=dt[k], lam=grid.path.lam.copy(), pv=pv[k],
+                                    q=q[k], qd=samples[0, k], qdd=samples[1, k],
+                                    tau=samples[2, k], qddd=np.concatenate((rest, ev.qddd[lanes])),
+                                    taud=np.concatenate((rest, ev.taud[lanes])))
+        results.append(PlanResult(cost=float(cost[k]), node_ids=ids[k], profile=profile,
+                                  saturation=saturation_percentage(profile, limits),
+                                  reached=reached[k],
+                                  history_orders=limits.history_dependent_orders,
+                                  grid=grid, limits=limits, check_count=check_count))
+    return tuple(results)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from redplan import cli
+from redplan import cli, planner
 from redplan.cli import main
 from redplan.errors import ScenarioError
 from redplan.scenario import _bundled_dir, bundled_scenario, load_scenario
@@ -415,6 +415,20 @@ def test_no_feasible_plan_exit(tmp_path, capsys):
     assert payload["deepest_stage"] >= 0
 
 
+def test_no_candidate_edge_names_its_cause(tmp_path, capsys):
+    # line's start is at rest and no interior stage has a rest level, so a
+    # max_dl = 0 window admits no edge out of stage 0: nothing is rejected,
+    # and the message says why the histogram is empty
+    scenario = tweaked(tmp_path, "line", window={"max_dl": 0})
+    code = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "x")])
+    assert code == 2
+    payload = stderr_payload(capsys)
+    assert payload == {"error": "NoFeasiblePlan",
+                       "message": "no feasible plan; deepest reached stage 0 (no candidate "
+                                  "edge leaves stage 0; a search window can admit none)",
+                       "deepest_stage": 0, "violation_histogram": {}}
+
+
 @pytest.mark.parametrize("budget", [[], ["--budget", "1"]])
 @pytest.mark.parametrize("overrides,dies", [
     # the DP dies on the way out of stage 1, where the exact search plans
@@ -452,6 +466,38 @@ def test_out_of_memory_exit(tmp_path, capsys, monkeypatch, owner, name):
     assert stderr_payload(capsys) == {"error": "MemoryError",
                                       "message": "Unable to allocate 80.0 GiB for an array"}
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("workload,calls", [
+    # one call per stage of the 20, 11 more for the blocks that the lane
+    # budget cuts, and two for the plan's replay
+    ("plan-dense", {"stage_transitions": 33, "lane_screen": 1}),
+    # the baseline's DP and the unified DP, 48 stages each, and two for
+    # each plan's replay
+    ("baseline-ellipse", {"stage_transitions": 100, "lane_screen": 2}),
+    # 4 stages of one sweep for both searches, and two for one replay of
+    # both chains
+    ("verify-oracle", {"stage_transitions": 6, "lane_screen": 1}),
+])
+def test_engine_calls_per_bench_job(tmp_path, monkeypatch, workload, calls):
+    # the engine work of one benchmark job at seed 0: a replay, of one chain
+    # or of a stack, is one lane screen and two engine calls
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    try:
+        from workloads import WORKLOADS, write_scenario
+    finally:
+        sys.path.pop(0)
+    counted = dict.fromkeys(calls, 0)
+    for name in counted:
+        def counting(*args, _name=name, _call=getattr(planner, name), **kwargs):
+            counted[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(planner, name, counting)
+    scenario = write_scenario(workload, 0, False, str(tmp_path))
+    assert main([WORKLOADS[workload].command, "--scenario", scenario,
+                 "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    assert counted == calls
 
 
 # --- sweep and export ----------------------------------------------------------

@@ -565,7 +565,7 @@ class TestStageTransitions:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again.cost, value.cost))
         # replay: only the check points of its last call, one lane per edge
         shapes.clear()
-        planner.extract(value)
+        planner.extract((value,))
         assert shapes == [(N, 3)] * check_count
         # a replace() copy starts without the terms
         shapes.clear()

@@ -1,8 +1,10 @@
 """DP planner: exactness vs enumeration, determinism, extraction, PST."""
 
+import functools
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +19,7 @@ from redplan.constraints import (LimitSets, Screen, StageEval, initial_samples,
                                  lane_screen, stage_transitions)
 from redplan.errors import CorruptChain, NoFeasiblePlan
 from redplan.grid import GridSpec, build_grid, grid_from_configurations
-from redplan.oracle import exhaustive_plan
+from redplan.oracle import HISTORY_DEPTH, OracleBudget, _dp_and_exact, exhaustive_plan
 from redplan.planner import ReachedSets, Window, extract, plan, replay
 from redplan.scenario import bundled_scenario, load_scenario, pst_csv
 
@@ -176,7 +178,7 @@ class TestExtraction:
         pred[np.lexsort((value.node[-1], value.cost[-1]))[0]] = -1
         corrupt = replace(value, pred=value.pred[:-1] + (pred,))
         with pytest.raises(CorruptChain, match="dangling"):
-            extract(corrupt)
+            extract((corrupt,))
 
     @pytest.mark.parametrize("search", [plan, exhaustive_plan])
     @pytest.mark.parametrize("cells,qd_cap,pv_levels,n_stages", [
@@ -208,8 +210,8 @@ class TestExtraction:
                                    v_max=[1.2], v_step=[0.3]))
         limits = LimitSets.from_joint_limits(arm.limits)
         result = plan(grid, limits)
-        args = (0, result.node_ids, result.cost, result.reached)
-        again = replay(grid, limits, *args)
+        args = (0, [result.node_ids], [result.cost], [result.reached])
+        again, = replay(grid, limits, *args)
         assert np.array_equal(again.profile.t, result.profile.t)
         # the same chain under a velocity cap it breaks: the message names
         # the failed order
@@ -220,7 +222,7 @@ class TestExtraction:
         stalled[1] = stalled[1] % grid.cfg_count           # level 0 at stage 1
         assert grid.pv_values[stalled[0] // grid.cfg_count] == 0.0
         with pytest.raises(CorruptChain, match="stage 1 has no time step"):
-            replay(grid, limits, 0, stalled, result.cost, result.reached)
+            replay(grid, limits, 0, [stalled], [result.cost], [result.reached])
 
     def test_reached_sets(self, arm):
         grid = build_grid(arm, line_path(3),
@@ -253,9 +255,78 @@ def edge_by_edge(grid, limits, check_count, node_ids):
     return evals
 
 
+@functools.cache
+def dp_and_exact(name, check_count):
+    """The bundled scenario's grid and limits, then its DP and exact-search
+    results (one sweep, one replay of both chains), with no label budget."""
+    sc = bundled_scenario(name)
+    grid = sc.build()
+    return (grid, sc.limits,
+            *_dp_and_exact(grid, sc.limits, OracleBudget(math.inf), check_count))
+
+
+def chain_rows(value):
+    """The rows of a ValueMap's extracted chain, stage by stage."""
+    rows = [np.lexsort((value.node[-1], value.cost[-1]))[0]]
+    for pred in value.pred[:0:-1]:
+        rows.append(pred[rows[-1]])
+    return rows[::-1]
+
+
+def extracted(values):
+    """extract(values), or the message of the CorruptChain it raises."""
+    try:
+        return extract(values)
+    except CorruptChain as err:
+        return str(err)
+
+
+def reference_profile(result):
+    """dt, t, qd, qdd and qddd of a replayed chain, recomputed in plain
+    Python floats from its configurations, levels and dlam: the time step
+    of each edge (trapezoid into or out of rest, backward Euler
+    otherwise), their running sum and backward differences."""
+    grid = result.grid
+    dlam = float(grid.path.dlam)
+    pv = [float(grid.pv_values[f // grid.cfg_count]) for f in result.node_ids]
+    q = result.profile.q.tolist()
+    start = [0.0 if pv[0] == 0.0 else math.nan] * len(q[0])
+    dt, t, qd, qdd, qddd = [0.0], [0.0], [start], [start], [start]
+    for i in range(1, len(q)):
+        a, b = pv[i - 1], pv[i]
+        step = 2.0 * dlam / (a + b) if a == 0.0 or b == 0.0 else dlam / b
+        dt.append(step)
+        t.append(t[-1] + step)
+        for x, dx in ((q, qd), (qd, qdd), (qdd, qddd)):
+            dx.append([(new - old) / step for new, old in zip(x[i], x[i - 1])])
+    return {name: np.array(x) for name, x in
+            zip(("dt", "t", "qd", "qdd", "qddd"), (dt, t, qd, qdd, qddd))}
+
+
+def assert_same_results(got, want):
+    """PlanResults equal bit for bit: chain, cost, every profile field,
+    reached sets and saturation."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.node_ids.tobytes() == b.node_ids.tobytes()
+        assert a.cost == b.cost
+        for field in ("t", "dt", "lam", "pv", "q", "qd", "qdd", "qddd", "tau", "taud"):
+            assert getattr(a.profile, field).tobytes() == getattr(b.profile, field).tobytes()
+        assert [x.tobytes() for x in a.reached.node_ids] == [
+            x.tobytes() for x in b.reached.node_ids]
+        sa, sb = a.saturation, b.saturation
+        assert (sa.percentage, sa.active_order, list(sa.per_order)) == (
+            sb.percentage, sb.active_order, list(sb.per_order))
+        assert sa.stage_ratio.tobytes() == sb.stage_ratio.tobytes()
+        assert all(sa.per_order[o].tobytes() == sb.per_order[o].tobytes()
+                   for o in sa.per_order)
+
+
 class TestChainReplay:
-    """replay scores a chain in three engine calls of N lanes each; it must
-    give what one call per edge gives, and name the first bad edge."""
+    """replay scores a stack of chains in one lane screen and two engine
+    calls of one lane per edge; it must give what one call per edge gives
+    and what replaying the chains one at a time gives, and raise the error
+    of the first bad chain, naming its first bad edge."""
 
     @pytest.mark.parametrize("check_count", [0, 2])
     @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
@@ -295,7 +366,7 @@ class TestChainReplay:
             if len(evals) != m or evals[-1].ok.any() or "duration" in failed:
                 continue
             with pytest.raises(CorruptChain) as err:
-                replay(grid, sc.limits, 0, ids, result.cost, result.reached)
+                replay(grid, sc.limits, 0, [ids], [result.cost], [result.reached])
             assert str(err.value) == (f"replayed edge into stage {m} is infeasible: "
                                       f"{', '.join(failed)}")
             named.append(failed)
@@ -313,7 +384,102 @@ class TestChainReplay:
         ids[m:m + 2] %= grid.cfg_count
         with pytest.raises(CorruptChain, match=f"^replayed edge into stage {m + 1} "
                                                "has no time step$"):
-            replay(grid, inf_limits(), 0, ids, result.cost, result.reached)
+            replay(grid, inf_limits(), 0, [ids], [result.cost], [result.reached])
+
+    @pytest.mark.parametrize("check_count", [0, 2])
+    @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
+                                      "toy_velocity"])
+    def test_stack_equals_single_replays(self, name, check_count):
+        # the DP's and the exact search's chains, extracted together, then
+        # restacked in another order with a chain repeated
+        grid, limits, dp, exact = dp_and_exact(name, check_count)
+        stack = (exact, dp, exact)
+        got = replay(grid, limits, check_count, [r.node_ids for r in stack],
+                     [r.cost for r in stack], [r.reached for r in stack])
+        want = [replay(grid, limits, check_count, [r.node_ids], [r.cost], [r.reached])[0]
+                for r in stack]
+        assert_same_results(got, want)
+        assert_same_results((dp, exact), want[1:])
+
+    @pytest.mark.parametrize("check_count", [0, 2])
+    @pytest.mark.parametrize("name", ["ellipse", "line", "toy_full", "toy_jerk",
+                                      "toy_velocity"])
+    def test_matches_a_plain_float_reference(self, name, check_count):
+        # the kinematic fields of a replay, recomputed without the engine
+        grid, limits, dp, exact = dp_and_exact(name, check_count)
+        for result in (dp, exact):
+            assert result.profile.pv.tolist() == [
+                float(grid.pv_values[f // grid.cfg_count]) for f in result.node_ids]
+            for field, want in reference_profile(result).items():
+                assert getattr(result.profile, field).tobytes() == want.tobytes(), field
+            assert result.profile.t[-1] == result.cost
+
+    def test_duration_must_equal_the_search_cost(self):
+        sc = bundled_scenario("line")
+        grid = sc.build()
+        result = plan(grid, sc.limits)
+        off = float(np.nextafter(result.cost, np.inf))
+        with pytest.raises(CorruptChain) as err:
+            replay(grid, sc.limits, 0, [result.node_ids] * 2, [result.cost, off],
+                   [result.reached] * 2)
+        assert str(err.value) == (f"replayed duration {result.cost!r} differs from the "
+                                  f"search's cost {off!r}")
+
+    KINDS = (None, "dangling pointer", "bad edge", "stalled start")
+
+    @pytest.mark.parametrize("second", KINDS)
+    @pytest.mark.parametrize("first", KINDS)
+    def test_corrupt_pair_raises_as_extracting_in_turn(self, first, second):
+        # the DP's and the exact search's ValueMaps of one sweep, each left
+        # whole or corrupted
+        sc = bundled_scenario("toy_jerk")
+        grid = sc.build()
+        values = planner._sweep(grid, sc.limits, 0, None, (0, HISTORY_DEPTH))
+        pair = tuple(self.corrupted(grid, value, kind) for value, kind in
+                     zip(values, (first, second)))
+        in_turn = [extracted((value,)) for value in pair]
+        for kind, single in zip((first, second), in_turn):
+            assert isinstance(single, str) == (kind is not None)
+        errors = [single for single in in_turn if isinstance(single, str)]
+        stacked = extracted(pair)
+        if errors:
+            assert stacked == errors[0]
+        else:
+            assert_same_results(stacked, [single[0] for single in in_turn])
+
+    @staticmethod
+    def corrupted(grid, value, kind):
+        """value with its extracted chain broken: a dangling predecessor
+        at the last stage; another node at the middle stage, one that makes
+        an edge pass the velocity bound but fail a higher order; or stage 1
+        at rest, so that the edge from the rest start has no time step."""
+        if kind is None:
+            return value
+        rows, C = chain_rows(value), grid.cfg_count
+        if kind == "dangling pointer":
+            pred = value.pred[-1].copy()
+            pred[rows[-1]] = -1
+            return replace(value, pred=value.pred[:-1] + (pred,))
+
+        def with_node(i, f):
+            node = list(value.node)
+            node[i] = node[i].copy()
+            node[i][rows[i]] = f
+            return replace(value, node=tuple(node))
+
+        if kind == "stalled start":
+            broken = with_node(1, value.node[1][rows[1]] % C)
+            assert extracted((broken,)) == "replayed edge into stage 1 has no time step"
+            return broken
+        # the first node of the middle stage that does
+        m = grid.n_stages // 2
+        for f in grid.stage_ids(m):
+            broken = with_node(m, f)
+            error = extracted((broken,))
+            if (isinstance(error, str) and " is infeasible: " in error
+                    and not error.endswith(": qd")):
+                return broken
+        raise AssertionError("no middle node breaks the chain")
 
 
 class TestLaneSparseHotPaths:
@@ -747,11 +913,15 @@ class TestPredecessorBlocks:
         grid = sc.build()
         chain = [16, 214, 142, 160, 142, 212, 192, 172, 170, 168, 0]
         limits = LimitSets(qd=sc.limits.qd, tau=[12.7669, 1e9, 1e9])
-        result = replay(grid, limits, 0, chain, 0.0, ReachedSets(()))
+        # the chain's duration, folded edge by edge as the sweep does
+        cost = 0.0
+        for ev in edge_by_edge(grid, limits, 0, chain):
+            cost = cost + float(ev.dt[0, 0])
+        result, = replay(grid, limits, 0, [chain], [cost], [ReachedSets(())])
         assert 12.7668 <= result.profile.tau[0, 0] <= 12.7669
         with pytest.raises(CorruptChain, match="^replayed start at stage 0 is infeasible: tau$"):
-            replay(grid, replace(limits, tau=np.array([12.7541, 1e9, 1e9])), 0, chain, 0.0,
-                   ReachedSets(()))
+            replay(grid, replace(limits, tau=np.array([12.7541, 1e9, 1e9])), 0, [chain], [cost],
+                   [ReachedSets(())])
 
     def test_depth_two(self, monkeypatch):
         # a block's keys are numbered by its own tail groups, which only
